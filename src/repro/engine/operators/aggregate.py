@@ -1,41 +1,47 @@
 """Hash aggregation stage (stop-&-go), with graceful spilling.
 
-Consumes its entire input, folding rows into per-group accumulators,
-then emits one output row per group. Output groups are ordered by
-group key so results are deterministic regardless of scheduling.
+Consumes its entire input, folding rows into per-group state, then
+emits one output row per group. Output groups are ordered by group key
+so results are deterministic regardless of scheduling.
 
 NULL semantics: aggregate inputs that evaluate to ``None`` are skipped
 (``count(expr)`` counts non-NULL values; ``count(*)`` counts rows) —
 TPC-H Q13's ``count(o_orderkey)`` over a left join depends on this.
 
-Vectorized, the group keys and aggregate inputs of a whole batch are
-extracted column-at-a-time (one ``zip`` over the key columns, one
-batch-compiled evaluation per aggregate expression) before the fold
-loop runs; a global aggregate (no group-by) folds each input column in
-one tight loop per accumulator. Float accumulation order is preserved
-exactly — sums still add value by value in row order — so results stay
-bit-identical to the row-at-a-time path.
+Every batch goes through one fold kernel, in two passes. *Resolve*: one
+dict lookup per row takes its group key to that group's state, a flat
+list of ``[total, count, best]`` per aggregate. *Accumulate*: one tight
+loop per aggregate over ``zip(states, column)``, chosen per aggregate
+function when the operator is built. The vectorized and row-at-a-time
+(``vectorize=False``) paths differ only in how they *extract* the keys
+and value columns they hand the kernel. Within a group values are added
+in row order, so float sums are bit-identical to the naive oracle
+(:func:`aggregate_rows`, which shares no code with the kernel).
 
 Without memory governance (``ctx.memory is None``) the stage buffers
 every group unconditionally, exactly as the seed did. With a
 :class:`~repro.engine.memory.MemoryBroker` attached it takes a
 working-memory grant and becomes a **partitioned spilling aggregate**:
-groups are hashed into partitions, and when the resident group state
-exceeds the grant the largest partition is spilled — its accumulator
-*states* (which merge: sums add, counts add, min/max combine) are
-written through a :class:`~repro.storage.buffer.SpillFile`, and later
-input rows for a spilled partition are folded into singleton states
-and appended. A finalize phase re-reads each spilled partition,
-merges its states (the broker records an overcommit if a single
-partition still exceeds the grant — the recursion floor), and emits
-all groups in global key order, so the answer is identical to the
+groups are hashed into partitions (memoised per key), and when the
+resident group state exceeds the grant the largest partition is
+spilled — its group *states* (which merge: sums add, counts add,
+min/max combine) are written through a
+:class:`~repro.storage.buffer.SpillFile`, and later input rows for a
+spilled partition are folded into singleton states and appended, in row
+order. A finalize phase re-reads each spilled partition, merges its
+states with the same kernels (the broker records an overcommit if a
+single partition still exceeds the grant — the recursion floor), and
+emits all groups in global key order, so the answer is identical to the
 unbounded aggregate's at every budget.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
+
 from repro.engine.expressions import try_compile_batch
 from repro.engine.operators.api import BatchOperator, drive
+from repro.engine.operators.partitioning import PartitionMemo
 from repro.errors import PlanError
 from repro.sim.events import Compute
 from repro.storage.spill_cursor import SpillCursor
@@ -45,6 +51,8 @@ __all__ = ["AggregateOperator", "task", "aggregate_rows", "Accumulator"]
 # Group-state partitions of the governed aggregate; clamped to the
 # memory grant like the hybrid hash join's fanout.
 DEFAULT_FANOUT = 8
+# count(*)'s value column: a one per row, however many rows.
+_ONES = repeat(1)
 
 
 class Accumulator:
@@ -76,35 +84,6 @@ class Accumulator:
             self.best = value if self.best is None else max(self.best, value)
         else:  # pragma: no cover - constructor validates
             raise PlanError(f"unknown aggregate {self.func!r}")
-
-    def update_column(self, values) -> None:
-        """Fold a whole value column, preserving row-order arithmetic."""
-        func = self.func
-        if func == "count":
-            self.count += sum(1 for v in values if v is not None)
-            return
-        if func in ("sum", "avg"):
-            total = self.total
-            count = self.count
-            for v in values:
-                if v is not None:
-                    total += v
-                    count += 1
-            self.total = total
-            self.count = count
-            return
-        if func == "min":
-            kept = [v for v in values if v is not None]
-            if kept:
-                low = min(kept)
-                self.best = low if self.best is None else min(self.best, low)
-        elif func == "max":
-            kept = [v for v in values if v is not None]
-            if kept:
-                high = max(kept)
-                self.best = high if self.best is None else max(self.best, high)
-        else:  # pragma: no cover - constructor validates
-            raise PlanError(f"unknown aggregate {func!r}")
 
     def state(self) -> tuple:
         """Serializable partial state, mergeable via :meth:`absorb`."""
@@ -165,91 +144,174 @@ def aggregate_rows(rows, schema, group_by, aggs):
     return output
 
 
+# -- accumulate kernels ----------------------------------------------------
+#
+# Each takes the batch's resolved states (one per row, repeats allowed)
+# and a column, and updates one slot of the flat state in row order.
+# ``_add`` counts rows (``count(*)`` is a column of ones) and, like
+# ``_least`` and ``_greatest``, merges spilled state columns: a state
+# that never saw a value carries the identity.
+
+
+def _add(slot):
+    def accumulate(states, column):
+        for state, value in zip(states, column):
+            state[slot] += value
+
+    return accumulate
+
+
+def _sum(total, count):
+    def accumulate(states, column):
+        for state, value in zip(states, column):
+            if value is not None:
+                state[total] += value
+                state[count] += 1
+
+    return accumulate
+
+
+def _count_values(count):
+    def accumulate(states, column):
+        for state, value in zip(states, column):
+            if value is not None:
+                state[count] += 1
+
+    return accumulate
+
+
+def _least(best):
+    def accumulate(states, column):
+        for state, value in zip(states, column):
+            if value is not None:
+                kept = state[best]
+                if kept is None or value < kept:
+                    state[best] = value
+
+    return accumulate
+
+
+def _greatest(best):
+    def accumulate(states, column):
+        for state, value in zip(states, column):
+            if value is not None:
+                kept = state[best]
+                if kept is None or value > kept:
+                    state[best] = value
+
+    return accumulate
+
+
+def _compile_kernels(aggs):
+    """Per aggregate: the kernel folding its value column, and the
+    ``(kernel, slot)`` pairs merging its spilled state columns."""
+    fold, merge = [], []
+    for i, spec in enumerate(aggs):
+        total, count, best = 3 * i, 3 * i + 1, 3 * i + 2
+        if spec.func == "count":
+            fold.append(_add(count) if spec.expr is None else _count_values(count))
+            merge.append((_add(count), count))
+        elif spec.func in ("sum", "avg"):
+            fold.append(_sum(total, count))
+            merge += [(_add(total), total), (_add(count), count)]
+        elif spec.func in ("min", "max"):
+            kernel = (_least if spec.func == "min" else _greatest)(best)
+            fold.append(kernel)
+            merge.append((kernel, best))
+        else:  # pragma: no cover - constructor validates
+            raise PlanError(f"unknown aggregate {spec.func!r}")
+    return fold, merge
+
+
+def _result(func, total, count, best):
+    if func == "count":
+        return count
+    if func == "sum":
+        return total if count else None
+    if func == "avg":
+        return total / count if count else None
+    return best
+
+
+class _Groups(dict):
+    """Group key -> flat state; a key's first lookup starts its state."""
+
+    __slots__ = ("fresh",)
+
+    def __init__(self, fresh: list) -> None:
+        super().__init__()
+        self.fresh = fresh
+
+    def __missing__(self, key) -> list:
+        state = self[key] = self.fresh.copy()
+        return state
+
+
 class AggregateOperator(BatchOperator):
     def __init__(self, node, ctx, out_queues):
         super().__init__(node, ctx, out_queues)
         schema = node.children[0].schema
-        self.aggs = node.params["aggs"]
+        aggs = node.params["aggs"]
+        self.funcs = [spec.func for spec in aggs]
         self.group_idx = [schema.index_of(n) for n in node.params["group_by"]]
-        self.value_fns = [
-            (spec.expr.compile(schema) if spec.expr is not None
-             else (lambda row: True))
-            for spec in self.aggs
-        ]
-        # Batch value extractors; None stands for count(*)'s constant.
-        batch_fns = [
-            (try_compile_batch(spec.expr, schema)
-             if spec.expr is not None else None)
-            for spec in self.aggs
-        ]
-        self.vector = ctx.vectorize and all(
-            bf is not None or spec.expr is None
-            for bf, spec in zip(batch_fns, self.aggs)
-        )
-        self.batch_fns = batch_fns if self.vector else None
+        self.kernels, self.mergers = _compile_kernels(aggs)
+        # Value extractors, batch-compiled when every expression allows
+        # it; None stands for count(*), which reads a column of ones.
+        exprs = [spec.expr for spec in aggs]
+        fns = [None if e is None else try_compile_batch(e, schema) for e in exprs]
+        self.vector = ctx.vectorize and all(f is not None or e is None for f, e in zip(fns, exprs))
+        if not self.vector:
+            fns = [None if e is None else e.compile(schema) for e in exprs]
+        self.value_fns = fns
         self.make_emitter(len(node.schema))
-        self.groups: dict[tuple, list[Accumulator]] = {}
+        self.fresh = [0.0, 0, None] * len(aggs)
+        self.groups = _Groups(self.fresh)
         self.grant = None
 
-    # -- batch-wise extraction -------------------------------------------
+    # -- the fold kernel -------------------------------------------------
 
-    def _batch_keys_values(self, batch):
-        """Key tuples and per-aggregate value columns for one batch."""
+    def _keys_and_columns(self, batch):
+        """One group key per row and one value column per aggregate —
+        the only step the vectorized and row-at-a-time paths do apart."""
         n = len(batch)
-        cols = batch.columns
-        if self.group_idx:
-            keys = list(zip(*[cols[i] for i in self.group_idx]))
-        else:
-            keys = None
-        values = [
-            ([True] * n if bf is None else bf(cols, n))
-            for bf in self.batch_fns
-        ]
-        return keys, values
-
-    def _fresh_accumulators(self):
-        return [Accumulator(spec.func) for spec in self.aggs]
-
-    def _fold_ungoverned(self, batch):
-        if self.vector:
-            keys, values = self._batch_keys_values(batch)
-            groups = self.groups
-            if keys is None:
-                accumulators = groups.get(())
-                if accumulators is None:
-                    accumulators = self._fresh_accumulators()
-                    groups[()] = accumulators
-                for accumulator, column in zip(accumulators, values):
-                    accumulator.update_column(column)
-                return
-            make = self._fresh_accumulators
-            if len(values) == 1:
-                column = values[0]
-                for i, key in enumerate(keys):
-                    accumulators = groups.get(key)
-                    if accumulators is None:
-                        accumulators = make()
-                        groups[key] = accumulators
-                    accumulators[0].update(column[i])
-                return
-            for i, key in enumerate(keys):
-                accumulators = groups.get(key)
-                if accumulators is None:
-                    accumulators = make()
-                    groups[key] = accumulators
-                for accumulator, column in zip(accumulators, values):
-                    accumulator.update(column[i])
-            return
         group_idx = self.group_idx
-        groups = self.groups
-        for row in batch.rows:
-            key = tuple(row[i] for i in group_idx)
-            accumulators = groups.get(key)
-            if accumulators is None:
-                accumulators = self._fresh_accumulators()
-                groups[key] = accumulators
-            for accumulator, fn in zip(accumulators, self.value_fns):
-                accumulator.update(fn(row))
+        if self.vector:
+            cols = batch.columns
+            keys = zip(*[cols[i] for i in group_idx]) if group_idx else repeat((), n)
+            columns = [_ONES if fn is None else fn(cols, n) for fn in self.value_fns]
+        else:
+            rows = batch.rows
+            keys = [tuple(row[i] for i in group_idx) for row in rows]
+            columns = [_ONES if fn is None else [fn(row) for row in rows] for fn in self.value_fns]
+        return keys, columns
+
+    def _fold(self, batch) -> list:
+        """Resolve each row's group state once, then accumulate column
+        at a time. Returns ``(file, key, state)`` for the rows that fell
+        in spilled partitions, in row order, for the caller to append."""
+        keys, columns = self._keys_and_columns(batch)
+        spilled = []
+        if self.grant is None:
+            states = list(map(self.groups.__getitem__, keys))
+        else:
+            parts, memo, fresh = self.parts, self.memo, self.fresh
+            states = []
+            for key in keys:
+                part = parts[memo[key]]
+                groups = part.groups
+                if groups is None:
+                    state = fresh.copy()
+                    spilled.append((part.file, key, state))
+                else:
+                    state = groups[key]
+                states.append(state)
+        for kernel, column in zip(self.kernels, columns):
+            kernel(states, column)
+        return spilled
+
+    def _output_row(self, key, state) -> tuple:
+        slots = iter(state)
+        return key + tuple(map(_result, self.funcs, slots, slots, slots))
 
     # -- protocol --------------------------------------------------------
 
@@ -258,15 +320,10 @@ class AggregateOperator(BatchOperator):
         if ctx.memory is not None:
             # Grant acquisition stays at task start (not construction)
             # so broker bookkeeping keeps its spawn-order timeline.
-            self.grant = ctx.memory.grant(
-                self.node.op_id, self.node.params.get("mem_pages")
-            )
-            self.fanout = max(
-                2,
-                min(self.node.params.get("fanout", DEFAULT_FANOUT),
-                    self.grant.pages),
-            )
-            self.parts = [_AggPartition() for _ in range(self.fanout)]
+            self.grant = ctx.memory.grant(self.node.op_id, self.node.params.get("mem_pages"))
+            fanout = max(2, min(self.node.params.get("fanout", DEFAULT_FANOUT), self.grant.pages))
+            self.parts = [_AggPartition(self.fresh) for _ in range(fanout)]
+            self.memo = PartitionMemo(0, fanout)
         return
         yield  # pragma: no cover
 
@@ -275,37 +332,32 @@ class AggregateOperator(BatchOperator):
             yield from self._governed_fold(batch)
             return
         yield Compute(self.ctx.costs.agg_update * len(batch))
-        self._fold_ungoverned(batch)
+        self._fold(batch)
 
     def finish(self):
+        key_width = len(self.group_idx)
+        output = []
+        if self.grant is None:
+            output.extend(self._output_row(key, state) for key, state in self.groups.items())
+        else:
+            yield from self._merge_partitions(output, key_width)
+        output.sort(key=lambda row: _sort_key(row[:key_width]))
+        if output:
+            yield Compute(self.ctx.costs.agg_emit * len(output))
+        yield from self.emitter.emit_rows(output)
+        yield from self.emitter.close()
         if self.grant is not None:
-            yield from self._governed_finish()
-            return
-        emitter = self.emitter
-        groups = self.groups
-        ordered_keys = sorted(groups, key=_sort_key)
-        if ordered_keys:
-            yield Compute(self.ctx.costs.agg_emit * len(ordered_keys))
-        output = [
-            key + tuple(a.result() for a in groups[key])
-            for key in ordered_keys
-        ]
-        yield from emitter.emit_rows(output)
-        yield from emitter.close()
+            self.grant.close()
 
     # -- memory-governed partitioned aggregate ---------------------------
 
     def _spill_largest(self) -> int:
         """Spill the largest resident partition's state; pages written."""
-        victim = max(
-            (p for p in self.parts if not p.spilled and p.groups),
-            key=lambda p: len(p.groups),
-        )
+        victim = max((p for p in self.parts if p.groups), key=lambda p: len(p.groups))
         if victim.file is None:
             victim.file = self.ctx.pool.spill_file(self.ctx.page_rows)
         written = victim.file.append_rows(
-            _state_row(key, accumulators)
-            for key, accumulators in victim.groups.items()
+            key + tuple(state) for key, state in victim.groups.items()
         )
         victim.groups = None
         return written
@@ -313,94 +365,52 @@ class AggregateOperator(BatchOperator):
     def _governed_fold(self, batch):
         """Fold one batch into partitioned group state, spilling the
         largest partition whenever the grant is exceeded."""
-        from repro.engine.operators.hash_join import _partition_of
-
         costs = self.ctx.costs
         page_rows = self.ctx.page_rows
         parts = self.parts
-        fanout = self.fanout
         grant = self.grant
         cost = costs.agg_update * len(batch)
-        if self.vector:
-            keys, values = self._batch_keys_values(batch)
-            if keys is None:
-                keys = [()] * len(batch)
-            rows_values = zip(keys, *values)
-        else:
-            group_idx = self.group_idx
-            value_fns = self.value_fns
-            rows_values = (
-                (tuple(row[i] for i in group_idx),
-                 *(fn(row) for fn in value_fns))
-                for row in batch.rows
-            )
-        for key, *row_values in rows_values:
-            p = parts[_partition_of(key, 0, fanout)]
-            if p.spilled:
-                fresh = self._fresh_accumulators()
-                for accumulator, value in zip(fresh, row_values):
-                    accumulator.update(value)
-                cost += costs.spill_page * p.file.append_rows(
-                    (_state_row(key, fresh),)
-                )
-            else:
-                accumulators = p.groups.get(key)
-                if accumulators is None:
-                    accumulators = self._fresh_accumulators()
-                    p.groups[key] = accumulators
-                for accumulator, value in zip(accumulators, row_values):
-                    accumulator.update(value)
+        for file, key, state in self._fold(batch):
+            written = file.append_rows((key + tuple(state),))
+            if written:
+                cost += costs.spill_page * written
         while _group_pages(parts, page_rows) > grant.pages:
             cost += costs.spill_page * self._spill_largest()
         grant.resize_used(_group_pages(parts, page_rows))
         yield Compute(cost)
 
-    def _governed_finish(self):
+    def _merge_partitions(self, output, key_width):
         """Resident partitions emit directly; spilled partitions re-read
         and merge their state runs (overcommitting at the floor if a
         single partition still exceeds the grant)."""
         ctx = self.ctx
         costs = ctx.costs
         grant = self.grant
-        key_width = len(self.group_idx)
-        output = []
         for p in self.parts:
-            if not p.spilled:
-                output.extend(
-                    key + tuple(a.result() for a in p.groups[key])
-                    for key in p.groups
-                )
-                p.groups = None
-                continue
-            seal = costs.spill_page * p.file.flush()
-            if seal:
-                yield Compute(seal)
-            grant.resize_used(p.file.page_count)
-            merged: dict = {}
-            # Stream the state run back through a prefetched cursor: the
-            # absorb CPU of this page drains the next pages' reads.
-            reader = SpillCursor(p.file, costs.io_page, ctx.spill_prefetch)
-            credit = 0.0
-            while not reader.exhausted:
-                spill_page, stall = reader.next_page(credit)
-                for row in spill_page.rows:
-                    _absorb_state_row(merged, row, key_width, self.aggs)
-                credit = costs.agg_update * len(spill_page)
-                yield Compute(credit + stall, io=stall)
-            output.extend(
-                key + tuple(a.result() for a in merged[key])
-                for key in merged
-            )
-            p.file.drop()
+            merged = p.groups
+            if p.spilled:
+                seal = costs.spill_page * p.file.flush()
+                if seal:
+                    yield Compute(seal)
+                grant.resize_used(p.file.page_count)
+                merged = _Groups(self.fresh)
+                # Stream the state run back through a prefetched cursor: the
+                # merge CPU of this page drains the next pages' reads.
+                reader = SpillCursor(p.file, costs.io_page, ctx.spill_prefetch)
+                credit = 0.0
+                while not reader.exhausted:
+                    spill_page, stall = reader.next_page(credit)
+                    rows = spill_page.rows
+                    states = [merged[row[:key_width]] for row in rows]
+                    columns = list(zip(*rows))
+                    for kernel, slot in self.mergers:
+                        kernel(states, columns[key_width + slot])
+                    credit = costs.agg_update * len(spill_page)
+                    yield Compute(credit + stall, io=stall)
+                p.file.drop()
+            output.extend(self._output_row(key, state) for key, state in merged.items())
+            p.groups = None
         grant.resize_used(0)
-
-        emitter = self.emitter
-        output.sort(key=lambda row: _sort_key(row[:key_width]))
-        if output:
-            yield Compute(costs.agg_emit * len(output))
-        yield from emitter.emit_rows(output)
-        yield from emitter.close()
-        grant.close()
 
 
 class _AggPartition:
@@ -408,8 +418,8 @@ class _AggPartition:
 
     __slots__ = ("groups", "file")
 
-    def __init__(self) -> None:
-        self.groups: dict | None = {}
+    def __init__(self, fresh: list) -> None:
+        self.groups: _Groups | None = _Groups(fresh)
         self.file = None
 
     @property
@@ -419,31 +429,7 @@ class _AggPartition:
 
 def _group_pages(parts, page_rows: int) -> int:
     """Pages of resident group state (one group ~ one state row)."""
-    return sum(
-        -(-len(p.groups) // page_rows)
-        for p in parts if not p.spilled and p.groups
-    )
-
-
-def _state_row(key: tuple, accumulators) -> tuple:
-    """Flatten one group's accumulators into a spillable row."""
-    row = list(key)
-    for accumulator in accumulators:
-        row.extend(accumulator.state())
-    return tuple(row)
-
-
-def _absorb_state_row(groups, row, key_width, aggs) -> None:
-    """Merge one spilled state row into a partition's group map."""
-    key = row[:key_width]
-    accumulators = groups.get(key)
-    if accumulators is None:
-        accumulators = [Accumulator(spec.func) for spec in aggs]
-        groups[key] = accumulators
-    offset = key_width
-    for accumulator in accumulators:
-        accumulator.absorb(tuple(row[offset:offset + 3]))
-        offset += 3
+    return sum(-(-len(p.groups) // page_rows) for p in parts if p.groups)
 
 
 def task(node, in_queues, out_queues, ctx):

@@ -38,9 +38,8 @@ never fail the query.
 
 from __future__ import annotations
 
-import zlib
-
 from repro.engine.operators.api import BatchOperator, drive
+from repro.engine.operators.partitioning import partition_of
 from repro.sim.events import Compute
 from repro.storage.spill_cursor import SpillCursor
 
@@ -54,6 +53,8 @@ DEFAULT_FANOUT = 8
 # if over budget: repeated splitting has failed (heavy key skew), and
 # overcommitting is better than recursing forever.
 MAX_RECURSION_DEPTH = 3
+# The partitioner's name while it lived here; kept for importers.
+_partition_of = partition_of
 
 
 def build_table(build_rows, key_index):
@@ -100,15 +101,6 @@ def _probe_keyed(rows, keys, table, join_type, build_width):
     else:  # pragma: no cover - plan constructor validates
         raise AssertionError(f"unknown join type {join_type!r}")
     return output
-
-
-def _partition_of(key, salt: int, fanout: int) -> int:
-    """Deterministic partition number, independent of PYTHONHASHSEED.
-
-    ``salt`` varies per recursion level so that a partition which does
-    not fit is re-split along a different boundary.
-    """
-    return zlib.crc32(f"{salt}|{key!r}".encode()) % fanout
 
 
 class _Partition:
@@ -259,7 +251,7 @@ class HashJoinOperator(BatchOperator):
         cost = costs.hash_build * len(batch)
         keys = self._keys(batch, self.build_index)
         for key, row in zip(keys, batch.rows):
-            p = parts[_partition_of(key, 0, fanout)]
+            p = parts[partition_of(key, 0, fanout)]
             if p.spilled:
                 cost += costs.spill_page * p.build_file.append_rows((row,))
             else:
@@ -281,7 +273,7 @@ class HashJoinOperator(BatchOperator):
         joined = []
         keys = self._keys(batch, self.probe_index)
         for key, row in zip(keys, batch.rows):
-            p = parts[_partition_of(key, 0, fanout)]
+            p = parts[partition_of(key, 0, fanout)]
             if p.spilled:
                 if p.probe_file is None:
                     p.probe_file = ctx.pool.spill_file(ctx.page_rows)
@@ -363,7 +355,7 @@ def _join_spilled(build_file, probe_file, depth, ctx, grant, emitter,
             page, stall = reader.next_page(0.0)
             cost = 0.0
             for row in page.rows:
-                target = files[_partition_of(row[key_index], depth, fanout)]
+                target = files[partition_of(row[key_index], depth, fanout)]
                 cost += costs.spill_page * target.append_rows((row,))
             yield Compute(cost + stall, io=stall)
         seal = sum(costs.spill_page * f.flush() for f in files)

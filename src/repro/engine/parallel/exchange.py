@@ -42,10 +42,11 @@ sorted partitions is exactly the serial output order.
 from __future__ import annotations
 
 import heapq
+from operator import itemgetter
 from typing import Generator, Sequence
 
 from repro.engine.operators.api import BatchOperator
-from repro.engine.operators.hash_join import _partition_of
+from repro.engine.operators.partitioning import PartitionMemo
 from repro.engine.stage import BatchEmitter
 from repro.sim.events import CLOSED, Compute, Get
 from repro.sim.queues import SimQueue
@@ -70,16 +71,21 @@ class ExchangeOperator(BatchOperator):
     ``node`` is the plan node whose output is being repartitioned
     (schema and op_id provide the width and the stage name);
     ``key_indices`` are the partition-key columns. One emitter per
-    output queue keeps partition streams independent: a batch is
-    bucketed row-by-row and each bucket rides its own emitter, so a
-    consumer sees only its partition, in producer order.
+    output queue keeps partition streams independent: a batch's key
+    column is extracted once and mapped to partition ids through a
+    bounded :class:`~repro.engine.operators.partitioning.PartitionMemo`
+    (the hash is paid once per distinct key), rows are bucketed in
+    input order, and each bucket rides its own emitter, so a consumer
+    sees only its partition, in producer order.
     """
 
     ports = 1
 
     def __init__(self, node, ctx, out_queues, key_indices) -> None:
         super().__init__(node, ctx, out_queues)
-        self.key_indices = list(key_indices)
+        # One index partitions on the bare value, several on their tuple.
+        self._key_of = itemgetter(*key_indices)
+        self._memo = PartitionMemo(EXCHANGE_SALT, len(out_queues))
         width = len(node.schema)
         self._emitters = [
             BatchEmitter(
@@ -94,21 +100,15 @@ class ExchangeOperator(BatchOperator):
         ]
 
     def next_batch(self, batch, port: int) -> Generator:
-        fanout = len(self._emitters)
         yield Compute(self.ctx.costs.exchange_tuple * len(batch))
-        buckets: list[list] = [[] for _ in range(fanout)]
-        indices = self.key_indices
-        if len(indices) == 1:
-            index = indices[0]
-            for row in batch.rows:
-                buckets[_partition_of(row[index], EXCHANGE_SALT, fanout)].append(row)
-        else:
-            for row in batch.rows:
-                key = tuple(row[i] for i in indices)
-                buckets[_partition_of(key, EXCHANGE_SALT, fanout)].append(row)
-        for rows, emitter in zip(buckets, self._emitters):
-            if rows:
-                yield from emitter.emit_rows(rows)
+        rows = batch.rows
+        buckets: list[list] = [[] for _ in self._emitters]
+        partitions = map(self._memo.__getitem__, map(self._key_of, rows))
+        for partition, row in zip(partitions, rows):
+            buckets[partition].append(row)
+        for bucket, emitter in zip(buckets, self._emitters):
+            if bucket:
+                yield from emitter.emit_rows(bucket)
 
     def finish(self) -> Generator:
         for emitter in self._emitters:

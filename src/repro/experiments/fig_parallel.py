@@ -41,7 +41,7 @@ from typing import Optional, Sequence
 from repro.db import Database, Query, QueryBuilder, RuntimeConfig
 from repro.engine import AggSpec
 from repro.engine.expressions import col, ge, lit
-from repro.engine.operators.hash_join import _partition_of
+from repro.engine.operators.partitioning import partition_of
 from repro.engine.parallel import EXCHANGE_SALT
 from repro.experiments.common import DEFAULT_SEED
 from repro.experiments.report import format_table
@@ -168,7 +168,7 @@ def _measure_arm(
 def _partition_loads(counts: dict[int, int], dop: int) -> list[int]:
     loads = [0] * dop
     for g, count in counts.items():
-        loads[_partition_of(g, EXCHANGE_SALT, dop)] += count
+        loads[partition_of(g, EXCHANGE_SALT, dop)] += count
     return loads
 
 
