@@ -3,7 +3,8 @@
 The paper profiles queries offline and notes that online estimation
 has "no significant barriers". This example runs the full loop live:
 
-1. an open system (Poisson arrivals) submits Q6 to a cold engine;
+1. an open-system server (Poisson arrivals, nothing shed) feeds Q6 to
+   a cold engine;
 2. the online policy explores a couple of shared groups to identify
    the scan stage's per-consumer cost s;
 3. from then on it decides from the learned model — sharing on the
@@ -19,27 +20,33 @@ Run: ``python examples/adaptive_runtime.py``
 from repro.core import ShareAdvisor
 from repro.db import RuntimeConfig
 from repro.policies import OnlineModelGuidedPolicy
+from repro.server import AdmitAll, Server
 from repro.tpch.generator import generate
 from repro.tpch.queries import build
-from repro.workload import WorkloadMix, run_open_system
+from repro.workload import WorkloadMix
 
 
 def run_machine(catalog, q6, processors: int) -> None:
     policy = OnlineModelGuidedPolicy({"q6": q6}, exploration_budget=2)
-    result = run_open_system(
+    server = Server.open(
         catalog,
-        policy,
+        RuntimeConfig(processors=processors),
+        policy=policy,
+        admission=AdmitAll(),
+        keep_rows=False,
+    )
+    report = server.serve(
         WorkloadMix.single("q6", seed=11),
+        {"q6": q6},
         arrival_rate=1.0 / 4_000.0,
-        config=RuntimeConfig(processors=processors),
         horizon=500_000.0,
         drain=100_000.0,
         seed=11,
     )
     estimator = policy.estimators["q6"]
     print(f"machine with {processors} processors:")
-    print(f"  arrivals {result.submitted}, completed {result.completed}, "
-          f"mean response {result.mean_response_time:,.0f} sim-units")
+    print(f"  arrivals {report.submitted}, completed {report.completed}, "
+          f"mean response {report.latency.mean:,.0f} sim-units")
     print(f"  exploration shares spent: {policy.exploration_shares}; "
           f"estimator ready: {estimator.ready()}")
     if estimator.ready():

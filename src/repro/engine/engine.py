@@ -90,11 +90,6 @@ class Engine:
         CPU work. ``None`` (default) inherits the scan manager's
         prefetch depth when one is attached, else 0 (synchronous
         read-back).
-    vectorize:
-        Selects the operators' columnar batch implementations
-        (default). ``False`` pins the row-at-a-time reference path —
-        identical answers and simulated time, only host speed differs
-        (see :class:`~repro.engine.operators.api.StageContext`).
     """
 
     def __init__(
@@ -108,7 +103,6 @@ class Engine:
         memory: Optional[MemoryBroker] = None,
         scan_manager: Optional[ScanShareManager] = None,
         spill_prefetch_depth: Optional[int] = None,
-        vectorize: bool = True,
     ) -> None:
         if queue_capacity < 1:
             raise EngineError(
@@ -126,8 +120,7 @@ class Engine:
         self.ctx = StageContext(catalog=catalog, costs=costs,
                                 page_rows=page_rows, pool=buffer_pool,
                                 memory=memory, scans=scan_manager,
-                                spill_prefetch=spill_prefetch_depth,
-                                vectorize=vectorize)
+                                spill_prefetch=spill_prefetch_depth)
         self.queue_capacity = queue_capacity
         self.handles: list[QueryHandle] = []
         self.groups: list[GroupHandle] = []

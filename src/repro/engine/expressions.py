@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.errors import PlanError
 from repro.storage.schema import Schema
@@ -35,7 +35,6 @@ from repro.storage.schema import Schema
 __all__ = [
     "Expr",
     "compile_batch",
-    "try_compile_batch",
     "col",
     "lit",
     "add",
@@ -126,7 +125,8 @@ def compile_batch(expr: Expr, schema: Schema) -> BatchFn:
     its row count — and returns the list of ``n`` values the row-wise
     ``expr.compile(schema)`` closure would produce row by row. Raises
     :class:`~repro.errors.PlanError` for expression nodes outside this
-    module's tree (see :func:`try_compile_batch`).
+    module's tree — plan constructors call this to validate, so such a
+    node is rejected before anything is spawned.
     """
     try:
         cache_key = (expr, schema.columns)
@@ -156,16 +156,6 @@ def compile_batch(expr: Expr, schema: Schema) -> BatchFn:
             _BATCH_CACHE.clear()
         _BATCH_CACHE[cache_key] = fn
     return fn
-
-
-def try_compile_batch(expr: Expr, schema: Schema) -> Optional[BatchFn]:
-    """:func:`compile_batch`, or ``None`` when the tree has a node the
-    lowering does not know (custom :class:`Expr` subclasses keep
-    working through the row-at-a-time path)."""
-    try:
-        return compile_batch(expr, schema)
-    except PlanError:
-        return None
 
 
 @dataclass(frozen=True)

@@ -5,18 +5,18 @@ The execution protocol — :class:`~repro.engine.operators.api.StageContext`,
 :func:`~repro.engine.operators.api.drive` loop — lives in
 :mod:`repro.engine.operators.api`. Each operator module exposes:
 
-* a :class:`~repro.engine.operators.api.BatchOperator` subclass
-  implementing the stage (charges costs, moves batches),
-* ``task(node, in_queues, out_queues, ctx)`` — the classic factory
-  returning the stage's simulator generator (kept so existing callers
-  and custom pipelines keep working), and
-* a pure row-transformation function reused by the reference executor
-  (:mod:`repro.engine.reference`), so the staged and naive paths share
-  one implementation of the relational semantics and can only diverge
-  in scheduling, never in answers.
+* a :class:`~repro.engine.operators.api.BatchOperator` subclass — the
+  one staged implementation (charges costs, moves batches), and
+* a pure row-transformation function (``scan_rows``, ``filter_rows``,
+  ``aggregate_rows``, ...) that the reference executor
+  (:mod:`repro.engine.reference`) is built from: the naive answer
+  oracle every staged result is checked against. The join and sort
+  stages, row-wise by nature, call theirs too; the columnar scan,
+  filter, project and aggregate stages share nothing with theirs.
 
-:func:`build_operator_task` dispatches a plan node to its stage
-factory.
+:func:`build_operator_task` dispatches a plan node to its operator
+class and wraps it in the :func:`~repro.engine.operators.api.drive`
+loop.
 """
 
 from __future__ import annotations

@@ -12,9 +12,7 @@ Every batch goes through one fold kernel, in two passes. *Resolve*: one
 dict lookup per row takes its group key to that group's state, a flat
 list of ``[total, count, best]`` per aggregate. *Accumulate*: one tight
 loop per aggregate over ``zip(states, column)``, chosen per aggregate
-function when the operator is built. The vectorized and row-at-a-time
-(``vectorize=False``) paths differ only in how they *extract* the keys
-and value columns they hand the kernel. Within a group values are added
+function when the operator is built. Within a group values are added
 in row order, so float sums are bit-identical to the naive oracle
 (:func:`aggregate_rows`, which shares no code with the kernel).
 
@@ -39,14 +37,14 @@ from __future__ import annotations
 
 from itertools import repeat
 
-from repro.engine.expressions import try_compile_batch
-from repro.engine.operators.api import BatchOperator, drive
+from repro.engine.expressions import compile_batch
+from repro.engine.operators.api import BatchOperator
 from repro.engine.operators.partitioning import PartitionMemo
 from repro.errors import PlanError
 from repro.sim.events import Compute
 from repro.storage.spill_cursor import SpillCursor
 
-__all__ = ["AggregateOperator", "task", "aggregate_rows", "Accumulator"]
+__all__ = ["AggregateOperator", "aggregate_rows", "Accumulator"]
 
 # Group-state partitions of the governed aggregate; clamped to the
 # memory grant like the hybrid hash join's fanout.
@@ -255,14 +253,11 @@ class AggregateOperator(BatchOperator):
         self.funcs = [spec.func for spec in aggs]
         self.group_idx = [schema.index_of(n) for n in node.params["group_by"]]
         self.kernels, self.mergers = _compile_kernels(aggs)
-        # Value extractors, batch-compiled when every expression allows
-        # it; None stands for count(*), which reads a column of ones.
-        exprs = [spec.expr for spec in aggs]
-        fns = [None if e is None else try_compile_batch(e, schema) for e in exprs]
-        self.vector = ctx.vectorize and all(f is not None or e is None for f, e in zip(fns, exprs))
-        if not self.vector:
-            fns = [None if e is None else e.compile(schema) for e in exprs]
-        self.value_fns = fns
+        # Batch-compiled value extractors; None stands for count(*),
+        # which reads a column of ones.
+        self.value_fns = [
+            None if spec.expr is None else compile_batch(spec.expr, schema) for spec in aggs
+        ]
         self.make_emitter(len(node.schema))
         self.fresh = [0.0, 0, None] * len(aggs)
         self.groups = _Groups(self.fresh)
@@ -270,26 +265,15 @@ class AggregateOperator(BatchOperator):
 
     # -- the fold kernel -------------------------------------------------
 
-    def _keys_and_columns(self, batch):
-        """One group key per row and one value column per aggregate —
-        the only step the vectorized and row-at-a-time paths do apart."""
-        n = len(batch)
-        group_idx = self.group_idx
-        if self.vector:
-            cols = batch.columns
-            keys = zip(*[cols[i] for i in group_idx]) if group_idx else repeat((), n)
-            columns = [_ONES if fn is None else fn(cols, n) for fn in self.value_fns]
-        else:
-            rows = batch.rows
-            keys = [tuple(row[i] for i in group_idx) for row in rows]
-            columns = [_ONES if fn is None else [fn(row) for row in rows] for fn in self.value_fns]
-        return keys, columns
-
     def _fold(self, batch) -> list:
         """Resolve each row's group state once, then accumulate column
         at a time. Returns ``(file, key, state)`` for the rows that fell
         in spilled partitions, in row order, for the caller to append."""
-        keys, columns = self._keys_and_columns(batch)
+        n = len(batch)
+        cols = batch.columns
+        group_idx = self.group_idx
+        keys = zip(*[cols[i] for i in group_idx]) if group_idx else repeat((), n)
+        columns = [_ONES if fn is None else fn(cols, n) for fn in self.value_fns]
         spilled = []
         if self.grant is None:
             states = list(map(self.groups.__getitem__, keys))
@@ -430,7 +414,3 @@ class _AggPartition:
 def _group_pages(parts, page_rows: int) -> int:
     """Pages of resident group state (one group ~ one state row)."""
     return sum(-(-len(p.groups) // page_rows) for p in parts if p.groups)
-
-
-def task(node, in_queues, out_queues, ctx):
-    return drive(AggregateOperator(node, ctx, out_queues), in_queues)

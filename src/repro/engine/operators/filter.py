@@ -1,17 +1,17 @@
 """Row filter stage: evaluates a predicate, drops non-matching rows.
 
-Vectorized, the predicate runs once per batch as a compiled
-comprehension producing a selection vector; the surviving rows flow on
-as a zero-copy selection view of the input batch.
+The predicate runs once per batch as a compiled comprehension
+producing a selection vector; the surviving rows flow on as a
+zero-copy selection view of the input batch.
 """
 
 from __future__ import annotations
 
-from repro.engine.expressions import try_compile_batch
-from repro.engine.operators.api import BatchOperator, drive
+from repro.engine.expressions import compile_batch
+from repro.engine.operators.api import BatchOperator
 from repro.sim.events import Compute
 
-__all__ = ["FilterOperator", "task", "filter_rows"]
+__all__ = ["FilterOperator", "filter_rows"]
 
 
 def filter_rows(rows, predicate_fn):
@@ -24,26 +24,14 @@ class FilterOperator(BatchOperator):
         super().__init__(node, ctx, out_queues)
         schema = node.children[0].schema
         predicate = node.params["predicate"]
-        self.predicate_fn = predicate.compile(schema)
-        self.batch_pred = (
-            try_compile_batch(predicate, schema) if ctx.vectorize else None
-        )
+        self.batch_pred = compile_batch(predicate, schema)
         self.cost_factor = node.params.get("cost_factor", 1.0)
         self.make_emitter(len(node.schema))
 
     def next_batch(self, batch, port):
         n = len(batch)
         yield Compute(self.ctx.costs.filter_tuple * self.cost_factor * n)
-        if self.batch_pred is not None:
-            flags = self.batch_pred(batch.columns, n)
-            kept = sum(map(bool, flags))
-            if kept:
-                yield from self.emitter.emit_batch(batch.select(flags, kept))
-        else:
-            kept_rows = filter_rows(batch.rows, self.predicate_fn)
-            if kept_rows:
-                yield from self.emitter.emit_rows(kept_rows)
-
-
-def task(node, in_queues, out_queues, ctx):
-    return drive(FilterOperator(node, ctx, out_queues), in_queues)
+        flags = self.batch_pred(batch.columns, n)
+        kept = sum(map(bool, flags))
+        if kept:
+            yield from self.emitter.emit_batch(batch.select(flags, kept))

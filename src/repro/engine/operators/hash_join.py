@@ -12,7 +12,7 @@ phase then streams, emitting per ``join_type``:
   (TPC-H Q4's EXISTS);
 * ``anti``  — probe rows with no match, probe columns only.
 
-Vectorized, the join key column is pulled out of each batch once (the
+The join key column is pulled out of each batch once (the
 batch is columnar, so this is a single list reference) and the
 build/probe loops walk ``zip(keys, rows)`` instead of indexing into
 every row tuple.
@@ -38,12 +38,12 @@ never fail the query.
 
 from __future__ import annotations
 
-from repro.engine.operators.api import BatchOperator, drive
+from repro.engine.operators.api import BatchOperator
 from repro.engine.operators.partitioning import partition_of
 from repro.sim.events import Compute
 from repro.storage.spill_cursor import SpillCursor
 
-__all__ = ["HashJoinOperator", "task", "build_table", "probe_rows"]
+__all__ = ["HashJoinOperator", "build_table", "probe_rows"]
 
 # Build-side partitions at every level of the hybrid join. The actual
 # fanout is clamped to the memory grant (more partitions than budget
@@ -140,12 +140,6 @@ class HashJoinOperator(BatchOperator):
         self.grant = None
         self.make_emitter(len(node.schema))
 
-    def _keys(self, batch, index):
-        """The join-key column of one batch."""
-        if self.ctx.vectorize:
-            return batch.column(index)
-        return [row[index] for row in batch.rows]
-
     # -- protocol --------------------------------------------------------
 
     def open(self):
@@ -170,7 +164,7 @@ class HashJoinOperator(BatchOperator):
             else:
                 yield Compute(self.ctx.costs.hash_build * len(batch))
                 table = self.table
-                keys = self._keys(batch, self.build_index)
+                keys = batch.column(self.build_index)
                 for key, row in zip(keys, batch.rows):
                     table.setdefault(key, []).append(row)
             return
@@ -179,7 +173,7 @@ class HashJoinOperator(BatchOperator):
             return
         yield Compute(self.ctx.costs.hash_probe * len(batch))
         joined = _probe_keyed(
-            batch.rows, self._keys(batch, self.probe_index),
+            batch.rows, batch.column(self.probe_index),
             self.table, self.join_type, self.build_width,
         )
         if joined:
@@ -249,7 +243,7 @@ class HashJoinOperator(BatchOperator):
         fanout = self.fanout
         grant = self.grant
         cost = costs.hash_build * len(batch)
-        keys = self._keys(batch, self.build_index)
+        keys = batch.column(self.build_index)
         for key, row in zip(keys, batch.rows):
             p = parts[partition_of(key, 0, fanout)]
             if p.spilled:
@@ -271,7 +265,7 @@ class HashJoinOperator(BatchOperator):
         fanout = self.fanout
         cost = costs.hash_probe * len(batch)
         joined = []
-        keys = self._keys(batch, self.probe_index)
+        keys = batch.column(self.probe_index)
         for key, row in zip(keys, batch.rows):
             p = parts[partition_of(key, 0, fanout)]
             if p.spilled:
@@ -367,7 +361,3 @@ def _join_spilled(build_file, probe_file, depth, ctx, grant, emitter,
             sub_b, sub_p, depth + 1, ctx, grant, emitter,
             build_index, probe_index, join_type, build_width, fanout,
         )
-
-
-def task(node, in_queues, out_queues, ctx):
-    return drive(HashJoinOperator(node, ctx, out_queues), in_queues)

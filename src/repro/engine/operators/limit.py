@@ -10,10 +10,10 @@ pushdown.
 
 from __future__ import annotations
 
-from repro.engine.operators.api import BatchOperator, drive
+from repro.engine.operators.api import BatchOperator
 from repro.sim.events import Compute
 
-__all__ = ["LimitOperator", "task", "limit_rows"]
+__all__ = ["LimitOperator", "limit_rows"]
 
 
 def limit_rows(rows, n):
@@ -40,7 +40,3 @@ class LimitOperator(BatchOperator):
                 yield from self.emitter.emit_rows(batch.rows[:take])
         # Keep draining after the quota so producers never deadlock on
         # full queues.
-
-
-def task(node, in_queues, out_queues, ctx):
-    return drive(LimitOperator(node, ctx, out_queues), in_queues)

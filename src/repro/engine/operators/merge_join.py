@@ -13,11 +13,11 @@ from __future__ import annotations
 
 from operator import itemgetter
 
-from repro.engine.operators.api import BatchOperator, drive
+from repro.engine.operators.api import BatchOperator
 from repro.errors import PlanError
 from repro.sim.events import Compute
 
-__all__ = ["MergeJoinOperator", "task", "merge_join_rows"]
+__all__ = ["MergeJoinOperator", "merge_join_rows"]
 
 
 def _check_sorted(rows, index, side):
@@ -84,7 +84,3 @@ class MergeJoinOperator(BatchOperator):
             yield Compute(costs.join_emit * len(joined))
             yield from self.emitter.emit_rows(joined)
         yield from self.emitter.close()
-
-
-def task(node, in_queues, out_queues, ctx):
-    return drive(MergeJoinOperator(node, ctx, out_queues), in_queues)

@@ -10,10 +10,10 @@ NLJ expensive and fully pipelined on its outer input.
 
 from __future__ import annotations
 
-from repro.engine.operators.api import BatchOperator, drive
+from repro.engine.operators.api import BatchOperator
 from repro.sim.events import Compute
 
-__all__ = ["NestedLoopJoinOperator", "task", "nlj_rows"]
+__all__ = ["NestedLoopJoinOperator", "nlj_rows"]
 
 
 def nlj_rows(left_rows, right_rows, predicate_fn):
@@ -48,7 +48,3 @@ class NestedLoopJoinOperator(BatchOperator):
         if joined:
             yield Compute(costs.join_emit * len(joined))
             yield from self.emitter.emit_rows(joined)
-
-
-def task(node, in_queues, out_queues, ctx):
-    return drive(NestedLoopJoinOperator(node, ctx, out_queues), in_queues)

@@ -1,18 +1,18 @@
 """Projection stage: computes output columns from input rows.
 
-Vectorized, each output expression is batch-compiled and evaluated
+Each output expression is batch-compiled and evaluated
 column-at-a-time over the input batch's columns; the stage builds the
 output batch directly in columnar form.
 """
 
 from __future__ import annotations
 
-from repro.engine.expressions import try_compile_batch
-from repro.engine.operators.api import BatchOperator, drive
+from repro.engine.expressions import compile_batch
+from repro.engine.operators.api import BatchOperator
 from repro.engine.packet import RowBatch
 from repro.sim.events import Compute
 
-__all__ = ["ProjectOperator", "task", "project_rows"]
+__all__ = ["ProjectOperator", "project_rows"]
 
 
 def project_rows(rows, output_fns):
@@ -25,27 +25,12 @@ class ProjectOperator(BatchOperator):
         super().__init__(node, ctx, out_queues)
         schema = node.children[0].schema
         outputs = node.params["outputs"]
-        self.fns = [expr.compile(schema) for _, expr, _ in outputs]
-        batch_fns = (
-            [try_compile_batch(expr, schema) for _, expr, _ in outputs]
-            if ctx.vectorize
-            else None
-        )
-        if batch_fns is not None and any(fn is None for fn in batch_fns):
-            batch_fns = None
-        self.batch_fns = batch_fns
+        self.batch_fns = [compile_batch(expr, schema) for _, expr, _ in outputs]
         self.make_emitter(len(node.schema))
 
     def next_batch(self, batch, port):
         n = len(batch)
-        yield Compute(self.ctx.costs.project_tuple * n * len(self.fns))
-        if self.batch_fns is not None:
-            cols = batch.columns
-            out = RowBatch.from_columns([fn(cols, n) for fn in self.batch_fns], n)
-            yield from self.emitter.emit_batch(out)
-        else:
-            yield from self.emitter.emit_rows(project_rows(batch.rows, self.fns))
-
-
-def task(node, in_queues, out_queues, ctx):
-    return drive(ProjectOperator(node, ctx, out_queues), in_queues)
+        yield Compute(self.ctx.costs.project_tuple * n * len(self.batch_fns))
+        cols = batch.columns
+        out = RowBatch.from_columns([fn(cols, n) for fn in self.batch_fns], n)
+        yield from self.emitter.emit_batch(out)

@@ -51,12 +51,12 @@ from __future__ import annotations
 import heapq
 from operator import itemgetter
 
-from repro.engine.operators.api import BatchOperator, drive
+from repro.engine.operators.api import BatchOperator
 from repro.errors import EngineError
 from repro.sim.events import Compute
 from repro.storage.spill_cursor import SpillCursor
 
-__all__ = ["SortOperator", "task", "sort_rows", "merge_key", "plan_merge_passes"]
+__all__ = ["SortOperator", "sort_rows", "merge_key", "plan_merge_passes"]
 
 
 def _key_groups(schema, keys):
@@ -393,7 +393,3 @@ def _merge_runs(files, ctx, key_fn, grant, out_file=None, emitter=None):
     for spent in files:
         spent.drop()
     return written
-
-
-def task(node, in_queues, out_queues, ctx):
-    return drive(SortOperator(node, ctx, out_queues), in_queues)

@@ -24,7 +24,7 @@ from typing import Any, Mapping, Optional, Sequence
 from repro.errors import PlanError
 from repro.storage.catalog import Catalog
 from repro.storage.schema import Column, DataType, Schema
-from repro.engine.expressions import Expr
+from repro.engine.expressions import Expr, compile_batch
 
 __all__ = [
     "PlanNode",
@@ -161,13 +161,13 @@ def scan(
     cols = tuple(base_schema.names())
     sig_parts = [f"scan({table};{','.join(cols)}"]
     if predicate is not None:
-        predicate.compile(base_schema)
+        compile_batch(predicate, base_schema)
         sig_parts.append(f";where={predicate.signature()}")
     if outputs is not None:
         if not outputs:
             raise PlanError("fused scan outputs must be non-empty if given")
         for _, expr, _ in outputs:
-            expr.compile(base_schema)
+            compile_batch(expr, base_schema)
         schema = Schema([Column(n, d) for n, _, d in outputs])
         sig_parts.append(
             ";emit=" + ",".join(f"{n}={e.signature()}" for n, e, _ in outputs)
@@ -201,7 +201,9 @@ def filter_(
     """
     if cost_factor <= 0:
         raise PlanError(f"cost_factor must be > 0, got {cost_factor!r}")
-    predicate.compile(child.schema)  # validate column references early
+    # Validate early: column references, and that the stage can lower
+    # every node — so a bad plan fails here, before anything is spawned.
+    compile_batch(predicate, child.schema)
     signature = (
         f"filter({predicate.signature()};x{cost_factor};{child.signature})"
     )
@@ -224,7 +226,7 @@ def project(
     if not outputs:
         raise PlanError("project requires at least one output column")
     for _, expr, _ in outputs:
-        expr.compile(child.schema)
+        compile_batch(expr, child.schema)
     schema = Schema([Column(name, dtype) for name, expr, dtype in outputs])
     sig_cols = ",".join(
         f"{name}={expr.signature()}" for name, expr, _ in outputs
@@ -247,7 +249,7 @@ def aggregate(
         child.schema.index_of(key)
     for spec in aggs:
         if spec.expr is not None:
-            spec.expr.compile(child.schema)
+            compile_batch(spec.expr, child.schema)
     columns = [Column(k, child.schema.dtype_of(k)) for k in group_by]
     columns += [Column(spec.name, spec.output_dtype()) for spec in aggs]
     schema = Schema(columns)

@@ -16,21 +16,20 @@ this is plain pipelining; with M consumers it is the pivot's
 multiplexing — the serialization the paper identifies as the hidden
 cost of sharing.
 
-The emitter is representation-polymorphic: producers hand it column
-lists (:meth:`~BatchEmitter.emit_columns` — the vectorized scan /
-filter path), row tuples (:meth:`~BatchEmitter.emit_rows` — joins,
-sorts, aggregates) or whole :class:`~repro.engine.packet.RowBatch`
-objects, and it buffers in whichever representation arrives, so no
-row<->column transpose happens unless a consumer actually asks for the
-other view. A batch that is already exactly ``batch_rows`` long passes
-straight through without copying — the common case for a saturated
-scan.
+Producers hand the emitter row tuples
+(:meth:`~BatchEmitter.emit_rows` — joins, sorts, aggregates) or whole
+:class:`~repro.engine.packet.RowBatch` objects
+(:meth:`~BatchEmitter.emit_batch` — scan, filter, project). A batch
+that is already exactly ``batch_rows`` long passes straight through in
+whatever representation it has, columnar included, without copying —
+the common case for a saturated scan; anything else is buffered as
+rows and re-cut at ``batch_rows``.
 
 """
 
 from __future__ import annotations
 
-from typing import Any, Generator, Sequence
+from typing import Generator, Sequence
 
 from repro.engine.costs import CostModel
 from repro.engine.packet import RowBatch
@@ -48,7 +47,7 @@ class BatchEmitter:
 
         emitter = BatchEmitter(out_queues, batch_rows, costs)
         ...
-        yield from emitter.emit_columns(cols, n)   # may flush batches
+        yield from emitter.emit_batch(batch)       # may flush batches
         yield from emitter.emit_rows(rows)         # ditto, row tuples
         ...
         yield from emitter.close()                 # flush tail + Close
@@ -60,9 +59,7 @@ class BatchEmitter:
     ``width`` is the emitted tuple width in columns (copy cost scales
     with tuple bytes). Flush boundaries depend only on the cumulative
     row count, so any split of the same row stream into emit calls
-    yields the identical event sequence — that equivalence is what lets
-    the vectorized and row-at-a-time operator paths share one simulated
-    timeline.
+    yields the identical event sequence.
 
     ``op``/``perf`` are the wall-clock profiling hook (see
     :mod:`repro.obs.perf`): with a profiler attached, every batch flush
@@ -92,10 +89,7 @@ class BatchEmitter:
         self.width = width
         self.op = op
         self.perf = perf
-        # Pending rows live in exactly one representation at a time;
-        # mixed producers trigger a (rare) transpose on the boundary.
         self._rows: list[tuple] = []
-        self._cols: list[list] | None = None
         self._count = 0
         self.pages_emitted = 0
         self.rows_emitted = 0
@@ -110,26 +104,7 @@ class BatchEmitter:
     def consumers(self) -> int:
         return len(self.out_queues)
 
-    @property
-    def page_rows(self) -> int:
-        """Legacy alias for :attr:`batch_rows`."""
-        return self.batch_rows
-
     # -- producing -------------------------------------------------------
-
-    def emit_columns(self, columns: Sequence[Sequence[Any]], n: int) -> Generator:
-        """Buffer one batch of column slices holding ``n`` rows."""
-        if n == 0:
-            return
-        if self._count == 0 and n == self.batch_rows:
-            yield from self._deliver(RowBatch.from_columns(columns, n))
-            return
-        cols = self._to_columns(len(columns))
-        for buf, col in zip(cols, columns):
-            buf.extend(col)
-        self._count += n
-        while self._count >= self.batch_rows:
-            yield from self._flush_columns()
 
     def emit_rows(self, rows: Sequence[tuple]) -> Generator:
         """Buffer a sequence of row tuples."""
@@ -139,7 +114,7 @@ class BatchEmitter:
         if self._count == 0 and n == self.batch_rows:
             yield from self._deliver(RowBatch.from_rows(rows, self.width))
             return
-        self._to_rows().extend(rows)
+        self._rows.extend(rows)
         self._count += n
         while self._count >= self.batch_rows:
             yield from self._flush_rows()
@@ -157,38 +132,11 @@ class BatchEmitter:
     def close(self) -> Generator:
         """Flush the partial batch and close every consumer queue."""
         if self._count:
-            if self._cols is not None:
-                yield from self._flush_columns()
-            else:
-                yield from self._flush_rows()
+            yield from self._flush_rows()
         for queue in self.out_queues:
             yield Close(queue)
 
     # -- internals -------------------------------------------------------
-
-    def _to_columns(self, width: int) -> list[list]:
-        if self._cols is None:
-            self._cols = [[] for _ in range(width)]
-            if self._rows:
-                for buf, col in zip(self._cols, zip(*self._rows)):
-                    buf.extend(col)
-                self._rows.clear()
-        return self._cols
-
-    def _to_rows(self) -> list[tuple]:
-        if self._cols is not None:
-            self._rows.extend(zip(*self._cols))
-            self._cols = None
-        return self._rows
-
-    def _flush_columns(self) -> Generator:
-        cols = self._cols
-        take = min(self._count, self.batch_rows)
-        batch = RowBatch.from_columns([col[:take] for col in cols], take)
-        for col in cols:
-            del col[:take]
-        self._count -= take
-        yield from self._deliver(batch)
 
     def _flush_rows(self) -> Generator:
         take = min(self._count, self.batch_rows)

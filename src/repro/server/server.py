@@ -200,8 +200,7 @@ def poisson_arrivals(
     """A deterministic Poisson arrival trace.
 
     Inter-arrival gaps are ``-ln(1 - U) / arrival_rate`` from one
-    seeded generator (the exact process ``run_open_system`` uses, so
-    server runs are comparable with the PR-3 driver at equal seeds);
+    seeded generator, and arrivals stop strictly before ``horizon``;
     query names come from ``mix``'s deterministic stream and resolve
     through ``queries``; tenants are drawn by weight from a second
     stream derived from the same seed.

@@ -1,14 +1,12 @@
-"""Workload harnesses: closed-system (Little's law) and open-system
-(Poisson arrivals) drivers over the sharing coordinator."""
+"""Workload harnesses: the closed-system (Little's law) driver over the
+sharing coordinator, and the query mixes both it and the open-system
+:class:`repro.server.Server` draw from."""
 
 from repro.workload.driver import ClosedSystemResult, run_closed_system
 from repro.workload.mixes import WorkloadMix
-from repro.workload.open_driver import OpenSystemResult, run_open_system
 
 __all__ = [
     "ClosedSystemResult",
     "run_closed_system",
-    "OpenSystemResult",
-    "run_open_system",
     "WorkloadMix",
 ]

@@ -4,11 +4,10 @@ Two pins. *Exact equality*: over random rows the staged aggregate's
 output ``==`` the naive oracle :func:`aggregate_rows` — floats compared
 by ``==``, not to a tolerance, because within a group the kernel adds
 values in row order at every budget, batch size and degree of
-parallelism — and the simulated clock does not depend on which path
-extracted the kernel's inputs (``vectorize`` on or off). *Golden
-pins*: the simulated clock, spill pages and pool evictions of two small
-TPC-H sessions, recorded on the commit before the kernel replaced the
-per-row fold loops; a host-side rewrite may move none of them.
+parallelism. *Golden pins*: the simulated clock, spill pages and pool
+evictions of two small TPC-H sessions, recorded on the commit before
+the kernel replaced the per-row fold loops; a host-side rewrite may
+move none of them.
 """
 
 import pytest
@@ -66,17 +65,16 @@ rows_strategy = st.lists(
 )
 
 
-def _run(catalog, group_by, work_mem, batch_size, dop, vectorize):
+def _run(catalog, group_by, work_mem, batch_size, dop):
     config = RuntimeConfig(
         work_mem=work_mem,
         pool_pages=None if work_mem is None else 32,
         page_rows=PAGE_ROWS,
         batch_size=batch_size,
-        vectorize=vectorize,
     )
     session = Database.open(catalog, config)
     query = QueryBuilder(catalog, "t").agg(*AGGS, by=group_by).parallel(dop).build()
-    return session.run(query).rows, session.now
+    return session.run(query).rows
 
 
 @pytest.mark.parametrize("dop", [1, 4])
@@ -91,13 +89,7 @@ def test_kernel_equals_oracle_exactly(budget, dop, rows, group_by, batch_size):
     catalog = Catalog()
     catalog.create("t", SCHEMA).insert_many(rows)
     expected = aggregate_rows(rows, SCHEMA, group_by, AGGS)
-    runs = [
-        _run(catalog, group_by, WORK_MEM[budget], batch_size, dop, vectorize)
-        for vectorize in (True, False)
-    ]
-    for got, _ in runs:
-        assert got == expected
-    assert runs[0][1] == runs[1][1]
+    assert _run(catalog, group_by, WORK_MEM[budget], batch_size, dop) == expected
 
 
 @pytest.mark.parametrize("dop", [1, 4])
@@ -107,9 +99,7 @@ def test_empty_input(budget, dop):
     catalog.create("t", SCHEMA)
     for group_by in GROUP_KEYS:
         expected = aggregate_rows([], SCHEMA, group_by, AGGS)
-        for vectorize in (True, False):
-            got, _ = _run(catalog, group_by, WORK_MEM[budget], None, dop, vectorize)
-            assert got == expected
+        assert _run(catalog, group_by, WORK_MEM[budget], None, dop) == expected
 
 
 # -- golden pins, recorded on the parent commit -----------------------------

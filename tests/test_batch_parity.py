@@ -1,17 +1,26 @@
-"""Vectorized-vs-reference parity: the batch rewrite's invariant.
+"""Staged-engine-vs-oracle parity: the batch protocol's invariant.
 
-Every operator has two host-side implementations — the columnar batch
-fast path (``vectorize=True``, the default) and the row-at-a-time
-reference path (``vectorize=False``). The redesign's contract is that
-they are *indistinguishable inside the model*: bit-identical result
-rows and a bit-identical simulated clock, per operator, at any batch
-size (aligned, ragged, degenerate 1), under every preset (including
-``laptop``'s elevator scans and I/O charges).
+The staged engine has one (columnar) implementation of each operator.
+Its contract has two halves, each pinned by something that shares no
+code with the stages:
 
-Hypothesis drives the data and geometry; both paths run on one shared
-catalog, so the fused-page memo (keyed separately per path) is also
-exercised for cross-run reuse without cross-path leakage.
+* **rows** — per operator, at any batch size (aligned, ragged,
+  degenerate 1), under every preset (including ``laptop``'s elevator
+  scans and I/O charges), the result is bit-identical to the naive
+  executor's (:func:`~repro.engine.reference.execute_reference`).
+  Hypothesis drives the data. A fresh session's serial scan emits in
+  storage order, so even the plans with no ORDER BY match the oracle
+  row for row.
+* **clock** — the simulated time of every plan x preset x batch size on
+  a seeded catalog is bit-identical to ``golden_sim_times.json``,
+  recorded before the row-at-a-time stage path (whose clock the
+  columnar path had been pinned to) was deleted. A deliberate model
+  change re-records it with ``python tests/test_batch_parity.py``.
 """
+
+import json
+import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +29,7 @@ from hypothesis import strategies as st
 from repro.db import Database, QueryBuilder, RuntimeConfig
 from repro.engine.plan import AggSpec
 from repro.engine.expressions import add, col, ge, lt, mul
+from repro.engine.reference import execute_reference
 from repro.storage import Catalog, DataType, Schema
 
 PRESETS = ("unbounded", "cmp32", "laptop")
@@ -28,6 +38,10 @@ PRESETS = ("unbounded", "cmp32", "laptop")
 # "inherit" (None): the geometries the emitter's flush logic branches
 # on.
 BATCH_SIZES = (None, 1, 7, 64)
+
+GOLDEN = Path(__file__).with_name("golden_sim_times.json")
+GOLDEN_SEED = 2007
+SHARED_GROUP_MEMBERS = 3
 
 ROWS = st.lists(
     st.tuples(
@@ -47,6 +61,56 @@ SIDE_ROWS = st.lists(
     max_size=60,
 )
 
+# One plan per operator (scan, filter+project+limit, both aggregate key
+# shapes, sort, the three joins), over tables t(k, v) and s(sk, sv).
+PLANS = {
+    "fused_scan": lambda c: (
+        QueryBuilder(c, "t")
+        .where(lt(col("k"), 10))
+        .select(("kv", mul(col("v"), add(col("k"), 1)), DataType.FLOAT))
+    ),
+    "filter_project_limit": lambda c: (
+        QueryBuilder(c, "t")
+        .filter(ge(col("k"), 0))
+        .project([("w", add(col("v"), col("k")), DataType.FLOAT)])
+        .limit(17)
+    ),
+    "aggregate": lambda c: (
+        QueryBuilder(c, "t")
+        .agg(
+            AggSpec("sum", "total", col("v")),
+            AggSpec("count", "n"),
+            AggSpec("avg", "mean", col("v")),
+            by=("k",),
+        )
+    ),
+    "scalar_aggregate": lambda c: (
+        QueryBuilder(c, "t")
+        .agg(
+            AggSpec("min", "lo", col("v")),
+            AggSpec("max", "hi", add(col("v"), col("k"))),
+            AggSpec("count", "n", col("k")),
+        )
+    ),
+    "sort": lambda c: QueryBuilder(c, "t").order_by(("v", False), "k"),
+    "hash_join": lambda c: (
+        QueryBuilder(c, "t")
+        .hash_join(QueryBuilder(c, "s"), build_key="sk", probe_key="k")
+    ),
+    "merge_join": lambda c: (
+        QueryBuilder(c, "t")
+        .order_by("k")
+        .merge_join(
+            QueryBuilder(c, "s").order_by("sk"),
+            left_key="k", right_key="sk",
+        )
+    ),
+    "nested_loop_join": lambda c: (
+        QueryBuilder(c, "t")
+        .nl_join(QueryBuilder(c, "s"), lt(col("k"), col("sk")))
+    ),
+}
+
 
 def _catalog(rows, side_rows=()):
     catalog = Catalog()
@@ -61,32 +125,43 @@ def _catalog(rows, side_rows=()):
     return catalog
 
 
-def _run(catalog, build, preset, batch_size, vectorize):
-    config = RuntimeConfig.preset(preset).with_(
-        vectorize=vectorize, batch_size=batch_size
-    )
-    session = Database.open(catalog, config)
-    result = session.run(build(catalog))
-    return result.rows, session.now
+def _session(catalog, preset, batch_size):
+    config = RuntimeConfig.preset(preset).with_(batch_size=batch_size)
+    return Database.open(catalog, config)
 
 
-def assert_parity(build, rows, preset, batch_size, side_rows=()):
+def _run_plan(catalog, name, preset, batch_size):
+    """Rows and final clock of one plan in a fresh session."""
+    session = _session(catalog, preset, batch_size)
+    return session.run(PLANS[name](catalog)).rows, session.now
+
+
+def _shared_query(catalog):
+    return QueryBuilder(catalog, "t").where(ge(col("k"), -10))
+
+
+def _run_shared_group(catalog, preset, batch_size, members):
+    """A forced sharing group multiplexes batches through the pivot's
+    multi-consumer emitter: each member's rows, and the final clock."""
+    session = _session(catalog, preset, batch_size)
+    for i in range(members):
+        session.submit(_shared_query(catalog), label=f"m{i}", share=True)
+    return [r.rows for r in session.run_all()], session.now
+
+
+def assert_matches_oracle(name, rows, preset, batch_size, side_rows=()):
     catalog = _catalog(rows, side_rows)
-    fast_rows, fast_now = _run(catalog, build, preset, batch_size, True)
-    ref_rows, ref_now = _run(catalog, build, preset, batch_size, False)
+    got, _ = _run_plan(catalog, name, preset, batch_size)
+    expected = execute_reference(PLANS[name](catalog).plan(), catalog)
     # repr-compare: bit identity for floats (0.0 vs -0.0, exact
     # mantissas), not just ==.
-    assert repr(fast_rows) == repr(ref_rows)
-    assert repr(fast_now) == repr(ref_now)
-
-
-def _geometry(preset_and_batch):
-    preset, batch = preset_and_batch
-    return pytest.param(preset, batch, id=f"{preset}-b{batch}")
+    assert repr(got) == repr(expected)
 
 
 GEOMETRIES = [
-    _geometry((preset, batch)) for preset in PRESETS for batch in BATCH_SIZES
+    pytest.param(preset, batch, id=f"{preset}-b{batch}")
+    for preset in PRESETS
+    for batch in BATCH_SIZES
 ]
 
 
@@ -94,123 +169,95 @@ GEOMETRIES = [
 @settings(max_examples=8, deadline=None)
 @given(rows=ROWS)
 def test_fused_scan_parity(preset, batch, rows):
-    assert_parity(
-        lambda c: (
-            QueryBuilder(c, "t")
-            .where(lt(col("k"), 10))
-            .select(("kv", mul(col("v"), add(col("k"), 1)), DataType.FLOAT))
-        ),
-        rows, preset, batch,
-    )
+    assert_matches_oracle("fused_scan", rows, preset, batch)
 
 
 @pytest.mark.parametrize("preset,batch", GEOMETRIES)
 @settings(max_examples=8, deadline=None)
 @given(rows=ROWS)
 def test_filter_project_limit_parity(preset, batch, rows):
-    assert_parity(
-        lambda c: (
-            QueryBuilder(c, "t")
-            .filter(ge(col("k"), 0))
-            .project([("w", add(col("v"), col("k")), DataType.FLOAT)])
-            .limit(17)
-        ),
-        rows, preset, batch,
-    )
+    assert_matches_oracle("filter_project_limit", rows, preset, batch)
 
 
 @pytest.mark.parametrize("preset,batch", GEOMETRIES)
 @settings(max_examples=8, deadline=None)
 @given(rows=ROWS)
 def test_aggregate_parity(preset, batch, rows):
-    assert_parity(
-        lambda c: (
-            QueryBuilder(c, "t")
-            .agg(
-                AggSpec("sum", "total", col("v")),
-                AggSpec("count", "n"),
-                AggSpec("avg", "mean", col("v")),
-                by=("k",),
-            )
-        ),
-        rows, preset, batch,
-    )
+    assert_matches_oracle("aggregate", rows, preset, batch)
+
+
+@pytest.mark.parametrize("preset,batch", GEOMETRIES)
+@settings(max_examples=8, deadline=None)
+@given(rows=ROWS)
+def test_scalar_aggregate_parity(preset, batch, rows):
+    assert_matches_oracle("scalar_aggregate", rows, preset, batch)
 
 
 @pytest.mark.parametrize("preset,batch", GEOMETRIES)
 @settings(max_examples=8, deadline=None)
 @given(rows=ROWS)
 def test_sort_parity(preset, batch, rows):
-    assert_parity(
-        lambda c: QueryBuilder(c, "t").order_by(("v", False), "k"),
-        rows, preset, batch,
-    )
+    assert_matches_oracle("sort", rows, preset, batch)
 
 
 @pytest.mark.parametrize("preset,batch", GEOMETRIES)
 @settings(max_examples=6, deadline=None)
 @given(rows=ROWS, side=SIDE_ROWS)
 def test_hash_join_parity(preset, batch, rows, side):
-    assert_parity(
-        lambda c: (
-            QueryBuilder(c, "t")
-            .hash_join(QueryBuilder(c, "s"), build_key="sk", probe_key="k")
-        ),
-        rows, preset, batch, side_rows=side,
-    )
+    assert_matches_oracle("hash_join", rows, preset, batch, side_rows=side)
 
 
 @pytest.mark.parametrize("preset,batch", GEOMETRIES)
 @settings(max_examples=6, deadline=None)
 @given(rows=ROWS, side=SIDE_ROWS)
 def test_merge_join_parity(preset, batch, rows, side):
-    assert_parity(
-        lambda c: (
-            QueryBuilder(c, "t")
-            .order_by("k")
-            .merge_join(
-                QueryBuilder(c, "s").order_by("sk"),
-                left_key="k", right_key="sk",
-            )
-        ),
-        rows, preset, batch, side_rows=side,
-    )
+    assert_matches_oracle("merge_join", rows, preset, batch, side_rows=side)
 
 
 @pytest.mark.parametrize("preset,batch", GEOMETRIES)
 @settings(max_examples=4, deadline=None)
 @given(rows=ROWS, side=SIDE_ROWS)
 def test_nested_loop_join_parity(preset, batch, rows, side):
-    assert_parity(
-        lambda c: (
-            QueryBuilder(c, "t")
-            .nl_join(QueryBuilder(c, "s"), lt(col("k"), col("sk")))
-        ),
-        rows, preset, batch, side_rows=side,
-    )
+    assert_matches_oracle("nested_loop_join", rows, preset, batch, side_rows=side)
 
 
 @pytest.mark.parametrize("preset", PRESETS)
 @settings(max_examples=6, deadline=None)
 @given(rows=ROWS, members=st.integers(2, 4))
 def test_shared_group_parity(preset, rows, members):
-    """A forced sharing group multiplexes batches; parity must hold
-    through the pivot's multi-consumer emitter too."""
+    catalog = _catalog(rows)
+    got, _ = _run_shared_group(catalog, preset, None, members)
+    solo = execute_reference(_shared_query(catalog).plan(), catalog)
+    assert repr(got) == repr([solo] * members)
 
-    def run(vectorize):
-        catalog = _catalog(rows)
-        config = RuntimeConfig.preset(preset).with_(vectorize=vectorize)
-        session = Database.open(catalog, config)
-        for i in range(members):
-            session.submit(
-                session.table("t").where(ge(col("k"), -10)),
-                label=f"m{i}",
-                share=True,
-            )
-        results = session.run_all()
-        return [r.rows for r in results], session.now
 
-    fast_rows, fast_now = run(True)
-    ref_rows, ref_now = run(False)
-    assert repr(fast_rows) == repr(ref_rows)
-    assert repr(fast_now) == repr(ref_now)
+# -- the clock half: golden simulated times ---------------------------------
+
+
+def _golden_catalog():
+    rng = random.Random(GOLDEN_SEED)
+    rows = [(rng.randint(-50, 50), rng.uniform(-1e6, 1e6)) for _ in range(200)]
+    side = [(rng.randint(-20, 20), rng.uniform(-1e3, 1e3)) for _ in range(60)]
+    return _catalog(rows, side)
+
+
+def golden_sim_times():
+    """``plan/preset/b<batch>`` -> ``float.hex`` of the final clock."""
+    catalog = _golden_catalog()
+    times = {}
+    for preset in PRESETS:
+        for batch in BATCH_SIZES:
+            for name in PLANS:
+                _, now = _run_plan(catalog, name, preset, batch)
+                times[f"{name}/{preset}/b{batch}"] = float(now).hex()
+            _, now = _run_shared_group(catalog, preset, batch, SHARED_GROUP_MEMBERS)
+            times[f"shared_group/{preset}/b{batch}"] = float(now).hex()
+    return times
+
+
+def test_golden_sim_times():
+    assert golden_sim_times() == json.loads(GOLDEN.read_text())
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps(golden_sim_times(), indent=1, sort_keys=True) + "\n")

@@ -1,30 +1,22 @@
-"""Direct unit tests for coordinator slot routing and the open driver.
+"""Direct unit tests for coordinator slot routing.
 
 The property suite (``test_property_coordinator.py``) checks the
 coordinator never loses a query; these tests pin down the *mechanism*:
 what prospective size and processor count each policy call sees, when
 a batch attaches to a busy signature versus launching, and when the
-pending batch flushes. The open-driver tests verify the arrival
-bookkeeping — the seeded Poisson process, the horizon cutoff, and the
-result arithmetic — independently of any policy behaviour.
+pending batch flushes.
 """
-
-import math
-import random
 
 import pytest
 
-from repro.db import RuntimeConfig
 from repro.engine import Engine
 from repro.errors import PolicyError
 from repro.obs.audit import AuditLog
-from repro.policies import AlwaysShare, NeverShare, SharingCoordinator
+from repro.policies import AlwaysShare, SharingCoordinator
 from repro.policies.base import SharingPolicy
 from repro.sim import Simulator
 from repro.sim.events import Sleep
 from repro.tpch.generator import generate
-from repro.workload import WorkloadMix, run_open_system
-from repro.workload.open_driver import OpenSystemResult
 
 CATALOG = generate(scale_factor=0.0003, seed=77)
 
@@ -248,64 +240,3 @@ class TestOverloadCorners:
         waiters = {t for label, t in finish_times.items()
                    if label.startswith("wait")}
         assert min(waiters) > finish_times["declined"]
-
-
-class TestOpenDriverBookkeeping:
-    def test_poisson_schedule_matches_seeded_replay(self):
-        """The driver submits exactly the arrivals an offline replay of
-        its seeded exponential-gap process places before the horizon."""
-        rate, horizon, seed = 1.0 / 30_000.0, 500_000.0, 11
-        result = run_open_system(
-            CATALOG, NeverShare(), WorkloadMix.single("q6"),
-            arrival_rate=rate, config=RuntimeConfig(processors=8),
-            horizon=horizon, drain=200_000.0, seed=seed,
-        )
-        rng = random.Random(seed)
-        t, expected = 0.0, 0
-        while True:
-            t += -math.log(1.0 - rng.random()) / rate
-            if t >= horizon:
-                break
-            expected += 1
-        assert result.submitted == expected
-
-    def test_no_arrivals_after_horizon(self):
-        result = run_open_system(
-            CATALOG, NeverShare(), WorkloadMix.single("q6"),
-            arrival_rate=1.0 / 20_000.0, config=RuntimeConfig(processors=8),
-            horizon=200_000.0, drain=400_000.0, seed=5,
-        )
-        a = run_open_system(
-            CATALOG, NeverShare(), WorkloadMix.single("q6"),
-            arrival_rate=1.0 / 20_000.0, config=RuntimeConfig(processors=8),
-            horizon=200_000.0, drain=800_000.0, seed=5,
-        )
-        # A longer drain admits no new work; it only finishes what's in.
-        assert a.submitted == result.submitted
-        assert a.completed >= result.completed
-
-    def test_result_arithmetic(self):
-        result = OpenSystemResult(
-            policy="x", processors=4, arrival_rate=0.1, horizon=100.0,
-            submitted=20, completed=19, mean_response_time=3.0,
-            max_response_time=9.0, utilization=0.5,
-        )
-        assert result.backlog == 1
-        assert result.stable  # 19 >= 0.95 * 20
-        worse = OpenSystemResult(
-            policy="x", processors=4, arrival_rate=0.1, horizon=100.0,
-            submitted=20, completed=18, mean_response_time=3.0,
-            max_response_time=9.0, utilization=0.5,
-        )
-        assert worse.backlog == 2
-        assert not worse.stable
-
-    def test_empty_run_reports_infinite_mean_response(self):
-        result = run_open_system(
-            CATALOG, NeverShare(), WorkloadMix.single("q6"),
-            arrival_rate=1.0 / 1e9, config=RuntimeConfig(processors=2), horizon=10.0, seed=0,
-        )
-        assert result.submitted == 0
-        assert result.completed == 0
-        assert result.mean_response_time == float("inf")
-        assert result.backlog == 0

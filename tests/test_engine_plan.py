@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.engine.expressions import col, gt, lt, mul
+from repro.db import Database
+from repro.engine.expressions import Expr, col, gt, lt, mul, not_
 from repro.engine.plan import (
     AggSpec,
     aggregate,
@@ -209,3 +210,43 @@ class TestNavigation:
         assert plan.find("s").kind == "scan"
         with pytest.raises(PlanError):
             plan.find("ghost")
+
+
+class _RowOnly(Expr):
+    """A custom node with the row-wise half only: no ``_emit_batch``."""
+
+    def compile(self, schema):
+        return lambda row: True
+
+    def signature(self):
+        return "row_only()"
+
+
+class TestUnloweredExprRejected:
+    """An expression the stages cannot lower fails at plan construction —
+    before any task is spawned — not from inside the engine."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda c, e: scan(c, "items", predicate=e),
+            lambda c, e: scan(c, "items", outputs=[("x", e, DataType.INT)]),
+            lambda c, e: filter_(scan(c, "items"), e),
+            lambda c, e: project(scan(c, "items"), [("x", e, DataType.INT)]),
+            lambda c, e: aggregate(scan(c, "items"), [], [AggSpec("sum", "x", e)]),
+        ],
+        ids=["scan-predicate", "scan-outputs", "filter", "project", "aggregate"],
+    )
+    def test_plan_constructors_reject(self, catalog, build):
+        with pytest.raises(PlanError, match="row_only"):
+            build(catalog, _RowOnly())
+        # Nested below a node that does lower: still named and rejected.
+        with pytest.raises(PlanError, match="row_only"):
+            build(catalog, not_(_RowOnly()))
+
+    def test_session_runs_the_next_query(self, catalog):
+        session = Database.open(catalog)
+        with pytest.raises(PlanError):
+            session.run(session.table("items").filter(_RowOnly()))
+        assert len(session.run(session.table("items")).rows) == 5
+        assert not any(task.alive for task in session.sim.tasks)

@@ -1,9 +1,13 @@
 """Unit tests for the open-system service tier.
 
 Admission policies, latency statistics, the serve loop's accounting,
-facade wiring (``Database.serve`` / ``Server.open``), and the
-observability surface (metrics family, audit records, trace events).
+open-system behaviour under ``AdmitAll``, facade wiring
+(``Database.serve`` / ``Server.open``), and the observability surface
+(metrics family, audit records, trace events).
 """
+
+import math
+import random
 
 import pytest
 
@@ -205,6 +209,58 @@ class TestServeLoop:
         assert all(
             r.submitted_at >= clock_after_first for r in second.records
         )
+
+
+class TestOpenSystem:
+    """Admission wide open (``AdmitAll``), ``Server.serve`` is the
+    paper's Section 5.1 open system: Poisson arrivals independent of
+    completions, nothing shed."""
+
+    def serve(self, catalog, q6, *, processors, **kwargs):
+        server = make_server(catalog, processors=processors, policy=NeverShare(),
+                             admission=AdmitAll(), keep_rows=False)
+        return serve_q6(server, q6, **kwargs)
+
+    def test_light_load_is_stable(self, catalog, q6):
+        report = self.serve(catalog, q6, processors=8, rate=1.0 / 50_000.0,
+                            horizon=600_000.0, drain=100_000.0, seed=1)
+        assert report.submitted > 3
+        assert report.completed == report.submitted
+        assert report.backlog == 0
+        assert report.latency.max >= report.latency.mean > 0
+
+    def test_overload_builds_backlog(self, catalog, q6):
+        """Arrivals far above service capacity leave a backlog."""
+        report = self.serve(catalog, q6, processors=1, rate=1.0 / 500.0,
+                            horizon=100_000.0, seed=1)
+        assert report.shed == 0
+        assert report.backlog > 0.05 * report.submitted
+
+    def test_throughput_tracks_arrivals_when_stable(self, catalog, q6):
+        """Open-system property: response time does not set throughput;
+        the arrival process does."""
+        report = self.serve(catalog, q6, processors=8, rate=1.0 / 40_000.0,
+                            horizon=800_000.0, drain=200_000.0, seed=3)
+        expected = report.horizon * report.arrival_rate
+        assert report.submitted == pytest.approx(expected, rel=0.5)
+        assert report.completed == report.submitted
+
+    def test_poisson_schedule_matches_seeded_replay(self, catalog, q6):
+        """The server submits exactly the arrivals an offline replay of
+        its seeded exponential-gap process places before the horizon —
+        the drain admits none."""
+        rate, horizon, seed = 1.0 / 30_000.0, 500_000.0, 11
+        report = self.serve(catalog, q6, processors=8, rate=rate,
+                            horizon=horizon, drain=200_000.0, seed=seed)
+        rng = random.Random(seed)
+        t, expected = 0.0, 0
+        while True:
+            t += -math.log(1.0 - rng.random()) / rate
+            if t >= horizon:
+                break
+            expected += 1
+        assert report.submitted == expected
+        assert all(r.submitted_at < horizon for r in report.records)
 
 
 class TestAdmissionInTheLoop:
