@@ -6,11 +6,14 @@ share. :class:`Session` is that loop packaged behind one object:
 * :meth:`Session.table` starts a fluent
   :class:`~repro.db.builder.QueryBuilder` lowering to the engine's
   plan IR;
-* :meth:`Session.submit` buffers queries; :meth:`Session.run_all`
-  groups the batch by **pivot signature** (two queries with equal
-  pivot subtrees request the same operation — the engine's merge
-  test), consults the sharing policy per group, launches shared groups
-  or solo queries accordingly, runs the simulator, and returns one
+* :meth:`Session.submit` hands queries to the session's
+  :class:`~repro.policies.coordinator.SharingCoordinator` — the one
+  dispatcher, shared with any ``Server`` stood on this session;
+  :meth:`Session.run_all` drains it (the batch groups by **pivot
+  signature** — equal pivot subtrees request the same operation, the
+  engine's merge test — the sharing policy is consulted per group and
+  shared groups or solo queries launch accordingly), runs the
+  simulator, and returns one
   :class:`~repro.db.result.QueryResult` per submission;
 * the default policy is the Section-4 :class:`ShareAdvisor` fed by an
   on-demand CPU profile of each new operation (cached per signature)
@@ -20,7 +23,9 @@ share. :class:`Session` is that loop packaged behind one object:
   against a cold cache, decline warm) happens with zero manual
   wiring. Pass any :class:`~repro.policies.base.SharingPolicy`
   (``ModelGuided``, ``OnlineModelGuided``, ``AlwaysShare``, ...) to
-  override.
+  override. The coordinator asks the session for what only it knows:
+  the advisor's verdicts, each query's config-resolved batch size
+  and dop, the outlook's projections.
 
 Sessions are cheap: one simulator, one engine, one storage-component
 set built from the :class:`~repro.db.config.RuntimeConfig`. Simulated
@@ -31,7 +36,7 @@ makes its sharing decision flip.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Optional, Sequence, Union
 
 from repro.core.decision import ShareAdvisor, ShareDecision
@@ -40,14 +45,12 @@ from repro.db.builder import Query, QueryBuilder
 from repro.db.config import RuntimeConfig
 from repro.db.result import QueryResult
 from repro.engine.engine import Engine
-from repro.engine.packet import QueryHandle
 from repro.engine.parallel import find_region
 from repro.engine.plan import PlanNode
 from repro.engine.stats import ResourceReport, resource_report, stage_report
 from repro.errors import EngineError
 from repro.obs import (
     AuditLog,
-    AuditRecord,
     MetricsRegistry,
     Tracer,
     WallProfiler,
@@ -55,30 +58,17 @@ from repro.obs import (
     attach_tracer,
 )
 from repro.policies.base import SharingPolicy
-from repro.policies.resource_outlook import ResourceOutlook, ResourceProfile
+from repro.policies.coordinator import SharingCoordinator, Submission
+from repro.policies.resource_outlook import ParallelProjection, ResourceOutlook, ResourceProfile
 from repro.policies.workset import estimate_work_pages
 from repro.profiling.profiler import QueryProfiler
-from repro.sim.events import Sleep
 from repro.sim.simulator import Simulator
 from repro.storage.catalog import Catalog
+from repro.tpch.queries import TpchQuery
 
 __all__ = ["Database", "Session"]
 
-Submittable = Union[Query, QueryBuilder, PlanNode]
-
-
-@dataclass
-class _Submission:
-    """One buffered query awaiting ``run_all``."""
-
-    query: Query
-    label: str
-    share: Optional[bool]
-    delay: float = 0.0
-    handle: Optional[QueryHandle] = None
-    decision: Optional[ShareDecision] = None
-    group_size: int = 1
-    shared: bool = False
+Submittable = Union[Query, QueryBuilder, PlanNode, TpchQuery]
 
 
 class Database:
@@ -213,11 +203,9 @@ class Session:
             scan_manager=scans,
             spill_prefetch_depth=spill_depth,
         )
-        self.policy = policy
         self.threshold = threshold
         self.results: list[QueryResult] = []
-        self._pending: list[_Submission] = []
-        self._live_groups: list[tuple[str, int, int]] = []
+        self._pending: list[Submission] = []
         self._specs: dict[str, tuple[QuerySpec, str]] = {}
         self._outlook = ResourceOutlook(
             {},
@@ -244,7 +232,11 @@ class Session:
             self._perf = attach_profiler(self.sim, self.engine)
         self._metrics = MetricsRegistry.for_engine(self.engine, self.sim)
         self._audit = AuditLog()
-        self._batch_records: list[tuple[AuditRecord, list[_Submission]]] = []
+        # The one dispatcher: run_all drains it, a Server stood on this
+        # session submits into it as arrivals come.
+        self.coordinator = SharingCoordinator(
+            self.engine, policy, audit=self._audit, session=self
+        )
 
     # -- introspection ---------------------------------------------------
 
@@ -319,16 +311,16 @@ class Session:
         return QueryBuilder(self.catalog, name, columns=columns)
 
     @staticmethod
-    def _as_query(query: Submittable) -> Query:
+    def _as_query(query: Submittable) -> Union[Query, TpchQuery]:
         if isinstance(query, QueryBuilder):
             return query.build()
         if isinstance(query, PlanNode):
             return Query(plan=query, pivot_op_id=None, name=query.op_id)
-        if isinstance(query, Query):
+        if isinstance(query, (Query, TpchQuery)):
             return query
         raise EngineError(
             f"cannot submit {type(query).__name__}; expected a "
-            "QueryBuilder, Query, or PlanNode"
+            "QueryBuilder, Query, TpchQuery, or PlanNode"
         )
 
     def submit(
@@ -338,7 +330,8 @@ class Session:
         share: Optional[bool] = None,
         delay: float = 0.0,
     ) -> None:
-        """Buffer one query for the next :meth:`run_all`.
+        """Hand one query to the coordinator for the next :meth:`run_all`
+        (it waits in the same-instant arrival buffer until then).
 
         ``share`` overrides the policy for this submission (``True``
         forces it into a group with same-signature submissions,
@@ -351,9 +344,9 @@ class Session:
             raise EngineError(f"delay must be >= 0, got {delay}")
         built = self._as_query(query)
         self._pending.append(
-            _Submission(
-                query=built,
-                label=label or f"{built.name}#{len(self._pending)}",
+            self.coordinator.submit(
+                built,
+                label or f"{built.name}#{len(self._pending)}",
                 share=share,
                 delay=delay,
             )
@@ -380,20 +373,18 @@ class Session:
     def run_all(self) -> list[QueryResult]:
         """Route the buffered batch, execute it, and collect results.
 
-        Submissions are grouped by pivot signature; each group of two
-        or more consults the policy once (unless forced via
-        ``submit(share=...)``). Returns results in submission order
-        and appends them to :attr:`results`.
+        The coordinator groups the submissions by pivot signature;
+        each group of two or more consults the policy once (unless
+        forced via ``submit(share=...)``). Returns results in
+        submission order and appends them to :attr:`results`.
         """
         batch, self._pending = self._pending, []
         if not batch:
             return []
-        self._batch_records = []
         reads_before = self._physical_reads()
-        self._route(batch)
+        self.coordinator.drain()
         self.sim.run()
-        self._notify_policy()
-        self._join_audit(reads_before)
+        self._join_audit(batch, reads_before)
         report = self.resources()
         snapshot = self._metrics.snapshot()
         wall_profile = (
@@ -416,232 +407,34 @@ class Session:
                     rows=handle.rows,
                     submitted_at=handle.submitted_at,
                     finished_at=handle.finished_at,
-                    shared=entry.shared,
+                    shared=handle.shared,
                     group_size=entry.group_size,
                     decision=entry.decision,
                     resources=report,
                     makespan=makespan,
                     metrics=snapshot,
-                    audit=tuple(
-                        record
-                        for record, members in self._batch_records
-                        if any(member is entry for member in members)
-                    ),
+                    audit=(entry.record,),
                     perf=wall_profile,
                 )
             )
         self.results.extend(results)
         return results
 
-    def _route(self, batch: Sequence[_Submission]) -> None:
-        # Merge candidates must agree on the pivot's *signature* (the
-        # engine's merge test), its *op_id* (execute_group addresses
-        # the pivot by id in every member), the query *name* (policies
-        # key their specs on it), the effective *batch size* (a merged
-        # group shares one stage pipeline, so its members must agree
-        # on the exchange batching), and the effective *dop* (the
-        # share-vs-parallelize choice is made once per group).
-        groups: dict[tuple, list[_Submission]] = {}
-        for entry in batch:
-            if entry.delay > 0:
-                self._audit_route("solo", "solo", [entry])
-                self._launch_delayed(entry)
-                continue
-            signature = entry.query.pivot_signature
-            if entry.share is False or signature is None:
-                source = "forced" if entry.share is False else "solo"
-                self._launch_solo_entry(entry, source)
-                continue
-            key = (
-                signature,
-                entry.query.pivot_op_id,
-                entry.query.name,
-                self._batch_rows(entry.query),
-                self._effective_dop(entry.query),
-            )
-            groups.setdefault(key, []).append(entry)
-        for members in groups.values():
-            forced = [m for m in members if m.share is True]
-            undecided = [m for m in members if m.share is None]
-            dop = self._effective_dop(members[0].query)
-            if len(members) < 2:
-                self._launch_solo_entry(members[0], "solo")
-                continue
-            if forced and not undecided:
-                self._audit_route("forced", "share", forced)
-                self._launch_group(forced)
-                continue
-            if dop > 1 and not forced:
-                # The four-way choice: share, parallelize, both, or
-                # neither — priced by the outlook's projection. Any
-                # forced share=True member pins the group back to the
-                # binary share path below.
-                self._route_modes(members, dop)
-                continue
-            decision, record = self._decide(members)
-            share = decision.share if isinstance(decision, ShareDecision) else decision
-            for entry in undecided:
-                entry.decision = decision if isinstance(decision, ShareDecision) else None
-            if share or (forced and len(forced) >= 2):
-                chosen = members if share else forced
-                solo = [] if share else undecided
-                if share:
-                    self._batch_records.append((record, list(chosen)))
-                else:
-                    # The model declined, but enough submitters pinned
-                    # share=True to launch a forced group anyway; the
-                    # decision record measures the solo remainder.
-                    self._audit_route("forced", "share", chosen)
-                    self._batch_records.append((record, list(solo)))
-                self._launch_group(chosen)
-                for entry in solo:
-                    self._launch(None, [entry])
-            else:
-                self._batch_records.append((record, list(members)))
-                for entry in members:
-                    self._launch(None, [entry])
-
-    def _batch_rows(self, query: Query) -> Optional[int]:
-        """The exchange batch size in force for one query: its own
-        override, else the session config's (``None`` = engine
-        default, i.e. the page geometry)."""
-        if query.batch_size is not None:
-            return query.batch_size
-        return self.config.batch_size
-
-    def _effective_dop(self, query: Query) -> int:
-        """The intra-query parallelism actually available to ``query``:
-        its own override, else the session default — and 1 whenever the
-        plan has no parallelizable region (the engine would fall back
-        to serial anyway; resolving it here keeps routing and audit
-        honest)."""
-        dop = query.dop if query.dop is not None else self.config.dop
+    def execution_settings(self, query: Union[Query, TpchQuery]) -> tuple[Optional[int], int]:
+        """The exchange batch size (``None`` = the page geometry) and
+        intra-query dop in force for ``query``: a facade
+        :class:`Query`'s own override, else the config's — and dop 1
+        when the plan has no parallelizable region (the engine would
+        fall back anyway; resolving it here keeps routing honest)."""
+        batch_rows, dop = self.config.batch_size, self.config.dop
+        if isinstance(query, Query):
+            if query.batch_size is not None:
+                batch_rows = query.batch_size
+            if query.dop is not None:
+                dop = query.dop
         if dop > 1 and find_region(query.plan) is None:
-            return 1
-        return dop
-
-    def _launch_solo_entry(self, entry: _Submission, source: str) -> None:
-        """Launch one entry outside any sharing group — parallelized
-        when its effective dop asks for it, serial otherwise."""
-        dop = self._effective_dop(entry.query)
-        if dop > 1:
-            self._audit_route(source, "parallel", [entry])
-            self._launch_parallel(entry, dop)
-        else:
-            self._audit_route(source, "solo", [entry])
-            self._launch(None, [entry])
-
-    def _route_modes(self, members: list[_Submission], dop: int) -> None:
-        """Route one same-signature group through the four-way
-        share / parallelize / both / solo projection."""
-        projection, decision = self._choose_mode(members, dop)
-        for entry in members:
-            entry.decision = decision
-        if projection.mode == "share":
-            self._launch_group(members)
-        elif projection.mode == "both":
-            size = max(2, projection.partition_group_size)
-            for start in range(0, len(members), size):
-                chunk = members[start:start + size]
-                if len(chunk) >= 2:
-                    self._launch_group(chunk)
-                else:
-                    self._launch(None, chunk)
-        elif projection.mode == "parallel":
-            for entry in members:
-                self._launch_parallel(entry, dop)
-        else:
-            for entry in members:
-                self._launch(None, [entry])
-
-    def _choose_mode(self, members: list[_Submission], dop: int):
-        """Price all four execution arms for one prospective group.
-
-        An attached policy with a ``choose_mode`` method (e.g.
-        :class:`~repro.policies.model_guided.ModelGuidedPolicy`) is
-        consulted directly; otherwise the built-in advisor's rates
-        feed the outlook's projection. Either way one audit record
-        with ``outcome = mode`` binds to the launched members.
-        """
-        query = members[0].query
-        m = len(members)
-        chooser = getattr(self.policy, "choose_mode", None)
-        if chooser is not None:
-            projection = chooser(
-                query.name, m, self.config.processors, dop
-            )
-            self._audit_route("policy", projection.mode, members)
-            return projection, None
-        decision = self.advise(query, m)
-        signature = query.pivot_signature
-        spec, pivot_id = self._specs[signature]
-        adjusted = self._outlook.adjusted_spec(signature, spec, pivot_id, m)
-        projection = self._outlook.share_vs_parallelize(
-            query.name,
-            m,
-            self.config.processors,
-            dop,
-            shared_rate=decision.shared_rate,
-            unshared_rate=decision.unshared_rate,
-            contention=self.config.contention,
-            spec=adjusted,
-            pivot_name=pivot_id,
-        )
-        self._audit_route("advisor", projection.mode, members, decision)
-        return projection, decision
-
-    def _launch_parallel(self, entry: _Submission, dop: int) -> None:
-        handle = self.engine.execute(
-            entry.query.plan,
-            entry.label,
-            batch_rows=self._batch_rows(entry.query),
-            dop=dop,
-        )
-        entry.handle = handle
-        entry.group_size = 1
-        entry.shared = False
-        group = self.engine.groups[-1]
-        self._live_groups.append((entry.query.name, group.size, group.group_id))
-
-    def _launch(self, pivot: Optional[str], members: list[_Submission]) -> None:
-        group = self.engine.execute_group(
-            [entry.query.plan for entry in members],
-            pivot_op_id=pivot,
-            labels=[entry.label for entry in members],
-            batch_rows=self._batch_rows(members[0].query),
-        )
-        for entry, handle in zip(members, group.handles):
-            entry.handle = handle
-            entry.group_size = group.size
-            entry.shared = group.shared
-        self._live_groups.append((members[0].query.name, group.size, group.group_id))
-
-    def _launch_group(self, members: list[_Submission]) -> None:
-        self._launch(members[0].query.pivot_op_id, members)
-
-    def _launch_delayed(self, entry: _Submission) -> None:
-        engine = self.engine
-        batch_rows = self._batch_rows(entry.query)
-        dop = self._effective_dop(entry.query)
-
-        def submitter():
-            yield Sleep(entry.delay)
-            entry.handle = engine.execute(
-                entry.query.plan, entry.label, batch_rows=batch_rows, dop=dop
-            )
-
-        self.sim.spawn(submitter(), name=f"submit/{entry.label}")
-
-    def _notify_policy(self) -> None:
-        """Feed each drained group's stage tasks back to the policy —
-        the learning hook ``OnlineModelGuidedPolicy`` depends on."""
-        launched, self._live_groups = self._live_groups, []
-        if self.policy is None:
-            return
-        for name, size, group_id in launched:
-            tasks = self.engine.group_tasks.get(group_id)
-            if tasks:
-                self.policy.observe_group(name, size, tasks)
+            dop = 1
+        return batch_rows, dop
 
     # -- the audit trail -------------------------------------------------
 
@@ -661,7 +454,7 @@ class Session:
             return float(sum(s.physical_reads for s in scans.snapshot()))
         return None
 
-    def _projection_fields(self, signature: Optional[str], m: int) -> dict:
+    def projections(self, signature: Optional[str], m: int) -> dict:
         """The outlook's projections for one prospective group — the
         audit record's decision-time inputs."""
         if signature is None:
@@ -684,48 +477,7 @@ class Session:
             )
         return fields
 
-    def _audit_decision(
-        self,
-        source: str,
-        outcome: str,
-        query: Query,
-        group_size: int,
-        decision: Optional[ShareDecision] = None,
-    ) -> AuditRecord:
-        """Append one decision record (projections at decision time)."""
-        signature = query.pivot_signature
-        fields = self._projection_fields(signature, group_size)
-        if decision is not None:
-            fields.update(
-                projected_z=decision.benefit,
-                projected_shared_rate=decision.shared_rate,
-                projected_unshared_rate=decision.unshared_rate,
-            )
-        return self._audit.append(
-            query=query.name,
-            signature=signature or "",
-            group_size=group_size,
-            source=source,
-            outcome=outcome,
-            decided_at=self.sim.now,
-            **fields,
-        )
-
-    def _audit_route(
-        self,
-        source: str,
-        outcome: str,
-        members: list[_Submission],
-        decision: Optional[ShareDecision] = None,
-    ) -> AuditRecord:
-        """Append one routing record and bind it to its submissions."""
-        record = self._audit_decision(
-            source, outcome, members[0].query, len(members), decision
-        )
-        self._batch_records.append((record, list(members)))
-        return record
-
-    def _join_audit(self, reads_before: Optional[float]) -> None:
+    def _join_audit(self, batch: list[Submission], reads_before: Optional[float]) -> None:
         """Join each of this batch's records with what was measured:
         group wall (first submit to last finish) and the batch's
         physical-read delta (exact for a single decision, apportioned
@@ -734,48 +486,24 @@ class Session:
         reads_delta: Optional[float] = None
         if reads_before is not None and reads_after is not None:
             reads_delta = reads_after - reads_before
-        joinable = []
-        for record, members in self._batch_records:
-            handles = [
-                m.handle for m in members if m.handle is not None and m.handle.done
-            ]
-            if handles:
-                joinable.append((record, handles))
+        joinable: dict[int, tuple] = {}
+        for entry in batch:
+            if entry.handle is not None and entry.handle.done:
+                joinable.setdefault(entry.record.seq, (entry.record, []))[1].append(
+                    entry.handle
+                )
         share = (
             reads_delta / len(joinable)
             if reads_delta is not None and joinable
             else None
         )
-        for record, handles in joinable:
+        for record, handles in joinable.values():
             latency = max(h.finished_at for h in handles) - min(
                 h.submitted_at for h in handles
             )
             record.join(latency, physical_reads=share)
 
     # -- the built-in advisor --------------------------------------------
-
-    def _decide(
-        self, members: list[_Submission]
-    ) -> tuple[Union[ShareDecision, bool], AuditRecord]:
-        query = members[0].query
-        m = len(members)
-        if self.policy is not None:
-            verdict = self.policy.should_share(query.name, m, self.config.processors)
-            decision = verdict if isinstance(verdict, ShareDecision) else None
-            share = verdict.share if decision is not None else bool(verdict)
-            record = self._audit_decision(
-                "policy",
-                "share" if share else "solo",
-                query,
-                m,
-                decision=decision,
-            )
-            return verdict, record
-        verdict = self.advise(query, m)
-        # advise() appended its own "advisor" record; it is the one
-        # _route binds to the launched members.
-        record = self._audit.records[-1]
-        return verdict, record
 
     def advise(
         self,
@@ -816,7 +544,7 @@ class Session:
         advisor = ShareAdvisor(processors=self.config.processors, threshold=self.threshold)
         group = [adjusted.relabeled(f"{built.name}#{i}") for i in range(group_size)]
         decision = advisor.evaluate(group, pivot_id)
-        self._audit_decision(
+        self.coordinator.audit_decision(
             "advisor",
             "share" if decision.share else "solo",
             built,
@@ -824,6 +552,30 @@ class Session:
             decision=decision,
         )
         return decision
+
+    def advise_mode(
+        self, query: Union[Query, TpchQuery], group_size: int, dop: int
+    ) -> tuple[ParallelProjection, ShareDecision]:
+        """The built-in four-way verdict for ``group_size`` copies of
+        ``query`` that may each fragment ``dop`` ways: share,
+        parallelize, both, or neither — :meth:`advise`'s rates priced
+        by the outlook's share-vs-parallelize projection."""
+        decision = self.advise(query, group_size)
+        signature = query.pivot_signature
+        spec, pivot_id = self._specs[signature]
+        adjusted = self._outlook.adjusted_spec(signature, spec, pivot_id, group_size)
+        projection = self._outlook.share_vs_parallelize(
+            query.name,
+            group_size,
+            self.config.processors,
+            dop,
+            shared_rate=decision.shared_rate,
+            unshared_rate=decision.unshared_rate,
+            contention=self.config.contention,
+            spec=adjusted,
+            pivot_name=pivot_id,
+        )
+        return projection, decision
 
     def _profile(self, signature: str, query: Query) -> tuple[QuerySpec, str]:
         """CPU-profile one operation (cached by pivot signature).

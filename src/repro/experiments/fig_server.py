@@ -153,16 +153,8 @@ class FigServerResult:
 def _solo_service_time(catalog, query, processors: int) -> float:
     """One query's solo makespan on an otherwise idle machine."""
     session = Database(catalog, RuntimeConfig(processors=processors)).session()
-    result = session.run(
-        _as_facade_query(query), label="calibrate", share=False
-    )
+    result = session.run(query, label="calibrate", share=False)
     return result.finished_at - result.submitted_at
-
-
-def _as_facade_query(query):
-    from repro.db.builder import Query
-
-    return Query(plan=query.plan, pivot_op_id=query.pivot, name=query.name)
 
 
 def run(

@@ -5,12 +5,14 @@ The paper's model-guided policies (Section 4) *project* shared and
 unshared completion rates from profiled specs and choose by Z-score;
 our reproduction made those choices silently, so there was no way to
 ask the one question a self-tuning system needs answered: *how wrong
-were the projections?* Every routing decision — ``Session.advise``,
-``Session.run_all``'s grouping, a ``ModelGuidedPolicy`` verdict, a
-``SharingCoordinator`` launch — now appends an :class:`AuditRecord`
-capturing the decision *inputs* (signature, group size, projected
-rates, Z-score, projected extra I/O, spill pages, drift discount) and
-its *outcome* (share / solo / attach). After the run, the session
+were the projections?* Every routing decision the
+``SharingCoordinator`` makes — for ``Session.run_all``, for a
+``Server``, on a raw engine handed a log — appends exactly one
+:class:`AuditRecord` (as do a bare ``Session.advise`` and a
+``ModelGuidedPolicy`` given its own log) capturing the decision
+*inputs* (signature, group size, projected rates, Z-score, projected
+extra I/O, spill pages, drift discount), *who* decided and *what
+happened*. After the run, the session
 joins each record with what the simulator measured — group latency,
 completion rate, physical reads — so :attr:`AuditRecord
 .projection_error` quantifies the gap per decision and
@@ -36,16 +38,17 @@ class AuditRecord:
 
     ``source`` names who decided: ``"advisor"`` (the session's
     built-in ShareAdvisor), ``"policy"`` (an attached policy object),
-    ``"coordinator"`` (the online SharingCoordinator), ``"forced"``
-    (the submitter pinned ``share=``), or ``"solo"`` (a singleton
-    batch with nothing to share with). ``outcome`` is ``"share"``,
-    ``"solo"``, ``"attach"`` (joined a group already in flight),
-    ``"parallel"`` (ran solo with intra-query parallelism), ``"both"``
-    (split into several shared groups — the Section 8.1
+    ``"forced"`` (the submitter pinned ``share=``), ``"solo"`` (no
+    one was asked: no pivot, or nothing to share with and no explicit
+    policy), or ``"server"`` (admission control). ``outcome`` says
+    what happened: ``"share"`` (launched as one group), ``"solo"``
+    (ran alone, serially), ``"attach"`` (joined a busy signature —
+    its pending batch or, with mid-flight attach, the group in
+    flight), ``"parallel"`` (ran alone with intra-query parallelism),
+    ``"both"`` (split into several shared groups — the Section 8.1
     share-and-parallelize arrangement), ``"queue"`` (admission control
     held the arrival for a free slot), or ``"shed"`` (admission
-    control rejected the arrival outright; the open-system server
-    records every shed here — ``source="server"``).
+    control rejected the arrival outright).
 
     Projection fields are in the model's units: rates are completion
     rates (queries per cost unit, the paper's X_shared/X_unshared),
@@ -139,6 +142,9 @@ class AuditLog:
 
     def __iter__(self):
         return iter(self._records)
+
+    def __getitem__(self, index):
+        return self._records[index]
 
     @property
     def records(self) -> tuple[AuditRecord, ...]:

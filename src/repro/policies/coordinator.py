@@ -1,10 +1,13 @@
-"""Runtime sharing coordination (Sections 3.2 and 8.1).
+"""Runtime sharing coordination (Sections 3.2 and 8.1) — the one dispatcher.
 
 Cordoba detects sharing at run time: "when a new packet arrives at a
 stage's queue, the stage thread searches the queue for other packets
 that request the same operation" and merges them. The
 :class:`SharingCoordinator` reproduces that behaviour at query
-granularity:
+granularity, and every launch in the system goes through it:
+``Session.run_all`` (which drains it synchronously), the open-system
+``Server`` (which shares its session's instance), and the closed-system
+driver (which wires one to a raw engine).
 
 * **Same-instant arrivals merge.** Submissions are buffered and routed
   once per simulated instant, so a burst of identical queries (e.g.
@@ -20,13 +23,24 @@ granularity:
 * **Policy-declined queries run solo** immediately, "though [they] may
   be joined later on by other queries" — their activity keeps the
   signature busy so a batch can form behind them.
+* **Unmergeable arrivals run solo in submission order**, before any
+  group of the same instant: no pivot, forced solo (``share=False``),
+  or delayed. Forced ``share=True`` members group unasked.
 
-The prospective group size offered to the policy counts active sharers
-plus the waiting batch plus the simultaneous arrivals, approximating
-Cordoba's ability to attach to in-flight queries via simultaneous
-pipelining; the processors offered are those not claimed by active
-queries of *other* signatures ("the model-guided policy dynamically
-evaluates conditions at runtime", Section 8.2).
+Who decides: an explicit policy's ``should_share`` (asked even about a
+prospective group of one), else the owning session's advisor (asked
+from two up). With dop > 1 the choice is four-way — share, parallelize,
+both, neither — and goes to the policy's ``choose_mode`` if it has one,
+else to the session's ``advise_mode``.
+
+The prospective group size offered counts active sharers plus the
+waiting batch plus the simultaneous arrivals, approximating Cordoba's
+ability to attach to in-flight queries via simultaneous pipelining;
+the processors offered (``effective_n``) are those not claimed by
+active queries of *other* signatures ("the model-guided policy
+dynamically evaluates conditions at runtime", Section 8.2). Every
+routing decision appends exactly one audit record naming who decided
+and what happened.
 
 ``max_group_size`` caps launched batches, splitting oversized pending
 sets into multiple concurrent groups — trading sharing for parallelism
@@ -38,50 +52,66 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from repro.core.decision import ShareDecision
 from repro.engine.engine import Engine
 from repro.engine.packet import QueryHandle
 from repro.errors import PolicyError
-from repro.obs.audit import AuditLog
+from repro.obs.audit import AuditLog, AuditRecord
 from repro.policies.base import SharingPolicy
+from repro.sim.events import Sleep
 
-__all__ = ["SharingCoordinator"]
-
-# Attribute-absence sentinel for the Query/TpchQuery duck typing.
-_MISSING = object()
+__all__ = ["SharingCoordinator", "Submission"]
 
 
 @dataclass
-class _Pending:
-    query: object  # TpchQuery or repro.db Query — see _pivot_of
+class Submission:
+    """One query (a facade ``Query`` or a ``TpchQuery``) at the
+    dispatcher's door and, once routed, what became of it: its engine
+    handle, launch-group size, the verdict it was routed under and the
+    audit record that covers it."""
+
+    query: object
     label: str
-    on_complete: Optional[Callable[[QueryHandle], None]]
+    on_complete: Optional[Callable[[QueryHandle], None]] = None
+    share: Optional[bool] = None
+    delay: float = 0.0
+    batch_rows: Optional[int] = None
+    dop: int = 1
+    handle: Optional[QueryHandle] = None
+    group_size: int = 1
+    decision: Optional[ShareDecision] = None
+    record: Optional[AuditRecord] = None
 
 
 @dataclass
 class _Slot:
-    """State for one pivot signature."""
+    """State for one merge key."""
 
-    signature: str
+    key: tuple
     active_groups: set = field(default_factory=set)
     pending: list = field(default_factory=list)
     flush_scheduled: bool = False
 
 
 class SharingCoordinator:
-    """Routes arriving queries into sharing groups per policy."""
+    """Routes arriving queries into sharing groups per policy.
+
+    ``session`` is the :class:`~repro.db.session.Session` dispatched
+    for: it answers when ``policy`` is ``None``, resolves each query's
+    effective batch size and dop, and supplies the projections audit
+    records carry. Without one (the closed-system driver's raw engine)
+    only the explicit policy decides, at the engine's defaults.
+    """
 
     def __init__(
         self,
         engine: Engine,
-        policy: SharingPolicy,
+        policy: Optional[SharingPolicy],
         max_group_size: Optional[int] = None,
         audit: Optional[AuditLog] = None,
         attach_inflight: bool = False,
+        session=None,
     ) -> None:
-        if max_group_size is not None and max_group_size < 1:
-            raise PolicyError(
-                f"max_group_size must be >= 1, got {max_group_size}"
-            )
         self.engine = engine
         self.policy = policy
         self.max_group_size = max_group_size
@@ -92,20 +122,27 @@ class SharingCoordinator:
         # ScanShareManager (requires cooperative scans to actually share
         # work; without them it degrades to a concurrent solo run).
         self.attach_inflight = attach_inflight
-        # Optional decision audit trail: every routed batch appends a
-        # source="coordinator" record ("attach" when it joins a busy
-        # signature's pending batch, "share"/"solo" otherwise).
         self.audit = audit
-        self._slots: dict[str, _Slot] = {}
+        self.session = session
+        self._slots: dict[tuple, _Slot] = {}
         self._active_members: dict[int, int] = {}
-        self._group_names: dict[int, str] = {}
-        self._group_sizes: dict[int, int] = {}
-        self._arrivals: list[_Pending] = []
+        self._launched: dict[int, tuple[str, int]] = {}  # group -> name, size
+        self._arrivals: list[Submission] = []
         self._route_scheduled = False
         # Decision accounting for experiments.
         self.shared_submissions = 0
         self.solo_submissions = 0
         self.launched_group_sizes: list[int] = []
+
+    @property
+    def max_group_size(self) -> Optional[int]:
+        return self._max_group_size
+
+    @max_group_size.setter
+    def max_group_size(self, cap: Optional[int]) -> None:
+        if cap is not None and cap < 1:
+            raise PolicyError(f"max_group_size must be >= 1, got {cap}")
+        self._max_group_size = cap
 
     # ------------------------------------------------------------------
 
@@ -114,12 +151,26 @@ class SharingCoordinator:
         query,
         label: str,
         on_complete: Optional[Callable[[QueryHandle], None]] = None,
-    ) -> None:
-        """Accept one arriving query; routed at the end of the instant."""
-        self._arrivals.append(_Pending(query, label, on_complete))
+        share: Optional[bool] = None,
+        delay: float = 0.0,
+    ) -> Submission:
+        """Accept one arriving query; routed at the end of the instant.
+
+        ``share`` overrides the decider for this submission (``True``
+        groups it with same-key arrivals, ``False`` runs it solo);
+        ``delay`` launches it solo that much simulated time after it
+        is routed. The returned :class:`Submission` fills in as the
+        query is routed and launched.
+        """
+        batch_rows, dop = None, 1
+        if self.session is not None:
+            batch_rows, dop = self.session.execution_settings(query)
+        entry = Submission(query, label, on_complete, share, delay, batch_rows, dop)
+        self._arrivals.append(entry)
         if not self._route_scheduled:
             self._route_scheduled = True
             self.engine.sim.call_soon(self._route_arrivals)
+        return entry
 
     def pending_count(self) -> int:
         return sum(len(slot.pending) for slot in self._slots.values())
@@ -141,107 +192,230 @@ class SharingCoordinator:
 
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _pivot_of(query) -> Optional[str]:
-        """The sharing pivot's op_id — for both the tpch
-        :class:`TpchQuery` (``pivot``) and the facade's
-        :class:`~repro.db.builder.Query` (``pivot_op_id``)."""
-        pivot = getattr(query, "pivot_op_id", _MISSING)
-        if pivot is not _MISSING:
-            return pivot
-        return query.pivot
-
-    @classmethod
-    def _signature(cls, query) -> Optional[str]:
-        pivot = cls._pivot_of(query)
-        if pivot is None:
-            return None
-        return f"{pivot}:{query.plan.find(pivot).signature}"
-
     def _route_arrivals(self) -> None:
         self._route_scheduled = False
         arrivals, self._arrivals = self._arrivals, []
-        by_signature: dict[str, list[_Pending]] = {}
+        batches: dict[tuple, list[Submission]] = {}
         for entry in arrivals:
-            signature = self._signature(entry.query)
-            if signature is None:
-                # No pivot — nothing to merge on; run solo under a
-                # per-name slot so completion bookkeeping still works.
-                signature = f"solo:{entry.query.name}"
-                slot = self._slots.setdefault(
-                    signature, _Slot(signature=signature)
+            query = entry.query
+            signature = query.pivot_signature
+            if entry.delay > 0:
+                self._launch_later(entry)
+            elif entry.share is False or signature is None:
+                self._launch_solo(entry)
+            else:
+                # Merge candidates agree on the pivot's signature (the
+                # engine's merge test) and op_id (how the engine
+                # addresses it in every member), the query name
+                # (policies key their specs on it), and the effective
+                # batch size and dop (one pipeline, one mode choice).
+                key = (
+                    signature,
+                    query.pivot_op_id,
+                    query.name,
+                    entry.batch_rows,
+                    entry.dop,
                 )
-                self.solo_submissions += 1
-                self._launch(slot, [entry])
-                continue
-            by_signature.setdefault(signature, []).append(entry)
-        for signature, batch in by_signature.items():
-            slot = self._slots.setdefault(signature,
-                                          _Slot(signature=signature))
-            self._route_batch(slot, batch)
+                batches.setdefault(key, []).append(entry)
+        for key, batch in batches.items():
+            self._route_batch(self._slots.setdefault(key, _Slot(key)), batch)
 
-    def _route_batch(self, slot: _Slot, batch: list[_Pending]) -> None:
-        name = batch[0].query.name
+    def _launch_solo(self, entry: Submission) -> None:
+        """Launch one unmergeable arrival at its own dop, under a
+        per-name slot so completion bookkeeping still works and the
+        entry's signature does not read as busy."""
+        source = "forced" if entry.share is False else "solo"
+        self._record(source, "parallel" if entry.dop > 1 else "solo", [entry], 1)
+        self.solo_submissions += 1
+        key = ("solo", entry.query.name)
+        self._launch(self._slots.setdefault(key, _Slot(key)), [entry])
+
+    def _launch_later(self, entry: Submission) -> None:
+        def sleeper():
+            yield Sleep(entry.delay)
+            self._launch_solo(entry)
+
+        self.engine.sim.spawn(sleeper(), name=f"submit/{entry.label}")
+
+    def _route_batch(self, slot: _Slot, batch: list[Submission]) -> None:
+        query, dop = batch[0].query, batch[0].dop
         slot_active = sum(
             self._active_members.get(gid, 0) for gid in slot.active_groups
         )
-        total_active = sum(self._active_members.values())
         effective_n = max(
-            1, self.engine.sim.n_processors - (total_active - slot_active)
+            1,
+            self.engine.sim.n_processors - (self.inflight_count() - slot_active),
         )
         prospective = slot_active + len(slot.pending) + len(batch)
         busy = bool(slot.active_groups or slot.pending)
+        forced = [entry for entry in batch if entry.share]
+        undecided = [entry for entry in batch if entry.share is None]
 
-        verdict = self.policy.should_share(name, prospective, effective_n)
-        if self.audit is not None:
-            self.audit.append(
-                query=name,
-                signature=slot.signature,
-                group_size=prospective,
-                source="coordinator",
-                outcome=("attach" if busy else "share") if verdict else "solo",
-                decided_at=self.engine.sim.now,
-            )
-        if verdict:
-            self.shared_submissions += len(batch)
-            if busy and self.attach_inflight:
-                # Launch now; the new scans attach to the in-flight
-                # elevator group at its current page (mid-flight
-                # simultaneous pipelining) instead of waiting for the
-                # active group to drain.
-                self._launch_capped(slot, batch)
-            elif busy:
-                slot.pending.extend(batch)
+        decision = None
+        chunk = 2
+        if not undecided:
+            source, mode = ("forced", "share") if prospective >= 2 else ("solo", "solo")
+        elif self.policy is None and (self.session is None or prospective < 2):
+            source, mode = "solo", "solo"
+        elif dop > 1 and not forced and prospective >= 2:
+            # The four-way choice: share, parallelize, both, or
+            # neither. Any forced share=True member pins the group to
+            # the binary share path below.
+            chooser = getattr(self.policy, "choose_mode", None)
+            if chooser is not None:
+                source = "policy"
+                projection = chooser(query.name, prospective, effective_n, dop)
             else:
-                self._launch_capped(slot, batch)
-            return
+                source = "advisor"
+                projection, decision = self.session.advise_mode(query, prospective, dop)
+            mode = projection.mode
+            chunk = max(2, projection.partition_group_size)
+        else:
+            if self.policy is not None:
+                source = "policy"
+                verdict = self.policy.should_share(query.name, prospective, effective_n)
+            else:
+                source = "advisor"
+                verdict = self.session.advise(query, prospective)
+            if isinstance(verdict, ShareDecision):
+                decision = verdict
+            mode = "share" if verdict else "solo"
+        for entry in undecided:
+            entry.decision = decision
 
-        self.solo_submissions += len(batch)
-        for entry in batch:
-            self._launch(slot, [entry])
+        if mode == "share":
+            self._share(source, slot, batch, busy, prospective, decision)
+        elif mode == "both":
+            self._record(source, mode, batch, prospective, decision)
+            self.shared_submissions += len(batch)
+            for start in range(0, len(batch), chunk):
+                self._launch(slot, batch[start:start + chunk], serial=True)
+        else:
+            # "parallel" keeps each member's dop; declined members of a
+            # real prospective group run serial; a group of one had
+            # nothing to decline and keeps its dop.
+            serial = mode == "solo" and prospective >= 2
+            # Enough submitters pinned share=True to group anyway; the
+            # decision record then measures the solo remainder.
+            regroup = len(forced) >= 2
+            rest = undecided if regroup else batch
+            outcome = "solo" if serial or dop == 1 else "parallel"
+            self._record(source, outcome, rest, prospective, decision)
+            if regroup:
+                self._share("forced", slot, forced, busy, len(forced))
+            self.solo_submissions += len(rest)
+            for entry in rest:
+                self._launch(slot, [entry], serial=serial)
+
+    def _share(self, source, slot, batch, busy, group_size, decision=None) -> None:
+        """Record and carry out a verdict to share ``batch``."""
+        self._record(source, "attach" if busy else "share", batch, group_size, decision)
+        self.shared_submissions += len(batch)
+        if busy and not self.attach_inflight:
+            slot.pending.extend(batch)
+        else:
+            # Idle signature — or mid-flight attach: the new scans join
+            # the in-flight elevator group at its current page instead
+            # of waiting for the active group to drain.
+            self._launch_capped(slot, batch)
 
     # ------------------------------------------------------------------
 
-    def _launch_capped(self, slot: _Slot, batch: list[_Pending]) -> None:
+    def audit_decision(
+        self,
+        source: str,
+        outcome: str,
+        query,
+        group_size: int,
+        decision: Optional[ShareDecision] = None,
+    ) -> AuditRecord:
+        """Append one decision record: who decided, what happened, and
+        the projections in force at decision time."""
+        signature = query.pivot_signature
+        fields: dict = {}
+        if self.session is not None:
+            fields = self.session.projections(signature, group_size)
+        if decision is not None:
+            fields.update(
+                projected_z=decision.benefit,
+                projected_shared_rate=decision.shared_rate,
+                projected_unshared_rate=decision.unshared_rate,
+            )
+        return self.audit.append(
+            query=query.name,
+            signature=signature or "",
+            group_size=group_size,
+            source=source,
+            outcome=outcome,
+            decided_at=self.engine.sim.now,
+            **fields,
+        )
+
+    def _record(
+        self,
+        source: str,
+        outcome: str,
+        entries: list[Submission],
+        group_size: int,
+        decision: Optional[ShareDecision] = None,
+    ) -> None:
+        """One record per routing decision, bound to the submissions it
+        covers. The advisor audited its own verdict inside
+        ``Session.advise``; that record is the decision's, relabelled
+        with what actually happened."""
+        if self.audit is None:
+            return
+        if source == "advisor":
+            record = self.audit[-1]
+            record.outcome = outcome
+        else:
+            record = self.audit_decision(
+                source, outcome, entries[0].query, group_size, decision
+            )
+        for entry in entries:
+            entry.record = record
+
+    # ------------------------------------------------------------------
+
+    def _launch_capped(self, slot: _Slot, batch: list[Submission]) -> None:
         cap = self.max_group_size or len(batch)
         for start in range(0, len(batch), cap):
             self._launch(slot, batch[start:start + cap])
 
-    def _launch(self, slot: _Slot, batch: list[_Pending]) -> None:
-        pivot = self._pivot_of(batch[0].query) if len(batch) > 1 else None
-        group = self.engine.execute_group(
-            [entry.query.plan for entry in batch],
-            pivot_op_id=pivot,
-            labels=[entry.label for entry in batch],
-            on_complete=[
-                self._wrap(slot, entry.on_complete) for entry in batch
-            ],
-        )
-        slot.active_groups.add(group.group_id)
-        self._active_members[group.group_id] = group.size
-        self._group_names[group.group_id] = batch[0].query.name
-        self._group_sizes[group.group_id] = group.size
-        self.launched_group_sizes.append(group.size)
+    def _launch(
+        self, slot: _Slot, batch: list[Submission], serial: bool = False
+    ) -> None:
+        """The one launch site. A singleton runs at its own dop unless
+        ``serial``; a group shares at the pivot and never fragments."""
+        first = batch[0]
+        callbacks = [self._wrap(slot, entry.on_complete) for entry in batch]
+        if len(batch) == 1 and first.dop > 1 and not serial:
+            handles = [
+                self.engine.execute(
+                    first.query.plan,
+                    first.label,
+                    on_complete=callbacks[0],
+                    batch_rows=first.batch_rows,
+                    dop=first.dop,
+                )
+            ]
+        else:
+            handles = self.engine.execute_group(
+                [entry.query.plan for entry in batch],
+                pivot_op_id=first.query.pivot_op_id if len(batch) > 1 else None,
+                labels=[entry.label for entry in batch],
+                on_complete=callbacks,
+                batch_rows=first.batch_rows,
+            ).handles
+        size = len(batch)
+        for entry, handle in zip(batch, handles):
+            entry.handle = handle
+            entry.group_size = size
+        group_id = handles[0].group_id
+        slot.active_groups.add(group_id)
+        self._active_members[group_id] = size
+        self._launched[group_id] = (first.query.name, size)
+        self.launched_group_sizes.append(size)
 
     def _wrap(
         self,
@@ -278,8 +452,6 @@ class SharingCoordinator:
     def _notify_policy(self, handle: QueryHandle) -> None:
         """Feed the completed group back to learning policies."""
         tasks = self.engine.group_tasks.get(handle.group_id)
-        query_name = self._group_names.pop(handle.group_id, None)
-        group_size = self._group_sizes.pop(handle.group_id, 0)
-        if tasks is None or query_name is None:
-            return
-        self.policy.observe_group(query_name, group_size, tasks)
+        query_name, group_size = self._launched.pop(handle.group_id)
+        if self.policy is not None and tasks is not None:
+            self.policy.observe_group(query_name, group_size, tasks)

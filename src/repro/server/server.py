@@ -17,8 +17,11 @@ harness that makes the open-system regime first-class:
   every shed is an explicit ``source="server"`` record in the
   session's audit log, so overload degrades to *bounded* queues and
   an *accounted* loss, never an unbounded backlog.
-* **Dispatch** feeds admitted queries to a
-  :class:`~repro.policies.coordinator.SharingCoordinator`, which
+* **Dispatch** feeds admitted queries to its session's
+  :class:`~repro.policies.coordinator.SharingCoordinator` — the same
+  instance ``Session.run_all`` drains, so an arrival is routed,
+  launched (at the batch size and dop its query and the config ask
+  for) and audited by exactly the rules a batch submission is. It
   merges same-operation arrivals into elevator groups; with
   cooperative scans configured, ``attach_inflight`` lets a late
   arrival attach to a group mid-revolution (the paper's simultaneous
@@ -43,14 +46,12 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.db.builder import Query
 from repro.db.config import RuntimeConfig
 from repro.db.session import Database, Session
 from repro.engine.packet import QueryHandle
 from repro.errors import EngineError, PolicyError
 from repro.obs.trace import TID_SERVER
 from repro.policies.base import SharingPolicy
-from repro.policies.coordinator import SharingCoordinator
 from repro.server.admission import AdmissionPolicy, AdmissionView, QueueDepthBound
 from repro.server.stats import LatencyStats
 from repro.sim.events import Sleep
@@ -235,30 +236,6 @@ def poisson_arrivals(
     return arrivals
 
 
-class _AdvisorPolicy(SharingPolicy):
-    """Adapter exposing the session's built-in outlook-driven advisor
-    as a coordinator policy: each verdict re-profiles the live resource
-    state (cold pages, spill pressure, drift), so the server's sharing
-    behaviour adapts to load exactly as ``Session.run_all``'s does."""
-
-    name = "advisor"
-
-    def __init__(self, session: Session) -> None:
-        self.session = session
-        self.queries: Dict[str, object] = {}
-
-    def should_share(self, query_name: str, m: int, n: int) -> bool:
-        if m < 2:
-            return False
-        query = self.queries.get(query_name)
-        if query is None:
-            return False
-        return self.session.advise(query, m).share
-
-    def observe_group(self, query_name, group_size, tasks) -> None:
-        pass
-
-
 class Server:
     """A long-running open-system server over one :class:`Session`.
 
@@ -269,10 +246,11 @@ class Server:
         clock, cache state, and audit log persist across serve calls —
         a second ``serve`` starts against warm state.
     policy:
-        Sharing policy for the coordinator (``AlwaysShare``,
-        ``NeverShare``, ``ModelGuidedPolicy``, ...). ``None`` uses the
-        session's built-in outlook-driven advisor, re-evaluated per
-        prospective group against live resource state.
+        Sharing policy for the session's coordinator (``AlwaysShare``,
+        ``NeverShare``, ``ModelGuidedPolicy``, ...). ``None`` keeps
+        the session's own — by default its built-in outlook-driven
+        advisor, re-evaluated per prospective group against live
+        resource state.
     admission:
         :class:`~repro.server.admission.AdmissionPolicy`; default
         bounds the waiting queue at 64 arrivals.
@@ -281,8 +259,8 @@ class Server:
         wait in the server's FIFO (and are recorded with outcome
         ``"queue"`` in the audit log). ``None`` dispatches on arrival.
     max_group_size:
-        Forwarded to the coordinator: oversized pending batches split
-        into several concurrent groups.
+        Set on the coordinator: oversized pending batches split into
+        several concurrent groups.
     attach_inflight:
         Mid-flight attach (simultaneous pipelining). ``None`` enables
         it exactly when the session has cooperative scans configured.
@@ -308,18 +286,13 @@ class Server:
         self.admission = admission if admission is not None else QueueDepthBound(64)
         self.max_inflight = max_inflight
         self.keep_rows = keep_rows
-        if policy is None:
-            policy = _AdvisorPolicy(session)
-        self.policy = policy
         if attach_inflight is None:
             attach_inflight = session.scans is not None
-        self.coordinator = SharingCoordinator(
-            session.engine,
-            policy,
-            max_group_size=max_group_size,
-            audit=session.audit_log(),
-            attach_inflight=attach_inflight,
-        )
+        self.coordinator = session.coordinator
+        if policy is not None:
+            self.coordinator.policy = policy
+        self.coordinator.max_group_size = max_group_size
+        self.coordinator.attach_inflight = attach_inflight
         self._queue: deque = deque()
         self._inflight = 0
         self._service_ewma = 0.0
@@ -351,6 +324,12 @@ class Server:
         return cls(Database(catalog, config).session(), policy=policy, **server_kwargs)
 
     # -- observability -----------------------------------------------------
+
+    @property
+    def policy(self) -> Optional[SharingPolicy]:
+        """The explicit sharing policy in force (``None`` = the
+        session's built-in advisor)."""
+        return self.coordinator.policy
 
     def _metric_family(self) -> Dict[str, float]:
         family = {
@@ -538,7 +517,6 @@ class Server:
             return
 
         self.total_admitted += 1
-        self._register_query(arrival.query)
         gated = (
             self.max_inflight is not None and self._inflight >= self.max_inflight
         )
@@ -553,21 +531,6 @@ class Server:
                 decided_at=now,
             )
         self._dispatch()
-
-    def _register_query(self, query: object) -> None:
-        if isinstance(self.policy, _AdvisorPolicy):
-            name = getattr(query, "name", None)
-            if name is not None and name not in self.policy.queries:
-                # Normalize to a facade Query so the advisor can
-                # profile it (TpchQuery carries ``pivot``, not
-                # ``pivot_op_id``).
-                if not isinstance(query, Query):
-                    query = Query(
-                        plan=query.plan,
-                        pivot_op_id=getattr(query, "pivot", None),
-                        name=name,
-                    )
-                self.policy.queries[name] = query
 
     def _dispatch(self) -> None:
         while self._queue and (

@@ -63,6 +63,16 @@ class TpchQuery:
     def pivot_node(self) -> PlanNode:
         return self.plan.find(self.pivot)
 
+    # The facade Query's spelling of the pivot, so the dispatcher
+    # reads both query types the same way.
+    @property
+    def pivot_op_id(self) -> str:
+        return self.pivot
+
+    @property
+    def pivot_signature(self) -> str:
+        return self.pivot_node().signature
+
 
 def q1(catalog: Catalog) -> TpchQuery:
     """Pricing summary report (scan-heavy; shares at the scan stage).
