@@ -14,8 +14,14 @@ code with the stages:
 * **clock** — the simulated time of every plan x preset x batch size on
   a seeded catalog is bit-identical to ``golden_sim_times.json``,
   recorded before the row-at-a-time stage path (whose clock the
-  columnar path had been pinned to) was deleted. A deliberate model
-  change re-records it with ``python tests/test_batch_parity.py``.
+  columnar path had been pinned to) was deleted. Those plans sort 200
+  rows under grants that never cut a run, so the same file also pins
+  the *spilling* sort (``spill_sort/...``: clock, run and merge-pass
+  counts, spill pages, pool evictions, at grants of 1-16 pages) and a
+  dop-4 aggregate through the ordered-merge gather
+  (``ordered_merge/...``), recorded before the merge went
+  page-at-a-time. A deliberate model change re-records everything
+  with ``python tests/test_batch_parity.py``.
 """
 
 import json
@@ -27,10 +33,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.db import Database, QueryBuilder, RuntimeConfig
+from repro.engine import CostModel, Engine, MemoryBroker, resource_report, scan, sort
 from repro.engine.plan import AggSpec
 from repro.engine.expressions import add, col, ge, lt, mul
 from repro.engine.reference import execute_reference
-from repro.storage import Catalog, DataType, Schema
+from repro.sim.simulator import Simulator
+from repro.storage import BufferPool, Catalog, DataType, Schema
 
 PRESETS = ("unbounded", "cmp32", "laptop")
 
@@ -256,8 +264,141 @@ def golden_sim_times():
 
 
 def test_golden_sim_times():
-    assert golden_sim_times() == json.loads(GOLDEN.read_text())
+    golden = json.loads(GOLDEN.read_text())
+    assert golden_sim_times() == {
+        key: value for key, value in golden.items() if key not in SPILL_CASES
+    }
+
+
+# -- the clock half, spilling: external sort and ordered-merge gather -------
+#
+# Which row lands in which run decides run counts, page counts and merge
+# passes; where each spill page is written and read back against the
+# evicting pool decides the stalls. Every entry therefore records the
+# counts beside the clock: a host-side rewrite of the sort must move
+# none of them.
+
+SPILL_COSTS = CostModel(io_page=100.0, spill_page=120.0)
+SPILL_PAGE_ROWS = 16
+SPILL_POOL_PAGES = 24
+SPILL_ROWS = 3000
+
+SPILL_KEY_SHAPES = {
+    "int_asc_float_desc": [("g", True), ("v", False)],
+    "str_desc_int_asc": [("s", False), ("k", True)],
+    "heavy_tie": [("g", True)],
+}
+
+
+def _spill_catalog():
+    rng = random.Random(GOLDEN_SEED)
+    catalog = Catalog()
+    schema = Schema(
+        [
+            ("g", DataType.INT),
+            ("s", DataType.STR),
+            ("k", DataType.INT),
+            ("v", DataType.FLOAT),
+        ]
+    )
+    # v is rounded so the descending float key has duplicates: ties on
+    # the whole key are broken by arrival order, across runs.
+    catalog.create("t", schema).insert_many(
+        (
+            rng.randrange(37),
+            f"name{rng.randrange(11):02d}",
+            i,
+            round(rng.uniform(-1e3, 1e3), 1),
+        )
+        for i in range(SPILL_ROWS)
+    )
+    return catalog
+
+
+def _spill_sort_entry(catalog, shape, work_mem, prefetch):
+    """One governed sort through a raw engine on a 24-page pool."""
+    sim = Simulator(processors=4)
+    engine = Engine(
+        catalog,
+        sim,
+        costs=SPILL_COSTS,
+        page_rows=SPILL_PAGE_ROWS,
+        buffer_pool=BufferPool(SPILL_POOL_PAGES),
+        memory=MemoryBroker(work_mem),
+        spill_prefetch_depth=prefetch,
+    )
+    plan = sort(
+        scan(catalog, "t", columns=["g", "s", "k", "v"], op_id="s"),
+        SPILL_KEY_SHAPES[shape],
+        op_id="big_sort",
+    )
+    engine.execute(plan, "q")
+    sim.run()
+    report = resource_report(engine)
+    notes = report.grant_notes("big_sort")
+    return {
+        "sim_time": float(sim.now).hex(),
+        "sort_runs": notes["sort_runs"],
+        "merge_passes": notes["merge_passes"],
+        "spilled_pages": notes["spilled_pages"],
+        "evictions": report.buffer.evictions,
+    }
+
+
+def _ordered_merge_entry(catalog):
+    """A dop-4 aggregate: four partition streams of ~100 groups each,
+    cut into ragged 7-row batches, interleaved by ``ordered_merge``."""
+    config = RuntimeConfig(
+        work_mem=4,
+        pool_pages=SPILL_POOL_PAGES,
+        page_rows=SPILL_PAGE_ROWS,
+        batch_size=7,
+        processors=4,
+    )
+    session = Database.open(catalog, config)
+    query = (
+        QueryBuilder(catalog, "t")
+        .agg(AggSpec("sum", "total", col("v")), AggSpec("count", "n"), by=("g", "s"))
+        .parallel(4)
+    )
+    rows = session.run(query).rows
+    report = session.resources()
+    return {
+        "sim_time": float(session.now).hex(),
+        "rows": len(rows),
+        "spill_pages_written": report.spill_pages_written,
+        "evictions": report.buffer.evictions,
+    }
+
+
+SPILL_CASES = {
+    f"spill_sort/{shape}/wm{work_mem}/pf{prefetch}": (shape, work_mem, prefetch)
+    for shape in SPILL_KEY_SHAPES
+    for work_mem in (1, 2, 5, 16)
+    for prefetch in (0, 2)
+}
+SPILL_CASES["ordered_merge/dop4/b7"] = None
+
+
+def golden_spill_entry(catalog, key):
+    case = SPILL_CASES[key]
+    if case is None:
+        return _ordered_merge_entry(catalog)
+    return _spill_sort_entry(catalog, *case)
+
+
+@pytest.fixture(scope="module")
+def spill_catalog():
+    return _spill_catalog()
+
+
+@pytest.mark.parametrize("key", sorted(SPILL_CASES))
+def test_golden_spill_times(spill_catalog, key):
+    assert golden_spill_entry(spill_catalog, key) == json.loads(GOLDEN.read_text())[key]
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps(golden_sim_times(), indent=1, sort_keys=True) + "\n")
+    recorded = golden_sim_times()
+    catalog = _spill_catalog()
+    recorded.update((key, golden_spill_entry(catalog, key)) for key in SPILL_CASES)
+    GOLDEN.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")
