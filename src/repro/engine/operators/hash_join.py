@@ -30,16 +30,22 @@ build rows for it appended to its spill file. Probe rows for resident
 partitions stream through pipelined as usual; probe rows for spilled
 partitions are spilled alongside. A cleanup phase then joins each
 spilled partition pair, recursing with a fresh hash salt when a
-partition alone still exceeds the grant; at the recursion floor the
-partition is processed in memory regardless (the broker records an
-overcommit), so shrinking ``work_mem`` degrades cost smoothly and can
-never fail the query.
+partition alone still exceeds the grant. Every level maps keys to
+partitions through a
+:class:`~repro.engine.operators.partitioning.PartitionMemo` — one for
+build and probe together, one per re-partitioning — so the
+seed-independent hash is paid once per distinct key. At the recursion
+floor the partition is processed in memory regardless (the broker
+records an overcommit), so shrinking ``work_mem`` degrades cost
+smoothly and can never fail the query.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from repro.engine.operators.api import BatchOperator
-from repro.engine.operators.partitioning import partition_of
+from repro.engine.operators.partitioning import PartitionMemo
 from repro.sim.events import Compute
 from repro.storage.spill_cursor import SpillCursor
 
@@ -53,8 +59,6 @@ DEFAULT_FANOUT = 8
 # if over budget: repeated splitting has failed (heavy key skew), and
 # overcommitting is better than recursing forever.
 MAX_RECURSION_DEPTH = 3
-# The partitioner's name while it lived here; kept for importers.
-_partition_of = partition_of
 
 
 def build_table(build_rows, key_index):
@@ -154,6 +158,8 @@ class HashJoinOperator(BatchOperator):
                     self.grant.pages),
             )
             self.parts = [_Partition() for _ in range(self.fanout)]
+            # Build and probe partition alike: one memo serves both.
+            self.memo = PartitionMemo(0, self.fanout)
         return
         yield  # pragma: no cover
 
@@ -240,12 +246,12 @@ class HashJoinOperator(BatchOperator):
         costs = self.ctx.costs
         page_rows = self.ctx.page_rows
         parts = self.parts
-        fanout = self.fanout
         grant = self.grant
         cost = costs.hash_build * len(batch)
         keys = batch.column(self.build_index)
-        for key, row in zip(keys, batch.rows):
-            p = parts[partition_of(key, 0, fanout)]
+        partitions = map(self.memo.__getitem__, keys)
+        for partition, key, row in zip(partitions, keys, batch.rows):
+            p = parts[partition]
             if p.spilled:
                 cost += costs.spill_page * p.build_file.append_rows((row,))
             else:
@@ -262,12 +268,12 @@ class HashJoinOperator(BatchOperator):
         ctx = self.ctx
         costs = ctx.costs
         parts = self.parts
-        fanout = self.fanout
         cost = costs.hash_probe * len(batch)
         joined = []
         keys = batch.column(self.probe_index)
-        for key, row in zip(keys, batch.rows):
-            p = parts[partition_of(key, 0, fanout)]
+        partitions = map(self.memo.__getitem__, keys)
+        for partition, key, row in zip(partitions, keys, batch.rows):
+            p = parts[partition]
             if p.spilled:
                 if p.probe_file is None:
                     p.probe_file = ctx.pool.spill_file(ctx.page_rows)
@@ -337,6 +343,7 @@ def _join_spilled(build_file, probe_file, depth, ctx, grant, emitter,
     # with this level's hash salt and recurse (Grace-style).
     sub_build = [pool.spill_file(page_rows) for _ in range(fanout)]
     sub_probe = [pool.spill_file(page_rows) for _ in range(fanout)]
+    memo = PartitionMemo(depth, fanout)
     for files, source, key_index in (
         (sub_build, build_file, build_index),
         (sub_probe, probe_file, probe_index),
@@ -348,9 +355,9 @@ def _join_spilled(build_file, probe_file, depth, ctx, grant, emitter,
             # ahead while it is busy writing the partitions.
             page, stall = reader.next_page(0.0)
             cost = 0.0
-            for row in page.rows:
-                target = files[partition_of(row[key_index], depth, fanout)]
-                cost += costs.spill_page * target.append_rows((row,))
+            partitions = map(memo.__getitem__, map(itemgetter(key_index), page.rows))
+            for partition, row in zip(partitions, page.rows):
+                cost += costs.spill_page * files[partition].append_rows((row,))
             yield Compute(cost + stall, io=stall)
         seal = sum(costs.spill_page * f.flush() for f in files)
         if seal:

@@ -8,20 +8,26 @@ from the least to the most significant key group, each group compared
 through one composite ``itemgetter`` key.
 
 With a :class:`~repro.engine.memory.MemoryBroker` attached it becomes
-an **external-merge sort** with **replacement-selection** run
-generation: a selection heap of ``grant.pages`` pages of rows emits
-its minimum to the current run through a
-:class:`~repro.storage.buffer.SpillFile` (``spill_page`` per page)
-each time a new row must be admitted. An incoming row whose key is
-not below the last row written joins the current run's heap; one that
-is goes to a side buffer for the *next* run. The current run ends
-only when every held row belongs to the next run, so runs average
-twice the memory budget on random input and a single run covers
-arbitrarily long sorted stretches — the tournament-tree property that
-makes partially ordered inputs cheap (fewer runs, fewer merge
-passes). Reverse-ordered input degenerates to one-memory-load runs,
-the old cut-a-run-per-budget behavior, so ``ceil(n / budget_rows)``
-is the run-count ceiling.
+an **external-merge sort**. Each arriving batch is turned into **sort
+records** ``(key, seq, row)`` in one column-wise pass
+(:func:`batch_key_builder`): ``key`` is the composite sort key, built
+once, and ``seq`` the row's arrival sequence number. Records are what
+the selection heap holds *and what the run files store* — one record
+per row, so page counts are those of the rows — and no merge pass
+re-derives a key or strips a tag.
+
+Run generation is **replacement selection**: a selection heap of
+``grant.pages`` pages of records emits its minimum to the current run
+through a :class:`~repro.storage.buffer.SpillFile` (``spill_page`` per
+page) each time a new row must be admitted. An incoming record not
+below the one being written joins the current run's heap; one that is
+goes to a side buffer for the *next* run. The current run ends only
+when every held record belongs to the next run, so runs average twice
+the memory budget on random input and a single run covers arbitrarily
+long sorted stretches — the tournament-tree property that makes
+partially ordered inputs cheap (fewer runs, fewer merge passes).
+Reverse-ordered input degenerates to one-memory-load runs, so
+``ceil(n / budget_rows)`` is the run-count ceiling.
 
 After input closes, the runs are merged with a budget-bounded k-way
 merge: the fan-in is ``grant.pages - 1`` (one page reserved for
@@ -36,12 +42,18 @@ passes, classic external-sort arithmetic
 per-page CPU drains the next spill pages' ``io_page`` cost instead
 of stalling on it.
 
+The merge itself is :func:`merge_spans`, shared with the parallel
+fabric's ordered gather
+(:func:`~repro.engine.parallel.exchange.ordered_merge`): one step per
+*fetched page* instead of one heap operation per row, making the same
+fetches at the same points of the output stream, so the simulated
+event sequence is that of a row-at-a-time heap merge.
+
 The output is *identical* to the in-memory path at every budget —
-including tie order. Every spilled row carries its arrival sequence
-number; the heap orders by ``(key, seq)`` and the merge breaks key
-ties by that sequence number, which reproduces the global stable sort
-even though replacement selection can place a later-arriving row in
-an earlier run than an equal-keyed predecessor. Order-sensitive
+including tie order. Records order by ``(key, seq)``, a total order
+(``seq`` is unique), which reproduces the global stable sort even
+though replacement selection can place a later-arriving row in an
+earlier run than an equal-keyed predecessor. Order-sensitive
 consumers (limit, merge join) therefore see exactly the rows they
 would have seen unbounded.
 """
@@ -49,14 +61,23 @@ would have seen unbounded.
 from __future__ import annotations
 
 import heapq
-from operator import itemgetter
+from bisect import bisect_right
+from itertools import count
+from operator import itemgetter, neg
 
 from repro.engine.operators.api import BatchOperator
 from repro.errors import EngineError
 from repro.sim.events import Compute
+from repro.storage.schema import DataType
 from repro.storage.spill_cursor import SpillCursor
 
-__all__ = ["SortOperator", "sort_rows", "merge_key", "plan_merge_passes"]
+__all__ = [
+    "SortOperator",
+    "sort_rows",
+    "batch_key_builder",
+    "merge_spans",
+    "plan_merge_passes",
+]
 
 
 def _key_groups(schema, keys):
@@ -91,11 +112,11 @@ def sort_rows(rows, schema, keys):
 
 
 class _Descending:
-    """Order-inverting wrapper for descending keys in the merge heap.
+    """Order-inverting wrapper for descending keys negation cannot express.
 
-    Descending string (or other non-negatable) columns cannot be
-    expressed by numeric negation, so the k-way merge wraps them in a
-    comparator that flips ``<`` while keeping ``==``.
+    A descending numeric column is negated (:func:`_negated`); a
+    descending string column has no such image, so its values are
+    wrapped in a comparator that flips ``<`` while keeping ``==``.
     """
 
     __slots__ = ("value",)
@@ -110,19 +131,113 @@ class _Descending:
         return self.value == other.value
 
 
-def merge_key(schema, keys):
-    """A total-order key function equivalent to :func:`sort_rows`.
+_NEGATABLE = (DataType.INT, DataType.FLOAT, DataType.DATE)
 
-    ``sorted(rows, key=merge_key(schema, keys))`` produces exactly
-    ``sort_rows(rows, schema, keys)`` (both are stable); the external
-    merge uses it to compare run heads.
+
+def _negate(value):
+    """Order-reversing image of one value; NULL is its own image."""
+    if value is None:
+        return None
+    try:
+        return -value
+    except TypeError:
+        return _Descending(value)
+
+
+def _negated(column):
+    """A descending numeric column as ascending keys: ``-value``.
+
+    Negation is exact, order-reversing and equality-preserving for
+    ints, floats (``-0.0``, infinities and NaN included) and date
+    ordinals, and the comparison stays in C. The slow arm passes NULLs
+    through un-negated — a lone or all-NULL key must sort, and a mixed
+    one must raise the ``TypeError`` :func:`sort_rows` raises — and
+    wraps the one thing a numeric dtype can mislabel: ``min``/``max``
+    of a string column is declared FLOAT.
     """
-    parts = tuple((schema.index_of(name), bool(asc)) for name, asc in keys)
+    try:
+        return list(map(neg, column))
+    except TypeError:
+        return [_negate(value) for value in column]
 
-    def key(row):
-        return tuple(row[i] if asc else _Descending(row[i]) for i, asc in parts)
 
-    return key
+def _wrapped(column):
+    return map(_Descending, column)
+
+
+def batch_key_builder(schema, keys):
+    """``columns -> keys``: a batch's composite sort keys, column-wise.
+
+    The returned function takes a batch's column lists and returns an
+    iterator of one key tuple per row, built in one ``zip`` over the
+    key columns. The keys are a total-order equivalent of
+    :func:`sort_rows`: ``sorted`` by ``(key, arrival index)`` is exactly
+    ``sort_rows(rows, schema, keys)``. How a descending column is
+    inverted is read from the schema — negation for INT/FLOAT/DATE,
+    :class:`_Descending` for STR.
+    """
+    parts = []
+    for name, ascending in keys:
+        index = schema.index_of(name)
+        if ascending:
+            invert = None
+        elif schema.columns[index].dtype in _NEGATABLE:
+            invert = _negated
+        else:
+            invert = _wrapped
+        parts.append((index, invert))
+
+    def build(columns):
+        return zip(
+            *[
+                columns[index] if invert is None else invert(columns[index])
+                for index, invert in parts
+            ]
+        )
+
+    return build
+
+
+def merge_spans(buffers, refill, sink):
+    """K-way merge of sorted record streams, one step per fetched page.
+
+    ``buffers[i]`` holds input *i*'s buffered records (a sorted
+    sequence of tuples; no two records of the whole merge compare
+    equal). ``refill(i)`` is a generator that replaces ``buffers[i]``
+    with the input's next page, leaving it empty once the input has
+    ended; ``sink(span)`` is a generator that consumes the next sorted
+    stretch of the output. Both yield whatever simulator requests their
+    work costs; the kernel itself yields nothing.
+
+    The input whose buffered page *ends first* is the one a
+    row-at-a-time merge would have to fetch next, and every buffered
+    record up to that page's last can be released before the fetch. So
+    each step cuts that prefix from every input by bisection, orders
+    the concatenation with one ``list.sort()`` — timsort detects the
+    presorted pieces and merges them in C — hands the span to the sink
+    and refills exactly that input: the same fetches, at the same
+    points of the output stream, as one heap operation per row.
+    """
+    live = []
+    for index in range(len(buffers)):
+        yield from refill(index)
+        if buffers[index]:
+            live.append(index)
+    while live:
+        first = min(live, key=lambda index: buffers[index][-1])
+        bound = buffers[first][-1]
+        span: list = []
+        for index in live:
+            page = buffers[index]
+            cut = bisect_right(page, bound)
+            if cut:
+                span += page[:cut]
+                buffers[index] = page[cut:]
+        span.sort()
+        yield from sink(span)
+        yield from refill(first)
+        if not buffers[first]:
+            live.remove(first)
 
 
 def plan_merge_passes(run_count: int, fan_in: int) -> int:
@@ -161,16 +276,16 @@ class SortOperator(BatchOperator):
                 self.node.op_id, self.node.params.get("mem_pages")
             )
             self.budget_rows = self.grant.pages * ctx.page_rows
-            self.key_fn = merge_key(self.schema, self.keys)
-            # Replacement-selection state: the current run's selection
-            # heap of (key, seq, row), rows deferred to the next run,
-            # the page-sized output buffer, and the (key, seq) floor of
-            # the last row written to the current run.
-            self.select_heap: list = []
+            self.build_keys = batch_key_builder(self.schema, self.keys)
+            # Replacement-selection state, all of it sort records
+            # (key, seq, row): the records held for the current run (a
+            # plain list until the grant first overflows, a heap from
+            # then on), the records deferred to the next run, and the
+            # page-sized output buffer of the run being written.
+            self.held: list = []
             self.deferred: list = []
             self.run_buffer: list = []
             self.run_file = None
-            self.run_floor = None
             self._seq = 0
         return
         yield  # pragma: no cover
@@ -180,28 +295,42 @@ class SortOperator(BatchOperator):
         if self.grant is None:
             self.buffered.extend(batch.rows)
             return
-        heap = self.select_heap
+        held = self.held
         deferred = self.deferred
-        key_fn = self.key_fn
-        budget = self.budget_rows
-        seq = self._seq
-        for row in batch.rows:
-            entry = (key_fn(row), seq, row)
-            seq += 1
-            if len(heap) + len(deferred) < budget:
-                heapq.heappush(heap, entry)
-                continue
-            # Memory full: release one selection, then admit the row
-            # into whichever run its key still fits.
-            yield from self._select_one()
-            if (entry[0], entry[1]) < self.run_floor:
-                deferred.append(entry)
-            else:
-                heapq.heappush(heap, entry)
-        self._seq = seq
-        self.grant.resize_used(
-            -(-(len(heap) + len(deferred)) // self.ctx.page_rows)
-        )
+        page_rows = self.ctx.page_rows
+        records = list(zip(self.build_keys(batch.columns), count(self._seq), batch.rows))
+        self._seq += len(records)
+        room = self.budget_rows - len(held) - len(deferred)
+        if room:
+            # Still filling the grant (only ever true before the first
+            # overflow: from then on every admission releases a record).
+            held.extend(records[:room])
+            del records[:room]
+        if records:
+            if not self.runs:
+                heapq.heapify(held)
+            buffer = self.run_buffer
+            # Memory full: each arrival releases one selection, then is
+            # admitted into whichever run its key still fits.
+            for record in records:
+                if not held:
+                    # Every held record belongs to the next run.
+                    yield from self._close_run()
+                    held.extend(deferred)
+                    heapq.heapify(held)
+                    deferred.clear()
+                if record < held[0]:
+                    # Below the record about to be written: next run.
+                    selected = heapq.heappop(held)
+                    deferred.append(record)
+                else:
+                    selected = heapq.heapreplace(held, record)
+                if self.run_file is None:
+                    self._open_run()
+                buffer.append(selected)
+                if len(buffer) >= page_rows:
+                    yield from self._flush_run_page()
+        self.grant.resize_used(-(-(len(held) + len(deferred)) // page_rows))
 
     def finish(self):
         if self.grant is not None:
@@ -219,39 +348,20 @@ class SortOperator(BatchOperator):
 
     # -- memory-governed external-merge sort -----------------------------
 
-    def _select_one(self):
-        """Release one replacement selection into the current run.
-
-        When the current run's heap has drained, the run is sealed and
-        the deferred rows become the next run's heap. Spilled rows are
-        tagged with their arrival sequence number so the merge can
-        reproduce the stable tie order across runs.
-        """
-        ctx = self.ctx
-        heap = self.select_heap
-        if not heap:
-            yield from self._close_run()
-            heap.extend(self.deferred)
-            heapq.heapify(heap)
-            self.deferred.clear()
-        key, seq, row = heapq.heappop(heap)
-        self.run_floor = (key, seq)
-        if self.run_file is None:
-            self.run_file = ctx.pool.spill_file(ctx.page_rows)
-            self.runs.append(self.run_file)
-        self.run_buffer.append(row + (seq,))
-        if len(self.run_buffer) >= ctx.page_rows:
-            yield from self._flush_run_page()
+    def _open_run(self):
+        self.run_file = self.ctx.pool.spill_file(self.ctx.page_rows)
+        self.runs.append(self.run_file)
 
     def _flush_run_page(self):
         """Write the buffered output page; cost charged per page — the
         engine's cost granularity everywhere else — so a long run never
         stalls the producer behind one giant compute burst."""
         costs = self.ctx.costs
-        chunk = self.run_buffer
-        self.run_buffer = []
-        written = self.run_file.append_rows(chunk)
-        yield Compute(costs.sort_tuple * len(chunk) + costs.spill_page * written)
+        buffer = self.run_buffer
+        rows = len(buffer)
+        written = self.run_file.append_rows(buffer)
+        buffer.clear()
+        yield Compute(costs.sort_tuple * rows + costs.spill_page * written)
 
     def _close_run(self):
         if self.run_file is None:
@@ -263,30 +373,51 @@ class SortOperator(BatchOperator):
             yield Compute(self.ctx.costs.spill_page * written)
         self.spilled_pages += self.run_file.page_count
         self.run_file = None
-        self.run_floor = None
+
+    def _release(self, records):
+        """Write held records, already in run order, to the current run."""
+        if not records:
+            return
+        if self.run_file is None:
+            self._open_run()
+        buffer = self.run_buffer
+        page_rows = self.ctx.page_rows
+        for record in records:
+            buffer.append(record)
+            if len(buffer) >= page_rows:
+                yield from self._flush_run_page()
 
     def _governed_finish(self):
         ctx = self.ctx
         costs = ctx.costs
         grant = self.grant
         emitter = self.emitter
+        held = self.held
 
         if not self.runs:
             # Everything fit in the grant: the in-memory path, bit-for-bit.
-            # Heap entries sort by (key, seq) — the stable key order.
-            if self.select_heap:
-                yield Compute(costs.sort_tuple * len(self.select_heap))
-                yield from emitter.emit_rows(
-                    [row for _, _, row in sorted(self.select_heap)]
-                )
+            # Records sort by (key, seq) — the stable key order.
+            if held:
+                yield Compute(costs.sort_tuple * len(held))
+                held.sort()
+                yield from emitter.emit_rows([row for _, _, row in held])
             grant.note(sort_runs=0, merge_passes=0, spilled_pages=0)
             yield from emitter.close()
             grant.close()
             return
 
-        while self.select_heap or self.deferred:
-            yield from self._select_one()
+        # Input closed: what is still held finishes the current run, the
+        # deferred records form the last one. A heap drains in sorted
+        # order, so sorting replaces the remaining selections.
+        held.sort()
+        yield from self._release(held)
+        if self.deferred:
+            yield from self._close_run()
+            self.deferred.sort()
+            yield from self._release(self.deferred)
         yield from self._close_run()
+        held.clear()
+        self.deferred.clear()
         grant.resize_used(0)
 
         # Merge: fan-in bounded by the grant (one page reserved for the
@@ -308,14 +439,12 @@ class SortOperator(BatchOperator):
                     next_runs.append(batch[0])
                     continue
                 out_file = ctx.pool.spill_file(ctx.page_rows)
-                written = yield from _merge_runs(
-                    batch, ctx, self.key_fn, grant, out_file=out_file
-                )
+                written = yield from _merge_runs(batch, ctx, grant, out_file=out_file)
                 self.spilled_pages += written
                 next_runs.append(out_file)
             runs = next_runs
         merge_passes += 1
-        yield from _merge_runs(runs, ctx, self.key_fn, grant, emitter=emitter)
+        yield from _merge_runs(runs, ctx, grant, emitter=emitter)
         grant.resize_used(0)
         grant.note(
             sort_runs=initial_runs,
@@ -326,22 +455,24 @@ class SortOperator(BatchOperator):
         grant.close()
 
 
-def _merge_runs(files, ctx, key_fn, grant, out_file=None, emitter=None):
+def _merge_runs(files, ctx, grant, out_file=None, emitter=None):
     """K-way merge of sorted runs; returns spill pages written.
 
     Exactly one of ``out_file`` (intermediate pass) and ``emitter``
     (final pass) is used. Input runs stream through
     :class:`SpillCursor`s — one sequential prefetch pipeline per run —
     with the merge's per-page CPU as the drain credit, and are dropped
-    once consumed. Run rows carry a trailing arrival sequence number
-    (unique across the whole input); key ties break by it, preserving
-    the global stable order even when replacement selection has placed
-    a later arrival in an earlier run. Intermediate passes keep the
-    tag; the final pass strips it before emitting.
+    once consumed. Runs store sort records ``(key, seq, row)``, so the
+    pages merge as they are (:func:`merge_spans`): ``seq`` is unique
+    across the whole input, key ties break by it, and the global stable
+    order survives replacement selection having placed a later arrival
+    in an earlier run. Intermediate passes write the records back; the
+    final pass emits their rows.
     """
     costs = ctx.costs
+    page_rows = ctx.page_rows
     cursors = [SpillCursor(f, costs.io_page, ctx.spill_prefetch) for f in files]
-    buffers: list[list] = [[] for _ in files]
+    buffers: list = [()] * len(files)
     last_clock = [0.0] * len(files)
     clock = 0.0
     written = 0
@@ -359,31 +490,30 @@ def _merge_runs(files, ctx, key_fn, grant, out_file=None, emitter=None):
         cpu = costs.sort_tuple * len(page)
         clock += cpu
         yield Compute(cpu + stall, io=stall)
-        rows = list(page.rows)
-        rows.reverse()
-        buffers[index] = rows
+        buffers[index] = page.rows
 
-    heap: list = []
-    for index in range(len(files)):
-        yield from fetch(index)
-        if buffers[index]:
-            row = buffers[index].pop()
-            heapq.heappush(heap, (key_fn(row), row[-1], index, row))
+    # Rows to the output file's next page boundary. A span is handed
+    # over cut there, so each page is admitted to the pool, and charged,
+    # between the same two events as when rows arrived one at a time.
+    room = page_rows
 
-    while heap:
-        _, _, index, row = heapq.heappop(heap)
-        if out_file is not None:
-            pages_out = out_file.append_rows((row,))
+    def write(span):
+        nonlocal written, room
+        start = 0
+        while start < len(span):
+            chunk = span[start : start + room]
+            start += len(chunk)
+            room -= len(chunk)
+            pages_out = out_file.append_rows(chunk)
             if pages_out:
+                room = page_rows
                 written += pages_out
                 yield Compute(costs.spill_page * pages_out)
-        else:
-            yield from emitter.emit_rows((row[:-1],))
-        if not buffers[index]:
-            yield from fetch(index)
-        if buffers[index]:
-            nxt = buffers[index].pop()
-            heapq.heappush(heap, (key_fn(nxt), nxt[-1], index, nxt))
+
+    def emit(span):
+        return emitter.emit_rows([row for _, _, row in span])
+
+    yield from merge_spans(buffers, fetch, emit if out_file is None else write)
 
     if out_file is not None:
         pages_out = out_file.flush()

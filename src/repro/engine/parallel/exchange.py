@@ -18,7 +18,10 @@ cooperating *fragments* connected by repartitioning queues:
 * :func:`ordered_merge` — the k-way merge gather used above
   partition-wise aggregates: each partition emits its groups in
   ``_sort_key`` order over *disjoint* key sets, so merging by key
-  reproduces the serial aggregate's output stream bit for bit.
+  reproduces the serial aggregate's output stream bit for bit. It
+  advances one received batch per step through
+  :func:`~repro.engine.operators.sort.merge_spans`, the span kernel
+  the external sort merges its runs with.
 * :func:`drive_fanin` — a :func:`~repro.engine.operators.api.drive`
   variant that maps several physical input queues onto one logical
   operator port (the partition-wise consumer reads ``dop`` partition
@@ -41,12 +44,13 @@ sorted partitions is exactly the serial output order.
 
 from __future__ import annotations
 
-import heapq
+from itertools import count, repeat
 from operator import itemgetter
 from typing import Generator, Sequence
 
 from repro.engine.operators.api import BatchOperator
 from repro.engine.operators.partitioning import PartitionMemo
+from repro.engine.operators.sort import merge_spans
 from repro.engine.stage import BatchEmitter
 from repro.sim.events import CLOSED, Compute, Get
 from repro.sim.queues import SimQueue
@@ -172,36 +176,26 @@ def ordered_merge(
     by ``(key, port)`` reproduces the single global order a serial
     operator would emit. Refills block on exactly the port whose next
     row is needed; every refilled batch charges ``sort_tuple`` per row
-    for the heap work.
+    for the merge work. The merge is
+    :func:`~repro.engine.operators.sort.merge_spans` over records
+    ``(key, port, arrival, row)`` — the arrival count keeps the records
+    a total order, so two rows are never compared.
     """
-    buffers: list[list] = [[] for _ in in_queues]
-    positions = [0] * len(in_queues)
-    done = [False] * len(in_queues)
-    heap: list = []
+    buffers: list = [()] * len(in_queues)
+    arrivals = count()
 
-    def advance(port: int) -> Generator:
-        """Push ``port``'s next row into the heap, refilling as needed."""
-        while True:
-            rows = buffers[port]
-            if positions[port] < len(rows):
-                row = rows[positions[port]]
-                positions[port] += 1
-                heapq.heappush(heap, (key_of(row), port, row))
-                return
-            if done[port]:
-                return
+    def refill(port: int) -> Generator:
+        """Buffer ``port``'s next batch; leave it empty once closed."""
+        while not buffers[port]:
             batch = yield Get(in_queues[port])
             if batch is CLOSED:
-                done[port] = True
                 return
             yield Compute(sort_tuple * len(batch))
-            buffers[port] = batch.rows
-            positions[port] = 0
+            rows = batch.rows
+            buffers[port] = list(zip(map(key_of, rows), repeat(port), arrivals, rows))
 
-    for port in range(len(in_queues)):
-        yield from advance(port)
-    while heap:
-        _, port, row = heapq.heappop(heap)
-        yield from emitter.emit_rows((row,))
-        yield from advance(port)
+    def emit(span: list) -> Generator:
+        return emitter.emit_rows([record[3] for record in span])
+
+    yield from merge_spans(buffers, refill, emit)
     yield from emitter.close()

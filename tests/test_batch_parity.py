@@ -26,6 +26,7 @@ code with the stages:
 
 import json
 import random
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -371,20 +372,16 @@ def _ordered_merge_entry(catalog):
     }
 
 
+# key -> recorder(catalog)
 SPILL_CASES = {
-    f"spill_sort/{shape}/wm{work_mem}/pf{prefetch}": (shape, work_mem, prefetch)
+    f"spill_sort/{shape}/wm{work_mem}/pf{prefetch}": partial(
+        _spill_sort_entry, shape=shape, work_mem=work_mem, prefetch=prefetch
+    )
     for shape in SPILL_KEY_SHAPES
     for work_mem in (1, 2, 5, 16)
     for prefetch in (0, 2)
 }
-SPILL_CASES["ordered_merge/dop4/b7"] = None
-
-
-def golden_spill_entry(catalog, key):
-    case = SPILL_CASES[key]
-    if case is None:
-        return _ordered_merge_entry(catalog)
-    return _spill_sort_entry(catalog, *case)
+SPILL_CASES["ordered_merge/dop4/b7"] = _ordered_merge_entry
 
 
 @pytest.fixture(scope="module")
@@ -394,11 +391,11 @@ def spill_catalog():
 
 @pytest.mark.parametrize("key", sorted(SPILL_CASES))
 def test_golden_spill_times(spill_catalog, key):
-    assert golden_spill_entry(spill_catalog, key) == json.loads(GOLDEN.read_text())[key]
+    assert SPILL_CASES[key](spill_catalog) == json.loads(GOLDEN.read_text())[key]
 
 
 if __name__ == "__main__":
     recorded = golden_sim_times()
     catalog = _spill_catalog()
-    recorded.update((key, golden_spill_entry(catalog, key)) for key in SPILL_CASES)
+    recorded.update((key, record(catalog)) for key, record in SPILL_CASES.items())
     GOLDEN.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")

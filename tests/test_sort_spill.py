@@ -7,6 +7,8 @@ difference; the run/merge-pass arithmetic must match the grant; and
 spill traffic must grow monotonically as the budget shrinks.
 """
 
+import heapq
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +17,7 @@ from repro.engine import (
     CostModel,
     Engine,
     MemoryBroker,
+    aggregate,
     execute_reference,
     limit,
     merge_join,
@@ -24,7 +27,15 @@ from repro.engine import (
     sort,
 )
 from repro.engine.expressions import col
-from repro.engine.operators.sort import merge_key, plan_merge_passes, sort_rows
+from repro.engine.operators.sort import (
+    batch_key_builder,
+    merge_spans,
+    plan_merge_passes,
+    sort_rows,
+)
+from repro.engine.packet import RowBatch
+from repro.engine.plan import AggSpec
+from repro.errors import SimulationError
 from repro.sim.simulator import Simulator
 from repro.storage import BufferPool, Catalog, DataType, Schema
 
@@ -56,11 +67,14 @@ def _sort_plan(catalog, keys=None, top_n=None):
     return plan
 
 
-def _run(catalog, plan, work_mem=None, processors=4, prefetch=0):
+def _run(catalog, plan, work_mem=None, processors=4, prefetch=0,
+         page_rows=PAGE_ROWS, pool=None):
     sim = Simulator(processors=processors)
     memory = MemoryBroker(work_mem) if work_mem else None
-    engine = Engine(catalog, sim, costs=COSTS, page_rows=PAGE_ROWS,
-                    buffer_pool=BufferPool(24), memory=memory,
+    if pool is None:
+        pool = BufferPool(24)
+    engine = Engine(catalog, sim, costs=COSTS, page_rows=page_rows,
+                    buffer_pool=pool, memory=memory,
                     spill_prefetch_depth=prefetch)
     handle = engine.execute(plan, f"sort@{work_mem}")
     sim.run()
@@ -243,12 +257,83 @@ class TestSortKernel:
     )
     @settings(max_examples=120, deadline=None)
     def test_merge_key_equals_sort_rows(self, rows, directions):
-        """sorted(key=merge_key) is exactly the stable multi-key sort,
-        which is what makes the heap merge reproduce it."""
+        """sorted() by the batch-built keys is exactly the stable
+        multi-key sort, which is what makes the merge reproduce it."""
         keys = list(zip(("a", "b", "c"), directions))
-        assert sorted(rows, key=merge_key(self.schema, keys)) == sort_rows(
-            rows, self.schema, keys
+        columns = RowBatch.from_rows(rows, 3).columns
+        built = list(batch_key_builder(self.schema, keys)(columns))
+        assert [
+            rows[i] for i in sorted(range(len(rows)), key=built.__getitem__)
+        ] == sort_rows(rows, self.schema, keys)
+
+    @given(
+        inputs=st.lists(
+            st.tuples(
+                st.lists(st.integers(0, 12), max_size=40),
+                st.sampled_from([1, 2, 3, 5]),
+            ),
+            min_size=1,
+            max_size=5,
         )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_span_merge_fetches_where_the_heap_merge_does(self, inputs):
+        """The page-at-a-time kernel against the row-at-a-time heap
+        merge it replaced: same output order, and every fetch falls
+        between the same two output rows — which is what keeps the
+        simulated event sequence unchanged."""
+        # Records are unique (value, uid) pairs: a total order, as the
+        # sort's (key, seq, row) and the gather's (key, port, n, row).
+        uid = iter(range(10**6))
+        paged = []
+        for values, page_rows in inputs:
+            records = sorted((value, next(uid)) for value in values)
+            paged.append(
+                [records[i : i + page_rows] for i in range(0, len(records), page_rows)]
+            )
+
+        def heap_merge():
+            log = []
+            sources = [iter(pages) for pages in paged]
+            buffers = [[] for _ in paged]
+
+            def fetch(index):
+                page = next(sources[index], None)
+                if page is not None:
+                    log.append(("fetch", index))
+                    buffers[index] = page[::-1]
+
+            heap = []
+            for index in range(len(paged)):
+                fetch(index)
+                if buffers[index]:
+                    heapq.heappush(heap, (buffers[index].pop(), index))
+            while heap:
+                record, index = heapq.heappop(heap)
+                log.append(("row", record))
+                if not buffers[index]:
+                    fetch(index)
+                if buffers[index]:
+                    heapq.heappush(heap, (buffers[index].pop(), index))
+            return log
+
+        def span_merge():
+            sources = [iter(pages) for pages in paged]
+            buffers = [()] * len(paged)
+
+            def refill(index):
+                page = next(sources[index], None)
+                if page is not None:
+                    yield ("fetch", index)
+                    buffers[index] = page
+
+            def sink(span):
+                for record in span:
+                    yield ("row", record)
+
+            return list(merge_spans(buffers, refill, sink))
+
+        assert span_merge() == heap_merge()
 
     def test_plan_merge_passes_arithmetic(self):
         assert plan_merge_passes(0, 2) == 0
@@ -305,3 +390,132 @@ class TestExternalSortProperty:
             rows, key=lambda r: ((r[0] if ascending else -r[0]), r[1])
         )
         assert handle.rows == expected
+
+
+class _TrackingPool(BufferPool):
+    """A pool that remembers every spill file it opened."""
+
+    def __init__(self, capacity):
+        super().__init__(capacity)
+        self.files = []
+
+    def spill_file(self, page_rows):
+        spill = super().spill_file(page_rows)
+        self.files.append(spill)
+        return spill
+
+
+MIXED_SCHEMA = Schema(
+    [
+        ("i", DataType.INT),
+        ("f", DataType.FLOAT),
+        ("s", DataType.STR),
+        ("d", DataType.DATE),
+    ]
+)
+
+# Small domains, so every key column ties heavily; the awkward values
+# are the ones a negated key could get wrong: signed zeros, infinities,
+# integers a float cannot hold.
+MIXED_ROWS = st.lists(
+    st.tuples(
+        st.integers(-2, 2) | st.sampled_from([2**53, 2**53 + 1, -(2**53) - 1]),
+        st.sampled_from([-0.0, 0.0, 1.5, -1.5, float("inf"), float("-inf")])
+        | st.floats(-4, 4, allow_nan=False, width=16),
+        st.sampled_from(["", "a", "ab", "b", "B"]),
+        st.integers(730000, 730003),
+    ),
+    max_size=150,
+)
+
+MIXED_KEYS = st.lists(
+    st.tuples(st.sampled_from(MIXED_SCHEMA.names()), st.booleans()),
+    min_size=1,
+    max_size=4,
+    unique_by=lambda key: key[0],
+)
+
+
+def _governed_sort(rows, schema, keys, work_mem, page_rows=4, prefetch=0):
+    """Rows of a governed sort over ``rows``, and the pool it spilled to."""
+    catalog = Catalog()
+    catalog.create("t", schema).insert_many(rows)
+    plan = sort(
+        scan(catalog, "t", columns=list(schema.names()), op_id="s"),
+        keys,
+        op_id="big_sort",
+    )
+    pool = _TrackingPool(8)
+    got, _, _ = _run(catalog, plan, work_mem, processors=2, prefetch=prefetch,
+                     page_rows=page_rows, pool=pool)
+    return got, pool
+
+
+class TestGovernedSortEqualsSortRows:
+    @given(
+        rows=MIXED_ROWS,
+        keys=MIXED_KEYS,
+        work_mem=st.sampled_from([1, 2, 3, 7, 64]),
+        page_rows=st.sampled_from([1, 4, 16]),
+        prefetch=st.sampled_from([0, 2]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_any_keys_any_budget(self, rows, keys, work_mem, page_rows, prefetch):
+        """Order and tie order match the in-memory sort over every
+        column type and direction mix, and no run file outlives it."""
+        got, pool = _governed_sort(
+            rows, MIXED_SCHEMA, keys, work_mem, page_rows, prefetch
+        )
+        # repr-compare: -0.0 and 0.0 tie, so == alone would not see
+        # them swapped.
+        assert repr(got) == repr(sort_rows(rows, MIXED_SCHEMA, keys))
+        assert all(spill.dropped for spill in pool.files)
+        # An input larger than the grant must have opened run files.
+        assert pool.files or len(rows) <= work_mem * page_rows
+
+
+class TestNullKeys:
+    """A descending numeric key is negated; NULL has to pass through."""
+
+    schema = Schema([("a", DataType.INT), ("k", DataType.INT)])
+    keys = [("a", False)]
+
+    @pytest.mark.parametrize("work_mem", [1, 64])
+    def test_lone_null_row_sorts(self, work_mem):
+        rows = [(None, 0)]
+        got, _ = _governed_sort(rows, self.schema, self.keys, work_mem)
+        assert got == sort_rows(rows, self.schema, self.keys) == rows
+
+    @pytest.mark.parametrize("work_mem", [1, 64])
+    def test_all_null_key_keeps_arrival_order(self, work_mem):
+        rows = [(None, k) for k in range(40)]
+        got, pool = _governed_sort(rows, self.schema, self.keys, work_mem)
+        assert got == rows
+        assert all(spill.dropped for spill in pool.files)
+
+    @pytest.mark.parametrize("work_mem", [1, 64])
+    def test_mixed_null_raises_what_sort_rows_raises(self, work_mem):
+        rows = [(k if k % 3 else None, k) for k in range(40)]
+        with pytest.raises(TypeError):
+            sort_rows(rows, self.schema, self.keys)
+        with pytest.raises(SimulationError) as failure:
+            _governed_sort(rows, self.schema, self.keys, work_mem)
+        assert isinstance(failure.value.__cause__, TypeError)
+
+    @pytest.mark.parametrize("work_mem", [1, 64])
+    def test_descending_string_under_a_numeric_dtype(self, work_mem):
+        """max() of a STR column is declared FLOAT: the key builder
+        must fall back to the wrapper, not fail negating a string."""
+        catalog = _catalog(rows=400)
+        plan = sort(
+            aggregate(
+                scan(catalog, "t", columns=["g", "s"], op_id="s"),
+                ["g"],
+                [AggSpec("max", "top", col("s"))],
+                op_id="agg",
+            ),
+            [("top", False), ("g", True)],
+            op_id="big_sort",
+        )
+        rows, _, _ = _run(catalog, plan, work_mem)
+        assert rows == execute_reference(plan, catalog)
