@@ -15,7 +15,7 @@ builds into the engine, used here offline for planning.
 Run: ``python examples/warehouse_consolidation.py``
 """
 
-from repro.core import ShareAdvisor
+from repro.core import ShareAdvisor, sharers
 from repro.core.model import sharing_benefit
 from repro.profiling import QueryProfiler
 from repro.tpch.generator import generate
@@ -43,7 +43,7 @@ def main() -> None:
             advisor = ShareAdvisor(processors=processors)
             best = advisor.best_group_size(spec, query.pivot,
                                            max_size=ANALYSTS)
-            group = [spec.relabeled(f"{name}#{i}") for i in range(ANALYSTS)]
+            group = sharers(spec, ANALYSTS, name)
             z = sharing_benefit(group, query.pivot, processors,
                                 closed_system=True)
             cells.append(f"g={best:<2} Z={z:4.1f}"[:12].rjust(7))

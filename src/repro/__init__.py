@@ -39,12 +39,12 @@ Quickstart::
 
 The analytical model remains available standalone::
 
-    from repro.core import QuerySpec, ShareAdvisor, chain, op
+    from repro.core import QuerySpec, ShareAdvisor, chain, op, sharers
 
     q6 = QuerySpec(chain(op("scan", 9.66, 10.34), op("agg", 0.97)),
                    label="q6")
     decision = ShareAdvisor(processors=32).evaluate(
-        [q6.relabeled(f"q6#{i}") for i in range(10)], pivot_name="scan"
+        sharers(q6, 10), pivot_name="scan"
     )
     print(decision.share, decision.benefit)
 """

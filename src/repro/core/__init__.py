@@ -32,7 +32,7 @@ from repro.core.model import (
     unshared_rate,
 )
 from repro.core.phases import Phase, PhasedQuery, decompose
-from repro.core.spec import OperatorSpec, QuerySpec, chain, op
+from repro.core.spec import OperatorSpec, QuerySpec, chain, op, sharers
 
 __all__ = [
     "NO_CONTENTION",
@@ -55,4 +55,5 @@ __all__ = [
     "QuerySpec",
     "chain",
     "op",
+    "sharers",
 ]

@@ -65,7 +65,8 @@ def closed_peak_rate(queries: Sequence[QuerySpec]) -> float:
     """
     if not queries:
         raise SpecError("query group must contain at least one query")
-    return len(queries) ** 2 / sum(metrics.p_max(q) for q in queries)
+    runs = metrics.twin_runs(queries)
+    return len(queries) ** 2 / sum(metrics.per_member(runs, metrics.p_max))
 
 
 def closed_utilization(queries: Sequence[QuerySpec]) -> float:
@@ -74,7 +75,12 @@ def closed_utilization(queries: Sequence[QuerySpec]) -> float:
     until the last query completes)."""
     if not queries:
         raise SpecError("query group must contain at least one query")
-    return sum(metrics.total_work(q) / metrics.p_max(q) for q in queries)
+    runs = metrics.twin_runs(queries)
+    return sum(
+        metrics.per_member(
+            runs, lambda q: metrics.total_work(q) / metrics.p_max(q)
+        )
+    )
 
 
 def unshared_rate_closed(
@@ -90,7 +96,7 @@ def unshared_rate_closed(
     variant is the better basis for binary share/don't-share decisions
     (Section 5.1).
     """
-    for query in queries:
+    for query, _ in metrics.twin_runs(queries):
         query.require_pipelined("closed-system model")
     n_eff = resolve(contention).effective(n)
     rate = closed_peak_rate(queries)

@@ -17,9 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from repro.core.closed_system import unshared_rate_closed
 from repro.core.contention import ContentionLike, resolve
-from repro.core.model import shared_rate, sharing_benefit, unshared_rate
-from repro.core.spec import QuerySpec
+from repro.core.model import shared_rate, unshared_rate
+from repro.core.spec import QuerySpec, sharers
 from repro.errors import SpecError
 
 __all__ = ["ShareDecision", "ShareAdvisor", "GroupPartitioning"]
@@ -104,13 +105,14 @@ class ShareAdvisor:
         n = self.processors if processors is None else float(processors)
         shared = shared_rate(queries, pivot_name, n, self.contention)
         unshared = unshared_rate(queries, n, self.contention)
-        benefit = sharing_benefit(
-            queries,
-            pivot_name,
-            n,
-            self.contention,
-            closed_system=self.closed_system,
+        # Z is shared over the baseline the advisor was configured
+        # with; the reported unshared rate stays the open-system one.
+        baseline = (
+            unshared_rate_closed(queries, n, self.contention)
+            if self.closed_system
+            else unshared
         )
+        benefit = shared / baseline
         share = len(queries) > 1 and benefit > self.threshold
         return ShareDecision(
             share=share,
@@ -154,10 +156,10 @@ class ShareAdvisor:
         """
         if max_size < 1:
             raise SpecError(f"max_size must be >= 1, got {max_size}")
+        members = sharers(query, max_size)
         best = 1
         for m in range(2, max_size + 1):
-            group = [query.relabeled(f"{query.label}#{i}") for i in range(m)]
-            if self.evaluate(group, pivot_name, processors).share:
+            if self.evaluate(members[:m], pivot_name, processors).share:
                 best = m
         return best
 
@@ -186,6 +188,7 @@ class ShareAdvisor:
         if clients < 1:
             raise SpecError(f"clients must be >= 1, got {clients}")
         n = self.processors if processors is None else float(processors)
+        everyone = sharers(query, clients)
         best: GroupPartitioning | None = None
         for group_size in range(1, clients + 1):
             n_groups = -(-clients // group_size)  # ceil division
@@ -197,9 +200,7 @@ class ShareAdvisor:
                                 (remainder, 1 if remainder else 0)):
                 if count == 0:
                     continue
-                members = [
-                    query.relabeled(f"{query.label}#{i}") for i in range(size)
-                ]
+                members = everyone[:size]
                 if size == 1:
                     rate += count * unshared_rate(
                         members, per_group_n, self.contention

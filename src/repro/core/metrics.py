@@ -19,9 +19,20 @@ Given a :class:`~repro.core.spec.QuerySpec` these functions compute:
 
 All of these assume a fully pipelined plan where every operator has
 exactly one consumer (its parent, or the client for the root).
+
+``p_max`` and ``total_work`` are read from the query's
+:class:`~repro.core.spec.PlanFacts`, so each is computed once per plan
+however often, and under however many labels, it is asked for.
+:func:`twin_runs` and :func:`per_member` extend that to groups: the
+group reductions of Sections 4.2-5.1 evaluate a per-query quantity
+once per *plan* in the group and still reduce over one value per
+*member*.
 """
 
 from __future__ import annotations
+
+from itertools import chain, repeat
+from typing import Callable, Iterator, Sequence, TypeVar
 
 from repro.core.spec import OperatorSpec, QuerySpec
 
@@ -32,7 +43,11 @@ __all__ = [
     "peak_rate",
     "total_work",
     "utilization",
+    "twin_runs",
+    "per_member",
 ]
+
+T = TypeVar("T")
 
 
 def operator_p(node: OperatorSpec, consumers: int = 1) -> float:
@@ -43,7 +58,7 @@ def operator_p(node: OperatorSpec, consumers: int = 1) -> float:
 def p_max(query: QuerySpec) -> float:
     """Work per unit of forward progress at the bottleneck operator."""
     query.require_pipelined("p_max")
-    return max(node.p(1) for node in query.operators())
+    return query.facts.p_max
 
 
 def bottleneck(query: QuerySpec) -> OperatorSpec:
@@ -60,7 +75,7 @@ def peak_rate(query: QuerySpec) -> float:
 def total_work(query: QuerySpec) -> float:
     """*u'* — total work per unit of forward progress, all operators."""
     query.require_pipelined("total_work")
-    return sum(node.p(1) for node in query.operators())
+    return query.facts.total_work
 
 
 def utilization(query: QuerySpec) -> float:
@@ -70,3 +85,44 @@ def utilization(query: QuerySpec) -> float:
     peak rate; values above 1 indicate available pipeline parallelism.
     """
     return total_work(query) / p_max(query)
+
+
+def twin_runs(queries: Sequence[QuerySpec]) -> list[tuple[QuerySpec, int]]:
+    """The group as runs of consecutive twins: ``(first member, run
+    length)`` in group order. Twins (members holding one
+    :class:`~repro.core.spec.PlanFacts`) are the same immutable plan
+    under different labels, so whatever the model computes or checks
+    for a run's first member holds for the rest of it. m sharers of
+    one query are one run; a group with nothing in common is m runs of
+    one."""
+    runs: list[tuple[QuerySpec, int]] = []
+    first, facts, length = None, None, 0
+    for query in queries:
+        if query.facts is facts:
+            length += 1
+            continue
+        if length:
+            runs.append((first, length))
+        first, facts, length = query, query.facts, 1
+    if length:
+        runs.append((first, length))
+    return runs
+
+
+def per_member(
+    runs: Sequence[tuple[QuerySpec, int]], quantity: Callable[[QuerySpec], T]
+) -> Iterator[T]:
+    """``quantity(q)`` for every member of the group, in group order,
+    evaluated once per run.
+
+    This is what lets a reduction over m sharers cost one evaluation:
+    ``sum(per_member(runs, total_work))`` hands ``sum`` the same m
+    values in the same order as ``sum(total_work(q) for q in group)``
+    would. Reductions must keep that form — never ``m * x`` for the
+    sum of a run: float ``sum`` is order- and count-sensitive in its
+    last bit (and compensated since CPython 3.12), and those bits
+    reach the audit log and the ``benefit > threshold`` test.
+    """
+    return chain.from_iterable(
+        repeat(quantity(query), length) for query, length in runs
+    )

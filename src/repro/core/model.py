@@ -28,9 +28,11 @@ closed systems are handled by :mod:`repro.core.closed_system`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 from repro.core import metrics
+from repro.core.closed_system import unshared_rate_closed
 from repro.core.contention import ContentionLike, resolve
 from repro.core.spec import QuerySpec
 from repro.errors import PivotError, SpecError
@@ -45,11 +47,15 @@ __all__ = [
 ]
 
 
-def _check_group(queries: Sequence[QuerySpec]) -> None:
-    if not queries:
+def _check_group(queries: Sequence[QuerySpec]) -> list[tuple[QuerySpec, int]]:
+    """The group's twin runs, once every plan in it is known to be
+    pipelined (and there is at least one)."""
+    runs = metrics.twin_runs(queries)
+    if not runs:
         raise SpecError("query group must contain at least one query")
-    for query in queries:
+    for query, _ in runs:
         query.require_pipelined("sharing model")
+    return runs
 
 
 def validate_group(queries: Sequence[QuerySpec], pivot_name: str) -> None:
@@ -60,15 +66,19 @@ def validate_group(queries: Sequence[QuerySpec], pivot_name: str) -> None:
     must be structurally identical — merged packets must request the
     same operation. Per-query output costs ``s`` at the pivot *may*
     differ (each consumer can be arbitrarily expensive to feed).
+
+    Each run of twins is checked through its first member: the rest of
+    the run is the same immutable plan, so would pass or fail with it.
     """
-    _check_group(queries)
-    reference = queries[0].pivot(pivot_name)
-    for query in queries[1:]:
+    runs = _check_group(queries)
+    first = runs[0][0]
+    reference = first.pivot(pivot_name)
+    for query, _ in runs[1:]:
         candidate = query.pivot(pivot_name)
         if candidate.work != reference.work:
             raise PivotError(
                 f"pivot {pivot_name!r} has mismatched work across the group: "
-                f"{reference.work!r} ({queries[0].label}) vs "
+                f"{reference.work!r} ({first.label}) vs "
                 f"{candidate.work!r} ({query.label})"
             )
         if len(candidate.children) != len(reference.children) or not all(
@@ -76,7 +86,7 @@ def validate_group(queries: Sequence[QuerySpec], pivot_name: str) -> None:
             for a, b in zip(reference.children, candidate.children)
         ):
             raise PivotError(
-                f"queries {queries[0].label!r} and {query.label!r} differ below "
+                f"queries {first.label!r} and {query.label!r} differ below "
                 f"pivot {pivot_name!r}; only identical sub-plans can be shared"
             )
 
@@ -113,13 +123,21 @@ def shared_metrics(
 ) -> SharedPlanMetrics:
     """Compute Section 4.3's shared-plan quantities for a query group."""
     validate_group(queries, pivot_name)
+    runs = metrics.twin_runs(queries)
     reference = queries[0]
     pivot = reference.pivot(pivot_name)
 
-    p_pivot = pivot.work + sum(q.pivot(pivot_name).output_cost for q in queries)
-    below = reference.below(pivot_name)
-    p_below = [node.p(1) for node in below]
-    p_above = [node.p(1) for q in queries for node in q.above(pivot_name)]
+    p_pivot = pivot.work + sum(
+        metrics.per_member(runs, lambda q: q.pivot(pivot_name).output_cost)
+    )
+    p_below = [node.p(1) for node in reference.below(pivot_name)]
+    p_above = list(
+        chain.from_iterable(
+            metrics.per_member(
+                runs, lambda q: [node.p(1) for node in q.above(pivot_name)]
+            )
+        )
+    )
 
     p_max_shared = max([p_pivot, *p_below, *p_above])
     total = sum(p_below) + p_pivot + sum(p_above)
@@ -145,11 +163,11 @@ def unshared_rate(
     the Section 4.2 equations unchanged. Closed systems should use
     :func:`repro.core.closed_system.unshared_rate_closed`.
     """
-    _check_group(queries)
+    runs = _check_group(queries)
     n_eff = resolve(contention).effective(n)
     m = len(queries)
-    worst_p_max = max(metrics.p_max(q) for q in queries)
-    total = sum(metrics.total_work(q) for q in queries)
+    worst_p_max = max(metrics.per_member(runs, metrics.p_max))
+    total = sum(metrics.per_member(runs, metrics.total_work))
     return m * min(1.0 / worst_p_max, n_eff / total)
 
 
@@ -184,8 +202,6 @@ def sharing_benefit(
     """
     shared = shared_rate(queries, pivot_name, n, contention)
     if closed_system:
-        from repro.core.closed_system import unshared_rate_closed
-
         unshared = unshared_rate_closed(queries, n, contention)
     else:
         unshared = unshared_rate(queries, n, contention)

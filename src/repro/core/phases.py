@@ -28,7 +28,7 @@ from typing import Sequence
 from repro.core import metrics
 from repro.core.contention import ContentionLike
 from repro.core.model import shared_rate, unshared_rate
-from repro.core.spec import OperatorSpec, QuerySpec, op
+from repro.core.spec import OperatorSpec, QuerySpec, op, sharers
 from repro.errors import SpecError
 
 __all__ = ["Phase", "decompose", "PhasedQuery"]
@@ -185,8 +185,7 @@ class PhasedQuery:
         for phase in self.phases:
             if metrics.total_work(phase.query) == 0:
                 continue  # free phases (e.g. zero-cost replays) take no time
-            group = [phase.query.relabeled(f"{phase.query.label}#{i}") for i in range(m)]
-            rate = unshared_rate(group, n, contention)
+            rate = unshared_rate(sharers(phase.query, m), n, contention)
             total += m * phase.volume / rate
         return total
 
@@ -231,22 +230,14 @@ class PhasedQuery:
             if metrics.total_work(phase.query) == 0:
                 continue  # free phases (e.g. zero-cost replays) take no time
             if pivot_name in phase.query:
-                group = [
-                    phase.query.relabeled(f"{phase.query.label}#{i}")
-                    for i in range(m)
-                ]
-                rate = shared_rate(group, pivot_name, n, contention)
+                rate = shared_rate(sharers(phase.query, m), pivot_name, n, contention)
                 total += m * phase.volume / rate
             elif self._phase_fully_below(phase, pivot_name):
                 # One execution serves the whole group.
                 rate = unshared_rate([phase.query], n, contention)
                 total += phase.volume / rate
             else:
-                group = [
-                    phase.query.relabeled(f"{phase.query.label}#{i}")
-                    for i in range(m)
-                ]
-                rate = unshared_rate(group, n, contention)
+                rate = unshared_rate(sharers(phase.query, m), n, contention)
                 total += m * phase.volume / rate
         return total
 

@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 from repro.core import metrics
 from repro.core.contention import ContentionLike
 from repro.core.model import sharing_benefit
-from repro.core.spec import QuerySpec, chain, op
+from repro.core.spec import QuerySpec, chain, op, sharers
 from repro.errors import SpecError
 
 __all__ = [
@@ -130,8 +130,7 @@ def _benefit_row(
 ) -> tuple[float, ...]:
     row = []
     for m in clients:
-        group = [query.relabeled(f"{query.label}#{i}") for i in range(m)]
-        row.append(sharing_benefit(group, pivot, n, contention))
+        row.append(sharing_benefit(sharers(query, m), pivot, n, contention))
     return tuple(row)
 
 

@@ -21,18 +21,22 @@ of one reference tuple stream, which implicitly captures selectivities
 
 :class:`OperatorSpec` nodes are immutable; :class:`QuerySpec` wraps a
 root node, validates the tree, and offers navigation helpers (lookup by
-name, below/above a pivot) used by :mod:`repro.core.model`.
+name, below/above a pivot) used by :mod:`repro.core.model`. What those
+helpers and the model read off a tree is derived once per root
+(:class:`PlanFacts`) and shared by the relabelled twins that make up a
+prospective sharing group (:func:`sharers`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Iterator
 
 from repro.errors import PivotError, SpecError
 
-__all__ = ["OperatorSpec", "QuerySpec", "op", "chain"]
+__all__ = ["OperatorSpec", "PlanFacts", "QuerySpec", "op", "chain", "sharers"]
 
 
 @dataclass(frozen=True)
@@ -129,8 +133,12 @@ class OperatorSpec:
 
         Sharing requires the merged packets to request identical work;
         the model enforces it by comparing names, costs and shape of
-        the subtrees below the pivot.
+        the subtrees below the pivot. A node is trivially equal to
+        itself: nodes are immutable, so identity settles it without
+        descending.
         """
+        if self is other:
+            return True
         if (
             self.name != other.name
             or self.work != other.work
@@ -212,50 +220,105 @@ def chain(*ops_bottom_up: OperatorSpec) -> OperatorSpec:
     return current
 
 
+class PlanFacts:
+    """What the model derives from one operator tree, each at most once.
+
+    Every quantity here is a pure function of the tree, and the tree
+    cannot change (see :class:`QuerySpec`), so it is computed on first
+    use and kept: the pre-order operator tuple, the name index, the
+    stop-&-go operators, ``p_max`` and ``total_work`` (Section 4.1,
+    meaningful for pipelined plans — :mod:`repro.core.metrics` guards
+    them), and the below/above split at each pivot asked about. All
+    :meth:`QuerySpec.relabeled` twins of a query hold the *same*
+    ``PlanFacts`` object, which is also how the model recognises them
+    as one plan submitted several times. Read it; never write to it.
+    """
+
+    def __init__(
+        self, operators: tuple[OperatorSpec, ...], by_name: dict[str, OperatorSpec]
+    ) -> None:
+        self.operators = operators
+        self.by_name = by_name
+        self.blocking = tuple(node for node in operators if node.blocking)
+        self._splits: dict[str, tuple[tuple, tuple]] = {}
+
+    @cached_property
+    def p_max(self) -> float:
+        return max(node.p(1) for node in self.operators)
+
+    @cached_property
+    def total_work(self) -> float:
+        return sum(node.p(1) for node in self.operators)
+
+    def split(self, pivot_name: str) -> tuple[tuple, tuple]:
+        """``(below, above)`` the named pivot, both pre-order: the
+        shared subtree strictly below it and the operators private to
+        each sharer (everything outside the pivot's subtree)."""
+        split = self._splits.get(pivot_name)
+        if split is None:
+            subtree = tuple(self.by_name[pivot_name].walk())
+            shared = {id(node) for node in subtree}
+            above = tuple(node for node in self.operators if id(node) not in shared)
+            split = self._splits[pivot_name] = (subtree[1:], above)
+        return split
+
+
 @dataclass(frozen=True)
 class QuerySpec:
     """A validated model-level query plan.
 
-    Wraps the root :class:`OperatorSpec` and precomputes name lookups.
-    Operator names must be unique within the plan so a pivot can be
-    addressed unambiguously.
+    Wraps the root :class:`OperatorSpec` and a label. Operator names
+    must be unique within the plan so a pivot can be addressed
+    unambiguously.
+
+    **Immutable, and relied upon to be.** The dataclass is frozen over
+    frozen :class:`OperatorSpec` nodes whose ``children`` are tuples,
+    so once constructed neither the tree nor any cost in it can change.
+    That is the whole correctness argument for :attr:`facts`: the
+    plan's derived quantities are computed once per *root*, never
+    invalidated, and shared by every :meth:`relabeled` twin — pricing
+    a group of m sharers costs one plan's worth of work, not m. Code
+    that needs a different tree builds a new ``QuerySpec`` (as
+    :meth:`with_extra_work` and ``dataclasses.replace`` do), which
+    validates and derives afresh.
     """
 
     root: OperatorSpec
     label: str = "query"
-    _by_name: dict = field(init=False, repr=False, compare=False, default=None)
+    facts: PlanFacts = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.root, OperatorSpec):
             raise SpecError(f"root must be an OperatorSpec, got {self.root!r}")
+        operators = tuple(self.root.walk())
         by_name: dict[str, OperatorSpec] = {}
-        for node in self.root.walk():
+        for node in operators:
             if node.name in by_name:
                 raise SpecError(
                     f"duplicate operator name {node.name!r} in query {self.label!r}"
                 )
             by_name[node.name] = node
-        object.__setattr__(self, "_by_name", by_name)
+        object.__setattr__(self, "facts", PlanFacts(operators, by_name))
 
     # -- navigation ------------------------------------------------------
 
     def operators(self) -> tuple[OperatorSpec, ...]:
         """All operators in the plan, pre-order from the root."""
-        return tuple(self.root.walk())
+        return self.facts.operators
 
     def operator_names(self) -> tuple[str, ...]:
-        return tuple(node.name for node in self.root.walk())
+        return tuple(node.name for node in self.facts.operators)
 
     def __contains__(self, name: str) -> bool:
-        return name in self._by_name
+        return name in self.facts.by_name
 
     def __getitem__(self, name: str) -> OperatorSpec:
         try:
-            return self._by_name[name]
+            return self.facts.by_name[name]
         except KeyError:
             raise PivotError(
                 f"operator {name!r} not found in query {self.label!r}; "
-                f"available: {sorted(self._by_name)}"
+                f"available: {sorted(self.facts.by_name)}"
             ) from None
 
     def pivot(self, name: str) -> OperatorSpec:
@@ -264,26 +327,51 @@ class QuerySpec:
 
     def below(self, pivot_name: str) -> tuple[OperatorSpec, ...]:
         """Operators strictly below the pivot (the shared subtree)."""
-        return tuple(
-            node for child in self[pivot_name].children for node in child.walk()
-        )
+        self[pivot_name]  # a missing pivot is a PivotError naming this query
+        return self.facts.split(pivot_name)[0]
 
     def above(self, pivot_name: str) -> tuple[OperatorSpec, ...]:
         """Operators strictly above the pivot (private to each sharer)."""
-        shared = {id(node) for node in self[pivot_name].walk()}
-        return tuple(node for node in self.root.walk() if id(node) not in shared)
+        self[pivot_name]
+        return self.facts.split(pivot_name)[1]
 
     # -- properties ------------------------------------------------------
 
     def is_pipelined(self) -> bool:
         """True if no operator is a stop-&-go (blocking) operator."""
-        return not any(node.blocking for node in self.root.walk())
+        return not self.facts.blocking
 
     def blocking_operators(self) -> tuple[OperatorSpec, ...]:
-        return tuple(node for node in self.root.walk() if node.blocking)
+        return self.facts.blocking
 
     def relabeled(self, label: str) -> "QuerySpec":
-        return QuerySpec(root=self.root, label=label)
+        """A twin of this query under another label: the same root and
+        the same :attr:`facts` object — nothing is walked or validated
+        again, because nothing about the tree can have changed."""
+        twin = object.__new__(QuerySpec)
+        object.__setattr__(twin, "root", self.root)
+        object.__setattr__(twin, "label", label)
+        object.__setattr__(twin, "facts", self.facts)
+        return twin
+
+    def with_extra_work(self, name: str, extra: float) -> "QuerySpec":
+        """A new query whose operator ``name`` has ``extra`` added to
+        its ``work`` (this one when ``extra`` is zero). Only the path
+        from the root to that operator is rebuilt; every other subtree
+        is reused as it is."""
+        if not extra:
+            return self
+        target = self[name]
+
+        def rebuild(node: OperatorSpec) -> OperatorSpec:
+            if node is target:
+                return replace(node, work=node.work + extra)
+            children = tuple(rebuild(child) for child in node.children)
+            if all(new is old for new, old in zip(children, node.children)):
+                return node
+            return node.with_children(children)
+
+        return QuerySpec(root=rebuild(self.root), label=self.label)
 
     def require_pipelined(self, context: str) -> None:
         """Raise :class:`SpecError` if the plan has blocking operators.
@@ -292,10 +380,20 @@ class QuerySpec:
         that cannot handle stop-&-go nodes use this guard and direct
         users to :mod:`repro.core.phases`.
         """
-        blockers = self.blocking_operators()
+        blockers = self.facts.blocking
         if blockers:
             names = ", ".join(node.name for node in blockers)
             raise SpecError(
                 f"{context}: query {self.label!r} contains stop-&-go operators "
                 f"({names}); decompose it with repro.core.phases.decompose() first"
             )
+
+
+def sharers(query: QuerySpec, m: int, name: str | None = None) -> list[QuerySpec]:
+    """``m`` sharers of one query: its twins ``name#0 … name#(m-1)``
+    (``name`` defaults to the query's label). The prospective group a
+    sharing decision prices; see :meth:`QuerySpec.relabeled` for why
+    building it costs nothing per member beyond the label."""
+    if name is None:
+        name = query.label
+    return [query.relabeled(f"{name}#{i}") for i in range(m)]

@@ -40,7 +40,7 @@ from dataclasses import replace
 from typing import Optional, Sequence, Union
 
 from repro.core.decision import ShareAdvisor, ShareDecision
-from repro.core.spec import QuerySpec
+from repro.core.spec import QuerySpec, sharers
 from repro.db.builder import Query, QueryBuilder
 from repro.db.config import RuntimeConfig
 from repro.db.result import QueryResult
@@ -540,16 +540,19 @@ class Session:
         if (cpu_skew is not None and profile is not None
                 and profile.cpu_skew != cpu_skew):
             self._outlook.profiles[signature] = replace(profile, cpu_skew=cpu_skew)
-        adjusted = self._outlook.adjusted_spec(signature, spec, pivot_id, group_size)
+        # The decision's one resource projection: it prices the model's
+        # pivot here and goes into the audit record as it is.
+        projections = self.projections(signature, group_size)
+        adjusted = spec.with_extra_work(pivot_id, projections["projected_io_extra"])
         advisor = ShareAdvisor(processors=self.config.processors, threshold=self.threshold)
-        group = [adjusted.relabeled(f"{built.name}#{i}") for i in range(group_size)]
-        decision = advisor.evaluate(group, pivot_id)
+        decision = advisor.evaluate(sharers(adjusted, group_size, built.name), pivot_id)
         self.coordinator.audit_decision(
             "advisor",
             "share" if decision.share else "solo",
             built,
             group_size,
             decision=decision,
+            projections=projections,
         )
         return decision
 
@@ -561,9 +564,10 @@ class Session:
         parallelize, both, or neither — :meth:`advise`'s rates priced
         by the outlook's share-vs-parallelize projection."""
         decision = self.advise(query, group_size)
-        signature = query.pivot_signature
-        spec, pivot_id = self._specs[signature]
-        adjusted = self._outlook.adjusted_spec(signature, spec, pivot_id, group_size)
+        spec, pivot_id = self._specs[query.pivot_signature]
+        # ``advise`` has just audited this verdict; its record holds the
+        # projection the verdict was priced with.
+        adjusted = spec.with_extra_work(pivot_id, self._audit[-1].projected_io_extra)
         projection = self._outlook.share_vs_parallelize(
             query.name,
             group_size,

@@ -19,6 +19,7 @@ from typing import Sequence
 
 from repro.core.model import sharing_benefit
 from repro.core.phases import PhasedQuery
+from repro.core.spec import sharers
 from repro.experiments.common import (
     DEFAULT_SCALE_FACTOR,
     DEFAULT_SEED,
@@ -133,7 +134,7 @@ def run(
         phased = PhasedQuery(profile.to_query_spec(mark_blocking=True))
         for n in processor_counts:
             for m in clients:
-                group = [spec.relabeled(f"{name}#{i}") for i in range(m)]
+                group = sharers(spec, m, name)
                 predicted = sharing_benefit(group, query.pivot, n,
                                             closed_system=True)
                 predicted_phased = phased.sharing_benefit(query.pivot, m, n)

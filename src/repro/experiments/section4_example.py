@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from repro.core import metrics
 from repro.core.model import shared_metrics, shared_rate, unshared_rate
-from repro.core.spec import QuerySpec, chain, op
+from repro.core.spec import QuerySpec, chain, op, sharers
 from repro.experiments.report import format_table
 
 __all__ = ["Section4Example", "run"]
@@ -64,7 +64,7 @@ def run(
     spec = q6_spec()
     rows = []
     for m in client_counts:
-        group = [spec.relabeled(f"q6#{i}") for i in range(m)]
+        group = sharers(spec, m, "q6")
         for n in processor_counts:
             rows.append((
                 m,
@@ -74,9 +74,7 @@ def run(
                 shared_rate(group, "scan", n),
                 paper_shared(m, n),
             ))
-    shared = shared_metrics(
-        [spec.relabeled(f"q6#{i}") for i in range(4)], "scan"
-    )
+    shared = shared_metrics(sharers(spec, 4, "q6"), "scan")
     assert shared.p_max == SCAN_W + 4 * SCAN_S
     return Section4Example(
         p_max=metrics.p_max(spec),

@@ -328,12 +328,17 @@ class SharingCoordinator:
         query,
         group_size: int,
         decision: Optional[ShareDecision] = None,
+        projections: Optional[dict] = None,
     ) -> AuditRecord:
         """Append one decision record: who decided, what happened, and
-        the projections in force at decision time."""
+        the projections in force at decision time — ``projections`` when
+        the decider already made them (the advisor prices its verdict
+        with them), else asked of the session here."""
         signature = query.pivot_signature
         fields: dict = {}
-        if self.session is not None:
+        if projections is not None:
+            fields = dict(projections)
+        elif self.session is not None:
             fields = self.session.projections(signature, group_size)
         if decision is not None:
             fields.update(

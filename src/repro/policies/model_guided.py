@@ -21,7 +21,7 @@ from typing import Mapping, Optional
 
 from repro.core.contention import ContentionLike
 from repro.core.decision import ShareAdvisor
-from repro.core.spec import QuerySpec
+from repro.core.spec import QuerySpec, sharers
 from repro.engine.costs import DEFAULT_COST_MODEL
 from repro.errors import PolicyError
 from repro.obs.audit import AuditLog
@@ -105,11 +105,9 @@ class ModelGuidedPolicy(SharingPolicy):
             contention=self.contention,
             threshold=self.threshold,
         )
-        group = [
-            spec.relabeled(f"{query_name}#{i}")
-            for i in range(prospective_size)
-        ]
-        decision = advisor.evaluate(group, pivot)
+        decision = advisor.evaluate(
+            sharers(spec, prospective_size, query_name), pivot
+        )
         if self.audit is not None:
             self.audit.append(
                 query=query_name,
@@ -164,11 +162,9 @@ class ModelGuidedPolicy(SharingPolicy):
             contention=self.contention,
             threshold=self.threshold,
         )
-        group = [
-            spec.relabeled(f"{query_name}#{i}")
-            for i in range(prospective_size)
-        ]
-        decision = advisor.evaluate(group, pivot)
+        decision = advisor.evaluate(
+            sharers(spec, prospective_size, query_name), pivot
+        )
         projection = outlook.share_vs_parallelize(
             query_name,
             prospective_size,

@@ -16,6 +16,7 @@ from typing import Mapping
 
 from repro.core.contention import ContentionLike
 from repro.core.decision import ShareAdvisor
+from repro.core.spec import sharers
 from repro.errors import PolicyError
 from repro.policies.base import SharingPolicy
 from repro.policies.resource_outlook import ResourceOutlook
@@ -110,10 +111,7 @@ class OnlineModelGuidedPolicy(SharingPolicy):
             spec = self.outlook.adjusted_spec(
                 query_name, spec, self._pivots[query_name], prospective_size
             )
-        group = [
-            spec.relabeled(f"{query_name}#{i}")
-            for i in range(prospective_size)
-        ]
+        group = sharers(spec, prospective_size, query_name)
         return advisor.evaluate(group, self._pivots[query_name]).share
 
     def observe_group(self, query_name: str, group_size: int, tasks) -> None:

@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from repro.core.contention import ContentionLike, resolve
-from repro.core.spec import OperatorSpec, QuerySpec
+from repro.core.spec import QuerySpec
 from repro.engine.costs import CostModel
 from repro.engine.memory import MemoryBroker
 from repro.errors import PolicyError
@@ -298,24 +298,6 @@ class ResourceOutlook:
     ) -> QuerySpec:
         """Return ``spec`` with the pivot's ``w`` bumped by
         :meth:`pivot_extra_work` (or ``spec`` itself when zero)."""
-        extra = self.pivot_extra_work(query_name, group_size)
-        if extra <= 0:
-            return spec
-        pivot = spec[pivot_name]  # validates the pivot exists
-
-        def rebuild(node: OperatorSpec) -> OperatorSpec:
-            children = tuple(rebuild(child) for child in node.children)
-            work = node.work + extra if node.name == pivot.name else node.work
-            if work == node.work and children == node.children:
-                return node
-            return OperatorSpec(
-                name=node.name,
-                work=work,
-                output_cost=node.output_cost,
-                children=children,
-                blocking=node.blocking,
-                internal_work=node.internal_work,
-                emit_work=node.emit_work,
-            )
-
-        return QuerySpec(root=rebuild(spec.root), label=spec.label)
+        return spec.with_extra_work(
+            pivot_name, self.pivot_extra_work(query_name, group_size)
+        )

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.decision import ShareAdvisor
 from repro.core.sensitivity import baseline_query
-from repro.core.spec import QuerySpec, chain, op
+from repro.core.spec import QuerySpec, chain, op, sharers
 from repro.errors import SpecError
 
 
@@ -96,3 +96,50 @@ class TestBestGroupSize:
     def test_invalid_max_size(self):
         with pytest.raises(SpecError):
             ShareAdvisor(processors=4).best_group_size(q6(), "scan", max_size=0)
+
+
+class TestDecisionCost:
+    """A verdict costs what the plan costs, whatever the group size —
+    asserted as a count of node visits, not a wall time."""
+
+    @staticmethod
+    def plan():
+        join = op("join", 2.0, 0.5, op("scan", 9.66, 10.34), op("dim", 1.0, 0.2))
+        return QuerySpec(op("agg", 0.97, 0.1, join), label="q")
+
+    def visits_for(self, walk_visits, m):
+        query = self.plan()  # a new root: nothing derived yet
+        walk_visits[0] = 0
+        ShareAdvisor(processors=8).evaluate(sharers(query, m), "join")
+        return walk_visits[0]
+
+    def test_evaluate_visits_do_not_grow_with_the_group(self, walk_visits):
+        small = self.visits_for(walk_visits, 8)
+        large = self.visits_for(walk_visits, 128)
+        assert large <= small
+        assert 0 < small <= 2 * len(self.plan().operators())
+
+    def test_a_second_verdict_on_the_same_plan_walks_nothing(self, walk_visits):
+        query = self.plan()
+        advisor = ShareAdvisor(processors=8)
+        advisor.evaluate(sharers(query, 16), "join")
+        walk_visits[0] = 0
+        advisor.evaluate(sharers(query, 64), "join")
+        advisor.best_partitioning(query, "join", 24)
+        assert walk_visits[0] == 0
+
+    def test_partitioning_builds_its_members_once(self, monkeypatch):
+        built = [0]
+        relabeled = QuerySpec.relabeled
+
+        def counted(self, label):
+            built[0] += 1
+            return relabeled(self, label)
+
+        monkeypatch.setattr(QuerySpec, "relabeled", counted)
+        advisor = ShareAdvisor(processors=8)
+        advisor.best_partitioning(self.plan(), "join", 40)
+        assert built[0] == 40
+        built[0] = 0
+        advisor.best_group_size(self.plan(), "join", 40)
+        assert built[0] == 40

@@ -1,8 +1,10 @@
 """Unit tests for model-level plan specs (repro.core.spec)."""
 
+import dataclasses
+
 import pytest
 
-from repro.core.spec import OperatorSpec, QuerySpec, chain, op
+from repro.core.spec import OperatorSpec, QuerySpec, chain, op, sharers
 from repro.errors import PivotError, SpecError
 
 
@@ -197,3 +199,60 @@ class TestQuerySpec:
     def test_root_must_be_operator(self):
         with pytest.raises(SpecError):
             QuerySpec(root="scan")
+
+
+class TestImmutabilityContract:
+    """The derived facts are computed once per root and shared between
+    twins; that is only sound because nothing can change under them."""
+
+    def test_frozen_means_frozen(self):
+        q = q6_spec()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            q.root = op("other", 1.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            q.label = "renamed"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            q.facts = None
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            q["scan"].work = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            q["agg"].children = ()
+        assert isinstance(q["agg"].children, tuple)
+        # A list passed at construction is frozen into a tuple too.
+        assert isinstance(OperatorSpec("agg", 1.0, children=[op("scan", 1.0)]).children, tuple)
+
+    def test_twins_share_root_and_facts(self):
+        q = q6_spec()
+        twin = q.relabeled("twin")
+        assert twin.root is q.root and twin.facts is q.facts
+        assert twin.label == "twin" and q.label == "q6"
+        assert twin == QuerySpec(q.root, label="twin")
+        assert [t.label for t in sharers(q, 3)] == ["q6#0", "q6#1", "q6#2"]
+        assert [t.label for t in sharers(q, 2, "client")] == ["client#0", "client#1"]
+        assert all(t.facts is q.facts for t in sharers(q, 3))
+
+    def test_replace_derives_afresh(self):
+        q = q6_spec()
+        copy = dataclasses.replace(q, label="copy")
+        assert copy.label == "copy" and copy.root is q.root
+        assert copy.facts is not q.facts
+        assert copy.operator_names() == q.operator_names()
+        assert copy.below("agg") == q.below("agg") and copy.above("scan") == q.above("scan")
+        # ...including re-validation of whatever it is handed.
+        twice = op("agg", 1.0, 0.0, op("scan", 1.0), op("scan", 2.0))
+        with pytest.raises(SpecError, match="duplicate"):
+            dataclasses.replace(q, root=twice)
+
+    def test_with_extra_work_rebuilds_only_the_path_to_the_operator(self):
+        q = QuerySpec(
+            op("join", 1.0, 0.0, chain(op("s1", 1.0), op("f1", 1.0)), op("s2", 2.0)),
+            label="q",
+        )
+        bumped = q.with_extra_work("f1", 0.5)
+        assert bumped["f1"].work == 1.5 and bumped.label == "q"
+        assert bumped["s1"] is q["s1"] and bumped["s2"] is q["s2"]
+        assert bumped["join"] is not q["join"] and bumped.facts is not q.facts
+        assert q["f1"].work == 1.0
+        assert q.with_extra_work("f1", 0.0) is q
+        with pytest.raises(PivotError):
+            q.with_extra_work("missing", 1.0)

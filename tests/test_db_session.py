@@ -15,7 +15,7 @@ from repro.engine.expressions import col, lt, mul
 from repro.engine.plan import AggSpec
 from repro.engine.wiring import resolve_storage
 from repro.errors import EngineError, StorageError
-from repro.policies import AlwaysShare, NeverShare
+from repro.policies import AlwaysShare, NeverShare, ResourceOutlook
 from repro.sim import Simulator
 from repro.storage import BufferPool, Catalog, DataType, ScanShareManager, Schema
 
@@ -147,6 +147,54 @@ class TestAutoSharingFlip:
         assert session.advise(query, 8).share is True
         session.prewarm("t")
         assert session.advise(query, 8).share is False
+
+    def test_advise_walks_the_plan_a_bounded_number_of_times(
+        self, session, walk_visits, monkeypatch
+    ):
+        """One verdict against a cold pool (so the spec is adjusted and
+        re-derived) costs a few passes over the plan — the same few for
+        a group of 128 as for a group of 8 — and one resource
+        projection, which is also what the audit record shows."""
+        query = flip_query(session)
+        session.advise(query, 8)  # profile the operation once
+        signature = session._as_query(query).pivot_signature
+        plan_size = len(session._specs[signature][0].operators())
+
+        projections = [0]
+        project = ResourceOutlook.pivot_extra_work
+
+        def counted_project(self, *args):
+            projections[0] += 1
+            return project(self, *args)
+
+        monkeypatch.setattr(ResourceOutlook, "pivot_extra_work", counted_project)
+        counts = {}
+        for m in (8, 128):
+            walk_visits[0] = projections[0] = 0
+            session.advise(query, m)
+            record = session.audit_log()[-1]
+            assert projections[0] == 1
+            assert record.projected_io_extra == project(session._outlook, signature, m) > 0
+            counts[m] = walk_visits[0]
+        assert counts[128] == counts[8] <= 3 * plan_size
+
+        # The four-way verdict prices its arms with that same one
+        # projection, read back from the verdict's audit record.
+        projections[0] = 0
+        projection, decision = session.advise_mode(query, 6, dop=2)
+        assert projections[0] == 1
+        spec, pivot = session._specs[signature]
+        assert projection == session._outlook.share_vs_parallelize(
+            query.name,
+            6,
+            session.config.processors,
+            2,
+            shared_rate=decision.shared_rate,
+            unshared_rate=decision.unshared_rate,
+            contention=session.config.contention,
+            spec=session._outlook.adjusted_spec(signature, spec, pivot, 6),
+            pivot_name=pivot,
+        )
 
     def test_advise_requires_a_pivot(self, session):
         plan = flip_query(session).plan
