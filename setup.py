@@ -2,20 +2,10 @@
 
 The offline environment lacks the ``wheel`` package, so PEP 660
 editable installs fail; ``pip install -e . --no-use-pep517`` (or plain
-``python setup.py develop``) uses this shim instead. Metadata lives in
-pyproject.toml.
+``python setup.py develop``) uses this shim instead. All metadata —
+version, packages, console scripts — lives in pyproject.toml.
 """
 
-from setuptools import find_packages, setup
+from setuptools import setup
 
-setup(
-    name="repro",
-    version="1.0.0",
-    package_dir={"": "src"},
-    packages=find_packages(where="src"),
-    python_requires=">=3.10",
-    install_requires=["numpy>=1.24"],
-    entry_points={
-        "console_scripts": ["repro-experiments=repro.experiments.cli:main"],
-    },
-)
+setup()

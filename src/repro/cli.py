@@ -1,9 +1,13 @@
 """The ``repro`` command: operate the reproduction from a shell.
 
-The experiment figures have their own entry point
-(``repro-experiments``); this CLI is for the *observability* surface
-added with the ``repro.obs`` package. Two subcommand families drive
-the simulated-time and wall-clock instruments end to end::
+``repro experiments`` regenerates the paper's figures (the registry
+and runner live in :mod:`repro.experiments.cli`); ``repro serve`` runs
+the open-system service tier; two more subcommand families drive the
+simulated-time and wall-clock instruments of ``repro.obs`` end to
+end::
+
+    repro experiments list           # every registered experiment
+    repro experiments fig1 --quick   # Figure 1, reduced client counts
 
     repro trace                      # text timeline of a shared demo run
     repro trace --out trace.json     # Chrome/Perfetto trace_event JSON
@@ -13,7 +17,6 @@ the simulated-time and wall-clock instruments end to end::
     repro perf                       # hotspot table of the same demo run
     repro perf run --out perf.json   # speedscope/Perfetto-loadable JSON
     repro perf run --collapsed out.folded   # flamegraph collapsed stacks
-    repro perf diff BENCH_8.json BENCH_9.json --fail-over 20
 
 ``repro trace`` and ``repro perf run`` build the same small
 deterministic catalog, open a ``laptop``-preset session with the
@@ -22,9 +25,7 @@ scans (so the elevator attach/prefetch/throttle machinery fires), and
 export what the instrument saw. The trace side is simulated-time only
 (two invocations produce byte-identical JSON); the perf side reports
 *host* wall time, so numbers vary run to run while the simulated
-outcome stays fixed. ``repro perf diff`` compares two ``BENCH_*.json``
-trajectory checkpoints and exits 1 when a wall-clock regression
-exceeds the gate.
+outcome stays fixed.
 """
 
 from __future__ import annotations
@@ -33,13 +34,14 @@ import argparse
 import sys
 
 from repro.db import Database, RuntimeConfig
-from repro.obs.bench import BenchSchemaError, BenchTrajectory, diff_trajectories
+from repro.experiments import cli as experiments_cli
 from repro.obs.trace import validate_chrome_trace
 from repro.storage.catalog import Catalog
 from repro.storage.page import DEFAULT_PAGE_ROWS
 from repro.storage.schema import DataType, Schema
+from repro.tpch.queries import QUERIES, build
 
-__all__ = ["main", "demo_session", "demo_trace_session"]
+__all__ = ["main", "build_parser", "demo_session", "demo_trace_session"]
 
 
 def demo_session(
@@ -153,17 +155,27 @@ def _cmd_trace(args) -> int:
 # ----------------------------------------------------------------------
 
 
+def _query_names(text: str) -> list[str]:
+    """``--queries`` as a list, every name a known TPC-H query."""
+    names = text.split(",")
+    unknown = sorted(set(names) - set(QUERIES))
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown TPC-H query {', '.join(unknown)}; "
+            f"available: {', '.join(sorted(QUERIES))}"
+        )
+    return names
+
+
 def _cmd_serve(args) -> int:
     from repro.policies import AlwaysShare, NeverShare
     from repro.server import LatencyBound, QueueDepthBound, Server
     from repro.tpch.generator import generate
-    from repro.tpch.queries import build
     from repro.workload.mixes import WorkloadMix
 
     catalog = generate(scale_factor=args.scale_factor, seed=args.seed)
-    names = args.queries.split(",")
-    queries = {name: build(name, catalog) for name in names}
-    weights = {name: 1.0 for name in names}
+    queries = {name: build(name, catalog) for name in args.queries}
+    weights = {name: 1.0 for name in args.queries}
     mix = WorkloadMix(weights)
 
     config = RuntimeConfig.preset(args.preset)
@@ -224,18 +236,6 @@ def _cmd_perf_run(args) -> int:
     return status
 
 
-def _cmd_perf_diff(args) -> int:
-    try:
-        old = BenchTrajectory.load(args.old)
-        new = BenchTrajectory.load(args.new)
-    except (OSError, BenchSchemaError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    report = diff_trajectories(old, new, fail_over_pct=args.fail_over)
-    print(report.render())
-    return report.exit_status()
-
-
 # ----------------------------------------------------------------------
 # argument wiring
 # ----------------------------------------------------------------------
@@ -258,12 +258,21 @@ def _add_demo_args(parser) -> None:
     )
 
 
-def main(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """The ``repro`` parser (``tests/test_docs.py`` parses every
+    documented command line against it)."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Operate the 'To Share or Not To Share?' reproduction.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+
+    experiments = sub.add_parser(
+        "experiments",
+        help="regenerate the paper's figures (and the extension figures)",
+    )
+    experiments_cli.add_arguments(experiments)
+    experiments.set_defaults(func=experiments_cli.run)
 
     trace = sub.add_parser(
         "trace",
@@ -309,7 +318,7 @@ def main(argv=None) -> int:
         help="extra time after the horizon for in-flight work",
     )
     serve.add_argument(
-        "--queries", default="q1,q6",
+        "--queries", type=_query_names, default="q1,q6",
         help="comma-separated TPC-H query names, mixed evenly",
     )
     serve.add_argument(
@@ -350,8 +359,7 @@ def main(argv=None) -> int:
 
     perf = sub.add_parser(
         "perf",
-        help="wall-clock profiling: hotspots, flamegraphs, and the "
-        "BENCH trajectory regression gate",
+        help="wall-clock profiling: hotspots and flamegraphs",
     )
     # Bare `repro perf` behaves like `repro perf run` with defaults.
     perf.set_defaults(
@@ -379,21 +387,11 @@ def main(argv=None) -> int:
         help="cap the hotspot table at this many operators",
     )
     perf_run.set_defaults(func=_cmd_perf_run)
+    return parser
 
-    perf_diff = perf_sub.add_parser(
-        "diff",
-        help="compare two BENCH_*.json checkpoints; exit 1 past the gate",
-    )
-    perf_diff.add_argument("old", help="baseline BENCH_*.json")
-    perf_diff.add_argument("new", help="candidate BENCH_*.json")
-    perf_diff.add_argument(
-        "--fail-over", type=float, default=None, metavar="PCT",
-        help="fail when any bench regresses more than PCT percent over "
-        "its own noise tolerance floor (default: tolerance only)",
-    )
-    perf_diff.set_defaults(func=_cmd_perf_diff)
 
-    args = parser.parse_args(argv)
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
     return args.func(args)
 
 

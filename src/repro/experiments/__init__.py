@@ -22,10 +22,11 @@
   win,
 * :mod:`repro.experiments.section4_example` — the Q6 worked example.
 
-Run them via the ``repro-experiments`` CLI (``repro-experiments
-list`` prints the registry) or the modules' ``python -m`` entry
-points; ``docs/experiments.md`` documents every driver — the paper
-claim it reproduces, its knobs, and how to read the output.
+Run them via ``repro experiments`` (``python -m repro.cli
+experiments``; ``repro experiments list`` prints the registry) or the
+modules' ``python -m`` entry points; ``docs/experiments.md`` documents
+every driver — the paper claim it reproduces, its knobs, and how to
+read the output.
 """
 
 from repro.experiments import (

@@ -1,25 +1,15 @@
-"""Command-line entry point: regenerate any paper figure.
+"""The experiment registry and runner behind ``repro experiments``.
 
-Installed as ``repro-experiments``::
-
-    repro-experiments list          # every registered experiment
-    repro-experiments fig1          # Figure 1
-    repro-experiments fig2 fig4     # several at once
-    repro-experiments fig_mem       # memory-governance experiments
-    repro-experiments fig_scan      # cooperative scan sharing
-    repro-experiments fig_drift     # drift-bounded elevator scans
-    repro-experiments fig_sort      # grant-governed external sort
-    repro-experiments all           # everything (takes minutes)
-    repro-experiments fig1 --quick  # reduced client counts
-
-``--quick`` trims the client axes so each figure completes in seconds;
-full runs use the paper's 1-48 client range.
+:mod:`repro.cli` mounts :func:`add_arguments` and :func:`run` as its
+``experiments`` subcommand (``repro experiments list`` prints the
+registry, ``repro experiments all`` runs everything and takes
+minutes). ``--quick`` trims the client axes so each figure completes
+in seconds; full runs use the paper's 1-48 client range.
 """
 
 from __future__ import annotations
 
 import argparse
-import sys
 import time
 from typing import Callable, NamedTuple
 
@@ -39,7 +29,7 @@ from repro.experiments import (
     section4_example,
 )
 
-__all__ = ["main"]
+__all__ = ["add_arguments", "run", "main"]
 
 _QUICK_CLIENTS = (1, 2, 4, 8, 16)
 _QUICK_VALIDATION_CLIENTS = (2, 8, 16)
@@ -160,12 +150,7 @@ def _render_list() -> str:
     return "\n".join(lines)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro-experiments",
-        description="Regenerate figures from 'To Share or Not To Share?' "
-                    "(VLDB 2007).",
-    )
+def add_arguments(parser) -> None:
     parser.add_argument(
         "experiments",
         nargs="+",
@@ -177,8 +162,9 @@ def main(argv=None) -> int:
         action="store_true",
         help="reduced client counts for a fast sanity run",
     )
-    args = parser.parse_args(argv)
 
+
+def run(args) -> int:
     if "list" in args.experiments:
         print(_render_list())
         if set(args.experiments) == {"list"}:
@@ -197,5 +183,11 @@ def main(argv=None) -> int:
     return 0
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(
+        prog="repro experiments",
+        description="Regenerate figures from 'To Share or Not To Share?' "
+                    "(VLDB 2007).",
+    )
+    add_arguments(parser)
+    return run(parser.parse_args(argv))

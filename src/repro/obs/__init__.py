@@ -1,7 +1,7 @@
 """Observability: flight-recorder tracing, unified metrics, and the
 sharing advisor's decision audit trail.
 
-Three opt-in instruments over the reproduction, all zero-cost when
+Four opt-in instruments over the reproduction, all zero-cost when
 detached:
 
 * :mod:`repro.obs.trace` — :class:`Tracer`, a deterministic event
@@ -16,11 +16,7 @@ detached:
 * :mod:`repro.obs.perf` — :class:`WallProfiler`, the *wall-clock*
   counterpart of the tracer: per-operator host time, rows/s, and the
   simulated-work vs harness-overhead decomposition, exportable as a
-  hotspot table, collapsed stacks, or speedscope/Perfetto JSON;
-* :mod:`repro.obs.bench` — :class:`BenchTrajectory` and
-  :func:`diff_trajectories`, the versioned ``BENCH_*.json``
-  checkpoint format and the regression gate behind
-  ``repro perf diff``.
+  hotspot table, collapsed stacks, or speedscope/Perfetto JSON.
 
 Enable the simulated-time instruments through the facade with
 ``RuntimeConfig.with_(trace=True)`` and the wall-clock profiler with
@@ -30,11 +26,6 @@ or attach to a hand-wired engine via :func:`attach_tracer` /
 """
 
 from repro.obs.audit import AuditLog, AuditRecord
-from repro.obs.bench import (
-    BenchTrajectory,
-    DiffReport,
-    diff_trajectories,
-)
 from repro.obs.metrics import MetricsRegistry, stall_breakdown
 from repro.obs.perf import OpProfile, WallProfiler, attach_profiler
 from repro.obs.trace import (
@@ -62,9 +53,6 @@ __all__ = [
     "WallProfiler",
     "OpProfile",
     "attach_profiler",
-    "BenchTrajectory",
-    "DiffReport",
-    "diff_trajectories",
     "TID_TASKS",
     "TID_QUEUES",
     "TID_POOL",

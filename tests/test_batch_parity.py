@@ -20,13 +20,18 @@ code with the stages:
   counts, spill pages, pool evictions, at grants of 1-16 pages) and a
   dop-4 aggregate through the ordered-merge gather
   (``ordered_merge/...``), recorded before the merge went
-  page-at-a-time. A deliberate model change re-records everything
-  with ``python tests/test_batch_parity.py``.
+  page-at-a-time, and the eight scenarios of the retired smoke-bench
+  trajectory (``trajectory/...``: engine, elevator scans, external
+  sort, drift throttle, traced and untraced facade, dop-4 aggregate,
+  open-system server), each built as its bench built it and equal to
+  the last committed checkpoint, ``BENCH_10.json``. A deliberate model
+  change re-records everything with
+  ``python tests/test_batch_parity.py``.
 """
 
 import json
 import random
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import pytest
@@ -34,12 +39,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.db import Database, QueryBuilder, RuntimeConfig
-from repro.engine import CostModel, Engine, MemoryBroker, resource_report, scan, sort
+from repro.engine import (
+    CostModel,
+    Engine,
+    MemoryBroker,
+    aggregate,
+    resource_report,
+    scan,
+    sort,
+)
 from repro.engine.plan import AggSpec
 from repro.engine.expressions import add, col, ge, lt, mul
 from repro.engine.reference import execute_reference
+from repro.experiments.common import shared_catalog
+from repro.policies import AlwaysShare
+from repro.server import QueueDepthBound, Server
 from repro.sim.simulator import Simulator
-from repro.storage import BufferPool, Catalog, DataType, Schema
+from repro.storage import BufferPool, Catalog, DataType, ScanShareManager, Schema
+from repro.tpch.queries import build
+from repro.workload import WorkloadMix
 
 PRESETS = ("unbounded", "cmp32", "laptop")
 
@@ -267,7 +285,7 @@ def golden_sim_times():
 def test_golden_sim_times():
     golden = json.loads(GOLDEN.read_text())
     assert golden_sim_times() == {
-        key: value for key, value in golden.items() if key not in SPILL_CASES
+        key: value for key, value in golden.items() if key not in NAMED_CASES
     }
 
 
@@ -291,6 +309,29 @@ SPILL_KEY_SHAPES = {
 }
 
 
+def _entry(sim_time, **counts):
+    """A named golden entry: the clock as ``float.hex``, and beside it
+    the run's counts — ints as they are, floats as hex too."""
+    entry = {"sim_time": float(sim_time).hex()}
+    entry.update(
+        (name, value.hex() if isinstance(value, float) else value)
+        for name, value in counts.items()
+    )
+    return entry
+
+
+def _engine_run(catalog, processors, plans, dop=1, **wiring):
+    """Launch ``{label: plan}`` together on a hand-wired engine and run
+    it dry; returns the simulator and the engine."""
+    sim = Simulator(processors=processors)
+    engine = Engine(catalog, sim, **wiring)
+    for label, plan in plans.items():
+        engine.execute(plan, label, dop=dop)
+    sim.run()
+    return sim, engine
+
+
+@cache
 def _spill_catalog():
     rng = random.Random(GOLDEN_SEED)
     catalog = Catalog()
@@ -316,39 +357,39 @@ def _spill_catalog():
     return catalog
 
 
-def _spill_sort_entry(catalog, shape, work_mem, prefetch):
+def _spill_sort_entry(shape, work_mem, prefetch):
     """One governed sort through a raw engine on a 24-page pool."""
-    sim = Simulator(processors=4)
-    engine = Engine(
+    catalog = _spill_catalog()
+    plan = sort(
+        scan(catalog, "t", columns=["g", "s", "k", "v"], op_id="s"),
+        SPILL_KEY_SHAPES[shape],
+        op_id="big_sort",
+    )
+    sim, engine = _engine_run(
         catalog,
-        sim,
+        4,
+        {"q": plan},
         costs=SPILL_COSTS,
         page_rows=SPILL_PAGE_ROWS,
         buffer_pool=BufferPool(SPILL_POOL_PAGES),
         memory=MemoryBroker(work_mem),
         spill_prefetch_depth=prefetch,
     )
-    plan = sort(
-        scan(catalog, "t", columns=["g", "s", "k", "v"], op_id="s"),
-        SPILL_KEY_SHAPES[shape],
-        op_id="big_sort",
-    )
-    engine.execute(plan, "q")
-    sim.run()
     report = resource_report(engine)
     notes = report.grant_notes("big_sort")
-    return {
-        "sim_time": float(sim.now).hex(),
-        "sort_runs": notes["sort_runs"],
-        "merge_passes": notes["merge_passes"],
-        "spilled_pages": notes["spilled_pages"],
-        "evictions": report.buffer.evictions,
-    }
+    return _entry(
+        sim.now,
+        sort_runs=notes["sort_runs"],
+        merge_passes=notes["merge_passes"],
+        spilled_pages=notes["spilled_pages"],
+        evictions=report.buffer.evictions,
+    )
 
 
-def _ordered_merge_entry(catalog):
+def _ordered_merge_entry():
     """A dop-4 aggregate: four partition streams of ~100 groups each,
     cut into ragged 7-row batches, interleaved by ``ordered_merge``."""
+    catalog = _spill_catalog()
     config = RuntimeConfig(
         work_mem=4,
         pool_pages=SPILL_POOL_PAGES,
@@ -364,38 +405,256 @@ def _ordered_merge_entry(catalog):
     )
     rows = session.run(query).rows
     report = session.resources()
-    return {
-        "sim_time": float(session.now).hex(),
-        "rows": len(rows),
-        "spill_pages_written": report.spill_pages_written,
-        "evictions": report.buffer.evictions,
-    }
+    return _entry(
+        session.now,
+        rows=len(rows),
+        spill_pages_written=report.spill_pages_written,
+        evictions=report.buffer.evictions,
+    )
 
 
-# key -> recorder(catalog)
-SPILL_CASES = {
+# key -> recorder(): every golden entry outside the plan x preset x
+# batch grid of golden_sim_times().
+NAMED_CASES = {
     f"spill_sort/{shape}/wm{work_mem}/pf{prefetch}": partial(
-        _spill_sort_entry, shape=shape, work_mem=work_mem, prefetch=prefetch
+        _spill_sort_entry, shape, work_mem, prefetch
     )
     for shape in SPILL_KEY_SHAPES
     for work_mem in (1, 2, 5, 16)
     for prefetch in (0, 2)
 }
-SPILL_CASES["ordered_merge/dop4/b7"] = _ordered_merge_entry
+NAMED_CASES["ordered_merge/dop4/b7"] = _ordered_merge_entry
 
 
-@pytest.fixture(scope="module")
-def spill_catalog():
-    return _spill_catalog()
+# -- the clock half, carried over: the retired BENCH trajectory -------------
+#
+# A smoke-bench suite used to write one checkpoint per PR
+# (BENCH_6..10.json, kept at the repo root as history) with a wall time,
+# a clock and a few counters for each of eight scenarios. Wall time is
+# bench/'s job; the clocks and counters are pinned here. Each recorder
+# builds its scenario exactly as its bench did, so every value equals
+# the last checkpoint's.
 
 
-@pytest.mark.parametrize("key", sorted(SPILL_CASES))
-def test_golden_spill_times(spill_catalog, key):
-    assert SPILL_CASES[key](spill_catalog) == json.loads(GOLDEN.read_text())[key]
+def _tpch():
+    return shared_catalog(0.0005, GOLDEN_SEED)
+
+
+def _stream_catalog(rows, tables=("stream",)):
+    catalog = Catalog()
+    schema = Schema([("k", DataType.INT), ("v", DataType.FLOAT)])
+    data = [(i, float(i % 97)) for i in range(rows)]
+    for name in tables:
+        catalog.create(name, schema).insert_many(data)
+    return catalog
+
+
+def _engine_q6_entry():
+    """One staged Q6 on a bare engine, eight contexts."""
+    catalog = _tpch()
+    sim, _ = _engine_run(catalog, 8, {"q6": build("q6", catalog).plan})
+    return _entry(sim.now, completions=len(sim.completions))
+
+
+def _scan_cooperative_entry():
+    """Four concurrent scans riding one elevator pass, beside four
+    private cold passes over replicas of the table."""
+    page_rows = 64
+    replicas = [f"stream__{t}" for t in range(4)]
+    catalog = _stream_catalog(6000, ["stream", *replicas])
+    pages = catalog.table("stream").page_count(page_rows)
+
+    def run(names, **storage):
+        plans = {
+            f"q{i}": scan(catalog, name, columns=["k", "v"], op_id=f"scan:{name}")
+            for i, name in enumerate(names)
+        }
+        costs = CostModel(io_page=400.0)
+        sim, _ = _engine_run(
+            catalog, 8, plans, costs=costs, page_rows=page_rows, **storage
+        )
+        return sim.now
+
+    manager = ScanShareManager(BufferPool(pages * 2), prefetch_depth=2)
+    cooperative = run(["stream"] * len(replicas), scan_manager=manager)
+    independent = run(replicas, buffer_pool=BufferPool(pages * (len(replicas) + 1)))
+    stats = manager.snapshot()[0]
+    return _entry(
+        cooperative,
+        sim_independent=independent,
+        physical_reads=stats.physical_reads,
+        pages_served=stats.pages_served,
+    )
+
+
+def _sort_external_entry():
+    """A two-key sort at ``work_mem`` 4, beside the same sort ungoverned."""
+    catalog = Catalog()
+    schema = Schema([("g", DataType.INT), ("k", DataType.INT)])
+    catalog.create("stream", schema).insert_many(
+        ((i * 48271) % 97, i) for i in range(4000)
+    )
+
+    def run(work_mem):
+        plan = sort(
+            scan(catalog, "stream", columns=["g", "k"], op_id="s"),
+            [("g", True), ("k", False)],
+            op_id="big_sort",
+        )
+        sim, _ = _engine_run(
+            catalog,
+            4,
+            {f"wm{work_mem}": plan},
+            costs=CostModel(io_page=160.0, spill_page=200.0),
+            page_rows=64,
+            buffer_pool=BufferPool(16),
+            memory=MemoryBroker(work_mem) if work_mem is not None else None,
+            spill_prefetch_depth=0,
+        )
+        return sim.now
+
+    return _entry(run(4), sim_unbounded=run(None))
+
+
+def _drift_throttle_entry():
+    """A six-consumer convoy with 64x speed skew on a 22-page pool,
+    throttled at a drift bound of 8 pages, beside the unbounded one."""
+    catalog = _stream_catalog(1200)
+
+    def run(drift_bound):
+        config = RuntimeConfig(
+            pool_pages=22,
+            prefetch_depth=2,
+            drift_bound=drift_bound,
+            group_windows=False,
+            page_rows=25,
+            processors=12,
+            cost_model=CostModel(io_page=400.0),
+        )
+        session = Database.open(catalog, config)
+        for i, factor in enumerate((1.0, 1.0, 1.0, 16.0, 32.0, 64.0)):
+            query = (
+                session.table("stream", columns=["k", "v"])
+                .where(ge(col("k"), 0))
+                .with_cost_factor(factor)
+            )
+            session.submit(query, label=f"c{i}", share=False)
+        session.run_all()
+        return session
+
+    throttled, unbounded = run(8), run(None)
+    return _entry(
+        throttled.now,
+        throttled_reads=throttled.scans.snapshot()[0].physical_reads,
+        unbounded_reads=unbounded.scans.snapshot()[0].physical_reads,
+    )
+
+
+def _session_run(trace):
+    """Eight forced-solo scalar aggregates through the facade."""
+    catalog = _tpch()
+    session = Database.open(catalog, RuntimeConfig(processors=8, trace=trace))
+    plan = aggregate(
+        scan(
+            catalog,
+            "lineitem",
+            columns=["l_quantity", "l_extendedprice"],
+            predicate=lt(col("l_quantity"), 30.0),
+        ),
+        group_by=(),
+        aggs=[AggSpec("sum", "rev", col("l_extendedprice"))],
+    )
+    for i in range(8):
+        session.submit(plan, label=f"q{i}", share=False)
+    return session, session.run_all()
+
+
+def _session_trace_off_entry():
+    session, results = _session_run(trace=False)
+    stalls = results[-1].stalls
+    return _entry(session.now, **{f"stall.{kind}": time for kind, time in stalls.items()})
+
+
+def _session_trace_on_entry():
+    """Same clock as ``session_trace_off``: the recorder is invisible."""
+    session, _ = _session_run(trace=True)
+    return _entry(session.now, trace_events=len(session.tracer.events))
+
+
+def _parallel_agg_entry():
+    """A 64-group aggregate over 6000 rows at dop 4, beside dop 1."""
+    catalog = Catalog()
+    rows, state = [], 2007
+    for _ in range(6000):
+        state = (state * 48271) % 2147483647
+        rows.append((state % 64, (state % 1000) / 1000.0))
+    schema = Schema([("g", DataType.INT), ("v", DataType.FLOAT)])
+    catalog.create("events", schema).insert_many(rows)
+
+    def run(dop):
+        plan = aggregate(
+            scan(catalog, "events", columns=["g", "v"]),
+            ("g",),
+            [AggSpec("sum", "total", col("v")), AggSpec("count", "rows", None)],
+        )
+        sim, _ = _engine_run(catalog, 8, {f"bench@dop{dop}": plan}, dop=dop)
+        return sim.now
+
+    return _entry(run(4), sim_serial=run(1))
+
+
+def _server_steady_state_entry():
+    """A seeded Poisson stream of Q6 arrivals near saturation on four
+    contexts: queue-depth admission, always-share dispatch."""
+    catalog = _tpch()
+    server = Server.open(
+        catalog,
+        RuntimeConfig(processors=4),
+        policy=AlwaysShare(),
+        admission=QueueDepthBound(32),
+        attach_inflight=False,
+        keep_rows=False,
+    )
+    report = server.serve(
+        WorkloadMix.single("q6"),
+        {"q6": build("q6", catalog)},
+        arrival_rate=1.0 / 2_500.0,
+        horizon=400_000.0,
+        drain=100_000.0,
+        seed=17,
+    )
+    return _entry(
+        server.session.now,
+        submitted=report.submitted,
+        completed=report.completed,
+        shed=report.shed,
+        goodput_per_mtime=report.goodput * 1e6,
+        p99_response=report.latency.p99,
+        max_group_size=report.max_group_size,
+    )
+
+
+NAMED_CASES.update(
+    {
+        "trajectory/engine_q6": _engine_q6_entry,
+        "trajectory/scan_cooperative": _scan_cooperative_entry,
+        "trajectory/sort_external": _sort_external_entry,
+        "trajectory/drift_throttle": _drift_throttle_entry,
+        "trajectory/session_trace_off": _session_trace_off_entry,
+        "trajectory/session_trace_on": _session_trace_on_entry,
+        "trajectory/parallel_agg": _parallel_agg_entry,
+        "trajectory/server_steady_state": _server_steady_state_entry,
+    }
+)
+
+
+# Named for its first tenants; the test ids are the golden keys.
+@pytest.mark.parametrize("key", sorted(NAMED_CASES))
+def test_golden_spill_times(key):
+    assert NAMED_CASES[key]() == json.loads(GOLDEN.read_text())[key]
 
 
 if __name__ == "__main__":
     recorded = golden_sim_times()
-    catalog = _spill_catalog()
-    recorded.update((key, record(catalog)) for key, record in SPILL_CASES.items())
+    recorded.update((key, record()) for key, record in NAMED_CASES.items())
     GOLDEN.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")

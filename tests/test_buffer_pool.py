@@ -142,6 +142,19 @@ class TestBufferPoolBasics:
         for index in range(pages):
             assert table_page_key("warm", index) in pool
 
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_hit_rate_grows_with_capacity_on_a_repeated_scan(self, policy):
+        rates = []
+        for capacity in (4, 16, 32):
+            pool = BufferPool(capacity, policy)
+            for _ in range(2):
+                for index in range(24):
+                    pool.access(table_page_key("t", index))
+            rates.append(pool.stats.hit_rate)
+        assert rates == sorted(rates)
+        # A pool bigger than the table: the second pass is all hits.
+        assert rates[-1] == 0.5
+
     def test_snapshot_render_mentions_policy(self):
         pool = BufferPool(4, "clock")
         pool.access(("tbl", "t", 0))

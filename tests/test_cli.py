@@ -1,7 +1,11 @@
-"""Tests for the repro-experiments command-line interface."""
+"""Tests for the ``repro`` command line: the experiment runner (driven
+both directly and as ``repro experiments``) and ``repro serve``."""
+
+import re
 
 import pytest
 
+from repro.cli import main as repro_main
 from repro.experiments.cli import main
 
 
@@ -29,3 +33,36 @@ class TestCli:
     def test_requires_argument(self):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_mounted_as_a_repro_subcommand(self, capsys):
+        assert repro_main(["experiments", "list", "section4"]) == 0
+        out = capsys.readouterr().out
+        assert "registered experiments:" in out
+        assert "[section4 completed" in out
+        with pytest.raises(SystemExit):
+            repro_main(["experiments", "fig99"])
+
+
+class TestServe:
+    def test_report_conserves_arrivals(self, capsys):
+        argv = "serve --scale-factor 0.0005 --rate 0.0004 --horizon 30000 --drain 30000"
+        assert repro_main(argv.split()) == 0
+        summary = capsys.readouterr().out.splitlines()[0]
+        count = {
+            name: int(value)
+            for name, value in re.findall(
+                r"(arrivals|shed|completed|backlog) (\d+)", summary
+            )
+        }
+        assert count["arrivals"] > 0
+        assert count["arrivals"] == (
+            count["completed"] + count["shed"] + count["backlog"]
+        )
+
+    def test_unknown_query_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            repro_main(["serve", "--queries", "q6,q99"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "unknown TPC-H query q99" in err
+        assert "q1, q13, q4, q6" in err

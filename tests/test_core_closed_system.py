@@ -79,8 +79,12 @@ class TestUnsharedRateClosed:
     def test_mismatched_closed_exceeds_open_when_unsaturated(self, fast_slow):
         # Open model throttles the fast query to the slow one's rate;
         # the closed model lets its replacements keep arriving.
-        n = 32
-        assert unshared_rate_closed(fast_slow, n) > unshared_rate(fast_slow, n)
+        for n in (2, 8, 32):
+            assert unshared_rate_closed(fast_slow, n) > unshared_rate(fast_slow, n)
+        # Saturated, the two baselines agree to first order.
+        assert unshared_rate_closed(fast_slow, 1) == pytest.approx(
+            unshared_rate(fast_slow, 1), rel=0.15
+        )
 
     def test_contention_reduces_rate(self, fast_slow):
         assert unshared_rate_closed(fast_slow, 2, contention=0.7) <= (

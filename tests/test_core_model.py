@@ -164,11 +164,25 @@ class TestSharingBenefit:
         # Figure 1: on one CPU, sharing the Q6 scan approaches ~1.8x.
         z = sharing_benefit(q6_group(48), "scan", 1)
         assert z > 1.5
+        # ... and every added sharer helps on the way there.
+        zs = [sharing_benefit(q6_group(m), "scan", 1) for m in range(2, 49)]
+        assert zs == sorted(zs)
 
     def test_many_cpu_sharing_loses_q6(self):
         # Figure 1: on 32 CPUs sharing is strongly detrimental (~10x).
         z = sharing_benefit(q6_group(48), "scan", 32)
         assert z < 0.3
+
+    def test_contention_favors_sharing(self):
+        # Section 4.1.4: contention shrinks the effective processor
+        # count, so there is less parallelism for sharing to give away.
+        group = q6_group(32)
+        zs = [
+            sharing_benefit(group, "scan", 32, contention=kappa)
+            for kappa in (1.0, 0.9, 0.7, 0.5, 0.3)
+        ]
+        assert zs == sorted(zs)
+        assert zs[0] < 0.2
 
     def test_two_cpu_sharing_loses_q6(self):
         # Figure 1 shows sharing harmful for q6 for more than one core.

@@ -99,6 +99,28 @@ def test_solo_parity(catalog, preset, make_plan):
 
 
 @pytest.mark.parametrize("preset", PRESET_NAMES)
+def test_concurrent_solo_parity(catalog, preset):
+    """m facade submissions forced solo == m raw ``execute`` calls: the
+    router charges no simulated work of its own."""
+    config = RuntimeConfig.preset(preset)
+    plan = agg_plan(catalog)
+    m = 8
+
+    session = Database.open(catalog, config)
+    for i in range(m):
+        session.submit(plan, label=f"q{i}", share=False)
+    results = session.run_all()
+
+    sim, engine = hand_wired(catalog, config)
+    handles = [engine.execute(plan, f"q{i}") for i in range(m)]
+    sim.run()
+
+    assert [r.rows for r in results] == [h.rows for h in handles]
+    assert [r.finished_at for r in results] == [h.finished_at for h in handles]
+    assert session.now == sim.now
+
+
+@pytest.mark.parametrize("preset", PRESET_NAMES)
 def test_shared_group_parity(catalog, preset):
     """m facade submissions forced into one group == execute_group."""
     config = RuntimeConfig.preset(preset)

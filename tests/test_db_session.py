@@ -132,6 +132,7 @@ class TestAutoSharingFlip:
         assert all(r.shared and r.group_size == 8 for r in cold)
         assert all(isinstance(r.decision, ShareDecision) for r in cold)
         assert cold[0].decision.share
+        (profiled,) = session._specs.values()
 
         # Same session, same queries: the pool is now warm, the same
         # advisor declines, everything runs independently.
@@ -141,6 +142,9 @@ class TestAutoSharingFlip:
         assert all(not r.shared and r.group_size == 1 for r in warm)
         assert not warm[0].decision.share
         assert warm[0].rows == cold[0].rows
+        # The operation was profiled once; the warm batch reused it.
+        (reused,) = session._specs.values()
+        assert reused is profiled
 
     def test_advise_matches_routing(self, session):
         query = flip_query(session)

@@ -1,21 +1,27 @@
-"""The docs cannot rot: headings, links, and figure names are checked.
+"""The docs cannot rot: headings, links, figure names, and command
+lines are checked.
 
 * ``docs/experiments.md`` must document exactly the experiments the
   CLI registers — one ``##`` heading per registry key;
 * every relative markdown link in README.md and ``docs/*.md`` must
   resolve to a real file;
 * every ``fig_*`` name mentioned in README.md and ``docs/*.md`` must
-  be a registered experiment.
+  be a registered experiment;
+* every ``repro ...`` / ``python -m repro.cli ...`` line inside a
+  fenced block of those files must parse against the real parser.
 
 The CI docs job runs this module (plus the repro.db doctests), so a
-renamed experiment, a moved doc, or a stale link fails the build.
+renamed experiment, a moved doc, a stale link, or a removed
+subcommand or flag fails the build.
 """
 
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
+from repro.cli import build_parser
 from repro.experiments.cli import _EXPERIMENTS
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -24,6 +30,12 @@ CHECKED_FILES = [REPO_ROOT / "README.md", *DOCS]
 
 LINK_PATTERN = re.compile(r"\]\(([^)#\s]+)(?:#[^)\s]*)?\)")
 FIG_PATTERN = re.compile(r"\bfig_[a-z]+\b")
+FENCED_BLOCK = re.compile(r"^```[^\n]*\n(.*?)^```", re.MULTILINE | re.DOTALL)
+# A shell line that runs the CLI, installed or as a module, possibly
+# after ``$``, ``cmd &&`` and ``VAR=value`` prefixes.
+COMMAND_LINE = re.compile(
+    r"^(?:\$ )?(?:.*&& )?(?:\w+=\S+ )*(python3? -m repro\S*|repro[\w-]*)( .*)?$"
+)
 
 
 def test_docs_directory_exists_and_is_populated():
@@ -67,6 +79,32 @@ def test_mentioned_fig_names_are_registered(path):
     mentioned = set(FIG_PATTERN.findall(path.read_text()))
     unknown = mentioned - set(_EXPERIMENTS)
     assert not unknown, f"{path.name} mentions unregistered experiments: {sorted(unknown)}"
+
+
+@pytest.mark.parametrize(
+    "path", CHECKED_FILES, ids=lambda p: str(p.relative_to(REPO_ROOT))
+)
+def test_documented_command_lines_parse(path, capsys):
+    """A command line shown in a fenced block names the one installed
+    script (or its module) and uses only subcommands, flags and
+    experiment names the parser accepts."""
+    parser = build_parser()
+    rejected = []
+    for block in FENCED_BLOCK.findall(path.read_text()):
+        for line in block.splitlines():
+            match = COMMAND_LINE.match(line.strip())
+            if match is None:
+                continue
+            command, args = match.groups()
+            if command.split()[-1] not in ("repro", "repro.cli"):
+                rejected.append(f"{line.strip()!r}: not the repro CLI")
+                continue
+            try:
+                parser.parse_args(shlex.split(args or "", comments=True))
+            except SystemExit:
+                usage_error = capsys.readouterr().err.strip().splitlines()[-1]
+                rejected.append(f"{line.strip()!r}: {usage_error}")
+    assert not rejected, f"stale command lines in {path.name}: {rejected}"
 
 
 def test_readme_links_the_docs():

@@ -110,6 +110,17 @@ class TestDegenerateShapes:
         )
         rows = run(catalog, plan, queue_capacity=1)
         assert rows == execute_reference(plan, catalog)
+        # The model's finite-buffering assumption: a one-slot queue may
+        # serialize the pipeline, ample queues only smooth bursts.
+        times = {}
+        for capacity in (1, 16, 64):
+            sim = Simulator(processors=4)
+            engine = Engine(catalog, sim, page_rows=4, queue_capacity=capacity)
+            engine.execute(plan, "q")
+            sim.run()
+            times[capacity] = sim.now
+        assert times[1] >= times[64]
+        assert times[16] == pytest.approx(times[64], rel=0.1)
 
     def test_many_more_sharers_than_processors(self, catalog):
         pivot = filter_(scan(catalog, "items"), lt(col("id"), 40),

@@ -79,13 +79,21 @@ class TestFig2:
                         scale_factor=SCALE, seed=SEED)
 
     def test_scan_vs_join_contrast(self, result):
-        assert result.line("q4", 1).max_speedup() > (
-            result.line("q6", 1).max_speedup()
-        )
+        for n in (1, 32):
+            assert result.line("q4", n).max_speedup() > (
+                result.line("q6", n).max_speedup()
+            )
+
+    def test_scan_heavy_caps_then_collapses(self, result):
+        for name in ("q1", "q6"):
+            assert 1.2 < result.line(name, 1).as_mapping()[16] < 2.5
+            assert result.line(name, 32).as_mapping()[16] < 0.3
 
     def test_join_heavy_grows(self, result):
-        series = result.line("q4", 1)
-        assert series.speedups[-1] > series.speedups[0]
+        for name in ("q4", "q13"):
+            series = result.line(name, 1)
+            assert series.speedups[-1] > series.speedups[0]
+            assert series.speedups[-1] > 5.0
 
     def test_render_has_both_panels(self, result):
         text = result.render()
@@ -125,6 +133,12 @@ class TestFig5:
     def test_decisions_mostly_agree(self, result):
         assert result.decision_accuracy() >= 0.75
 
+    def test_scan_heavy_half_is_tight_and_says_dont_share_on_32(self, result):
+        assert result.avg_error("scan-heavy") < 0.25
+        for point in result.points:
+            if point.kind == "scan-heavy" and point.processors == 32:
+                assert point.predicted < 1.0 and point.measured < 1.0
+
     def test_render_summary(self, result):
         text = result.render()
         assert "paper: 22% / 5.7%" in text
@@ -133,14 +147,22 @@ class TestFig5:
 class TestFig6:
     @pytest.fixture(scope="class")
     def result(self):
-        return fig6.run(fractions=(0.0, 1.0), processor_counts=(32,),
+        return fig6.run(fractions=(0.0, 1.0), processor_counts=(2, 32),
                         n_clients=8, warmup=50_000.0, window=200_000.0,
                         scale_factor=SCALE, seed=SEED)
 
+    def test_sharing_always_helps_on_two_processors(self, result):
+        never = result.throughput("never", 2, 1.0)
+        assert result.throughput("always", 2, 1.0) > 2.0 * never
+        assert result.throughput("model", 2, 1.0) > 2.0 * never
+
     def test_always_collapses_on_scan_mix(self, result):
         assert result.throughput("always", 32, 0.0) < (
-            result.throughput("never", 32, 0.0)
+            0.5 * result.throughput("never", 32, 0.0)
         )
+        # The paper's headline: model-guided averages ~2.5x over
+        # always-share on the CMP.
+        assert result.average_ratio(32, "model", "always") > 1.8
 
     def test_model_never_materially_worst(self, result):
         for fraction in (0.0, 1.0):

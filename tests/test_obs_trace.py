@@ -15,7 +15,7 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cli import demo_trace_session
+from repro.cli import demo_session, demo_trace_session
 from repro.obs.trace import (
     TID_SCANS,
     TID_TASKS,
@@ -143,6 +143,15 @@ def test_disabled_tracer_changes_nothing(item_costs, processors, capacity):
     assert [p.busy_time for p in traced._processors] == [
         p.busy_time for p in plain._processors
     ]
+
+
+def test_session_tracer_changes_nothing():
+    """The full stack too: a traced session ends on the same clock
+    with the same answers as an untraced one."""
+    plain = demo_session(pages=8, queries=2)
+    traced = demo_trace_session(pages=8, queries=2)
+    assert traced.now == plain.now
+    assert [r.rows for r in traced.results] == [r.rows for r in plain.results]
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import metrics
 from repro.errors import EstimationError, PolicyError
-from repro.policies import OnlineModelGuidedPolicy
+from repro.policies import ModelGuidedPolicy, OnlineModelGuidedPolicy
 from repro.profiling import OnlineEstimator, QueryProfiler
 from repro.tpch.generator import generate
 from repro.tpch.queries import build
@@ -98,19 +98,30 @@ class TestOnlineEstimator:
 
 
 class TestOnlineModelGuidedPolicy:
-    def test_explores_then_settles_on_many_cores(self, catalog, q6):
+    def test_explores_then_settles_on_many_cores(self, catalog, q6,
+                                                 offline_profile):
         """On 32 cpus the policy must learn that Q6 sharing loses: after
         the exploration budget, shared submissions stop."""
+        def run(policy):
+            return run_closed_system(
+                catalog, policy, WorkloadMix.single("q6"), n_clients=10,
+                processors=32, warmup=100_000.0, window=400_000.0,
+            )
+
         policy = OnlineModelGuidedPolicy({"q6": q6}, exploration_budget=2)
-        result = run_closed_system(
-            catalog, policy, WorkloadMix.single("q6"),
-            n_clients=10, processors=32, warmup=100_000.0, window=400_000.0,
-        )
+        result = run(policy)
         estimator = policy.estimators["q6"]
         assert estimator.ready()
         # Exploration happened, then the learned model said no.
         assert policy.exploration_shares > 0
         assert result.solo_submissions > 5 * result.shared_submissions
+        # It lands where offline profiling starts, and the exploration
+        # it paid to get there costs a bounded share of throughput.
+        offline = run(ModelGuidedPolicy(
+            {"q6": (offline_profile.to_query_spec(), q6.pivot)}
+        ))
+        assert offline.shared_submissions == 0
+        assert result.throughput > 0.85 * offline.throughput
 
     def test_keeps_sharing_on_one_core(self, catalog, q6):
         """On 1 cpu the learned model keeps approving Q6 sharing."""
@@ -138,6 +149,14 @@ class TestOnlineModelGuidedPolicy:
         )
         assert policy.should_share("q6", 10, 1)
         assert not policy.should_share("q6", 10, 32)
+        # Through the driver: the prior already says "don't" on 32
+        # cpus, so not one exploratory share is paid.
+        result = run_closed_system(
+            catalog, policy, WorkloadMix.single("q6"),
+            n_clients=4, processors=32, warmup=20_000.0, window=100_000.0,
+        )
+        assert policy.exploration_shares == 0
+        assert result.shared_submissions == 0
 
     def test_unknown_query_rejected(self, q6):
         policy = OnlineModelGuidedPolicy({"q6": q6})

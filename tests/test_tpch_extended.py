@@ -125,6 +125,6 @@ class TestExtendedSuite:
         """The extended joins inherit the paper's join-sharing result."""
         from repro.experiments.common import batch_speedup
 
-        for name in ("q3", "q12"):
+        for name in ("q3", "q10", "q12"):
             query = build_extended(name, tpch)
             assert batch_speedup(tpch, query, 8, 1) > 2.0

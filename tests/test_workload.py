@@ -109,6 +109,11 @@ class TestClosedSystemDriver:
         never = run_closed_system(policy=NeverShare(), processors=32,
                                   **kwargs)
         assert always.throughput < 0.5 * never.throughput
+        # Section 8.1: capping the group size hands back some of the
+        # parallelism one giant always-share group gives away.
+        capped = run_closed_system(policy=AlwaysShare(), processors=32,
+                                   max_group_size=2, **kwargs)
+        assert capped.throughput > always.throughput
 
     def test_policy_metadata_recorded(self, catalog):
         result = run_closed_system(
