@@ -28,8 +28,17 @@ class QueryResult:
     """Everything one submitted query produced.
 
     ``resources`` is the session-wide resource snapshot taken when the
-    query's batch drained — cumulative counters, shared by every query
-    of the batch (the pool and broker are session-global). ``decision``
+    query's batch drained, shared by every query of the batch (the pool
+    and broker are session-global), and ``metrics`` the flat registry
+    snapshot of the same instant. Every *counter* in them is cumulative
+    over the session — hits, misses, spill pages, ``memory.high_water``,
+    scan statistics, ``sim.*``, the ``stall.*`` totals. Two things are
+    scoped to the batch, so that a result's size does not grow with the
+    session's age: ``resources.memory.grants`` lists the grants open or
+    closed during this batch (``grant_notes`` therefore answers for this
+    run of a plan), and ``metrics`` carries the ``stage.<op_id>.*`` rows
+    of the operators that ran in this batch. ``Session.metrics()``
+    stays complete: every operator the session ever ran. ``decision``
     is the model verdict that routed the query (``None`` when routing
     was forced or trivially solo). ``makespan`` is the session clock
     when the query's batch drained; it is cumulative across batches
@@ -66,9 +75,10 @@ class QueryResult:
     decision: Optional[ShareDecision]
     resources: ResourceReport
     makespan: float
-    # Flat metrics snapshot at batch drain (session-cumulative, from
-    # the session's MetricsRegistry); None on results minted before
-    # the registry existed (hand-built results in tests).
+    # Flat metrics snapshot at batch drain (from the session's
+    # MetricsRegistry: cumulative counters, this batch's stage rows);
+    # None on results minted before the registry existed (hand-built
+    # results in tests).
     metrics: Optional[dict] = None
     # The audit records whose routing covered this submission.
     audit: tuple = ()

@@ -377,16 +377,27 @@ class Session:
         each group of two or more consults the policy once (unless
         forced via ``submit(share=...)``). Returns results in
         submission order and appends them to :attr:`results`.
+
+        What the results carry of the session's state is cut to the
+        batch, so a session's cost per batch does not grow with its
+        age: ``resources.memory.grants`` lists the grants of this batch
+        (the broker forgets them once reported) and ``metrics`` keeps
+        the ``stage.<op_id>.*`` rows of this batch's operators; every
+        counter stays cumulative, and :meth:`metrics` stays complete.
         """
         batch, self._pending = self._pending, []
         if not batch:
             return []
         reads_before = self._physical_reads()
+        spawned_before = len(self.sim.tasks)
         self.coordinator.drain()
         self.sim.run()
         self._join_audit(batch, reads_before)
         report = self.resources()
-        snapshot = self._metrics.snapshot()
+        if self.engine.memory is not None:
+            self.engine.memory.forget_closed()
+        ran = {task.name.rsplit("/", 1)[-1] for task in self.sim.tasks[spawned_before:]}
+        snapshot = self._metrics.snapshot(scope=ran)
         wall_profile = (
             tuple(self._perf.profile()) if self._perf is not None else None
         )

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from repro.errors import PlanError
+from repro.storage.lru import WeightedLRU
 from repro.storage.schema import Schema
 
 __all__ = [
@@ -113,9 +114,10 @@ class Expr:
 # same (immutable) expression trees, so lowering + ``compile()`` would
 # otherwise dominate short queries. Keyed by the expression node and
 # the schema's column tuple (both hashable); entries whose expressions
-# are unhashable (exotic Udf payloads) simply compile uncached.
-_BATCH_CACHE: dict = {}
-_BATCH_CACHE_MAX = 4096
+# are unhashable (exotic Udf payloads) simply compile uncached. Least
+# recently used entries go first past 4096, so an ad-hoc stream cannot
+# push out the hot templated expressions compiled before it.
+BATCH_CACHE = WeightedLRU(4096)
 
 
 def compile_batch(expr: Expr, schema: Schema) -> BatchFn:
@@ -130,7 +132,7 @@ def compile_batch(expr: Expr, schema: Schema) -> BatchFn:
     """
     try:
         cache_key = (expr, schema.columns)
-        cached = _BATCH_CACHE.get(cache_key)
+        cached = BATCH_CACHE.get(cache_key)
     except TypeError:
         cache_key = None
         cached = None
@@ -152,9 +154,7 @@ def compile_batch(expr: Expr, schema: Schema) -> BatchFn:
     exec(compile(source, "<repro-batch-expr>", "exec"), namespace)
     fn = namespace["_batch"]
     if cache_key is not None:
-        if len(_BATCH_CACHE) >= _BATCH_CACHE_MAX:
-            _BATCH_CACHE.clear()
-        _BATCH_CACHE[cache_key] = fn
+        BATCH_CACHE.put(cache_key, fn)
     return fn
 
 

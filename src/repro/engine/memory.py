@@ -91,8 +91,16 @@ class MemoryGrant:
     overcommit on the broker.
     """
 
-    __slots__ = ("broker", "owner", "pages", "used", "high_water",
-                 "closed", "notes", "_overcommitted")
+    __slots__ = (
+        "broker",
+        "owner",
+        "pages",
+        "used",
+        "high_water",
+        "closed",
+        "notes",
+        "_overcommitted",
+    )
 
     def __init__(self, broker: "MemoryBroker", owner: str, pages: int) -> None:
         self.broker = broker
@@ -119,8 +127,12 @@ class MemoryGrant:
             self.broker.overcommits += 1
             if self.broker.tracer is not None:
                 self.broker.tracer.instant(
-                    "overcommit", "mem", tid=TID_MEMORY,
-                    owner=self.owner, used=used_pages, budget=self.pages,
+                    "overcommit",
+                    "mem",
+                    tid=TID_MEMORY,
+                    owner=self.owner,
+                    used=used_pages,
+                    budget=self.pages,
                 )
 
     def note(self, **facts) -> None:
@@ -177,6 +189,8 @@ class MemoryBroker:
         # Optional flight recorder (repro.obs.trace); grant/return/
         # overcommit edges emit through it when attached.
         self.tracer = None
+        # Open grants, plus the closed ones ``forget_closed`` has not
+        # been told to drop yet.
         self._grants: list[MemoryGrant] = []
 
     def bind_pool(self, pool) -> None:
@@ -207,9 +221,7 @@ class MemoryBroker:
         projected spill into none (the fig_mem Part B effect).
         """
         if pages_each < 0:
-            raise EngineError(
-                f"pages_each must be >= 0, got {pages_each}"
-            )
+            raise EngineError(f"pages_each must be >= 0, got {pages_each}")
         if operators < 1:
             raise EngineError(f"operators must be >= 1, got {operators}")
         return max(0, operators * pages_each - self.available())
@@ -232,8 +244,12 @@ class MemoryBroker:
         self._grants.append(grant)
         if self.tracer is not None:
             self.tracer.instant(
-                "grant", "mem", tid=TID_MEMORY,
-                owner=owner, pages=granted, requested=requested,
+                "grant",
+                "mem",
+                tid=TID_MEMORY,
+                owner=owner,
+                pages=granted,
+                requested=requested,
             )
         return grant
 
@@ -247,6 +263,19 @@ class MemoryBroker:
             grants=tuple(g.snapshot() for g in self._grants),
         )
 
+    def forget_closed(self) -> None:
+        """Stop listing the grants closed so far in :meth:`snapshot`.
+
+        A long-lived owner calls this once it has taken the report that
+        covers them (``Session.run_all`` after each batch, ``Server``
+        after each serve call), so a snapshot lists the open grants
+        plus those closed since — the batch's own — and costs the
+        batch, not every grant the broker ever issued. The counters
+        (``high_water``, ``overcommits``) stay cumulative. A hand-driven
+        engine never calls it and keeps the whole history.
+        """
+        self._grants = [grant for grant in self._grants if not grant.closed]
+
     # -- internal, driven by grants --------------------------------------
 
     def _adjust(self, delta: int) -> None:
@@ -257,8 +286,11 @@ class MemoryBroker:
         self.reserved -= grant.pages
         if self.tracer is not None:
             self.tracer.instant(
-                "return", "mem", tid=TID_MEMORY,
-                owner=grant.owner, pages=grant.pages,
+                "return",
+                "mem",
+                tid=TID_MEMORY,
+                owner=grant.owner,
+                pages=grant.pages,
                 high_water=grant.high_water,
             )
 

@@ -96,10 +96,13 @@ class ScanOperator(BatchOperator):
         # Fused-page memo: scans with the same signature (same table,
         # projection, fused expressions, cost factor — the identity the
         # sharing layer itself keys on) reuse each decoded + filtered
-        # page and its cost across queries.
+        # page and its cost across queries. Constructing the stage is
+        # the attach that keeps the signature recent under the page
+        # budget; the list is this scan's from here on, evicted or not.
         self._memo = self.table.fused_cache(
             ("fused", node.signature, ctx.page_rows),
             self.table.page_count(ctx.page_rows),
+            len(node.schema),
         )
         self.make_emitter(len(node.schema))
 

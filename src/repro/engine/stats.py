@@ -25,7 +25,9 @@ from repro.storage.buffer import BufferPool, BufferSnapshot
 __all__ = [
     "StageStats",
     "StageReport",
+    "StageFold",
     "stage_report",
+    "stage_rows",
     "ResourceReport",
     "resource_report",
 ]
@@ -99,6 +101,93 @@ class StageReport:
         return "\n".join(lines)
 
 
+class StageFold:
+    """Resumable per-``op_id`` sums over a simulator's task list.
+
+    ``sums`` holds, per operator id, ``[instances, busy, io, throttle,
+    queue_block]`` over ``tasks[:folded]`` — the longest prefix in
+    which every task has finished. A finished task's ledger never
+    changes, so the prefix is summed once; each float is the same
+    left-to-right sum in spawn order a fold from scratch produces,
+    and continuing it over the rest of the list reproduces that fold
+    bit for bit. :func:`stage_report` keeps one of these on the
+    simulator (``Simulator.stage_fold``), which makes a report cost
+    the tasks spawned since the last one, not every task ever.
+    """
+
+    __slots__ = ("folded", "sums")
+
+    def __init__(self) -> None:
+        self.folded = 0
+        self.sums: dict[str, list] = {}
+
+
+def _fold(sums: dict[str, list], tasks: Iterable[Task], group_prefix: Optional[str]) -> None:
+    """Add each operator task's ledger to its ``op_id`` row, in order."""
+    for task in tasks:
+        name = task.name
+        if "/" not in name:
+            continue
+        if group_prefix is not None and not name.startswith(group_prefix):
+            continue
+        op_id = name.rsplit("/", 1)[-1]
+        row = sums.get(op_id)
+        if row is None:
+            row = sums[op_id] = [0, 0.0, 0.0, 0.0, 0.0]
+        row[0] += 1
+        row[1] += task.busy_time
+        row[2] += task.io_time
+        row[3] += task.throttle_time
+        row[4] += task.queue_block_time
+
+
+def _simulator_sums(sim: Simulator) -> dict[str, list]:
+    """Every task of ``sim`` folded, resuming from its finished prefix."""
+    fold = sim.stage_fold
+    if fold is None:
+        fold = sim.stage_fold = StageFold()
+    tasks = sim.tasks
+    start = end = fold.folded
+    while end < len(tasks) and not tasks[end].alive:
+        end += 1
+    if end > start:
+        _fold(fold.sums, tasks[start:end], None)
+        fold.folded = end
+    if end == len(tasks):
+        return fold.sums
+    sums = {op_id: list(row) for op_id, row in fold.sums.items()}
+    _fold(sums, tasks[end:], None)
+    return sums
+
+
+def _stage_sums(
+    source: Simulator | Iterable[Task], include_sinks: bool, group_prefix: Optional[str]
+) -> dict[str, list]:
+    """``op_id -> [instances, busy, io, throttle, queue_block]``, in
+    first-spawned order. A whole simulator is folded incrementally
+    (:class:`StageFold`), a filtered or explicit task set from scratch."""
+    if isinstance(source, Simulator) and group_prefix is None:
+        sums = _simulator_sums(source)
+    else:
+        sums = {}
+        _fold(sums, source.tasks if isinstance(source, Simulator) else source, group_prefix)
+    if not include_sinks:
+        sums = {op_id: row for op_id, row in sums.items() if op_id != "sink"}
+    return sums
+
+
+def _busiest_first(sums: dict[str, list]) -> list[tuple[str, list]]:
+    return sorted(sums.items(), key=lambda item: item[1][1], reverse=True)
+
+
+def stage_rows(source: Simulator | Iterable[Task]) -> list[tuple[str, list]]:
+    """:func:`stage_report`'s numbers without its objects: ``(op_id,
+    [instances, busy, io, drift_throttle, queue_block])`` per operator,
+    busiest first — the order totals over stages are summed in. For
+    the metrics registry, which flattens them every batch."""
+    return _busiest_first(_stage_sums(source, False, None))
+
+
 def stage_report(
     source: Simulator | Iterable[Task],
     include_sinks: bool = False,
@@ -110,44 +199,19 @@ def stage_report(
     iterable (e.g. one group's tasks from ``Engine.group_tasks``).
     ``group_prefix`` filters tasks whose name starts with it.
     """
-    tasks = source.tasks if isinstance(source, Simulator) else list(source)
-    busy: dict[str, float] = {}
-    io: dict[str, float] = {}
-    throttle: dict[str, float] = {}
-    blocked: dict[str, float] = {}
-    instances: dict[str, int] = {}
-    for task in tasks:
-        if "/" not in task.name:
-            continue
-        if group_prefix is not None and not task.name.startswith(group_prefix):
-            continue
-        op_id = task.name.rsplit("/", 1)[-1]
-        if op_id == "sink" and not include_sinks:
-            continue
-        busy[op_id] = busy.get(op_id, 0.0) + task.busy_time
-        io[op_id] = io.get(op_id, 0.0) + task.io_time
-        throttle[op_id] = throttle.get(op_id, 0.0) + task.throttle_time
-        blocked[op_id] = blocked.get(op_id, 0.0) + task.queue_block_time
-        instances[op_id] = instances.get(op_id, 0) + 1
-
-    total = sum(busy.values())
+    sums = _stage_sums(source, include_sinks, group_prefix)
+    total = sum(row[1] for row in sums.values())
     stages = tuple(
-        sorted(
-            (
-                StageStats(
-                    op_id=op_id,
-                    instances=instances[op_id],
-                    busy_time=time,
-                    busy_share=(time / total if total else 0.0),
-                    io_time=io[op_id],
-                    drift_throttle=throttle[op_id],
-                    queue_block=blocked[op_id],
-                )
-                for op_id, time in busy.items()
-            ),
-            key=lambda s: s.busy_time,
-            reverse=True,
+        StageStats(
+            op_id=op_id,
+            instances=instances,
+            busy_time=busy,
+            busy_share=(busy / total if total else 0.0),
+            io_time=io,
+            drift_throttle=throttle,
+            queue_block=blocked,
         )
+        for op_id, (instances, busy, io, throttle, blocked) in _busiest_first(sums)
     )
     return StageReport(stages=stages, total_busy=total)
 
@@ -219,10 +283,11 @@ class ResourceReport:
 
     def grant_notes(self, owner: str) -> dict:
         """Operator-reported facts for one grant owner (e.g. the
-        external sort's ``sort_runs`` / ``merge_passes``)."""
+        external sort's ``sort_runs`` / ``merge_passes``) — of the
+        newest grant with that owner, when a plan ran more than once."""
         if self.memory is None:
             raise KeyError(owner)
-        for grant in self.memory.grants:
+        for grant in reversed(self.memory.grants):
             if grant.owner == owner:
                 return dict(grant.notes)
         raise KeyError(owner)

@@ -25,6 +25,7 @@ from repro.engine.costs import DEFAULT_COST_MODEL, CostModel
 from repro.engine.engine import Engine
 from repro.sim.simulator import Simulator
 from repro.storage.catalog import Catalog
+from repro.storage.lru import WeightedLRU
 from repro.tpch.generator import generate
 from repro.tpch.queries import TpchQuery, build
 
@@ -46,7 +47,10 @@ DEFAULT_SCALE_FACTOR = 0.005
 DEFAULT_SEED = 2007
 PAPER_PROCESSOR_COUNTS = (1, 2, 8, 32)
 
-_CATALOG_CACHE: dict[tuple[float, int], Catalog] = {}
+# The 8 most recently used (scale_factor, seed) databases: a figure
+# sweeps a handful, a caller regenerating a cell per seed forever (the
+# benchmark's ``fig6_closed``) must not keep every one.
+_CATALOG_CACHE = WeightedLRU(8)
 
 
 def shared_catalog(
@@ -54,9 +58,11 @@ def shared_catalog(
 ) -> Catalog:
     """Memoized TPC-H database for the experiment suite."""
     key = (scale_factor, seed)
-    if key not in _CATALOG_CACHE:
-        _CATALOG_CACHE[key] = generate(scale_factor=scale_factor, seed=seed)
-    return _CATALOG_CACHE[key]
+    catalog = _CATALOG_CACHE.get(key)
+    if catalog is None:
+        catalog = generate(scale_factor=scale_factor, seed=seed)
+        _CATALOG_CACHE.put(key, catalog)
+    return catalog
 
 
 @dataclass(frozen=True)

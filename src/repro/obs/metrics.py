@@ -27,7 +27,7 @@ canonical wiring that registers every standard name an engine (or
 from __future__ import annotations
 
 import json
-from typing import Callable, Mapping, Optional
+from typing import Callable, Collection, Mapping, Optional
 
 __all__ = ["MetricsRegistry", "stall_breakdown", "render_stall_table"]
 
@@ -48,7 +48,7 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._values: dict[str, float] = {}
         self._sources: dict[str, Callable[[], float]] = {}
-        self._groups: list[Callable[[], Mapping[str, float]]] = []
+        self._groups: list[tuple[Callable[..., Mapping[str, float]], bool]] = []
 
     # -- write side --------------------------------------------------------
 
@@ -66,20 +66,31 @@ class MetricsRegistry:
         """Back ``name`` with a live callable read at snapshot time."""
         self._sources[name] = source
 
-    def register_group(self, source: Callable[[], Mapping[str, float]]) -> None:
+    def register_group(
+        self, source: Callable[..., Mapping[str, float]], scoped: bool = False
+    ) -> None:
         """Back a whole *family* of names with one callable returning a
-        flat dict — for dynamic instance sets (per-table, per-stage)."""
-        self._groups.append(source)
+        flat dict — for dynamic instance sets (per-table, per-stage).
+        A ``scoped`` source takes :meth:`snapshot`'s ``scope`` as its
+        one argument and leaves out the instances outside it."""
+        self._groups.append((source, scoped))
 
     # -- read side ---------------------------------------------------------
 
-    def snapshot(self) -> dict[str, float]:
-        """All current values as one flat dict, sorted by name."""
+    def snapshot(self, scope: Optional[Collection[str]] = None) -> dict[str, float]:
+        """All current values as one flat dict, sorted by name.
+
+        ``scope`` (a set of instance names) cuts the scoped families to
+        those instances — :meth:`for_engine` scopes ``stage.<op_id>.*``
+        by operator id, which is how a result keeps its own batch's
+        rows without the snapshot costing every operator the session
+        ever ran. Scalars and totals are the same with or without it.
+        """
         merged: dict[str, float] = dict(self._values)
         for name, source in self._sources.items():
             merged[name] = source()
-        for group in self._groups:
-            merged.update(group())
+        for group, scoped in self._groups:
+            merged.update(group(scope) if scoped else group())
         return dict(sorted(merged.items()))
 
     @staticmethod
@@ -120,7 +131,8 @@ class MetricsRegistry:
         simulator, ``buffer.*`` / ``memory.*`` / ``scan.<table>.*``
         from whichever storage layers the engine wires (absent layers
         contribute nothing), ``stage.<op_id>.*`` and the ``stall.*``
-        totals from the task ledger.
+        totals from the task ledger, and the process-wide ``cache.*``
+        gauges of the host-side caches.
         """
         registry = cls()
         sim = simulator if simulator is not None else engine.sim
@@ -132,19 +144,28 @@ class MetricsRegistry:
 
         pool = getattr(engine, "pool", None)
         if pool is not None:
-            registry.register_group(lambda p=pool: _buffer_family(p))
-            registry.register_group(lambda p=pool: _spill_family(p))
+            registry.register_group(lambda p=pool: _pool_families(p))
         memory = getattr(engine, "memory", None)
         if memory is not None:
             registry.register_group(lambda m=memory: _memory_family(m))
         scans = getattr(engine, "scan_manager", None)
         if scans is not None:
             registry.register_group(lambda s=scans: _scan_family(s))
-        registry.register_group(lambda s=sim: _stage_family(s))
+        registry.register_group(lambda scope, s=sim: _stage_family(s, scope), scoped=True)
+        registry.register_group(_cache_family)
         return registry
 
 
-def _buffer_family(pool) -> dict[str, float]:
+def _pool_families(pool) -> dict[str, float]:
+    """``buffer.*`` and ``spill.*`` from one pool snapshot.
+
+    The spill counters live on :class:`BufferStats` (every spill file
+    writes through the pool), but burying them under ``buffer.spill_*``
+    hid the one decomposition the external operators care about — how
+    much spill read cost stalled vs overlapped with CPU. The ``spill.*``
+    names are the documented surface; the ``buffer.spill_*`` aliases
+    remain for snapshot compatibility.
+    """
     snap = pool.snapshot()
     return {
         "buffer.capacity": snap.capacity,
@@ -159,21 +180,6 @@ def _buffer_family(pool) -> dict[str, float]:
         "buffer.spill_prefetch_issued": snap.spill_prefetch_issued,
         "buffer.spill_read_stall": snap.spill_read_stall,
         "buffer.spill_read_overlapped": snap.spill_read_overlapped,
-    }
-
-
-def _spill_family(pool) -> dict[str, float]:
-    """Spill read-back as a first-class family.
-
-    The counters live on :class:`BufferStats` (every spill file writes
-    through the pool), but burying them under ``buffer.spill_*`` hid
-    the one decomposition the external operators care about — how much
-    spill read cost stalled vs overlapped with CPU. The ``spill.*``
-    names are the documented surface; the ``buffer.spill_*`` aliases
-    remain for snapshot compatibility.
-    """
-    snap = pool.snapshot()
-    return {
         "spill.pages_written": snap.spill_pages_written,
         "spill.pages_read": snap.spill_pages_read,
         "spill.prefetch_issued": snap.spill_prefetch_issued,
@@ -183,13 +189,14 @@ def _spill_family(pool) -> dict[str, float]:
 
 
 def _memory_family(memory) -> dict[str, float]:
-    snap = memory.snapshot()
+    # The broker's counters, read directly: ``snapshot()`` would build a
+    # ``GrantSnapshot`` per listed grant just to be thrown away.
     return {
-        "memory.work_mem": snap.work_mem,
-        "memory.reserved": snap.reserved,
-        "memory.in_use": snap.in_use,
-        "memory.high_water": snap.high_water,
-        "memory.overcommits": snap.overcommits,
+        "memory.work_mem": memory.work_mem,
+        "memory.reserved": memory.reserved,
+        "memory.in_use": memory.in_use,
+        "memory.high_water": memory.high_water,
+        "memory.overcommits": memory.overcommits,
     }
 
 
@@ -217,28 +224,49 @@ def _scan_family(scans) -> dict[str, float]:
     return family
 
 
-def _stage_family(sim) -> dict[str, float]:
+def _stage_family(sim, op_ids: Optional[Collection[str]] = None) -> dict[str, float]:
     # Imported here to keep repro.obs importable without the engine
     # layer (the tracer is usable on a bare simulator).
-    from repro.engine.stats import stage_report
+    from repro.engine.stats import stage_rows
 
     family: dict[str, float] = {}
     totals = {category: 0.0 for category in STALL_CATEGORIES}
-    report = stage_report(sim)
-    for stats in report.stages:
-        prefix = f"stage.{stats.op_id}"
-        family[f"{prefix}.instances"] = stats.instances
-        family[f"{prefix}.busy"] = stats.busy_time
-        family[f"{prefix}.io"] = stats.io_time
-        family[f"{prefix}.drift_throttle"] = stats.drift_throttle
-        family[f"{prefix}.queue_block"] = stats.queue_block
-        totals["cpu"] += stats.busy_time - stats.io_time
-        totals["io"] += stats.io_time
-        totals["drift_throttle"] += stats.drift_throttle
-        totals["queue_block"] += stats.queue_block
+    for op_id, (instances, busy, io, throttle, blocked) in stage_rows(sim):
+        if op_ids is None or op_id in op_ids:
+            prefix = f"stage.{op_id}"
+            family[f"{prefix}.instances"] = instances
+            family[f"{prefix}.busy"] = busy
+            family[f"{prefix}.io"] = io
+            family[f"{prefix}.drift_throttle"] = throttle
+            family[f"{prefix}.queue_block"] = blocked
+        totals["cpu"] += busy - io
+        totals["io"] += io
+        totals["drift_throttle"] += throttle
+        totals["queue_block"] += blocked
     for category, value in totals.items():
         family[f"stall.{category}"] = value
     return family
+
+
+def _cache_family() -> dict[str, float]:
+    """The host-side caches' occupancy against their ceilings.
+
+    Process-wide, unlike every other family: the decoded-page memo and
+    the compiled-expression cache are shared by every session of the
+    process. Read from the caches' own counters at snapshot time.
+    """
+    # Imported here for the reason ``_stage_family`` imports.
+    from repro.engine.expressions import BATCH_CACHE
+    from repro.storage.table import PAGE_CACHE
+
+    return {
+        "cache.pages.signatures": len(PAGE_CACHE),
+        "cache.pages.cells": PAGE_CACHE.weight,
+        "cache.pages.budget": PAGE_CACHE.budget,
+        "cache.pages.evictions": PAGE_CACHE.evictions,
+        "cache.exprs.entries": len(BATCH_CACHE),
+        "cache.exprs.evictions": BATCH_CACHE.evictions,
+    }
 
 
 def stall_breakdown(snapshot: Mapping[str, float]) -> dict[str, float]:

@@ -80,7 +80,6 @@ class Simulator:
         self._idle: deque[Processor] = deque(self._processors)
         self._run_queue: deque[Task] = deque()
         self.tasks: list[Task] = []
-        self.queues: list[SimQueue] = []
         self.completions: list[Task] = []
         self._alive = 0
         # Optional flight recorder (see repro.obs.trace). ``None`` is
@@ -94,16 +93,19 @@ class Simulator:
         # hook site is one pointer test, and the profiler observes the
         # *host* clock only — it never feeds back into scheduling.
         self.perf = None
+        # ``repro.engine.stats.stage_report``'s resumable fold over
+        # ``tasks`` (a ``StageFold``), created on the first report. The
+        # simulator only carries it, as it carries the two observers
+        # above, so a report costs the tasks spawned since the last one.
+        self.stage_fold = None
 
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
 
     def queue(self, name: str, capacity: int = 4) -> SimQueue:
-        """Create a bounded queue registered with this simulator."""
-        q = SimQueue(name, capacity)
-        self.queues.append(q)
-        return q
+        """Create a bounded queue for this simulator's tasks."""
+        return SimQueue(name, capacity)
 
     def call_soon(self, fn: Callable[[], None]) -> None:
         """Run ``fn`` at the current simulated time, after the event

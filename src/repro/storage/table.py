@@ -8,13 +8,41 @@ an operator needs them.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Sequence
+import weakref
+from itertools import count
+from typing import Any, Hashable, Iterator, Sequence
 
 from repro.errors import StorageError
+from repro.storage.lru import WeightedLRU
 from repro.storage.page import DEFAULT_PAGE_ROWS, Page
 from repro.storage.schema import Schema
 
-__all__ = ["Table"]
+__all__ = ["Table", "PAGE_CACHE"]
+
+
+def _drop_slots(key: Hashable, table_ref: weakref.ref) -> None:
+    """Eviction drops the *table's* reference only: a scan in flight
+    keeps the slot list it attached, so no row or clock can change."""
+    table = table_ref()
+    if table is not None:
+        table._page_cache.pop(key[1], None)
+
+
+# The ceiling on decoded pages: 2 M cells (rows x columns) for the whole
+# process — one budget across every table of every catalog, so eight
+# tables times N catalogs cannot multiply it. Maps (table serial,
+# slot-list key) -> weak table, weighted by the slot list's upper
+# bound; the tables own the slot lists (they die with their table),
+# this only orders them for eviction, least recently *attached* first.
+# Sized from the repository benchmark's traffic, by that upper bound:
+# the memo-hot workloads re-attach 0.02-0.64 M cells of fused lists
+# every round (as much again in plain slices under them, which age out
+# first once the fused lists are full), an ad-hoc session parks 0.46 M
+# per round and never reads them again — so 2 M keeps every hot working
+# set with 3x headroom and caps ad-hoc garbage at three to four rounds'
+# worth.
+PAGE_CACHE = WeightedLRU(2_000_000, on_evict=_drop_slots)
+_SERIALS = count()
 
 
 class Table:
@@ -28,9 +56,12 @@ class Table:
         self._columns: list[list[Any]] = [[] for _ in schema.columns]
         # Decoded-page cache for the scan stage: per
         # (projection, page_rows) key, the lazily filled list of column
-        # slices of each page. Cleared on ingest; entries are shared
-        # with callers and read-only by convention (like ``column``).
+        # slices of each page. Cleared on ingest, evicted whole (least
+        # recently attached first) under ``PAGE_CACHE``'s budget;
+        # entries are shared with callers and read-only by convention
+        # (like ``column``).
         self._page_cache: dict[tuple, list] = {}
+        self._serial = next(_SERIALS)
 
     def __len__(self) -> int:
         return len(self._columns[0])
@@ -46,6 +77,8 @@ class Table:
         for column, value in zip(self._columns, stored):
             column.append(value)
         if self._page_cache:
+            for key in self._page_cache:
+                PAGE_CACHE.pop((self._serial, key))
             self._page_cache.clear()
 
     def insert_many(self, rows: Sequence[Sequence[Any]]) -> None:
@@ -114,14 +147,19 @@ class Table:
         rows the downstream may never materialize.
 
         Decoded pages are cached per (projection, page_rows) until the
-        next ingest, so concurrent scans of one table (and repeated
-        scans across queries) slice each page exactly once. The
+        next ingest or eviction, so concurrent scans of one table (and
+        repeated scans across queries) slice each page once. The
         returned lists are shared with the cache: read-only by
-        convention, like :meth:`column`.
+        convention, like :meth:`column`. Every call makes the
+        projection the most recently used under the page budget: this
+        is the scan stage's *miss* path (a fused-memo hit never gets
+        here), where the touch is noise beside the decode that follows
+        and keeps the projection an ad-hoc stream reads on every page.
         """
         key = (None if columns is None else tuple(columns), page_rows)
         pages = self._page_cache.get(key)
         if pages is not None and 0 <= index < len(pages):
+            PAGE_CACHE.get((self._serial, key))
             cached = pages[index]
             if cached is not None:
                 return cached
@@ -141,11 +179,21 @@ class Table:
         end = min(start + page_rows, len(self))
         slices = [col[start:end] for col in cols]
         if pages is None:
-            pages = self._page_cache[key] = [None] * n_pages
+            pages = self._attach(key, n_pages, len(cols))
         pages[index] = slices
         return slices
 
-    def fused_cache(self, key: tuple, n_pages: int) -> list:
+    def _attach(self, key: tuple, n_pages: int, width: int) -> list:
+        """A fresh slot list under ``key``, charged to the process-wide
+        budget at its upper bound (every row, ``width`` columns) — so
+        filling a slot never touches a counter. A list heavier than the
+        whole budget is evicted on the spot: the caller still fills and
+        reads it, the table just does not keep it."""
+        pages = self._page_cache[key] = [None] * n_pages
+        PAGE_CACHE.put((self._serial, key), weakref.ref(self), len(self) * width)
+        return pages
+
+    def fused_cache(self, key: tuple, n_pages: int, width: int) -> list:
         """Per-page memo slots for a derived (fused) scan of this table.
 
         The engine's scan stage parks its decoded/filtered/projected
@@ -153,13 +201,18 @@ class Table:
         perform the same scan work — re-submissions, convoy members,
         recurring templates — decode and filter each page once. This
         is the storage-side analogue of the engine's cross-query work
-        sharing, and it shares the ingest invalidation of the plain
-        page cache. Slots start as ``None``; entries are shared and
-        read-only by convention.
+        sharing, and it shares the ingest invalidation and the budget
+        of the plain page cache (``width`` is the scan's output width,
+        its weight per row). Slots start as ``None``; entries are shared
+        and read-only by convention. Each call is one *attach*: it makes
+        the signature the most recently used, which is all the recency
+        the budget keeps of a fused scan — reading or filling a slot
+        stays a bare list index.
         """
         pages = self._page_cache.get(key)
         if pages is None or len(pages) != n_pages:
-            pages = self._page_cache[key] = [None] * n_pages
+            return self._attach(key, n_pages, width)
+        PAGE_CACHE.get((self._serial, key))
         return pages
 
     def projected_schema(self, columns: Sequence[str] | None) -> Schema:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.db import Database, RuntimeConfig
+from repro.engine.expressions import col, lt
 from repro.obs.metrics import (
     MetricsRegistry,
     render_stall_table,
@@ -116,6 +117,27 @@ def test_snapshot_is_live_and_delta_isolates_batches():
     delta = MetricsRegistry.delta(first, second)
     assert delta["sim.now"] > 0
     assert delta["buffer.capacity"] == 0
+
+
+def test_scope_cuts_stage_rows_and_nothing_else():
+    """``snapshot(scope=op_ids)`` is the full snapshot minus the
+    ``stage.<op_id>.*`` rows of other operators — what a result keeps
+    of its batch. Scalars and the stall totals are untouched."""
+    session = _session()
+    first = session.run(session.table("t", columns=["k"]).order_by("k"))
+    second = session.run(session.table("t", columns=["k"]).where(lt(col("k"), 9)))
+    full = session.metrics().snapshot()
+    ops = {name.split(".")[1] for name in full if name.startswith("stage.")}
+    kept = {name.split(".")[1] for name in second.metrics if name.startswith("stage.")}
+    assert kept < ops  # the sort ran in the first batch only
+    assert second.metrics == session.metrics().snapshot(scope=kept)
+    assert second.metrics == {
+        name: value
+        for name, value in full.items()
+        if not name.startswith("stage.") or name.split(".")[1] in kept
+    }
+    assert first.metrics["sim.tasks"] < second.metrics["sim.tasks"]  # counters accumulate
+    assert session.metrics().snapshot(scope=ops) == full
 
 
 def test_scan_stall_reconciles_with_stage_io():

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.db import Database, RuntimeConfig
 from repro.engine import (
     CostModel,
     Engine,
@@ -134,6 +135,48 @@ class TestExternalSort:
             assert notes["merge_passes"] == plan_merge_passes(
                 notes["sort_runs"], max(2, work_mem - 1)
             )
+
+    def test_second_run_of_a_plan_reports_its_own_notes(self, catalog):
+        """``grant_notes`` used to return the *first* grant an owner
+        ever took: the second run of one plan in one session — here
+        with the budget a competing grant held back from the first —
+        reported the first run's runs and passes."""
+        config = RuntimeConfig(
+            work_mem=16, pool_pages=256, page_rows=PAGE_ROWS, processors=4, cost_model=COSTS
+        )
+        session = Database.open(catalog, config)
+        hog = session.memory.grant("hog", 14)
+        squeezed = session.run(_sort_plan(catalog))
+        hog.close()
+        roomy = session.run(_sort_plan(catalog))
+        assert roomy.rows == squeezed.rows
+        first, second = squeezed.grant_notes("big_sort"), roomy.grant_notes("big_sort")
+        assert first["sort_runs"] > second["sort_runs"] >= 1
+        assert first["merge_passes"] > second["merge_passes"]
+
+    def test_newest_grant_answers_over_a_whole_history(self, catalog):
+        """A hand-driven engine's broker forgets nothing; the notes are
+        still those of the owner's newest grant."""
+        sim = Simulator(processors=4)
+        memory = MemoryBroker(16)
+        engine = Engine(
+            catalog,
+            sim,
+            costs=COSTS,
+            page_rows=PAGE_ROWS,
+            buffer_pool=BufferPool(24),
+            memory=memory,
+        )
+        hog = memory.grant("hog", 14)
+        engine.execute(_sort_plan(catalog), "first")
+        sim.run()
+        squeezed = resource_report(engine).grant_notes("big_sort")
+        hog.close()
+        engine.execute(_sort_plan(catalog), "second")
+        sim.run()
+        report = resource_report(engine)
+        assert [grant.owner for grant in report.memory.grants].count("big_sort") == 2
+        assert report.grant_notes("big_sort")["sort_runs"] < squeezed["sort_runs"]
 
     def test_replacement_selection_lengthens_runs(self):
         """Run counts: sorted input → 1; random ≈ n/(2·budget);
