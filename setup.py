@@ -3,7 +3,8 @@
 The offline environment lacks the ``wheel`` package, so PEP 660
 editable installs fail; ``pip install -e . --no-use-pep517`` (or plain
 ``python setup.py develop``) uses this shim instead. All metadata —
-version, packages, console scripts — lives in pyproject.toml.
+packages, console scripts — lives in pyproject.toml, which reads the
+version from ``repro.__version__``.
 """
 
 from setuptools import setup

@@ -22,9 +22,8 @@ more runs over-determine the system and average out noise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import fsum, sqrt
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from repro.errors import EstimationError
 
@@ -93,30 +92,28 @@ def estimate_operator(observations: Sequence[Observation]) -> OperatorEstimate:
     """
     if not observations:
         raise EstimationError("need at least one observation")
-    per_unit = np.array([obs.busy_time / obs.units for obs in observations])
-    consumers = np.array([float(obs.consumers) for obs in observations])
+    n = len(observations)
+    per_unit = [obs.busy_time / obs.units for obs in observations]
+    consumers = [obs.consumers for obs in observations]
+    mean_y = fsum(per_unit) / n
 
-    if len(set(consumers.tolist())) == 1:
-        work = float(per_unit.mean())
-        fitted = np.full_like(per_unit, work)
-        residual = float(np.sqrt(np.mean((per_unit - fitted) ** 2)))
-        return OperatorEstimate(
-            work=max(work, 0.0),
-            output_cost=0.0,
-            residual=residual,
-            observations=len(observations),
-        )
-
-    design = np.column_stack([np.ones_like(consumers), consumers])
-    solution, *_ = np.linalg.lstsq(design, per_unit, rcond=None)
-    work, output_cost = (float(v) for v in solution)
-    fitted = design @ solution
-    residual = float(np.sqrt(np.mean((per_unit - fitted) ** 2)))
+    if len(set(consumers)) == 1:
+        work, output_cost = mean_y, 0.0
+    else:
+        # Two-parameter least squares in closed form, centred on the
+        # means; every sum is exactly rounded.
+        mean_x = fsum(consumers) / n
+        dx = [x - mean_x for x in consumers]
+        covariance = fsum(d * (y - mean_y) for d, y in zip(dx, per_unit))
+        output_cost = covariance / fsum(d * d for d in dx)
+        work = mean_y - output_cost * mean_x
+    errors = [y - (work + output_cost * x) for x, y in zip(consumers, per_unit)]
+    residual = sqrt(fsum(e * e for e in errors) / n)
     return OperatorEstimate(
         work=max(work, 0.0),
         output_cost=max(output_cost, 0.0),
         residual=residual,
-        observations=len(observations),
+        observations=n,
     )
 
 

@@ -91,18 +91,11 @@ def batch_makespan(
     processors: int,
     shared: bool,
     costs: CostModel = DEFAULT_COST_MODEL,
-    buffer_pool=None,
-    memory=None,
 ) -> float:
-    """Simulated time for ``m`` copies of ``query`` to complete.
-
-    ``buffer_pool`` / ``memory`` attach the optional resource layer
-    (see :class:`~repro.engine.engine.Engine`); the default is the
-    seed's ungoverned configuration.
-    """
+    """Simulated time for ``m`` copies of ``query`` to complete on an
+    ungoverned engine (no buffer pool, no memory broker)."""
     sim = Simulator(processors=processors)
-    engine = Engine(catalog, sim, costs=costs, buffer_pool=buffer_pool,
-                    memory=memory)
+    engine = Engine(catalog, sim, costs=costs)
     labels = [f"{query.name}#{i}" for i in range(m)]
     if shared and m > 1:
         engine.execute_group([query.plan] * m, pivot_op_id=query.pivot,

@@ -160,11 +160,10 @@ def _pool_families(pool) -> dict[str, float]:
     """``buffer.*`` and ``spill.*`` from one pool snapshot.
 
     The spill counters live on :class:`BufferStats` (every spill file
-    writes through the pool), but burying them under ``buffer.spill_*``
-    hid the one decomposition the external operators care about — how
-    much spill read cost stalled vs overlapped with CPU. The ``spill.*``
-    names are the documented surface; the ``buffer.spill_*`` aliases
-    remain for snapshot compatibility.
+    writes through the pool); they are published as their own
+    ``spill.*`` family because they carry the one decomposition the
+    external operators care about — how much spill read cost stalled
+    vs overlapped with CPU.
     """
     snap = pool.snapshot()
     return {
@@ -175,11 +174,6 @@ def _pool_families(pool) -> dict[str, float]:
         "buffer.misses": snap.misses,
         "buffer.hit_rate": snap.hit_rate,
         "buffer.evictions": snap.evictions,
-        "buffer.spill_pages_written": snap.spill_pages_written,
-        "buffer.spill_pages_read": snap.spill_pages_read,
-        "buffer.spill_prefetch_issued": snap.spill_prefetch_issued,
-        "buffer.spill_read_stall": snap.spill_read_stall,
-        "buffer.spill_read_overlapped": snap.spill_read_overlapped,
         "spill.pages_written": snap.spill_pages_written,
         "spill.pages_read": snap.spill_pages_read,
         "spill.prefetch_issued": snap.spill_prefetch_issued,

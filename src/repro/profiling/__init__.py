@@ -10,7 +10,6 @@ from repro.profiling.online import OnlineEstimator
 from repro.profiling.profiler import (
     QueryProfile,
     QueryProfiler,
-    ResourceFactory,
     observations_from_tasks,
 )
 
@@ -18,6 +17,5 @@ __all__ = [
     "OnlineEstimator",
     "QueryProfile",
     "QueryProfiler",
-    "ResourceFactory",
     "observations_from_tasks",
 ]

@@ -23,10 +23,10 @@ from collections import deque
 from typing import Deque, Optional
 
 from repro.core.estimation import Observation, estimate_many
-from repro.core.spec import OperatorSpec, QuerySpec
+from repro.core.spec import QuerySpec
 from repro.engine.plan import PlanNode
 from repro.errors import EstimationError
-from repro.profiling.profiler import QueryProfile, observations_from_tasks
+from repro.profiling.profiler import QueryProfile, observations_from_tasks, spec_from_estimates
 
 __all__ = ["OnlineEstimator"]
 
@@ -84,8 +84,7 @@ class OnlineEstimator:
             for consumers in (1, 2):
                 self._bucket(node.op_id, consumers).append(
                     Observation(
-                        busy_time=estimate.work
-                        + estimate.output_cost * consumers,
+                        busy_time=estimate.work + estimate.output_cost * consumers,
                         units=1.0,
                         consumers=consumers,
                     )
@@ -105,11 +104,7 @@ class OnlineEstimator:
         return {op_id for op_id, _ in self._samples}
 
     def _pivot_consumer_counts(self) -> set[int]:
-        return {
-            consumers
-            for op_id, consumers in self._samples
-            if op_id == self.pivot_op_id
-        }
+        return {consumers for op_id, consumers in self._samples if op_id == self.pivot_op_id}
 
     # ------------------------------------------------------------------
 
@@ -117,9 +112,7 @@ class OnlineEstimator:
         """Fold one completed group's stage tasks into the window."""
         if group_size < 1:
             raise EstimationError(f"group_size must be >= 1, got {group_size}")
-        for op_id, obs in observations_from_tasks(
-            self.plan, self.pivot_op_id, group_size, tasks
-        ):
+        for op_id, obs in observations_from_tasks(self.plan, self.pivot_op_id, group_size, tasks):
             self._bucket(op_id, obs.consumers).append(obs)
         self.groups_observed += 1
         if group_size > 1:
@@ -143,18 +136,6 @@ class OnlineEstimator:
                 f"{self.shared_groups_observed} shared"
             )
         estimates = estimate_many(
-            (op_id, obs)
-            for (op_id, _), bucket in self._samples.items()
-            for obs in bucket
+            (op_id, obs) for (op_id, _), bucket in self._samples.items() for obs in bucket
         )
-
-        def convert(node: PlanNode) -> OperatorSpec:
-            estimate = estimates[node.op_id]
-            return OperatorSpec(
-                name=node.op_id,
-                work=estimate.work,
-                output_cost=estimate.output_cost,
-                children=tuple(convert(child) for child in node.children),
-            )
-
-        return QuerySpec(root=convert(self.plan), label=self.label)
+        return spec_from_estimates(self.plan, estimates.__getitem__, self.label)

@@ -27,33 +27,22 @@ profiling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Mapping, Optional, Sequence
 
 from repro.core.estimation import Observation, OperatorEstimate, estimate_many
 from repro.core.spec import OperatorSpec, QuerySpec
 from repro.engine.costs import DEFAULT_COST_MODEL, CostModel
 from repro.engine.engine import Engine
-from repro.engine.memory import MemoryBroker
 from repro.engine.plan import PlanNode
-from repro.engine.stats import ResourceReport, resource_report
 from repro.errors import EstimationError
 from repro.sim.simulator import Simulator
-from repro.storage.buffer import BufferPool
 from repro.storage.catalog import Catalog
 from repro.storage.page import DEFAULT_PAGE_ROWS
-
-# A per-run supplier of (buffer pool, memory broker) — called once per
-# profiling invocation so every run starts from the same cache state
-# (cold, or prewarmed by the factory).
-ResourceFactory = Callable[
-    [], Tuple[Optional[BufferPool], Optional[MemoryBroker]]
-]
 
 __all__ = [
     "QueryProfile",
     "QueryProfiler",
-    "ResourceFactory",
     "observations_from_tasks",
 ]
 
@@ -91,33 +80,47 @@ def observations_from_tasks(
     for op_id, busy in busy_by_op.items():
         if op_id in shared_ids:
             consumers = m if op_id == pivot_op_id else 1
-            samples.append(
-                (op_id, Observation(busy_time=busy, units=1.0,
-                                    consumers=consumers))
-            )
+            samples.append((op_id, Observation(busy_time=busy, units=1.0, consumers=consumers)))
         else:
             count = instances[op_id]
-            samples.append(
-                (op_id, Observation(busy_time=busy / count, units=1.0,
-                                    consumers=1))
-            )
+            samples.append((op_id, Observation(busy_time=busy / count, units=1.0, consumers=1)))
     return samples
+
+
+def spec_from_estimates(
+    plan: PlanNode,
+    estimate_of: Callable[[str], OperatorEstimate],
+    label: str,
+    mark_blocking: bool = False,
+) -> QuerySpec:
+    """Mirror ``plan`` as a model-level :class:`QuerySpec`.
+
+    Each operator takes the ``w``/``s`` that ``estimate_of(op_id)``
+    returns; with ``mark_blocking`` the plan's aggregates and sorts
+    are flagged as stop-&-go operators.
+    """
+
+    def convert(node: PlanNode) -> OperatorSpec:
+        estimate = estimate_of(node.op_id)
+        return OperatorSpec(
+            name=node.op_id,
+            work=estimate.work,
+            output_cost=estimate.output_cost,
+            children=tuple(convert(child) for child in node.children),
+            blocking=mark_blocking and node.kind in ("aggregate", "sort"),
+        )
+
+    return QuerySpec(root=convert(plan), label=label)
 
 
 @dataclass(frozen=True)
 class QueryProfile:
-    """Fitted per-operator parameters for one query type.
-
-    ``resources`` carries one ``(sharers, ResourceReport)`` entry per
-    profiling run when the profiler was given a resource factory —
-    the buffer hit/miss and spill counters behind the fitted numbers.
-    """
+    """Fitted per-operator parameters for one query type."""
 
     label: str
     pivot_op_id: str
     estimates: Mapping[str, OperatorEstimate]
     plan: PlanNode
-    resources: Tuple[Tuple[int, ResourceReport], ...] = field(default=())
 
     def operator(self, op_id: str) -> OperatorEstimate:
         try:
@@ -146,19 +149,7 @@ class QueryProfile:
         aggregation trees); the simple fully-pipelined form — the one
         the paper validates — remains the default.
         """
-
-        def convert(node: PlanNode) -> OperatorSpec:
-            estimate = self.operator(node.op_id)
-            blocking = mark_blocking and node.kind in ("aggregate", "sort")
-            return OperatorSpec(
-                name=node.op_id,
-                work=estimate.work,
-                output_cost=estimate.output_cost,
-                children=tuple(convert(child) for child in node.children),
-                blocking=blocking,
-            )
-
-        return QuerySpec(root=convert(self.plan), label=label or self.label)
+        return spec_from_estimates(self.plan, self.operator, label or self.label, mark_blocking)
 
 
 class QueryProfiler:
@@ -171,14 +162,12 @@ class QueryProfiler:
         page_rows: int = DEFAULT_PAGE_ROWS,
         queue_capacity: int = 4,
         processors: int = 8,
-        resources: Optional[ResourceFactory] = None,
     ) -> None:
         self.catalog = catalog
         self.costs = costs
         self.page_rows = page_rows
         self.queue_capacity = queue_capacity
         self.processors = processors
-        self.resources = resources
 
     def profile(
         self,
@@ -195,27 +184,18 @@ class QueryProfiler:
         plan.find(pivot_op_id)  # validate early
 
         samples: list[tuple[str, Observation]] = []
-        run_resources: list[tuple[int, ResourceReport]] = []
         for m in sharer_counts:
-            run_samples, report = self._run_once(plan, pivot_op_id, m)
-            samples.extend(run_samples)
-            if report is not None:
-                run_resources.append((m, report))
-        estimates = estimate_many(samples)
+            samples.extend(self._run_once(plan, pivot_op_id, m))
         return QueryProfile(
             label=label,
             pivot_op_id=pivot_op_id,
-            estimates=estimates,
+            estimates=estimate_many(samples),
             plan=plan,
-            resources=tuple(run_resources),
         )
 
     # ------------------------------------------------------------------
 
-    def _run_once(
-        self, plan: PlanNode, pivot_op_id: str, m: int
-    ) -> tuple[list[tuple[str, Observation]], Optional[ResourceReport]]:
-        pool, memory = self.resources() if self.resources is not None else (None, None)
+    def _run_once(self, plan: PlanNode, pivot_op_id: str, m: int) -> list[tuple[str, Observation]]:
         sim = Simulator(processors=self.processors)
         engine = Engine(
             self.catalog,
@@ -223,20 +203,14 @@ class QueryProfiler:
             costs=self.costs,
             page_rows=self.page_rows,
             queue_capacity=self.queue_capacity,
-            buffer_pool=pool,
-            memory=memory,
         )
         if m == 1:
             engine.execute(plan, "prof#0")
         else:
             engine.execute_group(
-                [plan] * m, pivot_op_id=pivot_op_id,
+                [plan] * m,
+                pivot_op_id=pivot_op_id,
                 labels=[f"prof#{i}" for i in range(m)],
             )
         sim.run()
-        report = (
-            resource_report(engine)
-            if engine.pool is not None or engine.memory is not None
-            else None
-        )
-        return observations_from_tasks(plan, pivot_op_id, m, sim.tasks), report
+        return observations_from_tasks(plan, pivot_op_id, m, sim.tasks)

@@ -23,9 +23,8 @@ code with the stages:
   page-at-a-time, and the eight scenarios of the retired smoke-bench
   trajectory (``trajectory/...``: engine, elevator scans, external
   sort, drift throttle, traced and untraced facade, dop-4 aggregate,
-  open-system server), each built as its bench built it and equal to
-  the last committed checkpoint, ``BENCH_10.json``. A deliberate model
-  change re-records everything with
+  open-system server), each built as its bench built it. A deliberate
+  model change re-records everything with
   ``python tests/test_batch_parity.py``.
 """
 
@@ -428,12 +427,10 @@ NAMED_CASES["ordered_merge/dop4/b7"] = _ordered_merge_entry
 
 # -- the clock half, carried over: the retired BENCH trajectory -------------
 #
-# A smoke-bench suite used to write one checkpoint per PR
-# (BENCH_6..10.json, kept at the repo root as history) with a wall time,
-# a clock and a few counters for each of eight scenarios. Wall time is
-# bench/'s job; the clocks and counters are pinned here. Each recorder
-# builds its scenario exactly as its bench did, so every value equals
-# the last checkpoint's.
+# A retired smoke-bench suite measured a wall time, a clock and a few
+# counters for each of eight scenarios. Wall time is bench/'s job; the
+# clocks and counters are pinned here, each recorder building its
+# scenario exactly as its bench did.
 
 
 def _tpch():

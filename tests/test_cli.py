@@ -1,10 +1,16 @@
 """Tests for the ``repro`` command line: the experiment runner (driven
 both directly and as ``repro experiments``) and ``repro serve``."""
 
+import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main as repro_main
 from repro.experiments.cli import main
 
@@ -66,3 +72,35 @@ class TestServe:
         err = capsys.readouterr().err
         assert "unknown TPC-H query q99" in err
         assert "q1, q13, q4, q6" in err
+
+
+class TestStdlibOnlyRuntime:
+    def test_importing_every_entry_point_loads_no_third_party_module(self):
+        """The CLI, the server and every experiment driver import
+        nothing beyond ``repro`` and the standard library."""
+        src = Path(repro.__file__).resolve().parents[1]
+        # Modules the interpreter's own start-up loaded (site hooks of
+        # whatever is installed beside pytest) are not the package's.
+        program = (
+            "import sys, json; before = set(sys.modules); "
+            "import repro, repro.cli, repro.server, repro.experiments.cli; "
+            "tops = {name.partition('.')[0] for name in set(sys.modules) - before}; "
+            "print(json.dumps(sorted(tops - {'repro'} - set(sys.stdlib_module_names))))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", program],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == []
+
+    def test_pyproject_declares_no_dependency_and_no_static_version(self):
+        text = (Path(repro.__file__).resolve().parents[2] / "pyproject.toml").read_text()
+        project = re.search(r"^\[project\]\n(.*?)^\[", text, re.S | re.M).group(1)
+        assert re.search(r"^dependencies = \[\]$", project, re.M)
+        assert re.search(r'^dynamic = \["version"\]$', project, re.M)
+        assert not re.search(r"^version\b", project, re.M)
+        assert 'version = { attr = "repro.__version__" }' in text

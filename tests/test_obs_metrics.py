@@ -78,22 +78,6 @@ def test_for_engine_registers_every_family():
     assert result.metrics == snap
 
 
-def test_for_engine_registers_spill_family():
-    """Any engine with a pool serves the spill.* family, mirroring the
-    buffer.spill_* aliases value-for-value."""
-    session = _session()
-    session.run(session.table("t", columns=["k"]))
-    snap = session.metrics().snapshot()
-    for counter in (
-        "pages_written",
-        "pages_read",
-        "prefetch_issued",
-        "read_stall",
-        "read_overlapped",
-    ):
-        assert snap[f"spill.{counter}"] == snap[f"buffer.spill_{counter}"]
-
-
 def test_spill_family_counts_external_sort_traffic():
     """An under-memory sort spills and the family records the traffic."""
     catalog = Catalog()

@@ -66,7 +66,7 @@ def soak_server(catalog, **kwargs):
     )
 
 
-def run_soak(server, queries, *, seed=11, keep=False):
+def run_soak(server, queries, *, seed=11):
     mix = WorkloadMix({"q6": 0.7, "q4": 0.3})
     return server.serve(
         mix,
@@ -79,10 +79,10 @@ def run_soak(server, queries, *, seed=11, keep=False):
     )
 
 
-@pytest.fixture(scope="module")
-def soak(catalog, queries):
-    """One shared soak run (rows kept for the fidelity checks), with
-    tenant residency sampled every 5k time units while it runs."""
+def monitored_soak(catalog, queries):
+    """One seed-11 soak run on a fresh server (rows kept for the
+    fidelity checks), with tenant residency sampled every 5k time
+    units while it runs."""
     server = soak_server(catalog, keep_rows=True)
     pool = server.session.pool
     peaks = {name: 0 for name in WEIGHTS}
@@ -97,6 +97,12 @@ def soak(catalog, queries):
     server.session.sim.spawn(monitor(), name="soak/monitor")
     report = run_soak(server, queries)
     return server, report, peaks
+
+
+@pytest.fixture(scope="module")
+def soak(catalog, queries):
+    """The soak run every test in this module shares."""
+    return monitored_soak(catalog, queries)
 
 
 class TestSoak:
@@ -172,10 +178,11 @@ class TestSoak:
 
 
 class TestSoakDeterminism:
-    def test_same_seed_reproduces_the_report_exactly(self, catalog, queries):
-        def fingerprint():
-            server = soak_server(catalog, keep_rows=False)
-            report = run_soak(server, queries)
+    def test_same_seed_reproduces_the_report_exactly(self, soak, catalog, queries):
+        """A second, independently executed run with the shared run's
+        settings reproduces it to the last record."""
+
+        def fingerprint(server, report):
             return (
                 report.submitted,
                 report.completed,
@@ -189,10 +196,12 @@ class TestSoakDeterminism:
                 server.session.audit_log().to_json(),
             )
 
-        assert fingerprint() == fingerprint()
+        server, report, _ = soak
+        again, again_report, _ = monitored_soak(catalog, queries)
+        assert fingerprint(again, again_report) == fingerprint(server, report)
 
-    def test_different_seed_changes_the_arrivals(self, catalog, queries):
-        a = run_soak(soak_server(catalog, keep_rows=False), queries, seed=11)
+    def test_different_seed_changes_the_arrivals(self, soak, catalog, queries):
+        _, a, _ = soak
         b = run_soak(soak_server(catalog, keep_rows=False), queries, seed=12)
         assert (a.submitted, a.latency.to_dict()) != (
             b.submitted, b.latency.to_dict()
