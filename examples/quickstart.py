@@ -75,9 +75,12 @@ def presets(catalog) -> None:
     for name in ("laptop", "cmp32", "unbounded"):
         session = Database.open(catalog, name)
         result = session.run(q6_builder(session), label="q6")
-        resources = result.resources.render().splitlines()[0]
+        metrics = result.metrics
+        pool = (f"pool {metrics['buffer.hits']} hits / {metrics['buffer.misses']} misses, "
+                f"memory high-water {metrics['memory.high_water']} pages"
+                if "buffer.hits" in metrics else "no resource governance attached")
         print(f"   {name:>9}: {len(result.rows)} row(s) in "
-              f"{result.latency:,.0f} sim-units | {resources}")
+              f"{result.latency:,.0f} sim-units | {pool}")
     print()
 
 

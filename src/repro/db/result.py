@@ -5,9 +5,10 @@ the :class:`~repro.engine.packet.QueryHandle` (rows, timestamps), the
 simulator (makespan), the buffer pool and the memory broker (resource
 counters), plus the policy's decision record. :class:`QueryResult`
 carries all of it: the rows, the simulated latency, the sharing
-verdict that routed the query, and the merged
-:class:`~repro.engine.stats.ResourceReport` snapshotted when its batch
-finished (grant notes, spill stall/overlap split, hit rates).
+verdict that routed the query, and the flat
+:class:`~repro.obs.metrics.MetricsRegistry` snapshot taken when its
+batch finished (spill stall/overlap split, hit rates, stage times)
+with the batch's memory grants beside it.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.core.decision import ShareDecision
-from repro.engine.stats import ResourceReport
+from repro.engine.memory import GrantSnapshot, grant_notes
 from repro.obs.metrics import render_stall_table, stall_breakdown
 from repro.storage.schema import Schema
 
@@ -27,18 +28,18 @@ __all__ = ["QueryResult"]
 class QueryResult:
     """Everything one submitted query produced.
 
-    ``resources`` is the session-wide resource snapshot taken when the
+    ``metrics`` is the session's flat registry snapshot taken when the
     query's batch drained, shared by every query of the batch (the pool
-    and broker are session-global), and ``metrics`` the flat registry
-    snapshot of the same instant. Every *counter* in them is cumulative
+    and broker are session-global). Every *counter* in it is cumulative
     over the session — hits, misses, spill pages, ``memory.high_water``,
     scan statistics, ``sim.*``, the ``stall.*`` totals. Two things are
     scoped to the batch, so that a result's size does not grow with the
-    session's age: ``resources.memory.grants`` lists the grants open or
-    closed during this batch (``grant_notes`` therefore answers for this
-    run of a plan), and ``metrics`` carries the ``stage.<op_id>.*`` rows
-    of the operators that ran in this batch. ``Session.metrics()``
-    stays complete: every operator the session ever ran. ``decision``
+    session's age: ``grants`` lists the memory grants open or closed
+    during this batch (``grant_notes`` therefore answers for this run
+    of a plan; empty without a memory broker), and ``metrics`` carries
+    the ``stage.<op_id>.*`` rows of the operators that ran in this
+    batch. ``Session.metrics()`` stays complete: every operator the
+    session ever ran. ``decision``
     is the model verdict that routed the query (``None`` when routing
     was forced or trivially solo). ``makespan`` is the session clock
     when the query's batch drained; it is cumulative across batches
@@ -60,8 +61,10 @@ class QueryResult:
     ('probe', 4, False)
     >>> result.latency == result.finished_at - result.submitted_at
     True
-    >>> result.resources.render()   # the seed config governs nothing
-    'no resource governance attached'
+    >>> result.metrics["sim.now"] == result.makespan
+    True
+    >>> "buffer.hits" in result.metrics   # the seed config governs nothing
+    False
     """
 
     label: str
@@ -73,13 +76,13 @@ class QueryResult:
     shared: bool
     group_size: int
     decision: Optional[ShareDecision]
-    resources: ResourceReport
     makespan: float
     # Flat metrics snapshot at batch drain (from the session's
     # MetricsRegistry: cumulative counters, this batch's stage rows);
-    # None on results minted before the registry existed (hand-built
-    # results in tests).
+    # None on hand-built results in tests.
     metrics: Optional[dict] = None
+    # The memory broker's grants of this batch, oldest first.
+    grants: tuple[GrantSnapshot, ...] = ()
     # The audit records whose routing covered this submission.
     audit: tuple = ()
     # Per-operator wall-clock profiles at batch drain (hottest first,
@@ -102,20 +105,9 @@ class QueryResult:
         return self.finished_at - self.submitted_at
 
     def grant_notes(self, owner: str) -> dict:
-        """Operator-reported grant facts (e.g. ``sort_runs``)."""
-        return self.resources.grant_notes(owner)
-
-    @property
-    def drift_throttle_stall(self) -> float:
-        """Head-pause cost the drift bound charged in this query's
-        batch (session-cumulative, like every resource counter)."""
-        return self.resources.drift_throttle_stall
-
-    @property
-    def scan_sharing(self) -> tuple:
-        """Per-table elevator share/drift statistics at batch drain
-        (:class:`~repro.storage.shared_scan.TableScanStats`)."""
-        return self.resources.scans
+        """Operator-reported grant facts (e.g. ``sort_runs``) of this
+        batch's newest grant with that owner."""
+        return grant_notes(self.grants, owner)
 
     @property
     def stalls(self) -> dict:

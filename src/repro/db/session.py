@@ -47,7 +47,6 @@ from repro.db.result import QueryResult
 from repro.engine.engine import Engine
 from repro.engine.parallel import find_region
 from repro.engine.plan import PlanNode
-from repro.engine.stats import ResourceReport, resource_report, stage_report
 from repro.errors import EngineError
 from repro.obs import (
     AuditLog,
@@ -259,10 +258,6 @@ class Session:
         therefore finishes at its makespan)."""
         return self.sim.now
 
-    def resources(self) -> ResourceReport:
-        """Merged buffer/memory counters of this session so far."""
-        return resource_report(self.engine)
-
     def metrics(self) -> MetricsRegistry:
         """The session's unified metric surface — every storage, sim,
         and stage counter behind one ``snapshot()``/``delta()``."""
@@ -284,10 +279,6 @@ class Session:
                 "RuntimeConfig(perf=True) (or .with_(perf=True))"
             )
         return self._perf
-
-    def stages(self, **kwargs):
-        """Per-operator busy-time breakdown of this session so far."""
-        return stage_report(self.sim, **kwargs)
 
     def prewarm(self, *tables: str) -> int:
         """Load the given tables' pages into the pool (a warm cache)."""
@@ -380,8 +371,8 @@ class Session:
 
         What the results carry of the session's state is cut to the
         batch, so a session's cost per batch does not grow with its
-        age: ``resources.memory.grants`` lists the grants of this batch
-        (the broker forgets them once reported) and ``metrics`` keeps
+        age: ``grants`` lists the memory grants of this batch (the
+        broker forgets them once reported) and ``metrics`` keeps
         the ``stage.<op_id>.*`` rows of this batch's operators; every
         counter stays cumulative, and :meth:`metrics` stays complete.
         """
@@ -393,8 +384,9 @@ class Session:
         self.coordinator.drain()
         self.sim.run()
         self._join_audit(batch, reads_before)
-        report = self.resources()
+        grants = ()
         if self.engine.memory is not None:
+            grants = self.engine.memory.grants()
             self.engine.memory.forget_closed()
         ran = {task.name.rsplit("/", 1)[-1] for task in self.sim.tasks[spawned_before:]}
         snapshot = self._metrics.snapshot(scope=ran)
@@ -421,9 +413,9 @@ class Session:
                     shared=handle.shared,
                     group_size=entry.group_size,
                     decision=entry.decision,
-                    resources=report,
                     makespan=makespan,
                     metrics=snapshot,
+                    grants=grants,
                     audit=(entry.record,),
                     perf=wall_profile,
                 )
@@ -454,16 +446,10 @@ class Session:
 
         Pool misses already count elevator reads (the manager reads
         through ``pool.access``), so the pool is the single source of
-        truth when present; without one, the per-table scan stats are
-        the only read counter; without either, ``None`` (ungoverned
-        sessions measure no I/O)."""
+        truth; without one, ``None`` (ungoverned sessions measure no
+        I/O)."""
         pool = self.engine.pool
-        if pool is not None:
-            return float(pool.stats.misses)
-        scans = self.engine.scan_manager
-        if scans is not None:
-            return float(sum(s.physical_reads for s in scans.snapshot()))
-        return None
+        return float(pool.stats.misses) if pool is not None else None
 
     def projections(self, signature: Optional[str], m: int) -> dict:
         """The outlook's projections for one prospective group — the

@@ -15,7 +15,7 @@ from repro.engine.costs import (
     CostModel,
 )
 from repro.engine.engine import Engine
-from repro.engine.memory import MemoryBroker, MemoryGrant, MemorySnapshot
+from repro.engine.memory import MemoryBroker, MemoryGrant
 from repro.engine.packet import GroupHandle, QueryHandle
 from repro.engine.plan import (
     AggSpec,
@@ -32,13 +32,7 @@ from repro.engine.plan import (
 )
 from repro.engine.reference import execute_reference
 from repro.storage.shared_scan import ScanShareManager
-from repro.engine.stats import (
-    ResourceReport,
-    StageReport,
-    StageStats,
-    resource_report,
-    stage_report,
-)
+from repro.engine.stats import stage_rows
 
 __all__ = [
     "DEFAULT_COST_MODEL",
@@ -47,7 +41,6 @@ __all__ = [
     "Engine",
     "MemoryBroker",
     "MemoryGrant",
-    "MemorySnapshot",
     "GroupHandle",
     "QueryHandle",
     "AggSpec",
@@ -63,9 +56,5 @@ __all__ = [
     "sort",
     "execute_reference",
     "ScanShareManager",
-    "ResourceReport",
-    "StageReport",
-    "StageStats",
-    "resource_report",
-    "stage_report",
+    "stage_rows",
 ]

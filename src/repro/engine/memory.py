@@ -26,12 +26,12 @@ capacities and spill-file page counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.errors import EngineError
 from repro.obs.trace import TID_MEMORY
 
-__all__ = ["MemoryBroker", "MemoryGrant", "GrantSnapshot", "MemorySnapshot"]
+__all__ = ["MemoryBroker", "MemoryGrant", "GrantSnapshot", "grant_notes"]
 
 
 @dataclass(frozen=True)
@@ -40,8 +40,8 @@ class GrantSnapshot:
 
     ``notes`` carries operator-reported facts about how the grant was
     spent — the external sort reports ``sort_runs`` / ``merge_passes``
-    / ``spilled_pages``, so resource reports can show not just *that*
-    an operator stayed in budget but *how*.
+    / ``spilled_pages``, so a result can show not just *that* an
+    operator stayed in budget but *how*.
     """
 
     owner: str
@@ -52,34 +52,14 @@ class GrantSnapshot:
     notes: tuple = ()
 
 
-@dataclass(frozen=True)
-class MemorySnapshot:
-    """Immutable view of the broker's state, for reports."""
-
-    work_mem: int
-    reserved: int
-    in_use: int
-    high_water: int
-    overcommits: int
-    grants: tuple[GrantSnapshot, ...]
-
-    def render(self) -> str:
-        lines = [
-            f"work_mem {self.work_mem} pages: reserved {self.reserved}, "
-            f"in use {self.in_use}, high-water {self.high_water}, "
-            f"overcommits {self.overcommits}"
-        ]
-        for grant in self.grants:
-            state = "closed" if grant.closed else "open"
-            line = (
-                f"  {grant.owner}: budget {grant.pages}, "
-                f"high-water {grant.high_water} ({state})"
-            )
-            if grant.notes:
-                detail = ", ".join(f"{k}={v}" for k, v in grant.notes)
-                line += f" [{detail}]"
-            lines.append(line)
-        return "\n".join(lines)
+def grant_notes(grants: Sequence[GrantSnapshot], owner: str) -> dict:
+    """Operator-reported facts for one grant owner (e.g. the external
+    sort's ``sort_runs`` / ``merge_passes``) — of the newest grant with
+    that owner, when a plan ran more than once."""
+    for grant in reversed(grants):
+        if grant.owner == owner:
+            return dict(grant.notes)
+    raise KeyError(owner)
 
 
 class MemoryGrant:
@@ -137,7 +117,7 @@ class MemoryGrant:
 
     def note(self, **facts) -> None:
         """Attach operator-reported facts (e.g. ``sort_runs=5``) to
-        this grant; they surface in snapshots and resource reports."""
+        this grant; they surface in :meth:`MemoryBroker.grants`."""
         self.notes.update(facts)
 
     def close(self) -> None:
@@ -253,24 +233,20 @@ class MemoryBroker:
             )
         return grant
 
-    def snapshot(self) -> MemorySnapshot:
-        return MemorySnapshot(
-            work_mem=self.work_mem,
-            reserved=self.reserved,
-            in_use=self.in_use,
-            high_water=self.high_water,
-            overcommits=self.overcommits,
-            grants=tuple(g.snapshot() for g in self._grants),
-        )
+    def grants(self) -> tuple[GrantSnapshot, ...]:
+        """The open grants plus those closed since the last
+        :meth:`forget_closed`, oldest first — what a
+        :class:`~repro.db.result.QueryResult` carries of its batch."""
+        return tuple(grant.snapshot() for grant in self._grants)
 
     def forget_closed(self) -> None:
-        """Stop listing the grants closed so far in :meth:`snapshot`.
+        """Stop listing the grants closed so far in :meth:`grants`.
 
-        A long-lived owner calls this once it has taken the report that
-        covers them (``Session.run_all`` after each batch, ``Server``
-        after each serve call), so a snapshot lists the open grants
-        plus those closed since — the batch's own — and costs the
-        batch, not every grant the broker ever issued. The counters
+        A long-lived owner calls this once it has read the grants of
+        the work just finished (``Session.run_all`` after each batch,
+        ``Server`` after each serve call), so the list holds the open
+        grants plus those closed since — the batch's own — and costs
+        the batch, not every grant the broker ever issued. The counters
         (``high_water``, ``overcommits``) stay cumulative. A hand-driven
         engine never calls it and keeps the whole history.
         """

@@ -23,41 +23,41 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from repro.engine.operators import (
+    aggregate,
+    filter as filter_op,
+    hash_join,
+    limit,
+    merge_join,
+    nested_loop_join,
+    project,
+    scan,
+    sort,
+)
 from repro.engine.operators.api import BatchOperator, StageContext, drive
 from repro.errors import PlanError
 from repro.sim.queues import SimQueue
 
 __all__ = ["StageContext", "BatchOperator", "drive", "build_operator_task"]
 
+_OPERATORS = {
+    "scan": scan.ScanOperator,
+    "filter": filter_op.FilterOperator,
+    "project": project.ProjectOperator,
+    "aggregate": aggregate.AggregateOperator,
+    "sort": sort.SortOperator,
+    "limit": limit.LimitOperator,
+    "hash_join": hash_join.HashJoinOperator,
+    "merge_join": merge_join.MergeJoinOperator,
+    "nested_loop_join": nested_loop_join.NestedLoopJoinOperator,
+}
+
 
 def build_operator_task(node, in_queues: Sequence[SimQueue],
                         out_queues: Sequence[SimQueue], ctx: StageContext):
     """Instantiate the stage generator for one plan node."""
-    from repro.engine.operators import (
-        aggregate,
-        filter as filter_op,
-        hash_join,
-        limit,
-        merge_join,
-        nested_loop_join,
-        project,
-        scan,
-        sort,
-    )
-
-    operators = {
-        "scan": scan.ScanOperator,
-        "filter": filter_op.FilterOperator,
-        "project": project.ProjectOperator,
-        "aggregate": aggregate.AggregateOperator,
-        "sort": sort.SortOperator,
-        "limit": limit.LimitOperator,
-        "hash_join": hash_join.HashJoinOperator,
-        "merge_join": merge_join.MergeJoinOperator,
-        "nested_loop_join": nested_loop_join.NestedLoopJoinOperator,
-    }
     try:
-        operator_cls = operators[node.kind]
+        operator_cls = _OPERATORS[node.kind]
     except KeyError:
         raise PlanError(f"no stage implementation for operator kind {node.kind!r}")
     if len(in_queues) != operator_cls.ports:

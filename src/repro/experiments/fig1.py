@@ -54,6 +54,10 @@ class Fig1Result:
         )
 
 
+# ``repro experiments fig1 --quick``: a trimmed client axis.
+QUICK = {"clients": (1, 2, 4, 8, 16)}
+
+
 def run(
     clients: Sequence[int] = DEFAULT_CLIENTS,
     processor_counts: Sequence[int] = PAPER_PROCESSOR_COUNTS,
@@ -65,7 +69,3 @@ def run(
         speedup_series(catalog, "q6", n, clients) for n in processor_counts
     )
     return Fig1Result(series=series)
-
-
-if __name__ == "__main__":
-    print(run().render())

@@ -48,6 +48,10 @@ class Fig2Result:
         )
 
 
+# ``repro experiments fig2 --quick``: a trimmed client axis.
+QUICK = {"clients": (1, 2, 4, 8, 16)}
+
+
 def run(
     clients: Sequence[int] = DEFAULT_CLIENTS,
     processor_counts: Sequence[int] = PAPER_PROCESSOR_COUNTS,
@@ -66,7 +70,3 @@ def run(
         for n in processor_counts
     )
     return Fig2Result(scan_heavy=scan_series, join_heavy=join_series)
-
-
-if __name__ == "__main__":
-    print(run().render())

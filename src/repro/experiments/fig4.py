@@ -59,13 +59,13 @@ class Fig4Result:
         return "\n\n".join(blocks)
 
 
+# ``repro experiments fig4 --quick``: a trimmed client axis.
+QUICK = {"clients": tuple(range(1, 21))}
+
+
 def run(clients: Sequence[int] = DEFAULT_CLIENTS) -> Fig4Result:
     return Fig4Result(
         processors=sweep_processors(clients=clients),
         output_cost=sweep_output_cost(clients=clients),
         work_below=sweep_work_below_pivot(clients=clients),
     )
-
-
-if __name__ == "__main__":
-    print(run().render())

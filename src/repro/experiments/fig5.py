@@ -117,6 +117,10 @@ class Fig5Result:
         )
 
 
+# ``repro experiments fig5 --quick``: a trimmed client axis.
+QUICK = {"clients": (2, 8, 16)}
+
+
 def run(
     clients: Sequence[int] = DEFAULT_CLIENTS,
     processor_counts: Sequence[int] = PAPER_PROCESSOR_COUNTS,
@@ -151,7 +155,3 @@ def run(
                     )
                 )
     return Fig5Result(points=tuple(points))
-
-
-if __name__ == "__main__":
-    print(run().render())

@@ -107,6 +107,11 @@ class Fig6Result:
         return "\n\n".join(blocks)
 
 
+# ``repro experiments fig6 --quick``: the ends and middle of the mix
+# axis over half the measurement window.
+QUICK = {"fractions": (0.0, 0.5, 1.0), "window": 400_000.0}
+
+
 def run(
     fractions: Sequence[float] = DEFAULT_FRACTIONS,
     processor_counts: Sequence[int] = (2, 32),
@@ -152,7 +157,3 @@ def run(
                     )
                 )
     return Fig6Result(cells=tuple(cells), n_clients=n_clients)
-
-
-if __name__ == "__main__":
-    print(run().render())

@@ -144,6 +144,11 @@ class FigAuditResult:
         return "\n\n".join(blocks)
 
 
+# ``repro experiments fig_audit --quick``: the flip needs the full
+# tenant count, so quick mode trims rows.
+QUICK = {"base_rows": 3000}
+
+
 def run(
     tenants: int = 8,
     processors: int = 4,
@@ -167,7 +172,3 @@ def run(
         ),
     )
     return FigAuditResult(cells=cells, tenants=tenants, processors=processors)
-
-
-if __name__ == "__main__":
-    print(run().render())

@@ -51,13 +51,13 @@ from repro.engine import (
     scan,
 )
 from repro.engine.expressions import col, lt, mul
-from repro.engine.stats import ResourceReport
 from repro.experiments.common import (
     DEFAULT_SCALE_FACTOR,
     DEFAULT_SEED,
     shared_catalog,
 )
 from repro.experiments.report import format_table
+from repro.obs.metrics import render_resources
 from repro.storage import Catalog, DataType, Schema
 from repro.storage.page import DEFAULT_PAGE_ROWS
 
@@ -127,15 +127,15 @@ def sweep_work_mem(
             processors=processors, cost_model=costs,
         ))
         result = session.run(plan, label=f"sweep@{work_mem}")
-        report = result.resources
+        metrics = result.metrics
         points.append(MemSweepPoint(
             work_mem=work_mem,
             makespan=result.makespan,
-            spill_pages_written=report.spill_pages_written,
-            spill_pages_read=report.spill_pages_read,
-            buffer_hit_rate=report.hit_rate,
-            mem_high_water=report.memory.high_water,
-            overcommits=report.memory.overcommits,
+            spill_pages_written=metrics["spill.pages_written"],
+            spill_pages_read=metrics["spill.pages_read"],
+            buffer_hit_rate=metrics["buffer.hit_rate"],
+            mem_high_water=metrics["memory.high_water"],
+            overcommits=metrics["memory.overcommits"],
             rows_out=len(result.rows),
         ))
     return tuple(points)
@@ -154,8 +154,8 @@ class FlipConfig:
     decision: ShareDecision
     makespan_unshared: float
     makespan_shared: float
-    unshared_resources: ResourceReport
-    shared_resources: ResourceReport
+    unshared_metrics: dict
+    shared_metrics: dict
 
     @property
     def measured_benefit(self) -> float:
@@ -221,8 +221,9 @@ def _measure_flip(
     page_rows: int,
     warm: bool,
     costs: CostModel,
-) -> tuple[float, float, ResourceReport, ResourceReport]:
-    """Measured makespans (unshared-private-replicas, shared-common)."""
+) -> tuple[float, float, dict, dict]:
+    """Measured makespans (unshared-private-replicas, shared-common)
+    and each run's metrics snapshot."""
     config = _flip_config(processors, pool_pages, page_rows, costs)
 
     def open_session(warm_tables):
@@ -238,18 +239,16 @@ def _measure_flip(
     for t, name in enumerate(replica_names):
         session.submit(_flip_query(session, name), label=f"tenant{t}",
                        share=False)
-    session.run_all()
+    unshared_metrics = session.run_all()[-1].metrics
     unshared_makespan = session.now
-    unshared_resources = session.resources()
 
     # Shared: one scan of the common table feeds every tenant.
     session = open_session([FLIP_TABLE])
     query = _flip_query(session, FLIP_TABLE)
     for t in range(tenants):
         session.submit(query, label=f"tenant{t}", share=True)
-    session.run_all()
-    return (unshared_makespan, session.now, unshared_resources,
-            session.resources())
+    shared_metrics = session.run_all()[-1].metrics
+    return unshared_makespan, session.now, unshared_metrics, shared_metrics
 
 
 def run_flip(
@@ -274,7 +273,7 @@ def run_flip(
         if warm:
             session.prewarm(FLIP_TABLE)
         decision = session.advise(_flip_query(session, FLIP_TABLE), tenants)
-        (mk_unshared, mk_shared, res_unshared, res_shared) = _measure_flip(
+        mk_unshared, mk_shared, metrics_unshared, metrics_shared = _measure_flip(
             catalog, tenants, processors, pool_pages, page_rows, warm, costs,
         )
         configs.append(FlipConfig(
@@ -282,8 +281,8 @@ def run_flip(
             decision=decision,
             makespan_unshared=mk_unshared,
             makespan_shared=mk_shared,
-            unshared_resources=res_unshared,
-            shared_resources=res_shared,
+            unshared_metrics=metrics_unshared,
+            shared_metrics=metrics_shared,
         ))
     return tuple(configs)
 
@@ -349,15 +348,17 @@ class FigMemResult:
                 f"(unshared {config.makespan_unshared:.0f}, "
                 f"shared {config.makespan_shared:.0f})"
             )
-            lines.append(
-                "        unshared " + config.unshared_resources.render()
-            )
-            lines.append(
-                "        shared   " + config.shared_resources.render()
-            )
+            # The flip sessions wire a pool only: its line comes first.
+            for side, metrics in (("unshared", config.unshared_metrics),
+                                  ("shared  ", config.shared_metrics)):
+                lines.append(f"        {side} " + render_resources(metrics).splitlines()[0])
         lines.append(f"  decision flipped cold->warm: {self.decision_flipped()}")
         blocks.append("\n".join(lines))
         return "\n\n".join(blocks)
+
+
+# ``repro experiments fig_mem --quick``.
+QUICK = {"work_mems": (16, 4), "tenants": 8, "processors": 4}
 
 
 def run(
@@ -372,7 +373,3 @@ def run(
     flips = run_flip(tenants=tenants, processors=processors, seed=seed)
     return FigMemResult(sweep=sweep, flips=flips, tenants=tenants,
                         processors=processors)
-
-
-if __name__ == "__main__":
-    print(run().render())

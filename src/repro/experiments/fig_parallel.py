@@ -370,6 +370,12 @@ def _policy_mode(
     return projection.mode
 
 
+# ``repro experiments fig_parallel --quick`` keeps the corner cells:
+# the crossover claims are asserted at the extremes of the
+# context/consumer axes.
+QUICK = {"consumers": (2, 12), "parity_dops": (1, 4)}
+
+
 def run(
     contexts: Sequence[tuple] = DEFAULT_CONTEXTS,
     consumers: Sequence[int] = DEFAULT_CONSUMERS,
@@ -453,7 +459,3 @@ def run(
                 )
 
     return FigParallelResult(cells=tuple(cells), parity=tuple(parity), dop=dop)
-
-
-if __name__ == "__main__":
-    print(run().render())

@@ -37,12 +37,8 @@ from repro.db import Database, RuntimeConfig, Session
 from repro.engine import CostModel
 from repro.experiments.common import DEFAULT_SEED
 from repro.experiments.report import format_table
-from repro.storage import (
-    Catalog,
-    DataType,
-    Schema,
-    TableScanStats,
-)
+from repro.obs.metrics import render_resources
+from repro.storage import Catalog, DataType, Schema
 from repro.storage.page import DEFAULT_PAGE_ROWS
 
 __all__ = [
@@ -142,7 +138,7 @@ def _measure_share_point(
     page_rows: int,
     prefetch_depth: int,
     reference_rows: list,
-) -> tuple[SharePoint, TableScanStats]:
+) -> tuple[SharePoint, dict]:
     pages = catalog.table(SCAN_TABLE).page_count(page_rows)
 
     # Cooperative: every consumer scans the common table through one
@@ -153,7 +149,8 @@ def _measure_share_point(
     ))
     results = _staggered_scans(session, [SCAN_TABLE] * consumers, stagger)
     coop_makespan = session.now
-    stats = session.scans.snapshot()[0]
+    metrics = results[0].metrics
+    reads = metrics[f"scan.{SCAN_TABLE}.physical_reads"]
     identical = len(results) == consumers and all(
         sorted(result.rows) == reference_rows for result in results
     )
@@ -171,15 +168,15 @@ def _measure_share_point(
         consumers=consumers,
         stagger_fraction=stagger_fraction,
         table_pages=pages,
-        cooperative_reads=stats.physical_reads,
+        cooperative_reads=reads,
         independent_reads=session.pool.stats.misses,
         makespan_cooperative=coop_makespan,
         makespan_independent=session.now,
         identical_answers=identical,
-        max_attach_depth=stats.max_attach_depth,
-        pages_per_read=stats.pages_per_read,
+        max_attach_depth=metrics[f"scan.{SCAN_TABLE}.max_attach_depth"],
+        pages_per_read=metrics[f"scan.{SCAN_TABLE}.pages_served"] / reads,
     )
-    return point, stats
+    return point, metrics
 
 
 # ----------------------------------------------------------------------
@@ -211,14 +208,14 @@ def _measure_prefetch(
     ))
     query = session.table(SCAN_TABLE, columns=["k", "v"]).build()
     result = session.run(query, label=f"prefetch@{depth}")
-    stats = session.scans.snapshot()[0]
     scan_op = query.plan.op_id
+    metrics = result.metrics
     return PrefetchPoint(
         depth=depth,
         makespan=result.makespan,
-        io_stall_cost=stats.io_stall_cost,
-        io_overlapped_cost=stats.io_overlapped_cost,
-        scan_io_share=session.stages().stage(scan_op).io_share,
+        io_stall_cost=metrics[f"scan.{SCAN_TABLE}.io_stall"],
+        io_overlapped_cost=metrics[f"scan.{SCAN_TABLE}.io_overlapped"],
+        scan_io_share=metrics[f"stage.{scan_op}.io"] / metrics[f"stage.{scan_op}.busy"],
     )
 
 
@@ -273,7 +270,8 @@ class FigScanResult:
     share: tuple[SharePoint, ...]
     prefetch: tuple[PrefetchPoint, ...]
     eviction: tuple[EvictionPoint, ...]
-    scan_stats: TableScanStats
+    # The metrics snapshot of the last sweep cell's cooperative session.
+    metrics: dict
     processors: int
 
     def io_ratio_ok(self, bound: float = 1.2) -> bool:
@@ -353,9 +351,13 @@ class FigScanResult:
             + f"\n  scan-aware beats LRU on reuse: "
             f"{self.scan_aware_eviction_wins()}"
         )
-        blocks.append("Cursor stats (last sweep cell): "
-                      + self.scan_stats.render())
+        blocks.append("Resources (last sweep cell):\n"
+                      + render_resources(self.metrics))
         return "\n\n".join(blocks)
+
+
+# ``repro experiments fig_scan --quick``.
+QUICK = {"consumers": (2, 4), "staggers": (0.0, 0.5), "prefetch_depths": (0, 2)}
 
 
 def run(
@@ -374,10 +376,10 @@ def run(
     reference_rows = sorted(catalog.table(SCAN_TABLE).rows())
 
     share = []
-    last_stats = None
+    last_metrics = None
     for m in consumers:
         for fraction in staggers:
-            point, last_stats = _measure_share_point(
+            point, last_metrics = _measure_share_point(
                 catalog, m, fraction * solo, fraction, processors,
                 page_rows, sweep_prefetch_depth, reference_rows,
             )
@@ -394,10 +396,6 @@ def run(
         share=tuple(share),
         prefetch=prefetch,
         eviction=eviction,
-        scan_stats=last_stats,
+        metrics=last_metrics,
         processors=processors,
     )
-
-
-if __name__ == "__main__":
-    print(run().render())

@@ -157,6 +157,12 @@ def _solo_service_time(catalog, query, processors: int) -> float:
     return result.finished_at - result.submitted_at
 
 
+# ``repro experiments fig_server --quick`` keeps the corner rates: the
+# straggler-factory claim (light load) and the few-core sharing win
+# (overload) both live at the extremes of the rate axis.
+QUICK = {"rate_multiples": (1.0, 4.0, 8.0), "horizon_services": 40.0}
+
+
 def run(
     rate_multiples: Sequence[float] = DEFAULT_RATE_MULTIPLES,
     processor_counts: Sequence[int] = DEFAULT_PROCESSOR_COUNTS,
@@ -226,7 +232,3 @@ def run(
         rate_multiples=tuple(rate_multiples),
         processor_counts=tuple(processor_counts),
     )
-
-
-if __name__ == "__main__":
-    print(run().render())

@@ -148,15 +148,14 @@ def _measure_budget(
 ) -> SortPoint:
     rows, makespan, result = _run_once(catalog, work_mem, pool_pages, processors, page_rows)
     topn_rows, _, _ = _run_once(catalog, work_mem, pool_pages, processors, page_rows, top_n=TOPN)
-    report = result.resources
-    notes = report.grant_notes("big_sort")
+    notes = result.grant_notes("big_sort")
     return SortPoint(
         work_mem=work_mem,
         makespan=makespan,
         sort_runs=notes.get("sort_runs", 0),
         merge_passes=notes.get("merge_passes", 0),
         spilled_pages=notes.get("spilled_pages", 0),
-        spill_pages_read=report.spill_pages_read,
+        spill_pages_read=result.metrics["spill.pages_read"],
         identical=rows == reference_rows,
         topn_identical=topn_rows == reference_topn,
     )
@@ -196,13 +195,13 @@ def _measure_prefetch(
         page_rows,
         prefetch_depth=depth,
     )
-    report = result.resources
+    metrics = result.metrics
     return SpillPrefetchPoint(
         depth=depth,
         makespan=makespan,
-        read_stall=report.spill_read_stall,
-        read_overlapped=report.spill_read_overlapped,
-        prefetch_issued=report.spill_prefetch_issued,
+        read_stall=metrics["spill.read_stall"],
+        read_overlapped=metrics["spill.read_overlapped"],
+        prefetch_issued=metrics["spill.prefetch_issued"],
         identical=rows == reference_rows,
     )
 
@@ -308,6 +307,10 @@ class FigSortResult:
         return "\n\n".join(blocks)
 
 
+# ``repro experiments fig_sort --quick``.
+QUICK = {"work_mems": (128, 8, 2), "prefetch_depths": (0, 2)}
+
+
 def run(
     work_mems: Sequence[int] = DEFAULT_WORK_MEMS,
     prefetch_depths: Sequence[int] = DEFAULT_PREFETCH_DEPTHS,
@@ -352,7 +355,3 @@ def run(
         prefetch_work_mem=prefetch_work_mem,
         processors=processors,
     )
-
-
-if __name__ == "__main__":
-    print(run().render())

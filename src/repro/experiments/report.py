@@ -10,17 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
-from repro.obs.metrics import render_stall_table
-
-__all__ = ["format_table", "series_table", "ascii_chart", "stall_table"]
-
-
-def stall_table(snapshot: Mapping[str, float]) -> str:
-    """The cpu/io/drift_throttle/queue_block breakdown of a metrics
-    snapshot, in the one canonical format every consumer shares
-    (:func:`repro.obs.metrics.render_stall_table`). Feed it
-    ``session.metrics().snapshot()`` or ``QueryResult.metrics``."""
-    return render_stall_table(snapshot)
+__all__ = ["format_table", "series_table", "ascii_chart"]
 
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence]) -> str:

@@ -57,6 +57,10 @@ def q6_spec() -> QuerySpec:
                      label="q6")
 
 
+# ``repro experiments section4 --quick`` is the full run.
+QUICK = {}
+
+
 def run(
     client_counts=(1, 4, 16, 48),
     processor_counts=(1, 2, 8, 32),
@@ -81,7 +85,3 @@ def run(
         total_work_per_query=metrics.total_work(spec),
         rows=tuple(rows),
     )
-
-
-if __name__ == "__main__":
-    print(run().render())

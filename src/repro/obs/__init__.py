@@ -8,7 +8,7 @@ detached:
   recorder the simulator and storage components feed, exportable as
   Chrome/Perfetto ``trace_event`` JSON or a text timeline;
 * :mod:`repro.obs.metrics` — :class:`MetricsRegistry`, one named
-  counter/gauge surface over the scattered stats dataclasses, with
+  counter/gauge surface over the engine's scattered counters, with
   ``snapshot()``/``delta()`` and flat-dict JSON export;
 * :mod:`repro.obs.audit` — :class:`AuditLog`/:class:`AuditRecord`,
   the projected-vs-measured ledger of every share/solo routing

@@ -1,12 +1,12 @@
 """One metric surface over the engine's scattered counters.
 
-The reproduction accumulated four ad-hoc stats dataclasses —
-``BufferStats``/``BufferSnapshot``, ``MemorySnapshot``,
-``TableScanStats``, ``StageStats`` — plus the simulator's utilization,
-each with its own field names and render format. Every consumer
-(experiment drivers, benchmarks, ``QueryResult.render()``) re-derived
-its own joins. :class:`MetricsRegistry` unifies them behind *named*
-counters and gauges with a flat-dict snapshot:
+The engine's counters live where they are incremented — the pool's
+``BufferStats``, the memory broker's fields, the scan manager's
+per-table ``TableScanStats``, each task's busy/io/throttle ledger, the
+simulator's utilization. :class:`MetricsRegistry` is the one place they
+are *read*: every consumer (experiment drivers, benchmarks,
+``QueryResult``) asks for a name, not for a component's object.
+Named counters and gauges with a flat-dict snapshot:
 
 * manual counters/gauges via :meth:`inc` / :meth:`set`;
 * live gauges via :meth:`register` (a zero-argument callable read at
@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 from typing import Callable, Collection, Mapping, Optional
 
-__all__ = ["MetricsRegistry", "stall_breakdown", "render_stall_table"]
+__all__ = ["MetricsRegistry", "stall_breakdown", "render_stall_table", "render_resources"]
 
 # The four stall categories of the paper's time decomposition, in
 # report order: pure CPU work, I/O stall inside busy time, off-CPU
@@ -157,7 +157,7 @@ class MetricsRegistry:
 
 
 def _pool_families(pool) -> dict[str, float]:
-    """``buffer.*`` and ``spill.*`` from one pool snapshot.
+    """``buffer.*`` and ``spill.*`` from one pool's counters.
 
     The spill counters live on :class:`BufferStats` (every spill file
     writes through the pool); they are published as their own
@@ -165,26 +165,24 @@ def _pool_families(pool) -> dict[str, float]:
     external operators care about — how much spill read cost stalled
     vs overlapped with CPU.
     """
-    snap = pool.snapshot()
+    stats = pool.stats
     return {
-        "buffer.capacity": snap.capacity,
-        "buffer.resident": snap.resident,
-        "buffer.pinned": snap.pinned,
-        "buffer.hits": snap.hits,
-        "buffer.misses": snap.misses,
-        "buffer.hit_rate": snap.hit_rate,
-        "buffer.evictions": snap.evictions,
-        "spill.pages_written": snap.spill_pages_written,
-        "spill.pages_read": snap.spill_pages_read,
-        "spill.prefetch_issued": snap.spill_prefetch_issued,
-        "spill.read_stall": snap.spill_read_stall,
-        "spill.read_overlapped": snap.spill_read_overlapped,
+        "buffer.capacity": pool.capacity,
+        "buffer.resident": len(pool),
+        "buffer.pinned": pool.pinned_count(),
+        "buffer.hits": stats.hits,
+        "buffer.misses": stats.misses,
+        "buffer.hit_rate": stats.hit_rate,
+        "buffer.evictions": stats.evictions,
+        "spill.pages_written": stats.spill_pages_written,
+        "spill.pages_read": stats.spill_pages_read,
+        "spill.prefetch_issued": stats.spill_prefetch_issued,
+        "spill.read_stall": stats.spill_read_stall,
+        "spill.read_overlapped": stats.spill_read_overlapped,
     }
 
 
 def _memory_family(memory) -> dict[str, float]:
-    # The broker's counters, read directly: ``snapshot()`` would build a
-    # ``GrantSnapshot`` per listed grant just to be thrown away.
     return {
         "memory.work_mem": memory.work_mem,
         "memory.reserved": memory.reserved,
@@ -306,4 +304,90 @@ def render_stall_table(snapshot: Mapping[str, float]) -> str:
             f"({snapshot.get('spill.pages_written', 0):.0f}w/"
             f"{snapshot.get('spill.pages_read', 0):.0f}r pages)"
         )
+    return "\n".join(lines)
+
+
+def _family(snapshot: Mapping[str, float], prefix: str) -> dict[str, float]:
+    """The names under ``prefix``, keyed by what follows it."""
+    return {
+        name[len(prefix):]: value
+        for name, value in snapshot.items()
+        if name.startswith(prefix)
+    }
+
+
+def _instances(family: Mapping[str, float], counter: str) -> list[str]:
+    """The instances of a ``<instance>.<counter>`` family."""
+    tail = f".{counter}"
+    return [name[: -len(tail)] for name in family if name.endswith(tail)]
+
+
+def render_resources(snapshot: Mapping[str, float]) -> str:
+    """The storage layers and stages of a flat snapshot as text.
+
+    One line each for the buffer pool, working memory and every
+    table's elevator — in that order; a layer the engine does not wire
+    has no names in the snapshot and no line here — then the per-stage
+    busy table, bottleneck first, bars scaled to the stages shown.
+    """
+    lines = []
+    buffer, spill = _family(snapshot, "buffer."), _family(snapshot, "spill.")
+    if buffer:
+        text = (
+            f"buffer pool: {buffer['resident']}/{buffer['capacity']} "
+            f"pages resident ({buffer['pinned']} pinned), "
+            f"{buffer['hits']} hits / {buffer['misses']} misses "
+            f"({buffer['hit_rate']:.1%} hit rate), "
+            f"{buffer['evictions']} evictions, "
+            f"spill {spill['pages_written']} written / {spill['pages_read']} read"
+        )
+        if spill["prefetch_issued"] or spill["read_stall"]:
+            text += (
+                f"; spill read-back: {spill['prefetch_issued']} "
+                f"prefetches, stall {spill['read_stall']:.0f} / "
+                f"overlapped {spill['read_overlapped']:.0f}"
+            )
+        lines.append(text)
+    memory = _family(snapshot, "memory.")
+    if memory:
+        lines.append(
+            f"work_mem {memory['work_mem']} pages: "
+            f"reserved {memory['reserved']}, in use {memory['in_use']}, "
+            f"high-water {memory['high_water']}, "
+            f"overcommits {memory['overcommits']}"
+        )
+    scans = _family(snapshot, "scan.")
+    for table in _instances(scans, "pages_served"):
+        scan = _family(scans, f"{table}.")
+        served, reads = scan["pages_served"], scan["physical_reads"]
+        text = (
+            f"scan[{table}]: {scan['attaches']} attaches "
+            f"(depth <= {scan['max_attach_depth']}), "
+            f"{served} pages served / {reads} physical reads "
+            f"({served / reads if reads else float(served):.2f}x), "
+            f"prefetch {scan['prefetch_issued']} issued "
+            f"({scan['prefetch_wasted']} wasted), "
+            f"io stall {scan['io_stall']:.0f} / "
+            f"overlapped {scan['io_overlapped']:.0f}"
+        )
+        if scan["max_lag"] or scan["throttle_stall"] or scan["splits"] or scan["merges"]:
+            text += (
+                f"; drift lag <= {scan['max_lag']}, "
+                f"throttle stall {scan['throttle_stall']:.0f}, "
+                f"{scan['splits']} splits / {scan['merges']} merges"
+            )
+        lines.append(text)
+    stages = _family(snapshot, "stage.")
+    busiest_first = sorted(
+        _instances(stages, "busy"), key=lambda op_id: stages[f"{op_id}.busy"], reverse=True
+    )
+    if busiest_first:
+        total = sum(stages[f"{op_id}.busy"] for op_id in busiest_first)
+        lines.append(f"{'stage':>28}  {'inst':>4}  {'busy':>12}  share")
+        for op_id in busiest_first:
+            busy = stages[f"{op_id}.busy"]
+            bar = "#" * max(1, round(busy / total * 40)) if total else ""
+            lines.append(
+                f"{op_id:>28}  {stages[f'{op_id}.instances']:>4}  {busy:>12.1f}  {bar}"
+            )
     return "\n".join(lines)

@@ -1,9 +1,9 @@
 """The flight recorder: a deterministic event trace of one simulation.
 
 The paper's profiling procedure (Section 3.1) starts from *seeing*
-where cycles and pages go; end-state aggregates (``StageReport``,
-``BufferSnapshot``, ``TableScanStats``) answer "how much" but never
-"when" or "in what order". :class:`Tracer` is the missing timeline:
+where cycles and pages go; end-state aggregates (a metrics snapshot's
+``stage.*``, ``buffer.*`` and ``scan.*`` names) answer "how much" but
+never "when" or "in what order". :class:`Tracer` is the missing timeline:
 
 * the :class:`~repro.sim.simulator.Simulator` drives it at every task
   lifecycle edge — spawn, compute slice, queue block/unblock, sleep

@@ -11,14 +11,12 @@ Public surface:
   scheduler,
 * :mod:`repro.sim.events` — the task request vocabulary (``Compute``,
   ``Put``, ``Get``, ``Close``, ``Sleep``, ``CLOSED``),
-* :class:`~repro.sim.queues.SimQueue` — bounded inter-stage buffers,
-* :class:`~repro.sim.stats.ThroughputMeter` — warmup/measure windows.
+* :class:`~repro.sim.queues.SimQueue` — bounded inter-stage buffers.
 """
 
 from repro.sim.events import CLOSED, Close, Compute, Get, Put, Sleep
 from repro.sim.queues import SimQueue
 from repro.sim.simulator import Simulator
-from repro.sim.stats import ThroughputMeter, WindowStats
 from repro.sim.task import Task
 
 __all__ = [
@@ -30,7 +28,5 @@ __all__ = [
     "Sleep",
     "SimQueue",
     "Simulator",
-    "ThroughputMeter",
-    "WindowStats",
     "Task",
 ]

@@ -93,10 +93,10 @@ class Simulator:
         # hook site is one pointer test, and the profiler observes the
         # *host* clock only — it never feeds back into scheduling.
         self.perf = None
-        # ``repro.engine.stats.stage_report``'s resumable fold over
-        # ``tasks`` (a ``StageFold``), created on the first report. The
+        # ``repro.engine.stats.stage_rows``'s resumable fold over
+        # ``tasks`` (a ``StageFold``), created on the first read. The
         # simulator only carries it, as it carries the two observers
-        # above, so a report costs the tasks spawned since the last one.
+        # above, so a read costs the tasks spawned since the last one.
         self.stage_fold = None
 
     # ------------------------------------------------------------------

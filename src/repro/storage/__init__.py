@@ -19,7 +19,6 @@ sharing with async prefetch on top of the pool.
 
 from repro.storage.buffer import (
     BufferPool,
-    BufferSnapshot,
     BufferStats,
     ClockPolicy,
     EvictionPolicy,
@@ -58,7 +57,6 @@ from repro.storage.table import Table
 
 __all__ = [
     "BufferPool",
-    "BufferSnapshot",
     "BufferStats",
     "ClockPolicy",
     "EvictionPolicy",

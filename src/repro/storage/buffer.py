@@ -36,7 +36,6 @@ all timing in one place (the operator code).
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional, Sequence, Tuple
 
 from repro.errors import StorageError
@@ -48,7 +47,6 @@ __all__ = [
     "table_page_key",
     "spill_page_key",
     "BufferStats",
-    "BufferSnapshot",
     "EvictionPolicy",
     "LRUPolicy",
     "MRUPolicy",
@@ -70,42 +68,6 @@ def table_page_key(table_name: str, index: int) -> PageKey:
 def spill_page_key(file_id: int, index: int) -> PageKey:
     """The pool key of one spill-file page."""
     return ("spill", file_id, index)
-
-
-@dataclass(frozen=True)
-class BufferSnapshot:
-    """Immutable view of a pool's counters, for reports."""
-
-    capacity: int
-    resident: int
-    pinned: int
-    policy: str
-    hits: int
-    misses: int
-    evictions: int
-    hit_rate: float
-    spill_pages_written: int
-    spill_pages_read: int
-    spill_prefetch_issued: int = 0
-    spill_read_stall: float = 0.0
-    spill_read_overlapped: float = 0.0
-
-    def render(self) -> str:
-        text = (
-            f"buffer pool [{self.policy}]: {self.resident}/{self.capacity} "
-            f"pages resident ({self.pinned} pinned), "
-            f"{self.hits} hits / {self.misses} misses "
-            f"({self.hit_rate:.1%} hit rate), {self.evictions} evictions, "
-            f"spill {self.spill_pages_written} written / "
-            f"{self.spill_pages_read} read"
-        )
-        if self.spill_prefetch_issued or self.spill_read_stall:
-            text += (
-                f"; spill read-back: {self.spill_prefetch_issued} "
-                f"prefetches, stall {self.spill_read_stall:.0f} / "
-                f"overlapped {self.spill_read_overlapped:.0f}"
-            )
-        return text
 
 
 class BufferStats:
@@ -411,23 +373,6 @@ class BufferPool:
 
     def is_pinned(self, key: PageKey) -> bool:
         return self._pins.get(key, 0) > 0
-
-    def snapshot(self) -> BufferSnapshot:
-        return BufferSnapshot(
-            capacity=self.capacity,
-            resident=len(self._pins),
-            pinned=self.pinned_count(),
-            policy=self.policy.name,
-            hits=self.stats.hits,
-            misses=self.stats.misses,
-            evictions=self.stats.evictions,
-            hit_rate=self.stats.hit_rate,
-            spill_pages_written=self.stats.spill_pages_written,
-            spill_pages_read=self.stats.spill_pages_read,
-            spill_prefetch_issued=self.stats.spill_prefetch_issued,
-            spill_read_stall=self.stats.spill_read_stall,
-            spill_read_overlapped=self.stats.spill_read_overlapped,
-        )
 
     # -- the cache protocol ----------------------------------------------
 

@@ -239,27 +239,6 @@ class TableScanStats:
             return float(self.pages_served) if self.pages_served else 0.0
         return self.pages_served / self.physical_reads
 
-    def render(self) -> str:
-        text = (
-            f"scan[{self.table}]: {self.attaches} attaches "
-            f"(depth <= {self.max_attach_depth}), "
-            f"{self.pages_served} pages served / "
-            f"{self.physical_reads} physical reads "
-            f"({self.pages_per_read:.2f}x), "
-            f"prefetch {self.prefetch_issued} issued "
-            f"({self.prefetch_wasted} wasted), "
-            f"io stall {self.io_stall_cost:.0f} / "
-            f"overlapped {self.io_overlapped_cost:.0f}"
-        )
-        if (self.max_lag or self.throttle_stall_cost or self.splits
-                or self.merges):
-            text += (
-                f"; drift lag <= {self.max_lag}, "
-                f"throttle stall {self.throttle_stall_cost:.0f}, "
-                f"{self.splits} splits / {self.merges} merges"
-            )
-        return text
-
 
 class ScanTicket:
     """One consumer's ride on a table's elevator cursor.
@@ -843,12 +822,6 @@ class ScanShareManager:
             cursor.stats()
             for _, cursor in sorted(self._cursors.items())
         )
-
-    def render(self) -> str:
-        stats = self.snapshot()
-        if not stats:
-            return "scan sharing: no cursors"
-        return "\n".join(s.render() for s in stats)
 
     # -- internals ---------------------------------------------------------
 

@@ -16,7 +16,6 @@ from repro.engine import (
     Engine,
     MemoryBroker,
     aggregate,
-    resource_report,
     scan,
 )
 from repro.engine.expressions import col
@@ -62,7 +61,7 @@ def _run(catalog, work_mem=None, processors=4):
                     buffer_pool=BufferPool(128), memory=memory)
     handle = engine.execute(_plan(catalog), f"agg@{work_mem}")
     sim.run()
-    return handle.rows, sim.now, resource_report(engine)
+    return handle.rows, sim.now, engine
 
 
 class TestSpillingAggregate:
@@ -80,8 +79,8 @@ class TestSpillingAggregate:
         # packing is comparable and spill growth is monotone.
         spills = []
         for work_mem in (64, 16, 8):
-            _, _, report = _run(_catalog(), work_mem)
-            spills.append(report.spill_pages_written)
+            _, _, engine = _run(_catalog(), work_mem)
+            spills.append(engine.pool.stats.spill_pages_written)
         assert spills == sorted(spills)
         assert spills[-1] > spills[0]
 
@@ -91,24 +90,24 @@ class TestSpillingAggregate:
         assert tight > ample
 
     def test_ample_budget_never_spills(self):
-        _, _, report = _run(_catalog(), 64)
-        assert report.spill_pages_written == 0
-        assert report.memory.overcommits == 0
+        _, _, engine = _run(_catalog(), 64)
+        assert engine.pool.stats.spill_pages_written == 0
+        assert engine.memory.overcommits == 0
 
     def test_overcommit_recorded_at_recursion_floor(self):
-        _, _, report = _run(_catalog(), 1)
-        assert report.spill_pages_written > 0
-        assert report.memory.overcommits >= 1
+        _, _, engine = _run(_catalog(), 1)
+        assert engine.pool.stats.spill_pages_written > 0
+        assert engine.memory.overcommits >= 1
 
     def test_grants_closed(self):
-        _, _, report = _run(_catalog(), 16)
-        assert all(grant.closed for grant in report.memory.grants)
+        _, _, engine = _run(_catalog(), 16)
+        assert all(grant.closed for grant in engine.memory.grants())
 
     def test_null_semantics_survive_spilling(self):
         catalog = _catalog(with_nulls=True)
         baseline, _, _ = _run(catalog)
-        spilled, _, report = _run(catalog, 8)
-        assert report.spill_pages_written > 0
+        spilled, _, engine = _run(catalog, 8)
+        assert engine.pool.stats.spill_pages_written > 0
         assert spilled == baseline
         # count(*) counts rows, count(v) skips the NULLs.
         by_group = {row[0]: row for row in spilled}

@@ -43,12 +43,12 @@ from repro.engine import (
     Engine,
     MemoryBroker,
     aggregate,
-    resource_report,
     scan,
     sort,
 )
 from repro.engine.plan import AggSpec
 from repro.engine.expressions import add, col, ge, lt, mul
+from repro.engine.memory import grant_notes
 from repro.engine.reference import execute_reference
 from repro.experiments.common import shared_catalog
 from repro.policies import AlwaysShare
@@ -374,14 +374,13 @@ def _spill_sort_entry(shape, work_mem, prefetch):
         memory=MemoryBroker(work_mem),
         spill_prefetch_depth=prefetch,
     )
-    report = resource_report(engine)
-    notes = report.grant_notes("big_sort")
+    notes = grant_notes(engine.memory.grants(), "big_sort")
     return _entry(
         sim.now,
         sort_runs=notes["sort_runs"],
         merge_passes=notes["merge_passes"],
         spilled_pages=notes["spilled_pages"],
-        evictions=report.buffer.evictions,
+        evictions=engine.pool.stats.evictions,
     )
 
 
@@ -402,13 +401,12 @@ def _ordered_merge_entry():
         .agg(AggSpec("sum", "total", col("v")), AggSpec("count", "n"), by=("g", "s"))
         .parallel(4)
     )
-    rows = session.run(query).rows
-    report = session.resources()
+    result = session.run(query)
     return _entry(
         session.now,
-        rows=len(rows),
-        spill_pages_written=report.spill_pages_written,
-        evictions=report.buffer.evictions,
+        rows=len(result.rows),
+        spill_pages_written=result.metrics["spill.pages_written"],
+        evictions=result.metrics["buffer.evictions"],
     )
 
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.db import Database, Query, RuntimeConfig
-from repro.engine import execute_reference, stage_report
+from repro.engine import execute_reference, stage_rows
 from repro.engine.expressions import BATCH_CACHE, col, compile_batch, lt
 from repro.sim import Compute, Simulator, Sleep
 from repro.storage import Catalog, DataType, Schema
@@ -191,7 +191,7 @@ _TASKS = st.lists(
 )
 @settings(max_examples=60, deadline=None)
 def test_incremental_fold_equals_a_fold_from_scratch(tasks, straggler, stops):
-    """Reports taken at arbitrary instants — tasks spawned and finished
+    """Stage rows read at arbitrary instants — tasks spawned and finished
     in any interleaving, with unfinished tasks (the spawner, a long
     sort) in the middle of the list while later ones finish — equal a
     from-scratch fold of the same ledger, every float compared with
@@ -207,10 +207,7 @@ def test_incremental_fold_equals_a_fold_from_scratch(tasks, straggler, stops):
             sim.spawn(_work(steps), name=f"q{index}/{op_id}")
 
     def check():
-        for sinks in (False, True):
-            assert stage_report(sim, include_sinks=sinks) == stage_report(
-                list(sim.tasks), include_sinks=sinks
-            )
+        assert stage_rows(sim) == stage_rows(list(sim.tasks))
         folded = sim.stage_fold.folded
         assert not any(task.alive for task in sim.tasks[:folded])
         assert folded == len(sim.tasks) or sim.tasks[folded].alive

@@ -178,9 +178,9 @@ def test_resource_counters_match(catalog):
     engine.execute(plan, "q")
     sim.run()
 
-    facade = result.resources
-    raw_pool = engine.pool.snapshot()
-    assert facade.buffer.misses == raw_pool.misses
-    assert facade.buffer.hits == raw_pool.hits
-    assert facade.spill_pages_written == raw_pool.spill_pages_written
-    assert facade.memory.high_water == engine.memory.snapshot().high_water
+    facade = result.metrics
+    raw_pool = engine.pool.stats
+    assert facade["buffer.misses"] == raw_pool.misses
+    assert facade["buffer.hits"] == raw_pool.hits
+    assert facade["spill.pages_written"] == raw_pool.spill_pages_written
+    assert facade["memory.high_water"] == engine.memory.high_water

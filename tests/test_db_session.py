@@ -15,6 +15,7 @@ from repro.engine.expressions import col, lt, mul
 from repro.engine.plan import AggSpec
 from repro.engine.wiring import resolve_storage
 from repro.errors import EngineError, StorageError
+from repro.obs.metrics import render_resources
 from repro.policies import AlwaysShare, NeverShare, ResourceOutlook
 from repro.sim import Simulator
 from repro.storage import BufferPool, Catalog, DataType, ScanShareManager, Schema
@@ -325,9 +326,10 @@ class TestSessionState:
             session.prewarm("t")
 
     def test_resources_render(self, session):
-        session.run(flip_query(session))
-        text = session.resources().render()
-        assert "buffer pool" in text
+        result = session.run(flip_query(session))
+        text = render_resources(result.metrics)
+        assert text.startswith("buffer pool")
+        assert text == render_resources(session.metrics().snapshot())
 
     def test_result_render_mentions_verdict(self, session):
         result = session.run(flip_query(session), label="r")

@@ -1,8 +1,9 @@
-"""Tests for stage reports (repro.engine.stats)."""
+"""Tests for the per-operator stage rows (repro.engine.stats)."""
 
 import pytest
 
-from repro.engine import Engine, stage_report
+from repro.engine import Engine, stage_rows
+from repro.obs.metrics import MetricsRegistry, render_resources
 from repro.sim import Simulator
 from repro.tpch.generator import generate
 from repro.tpch.queries import build
@@ -25,58 +26,56 @@ def run():
 class TestStageReport:
     def test_covers_all_operators(self, run):
         sim, _, _, query = run
-        report = stage_report(sim)
-        assert {s.op_id for s in report.stages} == {
+        assert {op_id for op_id, _ in stage_rows(sim)} == {
             node.op_id for node in query.plan.walk()
         }
 
     def test_bottleneck_is_shared_scan(self, run):
         sim, _, _, query = run
-        assert stage_report(sim).bottleneck().op_id == query.pivot
+        assert stage_rows(sim)[0][0] == query.pivot
 
     def test_shares_sum_to_one(self, run):
-        sim, _, _, _ = run
-        report = stage_report(sim)
-        assert sum(s.busy_share for s in report.stages) == pytest.approx(1.0)
+        sim, engine, _, _ = run
+        # Busy time is cpu + io, so the stall totals cover the stages.
+        snapshot = MetricsRegistry.for_engine(engine).snapshot()
+        busy = sum(row[1] for _, row in stage_rows(sim))
+        assert snapshot["stall.cpu"] + snapshot["stall.io"] == pytest.approx(busy)
 
     def test_instance_counts(self, run):
         sim, _, _, query = run
-        report = stage_report(sim)
+        rows = dict(stage_rows(sim))
         # The shared scan ran once; the aggregate once per member.
-        assert report.stage(query.pivot).instances == 1
-        assert report.stage("q6_agg").instances == 3
+        assert rows[query.pivot][0] == 1
+        assert rows["q6_agg"][0] == 3
 
     def test_sinks_excluded_by_default(self, run):
         sim, _, _, _ = run
-        report = stage_report(sim)
-        assert all(s.op_id != "sink" for s in report.stages)
-        with_sinks = stage_report(sim, include_sinks=True)
-        assert any(s.op_id == "sink" for s in with_sinks.stages)
+        assert any(task.name.endswith("/sink") for task in sim.tasks)
+        assert all(op_id != "sink" for op_id, _ in stage_rows(sim))
 
     def test_group_task_source(self, run):
-        _, engine, group, query = run
-        report = stage_report(engine.group_tasks[group.group_id])
-        assert report.stage(query.pivot).busy_time > 0
-
-    def test_prefix_filter(self, run):
-        sim, _, _, _ = run
-        report = stage_report(sim, group_prefix="a/")
-        # Only query a's private stages (agg) match the prefix.
-        assert {s.op_id for s in report.stages} == {"q6_agg"}
+        sim, engine, group, query = run
+        rows = dict(stage_rows(engine.group_tasks[group.group_id]))
+        assert rows[query.pivot][1] > 0
+        # The group is the whole run: a fold from scratch over its
+        # tasks equals the simulator's resumable one.
+        assert rows == dict(stage_rows(sim))
 
     def test_render_contains_bars(self, run):
-        sim, _, _, _ = run
-        text = stage_report(sim).render()
+        _, engine, _, _ = run
+        text = render_resources(MetricsRegistry.for_engine(engine).snapshot())
         assert "#" in text
         assert "q6_scan" in text
 
     def test_unknown_stage(self, run):
-        sim, _, _, _ = run
-        with pytest.raises(KeyError):
-            stage_report(sim).stage("ghost")
+        _, engine, _, _ = run
+        registry = MetricsRegistry.for_engine(engine)
+        full, scoped = registry.snapshot(), registry.snapshot(scope={"ghost"})
+        # An operator that never ran has no rows; scoping to it keeps
+        # every scalar and total and drops the stage rows.
+        assert "stage.ghost.busy" not in full
+        assert scoped == {k: v for k, v in full.items() if not k.startswith("stage.")}
 
     def test_empty_report(self):
-        report = stage_report([])
-        assert report.stages == ()
-        with pytest.raises(ValueError):
-            report.bottleneck()
+        assert stage_rows([]) == []
+        assert render_resources({}) == ""

@@ -43,14 +43,14 @@ class TestSharingFlip:
 
     def test_cold_counters_show_io_amortization(self, result):
         cold = result.flip("cold")
-        assert cold.unshared_resources.buffer.misses > (
-            cold.shared_resources.buffer.misses
+        assert cold.unshared_metrics["buffer.misses"] > (
+            cold.shared_metrics["buffer.misses"]
         )
 
     def test_warm_runs_all_hit(self, result):
         warm = result.flip("warm")
-        assert warm.unshared_resources.buffer.misses == 0
-        assert warm.shared_resources.buffer.misses == 0
+        assert warm.unshared_metrics["buffer.misses"] == 0
+        assert warm.shared_metrics["buffer.misses"] == 0
 
     def test_render_reports_counters(self, result):
         text = result.render()

@@ -16,7 +16,6 @@ from repro.engine import (
     MemoryBroker,
     execute_reference,
     hash_join,
-    resource_report,
     scan,
 )
 from repro.sim import Simulator
@@ -123,8 +122,7 @@ class TestGracefulDegradation:
         spills, makespans, answers = [], [], set()
         for work_mem in WORK_MEMS:  # descending budgets
             handle, engine, sim = _run(catalog, plan, work_mem)
-            report = resource_report(engine)
-            spills.append(report.spill_pages_written)
+            spills.append(engine.pool.stats.spill_pages_written)
             makespans.append(sim.now)
             answers.add(len(handle.rows))
         assert len(answers) == 1
@@ -147,10 +145,10 @@ class TestGracefulDegradation:
     def test_grants_closed_and_accounted(self, catalog):
         plan = _join_plan(catalog, "inner")
         _, engine, _ = _run(catalog, plan, 4)
-        snap = engine.memory.snapshot()
-        assert snap.in_use == 0
-        assert all(grant.closed for grant in snap.grants)
-        assert snap.high_water > 0
+        memory = engine.memory
+        assert memory.in_use == 0
+        assert all(grant.closed for grant in memory.grants())
+        assert memory.high_water > 0
 
     def test_determinism(self, catalog):
         """Same budget, same trace: spill counters and makespan agree
@@ -159,6 +157,6 @@ class TestGracefulDegradation:
         first = _run(catalog, plan, 3)
         second = _run(catalog, plan, 3)
         assert first[2].now == second[2].now
-        assert (resource_report(first[1]).spill_pages_written
-                == resource_report(second[1]).spill_pages_written)
+        assert (first[1].pool.stats.spill_pages_written
+                == second[1].pool.stats.spill_pages_written)
         assert first[0].rows == second[0].rows

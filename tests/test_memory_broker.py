@@ -87,9 +87,7 @@ class TestUsageTracking:
         broker = MemoryBroker(6)
         grant = broker.grant("join@1", 4)
         grant.resize_used(2)
-        snap = broker.snapshot()
-        assert snap.work_mem == 6
-        assert snap.in_use == 2
-        assert snap.grants[0].owner == "join@1"
-        assert snap.grants[0].high_water == 2
-        assert "join@1" in snap.render()
+        assert broker.in_use == 2
+        (snap,) = broker.grants()
+        assert (snap.owner, snap.pages, snap.used, snap.high_water) == ("join@1", 4, 2, 2)
+        assert not snap.closed

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.db import Database, RuntimeConfig
+from repro.db import Database
 from repro.obs.audit import AuditLog, AuditRecord
 from repro.policies.always import AlwaysShare
 from repro.storage import Catalog, DataType, Schema

@@ -8,6 +8,7 @@ from repro.db import Database, RuntimeConfig
 from repro.engine.expressions import col, lt
 from repro.obs.metrics import (
     MetricsRegistry,
+    render_resources,
     render_stall_table,
     stall_breakdown,
 )
@@ -185,12 +186,63 @@ def test_render_stall_table_spill_footer():
     assert "12w/12r pages" in lines[5]
 
 
-def test_report_stall_table_wrapper():
-    from repro.experiments.report import stall_table
+def test_render_resources_lines_follow_the_families_present():
+    """One line per wired layer — pool, memory, each table's elevator —
+    then the stage table, busiest first; absent families, no line."""
+    pool = {
+        "buffer.capacity": 8, "buffer.resident": 5, "buffer.pinned": 1,
+        "buffer.hits": 30, "buffer.misses": 10, "buffer.hit_rate": 0.75,
+        "buffer.evictions": 2, "spill.pages_written": 4, "spill.pages_read": 3,
+        "spill.prefetch_issued": 0, "spill.read_stall": 0.0, "spill.read_overlapped": 0.0,
+    }
+    assert render_resources(pool) == (
+        "buffer pool: 5/8 pages resident (1 pinned), 30 hits / 10 misses "
+        "(75.0% hit rate), 2 evictions, spill 4 written / 3 read"
+    )
+    prefetched = {**pool, "spill.prefetch_issued": 6, "spill.read_stall": 40.0,
+                  "spill.read_overlapped": 80.0}
+    assert render_resources(prefetched).endswith(
+        "; spill read-back: 6 prefetches, stall 40 / overlapped 80"
+    )
+    scan = {
+        "scan.t.pages_served": 12, "scan.t.physical_reads": 4, "scan.t.attaches": 3,
+        "scan.t.max_attach_depth": 3, "scan.t.prefetch_issued": 2,
+        "scan.t.prefetch_wasted": 0, "scan.t.io_stall": 100.0, "scan.t.io_overlapped": 60.0,
+        "scan.t.max_lag": 0, "scan.t.throttle_stall": 0.0, "scan.t.splits": 0,
+        "scan.t.merges": 0, "scan.t.groups": 1,
+    }
+    memory = {"memory.work_mem": 16, "memory.reserved": 0, "memory.in_use": 0,
+              "memory.high_water": 9, "memory.overcommits": 1}
+    stages = {
+        "stage.agg.instances": 3, "stage.agg.busy": 10.0,
+        "stage.t_scan.instances": 1, "stage.t_scan.busy": 30.0,
+    }
+    lines = render_resources({**stages, **scan, **memory, **pool}).splitlines()
+    assert lines[0].startswith("buffer pool: ")
+    assert lines[1] == "work_mem 16 pages: reserved 0, in use 0, high-water 9, overcommits 1"
+    assert lines[2] == (
+        "scan[t]: 3 attaches (depth <= 3), 12 pages served / 4 physical reads (3.00x), "
+        "prefetch 2 issued (0 wasted), io stall 100 / overlapped 60"
+    )
+    assert lines[3].split() == ["stage", "inst", "busy", "share"]
+    assert [line.split()[:3] for line in lines[4:]] == [
+        ["t_scan", "1", "30.0"], ["agg", "3", "10.0"],
+    ]
+    assert lines[4].count("#") == 30 and lines[5].count("#") == 10
+    drifted = {**scan, "scan.t.max_lag": 7, "scan.t.throttle_stall": 55.0,
+               "scan.t.splits": 2, "scan.t.merges": 1}
+    assert render_resources(drifted).endswith(
+        "; drift lag <= 7, throttle stall 55, 2 splits / 1 merges"
+    )
 
-    snap = {"stall.cpu": 1.0, "stall.io": 0.0,
-            "stall.drift_throttle": 0.0, "stall.queue_block": 0.0}
-    assert stall_table(snap) == render_stall_table(snap)
+
+def test_render_resources_reads_a_live_governed_session():
+    session = _session()
+    result = session.run(session.table("t", columns=["k"]).order_by("k"))
+    text = render_resources(result.metrics)
+    for start in ("buffer pool: ", "work_mem ", "scan[t]: "):
+        assert sum(line.startswith(start) for line in text.splitlines()) == 1
+    assert "scan@" in text
 
 
 @pytest.mark.parametrize("preset", ["unbounded", "cmp32"])

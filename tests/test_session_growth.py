@@ -14,8 +14,9 @@ from repro.engine import stats as engine_stats
 from repro.engine.expressions import col, lt
 from repro.engine.memory import MemoryGrant
 from repro.engine.plan import AggSpec
+from repro.obs.metrics import MetricsRegistry
 from repro.sim import Simulator
-from repro.storage import Catalog, DataType, Schema
+from repro.storage import Catalog, DataType, ScanShareManager, Schema
 from repro.storage.table import PAGE_CACHE
 
 ROWS = 512
@@ -41,15 +42,28 @@ def _grouped(session, below=None):
 @pytest.fixture()
 def observed(monkeypatch):
     """What observation touches, as a dict the test may reset: tasks
-    handed to the stage fold and ``GrantSnapshot``s built."""
-    counts = {"tasks": 0, "grants": 0}
+    handed to the stage fold, ``GrantSnapshot``s built, and snapshots
+    taken of the registry and of the scan manager beneath it."""
+    counts = {"tasks": 0, "grants": 0, "registry": 0, "scans": 0}
     fold = engine_stats._fold
     snapshot = MemoryGrant.snapshot
 
-    def counted_fold(sums, tasks, group_prefix):
+    def counting(cls, key):
+        taken = cls.snapshot
+
+        def counted(self, *args, **kwargs):
+            counts[key] += 1
+            return taken(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "snapshot", counted)
+
+    counting(MetricsRegistry, "registry")
+    counting(ScanShareManager, "scans")
+
+    def counted_fold(sums, tasks):
         tasks = list(tasks)
         counts["tasks"] += len(tasks)
-        fold(sums, tasks, group_prefix)
+        fold(sums, tasks)
 
     def counted_snapshot(self):
         counts["grants"] += 1
@@ -64,18 +78,21 @@ def test_identical_batches_cost_the_same_to_observe(observed):
     session = Database.open(_catalog(), "laptop")
     per_batch, results = [], []
     for _ in range(40):
-        observed.update(tasks=0, grants=0)
+        observed.update(tasks=0, grants=0, registry=0, scans=0)
         for _ in range(2):
             session.submit(_grouped(session), share=False)
         results.append(session.run_all()[-1])
         per_batch.append((observed["tasks"], observed["grants"]))
+        # One read surface: a batch is observed by one registry
+        # snapshot, and no component is snapshotted outside it.
+        assert (observed["registry"], observed["scans"]) == (1, 1)
     tasks, grants = per_batch[0]
     assert tasks > 0 and grants > 0
     # Flat after the first batch: each observation folds the tasks its
     # own batch spawned and snapshots the grants its own batch took.
     assert set(per_batch[1:]) == {per_batch[1]}
     second, last = results[1], results[39]
-    assert len(second.resources.memory.grants) == len(last.resources.memory.grants) == grants
+    assert len(second.grants) == len(last.grants) == grants
     assert len(second.metrics) == len(last.metrics)
     # Counters stay cumulative, and the session's own surface complete.
     assert last.metrics["sim.tasks"] == len(session.sim.tasks) == 40 * tasks

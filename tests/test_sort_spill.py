@@ -23,11 +23,11 @@ from repro.engine import (
     limit,
     merge_join,
     project,
-    resource_report,
     scan,
     sort,
 )
 from repro.engine.expressions import col
+from repro.engine.memory import grant_notes
 from repro.engine.operators.sort import (
     batch_key_builder,
     merge_spans,
@@ -37,6 +37,7 @@ from repro.engine.operators.sort import (
 from repro.engine.packet import RowBatch
 from repro.engine.plan import AggSpec
 from repro.errors import SimulationError
+from repro.obs.metrics import MetricsRegistry
 from repro.sim.simulator import Simulator
 from repro.storage import BufferPool, Catalog, DataType, Schema
 
@@ -68,8 +69,8 @@ def _sort_plan(catalog, keys=None, top_n=None):
     return plan
 
 
-def _run(catalog, plan, work_mem=None, processors=4, prefetch=0,
-         page_rows=PAGE_ROWS, pool=None):
+def _execute(catalog, plan, work_mem=None, processors=4, prefetch=0,
+             page_rows=PAGE_ROWS, pool=None):
     sim = Simulator(processors=processors)
     memory = MemoryBroker(work_mem) if work_mem else None
     if pool is None:
@@ -79,7 +80,19 @@ def _run(catalog, plan, work_mem=None, processors=4, prefetch=0,
                     spill_prefetch_depth=prefetch)
     handle = engine.execute(plan, f"sort@{work_mem}")
     sim.run()
-    return handle.rows, sim.now, resource_report(engine)
+    return handle.rows, sim.now, engine
+
+
+def _run(*args, **kwargs):
+    """``(rows, makespan, metrics snapshot)`` of one hand-driven run."""
+    rows, now, engine = _execute(*args, **kwargs)
+    return rows, now, MetricsRegistry.for_engine(engine).snapshot()
+
+
+def _sort_notes(*args, **kwargs):
+    """``(rows, the big_sort grant's notes)`` of one hand-driven run."""
+    rows, _, engine = _execute(*args, **kwargs)
+    return rows, grant_notes(engine.memory.grants(), "big_sort")
 
 
 class TestExternalSort:
@@ -116,8 +129,8 @@ class TestExternalSort:
     def test_spill_grows_as_budget_shrinks(self, catalog):
         spills = []
         for work_mem in (64, 16, 5, 2):
-            _, _, report = _run(catalog, _sort_plan(catalog), work_mem)
-            spills.append(report.spill_pages_written)
+            _, _, metrics = _run(catalog, _sort_plan(catalog), work_mem)
+            spills.append(metrics["spill.pages_written"])
         assert spills == sorted(spills)
         assert spills[-1] > 0
 
@@ -127,8 +140,7 @@ class TestExternalSort:
         # merge-pass arithmetic must match whatever count it produced.
         n_rows = 3000
         for work_mem in (16, 5, 2, 1):
-            _, _, report = _run(catalog, _sort_plan(catalog), work_mem)
-            notes = report.grant_notes("big_sort")
+            _, notes = _sort_notes(catalog, _sort_plan(catalog), work_mem)
             budget_rows = work_mem * PAGE_ROWS
             max_runs = -(-n_rows // budget_rows)
             assert 1 <= notes["sort_runs"] <= max_runs
@@ -170,13 +182,12 @@ class TestExternalSort:
         hog = memory.grant("hog", 14)
         engine.execute(_sort_plan(catalog), "first")
         sim.run()
-        squeezed = resource_report(engine).grant_notes("big_sort")
+        squeezed = grant_notes(memory.grants(), "big_sort")
         hog.close()
         engine.execute(_sort_plan(catalog), "second")
         sim.run()
-        report = resource_report(engine)
-        assert [grant.owner for grant in report.memory.grants].count("big_sort") == 2
-        assert report.grant_notes("big_sort")["sort_runs"] < squeezed["sort_runs"]
+        assert [grant.owner for grant in memory.grants()].count("big_sort") == 2
+        assert grant_notes(memory.grants(), "big_sort")["sort_runs"] < squeezed["sort_runs"]
 
     def test_replacement_selection_lengthens_runs(self):
         """Run counts: sorted input → 1; random ≈ n/(2·budget);
@@ -199,29 +210,29 @@ class TestExternalSort:
                 [("k", True)],
                 op_id="big_sort",
             )
-            rows, _, report = _run(catalog, plan, work_mem)
+            rows, notes = _sort_notes(catalog, plan, work_mem)
             assert rows == sorted(data)
-            runs[label] = report.grant_notes("big_sort")["sort_runs"]
+            runs[label] = notes["sort_runs"]
         assert runs["sorted"] == 1
         assert 1 < runs["shuffled"] < worst_case
         assert runs["reversed"] == worst_case
 
     def test_makespan_degrades_but_never_fails(self, catalog):
         _, unbounded, _ = _run(catalog, _sort_plan(catalog))
-        _, starved, report = _run(catalog, _sort_plan(catalog), work_mem=1)
+        _, starved, metrics = _run(catalog, _sort_plan(catalog), work_mem=1)
         assert starved > unbounded
-        assert report.memory.overcommits >= 1  # merge floor, recorded
+        assert metrics["memory.overcommits"] >= 1  # merge floor, recorded
 
     def test_prefetch_preserves_answers_and_cuts_stall(self, catalog, baseline):
-        rows_sync, sync, report_sync = _run(
+        rows_sync, sync, metrics_sync = _run(
             catalog, _sort_plan(catalog), work_mem=4
         )
-        rows_pf, prefetched, report_pf = _run(
+        rows_pf, prefetched, metrics_pf = _run(
             catalog, _sort_plan(catalog), work_mem=4, prefetch=2
         )
         assert rows_sync == rows_pf == baseline
-        assert report_pf.spill_read_stall < report_sync.spill_read_stall
-        assert report_pf.spill_read_overlapped > 0
+        assert metrics_pf["spill.read_stall"] < metrics_sync["spill.read_stall"]
+        assert metrics_pf["spill.read_overlapped"] > 0
         assert prefetched < sync
 
 

@@ -132,7 +132,6 @@ class TestOverlap:
         assert pool.stats.spill_read_overlapped == pytest.approx(
             cursor.overlapped_cost
         )
-        assert "spill read-back" in pool.snapshot().render()
 
     def test_no_pool_degenerates_to_synchronous_reads(self):
         pool, spill = _spill_file(8, 4, 40)

@@ -149,8 +149,7 @@ class TestInheritedBehaviour:
         pool = make_pool()
         assert pool.access(table_page_key("orders", 0)) is False  # miss
         assert pool.access(table_page_key("orders", 0)) is True  # hit
-        snap = pool.snapshot()
-        assert (snap.hits, snap.misses) == (1, 1)
+        assert (pool.stats.hits, pool.stats.misses) == (1, 1)
 
     def test_residency_report_lists_shared_last(self):
         pool = make_pool()
