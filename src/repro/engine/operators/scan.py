@@ -83,11 +83,7 @@ class ScanOperator(BatchOperator):
         predicate = node.params.get("predicate")
         outputs = node.params.get("outputs")
         self.cost_factor = node.params.get("cost_factor", 1.0)
-        self.batch_pred = (
-            compile_batch(predicate, base_schema)
-            if predicate is not None
-            else None
-        )
+        self.batch_pred = compile_batch(predicate, base_schema) if predicate is not None else None
         self.batch_outs = (
             [compile_batch(expr, base_schema) for _, expr, _ in outputs]
             if outputs is not None
@@ -122,9 +118,8 @@ class ScanOperator(BatchOperator):
             kept = len(batch)
             cost += costs.project_tuple * self.cost_factor * kept * len(self.batch_outs)
             cols = batch.columns
-            batch = RowBatch.from_columns(
-                [fn(cols, kept) for fn in self.batch_outs], kept
-            )
+            # Tuples, like the slices: this batch is parked in the memo.
+            batch = RowBatch.from_columns([tuple(fn(cols, kept)) for fn in self.batch_outs], kept)
         return cost, batch
 
     def _load_page(self, index):
@@ -133,9 +128,7 @@ class ScanOperator(BatchOperator):
         hit = memo[index]
         if hit is not None:
             return hit
-        slices = self.table.column_slices(
-            index, self.columns, self.ctx.page_rows
-        )
+        slices = self.table.column_slices(index, self.columns, self.ctx.page_rows)
         batch = RowBatch.from_columns(slices, len(slices[0]))
         result = self._page_cost_batch(batch)
         memo[index] = result
@@ -167,9 +160,7 @@ class ScanOperator(BatchOperator):
 
     def _elevator_scan(self):
         """Ride the table's shared elevator cursor (see shared_scan)."""
-        ticket = self.ctx.scans.attach(
-            self.table.name, self.table.page_count(self.ctx.page_rows)
-        )
+        ticket = self.ctx.scans.attach(self.table.name, self.table.page_count(self.ctx.page_rows))
         yield from self._ride_elevator(ticket)
 
     def _ride_elevator(self, ticket):

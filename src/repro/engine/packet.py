@@ -13,7 +13,7 @@ of tuples operators exchange over the stage queues. It replaces the
 row-tuple :class:`~repro.storage.page.Page` on the exchange path (the
 storage layer keeps ``Page`` for table and spill I/O) while exposing
 the same read surface (``len``, iteration, ``.rows``), so batch-aware
-operators read column lists and everything else still sees tuples.
+operators read columns and everything else still sees row tuples.
 """
 
 from __future__ import annotations
@@ -31,14 +31,17 @@ __all__ = ["RowBatch", "QueryHandle", "GroupHandle"]
 class RowBatch:
     """A columnar batch of tuples flowing between stages.
 
-    A batch is backed by *either* column lists (one list per column —
+    A batch is backed by *either* columns (one sequence per column —
     the scan/filter/project fast path) or a row-tuple sequence (the
     join/sort/aggregate output path), plus an optional *selection
     vector* of keep-flags over the backing columns. The other
     representation, and the application of the selection, are
     materialized lazily and cached — a batch that flows from a scan
     through the emitter to a sink materializes row tuples exactly
-    once, at the sink.
+    once, at the sink. Every column a batch derives (a compressed
+    selection, the transpose of its rows) is a tuple, like the storage
+    layer's slices: what a cache may hold is read-only by type and,
+    being a tuple of scalars, is not walked by the cyclic collector.
 
     Batches are immutable by convention once emitted (like ``Page``);
     the lazy caches only add derived views. Unlike ``Page``, an empty
@@ -49,7 +52,7 @@ class RowBatch:
     __slots__ = ("_columns", "_rows", "_sel", "_n", "width")
 
     def __init__(self) -> None:  # use the from_* constructors
-        self._columns: Optional[list[list[Any]]] = None
+        self._columns: Optional[list[Sequence[Any]]] = None
         self._rows: Optional[tuple[tuple[Any, ...], ...]] = None
         self._sel: Optional[Sequence[Any]] = None
         self._n = 0
@@ -57,7 +60,7 @@ class RowBatch:
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence[Any]], n: Optional[int] = None) -> "RowBatch":
-        """Wrap column lists (not copied; hand over ownership)."""
+        """Wrap column sequences (not copied; hand over ownership)."""
         batch = cls.__new__(cls)
         batch._columns = columns if isinstance(columns, list) else list(columns)
         batch._rows = None
@@ -96,23 +99,23 @@ class RowBatch:
         return batch
 
     @property
-    def columns(self) -> list[list[Any]]:
-        """The column lists (selection applied; cached)."""
+    def columns(self) -> list[Sequence[Any]]:
+        """The columns (selection applied; cached)."""
         cols = self._columns
         if cols is not None and self._sel is None:
             return cols
         sel = self._sel
         if cols is not None:
-            cols = [list(compress(col, sel)) for col in cols]
+            cols = [tuple(compress(col, sel)) for col in cols]
         else:
             rows = self._rows
             if sel is not None:
                 rows = tuple(compress(rows, sel))
                 self._rows = rows
             if rows:
-                cols = [list(col) for col in zip(*rows)]
+                cols = list(zip(*rows))
             else:
-                cols = [[] for _ in range(self.width)]
+                cols = [()] * self.width
         self._columns = cols
         self._sel = None
         return cols
@@ -131,7 +134,7 @@ class RowBatch:
         self._rows = rows
         return rows
 
-    def column(self, index: int) -> list[Any]:
+    def column(self, index: int) -> Sequence[Any]:
         """One materialized column (selection applied)."""
         return self.columns[index]
 

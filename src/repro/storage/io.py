@@ -53,16 +53,19 @@ def save_table(table: Table, directory: Path) -> Path:
     path = directory / f"{table.name}.csv"
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(
-            f"{c.name}:{c.dtype.value}" for c in table.schema.columns
-        )
+        writer.writerow(f"{c.name}:{c.dtype.value}" for c in table.schema.columns)
         for row in table.rows():
             writer.writerow(_encode(v) for v in row)
     return path
 
 
 def load_table(path: Path) -> Table:
-    """Read one table written by :func:`save_table`."""
+    """Read one table written by :func:`save_table`.
+
+    Lines are checked and decoded one by one (a ragged one raises
+    ``path:line: expected N fields``), then ingested in one
+    :meth:`~repro.storage.table.Table.insert_many`.
+    """
     path = Path(path)
     if not path.exists():
         raise StorageError(f"no such table file: {path}")
@@ -78,22 +81,18 @@ def load_table(path: Path) -> Table:
             try:
                 dtype = DataType(dtype_text)
             except ValueError:
-                raise StorageError(
-                    f"{path}: bad column header {entry!r}"
-                ) from None
+                raise StorageError(f"{path}: bad column header {entry!r}") from None
             columns.append(Column(name, dtype))
-        schema = Schema(columns)
-        table = Table(path.stem, schema)
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(columns):
+        table = Table(path.stem, Schema(columns))
+        dtypes = [column.dtype for column in columns]
+        rows = []
+        for line_no, fields in enumerate(reader, start=2):
+            if len(fields) != len(dtypes):
                 raise StorageError(
-                    f"{path}:{line_no}: expected {len(columns)} fields, "
-                    f"got {len(row)}"
+                    f"{path}:{line_no}: expected {len(dtypes)} fields, got {len(fields)}"
                 )
-            table.insert(tuple(
-                _decode(text, column.dtype)
-                for text, column in zip(row, columns)
-            ))
+            rows.append(tuple(map(_decode, fields, dtypes)))
+    table.insert_many(rows)
     return table
 
 

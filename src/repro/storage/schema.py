@@ -58,11 +58,22 @@ class DataType(Enum):
                 return value.toordinal()
             if isinstance(value, bool) or not isinstance(value, int):
                 raise SchemaError(
-                    f"column {column!r} expects DATE (date or ordinal int), "
-                    f"got {value!r}"
+                    f"column {column!r} expects DATE (date or ordinal int), got {value!r}"
                 )
             return value
         raise SchemaError(f"unknown data type {self!r}")  # pragma: no cover
+
+
+# The exact Python type each DataType stores. A column whose values are
+# all of this type (or None) needs no per-value check and no coercion;
+# a subclass (``bool`` under ``int``) is not exact and takes the slow path.
+_STORED_TYPE = {
+    DataType.INT: int,
+    DataType.FLOAT: float,
+    DataType.STR: str,
+    DataType.DATE: int,
+}
+_NULL_TYPE = type(None)
 
 
 def date_to_ordinal(year: int, month: int, day: int) -> int:
@@ -126,9 +137,7 @@ class Schema:
         try:
             return self._index[name]
         except KeyError:
-            raise SchemaError(
-                f"unknown column {name!r}; schema has {self.names()}"
-            ) from None
+            raise SchemaError(f"unknown column {name!r}; schema has {self.names()}") from None
 
     def dtype_of(self, name: str) -> DataType:
         return self.columns[self.index_of(name)].dtype
@@ -136,13 +145,42 @@ class Schema:
     def validate_row(self, row: Sequence[Any]) -> tuple[Any, ...]:
         """Validate/coerce a full row to its stored representation."""
         if len(row) != len(self.columns):
-            raise SchemaError(
-                f"row has {len(row)} values, schema expects {len(self.columns)}"
-            )
-        return tuple(
-            col.dtype.validate(value, col.name)
-            for col, value in zip(self.columns, row)
-        )
+            raise SchemaError(f"row has {len(row)} values, schema expects {len(self.columns)}")
+        return tuple(col.dtype.validate(value, col.name) for col, value in zip(self.columns, row))
+
+    def validate_column(self, index: int, values: Sequence[Any]) -> Sequence[Any]:
+        """Validate/coerce all of one column's values at once.
+
+        The set of types present is taken in C; when it is the column's
+        stored type alone (NULLs aside) ``values`` is returned as it
+        came. Only a column that needs coercion (ints in ``FLOAT``,
+        ``date`` objects in ``DATE``) or holds a bad value (a ``bool``
+        in ``INT``, a ``str`` in ``FLOAT``) is walked value by value
+        through :meth:`DataType.validate`, which coerces and raises
+        exactly as :meth:`validate_row` does.
+        """
+        column = self.columns[index]
+        kinds = set(map(type, values))
+        kinds.discard(_NULL_TYPE)
+        if kinds <= {_STORED_TYPE[column.dtype]}:
+            return values
+        validate, name = column.dtype.validate, column.name
+        return [validate(value, name) for value in values]
+
+    def validate_rows(self, rows: Sequence[Sequence[Any]]) -> list[Sequence[Any]]:
+        """Transpose ``rows`` once and validate column-wise.
+
+        Returns one sequence of stored values per schema column. The
+        arity of every row is checked before any value is (the first
+        row of the wrong length is the one reported); values are then
+        checked a column at a time, so with several bad values the
+        error names the first bad *column*, not the first bad row.
+        """
+        width = len(self.columns)
+        if set(map(len, rows)) - {width}:
+            bad = next(row for row in rows if len(row) != width)
+            raise SchemaError(f"row has {len(bad)} values, schema expects {width}")
+        return [self.validate_column(i, values) for i, values in enumerate(zip(*rows))]
 
     def project(self, names: Sequence[str]) -> "Schema":
         """A new schema with the given columns, in the given order."""

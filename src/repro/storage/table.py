@@ -1,16 +1,21 @@
 """Columnar in-memory tables.
 
-Tables store data column-wise (one Python list per column), which
-matches the scan-dominated access pattern of the paper's workloads and
-makes projected scans cheap. Rows are materialized as tuples only when
-an operator needs them.
+Tables store data column-wise, which matches the scan-dominated access
+pattern of the paper's workloads and makes projected scans cheap. Rows
+are materialized as tuples only when an operator needs them.
+
+**The format.** A stored column is a *tuple of scalars*, and so is
+every slice decoded from it: readers can not write to what they share
+with the page cache, and CPython's cyclic collector — which visits
+every cell of a list on every full collection — untracks a tuple of
+scalars the first time it sees it and never walks it again.
 """
 
 from __future__ import annotations
 
 import weakref
 from itertools import count
-from typing import Any, Hashable, Iterator, Sequence
+from typing import Any, Hashable, Iterable, Iterator, Sequence
 
 from repro.errors import StorageError
 from repro.storage.lru import WeightedLRU
@@ -26,6 +31,15 @@ def _drop_slots(key: Hashable, table_ref: weakref.ref) -> None:
     table = table_ref()
     if table is not None:
         table._page_cache.pop(key[1], None)
+
+
+def _forget(serial: int, page_cache: dict) -> None:
+    """Take one table's slot lists out of the budget (ingest, or the
+    table died: a dead table's upper bounds must not push live
+    signatures out)."""
+    for key in page_cache:
+        PAGE_CACHE.pop((serial, key))
+    page_cache.clear()
 
 
 # The ceiling on decoded pages: 2 M cells (rows x columns) for the whole
@@ -46,22 +60,34 @@ _SERIALS = count()
 
 
 class Table:
-    """An append-only, memory-resident, columnar table."""
+    """An append-only, memory-resident, columnar table.
+
+    Every reader (:meth:`column`, :meth:`row`, :meth:`scan_pages`,
+    :meth:`column_slices`) sees tuple columns. Ingest appends to list
+    buffers and the first read after it *seals* them into tuples, so a
+    burst of inserts is linear in the rows inserted; an ingest after a
+    read *unseals* (copies the tuples back into lists), which costs
+    O(table) — the order of the page-cache invalidation beside it. Load
+    in bulk (:meth:`insert_many`), then read.
+    """
 
     def __init__(self, name: str, schema: Schema) -> None:
         if not name:
             raise StorageError("table name must be non-empty")
         self.name = name
         self.schema = schema
-        self._columns: list[list[Any]] = [[] for _ in schema.columns]
+        # Tuples while sealed, list buffers between an ingest and the
+        # next read; readers go through ``_sealed()``, never this.
+        self._columns: list[Sequence[Any]] = [() for _ in schema.columns]
+        self._is_sealed = True
         # Decoded-page cache for the scan stage: per
         # (projection, page_rows) key, the lazily filled list of column
         # slices of each page. Cleared on ingest, evicted whole (least
-        # recently attached first) under ``PAGE_CACHE``'s budget;
-        # entries are shared with callers and read-only by convention
-        # (like ``column``).
+        # recently attached first) under ``PAGE_CACHE``'s budget, and
+        # dropped from that budget the moment the table dies.
         self._page_cache: dict[tuple, list] = {}
         self._serial = next(_SERIALS)
+        weakref.finalize(self, _forget, self._serial, self._page_cache)
 
     def __len__(self) -> int:
         return len(self._columns[0])
@@ -73,28 +99,46 @@ class Table:
 
     def insert(self, row: Sequence[Any]) -> None:
         """Validate and append one row."""
-        stored = self.schema.validate_row(row)
-        for column, value in zip(self._columns, stored):
-            column.append(value)
-        if self._page_cache:
-            for key in self._page_cache:
-                PAGE_CACHE.pop((self._serial, key))
-            self._page_cache.clear()
+        self.insert_many((row,))
 
-    def insert_many(self, rows: Sequence[Sequence[Any]]) -> None:
-        for row in rows:
-            self.insert(row)
+    def insert_many(self, rows: Iterable[Sequence[Any]]) -> None:
+        """Validate and append ``rows`` — the one ingest path.
+
+        Column-wise (:meth:`Schema.validate_rows`) and all-or-nothing:
+        every column is validated before any is extended, so a
+        :class:`~repro.errors.SchemaError` leaves the table as it was.
+        """
+        if not isinstance(rows, (list, tuple)):
+            rows = list(rows)
+        if not rows:
+            return
+        stored = self.schema.validate_rows(rows)
+        if self._is_sealed:
+            self._columns = [list(column) for column in self._columns]
+            self._is_sealed = False
+        for column, values in zip(self._columns, stored):
+            column.extend(values)
+        _forget(self._serial, self._page_cache)
+
+    def _sealed(self) -> list[tuple[Any, ...]]:
+        """The columns as tuples (what every reader goes through)."""
+        columns = self._columns
+        if not self._is_sealed:
+            for i, column in enumerate(columns):  # in place: one transient copy at a time
+                columns[i] = tuple(column)
+            self._is_sealed = True
+        return columns
 
     # -- access ----------------------------------------------------------
 
-    def column(self, name: str) -> Sequence[Any]:
-        """The raw column list (read-only by convention)."""
-        return self._columns[self.schema.index_of(name)]
+    def column(self, name: str) -> tuple[Any, ...]:
+        """One whole column, as the tuple the table stores."""
+        return self._sealed()[self.schema.index_of(name)]
 
     def row(self, i: int) -> tuple[Any, ...]:
         if not (0 <= i < len(self)):
             raise StorageError(f"row index {i} out of range for {self.name!r}")
-        return tuple(column[i] for column in self._columns)
+        return tuple(column[i] for column in self._sealed())
 
     def rows(self) -> Iterator[tuple[Any, ...]]:
         for i in range(len(self)):
@@ -112,16 +156,19 @@ class Table:
         """
         if page_rows < 1:
             raise StorageError(f"page_rows must be >= 1, got {page_rows}")
-        if columns is None:
-            cols = self._columns
-        else:
-            cols = [self._columns[self.schema.index_of(c)] for c in columns]
+        cols = self._project(columns)
         n = len(self)
         for start in range(0, n, page_rows):
             end = min(start + page_rows, n)
             rows = list(zip(*(col[start:end] for col in cols)))
             if rows:
                 yield Page(rows)
+
+    def _project(self, columns: Sequence[str] | None) -> list[tuple[Any, ...]]:
+        cols = self._sealed()
+        if columns is None:
+            return cols
+        return [cols[self.schema.index_of(c)] for c in columns]
 
     def page_count(self, page_rows: int = DEFAULT_PAGE_ROWS) -> int:
         """Number of pages a scan of this table touches."""
@@ -134,7 +181,7 @@ class Table:
         index: int,
         columns: Sequence[str] | None = None,
         page_rows: int = DEFAULT_PAGE_ROWS,
-    ) -> list[list[Any]]:
+    ) -> list[tuple[Any, ...]]:
         """One page's worth of raw column slices (columnar page access).
 
         Page ``i`` covers rows ``[i * page_rows, (i+1) * page_rows)``,
@@ -148,13 +195,13 @@ class Table:
 
         Decoded pages are cached per (projection, page_rows) until the
         next ingest or eviction, so concurrent scans of one table (and
-        repeated scans across queries) slice each page once. The
-        returned lists are shared with the cache: read-only by
-        convention, like :meth:`column`. Every call makes the
-        projection the most recently used under the page budget: this
-        is the scan stage's *miss* path (a fused-memo hit never gets
-        here), where the touch is noise beside the decode that follows
-        and keeps the projection an ad-hoc stream reads on every page.
+        repeated scans across queries) slice each page once. Each slice
+        is a tuple (a slice of a tuple column) shared with the cache.
+        Every call makes the projection the most recently used under
+        the page budget: this is the scan stage's *miss* path (a
+        fused-memo hit never gets here), where the touch is noise beside
+        the decode that follows and keeps the projection an ad-hoc
+        stream reads on every page.
         """
         key = (None if columns is None else tuple(columns), page_rows)
         pages = self._page_cache.get(key)
@@ -171,10 +218,7 @@ class Table:
                 f"page index {index} out of range for {self.name!r} "
                 f"({n_pages} pages at {page_rows} rows/page)"
             )
-        if columns is None:
-            cols = self._columns
-        else:
-            cols = [self._columns[self.schema.index_of(c)] for c in columns]
+        cols = self._project(columns)
         start = index * page_rows
         end = min(start + page_rows, len(self))
         slices = [col[start:end] for col in cols]
@@ -203,8 +247,9 @@ class Table:
         is the storage-side analogue of the engine's cross-query work
         sharing, and it shares the ingest invalidation and the budget
         of the plain page cache (``width`` is the scan's output width,
-        its weight per row). Slots start as ``None``; entries are shared
-        and read-only by convention. Each call is one *attach*: it makes
+        its weight per row). Slots start as ``None``; entries are shared,
+        and the batches parked in them carry tuple columns. Each call is
+        one *attach*: it makes
         the signature the most recently used, which is all the recency
         the budget keeps of a fused scan — reading or filling a slot
         stays a bare list index.

@@ -36,6 +36,7 @@ START_DATE = _dt.date(1992, 1, 1).toordinal()
 END_DATE = _dt.date(1998, 8, 2).toordinal()
 
 _REGIONS = ("AFRICA", "AMERICA", "ASIA", "EUROPE", "MIDDLE EAST")
+# fmt: off
 _NATIONS = (
     "ALGERIA", "ARGENTINA", "BRAZIL", "CANADA", "EGYPT", "ETHIOPIA",
     "FRANCE", "GERMANY", "INDIA", "INDONESIA", "IRAN", "IRAQ", "JAPAN",
@@ -43,12 +44,11 @@ _NATIONS = (
     "ROMANIA", "SAUDI ARABIA", "VIETNAM", "RUSSIA", "UNITED KINGDOM",
     "UNITED STATES",
 )
+# fmt: on
 _SEGMENTS = ("AUTOMOBILE", "BUILDING", "FURNITURE", "MACHINERY", "HOUSEHOLD")
 _PRIORITIES = ("1-URGENT", "2-HIGH", "3-MEDIUM", "4-NOT SPECIFIED", "5-LOW")
 _SHIP_MODES = ("REG AIR", "AIR", "RAIL", "SHIP", "TRUCK", "MAIL", "FOB")
-_SHIP_INSTRUCT = (
-    "DELIVER IN PERSON", "COLLECT COD", "NONE", "TAKE BACK RETURN",
-)
+_SHIP_INSTRUCT = ("DELIVER IN PERSON", "COLLECT COD", "NONE", "TAKE BACK RETURN")
 _ORDER_STATUS = ("O", "F", "P")
 _CONTAINERS = ("SM CASE", "LG BOX", "MED BAG", "JUMBO JAR", "WRAP PKG")
 _TYPES = ("STANDARD", "SMALL", "MEDIUM", "LARGE", "ECONOMY", "PROMO")
@@ -80,76 +80,106 @@ class GeneratorConfig:
         )
 
 
+# Tables are loaded through ``insert_many`` (validated a column at a
+# time); the ``Stream`` draws happen while the row tuples are built, in
+# the order a row-at-a-time load made them. The two big tables flush
+# their row buffers every ``_LOAD_CHUNK`` orders, so the load's transient
+# (row tuples plus their transpose) stays far below the database itself
+# and does not become the process's memory high-water mark.
+_LOAD_CHUNK = 1024
+
+
 def _populate_region(catalog: Catalog, stream: Stream) -> None:
     table = catalog.create("region", tpch_schema.REGION)
-    for key, name in enumerate(_REGIONS):
-        table.insert((key, name, comment(stream)))
+    table.insert_many([(key, name, comment(stream)) for key, name in enumerate(_REGIONS)])
 
 
 def _populate_nation(catalog: Catalog, stream: Stream) -> None:
     table = catalog.create("nation", tpch_schema.NATION)
-    for key, name in enumerate(_NATIONS):
-        table.insert((key, name, key % len(_REGIONS), comment(stream)))
+    table.insert_many(
+        [(key, name, key % len(_REGIONS), comment(stream)) for key, name in enumerate(_NATIONS)]
+    )
+
+
+def _phone(stream: Stream) -> str:
+    return (
+        f"{stream.uniform_int(10, 34)}-{stream.uniform_int(100, 999)}-"
+        f"{stream.uniform_int(100, 999)}-{stream.uniform_int(1000, 9999)}"
+    )
 
 
 def _populate_supplier(catalog: Catalog, stream: Stream, config: GeneratorConfig) -> None:
     table = catalog.create("supplier", tpch_schema.SUPPLIER)
-    for key in range(1, config.suppliers + 1):
-        table.insert((
-            key,
-            f"Supplier#{key:09d}",
-            f"addr-{stream.uniform_int(1000, 9999)}",
-            stream.uniform_int(0, len(_NATIONS) - 1),
-            f"{stream.uniform_int(10, 34)}-{stream.uniform_int(100, 999)}-"
-            f"{stream.uniform_int(100, 999)}-{stream.uniform_int(1000, 9999)}",
-            round(stream.uniform_float(-999.99, 9999.99), 2),
-            comment(stream),
-        ))
+    table.insert_many(
+        [
+            (
+                key,
+                f"Supplier#{key:09d}",
+                f"addr-{stream.uniform_int(1000, 9999)}",
+                stream.uniform_int(0, len(_NATIONS) - 1),
+                _phone(stream),
+                round(stream.uniform_float(-999.99, 9999.99), 2),
+                comment(stream),
+            )
+            for key in range(1, config.suppliers + 1)
+        ]
+    )
 
 
 def _populate_part(catalog: Catalog, stream: Stream, config: GeneratorConfig) -> None:
     table = catalog.create("part", tpch_schema.PART)
-    for key in range(1, config.parts + 1):
-        table.insert((
-            key,
-            f"part {key} {stream.choice(_TYPES).lower()}",
-            f"Manufacturer#{stream.uniform_int(1, 5)}",
-            stream.choice(_BRANDS),
-            stream.choice(_TYPES),
-            stream.uniform_int(1, 50),
-            stream.choice(_CONTAINERS),
-            round(900 + key / 10 % 1000 + 0.01 * (key % 100), 2),
-            comment(stream),
-        ))
+    table.insert_many(
+        [
+            (
+                key,
+                f"part {key} {stream.choice(_TYPES).lower()}",
+                f"Manufacturer#{stream.uniform_int(1, 5)}",
+                stream.choice(_BRANDS),
+                stream.choice(_TYPES),
+                stream.uniform_int(1, 50),
+                stream.choice(_CONTAINERS),
+                round(900 + key / 10 % 1000 + 0.01 * (key % 100), 2),
+                comment(stream),
+            )
+            for key in range(1, config.parts + 1)
+        ]
+    )
 
 
 def _populate_partsupp(catalog: Catalog, stream: Stream, config: GeneratorConfig) -> None:
     table = catalog.create("partsupp", tpch_schema.PARTSUPP)
-    for part_key in range(1, config.parts + 1):
-        for _ in range(2):  # spec has 4 per part; 2 keeps small SFs lean
-            table.insert((
+    table.insert_many(
+        [
+            (
                 part_key,
                 stream.uniform_int(1, config.suppliers),
                 stream.uniform_int(1, 9999),
                 round(stream.uniform_float(1.0, 1000.0), 2),
                 comment(stream),
-            ))
+            )
+            for part_key in range(1, config.parts + 1)
+            for _ in range(2)  # spec has 4 per part; 2 keeps small SFs lean
+        ]
+    )
 
 
 def _populate_customer(catalog: Catalog, stream: Stream, config: GeneratorConfig) -> None:
     table = catalog.create("customer", tpch_schema.CUSTOMER)
-    for key in range(1, config.customers + 1):
-        table.insert((
-            key,
-            f"Customer#{key:09d}",
-            f"addr-{stream.uniform_int(1000, 9999)}",
-            stream.uniform_int(0, len(_NATIONS) - 1),
-            f"{stream.uniform_int(10, 34)}-{stream.uniform_int(100, 999)}-"
-            f"{stream.uniform_int(100, 999)}-{stream.uniform_int(1000, 9999)}",
-            round(stream.uniform_float(-999.99, 9999.99), 2),
-            stream.choice(_SEGMENTS),
-            comment(stream),
-        ))
+    table.insert_many(
+        [
+            (
+                key,
+                f"Customer#{key:09d}",
+                f"addr-{stream.uniform_int(1000, 9999)}",
+                stream.uniform_int(0, len(_NATIONS) - 1),
+                _phone(stream),
+                round(stream.uniform_float(-999.99, 9999.99), 2),
+                stream.choice(_SEGMENTS),
+                comment(stream),
+            )
+            for key in range(1, config.customers + 1)
+        ]
+    )
 
 
 def _populate_orders_and_lineitem(
@@ -157,7 +187,8 @@ def _populate_orders_and_lineitem(
 ) -> None:
     orders = catalog.create("orders", tpch_schema.ORDERS)
     lineitem = catalog.create("lineitem", tpch_schema.LINEITEM)
-
+    order_rows = []
+    lines = []
     order_key = 0
     total_orders = config.customers * config.orders_per_customer
     for i in range(total_orders):
@@ -172,7 +203,6 @@ def _populate_orders_and_lineitem(
         status = stream.choice(_ORDER_STATUS)
 
         total_price = 0.0
-        lines = []
         for line_no in range(1, n_lines + 1):
             quantity = float(stream.uniform_int(1, 50))
             extended = round(quantity * stream.uniform_float(900.0, 1100.0), 2)
@@ -184,38 +214,45 @@ def _populate_orders_and_lineitem(
             returnflag = stream.choice(("R", "A")) if stream.sample_bool(0.5) else "N"
             linestatus = "O" if stream.sample_bool(0.5) else "F"
             total_price += extended
-            lines.append((
-                order_key,
-                stream.uniform_int(1, config.parts),
-                stream.uniform_int(1, config.suppliers),
-                line_no,
-                quantity,
-                extended,
-                discount,
-                tax,
-                returnflag,
-                linestatus,
-                ship,
-                commit,
-                receipt,
-                stream.choice(_SHIP_INSTRUCT),
-                stream.choice(_SHIP_MODES),
-                comment(stream, min_words=2, max_words=5),
-            ))
+            lines.append(
+                (
+                    order_key,
+                    stream.uniform_int(1, config.parts),
+                    stream.uniform_int(1, config.suppliers),
+                    line_no,
+                    quantity,
+                    extended,
+                    discount,
+                    tax,
+                    returnflag,
+                    linestatus,
+                    ship,
+                    commit,
+                    receipt,
+                    stream.choice(_SHIP_INSTRUCT),
+                    stream.choice(_SHIP_MODES),
+                    comment(stream, min_words=2, max_words=5),
+                )
+            )
 
-        orders.insert((
-            order_key,
-            cust_key,
-            status,
-            round(total_price, 2),
-            order_date,
-            stream.choice(_PRIORITIES),
-            f"Clerk#{stream.uniform_int(1, 1000):09d}",
-            0,
-            comment(stream, plant_special=plant),
-        ))
-        for line in lines:
-            lineitem.insert(line)
+        order_rows.append(
+            (
+                order_key,
+                cust_key,
+                status,
+                round(total_price, 2),
+                order_date,
+                stream.choice(_PRIORITIES),
+                f"Clerk#{stream.uniform_int(1, 1000):09d}",
+                0,
+                comment(stream, plant_special=plant),
+            )
+        )
+        if len(order_rows) == _LOAD_CHUNK or i == total_orders - 1:
+            orders.insert_many(order_rows)
+            lineitem.insert_many(lines)
+            order_rows.clear()
+            lines.clear()
 
 
 def generate(scale_factor: float = 0.01, seed: int = 2007) -> Catalog:

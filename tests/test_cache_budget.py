@@ -8,6 +8,8 @@ they are at the default — Jahangiri et al.'s "identical answers at
 every budget", applied to the host's memory.
 """
 
+import gc
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -123,6 +125,22 @@ def test_insert_still_invalidates():
     assert not any(key in PAGE_CACHE for key in keys)
     assert PAGE_CACHE.weight == weight - 2 * ROWS  # the fused list and the plain one
     assert len(session.run(query).rows) == 6
+
+
+def test_a_dead_table_leaves_the_budget_at_once():
+    """Its upper-bound weights used to sit in the budget until they aged
+    out, pushing live signatures out early (``fig6.run`` builds a fresh
+    catalog per call) and over-reading ``cache.pages.cells``."""
+    gc.collect()
+    before = (len(PAGE_CACHE), PAGE_CACHE.weight)
+    table = Table("t", Schema([("k", DataType.INT), ("v", DataType.INT)]))
+    table.insert_many([(i, i) for i in range(1000)])
+    table.column_slices(0)
+    table.fused_cache(("fused", "sig", 64), table.page_count(64), 2)
+    assert (len(PAGE_CACHE), PAGE_CACHE.weight) == (before[0] + 2, before[1] + 4000)
+    del table
+    gc.collect()
+    assert (len(PAGE_CACHE), PAGE_CACHE.weight) == before
 
 
 def test_templated_session_never_decodes_after_its_warm_up(monkeypatch):

@@ -165,6 +165,30 @@ class TestTable:
         t.insert_many([(1, 1.0, "a", 730000), (2, 2.0, "b", 730001)])
         assert len(t) == 2
 
+    def test_column_is_a_tuple_at_every_point_of_a_tables_life(self, schema):
+        t = Table("life", schema)
+        assert t.column("id") == ()
+        t.insert((1, 1.0, "a", 730000))
+        assert t.column("id") == (1,)
+        pages = list(t.scan_pages(page_rows=4))
+        assert [list(page.rows) for page in pages] == [[(1, 1.0, "a", 730000)]]
+        assert t.column("id") == (1,)
+        assert all(type(c) is tuple for c in t.column_slices(0, page_rows=4))
+        t.insert_many(iter([(2, 2, "b", datetime.date(1999, 9, 9))]))  # any iterable; coerced
+        assert t.column("id") == (1, 2) and t.column("price") == (1.0, 2.0)
+        assert t.row(1) == (2, 2.0, "b", datetime.date(1999, 9, 9).toordinal())
+        assert all(type(t.column(name)) is tuple for name in schema.names())
+
+    def test_insert_many_is_all_or_nothing(self, table):
+        """A bad row in the middle used to leave the rows before it."""
+        before = list(table.rows())
+        good = (10, 1.0, "ok", 730010)
+        with pytest.raises(SchemaError, match="column 'price' expects FLOAT, got 'dear'"):
+            table.insert_many([good, (11, "dear", "bad", 730011), good])
+        with pytest.raises(SchemaError, match="row has 3 values, schema expects 4"):
+            table.insert_many([good, (11, 1.0, "short")])
+        assert list(table.rows()) == before
+
 
 class TestPage:
     def test_empty_page_rejected(self):

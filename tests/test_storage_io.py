@@ -65,6 +65,13 @@ class TestTableRoundTrip:
         with pytest.raises(StorageError, match="expected 2 fields"):
             load_table(path)
 
+    def test_ragged_row_is_reported_by_its_line(self, tmp_path):
+        """The rows are ingested in one call; the check still runs per line."""
+        path = tmp_path / "bad.csv"
+        path.write_text("a:int,b:int\n1,2\n3,4\n5\n6,7\n")
+        with pytest.raises(StorageError, match=r"bad\.csv:4: expected 2 fields, got 1"):
+            load_table(path)
+
     def test_null_round_trip(self, tmp_path):
         """Regression: NULLs are written as empty fields and used to
         crash the decoder (``int("")``) for INT/FLOAT/DATE columns."""
