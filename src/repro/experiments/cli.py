@@ -47,13 +47,27 @@ _EXPERIMENTS = {
     "fig4": _Experiment(fig4, "Figure 4: model-predicted speedup surfaces"),
     "fig5": _Experiment(fig5, "Figure 5: model vs measured validation"),
     "fig6": _Experiment(fig6, "Figure 6: policy throughput across workload mixes"),
-    "fig_audit": _Experiment(fig_audit, "Decision audit: projected vs measured rates over the fig_mem flip"),
-    "fig_mem": _Experiment(fig_mem, "Memory governance: spilling join sweep + cold/warm sharing flip"),
-    "fig_parallel": _Experiment(fig_parallel, "Share vs parallelize: exchange-partitioned fragments + the four-way policy"),
-    "fig_drift": _Experiment(fig_drift, "Drift-bounded elevator scans: throttle vs group windows under consumer skew"),
-    "fig_scan": _Experiment(fig_scan, "Cooperative scans: elevator sharing, async prefetch, scan-aware eviction"),
-    "fig_server": _Experiment(fig_server, "Open-system serving: goodput/p99 across load, and the sharing flip point"),
-    "fig_sort": _Experiment(fig_sort, "External sort: grant-governed runs/merges + prefetched spill read-back"),
+    "fig_audit": _Experiment(
+        fig_audit, "Decision audit: projected vs measured rates over the fig_mem flip"
+    ),
+    "fig_mem": _Experiment(
+        fig_mem, "Memory governance: spilling join sweep + cold/warm sharing flip"
+    ),
+    "fig_parallel": _Experiment(
+        fig_parallel, "Share vs parallelize: exchange-partitioned fragments + the four-way policy"
+    ),
+    "fig_drift": _Experiment(
+        fig_drift, "Drift-bounded elevator scans: throttle vs group windows under consumer skew"
+    ),
+    "fig_scan": _Experiment(
+        fig_scan, "Cooperative scans: elevator sharing, async prefetch, scan-aware eviction"
+    ),
+    "fig_server": _Experiment(
+        fig_server, "Open-system serving: goodput/p99 across load, and the sharing flip point"
+    ),
+    "fig_sort": _Experiment(
+        fig_sort, "External sort: grant-governed runs/merges + prefetched spill read-back"
+    ),
     "section4": _Experiment(section4_example, "Section 4 worked example of the analytical model"),
 }
 
@@ -62,8 +76,7 @@ def _render_list() -> str:
     width = max(len(name) for name in _EXPERIMENTS)
     lines = ["registered experiments:"]
     lines.extend(
-        f"  {name:<{width}}  {exp.description}"
-        for name, exp in sorted(_EXPERIMENTS.items())
+        f"  {name:<{width}}  {exp.description}" for name, exp in sorted(_EXPERIMENTS.items())
     )
     return "\n".join(lines)
 
@@ -89,7 +102,8 @@ def run(args) -> int:
             return 0
 
     names = (
-        sorted(_EXPERIMENTS) if "all" in args.experiments
+        sorted(_EXPERIMENTS)
+        if "all" in args.experiments
         else [n for n in dict.fromkeys(args.experiments) if n != "list"]
     )
     for name in names:
@@ -105,8 +119,7 @@ def run(args) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro experiments",
-        description="Regenerate figures from 'To Share or Not To Share?' "
-                    "(VLDB 2007).",
+        description="Regenerate figures from 'To Share or Not To Share?' (VLDB 2007).",
     )
     add_arguments(parser)
     return run(parser.parse_args(argv))

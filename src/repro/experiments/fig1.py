@@ -22,6 +22,7 @@ from repro.experiments.common import (
     DEFAULT_SEED,
     PAPER_PROCESSOR_COUNTS,
     SpeedupSeries,
+    pick,
     shared_catalog,
     speedup_series,
 )
@@ -37,10 +38,7 @@ class Fig1Result:
     series: tuple[SpeedupSeries, ...]
 
     def line(self, processors: int) -> SpeedupSeries:
-        for s in self.series:
-            if s.processors == processors:
-                return s
-        raise KeyError(processors)
+        return pick(self.series, processors=processors)
 
     def render(self) -> str:
         chart = ascii_chart(
@@ -50,7 +48,8 @@ class Fig1Result:
         return (
             "Figure 1 — speedup of sharing the Q6 scan vs never-share\n"
             + series_table(list(self.series))
-            + "\n\n" + chart
+            + "\n\n"
+            + chart
         )
 
 
@@ -65,7 +64,5 @@ def run(
     seed: int = DEFAULT_SEED,
 ) -> Fig1Result:
     catalog = shared_catalog(scale_factor, seed)
-    series = tuple(
-        speedup_series(catalog, "q6", n, clients) for n in processor_counts
-    )
+    series = tuple(speedup_series(catalog, "q6", n, clients) for n in processor_counts)
     return Fig1Result(series=series)

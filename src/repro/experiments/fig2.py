@@ -16,6 +16,7 @@ from repro.experiments.common import (
     DEFAULT_SEED,
     PAPER_PROCESSOR_COUNTS,
     SpeedupSeries,
+    pick,
     shared_catalog,
     speedup_series,
 )
@@ -34,10 +35,7 @@ class Fig2Result:
     join_heavy: tuple[SpeedupSeries, ...]
 
     def line(self, query: str, processors: int) -> SpeedupSeries:
-        for s in self.scan_heavy + self.join_heavy:
-            if s.query == query and s.processors == processors:
-                return s
-        raise KeyError((query, processors))
+        return pick(self.scan_heavy + self.join_heavy, query=query, processors=processors)
 
     def render(self) -> str:
         return (
@@ -60,13 +58,9 @@ def run(
 ) -> Fig2Result:
     catalog = shared_catalog(scale_factor, seed)
     scan_series = tuple(
-        speedup_series(catalog, name, n, clients)
-        for name in SCAN_HEAVY
-        for n in processor_counts
+        speedup_series(catalog, name, n, clients) for name in SCAN_HEAVY for n in processor_counts
     )
     join_series = tuple(
-        speedup_series(catalog, name, n, clients)
-        for name in JOIN_HEAVY
-        for n in processor_counts
+        speedup_series(catalog, name, n, clients) for name in JOIN_HEAVY for n in processor_counts
     )
     return Fig2Result(scan_heavy=scan_series, join_heavy=join_series)

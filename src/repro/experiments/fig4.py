@@ -32,6 +32,11 @@ __all__ = ["Fig4Result", "run", "DEFAULT_CLIENTS"]
 DEFAULT_CLIENTS = tuple(range(1, 41))
 
 
+def _stages_label(stages: float) -> str:
+    eliminated = work_eliminated_fraction(staged_query(int(stages)), "pivot")
+    return f"{int(stages)}/5 ({eliminated:.0%})"
+
+
 @dataclass(frozen=True)
 class Fig4Result:
     processors: SweepResult
@@ -40,21 +45,15 @@ class Fig4Result:
 
     def render(self) -> str:
         blocks = []
-        for title, sweep, key_fmt in (
-            ("Figure 4 (left) — Z vs clients by processor count",
-             self.processors, lambda v: f"{int(v)}cpu"),
-            ("Figure 4 (center) — Z vs clients by pivot output cost s "
-             "(32 cpus)", self.output_cost, lambda v: f"s={v:g}"),
-            ("Figure 4 (right) — Z vs clients by stages below pivot "
-             "(8 cpus)", self.work_below,
-             lambda v: f"{int(v)}/5 ({work_eliminated_fraction(staged_query(int(v)), 'pivot'):.0%})"),
+        for side, axis, sweep, key_fmt in (
+            ("left", "processor count", self.processors, lambda v: f"{int(v)}cpu"),
+            ("center", "pivot output cost s (32 cpus)", self.output_cost, lambda v: f"s={v:g}"),
+            ("right", "stages below pivot (8 cpus)", self.work_below, _stages_label),
         ):
             keys = sorted(sweep.series)
             headers = ["clients"] + [key_fmt(k) for k in keys]
-            rows = [
-                [m] + [sweep.series[k][i] for k in keys]
-                for i, m in enumerate(sweep.clients)
-            ]
+            rows = [[m] + [sweep.series[k][i] for k in keys] for i, m in enumerate(sweep.clients)]
+            title = f"Figure 4 ({side}) — Z vs clients by {axis}"
             blocks.append(title + "\n" + format_table(headers, rows))
         return "\n\n".join(blocks)
 

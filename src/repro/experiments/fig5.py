@@ -27,7 +27,7 @@ from repro.experiments.common import (
     batch_speedup,
     shared_catalog,
 )
-from repro.experiments.report import format_table
+from repro.experiments.report import block
 from repro.profiling import QueryProfiler
 from repro.tpch.queries import build
 
@@ -91,15 +91,18 @@ class Fig5Result:
         return sum(p.decision_agrees for p in self.points) / len(self.points)
 
     def render(self) -> str:
-        headers = ["query", "cpus", "clients", "predicted Z", "measured Z",
-                   "err%"]
-        rows = [
-            [p.query, p.processors, p.clients, p.predicted, p.measured,
-             100 * p.relative_error]
-            for p in self.points
+        columns = [
+            ("query", lambda p: p.query),
+            ("cpus", lambda p: p.processors),
+            ("clients", lambda p: p.clients),
+            ("predicted Z", lambda p: p.predicted),
+            ("measured Z", lambda p: p.measured),
+            ("err%", lambda p: 100 * p.relative_error),
         ]
-        summary = (
-            f"\nscan-heavy: max err {100 * self.max_error('scan-heavy'):.1f}% "
+        table = block("Figure 5 — model validation (predicted vs measured Z)", columns, self.points)
+        return (
+            f"{table}\n"
+            f"scan-heavy: max err {100 * self.max_error('scan-heavy'):.1f}% "
             f"avg {100 * self.avg_error('scan-heavy'):.1f}%  "
             f"(paper: 22% / 5.7%)\n"
             f"join-heavy: max err {100 * self.max_error('join-heavy'):.1f}% "
@@ -109,11 +112,6 @@ class Fig5Result:
             f"avg {100 * self.avg_phased_error('join-heavy'):.1f}%\n"
             f"binary share/don't-share agreement: "
             f"{100 * self.decision_accuracy():.0f}%"
-        )
-        return (
-            "Figure 5 — model validation (predicted vs measured Z)\n"
-            + format_table(headers, rows)
-            + summary
         )
 
 
@@ -139,8 +137,7 @@ def run(
         for n in processor_counts:
             for m in clients:
                 group = sharers(spec, m, name)
-                predicted = sharing_benefit(group, query.pivot, n,
-                                            closed_system=True)
+                predicted = sharing_benefit(group, query.pivot, n, closed_system=True)
                 predicted_phased = phased.sharing_benefit(query.pivot, m, n)
                 measured = batch_speedup(catalog, query, m, n)
                 points.append(

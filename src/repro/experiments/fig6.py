@@ -21,12 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from repro.experiments.common import (
-    DEFAULT_SCALE_FACTOR,
-    DEFAULT_SEED,
-    shared_catalog,
-)
-from repro.experiments.report import format_table
+from repro.experiments.common import DEFAULT_SCALE_FACTOR, DEFAULT_SEED, pick, shared_catalog
+from repro.experiments.report import block
 from repro.policies import AlwaysShare, ModelGuidedPolicy, NeverShare
 from repro.profiling import QueryProfiler
 from repro.tpch.queries import build
@@ -38,6 +34,7 @@ DEFAULT_FRACTIONS = (0.0, 0.25, 0.5, 0.75, 1.0)
 # One simulated-time unit is one abstract cost unit; the scaling below
 # renders throughput in "queries/min"-like magnitudes for readability.
 THROUGHPUT_SCALE = 1e6
+POLICIES = ("always", "model", "never")
 
 
 @dataclass(frozen=True)
@@ -54,26 +51,22 @@ class Fig6Result:
     cells: tuple[Fig6Cell, ...]
     n_clients: int
 
-    def throughput(self, policy: str, processors: int,
-                   q4_fraction: float) -> float:
-        for cell in self.cells:
-            if (cell.policy == policy and cell.processors == processors
-                    and cell.q4_fraction == q4_fraction):
-                return cell.throughput
-        raise KeyError((policy, processors, q4_fraction))
+    def throughput(self, policy: str, processors: int, q4_fraction: float) -> float:
+        return pick(
+            self.cells, policy=policy, processors=processors, q4_fraction=q4_fraction
+        ).throughput
 
     def panel(self, processors: int) -> Mapping[str, list[float]]:
-        policies = ("always", "model", "never")
         return {
             policy: [
-                cell.throughput for cell in self.cells
+                cell.throughput
+                for cell in self.cells
                 if cell.policy == policy and cell.processors == processors
             ]
-            for policy in policies
+            for policy in POLICIES
         }
 
-    def average_ratio(self, processors: int, policy_a: str,
-                      policy_b: str) -> float:
+    def average_ratio(self, processors: int, policy_a: str, policy_b: str) -> float:
         """Mean over mixes of throughput(policy_a)/throughput(policy_b)."""
         a = self.panel(processors)[policy_a]
         b = self.panel(processors)[policy_b]
@@ -82,28 +75,21 @@ class Fig6Result:
 
     def render(self) -> str:
         blocks = []
-        processor_counts = sorted({cell.processors for cell in self.cells})
         fractions = sorted({cell.q4_fraction for cell in self.cells})
-        for n in processor_counts:
-            headers = ["q4 fraction", "always", "model", "never"]
-            rows = []
-            for frac in fractions:
-                rows.append([
-                    f"{frac:.0%}",
-                    self.throughput("always", n, frac),
-                    self.throughput("model", n, frac),
-                    self.throughput("never", n, frac),
-                ])
-            blocks.append(
-                f"Figure 6 — throughput by policy, {self.n_clients} clients "
-                f"on {n} processors\n" + format_table(headers, rows)
-                + (
-                    f"\n  model vs never (avg): "
-                    f"{self.average_ratio(n, 'model', 'never'):.2f}x;  "
-                    f"model vs always (avg): "
-                    f"{self.average_ratio(n, 'model', 'always'):.2f}x"
-                )
-            )
+        for n in sorted({cell.processors for cell in self.cells}):
+            columns = [("q4 fraction", lambda frac: f"{frac:.0%}")]
+            columns += [
+                (policy, lambda frac, policy=policy: self.throughput(policy, n, frac))
+                for policy in POLICIES
+            ]
+            never = self.average_ratio(n, "model", "never")
+            always = self.average_ratio(n, "model", "always")
+            title = f"Figure 6 — throughput by policy, {self.n_clients} clients on {n} processors"
+            claims = [
+                ("model vs never (avg)", f"{never:.2f}x"),
+                ("model vs always (avg)", f"{always:.2f}x"),
+            ]
+            blocks.append(block(title, columns, fractions, claims))
         return "\n\n".join(blocks)
 
 
@@ -140,12 +126,15 @@ def run(
     for processors in processor_counts:
         for fraction in fractions:
             mix = WorkloadMix.two_way("q1", "q4", fraction, seed=seed)
-            for policy in (AlwaysShare(), ModelGuidedPolicy(specs),
-                           NeverShare()):
+            for policy in (AlwaysShare(), ModelGuidedPolicy(specs), NeverShare()):
                 result = run_closed_system(
-                    catalog, policy, mix,
-                    n_clients=n_clients, processors=processors,
-                    warmup=warmup, window=window,
+                    catalog,
+                    policy,
+                    mix,
+                    n_clients=n_clients,
+                    processors=processors,
+                    warmup=warmup,
+                    window=window,
                 )
                 cells.append(
                     Fig6Cell(

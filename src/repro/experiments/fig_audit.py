@@ -31,15 +31,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.db import Database, RuntimeConfig
-from repro.experiments.common import DEFAULT_SEED
-from repro.experiments.fig_mem import (
-    DEFAULT_POOL_PAGES,
-    FLIP_COSTS,
-    FLIP_ROWS,
-    FLIP_TABLE,
-    _flip_catalog,
-    _flip_query,
-)
+from repro.experiments.common import DEFAULT_SEED, pick, replica_catalog
+from repro.experiments.fig_mem import FLIP_CONFIG, FLIP_ROWS, FLIP_TABLE, flip_query
 from repro.obs.audit import AuditRecord
 
 __all__ = ["AuditCell", "FigAuditResult", "run"]
@@ -75,7 +68,7 @@ def _run_cell(
     session = Database.open(catalog, config)
     if warm:
         session.prewarm(FLIP_TABLE)
-    query = _flip_query(session, FLIP_TABLE)
+    query = flip_query(session, FLIP_TABLE)
     if cpu_skew is not None:
         # Declaring skew goes through advise(), which appends its own
         # (never-joined) advisor record before any routing happens.
@@ -86,11 +79,7 @@ def _run_cell(
     session.run_all()
     routed = session.audit_log().records[pre_routing:]
     joined = tuple(r for r in routed if r.joined)
-    errors = [
-        abs(r.projection_error)
-        for r in joined
-        if r.projection_error is not None
-    ]
+    errors = [abs(r.projection_error) for r in joined if r.projection_error is not None]
     return AuditCell(
         name=name,
         outcome=routed[0].outcome if routed else "?",
@@ -108,18 +97,14 @@ class FigAuditResult:
     processors: int
 
     def cell(self, name: str) -> AuditCell:
-        for cell in self.cells:
-            if cell.name == name:
-                return cell
-        raise KeyError(name)
+        return pick(self.cells, name=name)
 
     def all_joined(self) -> bool:
         """Every routing decision of every cell carries a measurement."""
         return all(cell.all_joined for cell in self.cells)
 
     def decision_flipped(self) -> bool:
-        return (self.cell("cold").outcome == "share"
-                and self.cell("warm").outcome == "solo")
+        return self.cell("cold").outcome == "share" and self.cell("warm").outcome == "solo"
 
     def render(self) -> str:
         blocks = [
@@ -127,11 +112,7 @@ class FigAuditResult:
             f"({self.tenants} tenants on {self.processors} processors)"
         ]
         for cell in self.cells:
-            error = (
-                f"{cell.mean_abs_error:.1%}"
-                if cell.mean_abs_error is not None
-                else "n/a"
-            )
+            error = f"{cell.mean_abs_error:.1%}" if cell.mean_abs_error is not None else "n/a"
             blocks.append(
                 f"[{cell.name}] outcome={cell.outcome}, "
                 f"joined={len(cell.records)}, unjoined={cell.unjoined}, "
@@ -149,26 +130,13 @@ class FigAuditResult:
 QUICK = {"base_rows": 3000}
 
 
-def run(
-    tenants: int = 8,
-    processors: int = 4,
-    pool_pages: int = DEFAULT_POOL_PAGES,
-    base_rows: int = FLIP_ROWS,
-    seed: int = DEFAULT_SEED,
-) -> FigAuditResult:
-    catalog = _flip_catalog(base_rows, tenants, seed)
-    plain = RuntimeConfig(
-        pool_pages=pool_pages, processors=processors, cost_model=FLIP_COSTS,
-    )
-    drifted = plain.with_(
-        prefetch_depth=2, drift_bound=16, group_windows="auto",
-    )
+def run(tenants: int = 8, processors: int = 4, base_rows: int = FLIP_ROWS) -> FigAuditResult:
+    catalog = replica_catalog(FLIP_TABLE, base_rows, tenants, DEFAULT_SEED)
+    plain = FLIP_CONFIG.with_(processors=processors)
+    drifted = plain.with_(prefetch_depth=2, drift_bound=16, group_windows="auto")
     cells = (
         _run_cell("cold", catalog, plain, tenants, warm=False),
         _run_cell("warm", catalog, plain, tenants, warm=True),
-        _run_cell(
-            "cold+drift", catalog, drifted, tenants, warm=False,
-            cpu_skew=DRIFT_SKEW,
-        ),
+        _run_cell("cold+drift", catalog, drifted, tenants, warm=False, cpu_skew=DRIFT_SKEW),
     )
     return FigAuditResult(cells=cells, tenants=tenants, processors=processors)

@@ -57,34 +57,39 @@ from repro.db import Database, Query, RuntimeConfig
 from repro.engine import CostModel
 from repro.engine.expressions import col, ge
 from repro.engine.plan import filter_, scan
-from repro.experiments.report import format_table
+from repro.experiments.common import nondecreasing, pick
+from repro.experiments.report import block
 from repro.policies.model_guided import ModelGuidedPolicy
 from repro.policies.resource_outlook import ResourceOutlook, ResourceProfile
 from repro.profiling.profiler import QueryProfiler
 from repro.storage import Catalog, DataType, Schema
 
-__all__ = [
-    "DriftPoint",
-    "FlipResult",
-    "FigDriftResult",
-    "run",
-    "DEFAULT_SKEWS",
-    "ARMS",
-]
+__all__ = ["DriftPoint", "FlipResult", "FigDriftResult", "run", "DEFAULT_SKEWS", "ARMS"]
 
 DRIFT_TABLE = "driftstream"
 DRIFT_ROWS = 1200
-PAGE_ROWS = 25            # 48 pages
-POOL_PAGES = 22           # < table: a straggler's lag can outrun residency
+PAGE_ROWS = 25  # 48 pages
+POOL_PAGES = 22  # < table: a straggler's lag can outrun residency
 DRIFT_BOUND = 8
 PREFETCH_DEPTH = 2
-PROCESSORS = 12           # one context per stage: skew, not contention
+PROCESSORS = 12  # one context per stage: skew, not contention
 # The flip is decided (and validated) in the paper's few-core regime:
 # on many cores the model rightly keeps a multiplexed pivot solo even
 # after the drift discount, so the regret cell sits at small n.
 FLIP_PROCESSORS = 3
+# Part B's cell on the skew axis.
+FLIP_SKEW = 16
 # Cold-storage calibration: a page fetch costs several pages of CPU.
 DRIFT_COSTS = CostModel(io_page=400.0)
+# The unbounded-drift arm; the other two set drift_bound/group_windows.
+DRIFT_CONFIG = RuntimeConfig(
+    pool_pages=POOL_PAGES,
+    pool_policy="lru",
+    prefetch_depth=PREFETCH_DEPTH,
+    page_rows=PAGE_ROWS,
+    processors=PROCESSORS,
+    cost_model=DRIFT_COSTS,
+)
 DEFAULT_SKEWS = (1, 4, 16, 64)
 # The three drift policies: (arm name, drift_bound, group_windows).
 ARMS = (
@@ -101,30 +106,17 @@ FAST_CONSUMERS = 3
 SLOW_CONSUMERS = 3
 
 
-def _drift_catalog(rows: int) -> Catalog:
+def _drift_catalog() -> Catalog:
     catalog = Catalog()
     schema = Schema([("k", DataType.INT), ("v", DataType.FLOAT)])
     table = catalog.create(DRIFT_TABLE, schema)
-    table.insert_many([(i, float(i % 97)) for i in range(rows)])
+    table.insert_many([(i, float(i % 97)) for i in range(DRIFT_ROWS)])
     return catalog
 
 
 def _speeds(skew: int) -> list[float]:
-    slow = [float(skew * (2 ** i)) for i in range(SLOW_CONSUMERS)]
+    slow = [float(skew * (2**i)) for i in range(SLOW_CONSUMERS)]
     return [1.0] * FAST_CONSUMERS + slow
-
-
-def _arm_config(drift_bound, group_windows) -> RuntimeConfig:
-    return RuntimeConfig(
-        pool_pages=POOL_PAGES,
-        pool_policy="lru",
-        prefetch_depth=PREFETCH_DEPTH,
-        drift_bound=drift_bound,
-        group_windows=group_windows,
-        page_rows=PAGE_ROWS,
-        processors=PROCESSORS,
-        cost_model=DRIFT_COSTS,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -157,28 +149,24 @@ class DriftPoint:
 
 
 def _measure_arm(
-    arm: str,
-    drift_bound,
-    group_windows,
-    skew: int,
-    reference_rows: list,
+    catalog: Catalog, arm: str, drift_bound, group_windows, skew: int, reference_rows: list
 ) -> DriftPoint:
-    catalog = _drift_catalog(DRIFT_ROWS)
     pages = catalog.table(DRIFT_TABLE).page_count(PAGE_ROWS)
-    session = Database.open(catalog, _arm_config(drift_bound, group_windows))
+    config = DRIFT_CONFIG.with_(drift_bound=drift_bound, group_windows=group_windows)
+    session = Database.open(catalog, config)
     for i, factor in enumerate(_speeds(skew)):
-        query = (session.table(DRIFT_TABLE, columns=["k", "v"])
-                 .where(ge(col("k"), 0))
-                 .with_cost_factor(factor))
+        query = (
+            session.table(DRIFT_TABLE, columns=["k", "v"])
+            .where(ge(col("k"), 0))
+            .with_cost_factor(factor)
+        )
         # share=False: this figure is about sharing at the *storage*
         # layer (the elevator), not about pivot-merging the queries.
         session.submit(query, label=f"{arm}/c{i}", share=False)
     results = session.run_all()
     metrics = results[0].metrics
     latencies = sorted(result.latency for result in results)
-    identical = all(
-        sorted(result.rows) == reference_rows for result in results
-    )
+    identical = all(sorted(result.rows) == reference_rows for result in results)
     return DriftPoint(
         arm=arm,
         skew=skew,
@@ -242,49 +230,38 @@ def _flip_members(catalog: Catalog, skew: int) -> list[Query]:
     """
     members = []
     for i, factor in enumerate(_speeds(skew)):
-        pivot = scan(catalog, DRIFT_TABLE, columns=["k", "v"],
-                     op_id="pivot")
-        plan = filter_(pivot, ge(col("k"), 0), op_id=f"skewtop{i}",
-                       cost_factor=factor)
-        members.append(Query(plan=plan, pivot_op_id="pivot",
-                             name="driftq"))
+        pivot = scan(catalog, DRIFT_TABLE, columns=["k", "v"], op_id="pivot")
+        plan = filter_(pivot, ge(col("k"), 0), op_id=f"skewtop{i}", cost_factor=factor)
+        members.append(Query(plan=plan, pivot_op_id="pivot", name="driftq"))
     return members
 
 
-def _measure_flip(skew: int) -> FlipResult:
-    catalog = _drift_catalog(DRIFT_ROWS)
+def _measure_flip(catalog: Catalog, skew: int) -> FlipResult:
     pages = catalog.table(DRIFT_TABLE).page_count(PAGE_ROWS)
     members = _flip_members(catalog, skew)
     m = len(members)
     cpu_skew = max(_speeds(skew))
 
     # One CPU profile (warm, contention-free) for both policies.
-    profiler = QueryProfiler(catalog, costs=DRIFT_COSTS,
-                             page_rows=PAGE_ROWS)
+    profiler = QueryProfiler(catalog, costs=DRIFT_COSTS, page_rows=PAGE_ROWS)
     profile = profiler.profile(members[0].plan, "pivot", label="driftq")
     spec = profile.to_query_spec()
     specs = {"driftq": (spec, "pivot")}
 
     # Both outlooks watch the same cold, unbounded-drift storage set.
-    _, _, scans, _ = _arm_config(None, False).build_storage()
-    footprint = dict(table=DRIFT_TABLE, pages=pages)
-    naive = ModelGuidedPolicy(specs, outlook=ResourceOutlook(
-        {"driftq": ResourceProfile(**footprint)},
-        costs=DRIFT_COSTS, scans=scans,
-    ))
-    drift_aware = ModelGuidedPolicy(specs, outlook=ResourceOutlook(
-        {"driftq": ResourceProfile(**footprint, cpu_skew=cpu_skew)},
-        costs=DRIFT_COSTS, scans=scans,
-    ))
-    naive_share = naive.should_share("driftq", m, FLIP_PROCESSORS)
-    drift_share = drift_aware.should_share("driftq", m, FLIP_PROCESSORS)
+    _, _, scans, _ = DRIFT_CONFIG.build_storage()
+
+    def advice(**skew) -> bool:
+        profiles = {"driftq": ResourceProfile(table=DRIFT_TABLE, pages=pages, **skew)}
+        outlook = ResourceOutlook(profiles, costs=DRIFT_COSTS, scans=scans)
+        return ModelGuidedPolicy(specs, outlook=outlook).should_share("driftq", m, FLIP_PROCESSORS)
+
+    naive_share = advice()
+    drift_share = advice(cpu_skew=cpu_skew)
 
     # Measure both routings on fresh cold sessions.
     def measure(share: bool):
-        session = Database.open(
-            catalog,
-            _arm_config(None, False).with_(processors=FLIP_PROCESSORS),
-        )
+        session = Database.open(catalog, DRIFT_CONFIG.with_(processors=FLIP_PROCESSORS))
         for i, member in enumerate(_flip_members(catalog, skew)):
             session.submit(member, label=f"m{i}", share=share)
         session.run_all()
@@ -314,13 +291,9 @@ class FigDriftResult:
     points: tuple[DriftPoint, ...]
     flip: FlipResult
     skews: tuple[int, ...]
-    consumers: int
 
     def arm(self, arm: str, skew: int) -> DriftPoint:
-        for point in self.points:
-            if point.arm == arm and point.skew == skew:
-                return point
-        raise KeyError((arm, skew))
+        return pick(self.points, arm=arm, skew=skew)
 
     @property
     def top_skew(self) -> int:
@@ -334,32 +307,23 @@ class FigDriftResult:
 
     def throttle_single_pass(self, bound: float = 1.5) -> bool:
         """Throttling restores ~1 physical pass at every skew."""
-        return all(
-            self.arm("throttle", skew).passes <= bound
-            for skew in self.skews
-        )
+        return all(self.arm("throttle", skew).passes <= bound for skew in self.skews)
 
     def unbounded_degrades(self, floor: float = 2.5) -> bool:
         """Reads grow monotonically with skew, toward one pass per
         mutually-drifting consumer (>= ``floor`` passes at the top)."""
-        reads = [self.arm("unbounded", s).physical_reads
-                 for s in self.skews]
-        monotone = all(a <= b for a, b in zip(reads, reads[1:]))
-        return monotone and self.arm("unbounded", self.top_skew).passes >= floor
+        reads = [self.arm("unbounded", s).physical_reads for s in self.skews]
+        return nondecreasing(reads) and self.arm("unbounded", self.top_skew).passes >= floor
 
     def windows_grouped_bound(self, bound: float = 2.75) -> bool:
         """Group windows hold the grouped-scan bound (two windows ->
         at most ~two shared passes plus split churn) at every cell."""
-        return all(
-            self.arm("windows", skew).passes <= bound
-            for skew in self.skews
-        )
+        return all(self.arm("windows", skew).passes <= bound for skew in self.skews)
 
     def throttle_costs_head_latency(self) -> bool:
         """The single pass is bought with fast-rider latency."""
         top = self.top_skew
-        return (self.arm("throttle", top).fast_latency
-                > 2 * self.arm("unbounded", top).fast_latency)
+        return self.arm("throttle", top).fast_latency > 2 * self.arm("unbounded", top).fast_latency
 
     def windows_dominate_at_high_skew(self) -> bool:
         """At the top skew, windows Pareto-dominate: strictly fewer
@@ -377,43 +341,41 @@ class FigDriftResult:
         side that the undiscounted projection gets wrong."""
         flip = self.flip
         return (
-            flip.flipped
-            and flip.drift_share
-            and flip.drift_advice_correct
-            and not flip.naive_share
+            flip.flipped and flip.drift_share and flip.drift_advice_correct and not flip.naive_share
         )
 
     def render(self) -> str:
-        headers = ["arm", "skew", "reads", "passes", "max lag",
-                   "split/merge", "throttle stall", "fast lat",
-                   "slow lat", "identical"]
-        rows = [
-            [p.arm, p.skew, p.physical_reads, f"{p.passes:.2f}x",
-             p.max_lag, f"{p.splits}/{p.merges}",
-             f"{p.throttle_stall:.0f}", f"{p.fast_latency:.0f}",
-             f"{p.slow_latency:.0f}",
-             "yes" if p.identical_answers else "NO"]
-            for p in self.points
+        columns = [
+            ("arm", lambda p: p.arm),
+            ("skew", lambda p: p.skew),
+            ("reads", lambda p: p.physical_reads),
+            ("passes", lambda p: f"{p.passes:.2f}x"),
+            ("max lag", lambda p: p.max_lag),
+            ("split/merge", lambda p: f"{p.splits}/{p.merges}"),
+            ("throttle stall", lambda p: f"{p.throttle_stall:.0f}"),
+            ("fast lat", lambda p: f"{p.fast_latency:.0f}"),
+            ("slow lat", lambda p: f"{p.slow_latency:.0f}"),
+            ("identical", lambda p: "yes" if p.identical_answers else "NO"),
         ]
-        blocks = [
-            f"Drift governance under consumer-speed skew "
-            f"({self.consumers} consumers, "
-            f"pool {POOL_PAGES}/{self.points[0].table_pages} pages, "
-            f"bound {DRIFT_BOUND})\n"
-            + format_table(headers, rows)
-            + f"\n  identical answers everywhere: {self.answers_identical()}"
-            f"\n  throttle stays within 1.5x of one pass: "
-            f"{self.throttle_single_pass()}"
-            f"\n  unbounded drift degrades toward a pass per straggler: "
-            f"{self.unbounded_degrades()}"
-            f"\n  windows hold the grouped-scan bound: "
-            f"{self.windows_grouped_bound()}"
-            f"\n  windows Pareto-dominate at top skew: "
-            f"{self.windows_dominate_at_high_skew()}"
-        ]
+        title = (
+            "Drift governance under consumer-speed skew "
+            f"({FAST_CONSUMERS + SLOW_CONSUMERS} consumers, "
+            f"pool {POOL_PAGES}/{self.points[0].table_pages} pages, bound {DRIFT_BOUND})"
+        )
+        sweep = block(
+            title,
+            columns,
+            self.points,
+            [("identical answers everywhere", self.answers_identical())],
+            [("throttle stays within 1.5x of one pass", self.throttle_single_pass())],
+            [("unbounded drift degrades toward a pass per straggler", self.unbounded_degrades())],
+            [("windows hold the grouped-scan bound", self.windows_grouped_bound())],
+            [("windows Pareto-dominate at top skew", self.windows_dominate_at_high_skew())],
+        )
 
         flip = self.flip
-        blocks.append(
+        return (
+            f"{sweep}\n\n"
             "ModelGuided flip — drift-discounted attach benefit "
             f"(m={flip.group_size}, cpu_skew={flip.cpu_skew:.0f})\n"
             f"  undiscounted advice: "
@@ -426,7 +388,6 @@ class FigDriftResult:
             f"  discount flips the decision to the measured winner: "
             f"{self.decision_flips()}"
         )
-        return "\n\n".join(blocks)
 
 
 # ``repro experiments fig_drift --quick`` keeps the top-skew cell: the
@@ -435,21 +396,15 @@ class FigDriftResult:
 QUICK = {"skews": (1, 64)}
 
 
-def run(skews: Sequence[int] = DEFAULT_SKEWS,
-        flip_skew: int = 16) -> FigDriftResult:
+def run(skews: Sequence[int] = DEFAULT_SKEWS) -> FigDriftResult:
     skews = tuple(sorted(set(skews)))
-    catalog = _drift_catalog(DRIFT_ROWS)
+    # One catalog serves every cell: sessions only read it.
+    catalog = _drift_catalog()
     reference_rows = sorted(catalog.table(DRIFT_TABLE).rows())
-    points = []
-    for skew in skews:
-        for arm, drift_bound, group_windows in ARMS:
-            points.append(_measure_arm(
-                arm, drift_bound, group_windows, skew, reference_rows,
-            ))
-    flip = _measure_flip(flip_skew)
-    return FigDriftResult(
-        points=tuple(points),
-        flip=flip,
-        skews=skews,
-        consumers=FAST_CONSUMERS + SLOW_CONSUMERS,
-    )
+    points = [
+        _measure_arm(catalog, arm, drift_bound, group_windows, skew, reference_rows)
+        for skew in skews
+        for arm, drift_bound, group_windows in ARMS
+    ]
+    flip = _measure_flip(catalog, FLIP_SKEW)
+    return FigDriftResult(points=tuple(points), flip=flip, skews=skews)

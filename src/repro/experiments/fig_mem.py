@@ -43,41 +43,30 @@ from typing import Sequence
 
 from repro.core.decision import ShareDecision
 from repro.db import Database, RuntimeConfig
-from repro.engine import (
-    AggSpec,
-    CostModel,
-    IO_AWARE_COST_MODEL,
-    hash_join,
-    scan,
-)
+from repro.engine import AggSpec, CostModel, IO_AWARE_COST_MODEL, hash_join, scan
 from repro.engine.expressions import col, lt, mul
 from repro.experiments.common import (
-    DEFAULT_SCALE_FACTOR,
     DEFAULT_SEED,
+    nondecreasing,
+    pick,
+    replica_catalog,
+    replica_names,
     shared_catalog,
 )
-from repro.experiments.report import format_table
+from repro.experiments.report import block
 from repro.obs.metrics import render_resources
-from repro.storage import Catalog, DataType, Schema
-from repro.storage.page import DEFAULT_PAGE_ROWS
+from repro.storage import Catalog, DataType
 
-__all__ = [
-    "MemSweepPoint",
-    "FlipConfig",
-    "FigMemResult",
-    "run",
-    "DEFAULT_WORK_MEMS",
-]
+__all__ = ["MemSweepPoint", "FlipConfig", "FigMemResult", "run", "DEFAULT_WORK_MEMS"]
 
 DEFAULT_WORK_MEMS = (64, 32, 16, 8, 4, 2)
-# Large enough for every tenant replica to stay resident when warm
-# (16 tenants x ~94 pages); cold runs start empty either way.
-DEFAULT_POOL_PAGES = 2048
-# Cold-storage calibration for this experiment: fetching one page
+SWEEP_CONFIG = RuntimeConfig(pool_pages=128, cost_model=IO_AWARE_COST_MODEL)
+# The pool is large enough for every tenant replica to stay resident
+# when warm (16 tenants x ~94 pages); cold runs start empty either
+# way. Cold-storage calibration for this experiment: fetching one page
 # costs a few times the CPU work of scanning it — enough that a cold
 # scan is I/O-bound, as on a disk-resident warehouse.
-FLIP_COSTS = CostModel(io_page=400.0, spill_page=500.0)
-SWEEP_COSTS = IO_AWARE_COST_MODEL
+FLIP_CONFIG = RuntimeConfig(pool_pages=2048, cost_model=CostModel(io_page=400.0, spill_page=500.0))
 
 
 # ----------------------------------------------------------------------
@@ -102,42 +91,40 @@ class MemSweepPoint:
 def _sweep_join_plan(catalog: Catalog):
     build = scan(catalog, "orders", columns=["o_orderkey"], op_id="sweep_build")
     probe = scan(
-        catalog, "lineitem", columns=["l_orderkey", "l_extendedprice"],
-        op_id="sweep_probe",
+        catalog, "lineitem", columns=["l_orderkey", "l_extendedprice"], op_id="sweep_probe"
     )
-    return hash_join(build, probe, build_key="o_orderkey",
-                     probe_key="l_orderkey", join_type="inner",
-                     op_id="sweep_join")
+    return hash_join(
+        build,
+        probe,
+        build_key="o_orderkey",
+        probe_key="l_orderkey",
+        join_type="inner",
+        op_id="sweep_join",
+    )
 
 
 def sweep_work_mem(
-    catalog: Catalog,
-    work_mems: Sequence[int] = DEFAULT_WORK_MEMS,
-    processors: int = 8,
-    pool_pages: int = 128,
-    policy: str = "lru",
-    costs: CostModel = SWEEP_COSTS,
+    catalog: Catalog, work_mems: Sequence[int], processors: int
 ) -> tuple[MemSweepPoint, ...]:
     """Run the join once per budget; every run must agree on rows."""
     plan = _sweep_join_plan(catalog)
     points = []
     for work_mem in work_mems:
-        session = Database.open(catalog, RuntimeConfig(
-            work_mem=work_mem, pool_pages=pool_pages, pool_policy=policy,
-            processors=processors, cost_model=costs,
-        ))
-        result = session.run(plan, label=f"sweep@{work_mem}")
+        config = SWEEP_CONFIG.with_(work_mem=work_mem, processors=processors)
+        result = Database.open(catalog, config).run(plan, label=f"sweep@{work_mem}")
         metrics = result.metrics
-        points.append(MemSweepPoint(
-            work_mem=work_mem,
-            makespan=result.makespan,
-            spill_pages_written=metrics["spill.pages_written"],
-            spill_pages_read=metrics["spill.pages_read"],
-            buffer_hit_rate=metrics["buffer.hit_rate"],
-            mem_high_water=metrics["memory.high_water"],
-            overcommits=metrics["memory.overcommits"],
-            rows_out=len(result.rows),
-        ))
+        points.append(
+            MemSweepPoint(
+                work_mem=work_mem,
+                makespan=result.makespan,
+                spill_pages_written=metrics["spill.pages_written"],
+                spill_pages_read=metrics["spill.pages_read"],
+                buffer_hit_rate=metrics["buffer.hit_rate"],
+                mem_high_water=metrics["memory.high_water"],
+                overcommits=metrics["memory.overcommits"],
+                rows_out=len(result.rows),
+            )
+        )
     return tuple(points)
 
 
@@ -167,29 +154,7 @@ FLIP_ROWS = 6000
 FLIP_SELECTIVITY = 0.25
 
 
-def _flip_catalog(base_rows: int, tenants: int, seed: int) -> Catalog:
-    """A catalog with one common table plus per-tenant replicas.
-
-    Row ``i`` carries ``(k=i, v=deterministic pseudo-uniform [0,1))``;
-    replicas are byte-identical to the common table, so a query is the
-    same work no matter which copy it scans — only cache behavior
-    differs.
-    """
-    catalog = Catalog()
-    schema = Schema([("k", DataType.INT), ("v", DataType.FLOAT)])
-    rows = []
-    state = seed & 0x7FFFFFFF or 1
-    for i in range(base_rows):
-        # Park-Miller LCG: deterministic, independent of PYTHONHASHSEED.
-        state = (state * 48271) % 2147483647
-        rows.append((i, state / 2147483647.0))
-    for name in [FLIP_TABLE] + [f"{FLIP_TABLE}__{t}" for t in range(tenants)]:
-        table = catalog.create(name, schema)
-        table.insert_many(rows)
-    return catalog
-
-
-def _flip_query(session, table_name: str):
+def flip_query(session, table_name: str):
     """Fused scan (moderate selectivity, two outputs) + tiny aggregate.
 
     Built through the session's fluent builder; the fused scan is the
@@ -198,33 +163,20 @@ def _flip_query(session, table_name: str):
     return (
         session.table(table_name, columns=["k", "v"])
         .where(lt(col("v"), FLIP_SELECTIVITY))
-        .select(("k", col("k"), DataType.INT),
-                ("vv", mul(col("v"), col("v")), DataType.FLOAT))
+        .select(("k", col("k"), DataType.INT), ("vv", mul(col("v"), col("v")), DataType.FLOAT))
         .agg(AggSpec("sum", "total", col("vv")), AggSpec("count", "n"))
         .named(f"flip:{table_name}")
         .build()
     )
 
 
-def _flip_config(
-    processors: int, pool_pages: int, page_rows: int, costs: CostModel
-) -> RuntimeConfig:
-    return RuntimeConfig(pool_pages=pool_pages, page_rows=page_rows,
-                         processors=processors, cost_model=costs)
-
-
 def _measure_flip(
-    catalog: Catalog,
-    tenants: int,
-    processors: int,
-    pool_pages: int,
-    page_rows: int,
-    warm: bool,
-    costs: CostModel,
-) -> tuple[float, float, dict, dict]:
-    """Measured makespans (unshared-private-replicas, shared-common)
-    and each run's metrics snapshot."""
-    config = _flip_config(processors, pool_pages, page_rows, costs)
+    catalog: Catalog, config: RuntimeConfig, tenants: int, name: str, decision: ShareDecision
+) -> FlipConfig:
+    """Configuration ``name`` with the advisor's ``decision``: measured
+    makespans (unshared-private-replicas, shared-common) and each run's
+    metrics snapshot."""
+    warm = name == "warm"
 
     def open_session(warm_tables):
         session = Database.open(catalog, config)
@@ -234,56 +186,43 @@ def _measure_flip(
 
     # Unshared: tenant t scans its private replica — a private cache,
     # exactly the no-cross-query-reuse baseline the model assumes.
-    replica_names = [f"{FLIP_TABLE}__{t}" for t in range(tenants)]
-    session = open_session(replica_names)
-    for t, name in enumerate(replica_names):
-        session.submit(_flip_query(session, name), label=f"tenant{t}",
-                       share=False)
+    replicas = replica_names(FLIP_TABLE, tenants)
+    session = open_session(replicas)
+    for t, replica in enumerate(replicas):
+        session.submit(flip_query(session, replica), label=f"tenant{t}", share=False)
     unshared_metrics = session.run_all()[-1].metrics
     unshared_makespan = session.now
 
     # Shared: one scan of the common table feeds every tenant.
     session = open_session([FLIP_TABLE])
-    query = _flip_query(session, FLIP_TABLE)
+    query = flip_query(session, FLIP_TABLE)
     for t in range(tenants):
         session.submit(query, label=f"tenant{t}", share=True)
     shared_metrics = session.run_all()[-1].metrics
-    return unshared_makespan, session.now, unshared_metrics, shared_metrics
+    return FlipConfig(
+        name=name,
+        decision=decision,
+        makespan_unshared=unshared_makespan,
+        makespan_shared=session.now,
+        unshared_metrics=unshared_metrics,
+        shared_metrics=shared_metrics,
+    )
 
 
-def run_flip(
-    tenants: int = 16,
-    processors: int = 8,
-    pool_pages: int = DEFAULT_POOL_PAGES,
-    page_rows: int = DEFAULT_PAGE_ROWS,
-    base_rows: int = FLIP_ROWS,
-    seed: int = DEFAULT_SEED,
-    costs: CostModel = FLIP_COSTS,
-) -> tuple[FlipConfig, ...]:
+def run_flip(tenants: int, processors: int) -> tuple[FlipConfig, ...]:
     """Decide (via the session's live advisor) and measure, cold and
     warm: the facade's automatic decision replaces the hand-rolled
     profile-then-advise pass the pre-facade driver carried."""
-    catalog = _flip_catalog(base_rows, tenants, seed)
-    config = _flip_config(processors, pool_pages, page_rows, costs)
+    catalog = replica_catalog(FLIP_TABLE, FLIP_ROWS, tenants, DEFAULT_SEED)
+    config = FLIP_CONFIG.with_(processors=processors)
 
     configs = []
     for name in ("cold", "warm"):
-        warm = name == "warm"
         session = Database.open(catalog, config)
-        if warm:
+        if name == "warm":
             session.prewarm(FLIP_TABLE)
-        decision = session.advise(_flip_query(session, FLIP_TABLE), tenants)
-        mk_unshared, mk_shared, metrics_unshared, metrics_shared = _measure_flip(
-            catalog, tenants, processors, pool_pages, page_rows, warm, costs,
-        )
-        configs.append(FlipConfig(
-            name=name,
-            decision=decision,
-            makespan_unshared=mk_unshared,
-            makespan_shared=mk_shared,
-            unshared_metrics=metrics_unshared,
-            shared_metrics=metrics_shared,
-        ))
+        decision = session.advise(flip_query(session, FLIP_TABLE), tenants)
+        configs.append(_measure_flip(catalog, config, tenants, name, decision))
     return tuple(configs)
 
 
@@ -300,39 +239,35 @@ class FigMemResult:
     processors: int
 
     def flip(self, name: str) -> FlipConfig:
-        for config in self.flips:
-            if config.name == name:
-                return config
-        raise KeyError(name)
+        return pick(self.flips, name=name)
 
     def spill_is_monotone(self) -> bool:
         """Spilled pages never decrease as ``work_mem`` shrinks."""
         ordered = sorted(self.sweep, key=lambda p: p.work_mem, reverse=True)
-        written = [p.spill_pages_written for p in ordered]
-        return all(a <= b for a, b in zip(written, written[1:]))
+        return nondecreasing([p.spill_pages_written for p in ordered])
 
     def answers_agree(self) -> bool:
         return len({p.rows_out for p in self.sweep}) == 1
 
     def decision_flipped(self) -> bool:
-        return (self.flip("cold").decision.share
-                and not self.flip("warm").decision.share)
+        return self.flip("cold").decision.share and not self.flip("warm").decision.share
 
     def render(self) -> str:
-        headers = ["work_mem", "makespan", "spill written", "spill read",
-                   "hit rate", "mem high-water", "overcommits"]
-        rows = [
-            [p.work_mem, f"{p.makespan:.0f}", p.spill_pages_written,
-             p.spill_pages_read, f"{p.buffer_hit_rate:.0%}",
-             p.mem_high_water, p.overcommits]
-            for p in self.sweep
+        columns = [
+            ("work_mem", lambda p: p.work_mem),
+            ("makespan", lambda p: f"{p.makespan:.0f}"),
+            ("spill written", lambda p: p.spill_pages_written),
+            ("spill read", lambda p: p.spill_pages_read),
+            ("hit rate", lambda p: f"{p.buffer_hit_rate:.0%}"),
+            ("mem high-water", lambda p: p.mem_high_water),
+            ("overcommits", lambda p: p.overcommits),
         ]
-        blocks = [
-            "Memory governance — spilling hybrid hash join, work_mem sweep\n"
-            + format_table(headers, rows)
-            + f"\n  identical answers across budgets: {self.answers_agree()};"
-            f"  spill growth monotone: {self.spill_is_monotone()}"
+        claims = [
+            ("identical answers across budgets", self.answers_agree()),
+            ("spill growth monotone", self.spill_is_monotone()),
         ]
+        title = "Memory governance — spilling hybrid hash join, work_mem sweep"
+        blocks = [block(title, columns, self.sweep, claims)]
 
         lines = [
             f"Sharing decision vs cache temperature "
@@ -349,8 +284,10 @@ class FigMemResult:
                 f"shared {config.makespan_shared:.0f})"
             )
             # The flip sessions wire a pool only: its line comes first.
-            for side, metrics in (("unshared", config.unshared_metrics),
-                                  ("shared  ", config.shared_metrics)):
+            for side, metrics in (
+                ("unshared", config.unshared_metrics),
+                ("shared  ", config.shared_metrics),
+            ):
                 lines.append(f"        {side} " + render_resources(metrics).splitlines()[0])
         lines.append(f"  decision flipped cold->warm: {self.decision_flipped()}")
         blocks.append("\n".join(lines))
@@ -362,14 +299,8 @@ QUICK = {"work_mems": (16, 4), "tenants": 8, "processors": 4}
 
 
 def run(
-    work_mems: Sequence[int] = DEFAULT_WORK_MEMS,
-    tenants: int = 16,
-    processors: int = 8,
-    scale_factor: float = DEFAULT_SCALE_FACTOR,
-    seed: int = DEFAULT_SEED,
+    work_mems: Sequence[int] = DEFAULT_WORK_MEMS, tenants: int = 16, processors: int = 8
 ) -> FigMemResult:
-    catalog = shared_catalog(scale_factor, seed)
-    sweep = sweep_work_mem(catalog, work_mems, processors=processors)
-    flips = run_flip(tenants=tenants, processors=processors, seed=seed)
-    return FigMemResult(sweep=sweep, flips=flips, tenants=tenants,
-                        processors=processors)
+    sweep = sweep_work_mem(shared_catalog(), work_mems, processors)
+    flips = run_flip(tenants, processors)
+    return FigMemResult(sweep=sweep, flips=flips, tenants=tenants, processors=processors)

@@ -35,7 +35,7 @@ design).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from repro.db import Database, Query, QueryBuilder, RuntimeConfig
@@ -43,8 +43,8 @@ from repro.engine import AggSpec
 from repro.engine.expressions import col, ge, lit
 from repro.engine.operators.partitioning import partition_of
 from repro.engine.parallel import EXCHANGE_SALT
-from repro.experiments.common import DEFAULT_SEED
-from repro.experiments.report import format_table
+from repro.experiments.common import DEFAULT_SEED, LCG_MODULUS, lcg, pick
+from repro.experiments.report import block
 from repro.policies import ModelGuidedPolicy
 from repro.profiling import QueryProfiler
 from repro.storage import Catalog, DataType, Schema
@@ -72,6 +72,9 @@ COST_FACTOR = 128.0
 DOP = 4
 # Measured makespans within 5% are a wash: either verdict counts.
 TIE_TOLERANCE = 0.05
+# The sweep's machine; each contexts cell overrides processors and
+# contention.
+SWEEP_CONFIG = RuntimeConfig.preset("cmp32")
 
 # (label, hardware contexts, power-law contention kappa or None).
 DEFAULT_CONTEXTS = (
@@ -85,9 +88,7 @@ DEFAULT_PARITY_DOPS = (1, 2, 4, 8)
 DEFAULT_PARITY_PRESETS = ("laptop", "cmp32", "unbounded")
 
 
-def _parallel_catalog(
-    base_rows: int, skew: str, seed: int
-) -> tuple[Catalog, dict[int, int]]:
+def _parallel_catalog(skew: str) -> tuple[Catalog, dict[int, int]]:
     """A fact table plus a tiny dimension keyed by the group column.
 
     ``skew="uniform"`` spreads ``g`` over :data:`GROUPS` groups;
@@ -99,16 +100,13 @@ def _parallel_catalog(
     schema = Schema([("g", DataType.INT), ("v", DataType.FLOAT)])
     rows = []
     counts: dict[int, int] = {}
-    state = seed & 0x7FFFFFFF or 1
-    for _ in range(base_rows):
-        # Park-Miller LCG: deterministic, independent of PYTHONHASHSEED.
-        state = (state * 48271) % 2147483647
+    for state in lcg(DEFAULT_SEED, FACT_ROWS):
         if skew == "skewed" and state % 100 < 85:
             g = 0
         else:
             g = state % GROUPS
         counts[g] = counts.get(g, 0) + 1
-        rows.append((g, state / 2147483647.0))
+        rows.append((g, state / LCG_MODULUS))
     catalog.create(FACT_TABLE, schema).insert_many(rows)
     dim_schema = Schema([("dg", DataType.INT), ("w", DataType.FLOAT)])
     dims = [(g, (g * 7 % 13) / 13.0) for g in range(GROUPS)]
@@ -124,11 +122,7 @@ def _agg_query(catalog: Catalog) -> Query:
         QueryBuilder(catalog, FACT_TABLE)
         .where(ge(col("v"), lit(0.0)))  # keeps every row; carries the cost
         .with_cost_factor(COST_FACTOR)
-        .agg(
-            AggSpec("sum", "total", col("v")),
-            AggSpec("count", "rows", None),
-            by=("g",),
-        )
+        .agg(AggSpec("sum", "total", col("v")), AggSpec("count", "rows", None), by=("g",))
         .named("par_agg")
         .build()
     )
@@ -144,18 +138,8 @@ def _join_query(catalog: Catalog) -> Query:
     )
 
 
-def _with_dop(query: Query, dop: int) -> Query:
-    from dataclasses import replace
-
-    return replace(query, dop=dop)
-
-
 def _measure_arm(
-    catalog: Catalog,
-    config: RuntimeConfig,
-    query: Query,
-    m: int,
-    share: bool,
+    catalog: Catalog, config: RuntimeConfig, query: Query, m: int, share: bool
 ) -> tuple[float, list]:
     """Run m copies in one fresh session; returns (makespan, rows)."""
     session = Database.open(catalog, config)
@@ -165,14 +149,7 @@ def _measure_arm(
     return session.now, results[0].rows
 
 
-def _partition_loads(counts: dict[int, int], dop: int) -> list[int]:
-    loads = [0] * dop
-    for g, count in counts.items():
-        loads[partition_of(g, EXCHANGE_SALT, dop)] += count
-    return loads
-
-
-def _measured_skew(counts: dict[int, int], dop: int, costs) -> tuple[float, float]:
+def _measured_skew(counts: dict[int, int], costs) -> tuple[float, float]:
     """(raw partition skew, work-weighted effective skew).
 
     Raw skew is the largest hash partition over the mean — what the
@@ -183,18 +160,15 @@ def _measured_skew(counts: dict[int, int], dop: int, costs) -> tuple[float, floa
     partition imbalance. The policy is fed the effective number — the
     honest model input for this plan shape.
     """
-    dop = max(1, dop)
-    loads = _partition_loads(counts, dop)
+    loads = [0] * DOP
+    for g, count in counts.items():
+        loads[partition_of(g, EXCHANGE_SALT, DOP)] += count
     total = float(sum(loads)) or 1.0
-    raw = max(loads) / (total / dop)
-    scan_row = (
-        costs.scan_tuple
-        + costs.filter_tuple * COST_FACTOR
-        + costs.exchange_tuple
-    )
+    raw = max(loads) / (total / DOP)
+    scan_row = costs.scan_tuple + costs.filter_tuple * COST_FACTOR + costs.exchange_tuple
     agg_row = costs.agg_update
-    per_fragment = [total / dop * scan_row + load * agg_row for load in loads]
-    effective = max(per_fragment) / (sum(per_fragment) / dop)
+    per_fragment = [total / DOP * scan_row + load * agg_row for load in loads]
+    effective = max(per_fragment) / (sum(per_fragment) / DOP)
     return raw, max(1.0, effective)
 
 
@@ -250,7 +224,6 @@ class ParityPoint:
 class FigParallelResult:
     cells: tuple[ParallelCell, ...]
     parity: tuple[ParityPoint, ...]
-    dop: int
 
     def policy_accuracy(self) -> float:
         """Fraction of cells where the policy picked the measured
@@ -262,112 +235,83 @@ class FigParallelResult:
     def answers_identical(self) -> bool:
         """Every arm and every parity point reproduced the serial
         answer — parallelism never changed a row."""
-        return all(c.identical for c in self.cells) and all(
-            p.identical for p in self.parity
-        )
+        return all(c.identical for c in self.cells) and all(p.identical for p in self.parity)
 
     def parallel_wins_uncontended(self) -> bool:
         """Low skew + plentiful contexts + few consumers: the
         fragmented arm beats the shared group."""
-        best = self._cell(max(c.processors for c in self.cells), "uniform", min(c.consumers for c in self.cells))
-        return best is not None and best.parallel_makespan < best.share_makespan
+        best = pick(
+            self.cells,
+            processors=max(c.processors for c in self.cells),
+            skew="uniform",
+            consumers=min(c.consumers for c in self.cells),
+        )
+        return best.parallel_makespan < best.share_makespan
 
     def share_wins_contended(self) -> bool:
         """Scarce, contended contexts + many consumers: the shared
         pivot beats m·dop fragments fighting for the hardware."""
-        worst = self._cell(min(c.processors for c in self.cells), None, max(c.consumers for c in self.cells))
-        return worst is not None and worst.share_makespan < worst.parallel_makespan
-
-    def crossover_observed(self) -> bool:
-        return self.parallel_wins_uncontended() and self.share_wins_contended()
-
-    def _cell(self, processors: int, skew: Optional[str], consumers: int):
-        for cell in self.cells:
-            if (
-                cell.processors == processors
-                and cell.consumers == consumers
-                and (skew is None or cell.skew == skew)
-            ):
-                return cell
-        return None
+        worst = pick(
+            self.cells,
+            processors=min(c.processors for c in self.cells),
+            consumers=max(c.consumers for c in self.cells),
+        )
+        return worst.share_makespan < worst.parallel_makespan
 
     def render(self) -> str:
-        headers = [
-            "contexts",
-            "skew",
-            "m",
-            "share span",
-            "parallel span",
-            "winner",
-            "part skew",
-            "eff skew",
-            "policy",
-            "match",
+        cell_columns = [
+            ("contexts", lambda c: c.contexts_label),
+            ("skew", lambda c: c.skew),
+            ("m", lambda c: c.consumers),
+            ("share span", lambda c: f"{c.share_makespan:.0f}"),
+            ("parallel span", lambda c: f"{c.parallel_makespan:.0f}"),
+            ("winner", lambda c: c.measured_winner),
+            ("part skew", lambda c: f"{c.raw_partition_skew:.2f}"),
+            ("eff skew", lambda c: f"{c.effective_skew:.2f}"),
+            ("policy", lambda c: c.policy_mode),
+            ("match", lambda c: "yes" if c.policy_matches else "NO"),
         ]
-        rows = [
+        parity_columns = [
+            ("preset", lambda p: p.preset),
+            ("plan", lambda p: p.plan),
+            ("dop", lambda p: p.dop),
+            ("makespan", lambda p: f"{p.makespan:.0f}"),
+            ("identical", lambda p: "yes" if p.identical else "NO"),
+        ]
+        return "\n\n".join(
             [
-                c.contexts_label,
-                c.skew,
-                c.consumers,
-                f"{c.share_makespan:.0f}",
-                f"{c.parallel_makespan:.0f}",
-                c.measured_winner,
-                f"{c.raw_partition_skew:.2f}",
-                f"{c.effective_skew:.2f}",
-                c.policy_mode,
-                "yes" if c.policy_matches else "NO",
+                block(
+                    f"Share vs parallelize — crossover sweep (dop={DOP})",
+                    cell_columns,
+                    self.cells,
+                    [
+                        ("policy accuracy", f"{self.policy_accuracy():.0%}"),
+                        ("parallel wins uncontended", self.parallel_wins_uncontended()),
+                        ("share wins contended", self.share_wins_contended()),
+                        ("answers identical", self.answers_identical()),
+                    ],
+                ),
+                block("Answer parity — every preset, every dop", parity_columns, self.parity),
             ]
-            for c in self.cells
-        ]
-        title = f"Share vs parallelize — crossover sweep (dop={self.dop})"
-        summary = (
-            f"  policy accuracy: {self.policy_accuracy():.0%};"
-            f"  parallel wins uncontended: {self.parallel_wins_uncontended()};"
-            f"  share wins contended: {self.share_wins_contended()};"
-            f"  answers identical: {self.answers_identical()}"
         )
-        blocks = [f"{title}\n{format_table(headers, rows)}\n{summary}"]
-
-        headers = ["preset", "plan", "dop", "makespan", "identical"]
-        rows = [
-            [p.preset, p.plan, p.dop, f"{p.makespan:.0f}", "yes" if p.identical else "NO"]
-            for p in self.parity
-        ]
-        blocks.append(
-            "Answer parity — every preset, every dop\n"
-            + format_table(headers, rows)
-        )
-        return "\n\n".join(blocks)
 
 
-def _policy_mode(
-    catalog: Catalog,
-    query: Query,
-    config: RuntimeConfig,
-    m: int,
-    dop: int,
-    effective_skew: float,
-) -> str:
-    """The four-way verdict for one cell, from a profiled spec."""
+def _profiled_specs(catalog: Catalog, query: Query) -> dict:
+    """The query's profiled spec for the four-way policy.
+
+    The profiler sees only the catalog, the cost model, ``page_rows``
+    and ``queue_capacity`` — none of which the contexts axis changes
+    (it sets ``processors`` and ``contention``) — so one profile per
+    catalog serves every cell.
+    """
     profiler = QueryProfiler(
         catalog,
-        costs=config.cost_model,
-        page_rows=config.page_rows,
-        queue_capacity=config.queue_capacity,
+        costs=SWEEP_CONFIG.cost_model,
+        page_rows=SWEEP_CONFIG.page_rows,
+        queue_capacity=SWEEP_CONFIG.queue_capacity,
     )
     profile = profiler.profile(query.plan, query.pivot_op_id, label=query.name)
-    policy = ModelGuidedPolicy(
-        {query.name: (profile.to_query_spec(), query.pivot_op_id)},
-        contention=config.contention,
-    )
-    projection = policy.choose_mode(
-        query.name,
-        m,
-        config.processors,
-        dop,
-        partition_skew=effective_skew,
-    )
-    return projection.mode
+    return {query.name: (profile.to_query_spec(), query.pivot_op_id)}
 
 
 # ``repro experiments fig_parallel --quick`` keeps the corner cells:
@@ -377,37 +321,27 @@ QUICK = {"consumers": (2, 12), "parity_dops": (1, 4)}
 
 
 def run(
-    contexts: Sequence[tuple] = DEFAULT_CONTEXTS,
     consumers: Sequence[int] = DEFAULT_CONSUMERS,
-    skews: Sequence[str] = DEFAULT_SKEWS,
-    dop: int = DOP,
     parity_dops: Sequence[int] = DEFAULT_PARITY_DOPS,
-    parity_presets: Sequence[str] = DEFAULT_PARITY_PRESETS,
-    base_rows: int = FACT_ROWS,
-    seed: int = DEFAULT_SEED,
 ) -> FigParallelResult:
-    catalogs = {s: _parallel_catalog(base_rows, s, seed) for s in skews}
+    catalogs = {s: _parallel_catalog(s) for s in DEFAULT_SKEWS}
 
     cells = []
-    for skew in skews:
+    for skew in DEFAULT_SKEWS:
         catalog, counts = catalogs[skew]
         query = _agg_query(catalog)
-        parallel_query = _with_dop(query, dop)
-        base_config = RuntimeConfig.preset("cmp32")
-        reference_rows = Database.open(catalog, base_config).run(
-            query, label="reference"
-        ).rows
-        raw_skew, eff_skew = _measured_skew(counts, dop, base_config.cost_model)
-        for label, c, kappa in contexts:
-            config = base_config.with_(processors=c, contention=kappa)
+        parallel_query = replace(query, dop=DOP)
+        reference_rows = Database.open(catalog, SWEEP_CONFIG).run(query, label="reference").rows
+        raw_skew, eff_skew = _measured_skew(counts, SWEEP_CONFIG.cost_model)
+        specs = _profiled_specs(catalog, query)
+        for label, c, kappa in DEFAULT_CONTEXTS:
+            config = SWEEP_CONFIG.with_(processors=c, contention=kappa)
+            policy = ModelGuidedPolicy(specs, contention=kappa)
             for m in consumers:
-                share_span, share_rows = _measure_arm(
-                    catalog, config, query, m, share=True
-                )
-                par_span, par_rows = _measure_arm(
-                    catalog, config, parallel_query, m, share=False
-                )
-                mode = _policy_mode(catalog, query, config, m, dop, eff_skew)
+                share_span, share_rows = _measure_arm(catalog, config, query, m, share=True)
+                par_span, par_rows = _measure_arm(catalog, config, parallel_query, m, share=False)
+                # The four-way verdict for this cell, from the profiled spec.
+                mode = policy.choose_mode(query.name, m, c, DOP, partition_skew=eff_skew).mode
                 cells.append(
                     ParallelCell(
                         contexts_label=label,
@@ -420,42 +354,26 @@ def run(
                         raw_partition_skew=raw_skew,
                         effective_skew=eff_skew,
                         policy_mode=mode,
-                        identical=(
-                            share_rows == reference_rows
-                            and par_rows == reference_rows
-                        ),
+                        identical=share_rows == reference_rows and par_rows == reference_rows,
                     )
                 )
 
     parity = []
-    parity_catalog, _ = catalogs[skews[0]]
-    for preset in parity_presets:
+    parity_catalog, _ = catalogs[DEFAULT_SKEWS[0]]
+    for preset in DEFAULT_PARITY_PRESETS:
         config = RuntimeConfig.preset(preset)
         for plan_name, builder, ordered in (
             ("agg", _agg_query, True),
             ("join", _join_query, False),
         ):
             query = builder(parity_catalog)
-            reference = Database.open(parity_catalog, config).run(
-                query, label=f"{plan_name}-serial", share=False
-            ).rows
+            serial = Database.open(parity_catalog, config)
+            reference = serial.run(query, label=f"{plan_name}-serial", share=False).rows
             for d in parity_dops:
                 session = Database.open(parity_catalog, config)
-                result = session.run(
-                    _with_dop(query, d), label=f"{plan_name}@dop{d}", share=False
-                )
-                rows = result.rows
-                identical = (
-                    rows == reference if ordered else sorted(rows) == sorted(reference)
-                )
-                parity.append(
-                    ParityPoint(
-                        preset=preset,
-                        plan=plan_name,
-                        dop=d,
-                        makespan=session.now,
-                        identical=identical,
-                    )
-                )
+                label = f"{plan_name}@dop{d}"
+                rows = session.run(replace(query, dop=d), label=label, share=False).rows
+                identical = rows == reference if ordered else sorted(rows) == sorted(reference)
+                parity.append(ParityPoint(preset, plan_name, d, session.now, identical))
 
-    return FigParallelResult(cells=tuple(cells), parity=tuple(parity), dop=dop)
+    return FigParallelResult(cells=tuple(cells), parity=tuple(parity))

@@ -35,11 +35,16 @@ from typing import Sequence
 
 from repro.db import Database, RuntimeConfig, Session
 from repro.engine import CostModel
-from repro.experiments.common import DEFAULT_SEED
-from repro.experiments.report import format_table
+from repro.experiments.common import (
+    DEFAULT_SEED,
+    beats_depth_zero,
+    pick,
+    replica_catalog,
+    replica_names,
+)
+from repro.experiments.report import block
 from repro.obs.metrics import render_resources
-from repro.storage import Catalog, DataType, Schema
-from repro.storage.page import DEFAULT_PAGE_ROWS
+from repro.storage import Catalog
 
 __all__ = [
     "SharePoint",
@@ -56,33 +61,16 @@ SCAN_TABLE = "scanstream"
 SCAN_ROWS = 6000
 # Cold-storage calibration (as in fig_mem's flip): fetching a page
 # costs a few times the CPU work of scanning it.
-SCAN_COSTS = CostModel(io_page=400.0)
+SCAN_CONFIG = RuntimeConfig(processors=8, cost_model=CostModel(io_page=400.0))
+# The elevator read-ahead of Part A's cooperative sessions.
+SWEEP_PREFETCH_DEPTH = 2
 DEFAULT_CONSUMERS = (2, 4, 8)
 # Arrival stagger as a fraction of one solo cold-scan makespan.
 DEFAULT_STAGGERS = (0.0, 0.25, 0.75)
 DEFAULT_PREFETCH_DEPTHS = (0, 1, 2, 4, 8)
 
 
-def _scan_catalog(base_rows: int, replicas: int, seed: int) -> Catalog:
-    """One common table plus byte-identical per-consumer replicas."""
-    catalog = Catalog()
-    schema = Schema([("k", DataType.INT), ("v", DataType.FLOAT)])
-    rows = []
-    state = seed & 0x7FFFFFFF or 1
-    for i in range(base_rows):
-        # Park-Miller LCG: deterministic, independent of PYTHONHASHSEED.
-        state = (state * 48271) % 2147483647
-        rows.append((i, state / 2147483647.0))
-    for name in [SCAN_TABLE] + [f"{SCAN_TABLE}__{t}" for t in range(replicas)]:
-        catalog.create(name, schema).insert_many(rows)
-    return catalog
-
-
-def _staggered_scans(
-    session: Session,
-    table_names: Sequence[str],
-    stagger: float,
-) -> list:
+def _staggered_scans(session: Session, table_names: Sequence[str], stagger: float) -> list:
     """Submit one scan per table name, the i-th delayed by i*stagger.
 
     Submissions are forced solo (``share=False``): this figure is
@@ -90,16 +78,15 @@ def _staggered_scans(
     about pivot-merging the queries. Returns the per-query results.
     """
     for i, name in enumerate(table_names):
-        session.submit(session.table(name, columns=["k", "v"]),
-                       label=f"c{i}", share=False, delay=i * stagger)
+        session.submit(
+            session.table(name, columns=["k", "v"]), label=f"c{i}", share=False, delay=i * stagger
+        )
     return session.run_all()
 
 
-def _solo_cold_makespan(catalog: Catalog, pages: int, processors: int) -> float:
+def _solo_cold_makespan(catalog: Catalog, pages: int) -> float:
     """One cold scan, no manager — the stagger unit of Part A."""
-    session = Database.open(catalog, RuntimeConfig(
-        pool_pages=pages * 2, processors=processors, cost_model=SCAN_COSTS,
-    ))
+    session = Database.open(catalog, SCAN_CONFIG.with_(pool_pages=pages * 2))
     return session.run(session.table(SCAN_TABLE, columns=["k", "v"])).makespan
 
 
@@ -131,22 +118,16 @@ class SharePoint:
 
 def _measure_share_point(
     catalog: Catalog,
+    pages: int,
     consumers: int,
     stagger: float,
     stagger_fraction: float,
-    processors: int,
-    page_rows: int,
-    prefetch_depth: int,
     reference_rows: list,
 ) -> tuple[SharePoint, dict]:
-    pages = catalog.table(SCAN_TABLE).page_count(page_rows)
-
     # Cooperative: every consumer scans the common table through one
     # elevator cursor.
-    session = Database.open(catalog, RuntimeConfig(
-        pool_pages=pages * 2, prefetch_depth=prefetch_depth,
-        page_rows=page_rows, processors=processors, cost_model=SCAN_COSTS,
-    ))
+    config = SCAN_CONFIG.with_(pool_pages=pages * 2, prefetch_depth=SWEEP_PREFETCH_DEPTH)
+    session = Database.open(catalog, config)
     results = _staggered_scans(session, [SCAN_TABLE] * consumers, stagger)
     coop_makespan = session.now
     metrics = results[0].metrics
@@ -157,12 +138,8 @@ def _measure_share_point(
 
     # Independent: consumer t scans its private replica — a private
     # cold cache, the model's no-cross-query-reuse baseline.
-    replica_names = [f"{SCAN_TABLE}__{t}" for t in range(consumers)]
-    session = Database.open(catalog, RuntimeConfig(
-        pool_pages=pages * (consumers + 1), page_rows=page_rows,
-        processors=processors, cost_model=SCAN_COSTS,
-    ))
-    _staggered_scans(session, replica_names, stagger)
+    session = Database.open(catalog, SCAN_CONFIG.with_(pool_pages=pages * (consumers + 1)))
+    _staggered_scans(session, replica_names(SCAN_TABLE, consumers), stagger)
 
     point = SharePoint(
         consumers=consumers,
@@ -195,17 +172,9 @@ class PrefetchPoint:
     scan_io_share: float
 
 
-def _measure_prefetch(
-    catalog: Catalog,
-    depth: int,
-    processors: int,
-    page_rows: int,
-) -> PrefetchPoint:
-    pages = catalog.table(SCAN_TABLE).page_count(page_rows)
-    session = Database.open(catalog, RuntimeConfig(
-        pool_pages=pages * 2, prefetch_depth=depth, page_rows=page_rows,
-        processors=processors, cost_model=SCAN_COSTS,
-    ))
+def _measure_prefetch(catalog: Catalog, pages: int, depth: int) -> PrefetchPoint:
+    config = SCAN_CONFIG.with_(pool_pages=pages * 2, prefetch_depth=depth)
+    session = Database.open(catalog, config)
     query = session.table(SCAN_TABLE, columns=["k", "v"]).build()
     result = session.run(query, label=f"prefetch@{depth}")
     scan_op = query.plan.op_id
@@ -235,18 +204,10 @@ class EvictionPoint:
     hit_rate: float
 
 
-def _measure_eviction(
-    catalog: Catalog,
-    policy: str,
-    processors: int,
-    page_rows: int,
-) -> EvictionPoint:
-    pages = catalog.table(SCAN_TABLE).page_count(page_rows)
+def _measure_eviction(catalog: Catalog, pages: int, policy: str) -> EvictionPoint:
     pool_pages = max(2, pages // 2)
-    session = Database.open(catalog, RuntimeConfig(
-        pool_pages=pool_pages, pool_policy=policy, prefetch_depth=0,
-        page_rows=page_rows, processors=processors, cost_model=SCAN_COSTS,
-    ))
+    config = SCAN_CONFIG.with_(pool_pages=pool_pages, pool_policy=policy, prefetch_depth=0)
+    session = Database.open(catalog, config)
     query = session.table(SCAN_TABLE, columns=["k", "v"]).build()
     session.run(query, label="pass1")
     first_pass_hits = session.pool.stats.hits
@@ -272,7 +233,6 @@ class FigScanResult:
     eviction: tuple[EvictionPoint, ...]
     # The metrics snapshot of the last sweep cell's cooperative session.
     metrics: dict
-    processors: int
 
     def io_ratio_ok(self, bound: float = 1.2) -> bool:
         """Every cooperative sweep cell pays <= bound table passes."""
@@ -282,78 +242,74 @@ class FigScanResult:
         return all(p.identical_answers for p in self.share)
 
     def independent_pays_n_passes(self) -> bool:
-        return all(
-            p.independent_reads == p.consumers * p.table_pages
-            for p in self.share
-        )
+        return all(p.independent_reads == p.consumers * p.table_pages for p in self.share)
 
     def prefetch_strictly_helps(self) -> bool:
         """Any prefetch depth > 0 strictly beats depth 0 (False when
         the sweep lacks the depth-0 baseline or any deeper point)."""
-        base = next((p for p in self.prefetch if p.depth == 0), None)
-        rest = [p for p in self.prefetch if p.depth > 0]
-        if base is None or not rest:
-            return False
-        return all(p.makespan < base.makespan for p in rest)
+        return beats_depth_zero(self.prefetch, "makespan")
 
     def eviction_point(self, policy: str) -> EvictionPoint:
-        for point in self.eviction:
-            if point.policy == policy:
-                return point
-        raise KeyError(policy)
+        return pick(self.eviction, policy=policy)
 
     def scan_aware_eviction_wins(self) -> bool:
-        return (self.eviction_point("scan").second_pass_hits
-                > self.eviction_point("lru").second_pass_hits)
+        return (
+            self.eviction_point("scan").second_pass_hits
+            > self.eviction_point("lru").second_pass_hits
+        )
 
     def render(self) -> str:
-        headers = ["m", "stagger", "coop reads", "indep reads",
-                   "io ratio", "attach depth", "pages/read",
-                   "coop makespan", "indep makespan", "identical"]
-        rows = [
-            [p.consumers, f"{p.stagger_fraction:.2f}", p.cooperative_reads,
-             p.independent_reads, f"{p.io_ratio:.2f}x", p.max_attach_depth,
-             f"{p.pages_per_read:.2f}", f"{p.makespan_cooperative:.0f}",
-             f"{p.makespan_independent:.0f}",
-             "yes" if p.identical_answers else "NO"]
-            for p in self.share
+        share_columns = [
+            ("m", lambda p: p.consumers),
+            ("stagger", lambda p: f"{p.stagger_fraction:.2f}"),
+            ("coop reads", lambda p: p.cooperative_reads),
+            ("indep reads", lambda p: p.independent_reads),
+            ("io ratio", lambda p: f"{p.io_ratio:.2f}x"),
+            ("attach depth", lambda p: p.max_attach_depth),
+            ("pages/read", lambda p: f"{p.pages_per_read:.2f}"),
+            ("coop makespan", lambda p: f"{p.makespan_cooperative:.0f}"),
+            ("indep makespan", lambda p: f"{p.makespan_independent:.0f}"),
+            ("identical", lambda p: "yes" if p.identical_answers else "NO"),
         ]
-        blocks = [
-            "Cooperative scans — N staggered consumers, one elevator pass\n"
-            + format_table(headers, rows)
-            + f"\n  io ratio <= 1.2 everywhere: {self.io_ratio_ok()};"
-            f"  answers identical: {self.answers_identical()}"
+        prefetch_columns = [
+            ("prefetch k", lambda p: p.depth),
+            ("makespan", lambda p: f"{p.makespan:.0f}"),
+            ("io stall", lambda p: f"{p.io_stall_cost:.0f}"),
+            ("io overlapped", lambda p: f"{p.io_overlapped_cost:.0f}"),
+            ("scan io share", lambda p: f"{p.scan_io_share:.0%}"),
         ]
-
-        headers = ["prefetch k", "makespan", "io stall", "io overlapped",
-                   "scan io share"]
-        rows = [
-            [p.depth, f"{p.makespan:.0f}", f"{p.io_stall_cost:.0f}",
-             f"{p.io_overlapped_cost:.0f}", f"{p.scan_io_share:.0%}"]
-            for p in self.prefetch
+        eviction_columns = [
+            ("policy", lambda p: p.policy),
+            ("pool/table pages", lambda p: f"{p.pool_pages}/{p.table_pages}"),
+            ("2nd-pass hits", lambda p: p.second_pass_hits),
+            ("hit rate", lambda p: f"{p.hit_rate:.0%}"),
         ]
-        blocks.append(
-            "Async prefetch — single cold scan\n"
-            + format_table(headers, rows)
-            + f"\n  prefetch > 0 strictly reduces makespan: "
-            f"{self.prefetch_strictly_helps()}"
+        return "\n\n".join(
+            [
+                block(
+                    "Cooperative scans — N staggered consumers, one elevator pass",
+                    share_columns,
+                    self.share,
+                    [
+                        ("io ratio <= 1.2 everywhere", self.io_ratio_ok()),
+                        ("answers identical", self.answers_identical()),
+                    ],
+                ),
+                block(
+                    "Async prefetch — single cold scan",
+                    prefetch_columns,
+                    self.prefetch,
+                    [("prefetch > 0 strictly reduces makespan", self.prefetch_strictly_helps())],
+                ),
+                block(
+                    "Scan-aware eviction — two passes over an oversized table",
+                    eviction_columns,
+                    self.eviction,
+                    [("scan-aware beats LRU on reuse", self.scan_aware_eviction_wins())],
+                ),
+                "Resources (last sweep cell):\n" + render_resources(self.metrics),
+            ]
         )
-
-        headers = ["policy", "pool/table pages", "2nd-pass hits", "hit rate"]
-        rows = [
-            [p.policy, f"{p.pool_pages}/{p.table_pages}",
-             p.second_pass_hits, f"{p.hit_rate:.0%}"]
-            for p in self.eviction
-        ]
-        blocks.append(
-            "Scan-aware eviction — two passes over an oversized table\n"
-            + format_table(headers, rows)
-            + f"\n  scan-aware beats LRU on reuse: "
-            f"{self.scan_aware_eviction_wins()}"
-        )
-        blocks.append("Resources (last sweep cell):\n"
-                      + render_resources(self.metrics))
-        return "\n\n".join(blocks)
 
 
 # ``repro experiments fig_scan --quick``.
@@ -364,15 +320,10 @@ def run(
     consumers: Sequence[int] = DEFAULT_CONSUMERS,
     staggers: Sequence[float] = DEFAULT_STAGGERS,
     prefetch_depths: Sequence[int] = DEFAULT_PREFETCH_DEPTHS,
-    processors: int = 8,
-    base_rows: int = SCAN_ROWS,
-    page_rows: int = DEFAULT_PAGE_ROWS,
-    sweep_prefetch_depth: int = 2,
-    seed: int = DEFAULT_SEED,
 ) -> FigScanResult:
-    catalog = _scan_catalog(base_rows, max(consumers), seed)
-    pages = catalog.table(SCAN_TABLE).page_count(page_rows)
-    solo = _solo_cold_makespan(catalog, pages, processors)
+    catalog = replica_catalog(SCAN_TABLE, SCAN_ROWS, max(consumers), DEFAULT_SEED)
+    pages = catalog.table(SCAN_TABLE).page_count(SCAN_CONFIG.page_rows)
+    solo = _solo_cold_makespan(catalog, pages)
     reference_rows = sorted(catalog.table(SCAN_TABLE).rows())
 
     share = []
@@ -380,22 +331,12 @@ def run(
     for m in consumers:
         for fraction in staggers:
             point, last_metrics = _measure_share_point(
-                catalog, m, fraction * solo, fraction, processors,
-                page_rows, sweep_prefetch_depth, reference_rows,
+                catalog, pages, m, fraction * solo, fraction, reference_rows
             )
             share.append(point)
-    prefetch = tuple(
-        _measure_prefetch(catalog, depth, processors, page_rows)
-        for depth in prefetch_depths
-    )
-    eviction = tuple(
-        _measure_eviction(catalog, policy, processors, page_rows)
-        for policy in ("lru", "scan")
-    )
     return FigScanResult(
         share=tuple(share),
-        prefetch=prefetch,
-        eviction=eviction,
+        prefetch=tuple(_measure_prefetch(catalog, pages, depth) for depth in prefetch_depths),
+        eviction=tuple(_measure_eviction(catalog, pages, policy) for policy in ("lru", "scan")),
         metrics=last_metrics,
-        processors=processors,
     )

@@ -43,8 +43,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.db import Database, RuntimeConfig
-from repro.experiments.common import DEFAULT_SEED, shared_catalog
-from repro.experiments.report import format_table
+from repro.experiments.common import DEFAULT_SEED, pick, shared_catalog
+from repro.experiments.report import block
 from repro.policies import AlwaysShare, ModelGuidedPolicy, NeverShare
 from repro.profiling import QueryProfiler
 from repro.server import QueueDepthBound, Server
@@ -68,6 +68,11 @@ DEFAULT_PROCESSOR_COUNTS = (2, 8)
 SERVER_SCALE_FACTOR = 0.0005
 QUEUE_BOUND = 32
 GOODPUT_FLIP_MARGIN = 1.10
+# After the arrival horizon, in-flight work drains for this many S.
+DRAIN_SERVICES = 20.0
+# The Poisson arrival stream's seed: every policy faces the same one.
+ARRIVAL_SEED = 5
+POLICIES = ("always", "model", "never")
 
 
 @dataclass(frozen=True)
@@ -93,17 +98,8 @@ class FigServerResult:
     rate_multiples: tuple[float, ...]
     processor_counts: tuple[int, ...]
 
-    def cell(
-        self, policy: str, processors: int, rate_multiple: float
-    ) -> ServerCell:
-        for c in self.cells:
-            if (
-                c.policy == policy
-                and c.processors == processors
-                and c.rate_multiple == rate_multiple
-            ):
-                return c
-        raise KeyError((policy, processors, rate_multiple))
+    def cell(self, policy: str, processors: int, rate_multiple: float) -> ServerCell:
+        return pick(self.cells, policy=policy, processors=processors, rate_multiple=rate_multiple)
 
     def crossover_rate(self, processors: int) -> Optional[float]:
         """The smallest swept rate where always-share's goodput beats
@@ -113,40 +109,34 @@ class FigServerResult:
         for rate in self.rate_multiples:
             always = self.cell("always", processors, rate)
             never = self.cell("never", processors, rate)
-            if never.goodput > 0 and (
-                always.goodput > GOODPUT_FLIP_MARGIN * never.goodput
-            ):
+            if never.goodput > 0 and always.goodput > GOODPUT_FLIP_MARGIN * never.goodput:
                 return rate
         return None
 
     def render(self) -> str:
+        columns = [
+            ("rate (1/S)", lambda c: f"{c.rate_multiple:g}"),
+            ("policy", lambda c: c.policy),
+            ("goodput (1/S)", lambda c: f"{c.goodput:.2f}"),
+            ("p50 (S)", lambda c: f"{c.p50:.2f}"),
+            ("p99 (S)", lambda c: f"{c.p99:.2f}"),
+            ("shed", lambda c: f"{c.shed}/{c.submitted}"),
+            ("max group", lambda c: c.max_group_size),
+        ]
         blocks = []
         for n in self.processor_counts:
-            headers = [
-                "rate (1/S)", "policy", "goodput (1/S)", "p50 (S)",
-                "p99 (S)", "shed", "max group",
-            ]
-            rows = []
-            for rate in self.rate_multiples:
-                for policy in ("always", "model", "never"):
-                    c = self.cell(policy, n, rate)
-                    rows.append([
-                        f"{rate:g}", policy, f"{c.goodput:.2f}",
-                        f"{c.p50:.2f}", f"{c.p99:.2f}",
-                        f"{c.shed}/{c.submitted}", c.max_group_size,
-                    ])
+            cells = [self.cell(p, n, rate) for rate in self.rate_multiples for p in POLICIES]
             crossover = self.crossover_rate(n)
             verdict = (
                 f"sharing wins goodput from rate {crossover:g}/S"
                 if crossover is not None
                 else "sharing never wins goodput on this machine"
             )
-            blocks.append(
+            title = (
                 f"fig_server — open-system serving on {n} processors "
-                f"(S = {self.service_time:g} sim units)\n"
-                + format_table(headers, rows)
-                + f"\n  {verdict}"
+                f"(S = {self.service_time:g} sim units)"
             )
+            blocks.append(f"{block(title, columns, cells)}\n  {verdict}")
         return "\n\n".join(blocks)
 
 
@@ -165,14 +155,9 @@ QUICK = {"rate_multiples": (1.0, 4.0, 8.0), "horizon_services": 40.0}
 
 def run(
     rate_multiples: Sequence[float] = DEFAULT_RATE_MULTIPLES,
-    processor_counts: Sequence[int] = DEFAULT_PROCESSOR_COUNTS,
     horizon_services: float = 60.0,
-    drain_services: float = 20.0,
-    scale_factor: float = SERVER_SCALE_FACTOR,
-    seed: int = DEFAULT_SEED,
-    arrival_seed: int = 5,
 ) -> FigServerResult:
-    catalog = shared_catalog(scale_factor, seed)
+    catalog = shared_catalog(SERVER_SCALE_FACTOR, DEFAULT_SEED)
     query = build("q6", catalog)
     queries = {"q6": query}
     mix = WorkloadMix.single("q6")
@@ -182,12 +167,12 @@ def run(
     specs = {"q6": (profile.to_query_spec(), query.pivot)}
 
     # Calibrate S on the smaller machine; rates are multiples of 1/S.
-    service = _solo_service_time(catalog, query, min(processor_counts))
+    service = _solo_service_time(catalog, query, min(DEFAULT_PROCESSOR_COUNTS))
     horizon = horizon_services * service
-    drain = drain_services * service
+    drain = DRAIN_SERVICES * service
 
     cells: list[ServerCell] = []
-    for processors in processor_counts:
+    for processors in DEFAULT_PROCESSOR_COUNTS:
         config = RuntimeConfig(processors=processors)
         for rate_multiple in rate_multiples:
             rate = rate_multiple / service
@@ -210,7 +195,7 @@ def run(
                     arrival_rate=rate,
                     horizon=horizon,
                     drain=drain,
-                    seed=arrival_seed,
+                    seed=ARRIVAL_SEED,
                 )
                 cells.append(
                     ServerCell(
@@ -230,5 +215,5 @@ def run(
         cells=tuple(cells),
         service_time=service,
         rate_multiples=tuple(rate_multiples),
-        processor_counts=tuple(processor_counts),
+        processor_counts=DEFAULT_PROCESSOR_COUNTS,
     )

@@ -31,10 +31,9 @@ from typing import Sequence
 
 from repro.db import Database, RuntimeConfig
 from repro.engine import CostModel, limit, scan, sort
-from repro.experiments.common import DEFAULT_SEED
-from repro.experiments.report import format_table
+from repro.experiments.common import DEFAULT_SEED, LCG_MODULUS, beats_depth_zero, lcg, nondecreasing
+from repro.experiments.report import block
 from repro.storage import Catalog, DataType, Schema
-from repro.storage.page import DEFAULT_PAGE_ROWS
 
 __all__ = [
     "SortPoint",
@@ -51,7 +50,9 @@ TOPN = 50
 # Cold-storage calibration, as in fig_mem: a page fetch costs on the
 # order of the CPU work of processing the page, a spill write slightly
 # more (write amplification).
-SORT_COSTS = CostModel(io_page=160.0, spill_page=200.0)
+SORT_CONFIG = RuntimeConfig(
+    pool_pages=16, processors=4, cost_model=CostModel(io_page=160.0, spill_page=200.0)
+)
 # One fits-in-memory budget, then budgets that strictly deepen the
 # merge (1, 2, 3, 6 passes over ~94 data pages). Budgets that only
 # change the *run length* at equal pass count (e.g. 64 vs 16 pages)
@@ -59,9 +60,11 @@ SORT_COSTS = CostModel(io_page=160.0, spill_page=200.0)
 # which is not the degradation axis this figure is about.
 DEFAULT_WORK_MEMS = (128, 16, 8, 4, 2)
 DEFAULT_PREFETCH_DEPTHS = (0, 1, 2, 4)
+# The fixed (small) budget of Part B.
+PREFETCH_WORK_MEM = 4
 
 
-def _sort_catalog(base_rows: int, seed: int) -> Catalog:
+def _sort_catalog() -> Catalog:
     """A table with a duplicate-heavy group column and a unique one.
 
     Sorting ``(g asc, k desc)`` exercises mixed directions *and* tie
@@ -70,12 +73,9 @@ def _sort_catalog(base_rows: int, seed: int) -> Catalog:
     """
     catalog = Catalog()
     schema = Schema([("g", DataType.INT), ("k", DataType.INT), ("v", DataType.FLOAT)])
-    rows = []
-    state = seed & 0x7FFFFFFF or 1
-    for i in range(base_rows):
-        # Park-Miller LCG: deterministic, independent of PYTHONHASHSEED.
-        state = (state * 48271) % 2147483647
-        rows.append((state % 23, i, state / 2147483647.0))
+    rows = [
+        (state % 23, i, state / LCG_MODULUS) for i, state in enumerate(lcg(DEFAULT_SEED, SORT_ROWS))
+    ]
     catalog.create(SORT_TABLE, schema).insert_many(rows)
     return catalog
 
@@ -97,25 +97,15 @@ def _sort_plan(catalog: Catalog, top_n: int | None = None):
 def _run_once(
     catalog: Catalog,
     work_mem: int | None,
-    pool_pages: int,
-    processors: int,
-    page_rows: int,
     prefetch_depth: int = 0,
     top_n: int | None = None,
 ):
-    """Execute the sort plan once; returns (rows, makespan, result)."""
-    config = RuntimeConfig(
-        work_mem=work_mem,
-        pool_pages=pool_pages,
-        spill_prefetch_depth=prefetch_depth,
-        page_rows=page_rows,
-        processors=processors,
-        cost_model=SORT_COSTS,
-    )
-    session = Database.open(catalog, config)
+    """Execute the sort plan once; returns the query result."""
+    config = SORT_CONFIG.with_(work_mem=work_mem, spill_prefetch_depth=prefetch_depth)
     budget = "unbounded" if work_mem is None else f"wm{work_mem}"
-    result = session.run(_sort_plan(catalog, top_n), label=f"sort@{budget}/pf{prefetch_depth}")
-    return result.rows, result.makespan, result
+    return Database.open(catalog, config).run(
+        _sort_plan(catalog, top_n), label=f"sort@{budget}/pf{prefetch_depth}"
+    )
 
 
 # ----------------------------------------------------------------------
@@ -138,26 +128,20 @@ class SortPoint:
 
 
 def _measure_budget(
-    catalog: Catalog,
-    work_mem: int,
-    pool_pages: int,
-    processors: int,
-    page_rows: int,
-    reference_rows: list,
-    reference_topn: list,
+    catalog: Catalog, work_mem: int, reference_rows: list, reference_topn: list
 ) -> SortPoint:
-    rows, makespan, result = _run_once(catalog, work_mem, pool_pages, processors, page_rows)
-    topn_rows, _, _ = _run_once(catalog, work_mem, pool_pages, processors, page_rows, top_n=TOPN)
+    result = _run_once(catalog, work_mem)
+    topn = _run_once(catalog, work_mem, top_n=TOPN)
     notes = result.grant_notes("big_sort")
     return SortPoint(
         work_mem=work_mem,
-        makespan=makespan,
+        makespan=result.makespan,
         sort_runs=notes.get("sort_runs", 0),
         merge_passes=notes.get("merge_passes", 0),
         spilled_pages=notes.get("spilled_pages", 0),
         spill_pages_read=result.metrics["spill.pages_read"],
-        identical=rows == reference_rows,
-        topn_identical=topn_rows == reference_topn,
+        identical=result.rows == reference_rows,
+        topn_identical=topn.rows == reference_topn,
     )
 
 
@@ -178,31 +162,16 @@ class SpillPrefetchPoint:
     identical: bool
 
 
-def _measure_prefetch(
-    catalog: Catalog,
-    depth: int,
-    work_mem: int,
-    pool_pages: int,
-    processors: int,
-    page_rows: int,
-    reference_rows: list,
-) -> SpillPrefetchPoint:
-    rows, makespan, result = _run_once(
-        catalog,
-        work_mem,
-        pool_pages,
-        processors,
-        page_rows,
-        prefetch_depth=depth,
-    )
+def _measure_prefetch(catalog: Catalog, depth: int, reference_rows: list) -> SpillPrefetchPoint:
+    result = _run_once(catalog, PREFETCH_WORK_MEM, prefetch_depth=depth)
     metrics = result.metrics
     return SpillPrefetchPoint(
         depth=depth,
-        makespan=makespan,
+        makespan=result.makespan,
         read_stall=metrics["spill.read_stall"],
         read_overlapped=metrics["spill.read_overlapped"],
         prefetch_issued=metrics["spill.prefetch_issued"],
-        identical=rows == reference_rows,
+        identical=result.rows == reference_rows,
     )
 
 
@@ -215,8 +184,6 @@ def _measure_prefetch(
 class FigSortResult:
     sweep: tuple[SortPoint, ...]
     prefetch: tuple[SpillPrefetchPoint, ...]
-    prefetch_work_mem: int
-    processors: int
 
     def answers_identical(self) -> bool:
         """Every budget (and every prefetch depth) reproduced the
@@ -224,87 +191,62 @@ class FigSortResult:
         sweep_ok = all(p.identical and p.topn_identical for p in self.sweep)
         return sweep_ok and all(p.identical for p in self.prefetch)
 
+    def _grows_as_grant_shrinks(self, *fields: str) -> bool:
+        ordered = sorted(self.sweep, key=lambda p: p.work_mem, reverse=True)
+        return all(nondecreasing([getattr(p, field) for p in ordered]) for field in fields)
+
     def degradation_monotone(self) -> bool:
         """Shrinking work_mem never makes the sort *faster*."""
-        ordered = sorted(self.sweep, key=lambda p: p.work_mem, reverse=True)
-        spans = [p.makespan for p in ordered]
-        return all(a <= b for a, b in zip(spans, spans[1:]))
+        return self._grows_as_grant_shrinks("makespan")
 
     def spill_monotone(self) -> bool:
         """Runs, passes and spilled pages grow as the grant shrinks."""
-        ordered = sorted(self.sweep, key=lambda p: p.work_mem, reverse=True)
-        for field in ("sort_runs", "merge_passes", "spilled_pages"):
-            values = [getattr(p, field) for p in ordered]
-            if not all(a <= b for a, b in zip(values, values[1:])):
-                return False
-        return True
+        return self._grows_as_grant_shrinks("sort_runs", "merge_passes", "spilled_pages")
 
     def prefetch_strictly_helps(self) -> bool:
         """Any depth > 0 strictly beats depth 0 on both makespan and
         read-back stall (False when the sweep lacks either side)."""
-        base = next((p for p in self.prefetch if p.depth == 0), None)
-        rest = [p for p in self.prefetch if p.depth > 0]
-        if base is None or not rest:
-            return False
-        return all(p.makespan < base.makespan and p.read_stall < base.read_stall for p in rest)
+        return beats_depth_zero(self.prefetch, "makespan", "read_stall")
 
     def render(self) -> str:
-        headers = [
-            "work_mem",
-            "makespan",
-            "runs",
-            "merge passes",
-            "spilled pages",
-            "pages re-read",
-            "identical",
-            "top-N identical",
+        sweep_columns = [
+            ("work_mem", lambda p: p.work_mem),
+            ("makespan", lambda p: f"{p.makespan:.0f}"),
+            ("runs", lambda p: p.sort_runs),
+            ("merge passes", lambda p: p.merge_passes),
+            ("spilled pages", lambda p: p.spilled_pages),
+            ("pages re-read", lambda p: p.spill_pages_read),
+            ("identical", lambda p: "yes" if p.identical else "NO"),
+            ("top-N identical", lambda p: "yes" if p.topn_identical else "NO"),
         ]
-        rows = [
+        prefetch_columns = [
+            ("prefetch k", lambda p: p.depth),
+            ("makespan", lambda p: f"{p.makespan:.0f}"),
+            ("read stall", lambda p: f"{p.read_stall:.0f}"),
+            ("read overlapped", lambda p: f"{p.read_overlapped:.0f}"),
+            ("prefetches", lambda p: p.prefetch_issued),
+            ("identical", lambda p: "yes" if p.identical else "NO"),
+        ]
+        return "\n\n".join(
             [
-                p.work_mem,
-                f"{p.makespan:.0f}",
-                p.sort_runs,
-                p.merge_passes,
-                p.spilled_pages,
-                p.spill_pages_read,
-                "yes" if p.identical else "NO",
-                "yes" if p.topn_identical else "NO",
+                block(
+                    "External sort — work_mem sweep (grant-governed runs + k-way merge)",
+                    sweep_columns,
+                    self.sweep,
+                    [
+                        ("answers identical everywhere", self.answers_identical()),
+                        ("degradation monotone", self.degradation_monotone()),
+                        ("spill growth monotone", self.spill_monotone()),
+                    ],
+                ),
+                block(
+                    f"Spill read-back prefetch — work_mem {PREFETCH_WORK_MEM}",
+                    prefetch_columns,
+                    self.prefetch,
+                    [("prefetch > 0 strictly faster read-back", self.prefetch_strictly_helps())],
+                ),
             ]
-            for p in self.sweep
-        ]
-        sweep_title = "External sort — work_mem sweep (grant-governed runs + k-way merge)"
-        sweep_summary = (
-            f"  answers identical everywhere: {self.answers_identical()};"
-            f"  degradation monotone: {self.degradation_monotone()};"
-            f"  spill growth monotone: {self.spill_monotone()}"
         )
-        blocks = [f"{sweep_title}\n{format_table(headers, rows)}\n{sweep_summary}"]
-
-        headers = [
-            "prefetch k",
-            "makespan",
-            "read stall",
-            "read overlapped",
-            "prefetches",
-            "identical",
-        ]
-        rows = [
-            [
-                p.depth,
-                f"{p.makespan:.0f}",
-                f"{p.read_stall:.0f}",
-                f"{p.read_overlapped:.0f}",
-                p.prefetch_issued,
-                "yes" if p.identical else "NO",
-            ]
-            for p in self.prefetch
-        ]
-        prefetch_title = f"Spill read-back prefetch — work_mem {self.prefetch_work_mem}"
-        prefetch_summary = (
-            f"  prefetch > 0 strictly faster read-back: {self.prefetch_strictly_helps()}"
-        )
-        blocks.append(f"{prefetch_title}\n{format_table(headers, rows)}\n{prefetch_summary}")
-        return "\n\n".join(blocks)
 
 
 # ``repro experiments fig_sort --quick``.
@@ -314,44 +256,16 @@ QUICK = {"work_mems": (128, 8, 2), "prefetch_depths": (0, 2)}
 def run(
     work_mems: Sequence[int] = DEFAULT_WORK_MEMS,
     prefetch_depths: Sequence[int] = DEFAULT_PREFETCH_DEPTHS,
-    processors: int = 4,
-    base_rows: int = SORT_ROWS,
-    page_rows: int = DEFAULT_PAGE_ROWS,
-    pool_pages: int = 16,
-    prefetch_work_mem: int = 4,
-    seed: int = DEFAULT_SEED,
 ) -> FigSortResult:
-    catalog = _sort_catalog(base_rows, seed)
-    reference_rows, _, _ = _run_once(catalog, None, pool_pages, processors, page_rows)
-    reference_topn, _, _ = _run_once(catalog, None, pool_pages, processors, page_rows, top_n=TOPN)
-
-    sweep = tuple(
-        _measure_budget(
-            catalog,
-            work_mem,
-            pool_pages,
-            processors,
-            page_rows,
-            reference_rows,
-            reference_topn,
-        )
-        for work_mem in work_mems
-    )
-    prefetch = tuple(
-        _measure_prefetch(
-            catalog,
-            depth,
-            prefetch_work_mem,
-            pool_pages,
-            processors,
-            page_rows,
-            reference_rows,
-        )
-        for depth in prefetch_depths
-    )
+    catalog = _sort_catalog()
+    reference_rows = _run_once(catalog, None).rows
+    reference_topn = _run_once(catalog, None, top_n=TOPN).rows
     return FigSortResult(
-        sweep=sweep,
-        prefetch=prefetch,
-        prefetch_work_mem=prefetch_work_mem,
-        processors=processors,
+        sweep=tuple(
+            _measure_budget(catalog, work_mem, reference_rows, reference_topn)
+            for work_mem in work_mems
+        ),
+        prefetch=tuple(
+            _measure_prefetch(catalog, depth, reference_rows) for depth in prefetch_depths
+        ),
     )

@@ -3,14 +3,16 @@
 The paper's figures are line charts; a terminal reproduction prints
 the same series as aligned tables (one row per client count, one
 column per line — what EXPERIMENTS.md records) and, for a quick visual
-read, as ASCII line charts (:func:`ascii_chart`).
+read, as ASCII line charts (:func:`ascii_chart`). A sweep figure's
+section is one :func:`block`: a title, a table, and the claim lines
+the figure asserts.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
-__all__ = ["format_table", "series_table", "ascii_chart"]
+__all__ = ["format_table", "block", "series_table", "ascii_chart"]
 
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence]) -> str:
@@ -18,21 +20,36 @@ def format_table(headers: Sequence[str], rows: Iterable[Sequence]) -> str:
     decimals, everything else via ``str``."""
     rendered: list[list[str]] = [[str(h) for h in headers]]
     for row in rows:
-        rendered.append([
-            f"{value:.3f}" if isinstance(value, float) else str(value)
-            for value in row
-        ])
-    widths = [
-        max(len(line[i]) for line in rendered)
-        for i in range(len(rendered[0]))
-    ]
+        rendered.append(
+            [f"{value:.3f}" if isinstance(value, float) else str(value) for value in row]
+        )
+    widths = [max(len(line[i]) for line in rendered) for i in range(len(rendered[0]))]
     lines = []
     for index, line in enumerate(rendered):
-        lines.append(
-            "  ".join(cell.rjust(width) for cell, width in zip(line, widths))
-        )
+        lines.append("  ".join(cell.rjust(width) for cell, width in zip(line, widths)))
         if index == 0:
             lines.append("  ".join("-" * width for width in widths))
+    return "\n".join(lines)
+
+
+def block(
+    title: str,
+    columns: Sequence[tuple[str, Callable]],
+    items: Iterable,
+    *claim_lines: Sequence[tuple[str, object]],
+) -> str:
+    """A titled table, one row per item, followed by its claim lines.
+
+    ``columns`` pairs each header with the function that renders that
+    column's cell from an item (:func:`format_table` formats what it
+    returns). Each claim line is a sequence of ``(label, value)``
+    pairs, printed indented as ``label: value`` joined by ``;  ``.
+    """
+    headers = [header for header, _ in columns]
+    rows = [[cell(item) for _, cell in columns] for item in items]
+    lines = [title, format_table(headers, rows)]
+    for claims in claim_lines:
+        lines.append("  " + ";  ".join(f"{label}: {value}" for label, value in claims))
     return "\n".join(lines)
 
 
@@ -55,10 +72,7 @@ def ascii_chart(
     n_points = len(x_values)
     for name, values in series.items():
         if len(values) != n_points:
-            raise ValueError(
-                f"series {name!r} has {len(values)} points, x-axis has "
-                f"{n_points}"
-            )
+            raise ValueError(f"series {name!r} has {len(values)} points, x-axis has {n_points}")
     all_values = [v for values in series.values() for v in values]
     if marker_line is not None:
         all_values.append(marker_line)
@@ -85,15 +99,9 @@ def ascii_chart(
         label = lo + (hi - lo) * row_index / (height - 1)
         lines.append(f"{label:>8.2f} |" + "".join(grid[row_index]))
     lines.append(" " * 9 + "+" + "-" * n_points)
-    axis = "".join(
-        str(x)[-1] if isinstance(x, (int, float)) else "."
-        for x in x_values
-    )
+    axis = "".join(str(x)[-1] if isinstance(x, (int, float)) else "." for x in x_values)
     lines.append(" " * 10 + axis)
-    legend = "  ".join(
-        f"{glyphs[i % len(glyphs)]}={name}"
-        for i, name in enumerate(series)
-    )
+    legend = "  ".join(f"{glyphs[i % len(glyphs)]}={name}" for i, name in enumerate(series))
     lines.append(" " * 10 + legend)
     return "\n".join(lines)
 
@@ -103,9 +111,7 @@ def series_table(series_list, value_label: str = "Z") -> str:
     if not series_list:
         return "(no data)"
     clients = series_list[0].clients
-    headers = ["clients"] + [
-        f"{s.query}@{s.processors}cpu" for s in series_list
-    ]
+    headers = ["clients"] + [f"{s.query}@{s.processors}cpu" for s in series_list]
     rows = []
     for i, m in enumerate(clients):
         rows.append([m] + [s.speedups[i] for s in series_list])

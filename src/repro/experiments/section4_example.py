@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from repro.core import metrics
 from repro.core.model import shared_metrics, shared_rate, unshared_rate
 from repro.core.spec import QuerySpec, chain, op, sharers
+from repro.experiments.common import PAPER_PROCESSOR_COUNTS
 from repro.experiments.report import format_table
 
 __all__ = ["Section4Example", "run"]
@@ -21,6 +22,7 @@ __all__ = ["Section4Example", "run"]
 SCAN_W = 9.66
 SCAN_S = 10.34
 AGG_P = 0.97
+CLIENT_COUNTS = (1, 4, 16, 48)
 
 
 @dataclass(frozen=True)
@@ -53,31 +55,29 @@ def paper_shared(m: int, n: int) -> float:
 
 
 def q6_spec() -> QuerySpec:
-    return QuerySpec(chain(op("scan", SCAN_W, SCAN_S), op("agg", AGG_P)),
-                     label="q6")
+    return QuerySpec(chain(op("scan", SCAN_W, SCAN_S), op("agg", AGG_P)), label="q6")
 
 
 # ``repro experiments section4 --quick`` is the full run.
 QUICK = {}
 
 
-def run(
-    client_counts=(1, 4, 16, 48),
-    processor_counts=(1, 2, 8, 32),
-) -> Section4Example:
+def run() -> Section4Example:
     spec = q6_spec()
     rows = []
-    for m in client_counts:
+    for m in CLIENT_COUNTS:
         group = sharers(spec, m, "q6")
-        for n in processor_counts:
-            rows.append((
-                m,
-                n,
-                unshared_rate(group, n),
-                paper_unshared(m, n),
-                shared_rate(group, "scan", n),
-                paper_shared(m, n),
-            ))
+        for n in PAPER_PROCESSOR_COUNTS:
+            rows.append(
+                (
+                    m,
+                    n,
+                    unshared_rate(group, n),
+                    paper_unshared(m, n),
+                    shared_rate(group, "scan", n),
+                    paper_shared(m, n),
+                )
+            )
     shared = shared_metrics(sharers(spec, 4, "q6"), "scan")
     assert shared.p_max == SCAN_W + 4 * SCAN_S
     return Section4Example(

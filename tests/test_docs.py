@@ -2,7 +2,9 @@
 lines are checked.
 
 * ``docs/experiments.md`` must document exactly the experiments the
-  CLI registers — one ``##`` heading per registry key;
+  CLI registers — one ``##`` heading per registry key — and each
+  section's **Knobs.** paragraph must name exactly its ``run()``
+  parameters;
 * every relative markdown link in README.md and ``docs/*.md`` must
   resolve to a real file;
 * every ``fig_*`` name mentioned in README.md and ``docs/*.md`` must
@@ -15,6 +17,7 @@ renamed experiment, a moved doc, a stale link, or a removed
 subcommand or flag fails the build.
 """
 
+import inspect
 import re
 import shlex
 from pathlib import Path
@@ -54,6 +57,22 @@ def test_experiment_doc_headings_match_cli_registry():
     stale = {h for h in headings - registered if not h.startswith("Quick")}
     assert not missing, f"experiments undocumented in docs/experiments.md: {sorted(missing)}"
     assert not stale, f"docs/experiments.md documents unknown experiments: {sorted(stale)}"
+
+
+def test_knobs_match_run_signature():
+    """Each experiment's **Knobs.** paragraph backticks exactly the
+    parameters of its module's ``run()`` — no knob documented that
+    does not exist, none that exists left undocumented."""
+    text = (REPO_ROOT / "docs" / "experiments.md").read_text()
+    sections = dict(re.findall(r"^## (\S+)\n(.*?)(?=^## |\Z)", text, flags=re.M | re.S))
+    drifted = {}
+    for name, experiment in _EXPERIMENTS.items():
+        knobs = re.search(r"^\*\*Knobs\.\*\*(.*?)(?:\n\n|\Z)", sections[name], flags=re.M | re.S)
+        documented = set(re.findall(r"`([^`]+)`", knobs.group(1)))
+        parameters = set(inspect.signature(experiment.module.run).parameters)
+        if documented != parameters:
+            drifted[name] = (sorted(documented), sorted(parameters))
+    assert not drifted, f"Knobs paragraphs vs run() parameters: {drifted}"
 
 
 @pytest.mark.parametrize(

@@ -6,10 +6,14 @@ from repro.experiments import fig1, fig2, fig4, fig5, fig6, section4_example
 from repro.experiments.common import (
     SpeedupSeries,
     batch_speedup,
+    lcg,
+    pick,
+    replica_catalog,
+    replica_names,
     shared_catalog,
     speedup_series,
 )
-from repro.experiments.report import format_table, series_table
+from repro.experiments.report import block, format_table, series_table
 from repro.tpch.queries import build
 
 SCALE = 0.0005
@@ -34,6 +38,57 @@ class TestCommon:
         assert series.clients == (1, 4)
         assert len(series.speedups) == 2
         assert series.max_speedup() >= series.min_speedup()
+
+
+class TestScaffold:
+    def test_lcg_is_the_park_miller_stream(self):
+        # The states every synthetic figure table is drawn from: a
+        # change here silently changes every figure's data.
+        assert lcg(2007, 5) == [96879897, 1417608568, 1964257920, 996073976, 1475522813]
+
+    def test_replicas_equal_the_common_table(self):
+        catalog = replica_catalog("t", 50, 3, seed=7)
+        names = replica_names("t", 3)
+        assert names == ["t__0", "t__1", "t__2"]
+        common = catalog.table("t")
+        assert len(common.column("k")) == 50
+        for name in names:
+            for column in ("k", "v"):
+                copy = catalog.table(name).column(column)
+                original = common.column(column)
+                assert copy == original
+                assert [type(value) for value in copy] == [type(value) for value in original]
+        assert {type(value) for value in common.column("k")} == {int}
+        assert {type(value) for value in common.column("v")} == {float}
+
+    def test_pick_returns_the_first_match(self):
+        items = [
+            SpeedupSeries("q6", 1, (1,), (1.0,)),
+            SpeedupSeries("q6", 8, (1,), (0.5,)),
+            SpeedupSeries("q1", 8, (1,), (0.7,)),
+        ]
+        assert pick(items, processors=8) is items[1]
+        assert pick(items, query="q1", processors=8) is items[2]
+        with pytest.raises(KeyError):
+            pick(items, query="q4")
+
+    def test_block_prints_title_table_then_claim_lines(self):
+        text = block(
+            "Title",
+            [("a", lambda row: row[0]), ("b", lambda row: row[1])],
+            [(1, 2.5), (30, "x")],
+            [("first", True), ("second", 2)],
+            [("third", False)],
+        )
+        assert text.splitlines() == [
+            "Title",
+            " a      b",
+            "--  -----",
+            " 1  2.500",
+            "30      x",
+            "  first: True;  second: 2",
+            "  third: False",
+        ]
 
 
 class TestReport:
