@@ -196,19 +196,14 @@ class ShareAdvisor:
             # Last group may be smaller; model the two shapes exactly.
             full_groups, remainder = divmod(clients, group_size)
             rate = 0.0
-            for size, count in ((group_size, full_groups),
-                                (remainder, 1 if remainder else 0)):
+            for size, count in ((group_size, full_groups), (remainder, 1 if remainder else 0)):
                 if count == 0:
                     continue
                 members = everyone[:size]
                 if size == 1:
-                    rate += count * unshared_rate(
-                        members, per_group_n, self.contention
-                    )
+                    rate += count * unshared_rate(members, per_group_n, self.contention)
                 else:
-                    rate += count * shared_rate(
-                        members, pivot_name, per_group_n, self.contention
-                    )
+                    rate += count * shared_rate(members, pivot_name, per_group_n, self.contention)
             candidate = GroupPartitioning(
                 group_size=group_size,
                 n_groups=n_groups,

@@ -15,7 +15,8 @@ share. :class:`Session` is that loop packaged behind one object:
   shared groups or solo queries launch accordingly), runs the
   simulator, and returns one
   :class:`~repro.db.result.QueryResult` per submission;
-* the default policy is the Section-4 :class:`ShareAdvisor` fed by an
+* the default decider is a
+  :class:`~repro.policies.model_guided.ModelGuidedPolicy` fed by an
   on-demand CPU profile of each new operation (cached per signature)
   and adjusted per decision by a live
   :class:`~repro.policies.resource_outlook.ResourceOutlook` over the
@@ -24,8 +25,8 @@ share. :class:`Session` is that loop packaged behind one object:
   wiring. Pass any :class:`~repro.policies.base.SharingPolicy`
   (``ModelGuided``, ``OnlineModelGuided``, ``AlwaysShare``, ...) to
   override. The coordinator asks the session for what only it knows:
-  the advisor's verdicts, each query's config-resolved batch size
-  and dop, the outlook's projections.
+  the built-in decider, each query's config-resolved batch size and
+  dop, the outlook's projections.
 
 Sessions are cheap: one simulator, one engine, one storage-component
 set built from the :class:`~repro.db.config.RuntimeConfig`. Simulated
@@ -39,8 +40,8 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Optional, Sequence, Union
 
-from repro.core.decision import ShareAdvisor, ShareDecision
-from repro.core.spec import QuerySpec, sharers
+from repro.core.decision import ShareDecision
+from repro.core.spec import QuerySpec
 from repro.db.builder import Query, QueryBuilder
 from repro.db.config import RuntimeConfig
 from repro.db.result import QueryResult
@@ -58,7 +59,8 @@ from repro.obs import (
 )
 from repro.policies.base import SharingPolicy
 from repro.policies.coordinator import SharingCoordinator, Submission
-from repro.policies.resource_outlook import ParallelProjection, ResourceOutlook, ResourceProfile
+from repro.policies.model_guided import ModelGuidedPolicy
+from repro.policies.resource_outlook import ResourceOutlook, ResourceProfile
 from repro.policies.workset import estimate_work_pages
 from repro.profiling.profiler import QueryProfiler
 from repro.sim.simulator import Simulator
@@ -107,18 +109,13 @@ class Database:
         catalog: Catalog,
         config: Union[RuntimeConfig, str, None] = None,
         policy: Optional[SharingPolicy] = None,
-        threshold: float = 1.0,
     ) -> "Session":
         """Open a fresh :class:`Session` — the one-call entry point."""
-        return cls(catalog, config).session(policy=policy, threshold=threshold)
+        return cls(catalog, config).session(policy=policy)
 
-    def session(
-        self,
-        policy: Optional[SharingPolicy] = None,
-        threshold: float = 1.0,
-    ) -> "Session":
+    def session(self, policy: Optional[SharingPolicy] = None) -> "Session":
         """Mint a session: fresh simulator, engine, and storage set."""
-        return Session(self, policy=policy, threshold=threshold)
+        return Session(self, policy=policy)
 
     def serve(self, policy: Optional[SharingPolicy] = None, **server_kwargs):
         """Open a fresh session and stand a long-running open-system
@@ -144,11 +141,11 @@ class Session:
     policy:
         Optional :class:`~repro.policies.base.SharingPolicy` deciding
         share-vs-solo per prospective group. ``None`` (default) uses
-        the built-in advisor: an on-demand CPU profile per operation,
-        adjusted by the live resource outlook, evaluated by the
-        Section-4 model.
-    threshold:
-        Minimum predicted ``Z`` for the built-in advisor to share.
+        the built-in decider (:meth:`decider`): a
+        :class:`~repro.policies.model_guided.ModelGuidedPolicy` over an
+        on-demand CPU profile per operation, adjusted by the live
+        resource outlook, sharing when the Section-4 model predicts
+        ``Z`` above 1.0.
 
     Examples
     --------
@@ -177,12 +174,7 @@ class Session:
     True
     """
 
-    def __init__(
-        self,
-        database: Database,
-        policy: Optional[SharingPolicy] = None,
-        threshold: float = 1.0,
-    ) -> None:
+    def __init__(self, database: Database, policy: Optional[SharingPolicy] = None) -> None:
         config = database.config
         self.database = database
         self.catalog = database.catalog
@@ -202,10 +194,10 @@ class Session:
             scan_manager=scans,
             spill_prefetch_depth=spill_depth,
         )
-        self.threshold = threshold
         self.results: list[QueryResult] = []
         self._pending: list[Submission] = []
         self._specs: dict[str, tuple[QuerySpec, str]] = {}
+        self._decider: Optional[ModelGuidedPolicy] = None
         self._outlook = ResourceOutlook(
             {},
             costs=config.cost_model,
@@ -250,6 +242,13 @@ class Session:
     @property
     def scans(self):
         return self.engine.scan_manager
+
+    @property
+    def outlook(self) -> ResourceOutlook:
+        """The live resource outlook over this session's pool, broker
+        and scan manager: the projections every decision record
+        carries, and the built-in decider's spec adjustment."""
+        return self._outlook
 
     @property
     def now(self) -> float:
@@ -451,29 +450,6 @@ class Session:
         pool = self.engine.pool
         return float(pool.stats.misses) if pool is not None else None
 
-    def projections(self, signature: Optional[str], m: int) -> dict:
-        """The outlook's projections for one prospective group — the
-        audit record's decision-time inputs."""
-        if signature is None:
-            return {}
-        fields: dict = {
-            "projected_io_extra": self._outlook.pivot_extra_work(signature, m)
-        }
-        profile = self._outlook.profiles.get(signature)
-        if profile is None:
-            return fields
-        memory = self.engine.memory
-        if memory is not None and profile.work_pages:
-            fields["projected_spill_pages"] = memory.projected_spill(
-                profile.work_pages, operators=m
-            )
-        scans = self.engine.scan_manager
-        if scans is not None:
-            fields["projected_drift_share"] = scans.projected_drift_share(
-                profile.table, profile.pages, m, cpu_skew=profile.cpu_skew
-            )
-        return fields
-
     def _join_audit(self, batch: list[Submission], reads_before: Optional[float]) -> None:
         """Join each of this batch's records with what was measured:
         group wall (first submit to last finish) and the batch's
@@ -500,7 +476,31 @@ class Session:
             )
             record.join(latency, physical_reads=share)
 
-    # -- the built-in advisor --------------------------------------------
+    # -- the built-in decider ---------------------------------------------
+
+    def decider(self, query: Union[Query, TpchQuery]) -> tuple[ModelGuidedPolicy, str]:
+        """The built-in decider and the key it prices ``query`` under.
+
+        The decider is a :class:`~repro.policies.model_guided
+        .ModelGuidedPolicy` over this session's CPU profiles — one per
+        pivot signature (the key), taken on first use, so an ad-hoc
+        query that reuses a name with new constants gets its own — and
+        its live resource outlook. It prices against the whole machine
+        (``config.processors``) at threshold 1.0, its binary ``Z``
+        contention-free and its four-way projection at
+        ``config.contention``.
+        """
+        signature = query.pivot_signature
+        self._profile(signature, query)
+        if self._decider is None:
+            self._decider = ModelGuidedPolicy(
+                self._specs,
+                threshold=1.0,
+                outlook=self._outlook,
+                processors=self.config.processors,
+                mode_contention=self.config.contention,
+            )
+        return self._decider, signature
 
     def advise(
         self,
@@ -511,10 +511,11 @@ class Session:
         """The built-in verdict: would sharing ``group_size`` copies of
         ``query`` beat running them independently *right now*?
 
-        Uses a cached CPU profile of the operation and the live
-        resource outlook (cold pages, spill pressure) — re-evaluated
-        per call, so the same query can share against a cold cache and
-        decline once the cache warms.
+        Asks :meth:`decider` — a cached CPU profile of the operation
+        and the live resource outlook (cold pages, spill pressure),
+        re-evaluated per call, so the same query can share against a
+        cold cache and decline once the cache warms — and appends a
+        standalone audit record of the verdict.
 
         ``cpu_skew`` (slowest consumer's per-page CPU over the
         fastest's, 1.0 = uniform) projects consumer-speed skew onto
@@ -531,18 +532,11 @@ class Session:
             raise EngineError(f"query {built.name!r} has no sharing pivot to advise on")
         if cpu_skew is not None and cpu_skew < 1:
             raise EngineError(f"cpu_skew must be >= 1, got {cpu_skew}")
-        signature = built.pivot_signature
-        spec, pivot_id = self._profile(signature, built)
-        profile = self._outlook.profiles.get(signature)
-        if (cpu_skew is not None and profile is not None
-                and profile.cpu_skew != cpu_skew):
+        decider, signature = self.decider(built)
+        profile = self._outlook.profiles[signature]
+        if cpu_skew is not None and profile.cpu_skew != cpu_skew:
             self._outlook.profiles[signature] = replace(profile, cpu_skew=cpu_skew)
-        # The decision's one resource projection: it prices the model's
-        # pivot here and goes into the audit record as it is.
-        projections = self.projections(signature, group_size)
-        adjusted = spec.with_extra_work(pivot_id, projections["projected_io_extra"])
-        advisor = ShareAdvisor(processors=self.config.processors, threshold=self.threshold)
-        decision = advisor.evaluate(sharers(adjusted, group_size, built.name), pivot_id)
+        decision, _, projections = decider.price(signature, group_size, self.config.processors)
         self.coordinator.audit_decision(
             "advisor",
             "share" if decision.share else "solo",
@@ -552,31 +546,6 @@ class Session:
             projections=projections,
         )
         return decision
-
-    def advise_mode(
-        self, query: Union[Query, TpchQuery], group_size: int, dop: int
-    ) -> tuple[ParallelProjection, ShareDecision]:
-        """The built-in four-way verdict for ``group_size`` copies of
-        ``query`` that may each fragment ``dop`` ways: share,
-        parallelize, both, or neither — :meth:`advise`'s rates priced
-        by the outlook's share-vs-parallelize projection."""
-        decision = self.advise(query, group_size)
-        spec, pivot_id = self._specs[query.pivot_signature]
-        # ``advise`` has just audited this verdict; its record holds the
-        # projection the verdict was priced with.
-        adjusted = spec.with_extra_work(pivot_id, self._audit[-1].projected_io_extra)
-        projection = self._outlook.share_vs_parallelize(
-            query.name,
-            group_size,
-            self.config.processors,
-            dop,
-            shared_rate=decision.shared_rate,
-            unshared_rate=decision.unshared_rate,
-            contention=self.config.contention,
-            spec=adjusted,
-            pivot_name=pivot_id,
-        )
-        return projection, decision
 
     def _profile(self, signature: str, query: Query) -> tuple[QuerySpec, str]:
         """CPU-profile one operation (cached by pivot signature).

@@ -254,7 +254,8 @@ def _measure_flip(catalog: Catalog, skew: int) -> FlipResult:
     def advice(**skew) -> bool:
         profiles = {"driftq": ResourceProfile(table=DRIFT_TABLE, pages=pages, **skew)}
         outlook = ResourceOutlook(profiles, costs=DRIFT_COSTS, scans=scans)
-        return ModelGuidedPolicy(specs, outlook=outlook).should_share("driftq", m, FLIP_PROCESSORS)
+        policy = ModelGuidedPolicy(specs, outlook=outlook)
+        return policy.should_share("driftq", m, FLIP_PROCESSORS).share
 
     naive_share = advice()
     drift_share = advice(cpu_skew=cpu_skew)

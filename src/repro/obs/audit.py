@@ -8,11 +8,11 @@ ask the one question a self-tuning system needs answered: *how wrong
 were the projections?* Every routing decision the
 ``SharingCoordinator`` makes — for ``Session.run_all``, for a
 ``Server``, on a raw engine handed a log — appends exactly one
-:class:`AuditRecord` (as do a bare ``Session.advise`` and a
-``ModelGuidedPolicy`` given its own log) capturing the decision
-*inputs* (signature, group size, projected rates, Z-score, projected
-extra I/O, spill pages, drift discount), *who* decided and *what
-happened*. After the run, the session
+:class:`AuditRecord` (as does a bare ``Session.advise``) capturing the
+decision *inputs* (signature, group size, projected rates, Z-score,
+projected extra I/O, spill pages, drift discount), *who* decided and
+*what happened*. Every model-priced verdict carries its rates,
+whichever decider priced it. After the run, the session
 joins each record with what the simulator measured — group latency,
 completion rate, physical reads — so :attr:`AuditRecord
 .projection_error` quantifies the gap per decision and
@@ -37,7 +37,8 @@ class AuditRecord:
     joined) the measurement of the arm that was actually run.
 
     ``source`` names who decided: ``"advisor"`` (the session's
-    built-in ShareAdvisor), ``"policy"`` (an attached policy object),
+    built-in decider, a ``ModelGuidedPolicy`` keyed by pivot
+    signature), ``"policy"`` (an attached policy object),
     ``"forced"`` (the submitter pinned ``share=``), ``"solo"`` (no
     one was asked: no pivot, or nothing to share with and no explicit
     policy), or ``"server"`` (admission control). ``outcome`` says
@@ -51,8 +52,11 @@ class AuditRecord:
     control rejected the arrival outright).
 
     Projection fields are in the model's units: rates are completion
-    rates (queries per cost unit, the paper's X_shared/X_unshared),
-    ``projected_io_extra`` is the per-sibling extra pivot work the
+    rates (queries per cost unit, the paper's X_shared/X_unshared) —
+    present whenever the decider priced its verdict with the model,
+    whatever the source, and ``None`` for unpriced verdicts
+    (``AlwaysShare``, ``NeverShare``, online exploration, forced
+    routing); ``projected_io_extra`` is the per-sibling extra pivot work the
     ResourceOutlook charged (negative = projected I/O *savings*),
     ``projected_spill_pages`` the broker's projected spill for the
     unshared plan, ``projected_drift_share`` the drift-bound discount

@@ -16,6 +16,5 @@ __all__ = ["AlwaysShare"]
 class AlwaysShare(SharingPolicy):
     name = "always"
 
-    def should_share(self, query_name: str, prospective_size: int,
-                     processors: int) -> bool:
+    def should_share(self, query_name: str, prospective_size: int, processors: int) -> bool:
         return prospective_size >= 2

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 
+from repro.core.decision import ShareDecision
+
 __all__ = ["SharingPolicy"]
 
 
@@ -26,8 +28,13 @@ class SharingPolicy(ABC):
         query_name: str,
         prospective_size: int,
         processors: int,
-    ) -> bool:
-        """True if the query should join/form a group.
+    ) -> ShareDecision | bool:
+        """Truthy if the query should join/form a group.
+
+        A policy that prices its verdict with the model returns the
+        :class:`~repro.core.decision.ShareDecision` (truthy when sharing
+        wins), so the coordinator's record of the decision carries its
+        rates; an unpriced verdict is a plain ``bool``.
 
         Parameters
         ----------

@@ -28,10 +28,12 @@ driver (which wires one to a raw engine).
   or delayed. Forced ``share=True`` members group unasked.
 
 Who decides: an explicit policy's ``should_share`` (asked even about a
-prospective group of one), else the owning session's advisor (asked
-from two up). With dop > 1 the choice is four-way — share, parallelize,
-both, neither — and goes to the policy's ``choose_mode`` if it has one,
-else to the session's ``advise_mode``.
+prospective group of one), else the owning session's built-in decider
+— a :class:`~repro.policies.model_guided.ModelGuidedPolicy` keyed by
+pivot signature (:meth:`~repro.db.session.Session.decider`), asked
+from two up. With dop > 1 the choice is four-way — share, parallelize,
+both, neither — and goes to the policy's ``choose_mode`` if it has
+one, else to the built-in decider's.
 
 The prospective group size offered counts active sharers plus the
 waiting batch plus the simultaneous arrivals, approximating Cordoba's
@@ -40,7 +42,9 @@ the processors offered (``effective_n``) are those not claimed by
 active queries of *other* signatures ("the model-guided policy
 dynamically evaluates conditions at runtime", Section 8.2). Every
 routing decision appends exactly one audit record naming who decided
-and what happened.
+and what happened, with the rates of a model-priced verdict (a
+:class:`~repro.core.decision.ShareDecision`, alone or carried by the
+four-way projection) whoever priced it.
 
 ``max_group_size`` caps launched batches, splitting oversized pending
 sets into multiple concurrent groups — trading sharing for parallelism
@@ -97,10 +101,12 @@ class SharingCoordinator:
     """Routes arriving queries into sharing groups per policy.
 
     ``session`` is the :class:`~repro.db.session.Session` dispatched
-    for: it answers when ``policy`` is ``None``, resolves each query's
-    effective batch size and dop, and supplies the projections audit
-    records carry. Without one (the closed-system driver's raw engine)
-    only the explicit policy decides, at the engine's defaults.
+    for: its built-in decider answers when ``policy`` is ``None`` (and
+    the four-way choice of a policy with no ``choose_mode``), it
+    resolves each query's effective batch size and dop, and its outlook
+    supplies the projections audit records carry. Without one (the
+    closed-system driver's raw engine) only the explicit policy
+    decides, at the engine's defaults.
     """
 
     def __init__(
@@ -239,9 +245,7 @@ class SharingCoordinator:
 
     def _route_batch(self, slot: _Slot, batch: list[Submission]) -> None:
         query, dop = batch[0].query, batch[0].dop
-        slot_active = sum(
-            self._active_members.get(gid, 0) for gid in slot.active_groups
-        )
+        slot_active = sum(self._active_members.get(gid, 0) for gid in slot.active_groups)
         effective_n = max(
             1,
             self.engine.sim.n_processors - (self.inflight_count() - slot_active),
@@ -257,29 +261,22 @@ class SharingCoordinator:
             source, mode = ("forced", "share") if prospective >= 2 else ("solo", "solo")
         elif self.policy is None and (self.session is None or prospective < 2):
             source, mode = "solo", "solo"
-        elif dop > 1 and not forced and prospective >= 2:
-            # The four-way choice: share, parallelize, both, or
-            # neither. Any forced share=True member pins the group to
-            # the binary share path below.
-            chooser = getattr(self.policy, "choose_mode", None)
-            if chooser is not None:
-                source = "policy"
-                projection = chooser(query.name, prospective, effective_n, dop)
-            else:
-                source = "advisor"
-                projection, decision = self.session.advise_mode(query, prospective, dop)
-            mode = projection.mode
-            chunk = max(2, projection.partition_group_size)
         else:
-            if self.policy is not None:
-                source = "policy"
-                verdict = self.policy.should_share(query.name, prospective, effective_n)
+            # The four-way choice — share, parallelize, both, or
+            # neither — when members may fragment. Any forced
+            # share=True member pins the group to the binary verdict.
+            four_way = dop > 1 and not forced and prospective >= 2
+            source, decider, key = self._decider(query, four_way)
+            if four_way:
+                projection = decider.choose_mode(key, prospective, effective_n, dop)
+                decision = projection.decision
+                mode = projection.mode
+                chunk = max(2, projection.partition_group_size)
             else:
-                source = "advisor"
-                verdict = self.session.advise(query, prospective)
-            if isinstance(verdict, ShareDecision):
-                decision = verdict
-            mode = "share" if verdict else "solo"
+                verdict = decider.should_share(key, prospective, effective_n)
+                if isinstance(verdict, ShareDecision):
+                    decision = verdict
+                mode = "share" if verdict else "solo"
         for entry in undecided:
             entry.decision = decision
 
@@ -289,7 +286,7 @@ class SharingCoordinator:
             self._record(source, mode, batch, prospective, decision)
             self.shared_submissions += len(batch)
             for start in range(0, len(batch), chunk):
-                self._launch(slot, batch[start:start + chunk], serial=True)
+                self._launch(slot, batch[start : start + chunk], serial=True)
         else:
             # "parallel" keeps each member's dop; declined members of a
             # real prospective group run serial; a group of one had
@@ -306,6 +303,18 @@ class SharingCoordinator:
             self.solo_submissions += len(rest)
             for entry in rest:
                 self._launch(slot, [entry], serial=serial)
+
+    def _decider(self, query, four_way: bool) -> tuple[str, SharingPolicy, str]:
+        """Who decides, and the key it prices ``query`` under: the
+        explicit policy (by query name) — unless the choice is four-way
+        and it has no ``choose_mode`` — else the session's built-in
+        :class:`~repro.policies.model_guided.ModelGuidedPolicy` (by
+        pivot signature)."""
+        policy = self.policy
+        if policy is not None and (not four_way or hasattr(policy, "choose_mode")):
+            return "policy", policy, query.name
+        decider, key = self.session.decider(query)
+        return "advisor", decider, key
 
     def _share(self, source, slot, batch, busy, group_size, decision=None) -> None:
         """Record and carry out a verdict to share ``batch``."""
@@ -330,16 +339,16 @@ class SharingCoordinator:
         decision: Optional[ShareDecision] = None,
         projections: Optional[dict] = None,
     ) -> AuditRecord:
-        """Append one decision record: who decided, what happened, and
-        the projections in force at decision time — ``projections`` when
-        the decider already made them (the advisor prices its verdict
-        with them), else asked of the session here."""
+        """Append one decision record: who decided, what happened, the
+        rates ``decision`` was priced with, and the projections in force
+        at decision time — ``projections`` when the caller already took
+        them, else the session outlook's here."""
         signature = query.pivot_signature
         fields: dict = {}
         if projections is not None:
             fields = dict(projections)
-        elif self.session is not None:
-            fields = self.session.projections(signature, group_size)
+        elif self.session is not None and signature is not None:
+            fields = self.session.outlook.projections(signature, group_size)
         if decision is not None:
             fields.update(
                 projected_z=decision.benefit,
@@ -364,19 +373,11 @@ class SharingCoordinator:
         group_size: int,
         decision: Optional[ShareDecision] = None,
     ) -> None:
-        """One record per routing decision, bound to the submissions it
-        covers. The advisor audited its own verdict inside
-        ``Session.advise``; that record is the decision's, relabelled
-        with what actually happened."""
+        """The one record per routing decision, bound to the
+        submissions it covers."""
         if self.audit is None:
             return
-        if source == "advisor":
-            record = self.audit[-1]
-            record.outcome = outcome
-        else:
-            record = self.audit_decision(
-                source, outcome, entries[0].query, group_size, decision
-            )
+        record = self.audit_decision(source, outcome, entries[0].query, group_size, decision)
         for entry in entries:
             entry.record = record
 
@@ -385,11 +386,9 @@ class SharingCoordinator:
     def _launch_capped(self, slot: _Slot, batch: list[Submission]) -> None:
         cap = self.max_group_size or len(batch)
         for start in range(0, len(batch), cap):
-            self._launch(slot, batch[start:start + cap])
+            self._launch(slot, batch[start : start + cap])
 
-    def _launch(
-        self, slot: _Slot, batch: list[Submission], serial: bool = False
-    ) -> None:
+    def _launch(self, slot: _Slot, batch: list[Submission], serial: bool = False) -> None:
         """The one launch site. A singleton runs at its own dop unless
         ``serial``; a group shares at the pivot and never fragments."""
         first = batch[0]

@@ -15,6 +15,5 @@ __all__ = ["NeverShare"]
 class NeverShare(SharingPolicy):
     name = "never"
 
-    def should_share(self, query_name: str, prospective_size: int,
-                     processors: int) -> bool:
+    def should_share(self, query_name: str, prospective_size: int, processors: int) -> bool:
         return False

@@ -15,10 +15,10 @@ from __future__ import annotations
 from typing import Mapping
 
 from repro.core.contention import ContentionLike
-from repro.core.decision import ShareAdvisor
-from repro.core.spec import sharers
+from repro.core.decision import ShareDecision
 from repro.errors import PolicyError
 from repro.policies.base import SharingPolicy
+from repro.policies.model_guided import price_verdict
 from repro.policies.resource_outlook import ResourceOutlook
 from repro.profiling.online import OnlineEstimator
 from repro.profiling.profiler import QueryProfile
@@ -66,9 +66,7 @@ class OnlineModelGuidedPolicy(SharingPolicy):
         if not queries:
             raise PolicyError("online policy needs at least one query type")
         if exploration_budget < 0:
-            raise PolicyError(
-                f"exploration_budget must be >= 0, got {exploration_budget}"
-            )
+            raise PolicyError(f"exploration_budget must be >= 0, got {exploration_budget}")
         priors = priors or {}
         self.estimators: dict[str, OnlineEstimator] = {
             name: OnlineEstimator(
@@ -81,9 +79,7 @@ class OnlineModelGuidedPolicy(SharingPolicy):
             for name, query in queries.items()
         }
         self._pivots = {name: q.pivot for name, q in queries.items()}
-        self._exploration_left = {
-            name: exploration_budget for name in queries
-        }
+        self._exploration_left = {name: exploration_budget for name in queries}
         self.contention = contention
         self.threshold = threshold
         self.outlook = outlook
@@ -91,8 +87,12 @@ class OnlineModelGuidedPolicy(SharingPolicy):
 
     # ------------------------------------------------------------------
 
-    def should_share(self, query_name: str, prospective_size: int,
-                     processors: int) -> bool:
+    def should_share(
+        self, query_name: str, prospective_size: int, processors: int
+    ) -> ShareDecision | bool:
+        """Plain ``True`` while spending the exploration budget on a
+        query type not yet identifiable (``False`` once it is spent);
+        after that the priced :class:`~repro.core.decision.ShareDecision`."""
         if prospective_size < 2:
             return False
         estimator = self._estimator(query_name)
@@ -101,18 +101,17 @@ class OnlineModelGuidedPolicy(SharingPolicy):
                 self.exploration_shares += 1
                 return True
             return False
-        advisor = ShareAdvisor(
-            processors=processors,
-            contention=self.contention,
+        decision, _, _ = price_verdict(
+            estimator.current_spec(),
+            self._pivots[query_name],
+            prospective_size,
+            processors,
             threshold=self.threshold,
+            contention=self.contention,
+            outlook=self.outlook,
+            key=query_name,
         )
-        spec = estimator.current_spec()
-        if self.outlook is not None:
-            spec = self.outlook.adjusted_spec(
-                query_name, spec, self._pivots[query_name], prospective_size
-            )
-        group = sharers(spec, prospective_size, query_name)
-        return advisor.evaluate(group, self._pivots[query_name]).share
+        return decision
 
     def observe_group(self, query_name: str, group_size: int, tasks) -> None:
         estimator = self.estimators.get(query_name)
@@ -121,9 +120,7 @@ class OnlineModelGuidedPolicy(SharingPolicy):
         was_ready = estimator.ready()
         estimator.observe_group(group_size, tasks)
         if group_size > 1 and not was_ready:
-            self._exploration_left[query_name] = max(
-                0, self._exploration_left[query_name] - 1
-            )
+            self._exploration_left[query_name] = max(0, self._exploration_left[query_name] - 1)
 
     # ------------------------------------------------------------------
 

@@ -47,6 +47,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from repro.core.contention import ContentionLike, resolve
+from repro.core.decision import ShareAdvisor, ShareDecision
 from repro.core.spec import QuerySpec
 from repro.engine.costs import CostModel
 from repro.engine.memory import MemoryBroker
@@ -74,7 +75,8 @@ class ParallelProjection:
     concurrently, reaping sharing *and* parallelism). ``makespans``
     holds every arm's projection (``inf`` = arm unavailable);
     ``partition_group_size`` is the per-group size behind a ``both``
-    verdict (0 otherwise).
+    verdict (0 otherwise); ``decision`` is the binary verdict whose
+    rates priced the serial arms.
     """
 
     mode: str
@@ -82,6 +84,7 @@ class ParallelProjection:
     group_size: int
     makespans: Mapping[str, float] = field(default_factory=dict)
     partition_group_size: int = 0
+    decision: Optional[ShareDecision] = None
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -110,13 +113,9 @@ class ResourceProfile:
         if self.pages < 0:
             raise PolicyError(f"pages must be >= 0, got {self.pages}")
         if self.work_pages < 0:
-            raise PolicyError(
-                f"work_pages must be >= 0, got {self.work_pages}"
-            )
+            raise PolicyError(f"work_pages must be >= 0, got {self.work_pages}")
         if self.cpu_skew < 1:
-            raise PolicyError(
-                f"cpu_skew must be >= 1, got {self.cpu_skew}"
-            )
+            raise PolicyError(f"cpu_skew must be >= 1, got {self.cpu_skew}")
 
 
 class ResourceOutlook:
@@ -160,9 +159,7 @@ class ResourceOutlook:
         """The profile's table pages not currently resident."""
         if self.pool is None:
             return 0
-        return max(
-            0, profile.pages - self.pool.resident_pages(profile.table)
-        )
+        return max(0, profile.pages - self.pool.resident_pages(profile.table))
 
     def pivot_extra_work(self, query_name: str, group_size: int) -> float:
         """Per-query pivot-``w`` increment encoding the projected
@@ -183,7 +180,9 @@ class ResourceOutlook:
         cold = self.cold_pages(profile)
         if self.scans is not None:
             unshared_io = m * self.scans.projected_attach_benefit(
-                profile.table, profile.pages, m,
+                profile.table,
+                profile.pages,
+                m,
                 cpu_skew=profile.cpu_skew,
             )
         else:
@@ -194,9 +193,7 @@ class ResourceOutlook:
         # Spill pressure: every avoided spill page saves a write and a
         # read-back.
         if self.memory is not None and profile.work_pages:
-            unshared_spill = self.memory.projected_spill(
-                profile.work_pages, operators=m
-            )
+            unshared_spill = self.memory.projected_spill(profile.work_pages, operators=m)
             shared_spill = self.memory.projected_spill(profile.work_pages)
             extra += max(0, unshared_spill - shared_spill) * (
                 self.costs.spill_page + self.costs.io_page
@@ -204,23 +201,41 @@ class ResourceOutlook:
 
         return extra / (m - 1)
 
+    def projections(self, query_name: str, group_size: int) -> dict:
+        """Every projection for one prospective group, the inputs a
+        decision is priced with and its audit record carries:
+        ``projected_io_extra`` (:meth:`pivot_extra_work`), and — for a
+        profiled query — the broker's ``projected_spill_pages`` for the
+        unshared plan and the manager's ``projected_drift_share``."""
+        fields: dict = {"projected_io_extra": self.pivot_extra_work(query_name, group_size)}
+        profile = self.profiles.get(query_name)
+        if profile is None:
+            return fields
+        if self.memory is not None and profile.work_pages:
+            fields["projected_spill_pages"] = self.memory.projected_spill(
+                profile.work_pages, operators=group_size
+            )
+        if self.scans is not None:
+            fields["projected_drift_share"] = self.scans.projected_drift_share(
+                profile.table, profile.pages, group_size, cpu_skew=profile.cpu_skew
+            )
+        return fields
+
+    @staticmethod
     def share_vs_parallelize(
-        self,
-        query_name: str,
-        group_size: int,
-        processors: int,
+        decision: ShareDecision,
         dop: int,
-        shared_rate: float,
-        unshared_rate: float,
         contention: ContentionLike = None,
         partition_skew: float = 1.0,
         spec: Optional[QuerySpec] = None,
         pivot_name: Optional[str] = None,
     ) -> ParallelProjection:
-        """Project the makespan of every execution arm and pick one.
+        """Project the makespan of every execution arm of a priced
+        verdict — ``decision``'s group of m on its n contexts — and
+        pick one.
 
-        The serial arms reuse the Section-4 rates the caller already
-        computed (``m / rate``). The ``parallel`` arm scales the solo
+        The serial arms reuse the verdict's Section-4 rates
+        (``m / rate``). The ``parallel`` arm scales the solo
         makespan by a speedup built from three factors:
 
         * **context headroom** — a query can use at most
@@ -245,21 +260,17 @@ class ResourceOutlook:
         Modes tie-break toward the simpler shape (solo before share
         before parallel before both).
         """
-        if group_size < 1:
-            raise PolicyError(f"group_size must be >= 1, got {group_size}")
         if dop < 1:
             raise PolicyError(f"dop must be >= 1, got {dop}")
         if partition_skew < 1:
-            raise PolicyError(
-                f"partition_skew must be >= 1, got {partition_skew}"
-            )
-        m = group_size
-        n = float(processors)
+            raise PolicyError(f"partition_skew must be >= 1, got {partition_skew}")
+        m = decision.group_size
+        n = decision.processors
         makespans: dict[str, float] = {mode: math.inf for mode in MODES}
-        if unshared_rate > 0:
-            makespans["solo"] = m / unshared_rate
-        if m >= 2 and shared_rate > 0:
-            makespans["share"] = m / shared_rate
+        if decision.unshared_rate > 0:
+            makespans["solo"] = m / decision.unshared_rate
+        if m >= 2 and decision.shared_rate > 0:
+            makespans["share"] = m / decision.shared_rate
         if dop >= 2 and makespans["solo"] < math.inf:
             model = resolve(contention)
             per_query = max(1.0, min(float(dop), n / m))
@@ -274,8 +285,6 @@ class ResourceOutlook:
                 makespans["parallel"] = makespans["solo"] / speedup
         partition_group = 0
         if spec is not None and pivot_name is not None and m >= 3:
-            from repro.core.decision import ShareAdvisor
-
             advisor = ShareAdvisor(processors=n, contention=contention)
             arrangement = advisor.best_partitioning(spec, pivot_name, m)
             if 1 < arrangement.group_size < m and arrangement.predicted_rate > 0:
@@ -290,14 +299,16 @@ class ResourceOutlook:
             group_size=m,
             makespans=makespans,
             partition_group_size=partition_group,
+            decision=decision,
         )
 
     def adjusted_spec(
-        self, query_name: str, spec: QuerySpec, pivot_name: str,
+        self,
+        query_name: str,
+        spec: QuerySpec,
+        pivot_name: str,
         group_size: int,
     ) -> QuerySpec:
         """Return ``spec`` with the pivot's ``w`` bumped by
         :meth:`pivot_extra_work` (or ``spec`` itself when zero)."""
-        return spec.with_extra_work(
-            pivot_name, self.pivot_extra_work(query_name, group_size)
-        )
+        return spec.with_extra_work(pivot_name, self.pivot_extra_work(query_name, group_size))

@@ -17,6 +17,7 @@ from repro.engine.wiring import resolve_storage
 from repro.errors import EngineError, StorageError
 from repro.obs.metrics import render_resources
 from repro.policies import AlwaysShare, NeverShare, ResourceOutlook
+from repro.policies.model_guided import price_verdict
 from repro.sim import Simulator
 from repro.storage import BufferPool, Catalog, DataType, ScanShareManager, Schema
 
@@ -183,23 +184,57 @@ class TestAutoSharingFlip:
             counts[m] = walk_visits[0]
         assert counts[128] == counts[8] <= 3 * plan_size
 
-        # The four-way verdict prices its arms with that same one
-        # projection, read back from the verdict's audit record.
+        # The four-way verdict prices its arms from that same one
+        # projection, through the one pricing function — and the
+        # built-in decider's choose_mode is that function at the
+        # session's processors, whatever it is offered.
         projections[0] = 0
-        projection, decision = session.advise_mode(query, 6, dop=2)
-        assert projections[0] == 1
         spec, pivot = session._specs[signature]
-        assert projection == session._outlook.share_vs_parallelize(
-            query.name,
+        decision, projection, priced = price_verdict(
+            spec,
+            pivot,
             6,
             session.config.processors,
+            threshold=1.0,
+            contention=None,
+            outlook=session.outlook,
+            key=signature,
+            dop=2,
+            mode_contention=session.config.contention,
+        )
+        assert projections[0] == 1
+        assert projection.decision is decision
+        assert priced["projected_io_extra"] == project(session._outlook, signature, 6)
+        assert projection == ResourceOutlook.share_vs_parallelize(
+            decision,
             2,
-            shared_rate=decision.shared_rate,
-            unshared_rate=decision.unshared_rate,
             contention=session.config.contention,
             spec=session._outlook.adjusted_spec(signature, spec, pivot, 6),
             pivot_name=pivot,
         )
+        decider, key = session.decider(query)
+        assert key == signature
+        assert decider.choose_mode(key, 6, 1, 2) == projection
+
+    def test_decider_keys_specs_by_pivot_signature(self, session):
+        """The built-in decider is one ModelGuidedPolicy whose specs are
+        keyed by pivot signature: an ad-hoc query that reuses a name
+        with new constants is priced on its own profile."""
+
+        def adhoc(cutoff):
+            return (
+                session.table("t", columns=["k", "v"])
+                .where(lt(col("v"), cutoff))
+                .agg(AggSpec("count", "n"))
+                .named("adhoc")
+                .build()
+            )
+
+        decider, narrow = session.decider(adhoc(0.25))
+        same, wide = session.decider(adhoc(0.75))
+        assert same is decider and session.coordinator.policy is None
+        assert narrow != wide
+        assert decider.specs[narrow] is not decider.specs[wide]
 
     def test_advise_requires_a_pivot(self, session):
         plan = flip_query(session).plan

@@ -4,9 +4,12 @@ import json
 
 import pytest
 
-from repro.db import Database
+from repro.db import Database, RuntimeConfig
+from repro.engine.plan import AggSpec
 from repro.obs.audit import AuditLog, AuditRecord
 from repro.policies.always import AlwaysShare
+from repro.policies.model_guided import ModelGuidedPolicy
+from repro.profiling.profiler import QueryProfiler
 from repro.storage import Catalog, DataType, Schema
 
 
@@ -142,21 +145,29 @@ def test_advise_records_projection_inputs():
     assert not record.joined  # advice alone launches nothing
 
 
-def test_model_guided_policy_appends_to_its_audit_log():
-    from repro.core.spec import QuerySpec, chain, op
-    from repro.policies.model_guided import ModelGuidedPolicy
-
-    spec = QuerySpec(
-        root=chain(op("pivot", 100.0, 0.5), op("rest", 10.0, 1.0)),
-        label="q",
-    )
-    log = AuditLog()
-    policy = ModelGuidedPolicy({"q": (spec, "pivot")}, audit=log)
-    verdict = policy.should_share("q", 4, 8)
-    (record,) = log.records
-    assert record.source == "policy"
-    assert record.outcome == ("share" if verdict else "solo")
+@pytest.mark.parametrize("dop", [1, 4])
+def test_model_guided_policy_decisions_carry_rates(dop):
+    """A ModelGuidedPolicy verdict routed through run_all — binary
+    (``should_share``) at dop 1, four-way (``choose_mode``) at dop 4 —
+    is the one record of its decision, carries the rates it was priced
+    with, and is scored against the measurement."""
+    catalog = _catalog()
+    config = RuntimeConfig.preset("laptop").with_(dop=dop)
+    probe = Database.open(catalog, config)
+    query = probe.table("t", columns=["k"]).agg(AggSpec("count", "n")).named("probe").build()
+    profiler = QueryProfiler(catalog, costs=config.cost_model, page_rows=config.page_rows)
+    profile = profiler.profile(query.plan, query.pivot_op_id, label=query.name)
+    policy = ModelGuidedPolicy({query.name: (profile.to_query_spec(), query.pivot_op_id)})
+    session = Database.open(catalog, config, policy=policy)
+    assert session.execution_settings(query)[1] == dop
+    for i in range(4):
+        session.submit(query, label=f"c{i}")
+    results = session.run_all()
+    (record,) = session.audit_log().records
+    assert (record.source, record.group_size) == ("policy", 4)
     assert record.projected_z is not None
-    # Cache hits do not re-append.
-    policy.should_share("q", 4, 8)
-    assert len(log) == 1
+    assert record.projected_shared_rate is not None
+    assert record.projected_unshared_rate is not None
+    assert record.projected_io_extra is not None
+    assert record.joined and record.projection_error is not None
+    assert all(r.decision is not None and r.audit == (record,) for r in results)

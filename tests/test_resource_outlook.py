@@ -59,17 +59,17 @@ class TestIoProjection:
         pool = BufferPool(TABLE_PAGES * 2)
         pool.prewarm_table(table, PAGE_ROWS)
         policy = self.make_policy(pool)
-        assert policy.should_share("q", GROUP, processors=PROCESSORS) is False
+        assert policy.should_share("q", GROUP, processors=PROCESSORS).share is False
 
     def test_cold_pool_flips_to_share(self):
         pool = BufferPool(TABLE_PAGES * 2)
         policy = self.make_policy(pool)
-        assert policy.should_share("q", GROUP, processors=PROCESSORS) is True
+        assert policy.should_share("q", GROUP, processors=PROCESSORS).share is True
 
     def test_no_outlook_never_flips(self):
         spec, pivot = _scan_heavy_spec()
         policy = ModelGuidedPolicy({"q": (spec, pivot)})
-        assert policy.should_share("q", GROUP, processors=PROCESSORS) is False
+        assert policy.should_share("q", GROUP, processors=PROCESSORS).share is False
 
     def test_cooperative_scans_cancel_the_flip(self):
         """With the elevator manager attached, unshared scans already
@@ -77,7 +77,7 @@ class TestIoProjection:
         pool = BufferPool(TABLE_PAGES * 2)
         manager = ScanShareManager(pool, prefetch_depth=2)
         policy = self.make_policy(pool, scans=manager)
-        assert policy.should_share("q", GROUP, processors=PROCESSORS) is False
+        assert policy.should_share("q", GROUP, processors=PROCESSORS).share is False
 
     def test_decisions_not_cached_with_outlook(self):
         """Warming the pool between arrivals changes the verdict."""
@@ -85,9 +85,9 @@ class TestIoProjection:
         table = _table(catalog)
         pool = BufferPool(TABLE_PAGES * 2)
         policy = self.make_policy(pool)
-        assert policy.should_share("q", GROUP, processors=PROCESSORS) is True
+        assert policy.should_share("q", GROUP, processors=PROCESSORS).share is True
         pool.prewarm_table(table, PAGE_ROWS)
-        assert policy.should_share("q", GROUP, processors=PROCESSORS) is False
+        assert policy.should_share("q", GROUP, processors=PROCESSORS).share is False
 
 
 class TestSpillProjection:
@@ -111,10 +111,10 @@ class TestSpillProjection:
             return ModelGuidedPolicy({"q": (spec, pivot)}, outlook=outlook)
 
         # Ample memory: everything fits, CPU decision holds.
-        assert policy_with(1000).should_share("q", GROUP, PROCESSORS) is False
+        assert policy_with(1000).should_share("q", GROUP, PROCESSORS).share is False
         # Tight memory: 8 x 40 pages >> 48 available, sharing avoids
         # the spills.
-        assert policy_with(48).should_share("q", GROUP, PROCESSORS) is True
+        assert policy_with(48).should_share("q", GROUP, PROCESSORS).share is True
 
     def test_broker_projection_values(self):
         broker = MemoryBroker(100)
