@@ -48,6 +48,7 @@ from repro.db.result import QueryResult
 from repro.engine.engine import Engine
 from repro.engine.parallel import find_region
 from repro.engine.plan import PlanNode
+from repro.engine.stats import retire_finished
 from repro.errors import EngineError
 from repro.obs import (
     AuditLog,
@@ -374,21 +375,22 @@ class Session:
         broker forgets them once reported) and ``metrics`` keeps
         the ``stage.<op_id>.*`` rows of this batch's operators; every
         counter stays cumulative, and :meth:`metrics` stays complete.
+        Then :meth:`end_batch` retires what the batch finished.
         """
         batch, self._pending = self._pending, []
         if not batch:
             return []
         reads_before = self._physical_reads()
-        spawned_before = len(self.sim.tasks)
+        spawned_before = self.sim.spawned
         self.coordinator.drain()
         self.sim.run()
         self._join_audit(batch, reads_before)
-        grants = ()
-        if self.engine.memory is not None:
-            grants = self.engine.memory.grants()
-            self.engine.memory.forget_closed()
-        ran = {task.name.rsplit("/", 1)[-1] for task in self.sim.tasks[spawned_before:]}
+        grants = self.engine.memory.grants() if self.engine.memory is not None else ()
+        tasks = self.sim.tasks
+        spawned = self.sim.spawned - spawned_before
+        ran = {task.name.rsplit("/", 1)[-1] for task in tasks[len(tasks) - spawned :]}
         snapshot = self._metrics.snapshot(scope=ran)
+        self.end_batch()
         wall_profile = (
             tuple(self._perf.profile()) if self._perf is not None else None
         )
@@ -421,6 +423,25 @@ class Session:
             )
         self.results.extend(results)
         return results
+
+    def end_batch(self) -> None:
+        """Retire the history no later report needs, at the point each
+        door ends a batch: :meth:`run_all` once its results hold what
+        they report, a ``Server`` after each serve call.
+
+        Drops the broker's closed grants, the simulator's finished
+        prefix of tasks (its stage sums stay in the fold — see
+        :func:`~repro.engine.stats.retire_finished`) and the engine's
+        done groups, handles and group task lists. Every counter stays
+        cumulative (``sim.tasks`` and ``sim.completions`` included), so
+        a long-lived session's memory stays flat; :attr:`results` and
+        the audit log are the history it keeps. A hand-driven engine
+        never calls this and keeps everything.
+        """
+        if self.engine.memory is not None:
+            self.engine.memory.forget_closed()
+        retire_finished(self.sim)
+        self.engine.retire_done()
 
     def execution_settings(self, query: Union[Query, TpchQuery]) -> tuple[Optional[int], int]:
         """The exchange batch size (``None`` = the page geometry) and

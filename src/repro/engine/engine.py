@@ -125,7 +125,8 @@ class Engine:
         self.handles: list[QueryHandle] = []
         self.groups: list[GroupHandle] = []
         # Stage tasks per group (excluding sinks) — the raw material
-        # for online parameter estimation (busy time per operator).
+        # for online parameter estimation (busy time per operator). A
+        # coordinator pops a group's list when the group drains.
         self.group_tasks: dict[int, list] = {}
         self._group_counter = 0
         self._task_counter = 0
@@ -315,6 +316,21 @@ class Engine:
         self.groups.append(group)
         self.handles.extend(handles)
         return group
+
+    def retire_done(self) -> None:
+        """Forget finished work: drop every done group from
+        :attr:`groups` with its :attr:`group_tasks` list, and every done
+        query from :attr:`handles`. A session calls this at the end of
+        each batch; a hand-driven engine never does and keeps its whole
+        history."""
+        live = []
+        for group in self.groups:
+            if group.done:
+                self.group_tasks.pop(group.group_id, None)
+            else:
+                live.append(group)
+        self.groups[:] = live
+        self.handles[:] = [handle for handle in self.handles if not handle.done]
 
     # ------------------------------------------------------------------
     # Internals

@@ -243,8 +243,8 @@ class MemoryBroker:
         """Stop listing the grants closed so far in :meth:`grants`.
 
         A long-lived owner calls this once it has read the grants of
-        the work just finished (``Session.run_all`` after each batch,
-        ``Server`` after each serve call), so the list holds the open
+        the work just finished (``Session.end_batch``, after each
+        ``run_all`` and each serve call), so the list holds the open
         grants plus those closed since — the batch's own — and costs
         the batch, not every grant the broker ever issued. The counters
         (``high_water``, ``overcommits``) stay cumulative. A hand-driven

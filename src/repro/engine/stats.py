@@ -17,21 +17,23 @@ from typing import Iterable
 from repro.sim.simulator import Simulator
 from repro.sim.task import Task
 
-__all__ = ["StageFold", "stage_rows"]
+__all__ = ["StageFold", "retire_finished", "stage_rows"]
 
 
 class StageFold:
     """Resumable per-``op_id`` sums over a simulator's task list.
 
     ``sums`` holds, per operator id, ``[instances, busy, io, throttle,
-    queue_block]`` over ``tasks[:folded]`` — the longest prefix in
-    which every task has finished. A finished task's ledger never
-    changes, so the prefix is summed once; each float is the same
-    left-to-right sum in spawn order a fold from scratch produces,
-    and continuing it over the rest of the list reproduces that fold
-    bit for bit. :func:`stage_rows` keeps one of these on the
-    simulator (``Simulator.stage_fold``), which makes a read cost
-    the tasks spawned since the last one, not every task ever.
+    queue_block]`` over every retired task and ``tasks[:folded]`` —
+    the longest prefix in which every task has finished. A finished
+    task's ledger never changes, so the prefix is summed once; each
+    float is the same left-to-right sum in spawn order a fold from
+    scratch produces, and continuing it over the rest of the list
+    reproduces that fold bit for bit. :func:`stage_rows` keeps one of
+    these on the simulator (``Simulator.stage_fold``), which makes a
+    read cost the tasks spawned since the last one, not every task
+    ever; :func:`retire_finished` drops the folded prefix from the
+    list, whose sums the fold already owns.
     """
 
     __slots__ = ("folded", "sums")
@@ -62,8 +64,8 @@ def _fold(sums: dict[str, list], tasks: Iterable[Task]) -> None:
         row[4] += task.queue_block_time
 
 
-def _simulator_sums(sim: Simulator) -> dict[str, list]:
-    """Every task of ``sim`` folded, resuming from its finished prefix."""
+def _fold_finished_prefix(sim: Simulator) -> StageFold:
+    """``sim``'s fold, extended over the finished tasks after its prefix."""
     fold = sim.stage_fold
     if fold is None:
         fold = sim.stage_fold = StageFold()
@@ -74,11 +76,28 @@ def _simulator_sums(sim: Simulator) -> dict[str, list]:
     if end > start:
         _fold(fold.sums, tasks[start:end])
         fold.folded = end
-    if end == len(tasks):
+    return fold
+
+
+def _simulator_sums(sim: Simulator) -> dict[str, list]:
+    """Every task of ``sim`` folded, resuming from its finished prefix."""
+    fold = _fold_finished_prefix(sim)
+    tasks = sim.tasks
+    if fold.folded == len(tasks):
         return fold.sums
     sums = {op_id: list(row) for op_id, row in fold.sums.items()}
-    _fold(sums, tasks[end:])
+    _fold(sums, tasks[fold.folded:])
     return sums
+
+
+def retire_finished(sim: Simulator) -> None:
+    """Fold ``sim``'s finished prefix of tasks and drop it from
+    ``sim.tasks``: its sums stay in the fold, so :func:`stage_rows`
+    reads the same numbers after as before, and the list keeps only
+    the first unfinished task and those spawned after it."""
+    fold = _fold_finished_prefix(sim)
+    del sim.tasks[: fold.folded]
+    fold.folded = 0
 
 
 def stage_rows(source: Simulator | Iterable[Task]) -> list[tuple[str, list]]:

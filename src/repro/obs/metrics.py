@@ -139,8 +139,8 @@ class MetricsRegistry:
         registry.register("sim.now", lambda: sim.now)
         registry.register("sim.busy_time", lambda: sim.total_busy_time)
         registry.register("sim.utilization", sim.utilization)
-        registry.register("sim.tasks", lambda: len(sim.tasks))
-        registry.register("sim.completions", lambda: len(sim.completions))
+        registry.register("sim.tasks", lambda: sim.spawned)
+        registry.register("sim.completions", lambda: sim.completions)
 
         pool = getattr(engine, "pool", None)
         if pool is not None:

@@ -454,8 +454,9 @@ class SharingCoordinator:
         self._launch_capped(slot, pending)
 
     def _notify_policy(self, handle: QueryHandle) -> None:
-        """Feed the completed group back to learning policies."""
-        tasks = self.engine.group_tasks.get(handle.group_id)
+        """Feed the completed group back to learning policies. The
+        group's task list is read here once, so it leaves the engine."""
+        tasks = self.engine.group_tasks.pop(handle.group_id, None)
         query_name, group_size = self._launched.pop(handle.group_id)
         if self.policy is not None and tasks is not None:
             self.policy.observe_group(query_name, group_size, tasks)

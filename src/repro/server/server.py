@@ -443,10 +443,7 @@ class Server:
 
         session.sim.spawn(arrival_process(), name="server/arrivals")
         session.sim.run(until=start + horizon + drain)
-        # A serve call is this door's batch: the grants it closed are
-        # history no later report needs (see Session.run_all).
-        if session.memory is not None:
-            session.memory.forget_closed()
+        session.end_batch()
 
         tenants = self._tenants
         submitted = len(self._records)

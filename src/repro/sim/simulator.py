@@ -79,8 +79,13 @@ class Simulator:
         self._processors = [Processor(i) for i in range(self.n_processors)]
         self._idle: deque[Processor] = deque(self._processors)
         self._run_queue: deque[Task] = deque()
+        # Every task spawned and not yet retired, in spawn order. A
+        # session retires the finished prefix at the end of each batch
+        # (``repro.engine.stats.retire_finished``); ``spawned`` and
+        # ``completions`` count every task ever spawned / finished.
         self.tasks: list[Task] = []
-        self.completions: list[Task] = []
+        self.spawned = 0
+        self.completions = 0
         self._alive = 0
         # Optional flight recorder (see repro.obs.trace). ``None`` is
         # the hot default: every emit site guards with one identity
@@ -94,9 +99,10 @@ class Simulator:
         # *host* clock only — it never feeds back into scheduling.
         self.perf = None
         # ``repro.engine.stats.stage_rows``'s resumable fold over
-        # ``tasks`` (a ``StageFold``), created on the first read. The
-        # simulator only carries it, as it carries the two observers
-        # above, so a read costs the tasks spawned since the last one.
+        # ``tasks`` (a ``StageFold``), created on the first read; it also
+        # holds the sums of every retired task. The simulator only
+        # carries it, as it carries the two observers above, so a read
+        # costs the tasks spawned since the last one.
         self.stage_fold = None
 
     # ------------------------------------------------------------------
@@ -128,6 +134,7 @@ class Simulator:
         task = Task(name=name, gen=gen, group=group, on_done=on_done)
         task.spawned_at = self.now
         self.tasks.append(task)
+        self.spawned += 1
         self._alive += 1
         if self.tracer is not None:
             self.tracer.instant("spawn", "task", tid=TID_TASKS, task=name)
@@ -187,12 +194,6 @@ class Simulator:
             return 0.0
         return self.total_busy_time / (self.n_processors * self.now)
 
-    def completed_in_window(self, start: float, end: Optional[float] = None) -> int:
-        end = self.now if end is None else end
-        return sum(
-            1 for t in self.completions if start <= (t.finished_at or -1) <= end
-        )
-
     # ------------------------------------------------------------------
     # Scheduler internals
     # ------------------------------------------------------------------
@@ -224,7 +225,7 @@ class Simulator:
         self._alive -= 1
         if self.tracer is not None:
             self.tracer.instant("finish", "task", tid=TID_TASKS, task=task.name)
-        self.completions.append(task)
+        self.completions += 1
         if task.on_done is not None:
             task.on_done(task)
 

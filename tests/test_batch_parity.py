@@ -448,7 +448,7 @@ def _engine_q6_entry():
     """One staged Q6 on a bare engine, eight contexts."""
     catalog = _tpch()
     sim, _ = _engine_run(catalog, 8, {"q6": build("q6", catalog).plan})
-    return _entry(sim.now, completions=len(sim.completions))
+    return _entry(sim.now, completions=sim.completions)
 
 
 def _scan_cooperative_entry():

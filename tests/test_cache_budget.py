@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from repro.db import Database, Query, RuntimeConfig
 from repro.engine import execute_reference, stage_rows
 from repro.engine.expressions import BATCH_CACHE, col, compile_batch, lt
+from repro.engine.stats import retire_finished
 from repro.sim import Compute, Simulator, Sleep
 from repro.storage import Catalog, DataType, Schema
 from repro.storage.lru import WeightedLRU
@@ -237,3 +238,44 @@ def test_incremental_fold_equals_a_fold_from_scratch(tasks, straggler, stops):
     sim.run()
     check()
     assert sim.stage_fold.folded == len(sim.tasks)
+
+
+@given(
+    tasks=_TASKS,
+    straggler=st.floats(min_value=20.0, max_value=600.0),
+    stops=st.lists(st.floats(min_value=1.0, max_value=400.0), max_size=6),
+)
+@settings(max_examples=40, deadline=None)
+def test_retiring_the_finished_prefix_keeps_every_stage_row(tasks, straggler, stops):
+    """Retiring at arbitrary instants drops exactly the finished prefix
+    of ``sim.tasks``, and the stage rows read after it equal a fold from
+    scratch over every task ever spawned, every float compared with
+    ``==``."""
+    sim = Simulator(processors=2)
+    spawned = []
+
+    def spawner():
+        spawned.append(sim.spawn(_work([(0.3, 0.0, 0.0)]), name="q/scan"))
+        spawned.append(sim.spawn(_work([(straggler, 0.5, 0.0)]), name="straggler/sort"))
+        for index, (op_id, gap, steps) in enumerate(tasks):
+            if gap:
+                yield Sleep(gap)
+            spawned.append(sim.spawn(_work(steps), name=f"q{index}/{op_id}"))
+
+    def retire_and_check():
+        before = list(sim.tasks)
+        retire_finished(sim)
+        kept = len(sim.tasks)
+        assert sim.tasks == before[len(before) - kept :]
+        assert not sim.tasks or sim.tasks[0].alive
+        assert not any(task.alive for task in before[: len(before) - kept])
+        assert stage_rows(sim) == stage_rows(spawned)
+        assert sim.spawned == len(spawned) + 1  # the spawner itself
+
+    sim.spawn(spawner(), name="spawner")
+    for until in sorted(stops):
+        sim.run(until=until)
+        retire_and_check()
+    sim.run()
+    retire_and_check()
+    assert sim.tasks == [] and sim.completions == sim.spawned

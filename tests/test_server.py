@@ -412,15 +412,15 @@ class TestFacadeWiring:
 
     def test_parallel_query_is_served_in_parallel(self, catalog):
         """``.parallel(n)`` reaches the server's launch: the fabric's
-        tasks exist and the rows are the serial answer."""
+        stages ran and the rows are the serial answer."""
         from repro.engine.reference import execute_reference
 
         server, query, record = self._served_aggregate(
             catalog, RuntimeConfig(processors=4), dop=4
         )
-        names = [task.name for task in server.session.sim.tasks]
-        assert any(name.endswith(".exchange") for name in names)
-        assert any(name.endswith(".merge") for name in names)
+        names = server.session.metrics().snapshot()
+        assert any(name.endswith(".exchange.instances") for name in names)
+        assert any(name.endswith(".merge.instances") for name in names)
         assert list(record.rows) == execute_reference(query.plan, catalog)
         assert [r.outcome for r in server.session.audit_log()] == ["parallel"]
 

@@ -3,8 +3,10 @@
 Growth is a tier-1 property here, asserted on counts, not clocks (the
 style of ``conftest.walk_visits``): what one end-of-batch observation
 touches — tasks folded into the stage report, grant snapshots built,
-keys a result retains — is the same at batch 2 and batch 40, and the
-decoded-page memo of an ad-hoc session stays under its ceiling.
+keys a result retains — is the same at batch 2 and batch 40, what a
+session or server keeps of finished work (tasks, handles, groups) is
+the same after round 2 as after the last, and the decoded-page memo
+of an ad-hoc session stays under its ceiling.
 """
 
 import pytest
@@ -15,6 +17,8 @@ from repro.engine.expressions import col, lt
 from repro.engine.memory import MemoryGrant
 from repro.engine.plan import AggSpec
 from repro.obs.metrics import MetricsRegistry
+from repro.policies import AlwaysShare
+from repro.server import Arrival, Server
 from repro.sim import Simulator
 from repro.storage import Catalog, DataType, ScanShareManager, Schema
 from repro.storage.table import PAGE_CACHE
@@ -74,30 +78,72 @@ def observed(monkeypatch):
     return counts
 
 
+def _retained(session):
+    """What a session holds of the work it has run: tasks, query and
+    group handles, and per-group task lists."""
+    engine = session.engine
+    return (
+        len(session.sim.tasks),
+        len(engine.handles),
+        len(engine.groups),
+        len(engine.group_tasks),
+    )
+
+
 def test_identical_batches_cost_the_same_to_observe(observed):
     session = Database.open(_catalog(), "laptop")
-    per_batch, results = [], []
+    per_batch, results, retained = [], [], []
     for _ in range(40):
         observed.update(tasks=0, grants=0, registry=0, scans=0)
         for _ in range(2):
             session.submit(_grouped(session), share=False)
         results.append(session.run_all()[-1])
         per_batch.append((observed["tasks"], observed["grants"]))
+        retained.append(_retained(session))
         # One read surface: a batch is observed by one registry
         # snapshot, and no component is snapshotted outside it.
         assert (observed["registry"], observed["scans"]) == (1, 1)
     tasks, grants = per_batch[0]
     assert tasks > 0 and grants > 0
     # Flat after the first batch: each observation folds the tasks its
-    # own batch spawned and snapshots the grants its own batch took.
+    # own batch spawned and snapshots the grants its own batch took,
+    # and the batch's finished work is retired once it is reported.
     assert set(per_batch[1:]) == {per_batch[1]}
+    assert retained[1] == retained[39]
     second, last = results[1], results[39]
     assert len(second.grants) == len(last.grants) == grants
     assert len(second.metrics) == len(last.metrics)
     # Counters stay cumulative, and the session's own surface complete.
-    assert last.metrics["sim.tasks"] == len(session.sim.tasks) == 40 * tasks
+    assert last.metrics["sim.tasks"] == session.sim.spawned == 40 * tasks == 320
+    assert last.metrics["sim.completions"] == session.sim.completions == 320
     assert session.metrics().snapshot() == last.metrics
-    assert session.sim.stage_fold.folded == len(session.sim.tasks)
+    assert session.sim.stage_fold.folded == len(session.sim.tasks) == 0
+
+
+def test_identical_serve_rounds_retain_the_same():
+    """A ``Server`` is a long-lived session: every round's finished
+    tasks, handles and group task lists are retired at its end, while
+    ``sim.tasks`` and ``sim.completions`` keep counting every one."""
+    server = Server.open(_catalog(), "laptop", policy=AlwaysShare())
+    session = server.session
+    grouped = _grouped(session).build()
+    filtered = _grouped(session, below=100).build()
+    trace = [
+        Arrival(at=0.0, query=grouped),
+        Arrival(at=0.0, query=grouped),
+        Arrival(at=0.0, query=filtered),
+        Arrival(at=10.0, query=grouped),
+    ]
+    retained, counted = [], []
+    for _ in range(8):
+        report = server.serve_trace(trace, drain=5_000_000.0)
+        assert report.completed == len(trace)
+        retained.append(_retained(session))
+        snapshot = session.metrics().snapshot()
+        counted.append((snapshot["sim.tasks"], snapshot["sim.completions"]))
+    assert retained[1] == retained[7]
+    # Four queries (one group of two, two solos) spawn 16 tasks a round.
+    assert counted == [(16 * rounds, 16 * rounds) for rounds in range(1, 9)]
 
 
 def _filled_cells(table):

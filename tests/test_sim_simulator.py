@@ -74,10 +74,10 @@ class TestComputeScheduling:
         sim.spawn(computer(10.0), name="t")
         sim.run(until=4.0)
         assert sim.now == pytest.approx(4.0)
-        assert sim.completions == []
+        assert sim.completions == 0
         sim.run()
         assert sim.now == pytest.approx(10.0)
-        assert len(sim.completions) == 1
+        assert sim.completions == 1
 
     def test_completion_callback_fires_at_finish_time(self):
         sim = Simulator(processors=1)
