@@ -90,6 +90,25 @@ class _BatchCodegen:
         self.env[name] = value
         return name
 
+    def loop(self, *lead: tuple[str, str]) -> str:
+        """A ``for`` header binding every column read so far to its
+        ``_r<i>`` row by row, after the ``(target, iterable)`` pairs in
+        ``lead``; ``range(_n)`` when there is nothing to walk."""
+        pairs = [*lead, *((f"_r{i}", f"_cols[{i}]") for i in sorted(self.used))]
+        if not pairs:
+            return "for _ in range(_n)"
+        if len(pairs) == 1:
+            return f"for {pairs[0][0]} in {pairs[0][1]}"
+        targets = ", ".join(target for target, _ in pairs)
+        sources = ", ".join(source for _, source in pairs)
+        return f"for {targets} in zip({sources})"
+
+    def define(self, source: str) -> dict:
+        """Execute generated ``source``; returns its namespace."""
+        namespace = dict(self.env)
+        exec(compile(source, "<repro-batch-expr>", "exec"), namespace)
+        return namespace
+
 
 class Expr:
     """Base expression node."""
@@ -113,11 +132,25 @@ class Expr:
 # Compiled-batch memo: plans are rebuilt per execution but reuse the
 # same (immutable) expression trees, so lowering + ``compile()`` would
 # otherwise dominate short queries. Keyed by the expression node and
-# the schema's column tuple (both hashable); entries whose expressions
-# are unhashable (exotic Udf payloads) simply compile uncached. Least
-# recently used entries go first past 4096, so an ad-hoc stream cannot
-# push out the hot templated expressions compiled before it.
+# the schema's column tuple (both hashable), or by whatever else a
+# generated function depends on (the hash aggregate's fold); entries
+# whose expressions are unhashable (exotic Udf payloads) simply compile
+# uncached. Least recently used entries go first past 4096, so an
+# ad-hoc stream cannot push out the hot templated expressions compiled
+# before it.
 BATCH_CACHE = WeightedLRU(4096)
+
+
+def generated(key: Any, build: Callable[[], Any]) -> Any:
+    """``build()``, memoised in :data:`BATCH_CACHE` under ``key``."""
+    try:
+        cached = BATCH_CACHE.get(key)
+    except TypeError:
+        return build()
+    if cached is None:
+        cached = build()
+        BATCH_CACHE.put(key, cached)
+    return cached
 
 
 def compile_batch(expr: Expr, schema: Schema) -> BatchFn:
@@ -130,32 +163,13 @@ def compile_batch(expr: Expr, schema: Schema) -> BatchFn:
     module's tree — plan constructors call this to validate, so such a
     node is rejected before anything is spawned.
     """
-    try:
-        cache_key = (expr, schema.columns)
-        cached = BATCH_CACHE.get(cache_key)
-    except TypeError:
-        cache_key = None
-        cached = None
-    if cached is not None:
-        return cached
+    return generated((expr, schema.columns), lambda: _lower(expr, schema))
+
+
+def _lower(expr: Expr, schema: Schema) -> BatchFn:
     gen = _BatchCodegen(schema)
     body = expr._emit_batch(gen)
-    used = sorted(gen.used)
-    if not used:
-        loop = "for _ in range(_n)"
-    elif len(used) == 1:
-        loop = f"for _r{used[0]} in _cols[{used[0]}]"
-    else:
-        targets = ", ".join(f"_r{i}" for i in used)
-        sources = ", ".join(f"_cols[{i}]" for i in used)
-        loop = f"for {targets} in zip({sources})"
-    source = f"def _batch(_cols, _n):\n    return [({body}) {loop}]\n"
-    namespace = dict(gen.env)
-    exec(compile(source, "<repro-batch-expr>", "exec"), namespace)
-    fn = namespace["_batch"]
-    if cache_key is not None:
-        BATCH_CACHE.put(cache_key, fn)
-    return fn
+    return gen.define(f"def _batch(_cols, _n):\n    return [({body}) {gen.loop()}]\n")["_batch"]
 
 
 @dataclass(frozen=True)

@@ -8,13 +8,20 @@ NULL semantics: aggregate inputs that evaluate to ``None`` are skipped
 (``count(expr)`` counts non-NULL values; ``count(*)`` counts rows) —
 TPC-H Q13's ``count(o_orderkey)`` over a left join depends on this.
 
-Every batch goes through one fold kernel, in two passes. *Resolve*: one
-dict lookup per row takes its group key to that group's state, a flat
-list of ``[total, count, best]`` per aggregate. *Accumulate*: one tight
-loop per aggregate over ``zip(states, column)``, chosen per aggregate
-function when the operator is built. Within a group values are added
-in row order, so float sums are bit-identical to the naive oracle
-(:func:`aggregate_rows`, which shares no code with the kernel).
+A group's state is one flat list, ``[rows, acc₀, nulls₀, acc₁, nulls₁,
+…]``: ``rows`` counts the group's input rows, and per aggregate ``acc``
+is the running sum (sum/avg) or the best value so far (min/max) and
+``nulls`` the NULL inputs it skipped. ``count(*)`` is ``rows``,
+``count(expr)`` is ``rows − nulls``, and sum/avg divide by the same.
+Every batch goes through one function generated per ``(aggs, input
+schema, global?)`` from the expression lowering of
+:func:`~repro.engine.expressions.compile_batch`: one loop over the
+batch that resolves each row's group state (one dict lookup,
+``map(groups.__getitem__, keys)``) and updates every aggregate of the
+row, its value expressions inlined. A global aggregate (no GROUP BY)
+keeps its slots in locals for the whole batch. Within a group values
+are added in row order, so float sums are bit-identical to the naive
+oracle (:func:`aggregate_rows`, which shares no code with the fold).
 
 Without memory governance (``ctx.memory is None``) the stage buffers
 every group unconditionally, exactly as the seed did. With a
@@ -22,22 +29,22 @@ every group unconditionally, exactly as the seed did. With a
 working-memory grant and becomes a **partitioned spilling aggregate**:
 groups are hashed into partitions (memoised per key), and when the
 resident group state exceeds the grant the largest partition is
-spilled — its group *states* (which merge: sums add, counts add,
-min/max combine) are written through a
+spilled — its group *states* (which merge: rows, sums and NULL counts
+add, min/max combine) are written through a
 :class:`~repro.storage.buffer.SpillFile`, and later input rows for a
 spilled partition are folded into singleton states and appended, in row
-order. A finalize phase re-reads each spilled partition, merges its
-states with the same kernels (the broker records an overcommit if a
-single partition still exceeds the grant — the recursion floor), and
-emits all groups in global key order, so the answer is identical to the
-unbounded aggregate's at every budget.
+order. Resolve is then one ``key → state`` map over the resident
+partitions whose first lookup of a key routes it through the partition
+memo. A finalize phase re-reads each spilled partition, merges its
+``key + state`` rows in one generated loop (the broker records an
+overcommit if a single partition still exceeds the grant — the
+recursion floor), and emits all groups in global key order, so the
+answer is identical to the unbounded aggregate's at every budget.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
-
-from repro.engine.expressions import compile_batch
+from repro.engine.expressions import _BatchCodegen, generated
 from repro.engine.operators.api import BatchOperator
 from repro.engine.operators.partitioning import PartitionMemo
 from repro.errors import PlanError
@@ -49,8 +56,6 @@ __all__ = ["AggregateOperator", "aggregate_rows", "Accumulator"]
 # Group-state partitions of the governed aggregate; clamped to the
 # memory grant like the hybrid hash join's fanout.
 DEFAULT_FANOUT = 8
-# count(*)'s value column: a one per row, however many rows.
-_ONES = repeat(1)
 
 
 class Accumulator:
@@ -142,93 +147,108 @@ def aggregate_rows(rows, schema, group_by, aggs):
     return output
 
 
-# -- accumulate kernels ----------------------------------------------------
+# -- the generated fold ------------------------------------------------------
 #
-# Each takes the batch's resolved states (one per row, repeats allowed)
-# and a column, and updates one slot of the flat state in row order.
-# ``_add`` counts rows (``count(*)`` is a column of ones) and, like
-# ``_least`` and ``_greatest``, merges spilled state columns: a state
-# that never saw a value carries the identity.
+# Slot 0 of a state is ``rows``; aggregate i owns ``acc`` at 1 + 2i and
+# ``nulls`` at 2 + 2i. One source defines three functions:
+#
+#   _fold(_cols, _n, _states)  one batch; ``_states`` yields each row's
+#                              state (a global fold takes the one state)
+#   _merge(_rows, _groups, _kw)  spilled ``key + state`` rows, key width _kw
+#   _output(_groups)           ``key + results`` per group
 
 
-def _add(slot):
-    def accumulate(states, column):
-        for state, value in zip(states, column):
-            state[slot] += value
-
-    return accumulate
-
-
-def _sum(total, count):
-    def accumulate(states, column):
-        for state, value in zip(states, column):
-            if value is not None:
-                state[total] += value
-                state[count] += 1
-
-    return accumulate
-
-
-def _count_values(count):
-    def accumulate(states, column):
-        for state, value in zip(states, column):
-            if value is not None:
-                state[count] += 1
-
-    return accumulate
-
-
-def _least(best):
-    def accumulate(states, column):
-        for state, value in zip(states, column):
-            if value is not None:
-                kept = state[best]
-                if kept is None or value < kept:
-                    state[best] = value
-
-    return accumulate
-
-
-def _greatest(best):
-    def accumulate(states, column):
-        for state, value in zip(states, column):
-            if value is not None:
-                kept = state[best]
-                if kept is None or value > kept:
-                    state[best] = value
-
-    return accumulate
-
-
-def _compile_kernels(aggs):
-    """Per aggregate: the kernel folding its value column, and the
-    ``(kernel, slot)`` pairs merging its spilled state columns."""
-    fold, merge = [], []
+def _fold_source(aggs, gen: _BatchCodegen, grouped: bool) -> str:
+    width = 1 + 2 * len(aggs)
+    slot = (lambda j: f"_s[{j}]") if grouped else (lambda j: f"_x{j}")
+    body = []
     for i, spec in enumerate(aggs):
-        total, count, best = 3 * i, 3 * i + 1, 3 * i + 2
+        if spec.expr is None:
+            continue
+        acc, nulls = slot(1 + 2 * i), slot(2 + 2 * i)
+        value = spec.expr._emit_batch(gen)
         if spec.func == "count":
-            fold.append(_add(count) if spec.expr is None else _count_values(count))
-            merge.append((_add(count), count))
-        elif spec.func in ("sum", "avg"):
-            fold.append(_sum(total, count))
-            merge += [(_add(total), total), (_add(count), count)]
+            body += [f"if ({value}) is None:", f"    {nulls} += 1"]
+            continue
+        body += [f"if (_v := ({value})) is None:", f"    {nulls} += 1"]
+        if spec.func in ("sum", "avg"):
+            body += ["else:", f"    {acc} += _v"]
+        else:
+            better = "<" if spec.func == "min" else ">"
+            body += [f"elif (_b := {acc}) is None or _v {better} _b:", f"    {acc} = _v"]
+    lines = ["def _fold(_cols, _n, _states):"]
+    if grouped:
+        lines.append(f"    {gen.loop(('_s', '_states'))}:")
+        lines += [f"        {line}" for line in ["_s[0] += 1", *body]]
+        return "\n".join(lines)
+    slots = [slot(j) for j in range(width)]
+    lines.append(f"    {', '.join(slots)}, = _states")
+    if body:
+        lines.append(f"    {gen.loop()}:")
+        lines += [f"        {line}" for line in body]
+    lines.append(f"    _states[:] = ({', '.join(['_x0 + _n', *slots[1:]])},)")
+    return "\n".join(lines)
+
+
+def _merge_source(aggs) -> str:
+    width = 1 + 2 * len(aggs)
+    lines = [
+        "def _merge(_rows, _groups, _kw):",
+        "    for _row in _rows:",
+        "        _s = _groups[_row[:_kw]]",
+        f"        {', '.join(f'_m{j}' for j in range(width))}, = _row[_kw:]",
+        "        _s[0] += _m0",
+    ]
+    for i, spec in enumerate(aggs):
+        if spec.expr is None:
+            continue
+        acc, nulls = 1 + 2 * i, 2 + 2 * i
+        lines.append(f"        _s[{nulls}] += _m{nulls}")
+        if spec.func in ("sum", "avg"):
+            lines.append(f"        _s[{acc}] += _m{acc}")
         elif spec.func in ("min", "max"):
-            kernel = (_least if spec.func == "min" else _greatest)(best)
-            fold.append(kernel)
-            merge.append((kernel, best))
-        else:  # pragma: no cover - constructor validates
-            raise PlanError(f"unknown aggregate {spec.func!r}")
-    return fold, merge
+            better = "<" if spec.func == "min" else ">"
+            lines += [
+                f"        if (_v := _m{acc}) is not None and ("
+                f"(_b := _s[{acc}]) is None or _v {better} _b):",
+                f"            _s[{acc}] = _v",
+            ]
+    return "\n".join(lines)
 
 
-def _result(func, total, count, best):
-    if func == "count":
-        return count
-    if func == "sum":
-        return total if count else None
-    if func == "avg":
-        return total / count if count else None
-    return best
+def _output_source(aggs) -> str:
+    results = []
+    for i, spec in enumerate(aggs):
+        acc, nonnull = f"_s[{1 + 2 * i}]", f"(_s[0] - _s[{2 + 2 * i}])"
+        if spec.func == "count":
+            results.append("_s[0]" if spec.expr is None else nonnull)
+        elif spec.func == "sum":
+            results.append(f"({acc} if {nonnull} else None)")
+        elif spec.func == "avg":
+            results.append(f"({acc} / {nonnull} if {nonnull} else None)")
+        else:
+            results.append(acc)
+    row = "".join(f"{result}, " for result in results)
+    return f"def _output(_groups):\n    return [_k + ({row}) for _k, _s in _groups.items()]"
+
+
+def _kernel(aggs, schema, grouped: bool) -> tuple:
+    """``(fold, merge, output, fresh state)`` for ``aggs`` over
+    ``schema``: one generated source per signature, cached."""
+
+    def build() -> tuple:
+        gen = _BatchCodegen(schema)
+        source = "\n".join(
+            [_fold_source(aggs, gen, grouped), _merge_source(aggs), _output_source(aggs), ""]
+        )
+        namespace = gen.define(source)
+        fresh = [0]
+        for spec in aggs:
+            fresh += [None if spec.func in ("min", "max") else 0.0, 0]
+        return namespace["_fold"], namespace["_merge"], namespace["_output"], tuple(fresh)
+
+    signature = tuple((spec.func, spec.expr) for spec in aggs)
+    return generated(("aggregate", signature, schema.columns, grouped), build)
 
 
 class _Groups(dict):
@@ -245,57 +265,54 @@ class _Groups(dict):
         return state
 
 
+class _Resident(dict):
+    """Group key -> state over a governed aggregate's resident
+    partitions. A key's first lookup routes it through the partition
+    memo: into its partition if that is resident, else to a singleton
+    state queued in ``spilled`` for the caller to append."""
+
+    __slots__ = ("fresh", "parts", "memo", "spilled")
+
+    def __init__(self, fresh: list, parts: list, memo: PartitionMemo) -> None:
+        super().__init__()
+        self.fresh = fresh
+        self.parts = parts
+        self.memo = memo
+        self.spilled = []
+
+    def __missing__(self, key) -> list:
+        part = self.parts[self.memo[key]]
+        state = self.fresh.copy()
+        if part.groups is None:
+            self.spilled.append((part.file, key, state))
+        else:
+            part.groups[key] = self[key] = state
+        return state
+
+
 class AggregateOperator(BatchOperator):
     def __init__(self, node, ctx, out_queues):
         super().__init__(node, ctx, out_queues)
         schema = node.children[0].schema
-        aggs = node.params["aggs"]
-        self.funcs = [spec.func for spec in aggs]
         self.group_idx = [schema.index_of(n) for n in node.params["group_by"]]
-        self.kernels, self.mergers = _compile_kernels(aggs)
-        # Batch-compiled value extractors; None stands for count(*),
-        # which reads a column of ones.
-        self.value_fns = [
-            None if spec.expr is None else compile_batch(spec.expr, schema) for spec in aggs
-        ]
+        self.fold, self.merge, self.output, fresh = _kernel(
+            node.params["aggs"], schema, bool(self.group_idx)
+        )
+        self.fresh = list(fresh)
         self.make_emitter(len(node.schema))
-        self.fresh = [0.0, 0, None] * len(aggs)
         self.groups = _Groups(self.fresh)
         self.grant = None
 
-    # -- the fold kernel -------------------------------------------------
-
-    def _fold(self, batch) -> list:
-        """Resolve each row's group state once, then accumulate column
-        at a time. Returns ``(file, key, state)`` for the rows that fell
-        in spilled partitions, in row order, for the caller to append."""
-        n = len(batch)
+    def _fold(self, batch) -> None:
+        """Fold one batch: each row's state resolved once, in row order."""
         cols = batch.columns
-        group_idx = self.group_idx
-        keys = zip(*[cols[i] for i in group_idx]) if group_idx else repeat((), n)
-        columns = [_ONES if fn is None else fn(cols, n) for fn in self.value_fns]
-        spilled = []
-        if self.grant is None:
-            states = list(map(self.groups.__getitem__, keys))
-        else:
-            parts, memo, fresh = self.parts, self.memo, self.fresh
-            states = []
-            for key in keys:
-                part = parts[memo[key]]
-                groups = part.groups
-                if groups is None:
-                    state = fresh.copy()
-                    spilled.append((part.file, key, state))
-                else:
-                    state = groups[key]
-                states.append(state)
-        for kernel, column in zip(self.kernels, columns):
-            kernel(states, column)
-        return spilled
-
-    def _output_row(self, key, state) -> tuple:
-        slots = iter(state)
-        return key + tuple(map(_result, self.funcs, slots, slots, slots))
+        if self.group_idx:
+            keys = zip(*[cols[i] for i in self.group_idx])
+            self.fold(cols, len(batch), map(self.groups.__getitem__, keys))
+        elif len(batch):
+            # One group: one page, and a grant holds at least one page,
+            # so a global aggregate's state is always resident.
+            self.fold(cols, len(batch), self.groups[()])
 
     # -- protocol --------------------------------------------------------
 
@@ -306,8 +323,8 @@ class AggregateOperator(BatchOperator):
             # so broker bookkeeping keeps its spawn-order timeline.
             self.grant = ctx.memory.grant(self.node.op_id, self.node.params.get("mem_pages"))
             fanout = max(2, min(self.node.params.get("fanout", DEFAULT_FANOUT), self.grant.pages))
-            self.parts = [_AggPartition(self.fresh) for _ in range(fanout)]
-            self.memo = PartitionMemo(0, fanout)
+            self.parts = [_AggPartition() for _ in range(fanout)]
+            self.groups = _Resident(self.fresh, self.parts, PartitionMemo(0, fanout))
         return
         yield  # pragma: no cover
 
@@ -320,10 +337,10 @@ class AggregateOperator(BatchOperator):
 
     def finish(self):
         key_width = len(self.group_idx)
-        output = []
         if self.grant is None:
-            output.extend(self._output_row(key, state) for key, state in self.groups.items())
+            output = self.output(self.groups)
         else:
+            output = []
             yield from self._merge_partitions(output, key_width)
         output.sort(key=lambda row: _sort_key(row[:key_width]))
         if output:
@@ -343,6 +360,9 @@ class AggregateOperator(BatchOperator):
         written = victim.file.append_rows(
             key + tuple(state) for key, state in victim.groups.items()
         )
+        resident = self.groups
+        for key in victim.groups:
+            del resident[key]
         victim.groups = None
         return written
 
@@ -354,10 +374,13 @@ class AggregateOperator(BatchOperator):
         parts = self.parts
         grant = self.grant
         cost = costs.agg_update * len(batch)
-        for file, key, state in self._fold(batch):
+        self._fold(batch)
+        spilled = self.groups.spilled
+        for file, key, state in spilled:
             written = file.append_rows((key + tuple(state),))
             if written:
                 cost += costs.spill_page * written
+        spilled.clear()
         while _group_pages(parts, page_rows) > grant.pages:
             cost += costs.spill_page * self._spill_largest()
         grant.resize_used(_group_pages(parts, page_rows))
@@ -384,15 +407,11 @@ class AggregateOperator(BatchOperator):
                 credit = 0.0
                 while not reader.exhausted:
                     spill_page, stall = reader.next_page(credit)
-                    rows = spill_page.rows
-                    states = [merged[row[:key_width]] for row in rows]
-                    columns = list(zip(*rows))
-                    for kernel, slot in self.mergers:
-                        kernel(states, columns[key_width + slot])
+                    self.merge(spill_page.rows, merged, key_width)
                     credit = costs.agg_update * len(spill_page)
                     yield Compute(credit + stall, io=stall)
                 p.file.drop()
-            output.extend(self._output_row(key, state) for key, state in merged.items())
+            output.extend(self.output(merged))
             p.groups = None
         grant.resize_used(0)
 
@@ -402,8 +421,8 @@ class _AggPartition:
 
     __slots__ = ("groups", "file")
 
-    def __init__(self, fresh: list) -> None:
-        self.groups: _Groups | None = _Groups(fresh)
+    def __init__(self) -> None:
+        self.groups: dict | None = {}
         self.file = None
 
     @property

@@ -2,15 +2,18 @@
 
 Partition assignment is behaviour: which spill file a row lands in,
 which fragment folds a group. It must not depend on ``PYTHONHASHSEED``,
-so it is a CRC of the key's ``repr`` rather than ``hash(key)`` — and
-because that costs a string format, an encode and a checksum per call,
-operators that partition a stream route through a :class:`PartitionMemo`
-and pay it once per distinct key instead of once per row.
+so it is a CRC of ``f"{salt}|{key!r}"`` rather than ``hash(key)``. The
+CRC runs in two steps — the ``salt|`` prefix, then the key's ``repr``
+seeded with the prefix's CRC — which gives the same number as the
+one-shot string without formatting it. Because that still costs a
+``repr``, an encode and a checksum per call, operators that partition a
+stream route through a :class:`PartitionMemo`, which pays it once per
+distinct key instead of once per row and hashes the prefix once.
 """
 
 from __future__ import annotations
 
-import zlib
+from zlib import crc32
 
 __all__ = ["MEMO_KEYS", "PartitionMemo", "partition_of"]
 
@@ -22,13 +25,17 @@ __all__ = ["MEMO_KEYS", "PartitionMemo", "partition_of"]
 MEMO_KEYS = 4096
 
 
+def _prefix(salt: int) -> int:
+    return crc32(f"{salt}|".encode())
+
+
 def partition_of(key, salt: int, fanout: int) -> int:
     """Deterministic partition number, independent of PYTHONHASHSEED.
 
     ``salt`` varies per recursion level so that a partition which does
     not fit is re-split along a different boundary.
     """
-    return zlib.crc32(f"{salt}|{key!r}".encode()) % fanout
+    return crc32(repr(key).encode(), _prefix(salt)) % fanout
 
 
 class PartitionMemo(dict):
@@ -40,15 +47,16 @@ class PartitionMemo(dict):
     of whichever came first, as they share a group and a join match.
     """
 
-    __slots__ = ("salt", "fanout")
+    __slots__ = ("salt", "fanout", "prefix")
 
     def __init__(self, salt: int, fanout: int) -> None:
         super().__init__()
         self.salt = salt
         self.fanout = fanout
+        self.prefix = _prefix(salt)
 
     def __missing__(self, key) -> int:
         if len(self) >= MEMO_KEYS:
             self.clear()
-        partition = self[key] = partition_of(key, self.salt, self.fanout)
+        partition = self[key] = crc32(repr(key).encode(), self.prefix) % self.fanout
         return partition

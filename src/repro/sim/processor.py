@@ -46,7 +46,6 @@ class Processor:
     """One hardware context."""
 
     index: int
-    busy_until: float = 0.0
     current: Optional[Task] = None
     busy_time: float = field(default=0.0, init=False)
 

@@ -235,14 +235,6 @@ class Simulator:
         task.finished_at = self.now
         self._alive -= 1
 
-    def _check_livelock(self, task: Task) -> None:
-        task.zero_time_steps += 1
-        if task.zero_time_steps > self._max_zero_time_steps:
-            raise SimulationError(
-                f"task {task.name!r} performed {task.zero_time_steps} requests "
-                "without consuming CPU; suspected zero-time livelock"
-            )
-
     def _compute_done(self, proc: Processor, task: Task) -> None:
         # A compute completion: the task was RUNNING (never parked on a
         # queue), so the _make_ready blocked-time bookkeeping is moot.

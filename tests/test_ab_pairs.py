@@ -5,6 +5,7 @@ checked is everything the tool adds around ``bench/run.py`` and
 ``bench/compare.py``.
 """
 
+import argparse
 import importlib.util
 import os
 import subprocess
@@ -50,6 +51,46 @@ def test_win_table_covers_every_metric_both_sides_measured():
     assert len(lines) == 2  # workload b was not run
     assert "ops_per_s" in lines[0] and "wins 1/2" in lines[0] and "loses 1" in lines[0]
     assert "round_ms_p50" in lines[1] and "wins 1/2" in lines[1]
+
+
+def test_only_the_last_pair_runs_the_traced_layers_pass():
+    args = argparse.Namespace(workload="all", seed=17, seconds=None, layers=True)
+    assert "--layers" in ab_pairs.run_command("root", args, last=True)
+    assert "--layers" not in ab_pairs.run_command("root", args, last=False)
+    args.layers = False
+    for last in (True, False):
+        command = ab_pairs.run_command("root", args, last=last)
+        assert "--layers" not in command and command[-2:] == ["--trace", "0"]
+
+
+def test_layer_table_prints_every_traced_layer_old_to_new():
+    contract = {
+        "workloads": [{"name": "a"}, {"name": "b"}],
+        "per_layer": [
+            {"name": "sim.self_s"},
+            {"name": "engine.aggregate.self_s"},
+            {"name": "sim.now"},  # an exact count, not a layer
+        ],
+    }
+
+    def document(**workloads):
+        return {
+            "workloads": {
+                name: {"plain": {}, "traced": {"per_layer": layers}}
+                for name, layers in workloads.items()
+            }
+        }
+
+    old = document(a={"sim.self_s": 0.5, "engine.aggregate.self_s": 0.2, "sim.now": 7.0})
+    new = document(
+        a={"sim.self_s": 0.5, "engine.aggregate.self_s": 0.1, "sim.now": 7.0},
+        b={"sim.self_s": 1.0},  # only one side traced b
+    )
+    lines = ab_pairs.layer_table(contract, old, new)
+    assert len(lines) == 2
+    assert lines[0].split()[:2] == ["a", "sim.self_s"] and "+0.0%" in lines[0]
+    assert lines[1].split()[:5] == ["a", "engine.aggregate.self_s", "0.2000", "->", "0.1000"]
+    assert "-50.0%" in lines[1]
 
 
 def test_checkout_unpacks_the_committed_benchmark(tmp_path):

@@ -20,6 +20,12 @@ pairs. This runs it as one command:
    (workload, end-to-end metric) row and any behaviour change, and this
    file adds the per-pair win count of the new side on every metric.
 
+With ``--layers`` each side's last pair runs ``bench/run.py --layers``
+instead (the plain pass plus the traced one), so ``compare.py`` also
+checks every exact count and ``sim.now`` between the sides, and this
+file prints every layer's traced ``self_s``, old → new, per workload:
+the attribution a speed claim needs, in the same command.
+
 Uncommitted work can be measured without committing it:
 ``python3 tools/ab_pairs.py HEAD "$(git stash create)" ...`` (``git
 stash create`` writes a commit of the tracked working tree and prints
@@ -104,6 +110,36 @@ def win_table(contract: dict, old_docs: list, new_docs: list) -> list[str]:
     return lines
 
 
+def layer_table(contract: dict, old_doc: dict, new_doc: dict) -> list[str]:
+    """One line per (workload, layer) both traced passes measured:
+    ``self_s`` old → new."""
+    layers = [m["name"] for m in contract["per_layer"] if m["name"].endswith(".self_s")]
+    lines = []
+    for workload in (w["name"] for w in contract["workloads"]):
+        old, new = (doc["workloads"].get(workload, {}).get("traced") for doc in (old_doc, new_doc))
+        if not (old and new):
+            continue
+        for layer in layers:
+            if layer in old["per_layer"] and layer in new["per_layer"]:
+                before, after = old["per_layer"][layer], new["per_layer"][layer]
+                change = f"{(after - before) / before:+8.1%}" if before else ""
+                lines.append(
+                    f"{workload:<16} {layer:<30} {before:>9.4f} -> {after:>9.4f} s {change}"
+                )
+    return lines
+
+
+def run_command(root: str, args, last: bool) -> list[str]:
+    """``bench/run.py`` for one side of one pair; the last pair runs
+    both passes under ``--layers``."""
+    command = [sys.executable, os.path.join(root, "bench", "run.py")]
+    command += ["--workload", args.workload, "--seed", str(args.seed)]
+    command += ["--layers"] if args.layers and last else ["--trace", "0"]
+    if args.seconds is not None:
+        command += ["--seconds", str(args.seconds)]
+    return command
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
@@ -115,6 +151,9 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=2007)
     parser.add_argument("--seconds", type=float, help="run length; the benchmark's own if omitted")
     parser.add_argument("--keep", metavar="DIR", help="keep checkouts and results here")
+    parser.add_argument(
+        "--layers", action="store_true", help="trace the last pair; print the layer table"
+    )
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
@@ -129,11 +168,8 @@ def main(argv=None) -> int:
         for pair in range(args.pairs):
             for side in pair_order(pair):
                 out = os.path.join(work, f"{side}{pair + 1}.json")
-                command = [sys.executable, os.path.join(roots[side], "bench", "run.py")]
-                command += ["--workload", args.workload, "--seed", str(args.seed)]
-                command += ["--trace", "0", "--out", out]
-                if args.seconds is not None:
-                    command += ["--seconds", str(args.seconds)]
+                command = run_command(roots[side], args, last=pair == args.pairs - 1)
+                command += ["--out", out]
                 print(f"pair {pair + 1}/{args.pairs}: {side}", flush=True)
                 # A failed operation ends run.py with status 1 and a
                 # document compare.py reports; only a missing document
@@ -156,6 +192,9 @@ def main(argv=None) -> int:
         documents = [[load(path) for path in results[side]] for side in ("old", "new")]
         print()
         print("\n".join(win_table(contract, *documents)))
+        if args.layers:
+            print()
+            print("\n".join(layer_table(contract, documents[0][-1], documents[1][-1])))
         return status
     finally:
         if not args.keep:
