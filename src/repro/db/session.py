@@ -265,7 +265,7 @@ class Session:
 
     def audit_log(self) -> AuditLog:
         """Every routing decision this session has made, with its
-        projections and (after the run) the measured outcome."""
+        projections and (once its members finish) the measured outcome."""
         return self._audit
 
     def perf(self) -> WallProfiler:
@@ -380,11 +380,9 @@ class Session:
         batch, self._pending = self._pending, []
         if not batch:
             return []
-        reads_before = self._physical_reads()
         spawned_before = self.sim.spawned
         self.coordinator.drain()
         self.sim.run()
-        self._join_audit(batch, reads_before)
         grants = self.engine.memory.grants() if self.engine.memory is not None else ()
         tasks = self.sim.tasks
         spawned = self.sim.spawned - spawned_before
@@ -458,44 +456,6 @@ class Session:
         if dop > 1 and find_region(query.plan) is None:
             dop = 1
         return batch_rows, dop
-
-    # -- the audit trail -------------------------------------------------
-
-    def _physical_reads(self) -> Optional[float]:
-        """Session-cumulative physical page reads right now.
-
-        Pool misses already count elevator reads (the manager reads
-        through ``pool.access``), so the pool is the single source of
-        truth; without one, ``None`` (ungoverned sessions measure no
-        I/O)."""
-        pool = self.engine.pool
-        return float(pool.stats.misses) if pool is not None else None
-
-    def _join_audit(self, batch: list[Submission], reads_before: Optional[float]) -> None:
-        """Join each of this batch's records with what was measured:
-        group wall (first submit to last finish) and the batch's
-        physical-read delta (exact for a single decision, apportioned
-        evenly otherwise)."""
-        reads_after = self._physical_reads()
-        reads_delta: Optional[float] = None
-        if reads_before is not None and reads_after is not None:
-            reads_delta = reads_after - reads_before
-        joinable: dict[int, tuple] = {}
-        for entry in batch:
-            if entry.handle is not None and entry.handle.done:
-                joinable.setdefault(entry.record.seq, (entry.record, []))[1].append(
-                    entry.handle
-                )
-        share = (
-            reads_delta / len(joinable)
-            if reads_delta is not None and joinable
-            else None
-        )
-        for record, handles in joinable.values():
-            latency = max(h.finished_at for h in handles) - min(
-                h.submitted_at for h in handles
-            )
-            record.join(latency, physical_reads=share)
 
     # -- the built-in decider ---------------------------------------------
 

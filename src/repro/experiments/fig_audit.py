@@ -9,8 +9,9 @@ the chosen arm from what the simulator then measured?
 This driver re-runs the fig_mem Part B consolidation flip through
 audited sessions — ``m`` tenants submit the identical scan+aggregate
 with ``share=None``, so the built-in advisor decides, its record lands
-in ``Session.audit_log()``, and ``run_all`` joins each record with the
-measured group latency and physical-read delta:
+in ``Session.audit_log()``, and the coordinator joins each record, when
+its last member finishes, with the measured latency and the pool misses
+since the decision:
 
 * **cold** — empty pool, the advisor projects the unshared tenants'
   ``io_page`` bill and says *share*;

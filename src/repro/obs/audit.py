@@ -12,12 +12,13 @@ were the projections?* Every routing decision the
 decision *inputs* (signature, group size, projected rates, Z-score,
 projected extra I/O, spill pages, drift discount), *who* decided and
 *what happened*. Every model-priced verdict carries its rates,
-whichever decider priced it. After the run, the session
-joins each record with what the simulator measured — group latency,
-completion rate, physical reads — so :attr:`AuditRecord
-.projection_error` quantifies the gap per decision and
-:meth:`AuditLog.mean_abs_error` the gap per workload. ``fig_audit``
-plots this distribution over the fig_mem/fig_drift sweeps.
+whichever decider priced it. The coordinator joins each record when
+the record's last member finishes, with what the simulator measured —
+latency, completion rate, and the pool misses from the decision to
+that finish — so :attr:`AuditRecord.projection_error` quantifies the
+gap per decision and :meth:`AuditLog.mean_abs_error` the gap per
+workload, at every door. ``fig_audit`` plots this distribution over
+the fig_mem/fig_drift sweeps.
 """
 
 from __future__ import annotations
@@ -56,19 +57,21 @@ class AuditRecord:
     present whenever the decider priced its verdict with the model,
     whatever the source, and ``None`` for unpriced verdicts
     (``AlwaysShare``, ``NeverShare``, online exploration, forced
-    routing); ``projected_io_extra`` is the per-sibling extra pivot work the
-    ResourceOutlook charged (negative = projected I/O *savings*),
-    ``projected_spill_pages`` the broker's projected spill for the
-    unshared plan, ``projected_drift_share`` the drift-bound discount
-    factor on shared-scan savings.
+    routing); ``projected_mode_rate`` is a four-way verdict's rate for
+    the mode it chose (``group_size / makespans[mode]``) and ``None``
+    for a binary one; ``projected_io_extra`` is the per-sibling extra
+    pivot work the ResourceOutlook charged (negative = projected I/O
+    *savings*), ``projected_spill_pages`` the broker's projected spill
+    for the unshared plan, ``projected_drift_share`` the drift-bound
+    discount factor on shared-scan savings.
 
-    Measurement fields stay ``None`` until the session joins them
-    after ``run_all``: ``measured_latency`` is the wall of the
-    record's launch group (first submit to last finish, simulated
-    time), ``measured_rate`` is ``group_size / measured_latency``,
-    and ``measured_physical_reads`` is the batch-level delta of
-    pool misses plus elevator physical reads (exact when the batch
-    holds one decision, apportioned evenly otherwise).
+    Measurement fields stay ``None`` until the coordinator joins the
+    record when its last member finishes (never, for a record that
+    launched nothing): ``measured_latency`` is first launch to last
+    finish (simulated time), ``measured_rate`` is ``group_size /
+    measured_latency``, and ``measured_physical_reads`` the pool
+    misses from this decision to its last member's finish — records
+    overlapping in time each count the reads made while both ran.
     """
 
     seq: int
@@ -81,6 +84,7 @@ class AuditRecord:
     projected_z: Optional[float] = None
     projected_shared_rate: Optional[float] = None
     projected_unshared_rate: Optional[float] = None
+    projected_mode_rate: Optional[float] = None
     projected_io_extra: Optional[float] = None
     projected_spill_pages: Optional[int] = None
     projected_drift_share: Optional[float] = None
@@ -90,8 +94,11 @@ class AuditRecord:
 
     @property
     def projected_rate(self) -> Optional[float]:
-        """The projected completion rate of the arm that was chosen."""
-        if self.outcome in ("share", "attach", "both"):
+        """The projected completion rate of the arm that was chosen (a
+        ``parallel``/``both`` arm's four-way rate, never a serial one)."""
+        if self.outcome in ("parallel", "both"):
+            return self.projected_mode_rate
+        if self.outcome in ("share", "attach"):
             return self.projected_shared_rate
         return self.projected_unshared_rate
 

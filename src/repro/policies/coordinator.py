@@ -44,7 +44,8 @@ dynamically evaluates conditions at runtime", Section 8.2). Every
 routing decision appends exactly one audit record naming who decided
 and what happened, with the rates of a model-priced verdict (a
 :class:`~repro.core.decision.ShareDecision`, alone or carried by the
-four-way projection) whoever priced it.
+four-way projection) whoever priced it, and is scored by one rule at
+every door: the last submission it covers to finish joins it.
 
 ``max_group_size`` caps launched batches, splitting oversized pending
 sets into multiple concurrent groups — trading sharing for parallelism
@@ -133,6 +134,8 @@ class SharingCoordinator:
         self._slots: dict[tuple, _Slot] = {}
         self._active_members: dict[int, int] = {}
         self._launched: dict[int, tuple[str, int]] = {}  # group -> name, size
+        # seq -> [members running, pool misses at decision, members]
+        self._open: dict[int, list] = {}
         self._arrivals: list[Submission] = []
         self._route_scheduled = False
         # Decision accounting for experiments.
@@ -255,7 +258,7 @@ class SharingCoordinator:
         forced = [entry for entry in batch if entry.share]
         undecided = [entry for entry in batch if entry.share is None]
 
-        decision = None
+        decision = mode_rate = None
         chunk = 2
         if not undecided:
             source, mode = ("forced", "share") if prospective >= 2 else ("solo", "solo")
@@ -271,6 +274,7 @@ class SharingCoordinator:
                 projection = decider.choose_mode(key, prospective, effective_n, dop)
                 decision = projection.decision
                 mode = projection.mode
+                mode_rate = prospective / projection.makespans[mode]
                 chunk = max(2, projection.partition_group_size)
             else:
                 verdict = decider.should_share(key, prospective, effective_n)
@@ -281,9 +285,9 @@ class SharingCoordinator:
             entry.decision = decision
 
         if mode == "share":
-            self._share(source, slot, batch, busy, prospective, decision)
+            self._share(source, slot, batch, busy, prospective, decision, mode_rate)
         elif mode == "both":
-            self._record(source, mode, batch, prospective, decision)
+            self._record(source, mode, batch, prospective, decision, mode_rate)
             self.shared_submissions += len(batch)
             for start in range(0, len(batch), chunk):
                 self._launch(slot, batch[start : start + chunk], serial=True)
@@ -297,7 +301,7 @@ class SharingCoordinator:
             regroup = len(forced) >= 2
             rest = undecided if regroup else batch
             outcome = "solo" if serial or dop == 1 else "parallel"
-            self._record(source, outcome, rest, prospective, decision)
+            self._record(source, outcome, rest, prospective, decision, mode_rate)
             if regroup:
                 self._share("forced", slot, forced, busy, len(forced))
             self.solo_submissions += len(rest)
@@ -316,9 +320,9 @@ class SharingCoordinator:
         decider, key = self.session.decider(query)
         return "advisor", decider, key
 
-    def _share(self, source, slot, batch, busy, group_size, decision=None) -> None:
+    def _share(self, source, slot, batch, busy, group_size, decision=None, mode_rate=None) -> None:
         """Record and carry out a verdict to share ``batch``."""
-        self._record(source, "attach" if busy else "share", batch, group_size, decision)
+        self._record(source, "attach" if busy else "share", batch, group_size, decision, mode_rate)
         self.shared_submissions += len(batch)
         if busy and not self.attach_inflight:
             slot.pending.extend(batch)
@@ -372,14 +376,33 @@ class SharingCoordinator:
         entries: list[Submission],
         group_size: int,
         decision: Optional[ShareDecision] = None,
+        mode_rate: Optional[float] = None,
     ) -> None:
         """The one record per routing decision, bound to the
-        submissions it covers."""
+        submissions it covers and open until the last one finishes."""
         if self.audit is None:
             return
         record = self.audit_decision(source, outcome, entries[0].query, group_size, decision)
+        record.projected_mode_rate = mode_rate
         for entry in entries:
             entry.record = record
+        pool = self.engine.pool
+        misses = float(pool.stats.misses) if pool is not None else None
+        self._open[record.seq] = [len(entries), misses, entries]
+
+    def _member_done(self, record: AuditRecord) -> None:
+        """Count one finished member; the last joins the record with
+        its members' wall and the pool misses since the decision."""
+        state = self._open[record.seq]
+        state[0] -= 1
+        if state[0]:
+            return
+        del self._open[record.seq]
+        _, misses, entries = state
+        handles = [entry.handle for entry in entries]
+        latency = max(h.finished_at for h in handles) - min(h.submitted_at for h in handles)
+        reads = None if misses is None else self.engine.pool.stats.misses - misses
+        record.join(latency, physical_reads=reads)
 
     # ------------------------------------------------------------------
 
@@ -392,7 +415,7 @@ class SharingCoordinator:
         """The one launch site. A singleton runs at its own dop unless
         ``serial``; a group shares at the pivot and never fragments."""
         first = batch[0]
-        callbacks = [self._wrap(slot, entry.on_complete) for entry in batch]
+        callbacks = [self._wrap(slot, entry) for entry in batch]
         if len(batch) == 1 and first.dop > 1 and not serial:
             handles = [
                 self.engine.execute(
@@ -421,11 +444,11 @@ class SharingCoordinator:
         self._launched[group_id] = (first.query.name, size)
         self.launched_group_sizes.append(size)
 
-    def _wrap(
-        self,
-        slot: _Slot,
-        client_callback: Optional[Callable[[QueryHandle], None]],
-    ) -> Callable[[QueryHandle], None]:
+    def _wrap(self, slot: _Slot, entry: Submission) -> Callable[[QueryHandle], None]:
+        # Capture fields, not the entry: an entry -> handle -> callback
+        # -> entry cycle would outlive the batch until a full collection.
+        record, client_callback = entry.record, entry.on_complete
+
         def on_query_done(handle: QueryHandle) -> None:
             remaining = self._active_members.get(handle.group_id, 0) - 1
             group_drained = remaining <= 0
@@ -435,6 +458,8 @@ class SharingCoordinator:
                 self._notify_policy(handle)
             else:
                 self._active_members[handle.group_id] = remaining
+            if record is not None:
+                self._member_done(record)
             # The client's callback typically resubmits (closed system);
             # run it before scheduling the flush so same-instant
             # resubmissions can still join the departing batch.

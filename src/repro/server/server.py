@@ -480,15 +480,13 @@ class Server:
         return report
 
     def _on_arrival(self, arrival: Arrival, index: int) -> None:
-        session = self.session
-        now = session.sim.now
         name = getattr(arrival.query, "name", "query")
         label = arrival.label or f"{arrival.tenant}/{name}#{index}"
         record = ServedQuery(
             label=label,
             name=name,
             tenant=arrival.tenant,
-            submitted_at=now,
+            submitted_at=self.session.sim.now,
         )
         self._records.append(record)
         self.total_submitted += 1
@@ -501,14 +499,7 @@ class Server:
             record.outcome = "shed"
             self.total_shed += 1
             tenant.shed += 1
-            session.audit_log().append(
-                query=name,
-                signature="",
-                group_size=1,
-                source="server",
-                outcome="shed",
-                decided_at=now,
-            )
+            self._audit_admission(name, "shed")
             self._trace(
                 "shed",
                 label=label,
@@ -523,15 +514,20 @@ class Server:
         )
         self._queue.append((record, arrival.query))
         if gated:
-            session.audit_log().append(
-                query=name,
-                signature="",
-                group_size=1,
-                source="server",
-                outcome="queue",
-                decided_at=now,
-            )
+            self._audit_admission(name, "queue")
         self._dispatch()
+
+    def _audit_admission(self, name: str, outcome: str) -> None:
+        """The one ``source="server"`` record of a ``shed`` or ``queue``
+        verdict; it launches nothing, so it is never joined."""
+        self.session.audit_log().append(
+            query=name,
+            signature="",
+            group_size=1,
+            source="server",
+            outcome=outcome,
+            decided_at=self.session.sim.now,
+        )
 
     def _dispatch(self) -> None:
         while self._queue and (

@@ -65,6 +65,19 @@ class TestServe:
             count["completed"] + count["shed"] + count["backlog"]
         )
 
+    def test_served_decisions_are_scored(self, capsys):
+        """A drain long enough for every arrival to finish: the audit
+        table prints a projection error for the served decisions."""
+        argv = (
+            "serve --scale-factor 0.0005 --rate 0.0004 --horizon 30000 --drain 600000 --audit"
+        )
+        assert repro_main(argv.split()) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].endswith("backlog 0")
+        header = next(i for i, line in enumerate(lines) if line.split()[:2] == ["seq", "query"])
+        errors = [line.split()[-1] for line in lines[header + 1 :]]
+        assert any(error != "-" for error in errors)
+
     def test_unknown_query_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             repro_main(["serve", "--queries", "q6,q99"])

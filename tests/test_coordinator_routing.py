@@ -171,6 +171,69 @@ class TestSlotRouting:
             _coordinator(AlwaysShare(), max_group_size=0)
 
 
+class TestDecisionJoin:
+    """The coordinator scores each record when the last submission it
+    covers finishes — not per group, not per batch."""
+
+    def test_record_split_across_launches_joins_at_its_last_member(self):
+        audit = AuditLog()
+        sim, coordinator = _coordinator(AlwaysShare(), audit=audit, max_group_size=2)
+        q = _query()
+        seen = []
+        tickets = [
+            coordinator.submit(q, f"q6#{i}", on_complete=lambda h: seen.append(audit[0].joined))
+            for i in range(4)
+        ]
+        sim.run()
+        # One decision, two launched groups; only the fourth finish joins.
+        assert len(audit) == 1 and coordinator.launched_group_sizes == [2, 2]
+        assert seen == [False, False, False, True]
+        handles = [t.handle for t in tickets]
+        (record,) = audit.records
+        assert record.measured_latency == (
+            max(h.finished_at for h in handles) - min(h.submitted_at for h in handles)
+        )
+        assert record.measured_physical_reads is None  # no pool to count
+        assert not coordinator._open
+
+    def test_attach_record_is_measured_from_its_own_launch(self):
+        audit = AuditLog()
+        sim, coordinator = _coordinator(AlwaysShare(), audit=audit)
+        q = _query()
+        head = [coordinator.submit(q, f"a{i}") for i in range(2)]
+        late = []
+
+        def attach():
+            yield Sleep(1.0)  # the first group is now active
+            late.append(coordinator.submit(q, "b0"))
+
+        sim.spawn(attach(), name="late")
+        sim.run()
+        share, attached = audit.records
+        assert (share.outcome, attached.outcome) == ("share", "attach")
+        (ticket,) = late
+        # The batch waited in the pending list until the head group
+        # drained; its wall starts at that launch, not at the decision.
+        assert ticket.handle.submitted_at >= max(h.handle.finished_at for h in head)
+        assert attached.decided_at < ticket.handle.submitted_at
+        assert attached.measured_latency == (
+            ticket.handle.finished_at - ticket.handle.submitted_at
+        )
+
+    def test_record_with_a_running_member_joins_once_it_finishes(self):
+        audit = AuditLog()
+        sim, coordinator = _coordinator(AlwaysShare(), audit=audit)
+        q = _query()
+        tickets = [coordinator.submit(q, f"q6#{i}") for i in range(2)]
+        sim.run(until=1.0)
+        (record,) = audit.records
+        assert not any(t.handle.done for t in tickets)
+        assert not record.joined and list(coordinator._open) == [record.seq]
+        sim.run()
+        assert record.joined and not coordinator._open
+        assert record.measured_latency == max(t.handle.finished_at for t in tickets)
+
+
 class ScriptedPolicy(SharingPolicy):
     """Plays back a fixed verdict sequence, one per consultation."""
 

@@ -4,8 +4,10 @@
 ``SharingCoordinator``. The same batch submitted through either door —
 at every preset, policy, dop and batch size — must produce the same
 rows, the same per-query finish times, the same launched groups and
-the same audit trail. (``serve_trace`` runs the clock on to its
-``until=``, so the end clock is not the comparison.)
+the same audit trail, measurements and projection errors included
+(the coordinator scores every record, whichever door launched it).
+(``serve_trace`` runs the clock on to its ``until=``, so the end
+clock is not the comparison.)
 """
 
 import pytest
@@ -49,7 +51,19 @@ def batch(catalog):
 
 
 def audit_trail(session):
-    return [(r.source, r.outcome, r.group_size) for r in session.audit_log()]
+    """Every record's routing and, joined by the coordinator when its
+    last member finished, its measurement — the same at every door."""
+    return [
+        (
+            r.source,
+            r.outcome,
+            r.group_size,
+            r.measured_latency,
+            r.measured_physical_reads,
+            r.projection_error,
+        )
+        for r in session.audit_log()
+    ]
 
 
 def open_session(catalog, preset, policy, dop, batch_size):
@@ -113,7 +127,8 @@ def test_run_all_and_server_agree(catalog, preset, policy, dop, batch_size):
     # one prospective group, the unrelated query on its own.
     _, group_sizes, trail = batched
     assert sum(group_sizes) == K + 1
-    assert sorted(size for _, _, size in trail) == [1, K]
+    assert sorted(size for _, _, size, *_ in trail) == [1, K]
+    assert all(latency is not None for _, _, _, latency, _, _ in trail)
 
 
 @pytest.mark.parametrize("batch_size", [None, 7])
@@ -135,4 +150,4 @@ def test_forced_share_agrees_with_direct_submission(
     assert direct == batched
     _, group_sizes, trail = batched
     assert group_sizes == ([K, 1] if share else [1] * (K + 1))
-    assert {source for source, _, _ in trail} <= {"forced", "solo"}
+    assert {source for source, *_ in trail} <= {"forced", "solo"}

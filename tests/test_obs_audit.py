@@ -53,6 +53,13 @@ def test_join_and_projection_error():
                        source="solo", outcome="solo",
                        projected_unshared_rate=1e-3)
     assert solo.projected_rate == 1e-3
+    # A dop > 1 arm is scored only against its own four-way rate.
+    parallel = AuditRecord(seq=2, query="q", signature="s", group_size=2,
+                           source="policy", outcome="parallel",
+                           projected_unshared_rate=1e-3)
+    assert parallel.projected_rate is None
+    parallel.projected_mode_rate = 4e-3
+    assert parallel.projected_rate == 4e-3
 
 
 def test_mean_abs_error_and_exports():
@@ -145,14 +152,20 @@ def test_advise_records_projection_inputs():
     assert not record.joined  # advice alone launches nothing
 
 
-@pytest.mark.parametrize("dop", [1, 4])
-def test_model_guided_policy_decisions_carry_rates(dop):
+@pytest.mark.parametrize(
+    "preset, m, dop",
+    [("laptop", 4, 1), ("laptop", 4, 4), ("cmp32", 2, 4)],
+    ids=["1", "4", "cmp32-parallel"],
+)
+def test_model_guided_policy_decisions_carry_rates(preset, m, dop):
     """A ModelGuidedPolicy verdict routed through run_all — binary
     (``should_share``) at dop 1, four-way (``choose_mode``) at dop 4 —
     is the one record of its decision, carries the rates it was priced
-    with, and is scored against the measurement."""
+    with, and is scored against the measurement. A four-way verdict
+    (``both`` on the laptop, ``parallel`` on cmp32) is scored against
+    the rate of the arm it chose, not a serial one."""
     catalog = _catalog()
-    config = RuntimeConfig.preset("laptop").with_(dop=dop)
+    config = RuntimeConfig.preset(preset).with_(dop=dop)
     probe = Database.open(catalog, config)
     query = probe.table("t", columns=["k"]).agg(AggSpec("count", "n")).named("probe").build()
     profiler = QueryProfiler(catalog, costs=config.cost_model, page_rows=config.page_rows)
@@ -160,14 +173,18 @@ def test_model_guided_policy_decisions_carry_rates(dop):
     policy = ModelGuidedPolicy({query.name: (profile.to_query_spec(), query.pivot_op_id)})
     session = Database.open(catalog, config, policy=policy)
     assert session.execution_settings(query)[1] == dop
-    for i in range(4):
+    for i in range(m):
         session.submit(query, label=f"c{i}")
     results = session.run_all()
     (record,) = session.audit_log().records
-    assert (record.source, record.group_size) == ("policy", 4)
+    assert (record.source, record.group_size) == ("policy", m)
     assert record.projected_z is not None
     assert record.projected_shared_rate is not None
     assert record.projected_unshared_rate is not None
     assert record.projected_io_extra is not None
     assert record.joined and record.projection_error is not None
     assert all(r.decision is not None and r.audit == (record,) for r in results)
+    if dop > 1:
+        projection = policy.choose_mode(query.name, m, config.processors, dop)
+        assert record.outcome == projection.mode == ("both" if m == 4 else "parallel")
+        assert record.projected_rate == m / projection.makespans[projection.mode]

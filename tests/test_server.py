@@ -444,6 +444,51 @@ class TestFacadeWiring:
         assert report.completed > 0
         # The advisor was actually consulted: its verdicts were audited,
         # one record per routing decision.
-        sources = {r.source for r in server.session.audit_log()}
+        log = server.session.audit_log()
+        sources = {r.source for r in log}
         assert "advisor" in sources
         assert sources <= {"advisor", "solo", "server"}
+        # And scored: the coordinator joined every record that launched.
+        assert all(r.joined for r in log if r.source != "server")
+        assert log.mean_abs_error() is not None
+
+
+# The served model error, recorded at its cell: a scoring or model
+# regression fails the pin; an improvement re-records it.
+SERVED_ERROR_PINS = {"light": 0.012979, "overload": 2.243590}
+
+
+class TestServedProjectionError:
+    def serve_cell(self, catalog, q6, cell):
+        if cell == "light":
+            server = make_server(catalog)
+            serve_q6(server, q6, rate=1.0 / 5_000.0,
+                     horizon=100_000.0, drain=300_000.0, seed=2)
+            return server
+        # The serve_mixed shape: three tenant pools, q6/q4, queue-depth
+        # admission, the advisor deciding under a standing backlog.
+        config = RuntimeConfig(
+            processors=4,
+            pool_pages=96,
+            page_rows=16,
+            tenants=(
+                TenantShare("acme", 40, tables=("lineitem",)),
+                TenantShare("beta", 24, tables=("orders",)),
+                TenantShare("carol", 8),
+            ),
+        )
+        server = make_server(catalog, config=config, admission=QueueDepthBound(48))
+        server.serve(
+            WorkloadMix({"q6": 0.7, "q4": 0.3}),
+            {"q6": q6, "q4": build("q4", catalog)},
+            arrival_rate=1.0 / 150.0, horizon=12_000.0, drain=300_000.0,
+            seed=7, tenant_weights={"acme": 0.6, "beta": 0.3, "carol": 0.1},
+        )
+        return server
+
+    @pytest.mark.parametrize("cell", sorted(SERVED_ERROR_PINS))
+    def test_mean_abs_error_is_pinned(self, catalog, q6, cell):
+        log = self.serve_cell(catalog, q6, cell).session.audit_log()
+        assert all(r.joined for r in log if r.source != "server")
+        error = log.mean_abs_error()
+        assert 0 < error <= SERVED_ERROR_PINS[cell] * 1.05

@@ -138,6 +138,10 @@ def test_identical_serve_rounds_retain_the_same():
     for _ in range(8):
         report = server.serve_trace(trace, drain=5_000_000.0)
         assert report.completed == len(trace)
+        # A drained round leaves no routed record unjoined, so the
+        # coordinator holds no open record between rounds.
+        assert all(r.joined for r in session.audit_log() if r.source != "server")
+        assert not session.coordinator._open
         retained.append(_retained(session))
         snapshot = session.metrics().snapshot()
         counted.append((snapshot["sim.tasks"], snapshot["sim.completions"]))
