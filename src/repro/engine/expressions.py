@@ -17,17 +17,22 @@ for the outer-join counting of TPC-H Q13.
 Expressions also *batch-compile* (:func:`compile_batch`): the tree is
 lowered to a generated list comprehension over column lists, so one
 batch evaluates in a single interpreted loop instead of a closure call
-per row per node. The generated code preserves the row semantics above
-value-for-value; only evaluation laziness differs (a guarded operand
-may be skipped when its sibling is NULL), which is unobservable for
-the pure expressions the tree models.
+per row per node. The lowering is told which input positions hold no
+NULL (the plan's NOT NULL set, :func:`~repro.engine.plan.not_null`) and
+emits an ``is None`` guard only for an operand that can be NULL
+(:meth:`Expr.nullable`): a non-None literal, a NOT NULL column and
+arithmetic over NOT NULL operands are read bare. The generated code
+preserves the row semantics above value-for-value, type included;
+only evaluation laziness differs (a guarded operand may be skipped
+when its sibling is NULL), which is unobservable for the pure
+expressions the tree models.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.errors import PlanError
 from repro.storage.lru import WeightedLRU
@@ -36,6 +41,10 @@ from repro.storage.schema import Schema
 __all__ = [
     "Expr",
     "compile_batch",
+    "compile_output",
+    "compile_predicate",
+    "check_batch",
+    "batch_source",
     "col",
     "lit",
     "add",
@@ -58,7 +67,10 @@ __all__ = [
 RowFn = Callable[[tuple], Any]
 
 # A batch-compiled expression: (columns, n_rows) -> list of n values.
+# Its ``reads`` attribute is the sorted column positions it reads.
 BatchFn = Callable[[Sequence[Sequence[Any]], int], list]
+
+_NO_FACTS: frozenset[int] = frozenset()
 
 
 class _BatchCodegen:
@@ -66,12 +78,14 @@ class _BatchCodegen:
 
     Tracks which column indices the expression reads (they become the
     comprehension's loop variables ``_r<i>``), hands out unique walrus
-    temp names, and collects non-inlinable constants/callables into the
-    generated function's namespace.
+    temp names, collects non-inlinable constants/callables into the
+    generated function's namespace, and holds the positions of the
+    schema that hold no NULL (``notnull``), whose reads need no guard.
     """
 
-    def __init__(self, schema: Schema) -> None:
+    def __init__(self, schema: Schema, notnull: frozenset[int] = _NO_FACTS) -> None:
         self.schema = schema
+        self.notnull = notnull
         self.used: set[int] = set()
         self.env: dict[str, Any] = {}
         self._counter = 0
@@ -89,6 +103,26 @@ class _BatchCodegen:
         name = f"_k{len(self.env)}"
         self.env[name] = value
         return name
+
+    def nullable(self, expr: Expr) -> bool:
+        """Can ``expr`` be NULL over this schema's NOT NULL set?"""
+        return expr.nullable(self.schema, self.notnull)
+
+    def operand(self, expr: Expr) -> tuple[str | None, str]:
+        """``(test, value)`` for an operand a NULL-safe node reads.
+
+        ``test`` is the condition under which ``value`` is not NULL, or
+        ``None`` when ``expr`` cannot be NULL. A column or literal is
+        read as it is; anything else that needs a test is bound to a
+        walrus temp by the test and read back through it.
+        """
+        source = expr._emit_batch(self)
+        if not self.nullable(expr):
+            return None, source
+        if isinstance(expr, (ColumnRef, Literal)):
+            return f"{source} is not None", source
+        temp = self.temp()
+        return f"({temp} := {source}) is not None", temp
 
     def loop(self, *lead: tuple[str, str]) -> str:
         """A ``for`` header binding every column read so far to its
@@ -116,11 +150,18 @@ class Expr:
     def compile(self, schema: Schema) -> RowFn:
         raise NotImplementedError
 
+    def nullable(self, schema: Schema, notnull: frozenset[int]) -> bool:
+        """Can the value be NULL, when the positions of ``schema`` in
+        ``notnull`` hold none? Unknown nodes can."""
+        return True
+
+    def is_boolean(self) -> bool:
+        """Is the value always a ``bool`` (never NULL)?"""
+        return False
+
     def _emit_batch(self, gen: _BatchCodegen) -> str:
         """The node as a Python expression over ``_r<i>`` loop vars."""
-        raise PlanError(
-            f"expression {self.signature()} does not support batch compilation"
-        )
+        raise PlanError(f"expression {self.signature()} does not support batch compilation")
 
     def signature(self) -> str:
         raise NotImplementedError
@@ -131,13 +172,13 @@ class Expr:
 
 # Compiled-batch memo: plans are rebuilt per execution but reuse the
 # same (immutable) expression trees, so lowering + ``compile()`` would
-# otherwise dominate short queries. Keyed by the expression node and
-# the schema's column tuple (both hashable), or by whatever else a
-# generated function depends on (the hash aggregate's fold); entries
-# whose expressions are unhashable (exotic Udf payloads) simply compile
-# uncached. Least recently used entries go first past 4096, so an
-# ad-hoc stream cannot push out the hot templated expressions compiled
-# before it.
+# otherwise dominate short queries. Keyed by the expression node, the
+# schema's column tuple and the NOT NULL set (all hashable), or by
+# whatever else a generated function depends on (the hash aggregate's
+# fold); entries whose expressions are unhashable (exotic Udf payloads)
+# simply compile uncached. Least recently used entries go first past
+# 4096, so an ad-hoc stream cannot push out the hot templated
+# expressions compiled before it.
 BATCH_CACHE = WeightedLRU(4096)
 
 
@@ -153,23 +194,62 @@ def generated(key: Any, build: Callable[[], Any]) -> Any:
     return cached
 
 
-def compile_batch(expr: Expr, schema: Schema) -> BatchFn:
+def compile_batch(expr: Expr, schema: Schema, notnull: Iterable[int] = _NO_FACTS) -> BatchFn:
     """Lower ``expr`` to a function evaluating a whole column batch.
 
     The result takes ``(columns, n)`` — the batch's column lists and
     its row count — and returns the list of ``n`` values the row-wise
-    ``expr.compile(schema)`` closure would produce row by row. Raises
-    :class:`~repro.errors.PlanError` for expression nodes outside this
-    module's tree — plan constructors call this to validate, so such a
-    node is rejected before anything is spawned.
+    ``expr.compile(schema)`` closure would produce row by row.
+    ``notnull`` is the set of positions of ``schema`` that hold no NULL
+    (:func:`~repro.engine.plan.not_null`): operands over them are read
+    without an ``is None`` guard, so it must be a fact about the data,
+    never a guess. The default guards every operand.
     """
-    return generated((expr, schema.columns), lambda: _lower(expr, schema))
+    notnull = frozenset(notnull)
+    return generated((expr, schema.columns, notnull), lambda: _lower(expr, schema, notnull))
 
 
-def _lower(expr: Expr, schema: Schema) -> BatchFn:
-    gen = _BatchCodegen(schema)
+def compile_output(expr: Expr, schema: Schema, notnull: Iterable[int] = _NO_FACTS) -> int | BatchFn:
+    """How a projecting stage produces one output column: the input
+    position of a bare column reference — the stage passes that column
+    through uncopied — or else :func:`compile_batch`'s function."""
+    if isinstance(expr, ColumnRef):
+        return schema.index_of(expr.name)
+    return compile_batch(expr, schema, notnull)
+
+
+def compile_predicate(expr: Expr, schema: Schema, notnull: Iterable[int] = _NO_FACTS) -> BatchFn:
+    """:func:`compile_batch` for a filter: the flags are always bools (a
+    predicate that is not boolean is tested for truth, as ``all()``
+    does), so ``flags.count(True)`` counts the rows it keeps."""
+    return compile_batch(expr if expr.is_boolean() else and_(expr), schema, notnull)
+
+
+def check_batch(expr: Expr, schema: Schema) -> None:
+    """Raise what :func:`compile_batch` would — a
+    :class:`~repro.errors.PlanError` for expression nodes outside this
+    module's tree, a :class:`~repro.errors.SchemaError` for an unknown
+    column — without compiling anything. Plan constructors call this,
+    so a bad plan fails before anything is spawned; the stage compiles
+    against the data's NOT NULL set when it is built."""
+    expr._emit_batch(_BatchCodegen(schema))
+
+
+def batch_source(expr: Expr, schema: Schema, notnull: Iterable[int] = _NO_FACTS) -> str:
+    """The Python source :func:`compile_batch` generates for ``expr``."""
+    return _source(_BatchCodegen(schema, frozenset(notnull)), expr)
+
+
+def _source(gen: _BatchCodegen, expr: Expr) -> str:
     body = expr._emit_batch(gen)
-    return gen.define(f"def _batch(_cols, _n):\n    return [({body}) {gen.loop()}]\n")["_batch"]
+    return f"def _batch(_cols, _n):\n    return [{body} {gen.loop()}]\n"
+
+
+def _lower(expr: Expr, schema: Schema, notnull: frozenset[int]) -> BatchFn:
+    gen = _BatchCodegen(schema, notnull)
+    batch = gen.define(_source(gen, expr))["_batch"]
+    batch.reads = tuple(sorted(gen.used))
+    return batch
 
 
 @dataclass(frozen=True)
@@ -180,6 +260,9 @@ class ColumnRef(Expr):
         index = schema.index_of(self.name)
         return lambda row: row[index]
 
+    def nullable(self, schema: Schema, notnull: frozenset[int]) -> bool:
+        return schema.index_of(self.name) not in notnull
+
     def _emit_batch(self, gen: _BatchCodegen) -> str:
         return gen.column(self.name)
 
@@ -187,13 +270,34 @@ class ColumnRef(Expr):
         return f"col({self.name})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Literal(Expr):
+    """A constant. Equal only to a literal of the same value *and type*:
+    ``lit(1)``, ``lit(1.0)`` and ``lit(True)`` compare equal in Python
+    but evaluate to different types, so they must not share a memo
+    entry."""
+
     value: Any
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            type(other) is Literal
+            and type(other.value) is type(self.value)
+            and other.value == self.value
+        )
+
+    def __hash__(self) -> int:
+        return hash((type(self.value), self.value))
 
     def compile(self, schema: Schema) -> RowFn:
         value = self.value
         return lambda row: value
+
+    def nullable(self, schema: Schema, notnull: frozenset[int]) -> bool:
+        return self.value is None
+
+    def is_boolean(self) -> bool:
+        return type(self.value) is bool
 
     def _emit_batch(self, gen: _BatchCodegen) -> str:
         value = self.value
@@ -206,6 +310,16 @@ class Literal(Expr):
 
     def signature(self) -> str:
         return f"lit({self.value!r})"
+
+
+class _Boolean(Expr):
+    """A node whose value is always a ``bool``, never NULL."""
+
+    def nullable(self, schema: Schema, notnull: frozenset[int]) -> bool:
+        return False
+
+    def is_boolean(self) -> bool:
+        return True
 
 
 _ARITH = {
@@ -240,33 +354,45 @@ class BinaryOp(Expr):
         return lambda row: fn(lf(row), rf(row))
 
     _SYMBOLS = {
-        "add": "+", "sub": "-", "mul": "*",
-        "eq": "==", "ne": "!=", "lt": "<", "le": "<=", "gt": ">", "ge": ">=",
+        "add": "+",
+        "sub": "-",
+        "mul": "*",
+        "eq": "==",
+        "ne": "!=",
+        "lt": "<",
+        "le": "<=",
+        "gt": ">",
+        "ge": ">=",
     }
+
+    def nullable(self, schema: Schema, notnull: frozenset[int]) -> bool:
+        # A comparison is always a bool; arithmetic is NULL iff an operand is.
+        return self.op in _ARITH and (
+            self.left.nullable(schema, notnull) or self.right.nullable(schema, notnull)
+        )
+
+    def is_boolean(self) -> bool:
+        return self.op in _COMPARE
 
     def _emit_batch(self, gen: _BatchCodegen) -> str:
         if self.op not in self._SYMBOLS:
             raise PlanError(f"unknown binary operator {self.op!r}")
-        a = self.left._emit_batch(gen)
-        b = self.right._emit_batch(gen)
-        ta, tb = gen.temp(), gen.temp()
-        sym = self._SYMBOLS[self.op]
+        test_a, a = gen.operand(self.left)
+        test_b, b = gen.operand(self.right)
+        value = f"{a} {self._SYMBOLS[self.op]} {b}"
+        tests = [test for test in (test_a, test_b) if test is not None]
+        if not tests:
+            return f"({value})"
         if self.op in _ARITH:
-            return (
-                f"(None if ({ta} := {a}) is None or ({tb} := {b}) is None"
-                f" else {ta} {sym} {tb})"
-            )
-        return (
-            f"(({ta} := {a}) is not None and ({tb} := {b}) is not None"
-            f" and {ta} {sym} {tb})"
-        )
+            return f"({value} if {' and '.join(tests)} else None)"
+        return f"({' and '.join([*tests, value])})"
 
     def signature(self) -> str:
         return f"{self.op}({self.left.signature()},{self.right.signature()})"
 
 
 @dataclass(frozen=True)
-class Between(Expr):
+class Between(_Boolean):
     """Inclusive range check, NULL-safe (NULL is never between)."""
 
     operand: Expr
@@ -285,11 +411,9 @@ class Between(Expr):
         return run
 
     def _emit_batch(self, gen: _BatchCodegen) -> str:
-        v = self.operand._emit_batch(gen)
-        lo = self.low._emit_batch(gen)
-        hi = self.high._emit_batch(gen)
-        t = gen.temp()
-        return f"(({t} := {v}) is not None and ({lo}) <= {t} <= ({hi}))"
+        test, value = gen.operand(self.operand)
+        bounds = f"{self.low._emit_batch(gen)} <= {value} <= {self.high._emit_batch(gen)}"
+        return f"({bounds})" if test is None else f"({test} and {bounds})"
 
     def signature(self) -> str:
         return (
@@ -299,7 +423,7 @@ class Between(Expr):
 
 
 @dataclass(frozen=True)
-class InSet(Expr):
+class InSet(_Boolean):
     operand: Expr
     values: tuple
 
@@ -310,14 +434,14 @@ class InSet(Expr):
 
     def _emit_batch(self, gen: _BatchCodegen) -> str:
         v = self.operand._emit_batch(gen)
-        return f"(({v}) in {gen.constant(frozenset(self.values))})"
+        return f"({v} in {gen.constant(frozenset(self.values))})"
 
     def signature(self) -> str:
         return f"in({self.operand.signature()},{sorted(map(repr, self.values))})"
 
 
 @dataclass(frozen=True)
-class BooleanOp(Expr):
+class BooleanOp(_Boolean):
     op: str  # "and" | "or"
     operands: tuple[Expr, ...]
 
@@ -332,9 +456,12 @@ class BooleanOp(Expr):
     def _emit_batch(self, gen: _BatchCodegen) -> str:
         if self.op not in ("and", "or"):
             raise PlanError(f"unknown boolean operator {self.op!r}")
-        parts = [f"({o._emit_batch(gen)})" for o in self.operands]
-        # bool() matches all()/any(); and/or short-circuit identically.
-        return f"bool({f' {self.op} '.join(parts)})"
+        joined = f" {self.op} ".join(o._emit_batch(gen) for o in self.operands)
+        # and/or short-circuit as all()/any() do and yield one of their
+        # operands: a bool already when every operand is one.
+        if all(o.is_boolean() for o in self.operands):
+            return f"({joined})"
+        return f"bool({joined})"
 
     def signature(self) -> str:
         inner = ",".join(operand.signature() for operand in self.operands)
@@ -342,7 +469,7 @@ class BooleanOp(Expr):
 
 
 @dataclass(frozen=True)
-class Not(Expr):
+class Not(_Boolean):
     operand: Expr
 
     def compile(self, schema: Schema) -> RowFn:
@@ -350,7 +477,7 @@ class Not(Expr):
         return lambda row: not fn(row)
 
     def _emit_batch(self, gen: _BatchCodegen) -> str:
-        return f"(not ({self.operand._emit_batch(gen)}))"
+        return f"(not {self.operand._emit_batch(gen)})"
 
     def signature(self) -> str:
         return f"not({self.operand.signature()})"
@@ -363,7 +490,8 @@ class Udf(Expr):
     The name *is* the sharing identity: two Udf nodes with the same
     name and operands are assumed to request identical work. Used for
     predicates the expression language does not cover (e.g. Q13's
-    ``LIKE '%special%requests%'``).
+    ``LIKE '%special%requests%'``). Its value is always taken to be
+    nullable and non-boolean: the function is opaque.
     """
 
     name: str
@@ -376,7 +504,7 @@ class Udf(Expr):
         return lambda row: fn(*(f(row) for f in fns))
 
     def _emit_batch(self, gen: _BatchCodegen) -> str:
-        args = ", ".join(f"({o._emit_batch(gen)})" for o in self.operands)
+        args = ", ".join(o._emit_batch(gen) for o in self.operands)
         return f"{gen.constant(self.fn)}({args})"
 
     def signature(self) -> str:

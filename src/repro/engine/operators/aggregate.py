@@ -14,14 +14,17 @@ is the running sum (sum/avg) or the best value so far (min/max) and
 ``nulls`` the NULL inputs it skipped. ``count(*)`` is ``rows``,
 ``count(expr)`` is ``rows − nulls``, and sum/avg divide by the same.
 Every batch goes through one function generated per ``(aggs, input
-schema, global?)`` from the expression lowering of
+schema, global?, input NOT NULL set)`` from the expression lowering of
 :func:`~repro.engine.expressions.compile_batch`: one loop over the
 batch that resolves each row's group state (one dict lookup,
 ``map(groups.__getitem__, keys)``) and updates every aggregate of the
-row, its value expressions inlined. A global aggregate (no GROUP BY)
-keeps its slots in locals for the whole batch. Within a group values
-are added in row order, so float sums are bit-identical to the naive
-oracle (:func:`aggregate_rows`, which shares no code with the fold).
+row, its value expressions inlined. A value that cannot be NULL
+(:func:`~repro.engine.plan.not_null`) is folded without a NULL test:
+its ``nulls`` slot stays 0, and ``count(expr)`` over it costs nothing
+per row. A global aggregate (no GROUP BY) keeps its slots in locals
+for the whole batch. Within a group values are added in row order, so
+float sums are bit-identical to the naive oracle
+(:func:`aggregate_rows`, which shares no code with the fold).
 
 Without memory governance (``ctx.memory is None``) the stage buffers
 every group unconditionally, exactly as the seed did. With a
@@ -47,6 +50,7 @@ from __future__ import annotations
 from repro.engine.expressions import _BatchCodegen, generated
 from repro.engine.operators.api import BatchOperator
 from repro.engine.operators.partitioning import PartitionMemo
+from repro.engine.plan import not_null
 from repro.errors import PlanError
 from repro.sim.events import Compute
 from repro.storage.spill_cursor import SpillCursor
@@ -167,14 +171,27 @@ def _fold_source(aggs, gen: _BatchCodegen, grouped: bool) -> str:
             continue
         acc, nulls = slot(1 + 2 * i), slot(2 + 2 * i)
         value = spec.expr._emit_batch(gen)
-        if spec.func == "count":
-            body += [f"if ({value}) is None:", f"    {nulls} += 1"]
+        better = "<" if spec.func == "min" else ">"
+        if not gen.nullable(spec.expr):
+            # No NULL to skip: ``nulls`` stays 0 and count(expr) is rows.
+            if spec.func in ("sum", "avg"):
+                body.append(f"{acc} += {value}")
+            elif spec.func != "count":
+                if not value.isidentifier():
+                    body.append(f"_v = {value}")
+                    value = "_v"
+                body += [
+                    f"if (_b := {acc}) is None or {value} {better} _b:",
+                    f"    {acc} = {value}",
+                ]
             continue
-        body += [f"if (_v := ({value})) is None:", f"    {nulls} += 1"]
+        if spec.func == "count":
+            body += [f"if {value} is None:", f"    {nulls} += 1"]
+            continue
+        body += [f"if (_v := {value}) is None:", f"    {nulls} += 1"]
         if spec.func in ("sum", "avg"):
             body += ["else:", f"    {acc} += _v"]
         else:
-            better = "<" if spec.func == "min" else ">"
             body += [f"elif (_b := {acc}) is None or _v {better} _b:", f"    {acc} = _v"]
     lines = ["def _fold(_cols, _n, _states):"]
     if grouped:
@@ -232,12 +249,13 @@ def _output_source(aggs) -> str:
     return f"def _output(_groups):\n    return [_k + ({row}) for _k, _s in _groups.items()]"
 
 
-def _kernel(aggs, schema, grouped: bool) -> tuple:
+def _kernel(aggs, schema, grouped: bool, notnull: frozenset[int]) -> tuple:
     """``(fold, merge, output, fresh state)`` for ``aggs`` over
-    ``schema``: one generated source per signature, cached."""
+    ``schema`` whose positions in ``notnull`` hold no NULL: one
+    generated source per signature, cached."""
 
     def build() -> tuple:
-        gen = _BatchCodegen(schema)
+        gen = _BatchCodegen(schema, notnull)
         source = "\n".join(
             [_fold_source(aggs, gen, grouped), _merge_source(aggs), _output_source(aggs), ""]
         )
@@ -248,7 +266,7 @@ def _kernel(aggs, schema, grouped: bool) -> tuple:
         return namespace["_fold"], namespace["_merge"], namespace["_output"], tuple(fresh)
 
     signature = tuple((spec.func, spec.expr) for spec in aggs)
-    return generated(("aggregate", signature, schema.columns, grouped), build)
+    return generated(("aggregate", signature, schema.columns, grouped, notnull), build)
 
 
 class _Groups(dict):
@@ -293,10 +311,10 @@ class _Resident(dict):
 class AggregateOperator(BatchOperator):
     def __init__(self, node, ctx, out_queues):
         super().__init__(node, ctx, out_queues)
-        schema = node.children[0].schema
-        self.group_idx = [schema.index_of(n) for n in node.params["group_by"]]
+        child = node.children[0]
+        self.group_idx = [child.schema.index_of(n) for n in node.params["group_by"]]
         self.fold, self.merge, self.output, fresh = _kernel(
-            node.params["aggs"], schema, bool(self.group_idx)
+            node.params["aggs"], child.schema, bool(self.group_idx), not_null(child, ctx.catalog)
         )
         self.fresh = list(fresh)
         self.make_emitter(len(node.schema))

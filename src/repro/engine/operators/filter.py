@@ -1,14 +1,17 @@
 """Row filter stage: evaluates a predicate, drops non-matching rows.
 
 The predicate runs once per batch as a compiled comprehension
-producing a selection vector; the surviving rows flow on as a
-zero-copy selection view of the input batch.
+producing a selection vector — compiled against the input's NOT NULL
+set (:func:`~repro.engine.plan.not_null`) when the stage is built —
+and the surviving rows flow on as a zero-copy selection view of the
+input batch.
 """
 
 from __future__ import annotations
 
-from repro.engine.expressions import compile_batch
+from repro.engine.expressions import compile_predicate
 from repro.engine.operators.api import BatchOperator
+from repro.engine.plan import not_null
 from repro.sim.events import Compute
 
 __all__ = ["FilterOperator", "filter_rows"]
@@ -22,9 +25,9 @@ def filter_rows(rows, predicate_fn):
 class FilterOperator(BatchOperator):
     def __init__(self, node, ctx, out_queues):
         super().__init__(node, ctx, out_queues)
-        schema = node.children[0].schema
+        child = node.children[0]
         predicate = node.params["predicate"]
-        self.batch_pred = compile_batch(predicate, schema)
+        self.batch_pred = compile_predicate(predicate, child.schema, not_null(child, ctx.catalog))
         self.cost_factor = node.params.get("cost_factor", 1.0)
         self.make_emitter(len(node.schema))
 
@@ -32,6 +35,6 @@ class FilterOperator(BatchOperator):
         n = len(batch)
         yield Compute(self.ctx.costs.filter_tuple * self.cost_factor * n)
         flags = self.batch_pred(batch.columns, n)
-        kept = sum(map(bool, flags))
+        kept = flags.count(True)
         if kept:
             yield from self.emitter.emit_batch(batch.select(flags, kept))

@@ -10,9 +10,12 @@ the query's predicates before handing pages to the consumer.
 The page never leaves columnar form: the storage layer hands back raw
 column slices (:meth:`~repro.storage.table.Table.column_slices`), the fused
 predicate runs as one batch-compiled comprehension producing a
-selection vector, and the fused outputs evaluate column-at-a-time over
-the selected columns — rows are materialized only if a downstream
-consumer actually asks for tuples.
+selection vector, the selection compresses only the columns an output
+reads, and the fused outputs evaluate column-at-a-time over them (a
+bare column output passes its column through) — rows are materialized
+only if a downstream consumer actually asks for tuples. Predicate and
+outputs are compiled against the table's NOT NULL columns
+(:meth:`~repro.storage.table.Table.not_null`) when the stage is built.
 
 When the engine carries a :class:`~repro.storage.buffer.BufferPool`,
 every table page goes through it: a resident page is a hit (CPU-only,
@@ -48,7 +51,9 @@ consumers attached, its emitter multiplexes every page M ways.
 
 from __future__ import annotations
 
-from repro.engine.expressions import compile_batch
+from itertools import compress
+
+from repro.engine.expressions import compile_output, compile_predicate
 from repro.engine.operators.api import BatchOperator
 from repro.engine.packet import RowBatch
 from repro.sim.events import Compute, Sleep
@@ -80,15 +85,21 @@ class ScanOperator(BatchOperator):
         self.table = ctx.catalog.table(node.params["table"])
         self.columns = list(node.params["columns"])
         base_schema = self.table.projected_schema(self.columns)
+        notnull = self.table.not_null(self.columns)
         predicate = node.params.get("predicate")
         outputs = node.params.get("outputs")
         self.cost_factor = node.params.get("cost_factor", 1.0)
-        self.batch_pred = compile_batch(predicate, base_schema) if predicate is not None else None
-        self.batch_outs = (
-            [compile_batch(expr, base_schema) for _, expr, _ in outputs]
-            if outputs is not None
-            else None
+        self.batch_pred = (
+            compile_predicate(predicate, base_schema, notnull) if predicate is not None else None
         )
+        self.batch_outs = None
+        if outputs is not None:
+            self.batch_outs = [compile_output(expr, base_schema, notnull) for _, expr, _ in outputs]
+            # A selection compresses only the columns an output reads.
+            reads = set()
+            for out in self.batch_outs:
+                reads.update((out,) if type(out) is int else out.reads)
+            self.compressed = [i in reads for i in range(len(self.columns))]
         # Fused-page memo: scans with the same signature (same table,
         # projection, fused expressions, cost factor — the identity the
         # sharing layer itself keys on) reuse each decoded + filtered
@@ -104,23 +115,33 @@ class ScanOperator(BatchOperator):
 
     # -- page transforms -------------------------------------------------
 
-    def _page_cost_batch(self, batch):
-        """CPU cost of one columnar page and its transformed batch."""
+    def _page_cost_batch(self, slices):
+        """The CPU cost of one page (its column slices) and the page as
+        a transformed batch."""
         costs = self.ctx.costs
-        n = batch._n
+        n = len(slices[0])
         cost = costs.scan_tuple * n
+        outs = self.batch_outs
+        cols, kept = slices, n
         if self.batch_pred is not None:
             cost += costs.filter_tuple * self.cost_factor * n
-            flags = self.batch_pred(batch.columns, n)
-            kept = sum(map(bool, flags))
-            batch = batch.select(flags, kept)
-        if self.batch_outs is not None and len(batch):
-            kept = len(batch)
-            cost += costs.project_tuple * self.cost_factor * kept * len(self.batch_outs)
-            cols = batch.columns
-            # Tuples, like the slices: this batch is parked in the memo.
-            batch = RowBatch.from_columns([tuple(fn(cols, kept)) for fn in self.batch_outs], kept)
-        return cost, batch
+            flags = self.batch_pred(slices, n)
+            kept = flags.count(True)
+            if outs is None:
+                return cost, RowBatch.from_columns(slices, n).select(flags, kept)
+            if not kept:
+                return cost, RowBatch.from_columns([()] * len(outs), 0)
+            if kept < n:
+                cols = [
+                    tuple(compress(col, flags)) if read else None
+                    for col, read in zip(slices, self.compressed)
+                ]
+        if outs is None:
+            return cost, RowBatch.from_columns(slices, n)
+        cost += costs.project_tuple * self.cost_factor * kept * len(outs)
+        # Tuples, like the slices: this batch is parked in the memo.
+        columns = [cols[out] if type(out) is int else tuple(out(cols, kept)) for out in outs]
+        return cost, RowBatch.from_columns(columns, kept)
 
     def _load_page(self, index):
         """One physical page as a transformed batch plus its CPU cost."""
@@ -129,8 +150,7 @@ class ScanOperator(BatchOperator):
         if hit is not None:
             return hit
         slices = self.table.column_slices(index, self.columns, self.ctx.page_rows)
-        batch = RowBatch.from_columns(slices, len(slices[0]))
-        result = self._page_cost_batch(batch)
+        result = self._page_cost_batch(slices)
         memo[index] = result
         return result
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import compress
+from operator import itemgetter
 from typing import Any, Callable, Iterator, Optional, Sequence
 
 from repro.errors import EngineError
@@ -135,7 +136,10 @@ class RowBatch:
         return rows
 
     def column(self, index: int) -> Sequence[Any]:
-        """One materialized column (selection applied)."""
+        """One materialized column (selection applied). A row-backed
+        batch takes just that column from its rows and stays row-backed."""
+        if self._columns is None:
+            return tuple(map(itemgetter(index), self.rows))
         return self.columns[index]
 
     def __len__(self) -> int:

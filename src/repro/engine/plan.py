@@ -13,6 +13,11 @@ node carries:
 Constructors: :func:`scan`, :func:`filter_`, :func:`project`,
 :func:`aggregate`, :func:`sort`, :func:`hash_join`,
 :func:`nested_loop_join`, :func:`merge_join`.
+
+A node's *NOT NULL set* — the output positions that can hold no NULL —
+is not part of the node: it depends on the data, so :func:`not_null`
+derives it from the tables' ingest facts when a stage is built, and
+the stage compiles its kernels against it.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from typing import Any, Mapping, Optional, Sequence
 from repro.errors import PlanError
 from repro.storage.catalog import Catalog
 from repro.storage.schema import Column, DataType, Schema
-from repro.engine.expressions import Expr, compile_batch
+from repro.engine.expressions import Expr, check_batch
 
 __all__ = [
     "PlanNode",
@@ -39,6 +44,7 @@ __all__ = [
     "nested_loop_join",
     "merge_join",
     "find_node",
+    "not_null",
 ]
 
 JOIN_TYPES = ("inner", "semi", "anti", "left")
@@ -161,13 +167,13 @@ def scan(
     cols = tuple(base_schema.names())
     sig_parts = [f"scan({table};{','.join(cols)}"]
     if predicate is not None:
-        compile_batch(predicate, base_schema)
+        check_batch(predicate, base_schema)
         sig_parts.append(f";where={predicate.signature()}")
     if outputs is not None:
         if not outputs:
             raise PlanError("fused scan outputs must be non-empty if given")
         for _, expr, _ in outputs:
-            compile_batch(expr, base_schema)
+            check_batch(expr, base_schema)
         schema = Schema([Column(n, d) for n, _, d in outputs])
         sig_parts.append(
             ";emit=" + ",".join(f"{n}={e.signature()}" for n, e, _ in outputs)
@@ -203,7 +209,7 @@ def filter_(
         raise PlanError(f"cost_factor must be > 0, got {cost_factor!r}")
     # Validate early: column references, and that the stage can lower
     # every node — so a bad plan fails here, before anything is spawned.
-    compile_batch(predicate, child.schema)
+    check_batch(predicate, child.schema)
     signature = (
         f"filter({predicate.signature()};x{cost_factor};{child.signature})"
     )
@@ -226,7 +232,7 @@ def project(
     if not outputs:
         raise PlanError("project requires at least one output column")
     for _, expr, _ in outputs:
-        compile_batch(expr, child.schema)
+        check_batch(expr, child.schema)
     schema = Schema([Column(name, dtype) for name, expr, dtype in outputs])
     sig_cols = ",".join(
         f"{name}={expr.signature()}" for name, expr, _ in outputs
@@ -249,7 +255,7 @@ def aggregate(
         child.schema.index_of(key)
     for spec in aggs:
         if spec.expr is not None:
-            compile_batch(spec.expr, child.schema)
+            check_batch(spec.expr, child.schema)
     columns = [Column(k, child.schema.dtype_of(k)) for k in group_by]
     columns += [Column(spec.name, spec.output_dtype()) for spec in aggs]
     schema = Schema(columns)
@@ -408,3 +414,62 @@ def merge_join(
         signature,
         op_id,
     )
+
+
+def not_null(node: PlanNode, catalog: Catalog) -> frozenset[int]:
+    """The output positions of ``node`` that can hold no NULL.
+
+    Derived from the tables' ingest facts as they stand now
+    (:meth:`~repro.storage.table.Table.not_null`), so stages call it
+    when they are built: an ingest that adds a NULL changes the next
+    stage's kernels. Scans carry the table's facts through their fused
+    outputs and projections decide per expression
+    (:meth:`~repro.engine.expressions.Expr.nullable`); filter, sort and
+    limit keep their child's set; an inner join keeps both sides, a
+    semi, anti or left join the probe side only. An aggregate keeps its
+    NOT NULL group keys and ``count``, plus grouped sum/avg/min/max
+    over NOT NULL inputs (a group has at least one row); a global
+    aggregate's other outputs stay nullable — an empty input is NULL.
+    """
+    kind = node.kind
+    params = node.params
+    if kind == "scan":
+        table = catalog.table(params["table"])
+        facts = table.not_null(params["columns"])
+        outputs = params["outputs"]
+        if outputs is None:
+            return facts
+        base = table.projected_schema(params["columns"])
+        return frozenset(
+            i for i, (_, expr, _) in enumerate(outputs) if not expr.nullable(base, facts)
+        )
+    if kind in ("filter", "sort", "limit"):
+        return not_null(node.children[0], catalog)
+    if kind == "project":
+        child = node.children[0]
+        facts = not_null(child, catalog)
+        return frozenset(
+            i
+            for i, (_, expr, _) in enumerate(params["outputs"])
+            if not expr.nullable(child.schema, facts)
+        )
+    if kind == "aggregate":
+        child = node.children[0]
+        facts = not_null(child, catalog)
+        keys = params["group_by"]
+        out = {i for i, key in enumerate(keys) if child.schema.index_of(key) in facts}
+        for i, spec in enumerate(params["aggs"], len(keys)):
+            if spec.func == "count" or (keys and not spec.expr.nullable(child.schema, facts)):
+                out.add(i)
+        return frozenset(out)
+    if kind == "hash_join":
+        build, probe = node.children
+        if params["join_type"] != "inner":
+            return not_null(probe, catalog)
+        left, right = probe, build  # probe columns come first
+    elif kind in ("merge_join", "nested_loop_join"):
+        left, right = node.children
+    else:
+        raise PlanError(f"not_null: unknown operator kind {kind!r}")
+    width = len(left.schema)
+    return not_null(left, catalog) | {width + i for i in not_null(right, catalog)}

@@ -39,6 +39,14 @@ from repro.sim.task import BLOCKED, DONE, FAILED, READY, RUNNING, Task
 __all__ = ["Simulator"]
 
 
+def _livelock(task: Task) -> SimulationError:
+    """The error for a task past its zero-time step budget."""
+    return SimulationError(
+        f"task {task.name!r} performed {task.zero_time_steps} requests "
+        "without consuming CPU; suspected zero-time livelock"
+    )
+
+
 class Simulator:
     """Event-driven multiprocessor executing cooperative tasks.
 
@@ -300,11 +308,7 @@ class Simulator:
                 if cost == 0:
                     task.zero_time_steps += 1
                     if task.zero_time_steps > max_zero:
-                        raise SimulationError(
-                            f"task {task.name!r} performed "
-                            f"{task.zero_time_steps} requests without "
-                            "consuming CPU; suspected zero-time livelock"
-                        )
+                        raise _livelock(task)
                     continue
                 busy = self.n_processors - len(idle)
                 memo = self._speed_memo
@@ -346,21 +350,13 @@ class Simulator:
                         self._refill_from_putters(q)
                     task.zero_time_steps += 1
                     if task.zero_time_steps > max_zero:
-                        raise SimulationError(
-                            f"task {task.name!r} performed "
-                            f"{task.zero_time_steps} requests without "
-                            "consuming CPU; suspected zero-time livelock"
-                        )
+                        raise _livelock(task)
                     continue
                 if q.closed:
                     value = CLOSED
                     task.zero_time_steps += 1
                     if task.zero_time_steps > max_zero:
-                        raise SimulationError(
-                            f"task {task.name!r} performed "
-                            f"{task.zero_time_steps} requests without "
-                            "consuming CPU; suspected zero-time livelock"
-                        )
+                        raise _livelock(task)
                     continue
                 q.waiting_getters.append(task)
                 task.state = BLOCKED
@@ -381,11 +377,7 @@ class Simulator:
                     self._enqueue(q, request.item)
                     task.zero_time_steps += 1
                     if task.zero_time_steps > max_zero:
-                        raise SimulationError(
-                            f"task {task.name!r} performed "
-                            f"{task.zero_time_steps} requests without "
-                            "consuming CPU; suspected zero-time livelock"
-                        )
+                        raise _livelock(task)
                     continue
                 q.waiting_putters.append((task, request.item))
                 task.state = BLOCKED
@@ -410,11 +402,7 @@ class Simulator:
                     self._make_ready(getter, CLOSED)
                 task.zero_time_steps += 1
                 if task.zero_time_steps > max_zero:
-                    raise SimulationError(
-                        f"task {task.name!r} performed "
-                        f"{task.zero_time_steps} requests without "
-                        "consuming CPU; suspected zero-time livelock"
-                    )
+                    raise _livelock(task)
                 continue
 
             if cls is Sleep:

@@ -148,33 +148,37 @@ class Schema:
             raise SchemaError(f"row has {len(row)} values, schema expects {len(self.columns)}")
         return tuple(col.dtype.validate(value, col.name) for col, value in zip(self.columns, row))
 
-    def validate_column(self, index: int, values: Sequence[Any]) -> Sequence[Any]:
+    def validate_column(self, index: int, values: Sequence[Any]) -> tuple[Sequence[Any], bool]:
         """Validate/coerce all of one column's values at once.
 
-        The set of types present is taken in C; when it is the column's
-        stored type alone (NULLs aside) ``values`` is returned as it
-        came. Only a column that needs coercion (ints in ``FLOAT``,
-        ``date`` objects in ``DATE``) or holds a bad value (a ``bool``
-        in ``INT``, a ``str`` in ``FLOAT``) is walked value by value
-        through :meth:`DataType.validate`, which coerces and raises
-        exactly as :meth:`validate_row` does.
+        Returns the stored values and whether any of them is NULL.
+        The set of types present is taken in C — it answers the NULL
+        question too; when it is the column's stored type alone (NULLs
+        aside) ``values`` is returned as it came. Only a column that
+        needs coercion (ints in ``FLOAT``, ``date`` objects in ``DATE``)
+        or holds a bad value (a ``bool`` in ``INT``, a ``str`` in
+        ``FLOAT``) is walked value by value through
+        :meth:`DataType.validate`, which coerces and raises exactly as
+        :meth:`validate_row` does (and maps NULL, and only NULL, to NULL).
         """
         column = self.columns[index]
         kinds = set(map(type, values))
+        has_null = _NULL_TYPE in kinds
         kinds.discard(_NULL_TYPE)
         if kinds <= {_STORED_TYPE[column.dtype]}:
-            return values
+            return values, has_null
         validate, name = column.dtype.validate, column.name
-        return [validate(value, name) for value in values]
+        return [validate(value, name) for value in values], has_null
 
-    def validate_rows(self, rows: Sequence[Sequence[Any]]) -> list[Sequence[Any]]:
+    def validate_rows(self, rows: Sequence[Sequence[Any]]) -> list[tuple[Sequence[Any], bool]]:
         """Transpose ``rows`` once and validate column-wise.
 
-        Returns one sequence of stored values per schema column. The
-        arity of every row is checked before any value is (the first
-        row of the wrong length is the one reported); values are then
-        checked a column at a time, so with several bad values the
-        error names the first bad *column*, not the first bad row.
+        Returns, per schema column, its stored values and whether any
+        is NULL (:meth:`validate_column`). The arity of every row is
+        checked before any value is (the first row of the wrong length
+        is the one reported); values are then checked a column at a
+        time, so with several bad values the error names the first bad
+        *column*, not the first bad row.
         """
         width = len(self.columns)
         if set(map(len, rows)) - {width}:

@@ -80,6 +80,9 @@ class Table:
         # next read; readers go through ``_sealed()``, never this.
         self._columns: list[Sequence[Any]] = [() for _ in schema.columns]
         self._is_sealed = True
+        # Per column: has any stored value ever been NULL? Set at
+        # ingest, never cleared (the table is append-only).
+        self._has_null = [False] * len(schema.columns)
         # Decoded-page cache for the scan stage: per
         # (projection, page_rows) key, the lazily filled list of column
         # slices of each page. Cleared on ingest, evicted whole (least
@@ -107,6 +110,8 @@ class Table:
         Column-wise (:meth:`Schema.validate_rows`) and all-or-nothing:
         every column is validated before any is extended, so a
         :class:`~repro.errors.SchemaError` leaves the table as it was.
+        The same pass records which columns now hold a NULL
+        (:meth:`not_null`).
         """
         if not isinstance(rows, (list, tuple)):
             rows = list(rows)
@@ -116,8 +121,9 @@ class Table:
         if self._is_sealed:
             self._columns = [list(column) for column in self._columns]
             self._is_sealed = False
-        for column, values in zip(self._columns, stored):
-            column.extend(values)
+        for i, (values, has_null) in enumerate(stored):
+            self._columns[i].extend(values)
+            self._has_null[i] |= has_null
         _forget(self._serial, self._page_cache)
 
     def _sealed(self) -> list[tuple[Any, ...]]:
@@ -134,6 +140,17 @@ class Table:
     def column(self, name: str) -> tuple[Any, ...]:
         """One whole column, as the tuple the table stores."""
         return self._sealed()[self.schema.index_of(name)]
+
+    def not_null(self, columns: Sequence[str] | None = None) -> frozenset[int]:
+        """Positions in ``columns`` (every column when ``None``) whose
+        stored values include no NULL — as of now: an ingest that stores
+        a NULL takes its column out for good."""
+        if columns is None:
+            flags = self._has_null
+        else:
+            index_of = self.schema.index_of
+            flags = [self._has_null[index_of(name)] for name in columns]
+        return frozenset(i for i, has_null in enumerate(flags) if not has_null)
 
     def row(self, i: int) -> tuple[Any, ...]:
         if not (0 <= i < len(self)):
