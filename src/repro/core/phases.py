@@ -23,7 +23,6 @@ sequence, so a query's response time is the sum of its phase times —
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from repro.core import metrics
 from repro.core.contention import ContentionLike
@@ -261,6 +260,3 @@ class PhasedQuery:
             metrics.total_work(phase.query) * phase.volume for phase in self.phases
         )
 
-
-def _phase_names(phases: Sequence[Phase]) -> list[str]:
-    return [phase.query.label for phase in phases]

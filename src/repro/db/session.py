@@ -427,19 +427,19 @@ class Session:
         door ends a batch: :meth:`run_all` once its results hold what
         they report, a ``Server`` after each serve call.
 
-        Drops the broker's closed grants, the simulator's finished
+        Drops the broker's closed grants and the simulator's finished
         prefix of tasks (its stage sums stay in the fold — see
-        :func:`~repro.engine.stats.retire_finished`) and the engine's
-        done groups, handles and group task lists. Every counter stays
-        cumulative (``sim.tasks`` and ``sim.completions`` included), so
-        a long-lived session's memory stays flat; :attr:`results` and
-        the audit log are the history it keeps. A hand-driven engine
-        never calls this and keeps everything.
+        :func:`~repro.engine.stats.retire_finished`). The engine keeps
+        no finished work of its own: a group's handles and tasks live
+        on its ``GroupHandle``, which the coordinator lets go of when
+        the group drains. Every counter stays cumulative
+        (``sim.tasks`` and ``sim.completions`` included), so a
+        long-lived session's memory stays flat; :attr:`results` and the
+        audit log are the history it keeps.
         """
         if self.engine.memory is not None:
             self.engine.memory.forget_closed()
         retire_finished(self.sim)
-        self.engine.retire_done()
 
     def execution_settings(self, query: Union[Query, TpchQuery]) -> tuple[Optional[int], int]:
         """The exchange batch size (``None`` = the page geometry) and

@@ -211,11 +211,14 @@ class QueryHandle:
 
 @dataclass
 class GroupHandle:
-    """One execution of a (possibly singleton) sharing group."""
+    """One execution of a (possibly singleton) sharing group: its
+    members' handles and its stage tasks (sinks excluded) in spawn
+    order, which the engine keeps no other reference to."""
 
     group_id: int
     pivot_op_id: Optional[str]
     handles: list[QueryHandle]
+    tasks: list = field(default_factory=list, repr=False)
 
     @property
     def size(self) -> int:

@@ -4,7 +4,8 @@ The package lowers a serial plan to a ``dop``-way parallel task graph
 (Gamma-style): fragmented page-range scans, hash exchanges, partition-
 wise joins and aggregates, and deterministic gathers. Entry point is
 :func:`~repro.engine.parallel.builder.build_parallel_query`, reached
-through ``Engine.execute(plan, dop=...)``.
+through ``Engine.execute_group([plan], None, dop=...)`` (and
+``Engine.execute(plan, label, dop=...)``, its group-of-one shorthand).
 """
 
 from repro.engine.parallel.builder import (

@@ -110,15 +110,11 @@ def find_region(plan: PlanNode) -> Optional[tuple[PlanNode, str]]:
         node = node.children[0]
 
 
-def _spawn(engine, task_gen, name: str, group: str):
-    task = engine.sim.spawn(task_gen, name=name, group=group)
-    engine._task_counter += 1
-    if engine._collect_tasks is not None:
-        engine._collect_tasks.append(task)
-    return task
+def _spawn(engine, tasks, task_gen, name: str, group: str):
+    tasks.append(engine.sim.spawn(task_gen, name=name, group=group))
 
 
-def _build_fragment_chains(engine, chain_root, scan_node, dop, prefix, ctx):
+def _build_fragment_chains(engine, tasks, chain_root, scan_node, dop, prefix, ctx):
     """Per-fragment pipelines (range scan + streaming chain clones).
 
     Returns one output queue per fragment, sized for deferred draining
@@ -140,6 +136,7 @@ def _build_fragment_chains(engine, chain_root, scan_node, dop, prefix, ctx):
         queue = engine.sim.queue(f"{fprefix}:{scan_node.op_id}->out0", capacity)
         _spawn(
             engine,
+            tasks,
             drive(FragmentScanOperator(scan_node, ctx, [queue], lo, hi), []),
             f"{fprefix}/{scan_node.op_id}",
             fprefix,
@@ -155,6 +152,7 @@ def _build_fragment_chains(engine, chain_root, scan_node, dop, prefix, ctx):
             )
             _spawn(
                 engine,
+                tasks,
                 build_operator_task(stage_node, [queue], [out_q], ctx),
                 f"{fprefix}/{stage_node.op_id}",
                 fprefix,
@@ -164,7 +162,7 @@ def _build_fragment_chains(engine, chain_root, scan_node, dop, prefix, ctx):
     return outs
 
 
-def _build_exchanges(engine, child, frag_qs, key_idx, dop, prefix, region_op_id, ctx):
+def _build_exchanges(engine, tasks, child, frag_qs, key_idx, dop, prefix, region_op_id, ctx):
     """One exchange per fragment; returns queues[consumer][producer]."""
     partition_qs: list[list[SimQueue]] = [[] for _ in range(dop)]
     for index, frag_q in enumerate(frag_qs):
@@ -178,6 +176,7 @@ def _build_exchanges(engine, child, frag_qs, key_idx, dop, prefix, region_op_id,
         exchange = ExchangeOperator(child, ctx, outs, key_idx)
         _spawn(
             engine,
+            tasks,
             drive(exchange, [frag_q]),
             f"{prefix}.f{index}/{region_op_id}.exchange",
             f"{prefix}.f{index}",
@@ -187,23 +186,23 @@ def _build_exchanges(engine, child, frag_qs, key_idx, dop, prefix, region_op_id,
     return partition_qs
 
 
-def _build_scan_gather(engine, scan_node, dop, prefix, ctx):
-    frag_qs = _build_fragment_chains(engine, scan_node, scan_node, dop, prefix, ctx)
+def _build_scan_gather(engine, tasks, scan_node, dop, prefix, ctx):
+    frag_qs = _build_fragment_chains(engine, tasks, scan_node, scan_node, dop, prefix, ctx)
     out_q = engine.sim.queue(
         f"{prefix}:{scan_node.op_id}.gather->out0", engine.queue_capacity
     )
     gather = GatherOperator(scan_node, ctx, [out_q], len(frag_qs))
-    _spawn(engine, drive(gather, frag_qs), f"{prefix}/{scan_node.op_id}.gather", prefix)
+    _spawn(engine, tasks, drive(gather, frag_qs), f"{prefix}/{scan_node.op_id}.gather", prefix)
     return out_q
 
 
-def _build_partition_aggregate(engine, region, dop, prefix, ctx):
+def _build_partition_aggregate(engine, tasks, region, dop, prefix, ctx):
     child = region.children[0]
     scan_node = _scan_leaf(child)
-    frag_qs = _build_fragment_chains(engine, child, scan_node, dop, prefix, ctx)
+    frag_qs = _build_fragment_chains(engine, tasks, child, scan_node, dop, prefix, ctx)
     key_idx = [child.schema.index_of(name) for name in region.params["group_by"]]
     partition_qs = _build_exchanges(
-        engine, child, frag_qs, key_idx, dop, prefix, region.op_id, ctx
+        engine, tasks, child, frag_qs, key_idx, dop, prefix, region.op_id, ctx
     )
     agg_qs = []
     for j in range(dop):
@@ -213,6 +212,7 @@ def _build_partition_aggregate(engine, region, dop, prefix, ctx):
         aggregate = AggregateOperator(region, ctx, [out_q])
         _spawn(
             engine,
+            tasks,
             drive_fanin(aggregate, [(0, partition_qs[j])]),
             f"{prefix}.p{j}/{region.op_id}",
             f"{prefix}.p{j}",
@@ -236,11 +236,11 @@ def _build_partition_aggregate(engine, region, dop, prefix, ctx):
         lambda row: _sort_key(row[:key_width]),
         ctx.costs.sort_tuple,
     )
-    _spawn(engine, merge, f"{prefix}/{region.op_id}.merge", prefix)
+    _spawn(engine, tasks, merge, f"{prefix}/{region.op_id}.merge", prefix)
     return out_q
 
 
-def _build_partition_join(engine, region, dop, prefix, ctx):
+def _build_partition_join(engine, tasks, region, dop, prefix, ctx):
     build_child, probe_child = region.children
     sides = []
     for tag, child, key_name in (
@@ -249,13 +249,12 @@ def _build_partition_join(engine, region, dop, prefix, ctx):
     ):
         scan_node = _scan_leaf(child)
         frag_qs = _build_fragment_chains(
-            engine, child, scan_node, dop, f"{prefix}.{tag}", ctx
+            engine, tasks, child, scan_node, dop, f"{prefix}.{tag}", ctx
         )
         key_idx = [child.schema.index_of(key_name)]
         sides.append(
             _build_exchanges(
-                engine, child, frag_qs, key_idx, dop,
-                f"{prefix}.{tag}", region.op_id, ctx,
+                engine, tasks, child, frag_qs, key_idx, dop, f"{prefix}.{tag}", region.op_id, ctx
             )
         )
     build_parts, probe_parts = sides
@@ -267,6 +266,7 @@ def _build_partition_join(engine, region, dop, prefix, ctx):
         join = HashJoinOperator(region, ctx, [out_q])
         _spawn(
             engine,
+            tasks,
             drive_fanin(join, [(0, build_parts[j]), (1, probe_parts[j])]),
             f"{prefix}.p{j}/{region.op_id}",
             f"{prefix}.p{j}",
@@ -276,33 +276,30 @@ def _build_partition_join(engine, region, dop, prefix, ctx):
         f"{prefix}:{region.op_id}.gather->out0", engine.queue_capacity
     )
     gather = GatherOperator(region, ctx, [out_q], dop)
-    _spawn(engine, drive(gather, join_qs), f"{prefix}/{region.op_id}.gather", prefix)
+    _spawn(engine, tasks, drive(gather, join_qs), f"{prefix}/{region.op_id}.gather", prefix)
     return out_q
 
 
-def build_parallel_query(engine, plan, dop, prefix, ctx):
-    """Spawn the parallel task graph; returns the root output queue.
+def build_parallel_query(engine, plan, dop, prefix, ctx, tasks):
+    """Spawn the parallel task graph, appending each stage task to
+    ``tasks``; returns the root output queue.
 
-    ``None`` when the plan has no parallelizable region — the caller
-    falls back to serial execution.
+    ``None`` when the plan has no parallelizable region (nothing is
+    spawned) — the caller falls back to serial execution.
     """
     found = find_region(plan)
     if found is None:
         return None
     region, strategy = found
     if strategy == "scan":
-        region_q = _build_scan_gather(engine, region, dop, prefix, ctx)
+        region_q = _build_scan_gather(engine, tasks, region, dop, prefix, ctx)
     elif strategy == "aggregate":
-        region_q = _build_partition_aggregate(engine, region, dop, prefix, ctx)
+        region_q = _build_partition_aggregate(engine, tasks, region, dop, prefix, ctx)
     else:
-        region_q = _build_partition_join(engine, region, dop, prefix, ctx)
+        region_q = _build_partition_join(engine, tasks, region, dop, prefix, ctx)
     if region.op_id == plan.op_id:
         return region_q
     (root_q,) = engine._build_subplan(
-        plan,
-        consumers=1,
-        prefix=prefix,
-        substitutions={region.op_id: region_q},
-        ctx=ctx,
+        plan, 1, prefix, tasks, ctx, substitutions={region.op_id: region_q}
     )
     return root_q

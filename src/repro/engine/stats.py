@@ -107,7 +107,7 @@ def stage_rows(source: Simulator | Iterable[Task]) -> list[tuple[str, list]]:
 
     ``source`` is a simulator (all its tasks, folded incrementally —
     :class:`StageFold`) or an explicit task iterable (e.g. one group's
-    tasks from ``Engine.group_tasks``, folded from scratch).
+    ``GroupHandle.tasks``, folded from scratch).
 
     ``io`` is the portion of ``busy`` the stage spent stalled on
     storage (tagged by ``Compute(io=...)``) — nonzero only for stages

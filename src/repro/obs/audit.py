@@ -172,9 +172,6 @@ class AuditLog:
         self._records.append(record)
         return record
 
-    def for_query(self, name: str) -> tuple[AuditRecord, ...]:
-        return tuple(r for r in self._records if r.query == name)
-
     def joined_records(self) -> tuple[AuditRecord, ...]:
         """Records whose measurement has been joined."""
         return tuple(r for r in self._records if r.joined)

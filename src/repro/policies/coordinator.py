@@ -59,7 +59,7 @@ from typing import Callable, Optional
 
 from repro.core.decision import ShareDecision
 from repro.engine.engine import Engine
-from repro.engine.packet import QueryHandle
+from repro.engine.packet import GroupHandle, QueryHandle
 from repro.errors import PolicyError
 from repro.obs.audit import AuditLog, AuditRecord
 from repro.policies.base import SharingPolicy
@@ -133,7 +133,8 @@ class SharingCoordinator:
         self.session = session
         self._slots: dict[tuple, _Slot] = {}
         self._active_members: dict[int, int] = {}
-        self._launched: dict[int, tuple[str, int]] = {}  # group -> name, size
+        # group id -> (query name, GroupHandle) until the group drains
+        self._launched: dict[int, tuple[str, GroupHandle]] = {}
         # seq -> [members running, pool misses at decision, members]
         self._open: dict[int, list] = {}
         self._arrivals: list[Submission] = []
@@ -415,33 +416,21 @@ class SharingCoordinator:
         """The one launch site. A singleton runs at its own dop unless
         ``serial``; a group shares at the pivot and never fragments."""
         first = batch[0]
-        callbacks = [self._wrap(slot, entry) for entry in batch]
-        if len(batch) == 1 and first.dop > 1 and not serial:
-            handles = [
-                self.engine.execute(
-                    first.query.plan,
-                    first.label,
-                    on_complete=callbacks[0],
-                    batch_rows=first.batch_rows,
-                    dop=first.dop,
-                )
-            ]
-        else:
-            handles = self.engine.execute_group(
-                [entry.query.plan for entry in batch],
-                pivot_op_id=first.query.pivot_op_id if len(batch) > 1 else None,
-                labels=[entry.label for entry in batch],
-                on_complete=callbacks,
-                batch_rows=first.batch_rows,
-            ).handles
         size = len(batch)
-        for entry, handle in zip(batch, handles):
+        group = self.engine.execute_group(
+            [entry.query.plan for entry in batch],
+            pivot_op_id=first.query.pivot_op_id if size > 1 else None,
+            labels=[entry.label for entry in batch],
+            on_complete=[self._wrap(slot, entry) for entry in batch],
+            batch_rows=first.batch_rows,
+            dop=1 if serial else first.dop,
+        )
+        for entry, handle in zip(batch, group.handles):
             entry.handle = handle
             entry.group_size = size
-        group_id = handles[0].group_id
-        slot.active_groups.add(group_id)
-        self._active_members[group_id] = size
-        self._launched[group_id] = (first.query.name, size)
+        slot.active_groups.add(group.group_id)
+        self._active_members[group.group_id] = size
+        self._launched[group.group_id] = (first.query.name, group)
         self.launched_group_sizes.append(size)
 
     def _wrap(self, slot: _Slot, entry: Submission) -> Callable[[QueryHandle], None]:
@@ -479,9 +468,8 @@ class SharingCoordinator:
         self._launch_capped(slot, pending)
 
     def _notify_policy(self, handle: QueryHandle) -> None:
-        """Feed the completed group back to learning policies. The
-        group's task list is read here once, so it leaves the engine."""
-        tasks = self.engine.group_tasks.pop(handle.group_id, None)
-        query_name, group_size = self._launched.pop(handle.group_id)
-        if self.policy is not None and tasks is not None:
-            self.policy.observe_group(query_name, group_size, tasks)
+        """Feed the drained group's stage tasks back to learning
+        policies; the coordinator lets go of the group here."""
+        query_name, group = self._launched.pop(handle.group_id)
+        if self.policy is not None:
+            self.policy.observe_group(query_name, group.size, group.tasks)

@@ -160,10 +160,6 @@ class ServerReport:
     records: Tuple[ServedQuery, ...]
 
     @property
-    def shed_fraction(self) -> float:
-        return self.shed / self.submitted if self.submitted else 0.0
-
-    @property
     def max_group_size(self) -> int:
         return max(self.launched_group_sizes, default=0)
 

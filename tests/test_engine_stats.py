@@ -54,8 +54,8 @@ class TestStageReport:
         assert all(op_id != "sink" for op_id, _ in stage_rows(sim))
 
     def test_group_task_source(self, run):
-        sim, engine, group, query = run
-        rows = dict(stage_rows(engine.group_tasks[group.group_id]))
+        sim, _, group, query = run
+        rows = dict(stage_rows(group.tasks))
         assert rows[query.pivot][1] > 0
         # The group is the whole run: a fold from scratch over its
         # tasks equals the simulator's resumable one.

@@ -39,7 +39,7 @@ def run_group(catalog, query, m, processors=8):
         group = engine.execute_group([query.plan] * m,
                                      pivot_op_id=query.pivot)
     sim.run()
-    return engine.group_tasks[group.group_id]
+    return group.tasks
 
 
 class TestOnlineEstimator:

@@ -197,6 +197,32 @@ class TestAnswerParity:
         assert _run(plan, dop=4) == _run(plan)
 
 
+class TestExecuteGroup:
+    """``Engine.execute_group`` is the one lowering: a group of one at
+    ``dop > 1`` fragments its region, and its tasks ride the group."""
+
+    @staticmethod
+    def _group(plan, dop=1):
+        sim = Simulator(processors=4)
+        group = Engine(CATALOG, sim).execute_group([plan], None, dop=dop)
+        sim.run()
+        return group
+
+    def test_parallel_group_owns_its_exchange_tasks(self):
+        group = self._group(_agg_plan(), dop=4)
+        names = [task.name for task in group.tasks]
+        assert sum(name.endswith(".exchange") for name in names) == 4
+        assert sum(name.endswith(".merge") for name in names) == 1
+        assert not any(name.endswith("/sink") for name in names)
+        assert group.handles[0].rows == self._group(_agg_plan()).handles[0].rows
+
+    def test_plan_without_region_builds_the_serial_tasks(self):
+        plan = limit(_join_plan(), 25)
+        parallel, serial = self._group(plan, dop=4), self._group(plan)
+        assert [t.name for t in parallel.tasks] == [t.name for t in serial.tasks]
+        assert parallel.handles[0].rows == serial.handles[0].rows
+
+
 class TestValidation:
     def test_engine_rejects_bad_dop(self):
         sim = Simulator(processors=2)

@@ -94,6 +94,8 @@ class TestModelGuidedPolicy:
 class TestCoordinator:
     def run_workload(self, catalog, policy, n_submissions=8, processors=4,
                      max_group_size=None):
+        """Run ``n_submissions`` Q6s; returns the coordinator and the
+        finished query handles in completion order."""
         sim = Simulator(processors=processors)
         engine = Engine(catalog, sim)
         coordinator = SharingCoordinator(engine, policy,
@@ -101,23 +103,24 @@ class TestCoordinator:
         query = build("q6", catalog)
         done = []
         for i in range(n_submissions):
-            coordinator.submit(query, f"q6#{i}",
-                               on_complete=lambda h: done.append(h.label))
+            coordinator.submit(query, f"q6#{i}", on_complete=done.append)
         sim.run()
-        return engine, coordinator, done
+        return coordinator, done
 
     def test_never_share_launches_all_singletons(self, catalog):
-        engine, coord, done = self.run_workload(catalog, NeverShare())
+        coord, done = self.run_workload(catalog, NeverShare())
         assert len(done) == 8
-        assert all(g.size == 1 for g in engine.groups)
+        assert coord.launched_group_sizes == [1] * 8
+        assert len({h.group_id for h in done}) == 8
         assert coord.solo_submissions == 8
 
     def test_always_share_merges_simultaneous_arrivals(self, catalog):
         # Eight queries submitted at the same instant route as ONE
         # merged group — packets arriving together in a stage queue.
-        engine, coord, done = self.run_workload(catalog, AlwaysShare())
+        coord, done = self.run_workload(catalog, AlwaysShare())
         assert len(done) == 8
-        assert sorted(g.size for g in engine.groups) == [8]
+        assert coord.launched_group_sizes == [8]
+        assert len({h.group_id for h in done}) == 1
         assert coord.shared_submissions == 8
 
     def test_always_share_batches_behind_active_group(self, catalog):
@@ -135,34 +138,38 @@ class TestCoordinator:
         sim.run()
         assert len(done) == 8
         # The first runs alone; the stragglers merge behind it.
-        assert sorted(g.size for g in engine.groups) == [1, 7]
+        assert sorted(coordinator.launched_group_sizes) == [1, 7]
         assert coordinator.shared_submissions == 7
 
     def test_max_group_size_splits_batches(self, catalog):
-        engine, _, done = self.run_workload(catalog, AlwaysShare(),
-                                            max_group_size=3)
+        coord, done = self.run_workload(catalog, AlwaysShare(),
+                                        max_group_size=3)
         assert len(done) == 8
-        assert max(g.size for g in engine.groups) <= 3
+        assert max(coord.launched_group_sizes) <= 3
 
     def test_results_identical_across_policies(self, catalog):
-        _, _, done_never = self.run_workload(catalog, NeverShare())
-        engine_a, _, done_always = self.run_workload(catalog, AlwaysShare())
+        _, done_never = self.run_workload(catalog, NeverShare())
+        _, done_always = self.run_workload(catalog, AlwaysShare())
         assert len(done_never) == len(done_always) == 8
-        reference = engine_a.handles[0].rows
-        assert all(h.rows == reference for h in engine_a.handles)
+        reference = done_always[0].rows
+        assert all(h.rows == reference for h in done_always + done_never)
 
     def test_different_signatures_do_not_merge(self, catalog):
         sim = Simulator(processors=4)
         engine = Engine(catalog, sim)
         coordinator = SharingCoordinator(engine, AlwaysShare())
         q6, q4 = build("q6", catalog), build("q4", catalog)
+        done = []
         for i in range(3):
-            coordinator.submit(q6, f"q6#{i}")
-            coordinator.submit(q4, f"q4#{i}")
+            coordinator.submit(q6, f"q6#{i}", on_complete=done.append)
+            coordinator.submit(q4, f"q4#{i}", on_complete=done.append)
         sim.run()
-        for group in engine.groups:
-            names = {h.label.split("#")[0] for h in group.handles}
-            assert len(names) == 1
+        assert len(done) == 6
+        groups: dict = {}
+        for handle in done:
+            groups.setdefault(handle.group_id, []).append(handle.label.split("#")[0])
+        assert sorted(map(len, groups.values())) == sorted(coordinator.launched_group_sizes)
+        assert all(len(set(names)) == 1 for names in groups.values())
 
     def test_invalid_max_group_size(self, catalog):
         engine = Engine(catalog, Simulator(processors=2))

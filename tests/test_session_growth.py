@@ -4,14 +4,19 @@ Growth is a tier-1 property here, asserted on counts, not clocks (the
 style of ``conftest.walk_visits``): what one end-of-batch observation
 touches — tasks folded into the stage report, grant snapshots built,
 keys a result retains — is the same at batch 2 and batch 40, what a
-session or server keeps of finished work (tasks, handles, groups) is
-the same after round 2 as after the last, and the decoded-page memo
-of an ad-hoc session stays under its ceiling.
+session or server keeps of finished work (tasks, launched groups,
+open decision records) is the same after round 2 as after the last, a
+hand-driven engine keeps no finished group at all, and the
+decoded-page memo of an ad-hoc session stays under its ceiling.
 """
+
+import gc
+import weakref
 
 import pytest
 
 from repro.db import Database
+from repro.engine import Engine, aggregate, scan
 from repro.engine import stats as engine_stats
 from repro.engine.expressions import col, lt
 from repro.engine.memory import MemoryGrant
@@ -79,14 +84,14 @@ def observed(monkeypatch):
 
 
 def _retained(session):
-    """What a session holds of the work it has run: tasks, query and
-    group handles, and per-group task lists."""
-    engine = session.engine
+    """What a session holds of the work it has run: the simulator's
+    unretired tasks, and the coordinator's launched groups and open
+    decision records (each held until its last member finishes)."""
+    coordinator = session.coordinator
     return (
         len(session.sim.tasks),
-        len(engine.handles),
-        len(engine.groups),
-        len(engine.group_tasks),
+        len(coordinator._launched),
+        len(coordinator._open),
     )
 
 
@@ -122,8 +127,9 @@ def test_identical_batches_cost_the_same_to_observe(observed):
 
 def test_identical_serve_rounds_retain_the_same():
     """A ``Server`` is a long-lived session: every round's finished
-    tasks, handles and group task lists are retired at its end, while
-    ``sim.tasks`` and ``sim.completions`` keep counting every one."""
+    tasks are retired at its end and its drained groups let go of,
+    while ``sim.tasks`` and ``sim.completions`` keep counting every
+    one."""
     server = Server.open(_catalog(), "laptop", policy=AlwaysShare())
     session = server.session
     grouped = _grouped(session).build()
@@ -148,6 +154,28 @@ def test_identical_serve_rounds_retain_the_same():
     assert retained[1] == retained[7]
     # Four queries (one group of two, two solos) spawn 16 tasks a round.
     assert counted == [(16 * rounds, 16 * rounds) for rounds in range(1, 9)]
+
+
+def test_hand_driven_engine_keeps_no_finished_groups():
+    """An engine driven by hand, with no session to end its batches,
+    holds nothing of a query once the caller drops its group: the
+    group's handles and stage tasks live on the ``GroupHandle``."""
+    catalog = _catalog()
+    sim = Simulator(processors=2)
+    engine = Engine(catalog, sim)
+    plan = aggregate(scan(catalog, "t", columns=["g"]), ("g",), [AggSpec("count", "n")])
+    finished = []
+    groups = [
+        weakref.ref(engine.execute_group([plan], None, [f"q{i}"], finished.append))
+        for i in range(50)
+    ]
+    sim.run()
+    assert len(finished) == 50 and all(len(h.rows) == 7 for h in finished)
+    finished.clear()
+    engine_stats.retire_finished(sim)
+    gc.collect()
+    assert not sim.tasks
+    assert all(group() is None for group in groups)
 
 
 def _filled_cells(table):
