@@ -65,4 +65,4 @@ def build_operator_task(node, in_queues: Sequence[SimQueue],
             f"{node.kind} expects {operator_cls.ports} input queue(s), "
             f"got {len(in_queues)}"
         )
-    return drive(operator_cls(node, ctx, out_queues), in_queues)
+    return drive(operator_cls(node, ctx, out_queues), [[queue] for queue in in_queues])

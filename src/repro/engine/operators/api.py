@@ -15,11 +15,11 @@ its output queues, exposing four generator hooks —
   keeps the grant-accounting event order stable).
 
 :func:`drive` turns an operator instance into the simulator task the
-engine spawns: it opens the operator, drains each input port to
-``CLOSED`` (in :attr:`~BatchOperator.port_order`, so e.g. the nested-
-loop join reads its inner input first), and finishes. Every hook is a
-generator so operators yield :mod:`repro.sim.events` requests exactly
-where the cost model says the work happens.
+engine spawns: it opens the operator, drains each input port's queues
+to ``CLOSED`` (ports in :attr:`~BatchOperator.port_order`, so e.g. the
+nested-loop join reads its inner input first), and finishes. Every
+hook is a generator so operators yield :mod:`repro.sim.events`
+requests exactly where the cost model says the work happens.
 
 Operators receive :class:`~repro.engine.packet.RowBatch` payloads and
 emit through :class:`~repro.engine.stage.BatchEmitter` — whole batches
@@ -138,16 +138,23 @@ class BatchOperator:
         yield from self.emitter.close()
 
 
-def drive(op: BatchOperator, in_queues: Sequence[SimQueue]) -> Generator:
-    """The simulator task driving one operator instance."""
+def drive(op: BatchOperator, ports: Sequence[Sequence[SimQueue]]) -> Generator:
+    """The simulator task driving one operator instance.
+
+    ``ports`` holds one queue list per input port. A port's queues
+    drain in list order — a serial stage has one queue per port; a
+    parallel consumer reads ``dop`` fragment queues as one logical
+    port, in fragment order, which is what fixes its determinism — and
+    ``close_port`` fires once per port, after its last queue closes.
+    """
     yield from op.open()
-    order = op.port_order if op.port_order is not None else range(len(in_queues))
+    order = op.port_order if op.port_order is not None else range(len(ports))
     for port in order:
-        queue = in_queues[port]
-        while True:
-            batch = yield Get(queue)
-            if batch is CLOSED:
-                break
-            yield from op.next_batch(batch, port)
+        for queue in ports[port]:
+            while True:
+                batch = yield Get(queue)
+                if batch is CLOSED:
+                    break
+                yield from op.next_batch(batch, port)
         yield from op.close_port(port)
     yield from op.finish()

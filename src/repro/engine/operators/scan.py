@@ -76,12 +76,19 @@ def scan_rows(table, columns, predicate_fn=None, output_fns=None):
 
 
 class ScanOperator(BatchOperator):
-    """Source stage over one base table (0 input ports)."""
+    """Source stage over one base table (0 input ports).
+
+    ``pages`` — a ``(lo, hi)`` page range — makes it one fragment of a
+    parallel scan (:func:`~repro.engine.parallel.fragment.partition_ranges`):
+    it reads ``[lo, hi)`` in ascending order, on a ranged elevator
+    ticket when scans are shared. ``None`` scans the whole table.
+    """
 
     ports = 0
 
-    def __init__(self, node, ctx, out_queues):
+    def __init__(self, node, ctx, out_queues, pages=None):
         super().__init__(node, ctx, out_queues)
+        self.pages = pages
         self.table = ctx.catalog.table(node.params["table"])
         self.columns = list(node.params["columns"])
         base_schema = self.table.projected_schema(self.columns)
@@ -158,18 +165,27 @@ class ScanOperator(BatchOperator):
 
     def open(self):
         ctx = self.ctx
-        if ctx.scans is not None and ctx.pool is not None and len(self.table):
-            yield from self._elevator_scan()
+        n_pages = self.table.page_count(ctx.page_rows)
+        lo, hi = self.pages or (0, n_pages)
+        if ctx.scans is None or ctx.pool is None or hi == lo:
+            yield from self._sequential_scan(lo, hi)
+            return
+        if self.pages is None:
+            # Ride the table's shared elevator cursor from its head.
+            ticket = ctx.scans.attach(self.table.name, n_pages)
         else:
-            yield from self._sequential_scan()
+            # A ranged ticket walks [lo, hi) in order, whatever the head.
+            ticket = ctx.scans.attach(self.table.name, n_pages, start=lo, span=hi - lo)
+        yield from self._ride_elevator(ticket)
 
-    def _sequential_scan(self):
-        """The seed's scan: page 0 to the end, synchronous misses."""
+    def _sequential_scan(self, lo, hi):
+        """The seed's scan: pages ``lo`` to ``hi`` in order, synchronous
+        misses."""
         ctx = self.ctx
         pool = ctx.pool
         emitter = self.emitter
         name = self.table.name
-        for index in range(self.table.page_count(ctx.page_rows)):
+        for index in range(lo, hi):
             cost, batch = self._load_page(index)
             io = 0.0
             if pool is not None and not pool.access(table_page_key(name, index)):
@@ -178,18 +194,10 @@ class ScanOperator(BatchOperator):
             if batch._n:
                 yield from emitter.emit_batch(batch)
 
-    def _elevator_scan(self):
-        """Ride the table's shared elevator cursor (see shared_scan)."""
-        ticket = self.ctx.scans.attach(self.table.name, self.table.page_count(self.ctx.page_rows))
-        yield from self._ride_elevator(ticket)
-
     def _ride_elevator(self, ticket):
-        """The per-page elevator protocol over an attached ticket.
-
-        Shared with the parallel scan fragments, which attach *ranged*
-        tickets (fixed start offset, page-range span) to the same
-        cursor and therefore convoy with full scans of the table.
-        """
+        """The per-page elevator protocol over an attached ticket — a
+        full revolution from the head, or a fragment's ranged ticket on
+        the same cursor (so fragments convoy with full scans)."""
         ctx = self.ctx
         manager = ctx.scans
         emitter = self.emitter

@@ -1,8 +1,12 @@
 """Intra-query parallelism: exchange-partitioned operator fragments.
 
 The package lowers a serial plan to a ``dop``-way parallel task graph
-(Gamma-style): fragmented page-range scans, hash exchanges, partition-
-wise joins and aggregates, and deterministic gathers. Entry point is
+(Gamma-style): page-range scan fragments (ordinary scan operators over
+:func:`~repro.engine.parallel.fragment.partition_ranges`), hash
+exchanges, partition-wise joins and aggregates, and deterministic
+gathers — every stage driven by the one
+:func:`~repro.engine.operators.api.drive`, several queues to a port
+where fragments fan in. Entry point is
 :func:`~repro.engine.parallel.builder.build_parallel_query`, reached
 through ``Engine.execute_group([plan], None, dop=...)`` (and
 ``Engine.execute(plan, label, dop=...)``, its group-of-one shorthand).
@@ -17,19 +21,16 @@ from repro.engine.parallel.exchange import (
     EXCHANGE_SALT,
     ExchangeOperator,
     GatherOperator,
-    drive_fanin,
     ordered_merge,
 )
-from repro.engine.parallel.fragment import FragmentScanOperator, partition_ranges
+from repro.engine.parallel.fragment import partition_ranges
 
 __all__ = [
     "EXCHANGE_SALT",
     "FRAGMENT_QUEUE_CAPACITY",
     "ExchangeOperator",
-    "FragmentScanOperator",
     "GatherOperator",
     "build_parallel_query",
-    "drive_fanin",
     "find_region",
     "ordered_merge",
     "partition_ranges",

@@ -38,13 +38,9 @@ from repro.engine.operators import build_operator_task
 from repro.engine.operators.aggregate import AggregateOperator, _sort_key
 from repro.engine.operators.api import drive
 from repro.engine.operators.hash_join import HashJoinOperator
-from repro.engine.parallel.exchange import (
-    ExchangeOperator,
-    GatherOperator,
-    drive_fanin,
-    ordered_merge,
-)
-from repro.engine.parallel.fragment import FragmentScanOperator, partition_ranges
+from repro.engine.operators.scan import ScanOperator
+from repro.engine.parallel.exchange import ExchangeOperator, GatherOperator, ordered_merge
+from repro.engine.parallel.fragment import partition_ranges
 from repro.engine.plan import PlanNode
 from repro.engine.stage import BatchEmitter
 from repro.sim.queues import SimQueue
@@ -137,7 +133,7 @@ def _build_fragment_chains(engine, tasks, chain_root, scan_node, dop, prefix, ct
         _spawn(
             engine,
             tasks,
-            drive(FragmentScanOperator(scan_node, ctx, [queue], lo, hi), []),
+            drive(ScanOperator(scan_node, ctx, [queue], pages=(lo, hi)), []),
             f"{fprefix}/{scan_node.op_id}",
             fprefix,
         )
@@ -177,7 +173,7 @@ def _build_exchanges(engine, tasks, child, frag_qs, key_idx, dop, prefix, region
         _spawn(
             engine,
             tasks,
-            drive(exchange, [frag_q]),
+            drive(exchange, [[frag_q]]),
             f"{prefix}.f{index}/{region_op_id}.exchange",
             f"{prefix}.f{index}",
         )
@@ -191,8 +187,8 @@ def _build_scan_gather(engine, tasks, scan_node, dop, prefix, ctx):
     out_q = engine.sim.queue(
         f"{prefix}:{scan_node.op_id}.gather->out0", engine.queue_capacity
     )
-    gather = GatherOperator(scan_node, ctx, [out_q], len(frag_qs))
-    _spawn(engine, tasks, drive(gather, frag_qs), f"{prefix}/{scan_node.op_id}.gather", prefix)
+    gather = GatherOperator(scan_node, ctx, [out_q])
+    _spawn(engine, tasks, drive(gather, [frag_qs]), f"{prefix}/{scan_node.op_id}.gather", prefix)
     return out_q
 
 
@@ -213,7 +209,7 @@ def _build_partition_aggregate(engine, tasks, region, dop, prefix, ctx):
         _spawn(
             engine,
             tasks,
-            drive_fanin(aggregate, [(0, partition_qs[j])]),
+            drive(aggregate, [partition_qs[j]]),
             f"{prefix}.p{j}/{region.op_id}",
             f"{prefix}.p{j}",
         )
@@ -267,7 +263,7 @@ def _build_partition_join(engine, tasks, region, dop, prefix, ctx):
         _spawn(
             engine,
             tasks,
-            drive_fanin(join, [(0, build_parts[j]), (1, probe_parts[j])]),
+            drive(join, [build_parts[j], probe_parts[j]]),
             f"{prefix}.p{j}/{region.op_id}",
             f"{prefix}.p{j}",
         )
@@ -275,8 +271,8 @@ def _build_partition_join(engine, tasks, region, dop, prefix, ctx):
     out_q = engine.sim.queue(
         f"{prefix}:{region.op_id}.gather->out0", engine.queue_capacity
     )
-    gather = GatherOperator(region, ctx, [out_q], dop)
-    _spawn(engine, tasks, drive(gather, join_qs), f"{prefix}/{region.op_id}.gather", prefix)
+    gather = GatherOperator(region, ctx, [out_q])
+    _spawn(engine, tasks, drive(gather, [join_qs]), f"{prefix}/{region.op_id}.gather", prefix)
     return out_q
 
 

@@ -10,10 +10,10 @@ cooperating *fragments* connected by repartitioning queues:
   stage's emitter, which multiplexes every batch to every consumer).
   Rows leave each partition stream in input order, which is what the
   bit-identity argument below rests on.
-* :class:`GatherOperator` — deterministic fan-in: drains its input
-  ports strictly in port order and concatenates. For contiguous
-  page-range fragments this reproduces the serial scan's row order
-  exactly; for partition-wise joins it fixes a deterministic (if
+* :class:`GatherOperator` — deterministic fan-in: driven as one port
+  of ``dop`` queues, it drains them strictly in fragment order and
+  concatenates. For contiguous page-range fragments this reproduces
+  the serial scan's row order exactly; for partition-wise joins it fixes a deterministic (if
   different from serial) order, keeping the row *set* identical.
 * :func:`ordered_merge` — the k-way merge gather used above
   partition-wise aggregates: each partition emits its groups in
@@ -22,15 +22,15 @@ cooperating *fragments* connected by repartitioning queues:
   advances one received batch per step through
   :func:`~repro.engine.operators.sort.merge_spans`, the span kernel
   the external sort merges its runs with.
-* :func:`drive_fanin` — a :func:`~repro.engine.operators.api.drive`
-  variant that maps several physical input queues onto one logical
-  operator port (the partition-wise consumer reads ``dop`` partition
-  queues as its single logical input; the partition-wise join reads
-  ``dop`` build queues then ``dop`` probe queues). Queues of a
-  logical port drain sequentially in fragment order — with producer
-  fragments running concurrently into generously sized partition
-  queues, the drain order fixes determinism without serializing the
-  producers.
+
+Every consumer of fragments is an ordinary
+:func:`~repro.engine.operators.api.drive` over several queues per port
+(the partition-wise aggregate reads ``dop`` partition queues as its
+single port; the partition-wise join reads ``dop`` build queues then
+``dop`` probe queues). A port's queues drain sequentially in fragment
+order — with producer fragments running concurrently into generously
+sized partition queues, the drain order fixes determinism without
+serializing the producers.
 
 Why partition-wise aggregation is bit-identical to serial: the
 exchange assigns every group key to exactly one consumer fragment, a
@@ -59,7 +59,6 @@ __all__ = [
     "EXCHANGE_SALT",
     "ExchangeOperator",
     "GatherOperator",
-    "drive_fanin",
     "ordered_merge",
 ]
 
@@ -122,45 +121,19 @@ class ExchangeOperator(BatchOperator):
 class GatherOperator(BatchOperator):
     """Deterministic fan-in: concatenate fragments in port order.
 
-    Driven over ``dop`` input queues, it forwards every batch through
-    one ordinary emitter. :func:`~repro.engine.operators.api.drive`
-    drains the ports sequentially, so the output is the fragments'
+    Driven as one port of ``dop`` queues, it forwards every batch
+    through one ordinary emitter. :func:`~repro.engine.operators.api.drive`
+    drains the queues sequentially, so the output is the fragments'
     streams concatenated in fragment index order — deterministic, and
     order-preserving when the fragments cover contiguous page ranges.
     """
 
-    def __init__(self, node, ctx, out_queues, ports: int) -> None:
+    def __init__(self, node, ctx, out_queues) -> None:
         super().__init__(node, ctx, out_queues)
-        self.ports = ports
         self.make_emitter(len(node.schema))
 
     def next_batch(self, batch, port: int) -> Generator:
         yield from self.emitter.emit_batch(batch)
-
-
-def drive_fanin(
-    op: BatchOperator,
-    queue_groups: Sequence[tuple[int, Sequence[SimQueue]]],
-) -> Generator:
-    """Drive ``op`` with several physical queues per logical port.
-
-    ``queue_groups`` lists ``(logical_port, queues)`` in drain order.
-    Each logical port's queues drain sequentially (fragment order —
-    the determinism anchor); ``close_port`` fires once per logical
-    port, after its last queue closes, so stop-&-go operators (build
-    seal, aggregate finalize) see the same lifecycle as under
-    :func:`~repro.engine.operators.api.drive`.
-    """
-    yield from op.open()
-    for logical_port, queues in queue_groups:
-        for queue in queues:
-            while True:
-                batch = yield Get(queue)
-                if batch is CLOSED:
-                    break
-                yield from op.next_batch(batch, logical_port)
-        yield from op.close_port(logical_port)
-    yield from op.finish()
 
 
 def ordered_merge(

@@ -1,10 +1,12 @@
 """Fragmented parallel scans: one table, ``dop`` page ranges.
 
-A parallel scan splits the table's pages into contiguous ranges, one
-:class:`FragmentScanOperator` per range. Each fragment reads its range
-in ascending page order — the property every downstream determinism
-argument (order-preserving gather, bit-identical partition-wise
-aggregation) builds on.
+A parallel scan splits the table's pages into contiguous ranges with
+:func:`partition_ranges`, one
+:class:`~repro.engine.operators.scan.ScanOperator` per range (its
+``pages`` argument). Each fragment reads its range in ascending page
+order — the property every downstream determinism argument
+(order-preserving gather, bit-identical partition-wise aggregation)
+builds on.
 
 With a :class:`~repro.storage.shared_scan.ScanShareManager` attached,
 a fragment does not bypass the sharing layer: it attaches a *ranged*
@@ -18,11 +20,7 @@ full elevator scan's — never rotates.
 
 from __future__ import annotations
 
-from repro.engine.operators.scan import ScanOperator
-from repro.sim.events import Compute
-from repro.storage.buffer import table_page_key
-
-__all__ = ["FragmentScanOperator", "partition_ranges"]
+__all__ = ["partition_ranges"]
 
 
 def partition_ranges(n_pages: int, dop: int) -> list[tuple[int, int]]:
@@ -41,44 +39,3 @@ def partition_ranges(n_pages: int, dop: int) -> list[tuple[int, int]]:
         ranges.append((lo, hi))
         lo = hi
     return ranges
-
-
-class FragmentScanOperator(ScanOperator):
-    """A scan over one contiguous page range ``[page_lo, page_hi)``."""
-
-    def __init__(self, node, ctx, out_queues, page_lo: int, page_hi: int) -> None:
-        super().__init__(node, ctx, out_queues)
-        self.page_lo = page_lo
-        self.page_hi = page_hi
-
-    def open(self):
-        ctx = self.ctx
-        if (
-            ctx.scans is not None
-            and ctx.pool is not None
-            and self.page_hi > self.page_lo
-        ):
-            ticket = ctx.scans.attach(
-                self.table.name,
-                self.table.page_count(ctx.page_rows),
-                start=self.page_lo,
-                span=self.page_hi - self.page_lo,
-            )
-            yield from self._ride_elevator(ticket)
-        else:
-            yield from self._range_scan()
-
-    def _range_scan(self):
-        """Sequential reads over the fragment's range (no cursor)."""
-        ctx = self.ctx
-        pool = ctx.pool
-        emitter = self.emitter
-        name = self.table.name
-        for index in range(self.page_lo, self.page_hi):
-            cost, batch = self._load_page(index)
-            io = 0.0
-            if pool is not None and not pool.access(table_page_key(name, index)):
-                io = ctx.costs.io_page
-            yield Compute(cost + io, io=io)
-            if batch._n:
-                yield from emitter.emit_batch(batch)

@@ -59,7 +59,7 @@ from typing import Callable, Optional
 
 from repro.core.decision import ShareDecision
 from repro.engine.engine import Engine
-from repro.engine.packet import GroupHandle, QueryHandle
+from repro.engine.packet import QueryHandle
 from repro.errors import PolicyError
 from repro.obs.audit import AuditLog, AuditRecord
 from repro.policies.base import SharingPolicy
@@ -90,10 +90,13 @@ class Submission:
 
 @dataclass
 class _Slot:
-    """State for one merge key."""
+    """State for one merge key: its live groups (group id ->
+    ``[GroupHandle, members still running]``) and the pending batch
+    waiting behind them. A slot with neither is let go at its flush;
+    a later arrival under the key starts a fresh one."""
 
     key: tuple
-    active_groups: set = field(default_factory=set)
+    groups: dict = field(default_factory=dict)
     pending: list = field(default_factory=list)
     flush_scheduled: bool = False
 
@@ -108,6 +111,12 @@ class SharingCoordinator:
     supplies the projections audit records carry. Without one (the
     closed-system driver's raw engine) only the explicit policy
     decides, at the engine's defaults.
+
+    Each live fact is held once: ``_arrivals`` buffers the instant's
+    submissions, a merge key's ``_Slot`` holds its live groups and
+    pending batch, and ``_open`` the decision records not yet joined.
+    A slot with nothing live is let go at its flush, so a quiescent
+    coordinator holds nothing in any of the three.
     """
 
     def __init__(
@@ -132,9 +141,6 @@ class SharingCoordinator:
         self.audit = audit
         self.session = session
         self._slots: dict[tuple, _Slot] = {}
-        self._active_members: dict[int, int] = {}
-        # group id -> (query name, GroupHandle) until the group drains
-        self._launched: dict[int, tuple[str, GroupHandle]] = {}
         # seq -> [members running, pool misses at decision, members]
         self._open: dict[int, list] = {}
         self._arrivals: list[Submission] = []
@@ -187,7 +193,7 @@ class SharingCoordinator:
 
     def inflight_count(self) -> int:
         """Members of launched groups that have not yet completed."""
-        return sum(self._active_members.values())
+        return sum(live[1] for slot in self._slots.values() for live in slot.groups.values())
 
     def queued_count(self) -> int:
         """Arrivals accepted but not yet running: the same-instant
@@ -249,13 +255,13 @@ class SharingCoordinator:
 
     def _route_batch(self, slot: _Slot, batch: list[Submission]) -> None:
         query, dop = batch[0].query, batch[0].dop
-        slot_active = sum(self._active_members.get(gid, 0) for gid in slot.active_groups)
+        slot_active = sum(live[1] for live in slot.groups.values())
         effective_n = max(
             1,
             self.engine.sim.n_processors - (self.inflight_count() - slot_active),
         )
         prospective = slot_active + len(slot.pending) + len(batch)
-        busy = bool(slot.active_groups or slot.pending)
+        busy = bool(slot.groups or slot.pending)
         forced = [entry for entry in batch if entry.share]
         undecided = [entry for entry in batch if entry.share is None]
 
@@ -428,25 +434,26 @@ class SharingCoordinator:
         for entry, handle in zip(batch, group.handles):
             entry.handle = handle
             entry.group_size = size
-        slot.active_groups.add(group.group_id)
-        self._active_members[group.group_id] = size
-        self._launched[group.group_id] = (first.query.name, group)
+        slot.groups[group.group_id] = [group, size]
         self.launched_group_sizes.append(size)
 
     def _wrap(self, slot: _Slot, entry: Submission) -> Callable[[QueryHandle], None]:
         # Capture fields, not the entry: an entry -> handle -> callback
         # -> entry cycle would outlive the batch until a full collection.
         record, client_callback = entry.record, entry.on_complete
+        query_name = entry.query.name
 
         def on_query_done(handle: QueryHandle) -> None:
-            remaining = self._active_members.get(handle.group_id, 0) - 1
-            group_drained = remaining <= 0
+            live = slot.groups[handle.group_id]
+            live[1] -= 1
+            group_drained = not live[1]
             if group_drained:
-                self._active_members.pop(handle.group_id, None)
-                slot.active_groups.discard(handle.group_id)
-                self._notify_policy(handle)
-            else:
-                self._active_members[handle.group_id] = remaining
+                # Feed the drained group's stage tasks back to a
+                # learning policy; the coordinator lets go of it here.
+                del slot.groups[handle.group_id]
+                group = live[0]
+                if self.policy is not None:
+                    self.policy.observe_group(query_name, group.size, group.tasks)
             if record is not None:
                 self._member_done(record)
             # The client's callback typically resubmits (closed system);
@@ -461,15 +468,11 @@ class SharingCoordinator:
         return on_query_done
 
     def _flush(self, slot: _Slot) -> None:
+        """Launch the slot's pending batch; let an idle slot go (the
+        one place a slot is dropped)."""
         slot.flush_scheduled = False
-        if not slot.pending:
-            return
-        pending, slot.pending = slot.pending, []
-        self._launch_capped(slot, pending)
-
-    def _notify_policy(self, handle: QueryHandle) -> None:
-        """Feed the drained group's stage tasks back to learning
-        policies; the coordinator lets go of the group here."""
-        query_name, group = self._launched.pop(handle.group_id)
-        if self.policy is not None:
-            self.policy.observe_group(query_name, group.size, group.tasks)
+        if slot.pending:
+            pending, slot.pending = slot.pending, []
+            self._launch_capped(slot, pending)
+        elif not slot.groups:
+            del self._slots[slot.key]

@@ -35,7 +35,10 @@ The :class:`ServerReport` a run returns carries the open-system
 metrics the figures need — goodput (completions inside the arrival
 horizon per unit time), p50/p99 response time, shed/backlog
 conservation, per-tenant breakdowns — all in simulated time, so the
-same seed reproduces the same report byte for byte.
+same seed reproduces the same report byte for byte. Each is read off
+the run's :class:`ServedQuery` records in one pass when the run ends;
+the server itself counts only its lifetime ``total_*`` counters (the
+``server.*`` metric family) beside them.
 """
 
 from __future__ import annotations
@@ -299,11 +302,9 @@ class Server:
         self.total_admitted = 0
         self.total_shed = 0
         self.total_completed = 0
-        # Per-run state, reset at the top of each _run.
+        # The current run's arrivals, reset at the top of each _run;
+        # its report is read off them when the run ends.
         self._records: List[ServedQuery] = []
-        self._latency = LatencyStats()
-        self._tenants: Dict[str, TenantReport] = {}
-        self._run_ctx: Tuple[float, float, List[int]] = (0.0, math.inf, [0])
         session.metrics().register_group(self._metric_family)
 
     # -- construction ------------------------------------------------------
@@ -422,10 +423,6 @@ class Server:
         session = self.session
         start = session.sim.now
         self._records = []
-        self._latency = LatencyStats()
-        self._tenants = {}
-        run_completed_in_horizon = [0]
-        self._run_ctx = (start, horizon, run_completed_in_horizon)
         shared_before = self.coordinator.shared_submissions
         solo_before = self.coordinator.solo_submissions
         groups_before = len(self.coordinator.launched_group_sizes)
@@ -441,22 +438,36 @@ class Server:
         session.sim.run(until=start + horizon + drain)
         session.end_batch()
 
-        tenants = self._tenants
+        latency = LatencyStats()
+        tenants: Dict[str, TenantReport] = {}
+        shed = completed = in_horizon = 0
+        for record in self._records:
+            tenant = tenants.get(record.tenant)
+            if tenant is None:
+                tenant = tenants[record.tenant] = TenantReport(record.tenant)
+            tenant.submitted += 1
+            if record.outcome == "shed":
+                shed += 1
+                tenant.shed += 1
+            elif record.outcome == "completed":
+                completed += 1
+                tenant.completed += 1
+                response = record.response_time
+                latency.add(response)
+                tenant.latency.add(response)
+                if record.finished_at - start <= horizon:
+                    in_horizon += 1
         submitted = len(self._records)
-        shed = sum(1 for r in self._records if r.outcome == "shed")
-        completed = sum(1 for r in self._records if r.outcome == "completed")
-        backlog = submitted - shed - completed
-        elapsed = max(horizon, 1e-12)
-        report = ServerReport(
+        return ServerReport(
             arrival_rate=arrival_rate,
             horizon=horizon,
             submitted=submitted,
             admitted=submitted - shed,
             shed=shed,
             completed=completed,
-            backlog=backlog,
-            goodput=run_completed_in_horizon[0] / elapsed,
-            latency=self._latency,
+            backlog=submitted - shed - completed,
+            goodput=in_horizon / max(horizon, 1e-12),
+            latency=latency,
             tenants=tenants,
             shared_submissions=self.coordinator.shared_submissions - shared_before,
             solo_submissions=self.coordinator.solo_submissions - solo_before,
@@ -465,15 +476,8 @@ class Server:
             ),
             records=tuple(self._records),
         )
-        return report
 
     # -- per-arrival path --------------------------------------------------
-
-    def _tenant_report(self, tenant: str) -> TenantReport:
-        report = self._tenants.get(tenant)
-        if report is None:
-            report = self._tenants[tenant] = TenantReport(tenant=tenant)
-        return report
 
     def _on_arrival(self, arrival: Arrival, index: int) -> None:
         name = getattr(arrival.query, "name", "query")
@@ -486,15 +490,12 @@ class Server:
         )
         self._records.append(record)
         self.total_submitted += 1
-        tenant = self._tenant_report(arrival.tenant)
-        tenant.submitted += 1
         self._trace("arrive", label=label, tenant=arrival.tenant)
 
         view = self.view(arrival.tenant)
         if not self.admission.admit(view):
             record.outcome = "shed"
             self.total_shed += 1
-            tenant.shed += 1
             self._audit_admission(name, "shed")
             self._trace(
                 "shed",
@@ -550,7 +551,6 @@ class Server:
                 record.rows = tuple(handle.rows)
             self._inflight -= 1
             self.total_completed += 1
-            response = record.response_time or 0.0
             service = now - (record.admitted_at or record.submitted_at)
             self._service_ewma = (
                 service
@@ -558,18 +558,11 @@ class Server:
                 else (1 - self._ewma_alpha) * self._service_ewma
                 + self._ewma_alpha * service
             )
-            self._latency.add(response)
-            tenant = self._tenant_report(record.tenant)
-            tenant.completed += 1
-            tenant.latency.add(response)
-            start, horizon, counter = self._run_ctx
-            if now - start <= horizon:
-                counter[0] += 1
             self._trace(
                 "complete",
                 label=record.label,
                 tenant=record.tenant,
-                response=response,
+                response=now - record.submitted_at,
             )
             self._dispatch()
 

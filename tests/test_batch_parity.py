@@ -34,7 +34,7 @@ from functools import cache, partial
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.db import Database, QueryBuilder, RuntimeConfig
@@ -177,11 +177,16 @@ def _run_shared_group(catalog, preset, batch_size, members):
 
 def assert_matches_oracle(name, rows, preset, batch_size, side_rows=()):
     catalog = _catalog(rows, side_rows)
-    got, _ = _run_plan(catalog, name, preset, batch_size)
+    result = _session(catalog, preset, batch_size).run(PLANS[name](catalog))
     expected = execute_reference(PLANS[name](catalog).plan(), catalog)
     # repr-compare: bit identity for floats (0.0 vs -0.0, exact
     # mantissas), not just ==.
-    assert repr(got) == repr(expected)
+    if result.metrics.get("spill.pages_written"):
+        # A spilling operator promises its rows, not their order: a
+        # spilled join emits partition by partition.
+        assert sorted(map(repr, result.rows)) == sorted(map(repr, expected))
+    else:
+        assert repr(result.rows) == repr(expected)
 
 
 GEOMETRIES = [
@@ -229,6 +234,10 @@ def test_sort_parity(preset, batch, rows):
 @pytest.mark.parametrize("preset,batch", GEOMETRIES)
 @settings(max_examples=6, deadline=None)
 @given(rows=ROWS, side=SIDE_ROWS)
+# At batch 1 this build side is 33 one-row pages against laptop's
+# 32-page grant: the join spills, and key 1's matches come out after
+# key 0's.
+@example(rows=[(1, 0.0), (0, 0.0)], side=[(0, 0.0)] * 16 + [(1, 0.0)] * 17)
 def test_hash_join_parity(preset, batch, rows, side):
     assert_matches_oracle("hash_join", rows, preset, batch, side_rows=side)
 

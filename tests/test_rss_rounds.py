@@ -1,4 +1,5 @@
-"""``tools/rss_rounds.py``: the collector callback and the cell count.
+"""``tools/rss_rounds.py``: the collector callback, the cell count and
+the dispatcher's retained state.
 
 The workload rounds themselves are not repeated here (CI runs the tool
 for three); what is checked is what the tool measures them with.
@@ -7,6 +8,10 @@ for three); what is checked is what the tool measures them with.
 import gc
 import importlib.util
 import os
+from types import SimpleNamespace
+
+from repro.db import Database
+from repro.storage import Catalog, DataType, Schema
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _spec = importlib.util.spec_from_file_location(
@@ -46,3 +51,18 @@ def test_tracked_cells_count_lists_but_not_scalar_tuples():
     assert abs(rss_rounds.tracked_cells() - before) < 10_000
     as_list = list(as_tuple)
     assert rss_rounds.tracked_cells() - before >= len(as_list)
+
+
+def test_dispatcher_state_reads_slots_groups_and_open_records():
+    assert rss_rounds.dispatcher_state(SimpleNamespace()) == "-"
+    catalog = Catalog()
+    catalog.create("t", Schema([("k", DataType.INT)])).insert_many([(i,) for i in range(100)])
+    session = Database.open(catalog, "laptop")
+    workload = SimpleNamespace(session=session)
+    assert rss_rounds.dispatcher_state(workload) == "0/0/0"
+    session.submit(session.table("t"), share=True)
+    session.submit(session.table("t"), share=True)
+    session.coordinator.drain()
+    assert rss_rounds.dispatcher_state(workload) == "1/1/1"
+    session.run_all()
+    assert rss_rounds.dispatcher_state(workload) == "0/0/0"

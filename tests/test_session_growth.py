@@ -4,8 +4,9 @@ Growth is a tier-1 property here, asserted on counts, not clocks (the
 style of ``conftest.walk_visits``): what one end-of-batch observation
 touches — tasks folded into the stage report, grant snapshots built,
 keys a result retains — is the same at batch 2 and batch 40, what a
-session or server keeps of finished work (tasks, launched groups,
-open decision records) is the same after round 2 as after the last, a
+session or server keeps of finished work (tasks, merge slots, open
+decision records) is the same after round 2 as after the last and
+nothing at all once a round's signatures are never seen again, a
 hand-driven engine keeps no finished group at all, and the
 decoded-page memo of an ad-hoc session stays under its ceiling.
 """
@@ -85,12 +86,13 @@ def observed(monkeypatch):
 
 def _retained(session):
     """What a session holds of the work it has run: the simulator's
-    unretired tasks, and the coordinator's launched groups and open
-    decision records (each held until its last member finishes)."""
+    unretired tasks, the coordinator's merge slots (each let go once it
+    has no pending batch and no live group) and its open decision
+    records (each held until its last member finishes)."""
     coordinator = session.coordinator
     return (
         len(session.sim.tasks),
-        len(coordinator._launched),
+        len(coordinator._slots),
         len(coordinator._open),
     )
 
@@ -154,6 +156,34 @@ def test_identical_serve_rounds_retain_the_same():
     assert retained[1] == retained[7]
     # Four queries (one group of two, two solos) spawn 16 tasks a round.
     assert counted == [(16 * rounds, 16 * rounds) for rounds in range(1, 9)]
+
+
+def test_a_new_signature_every_batch_leaves_no_slot():
+    """The ``tpch_adhoc`` shape: every batch's signature is new, so
+    every slot it opens goes idle for good, and is let go."""
+    session = Database.open(_catalog(), "laptop")
+    for below in range(1, 31):
+        session.submit(_grouped(session, below=below))
+        session.submit(_grouped(session, below=below))
+        session.submit(_grouped(session, below=below), share=False)
+        results = session.run_all()
+        assert len(results) == 3
+        assert _retained(session) == (0, 0, 0)
+
+
+def test_serve_rounds_of_new_signatures_leave_no_slot():
+    server = Server.open(_catalog(), "laptop", policy=AlwaysShare())
+    session = server.session
+    for below in range(1, 9):
+        query = _grouped(session, below=below).build()
+        trace = [
+            Arrival(at=0.0, query=query),
+            Arrival(at=0.0, query=query),
+            Arrival(at=10.0, query=query),
+        ]
+        report = server.serve_trace(trace, drain=5_000_000.0)
+        assert report.completed == len(trace)
+        assert _retained(session) == (0, 0, 0)
 
 
 def test_hand_driven_engine_keeps_no_finished_groups():

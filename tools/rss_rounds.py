@@ -13,9 +13,12 @@ through one ``gc.callbacks`` entry), the resident set after it, and the
 generation-2 collections that fell inside it (a full collection walks
 every tracked container, so its pause grows with whatever the session
 keeps in lists and dicts; a tuple of scalars is untracked and costs it
-nothing). The last lines give the growth per round after round 8
-(caches have filled by then), the collector's share of the timed wall,
-the tracked container cells left on the heap, the process's
+nothing), and what the session's dispatcher still holds once the round
+is over: merge slots, live groups and open decision records (``-`` for
+``fig6_closed``, which has no session). The last lines give the growth
+per round after round 8 (caches have filled by then), the collector's
+share of the timed wall, the tracked container cells left on the heap
+and the dispatcher's state beside them, the process's
 ``ru_maxrss`` — the benchmark's ``peak_rss_mb`` — and the workload's
 behaviour pin, which two commits must agree on to the last digit.
 """
@@ -65,6 +68,17 @@ def tracked_cells() -> int:
     return sum(len(o) for o in gc.get_objects() if isinstance(o, (list, tuple, dict)))
 
 
+def dispatcher_state(workload) -> str:
+    """``slots/live groups/open records`` of the workload's session
+    coordinator, or ``-`` for a workload that runs no session."""
+    session = getattr(workload, "session", None)
+    if session is None:
+        return "-"
+    slots = session.coordinator._slots
+    groups = sum(len(slot.groups) for slot in slots.values())
+    return f"{len(slots)}/{groups}/{len(session.coordinator._open)}"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
@@ -84,7 +98,10 @@ def main(argv=None) -> int:
     collections = Collections()
     full = collections.pauses_ms[2]
     gc.callbacks.append(collections)
-    print(f"{'round':>5} {'wall ms':>9} {'gc ms':>7} {'rss MB':>8}  gen-2 pauses (ms)")
+    print(
+        f"{'round':>5} {'wall ms':>9} {'gc ms':>7} {'rss MB':>8} {'dispatch':>9}"
+        "  gen-2 pauses (ms)"
+    )
     resident, walls_ms, gcs_ms = [], [], []
     try:
         for index in range(WARMUP_ROUNDS + args.rounds):
@@ -98,7 +115,7 @@ def main(argv=None) -> int:
             note = " (warm-up)" if index < WARMUP_ROUNDS else ""
             print(
                 f"{index:>5} {walls_ms[-1]:>9.1f} {gcs_ms[-1]:>7.1f} {resident[-1]:>8.1f}"
-                f"  {pauses}{note}",
+                f" {dispatcher_state(workload):>9}  {pauses}{note}",
                 flush=True,
             )
     finally:
@@ -118,6 +135,7 @@ def main(argv=None) -> int:
     share = 100.0 * timed_gc_ms / timed_wall_ms if timed_wall_ms else 0.0
     print(f"collector: {timed_gc_ms:.0f} ms of {timed_wall_ms:.0f} ms timed wall ({share:.1f} %)")
     print(f"tracked container cells: {tracked_cells():,}")
+    print(f"dispatcher slots/live groups/open records: {dispatcher_state(workload)}")
     print(f"ru_maxrss: {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0:.1f} MB")
     print(f"pin: {workload.pin()!r}")
     return 0
