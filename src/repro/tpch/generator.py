@@ -53,6 +53,10 @@ _ORDER_STATUS = ("O", "F", "P")
 _CONTAINERS = ("SM CASE", "LG BOX", "MED BAG", "JUMBO JAR", "WRAP PKG")
 _TYPES = ("STANDARD", "SMALL", "MEDIUM", "LARGE", "ECONOMY", "PROMO")
 _BRANDS = tuple(f"Brand#{i}{j}" for i in range(1, 6) for j in range(1, 6))
+# A lineitem's quantity, discount and tax, indexed by the integer drawn.
+_QUANTITIES = tuple(float(q) for q in range(1, 51))
+_DISCOUNTS = tuple(round(d / 100.0, 2) for d in range(11))
+_TAXES = tuple(round(t / 100.0, 2) for t in range(9))
 
 
 class GeneratorConfig:
@@ -187,38 +191,61 @@ def _populate_orders_and_lineitem(
 ) -> None:
     orders = catalog.create("orders", tpch_schema.ORDERS)
     lineitem = catalog.create("lineitem", tpch_schema.LINEITEM)
+    # Each range is bound once, so each draw below is one call. Quantity,
+    # discount and tax are picked from precomputed tables: the same draw,
+    # over the same width, as the integer each is derived from.
+    key_gap = stream.ints(1, 4)
+    customer = stream.ints(1, config.customers)
+    order_day = stream.ints(START_DATE, END_DATE - 151)
+    line_count = stream.ints(1, 7)
+    order_status = stream.picks(_ORDER_STATUS)
+    priority = stream.picks(_PRIORITIES)
+    clerk = stream.ints(1, 1000)
+    quantity_of = stream.picks(_QUANTITIES)
+    unit_price = stream.floats(900.0, 1100.0)
+    discount_of = stream.picks(_DISCOUNTS)
+    tax_of = stream.picks(_TAXES)
+    ship_lag = stream.ints(1, 121)
+    commit_lag = stream.ints(30, 90)
+    receipt_lag = stream.ints(1, 30)
+    return_flag = stream.picks(("R", "A"))
+    part = stream.ints(1, config.parts)
+    supplier = stream.ints(1, config.suppliers)
+    ship_instruct = stream.picks(_SHIP_INSTRUCT)
+    ship_mode = stream.picks(_SHIP_MODES)
+    coin = stream.random
     order_rows = []
     lines = []
     order_key = 0
     total_orders = config.customers * config.orders_per_customer
     for i in range(total_orders):
-        order_key += stream.uniform_int(1, 4)  # sparse keys, as in the spec
+        order_key += key_gap()  # sparse keys, as in the spec
         # Spec: only two thirds of customers have orders (Q13's spike).
-        cust_key = stream.uniform_int(1, config.customers)
+        cust_key = customer()
         cust_key -= cust_key % 3 == 0  # fold multiples of 3 onto neighbours
         cust_key = max(cust_key, 1)
-        order_date = stream.uniform_int(START_DATE, END_DATE - 151)
-        n_lines = stream.uniform_int(1, 7)
-        plant = stream.sample_bool(SPECIAL_REQUEST_PROBABILITY)
-        status = stream.choice(_ORDER_STATUS)
+        order_date = order_day()
+        n_lines = line_count()
+        plant = coin() < SPECIAL_REQUEST_PROBABILITY
+        status = order_status()
 
         total_price = 0.0
         for line_no in range(1, n_lines + 1):
-            quantity = float(stream.uniform_int(1, 50))
-            extended = round(quantity * stream.uniform_float(900.0, 1100.0), 2)
-            discount = round(stream.uniform_int(0, 10) / 100.0, 2)
-            tax = round(stream.uniform_int(0, 8) / 100.0, 2)
-            ship = order_date + stream.uniform_int(1, 121)
-            commit = order_date + stream.uniform_int(30, 90)
-            receipt = ship + stream.uniform_int(1, 30)
-            returnflag = stream.choice(("R", "A")) if stream.sample_bool(0.5) else "N"
-            linestatus = "O" if stream.sample_bool(0.5) else "F"
+            quantity = quantity_of()
+            extended = round(quantity * unit_price(), 2)
+            discount = discount_of()
+            tax = tax_of()
+            ship = order_date + ship_lag()
+            commit = order_date + commit_lag()
+            receipt = ship + receipt_lag()
+            returnflag = return_flag() if coin() < 0.5 else "N"
+            linestatus = "O" if coin() < 0.5 else "F"
             total_price += extended
             lines.append(
                 (
                     order_key,
-                    stream.uniform_int(1, config.parts),
-                    stream.uniform_int(1, config.suppliers),
+                    part(),
+                    supplier(),
                     line_no,
                     quantity,
                     extended,
@@ -229,8 +256,8 @@ def _populate_orders_and_lineitem(
                     ship,
                     commit,
                     receipt,
-                    stream.choice(_SHIP_INSTRUCT),
-                    stream.choice(_SHIP_MODES),
+                    ship_instruct(),
+                    ship_mode(),
                     comment(stream, min_words=2, max_words=5),
                 )
             )
@@ -242,8 +269,8 @@ def _populate_orders_and_lineitem(
                 status,
                 round(total_price, 2),
                 order_date,
-                stream.choice(_PRIORITIES),
-                f"Clerk#{stream.uniform_int(1, 1000):09d}",
+                priority(),
+                f"Clerk#{clerk():09d}",
                 0,
                 comment(stream, plant_special=plant),
             )

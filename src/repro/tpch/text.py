@@ -13,6 +13,7 @@ from repro.tpch.rng import Stream
 
 __all__ = ["comment", "SPECIAL_REQUEST_PROBABILITY", "matches_special_requests"]
 
+# fmt: off
 _WORDS = (
     "furiously", "quickly", "carefully", "blithely", "slyly", "ironic",
     "final", "pending", "regular", "express", "bold", "silent", "even",
@@ -21,15 +22,16 @@ _WORDS = (
     "dependencies", "pinto", "beans", "sleep", "wake", "nag", "haggle",
     "cajole", "integrate", "boost", "detect", "engage", "maintain",
 )
+# fmt: on
 
 SPECIAL_REQUEST_PROBABILITY = 0.02
 
 
-def comment(stream: Stream, min_words: int = 4, max_words: int = 10,
-            plant_special: bool = False) -> str:
+def comment(
+    stream: Stream, min_words: int = 4, max_words: int = 10, plant_special: bool = False
+) -> str:
     """One pseudo-sentence; optionally force the Q13 pattern in."""
-    n = stream.uniform_int(min_words, max_words)
-    words = [stream.choice(_WORDS) for _ in range(n)]
+    words = stream.choice_list(_WORDS, stream.uniform_int(min_words, max_words))
     if plant_special:
         # "special" strictly before "requests" with arbitrary filler,
         # which is what LIKE '%special%requests%' requires.

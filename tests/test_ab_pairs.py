@@ -9,6 +9,7 @@ import argparse
 import importlib.util
 import os
 import subprocess
+import sys
 
 import pytest
 
@@ -102,3 +103,22 @@ def test_checkout_unpacks_the_committed_benchmark(tmp_path):
     assert ab_pairs.checkout("HEAD", str(target)) == head.stdout.strip()
     assert (target / "bench" / "run.py").is_file() and (target / "BENCHMARK.json").is_file()
     assert not (target / ".git").exists()
+
+
+def test_an_unknown_ref_exits_with_one_line_naming_it(tmp_path):
+    command = ["git", "-C", REPO, "rev-parse", "--verify", "HEAD^{commit}"]
+    if subprocess.run(command, capture_output=True).returncode != 0:
+        pytest.skip("not running from a git checkout")
+    tool = os.path.join(REPO, "tools", "ab_pairs.py")
+    keep = tmp_path / "work"
+    ref = "no-such-ref-for-ab-pairs"
+    run = subprocess.run(
+        [sys.executable, tool, ref, "HEAD", "--pairs", "1", "--keep", str(keep)],
+        capture_output=True,
+        text=True,
+    )
+    assert run.returncode != 0
+    assert run.stdout == ""
+    lines = run.stderr.splitlines()
+    assert len(lines) == 1 and ref in lines[0] and "Traceback" not in run.stderr
+    assert not (keep / "old").exists()

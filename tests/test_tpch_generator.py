@@ -2,12 +2,16 @@
 
 import datetime
 import hashlib
+import random
+import zlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import StorageError
 from repro.tpch.generator import END_DATE, START_DATE, GeneratorConfig, generate
-from repro.tpch.rng import stream_for
+from repro.tpch.rng import Stream, stream_for
 from repro.tpch.text import comment, matches_special_requests
 
 
@@ -78,13 +82,17 @@ def catalog_digest(catalog) -> str:
     return digest.hexdigest()
 
 
-# Recorded at commit 1b8fc4f, where the load was one ``Table.insert`` per
-# row, before the generator moved to one column-wise ``insert_many`` per
-# table. The golden clocks pin the data only through the queries that
-# read it; this pins every value and type of every column.
+# The first two were recorded at commit 1b8fc4f, where the load was one
+# ``Table.insert`` per row, before the generator moved to one column-wise
+# ``insert_many`` per table. The third (the benchmark's ``parallel_dop``
+# database at its default seed) was recorded at commit 9562620, while
+# ``Stream`` still drew through ``randint``, ``choice`` and ``uniform``.
+# The golden clocks pin the data only through the queries that read it;
+# this pins every value and type of every column.
 GENERATED = {
     (0.0005, 2007): "d73317ec720a6bb5ad6093938d55e2f6a4efb1f80f94735609326143e42d30a5",
     (0.002, 7): "ecc82380cfee971961950f48a0d1975c17920925a732591ab11086290a8e69fd",
+    (0.011, 2007): "67e7479a312b92371ef82cd773640ffe670d179a4eee68e42aabd9486edae652",
 }
 
 
@@ -207,3 +215,113 @@ class TestTextGeneration:
         assert not matches_special_requests("requests then special")
         assert not matches_special_requests("nothing here")
         assert matches_special_requests("specialrequests")
+
+
+# Range widths where a rejection loop can go wrong: one value (a 1-bit
+# draw that must still be redrawn until it is 0), powers of two (no
+# rejection at all) and one past them (almost half rejected), and widths
+# above 2**32, where one ``getrandbits`` call spans two twister words.
+EDGE_WIDTHS = (1, 2, 3, 4, 5, 8, 9, 37, 2**16, 2**16 + 1, 2**32, 2**32 + 1, 2**40 + 3)
+
+
+def reference_draw(rng: random.Random, op):
+    """What ``op`` draws from ``random.Random``'s own methods."""
+    kind, lo, width, count = op
+    if kind in ("int", "ints"):
+        return [rng.randint(lo, lo + width - 1) for _ in range(count)]
+    if kind in ("choice", "picks", "choice_list"):
+        return [rng.choice(range(lo, lo + width)) for _ in range(count)]
+    if kind in ("float", "floats"):
+        return [rng.uniform(lo, lo + width / 7) for _ in range(count)]
+    return [rng.random() for _ in range(count)]
+
+
+def stream_draw(stream: Stream, op):
+    """The same draws through ``Stream``, the bound forms bound once."""
+    kind, lo, width, count = op
+    options = range(lo, lo + width)
+    if kind == "int":
+        return [stream.uniform_int(lo, lo + width - 1) for _ in range(count)]
+    if kind == "ints":
+        draw = stream.ints(lo, lo + width - 1)
+        return [draw() for _ in range(count)]
+    if kind == "choice":
+        return [stream.choice(options) for _ in range(count)]
+    if kind == "picks":
+        draw = stream.picks(options)
+        return [draw() for _ in range(count)]
+    if kind == "choice_list":
+        return stream.choice_list(options, count)
+    if kind == "float":
+        return [stream.uniform_float(lo, lo + width / 7) for _ in range(count)]
+    if kind == "floats":
+        draw = stream.floats(lo, lo + width / 7)
+        return [draw() for _ in range(count)]
+    return [stream.random() for _ in range(count)]
+
+
+DRAW_KINDS = ("int", "ints", "choice", "picks", "choice_list", "float", "floats", "random")
+draw_ops = st.tuples(
+    st.sampled_from(DRAW_KINDS),
+    st.integers(-(2**40), 2**40),
+    st.one_of(st.sampled_from(EDGE_WIDTHS), st.integers(1, 2**62)),
+    st.integers(0, 6),
+)
+
+
+class TestStreamMatchesRandom:
+    """``Stream`` takes the same twister words, in the same order, as
+    ``random.Random``'s ``randint``/``choice``/``uniform``/``random``:
+    the generated database does not depend on which it calls."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**64), ops=st.lists(draw_ops, max_size=30))
+    def test_interleaved_draws_equal_random_random(self, seed, ops):
+        stream, rng = Stream(seed), random.Random(seed)
+        for op in ops:
+            assert stream_draw(stream, op) == reference_draw(rng, op), op
+        assert stream.random() == rng.random()  # still in step afterwards
+
+    @pytest.mark.parametrize("width", EDGE_WIDTHS)
+    def test_every_edge_width_in_every_form(self, width):
+        stream, rng = Stream(width), random.Random(width)
+        for kind in DRAW_KINDS:
+            op = (kind, -3, width, 5)
+            assert stream_draw(stream, op) == reference_draw(rng, op), op
+
+    def test_stream_for_seeds_by_table_name(self):
+        expected = random.Random(2007 ^ zlib.crc32(b"orders"))
+        assert stream_for(2007, "orders").uniform_int(1, 4) == expected.randint(1, 4)
+
+
+class TestEmptyRanges:
+    """A bare rejection loop over zero values would never return
+    (``getrandbits(0)`` is 0, and ``0 >= 0``): empty ranges raise what
+    ``randint`` and ``choice`` raise, the bound forms when bound."""
+
+    def test_uniform_int_over_an_empty_range_raises_value_error(self):
+        stream = Stream(1)
+        with pytest.raises(ValueError):
+            stream.uniform_int(5, 4)
+        with pytest.raises(ValueError):
+            random.Random(1).randint(5, 4)
+        with pytest.raises(ValueError):
+            stream.ints(0, -1)
+
+    def test_choice_from_an_empty_sequence_raises_index_error(self):
+        stream = Stream(1)
+        with pytest.raises(IndexError):
+            stream.choice(())
+        with pytest.raises(IndexError):
+            random.Random(1).choice(())
+        with pytest.raises(IndexError):
+            stream.picks([])
+        with pytest.raises(IndexError):
+            stream.choice_list((), 3)
+
+    def test_a_failed_guard_draws_nothing(self):
+        stream, rng = Stream(3), random.Random(3)
+        for bad in (lambda: stream.uniform_int(1, 0), lambda: stream.choice("")):
+            with pytest.raises((ValueError, IndexError)):
+                bad()
+        assert stream.uniform_int(1, 6) == rng.randint(1, 6)

@@ -52,13 +52,16 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 def checkout(ref: str, directory: str) -> str:
     """Unpack ``ref``'s committed files into ``directory``; return the
-    commit id they came from."""
-    commit = subprocess.run(
-        ["git", "-C", REPO, "rev-parse", "--verify", f"{ref}^{{commit}}"],
-        check=True,
+    commit id they came from. A ref that names no commit ends the
+    program with one line that names it."""
+    resolved = subprocess.run(
+        ["git", "-C", REPO, "rev-parse", "--verify", "--quiet", f"{ref}^{{commit}}"],
         capture_output=True,
         text=True,
-    ).stdout.strip()
+    )
+    if resolved.returncode != 0:
+        raise SystemExit(f"ab_pairs: {ref!r} does not name a commit in {REPO}")
+    commit = resolved.stdout.strip()
     os.makedirs(directory)
     archive = subprocess.run(
         ["git", "-C", REPO, "archive", commit], check=True, capture_output=True
