@@ -39,21 +39,7 @@ __all__ = [
     "unshared_rate_closed",
     "closed_peak_rate",
     "closed_utilization",
-    "little_throughput",
 ]
-
-
-def little_throughput(n_requests: float, response_time: float) -> float:
-    """Little's law, ``X = N / R`` (Section 1.2).
-
-    ``n_requests`` is the multiprogramming level of the closed system
-    and ``response_time`` the average time to process one query.
-    """
-    if n_requests < 0:
-        raise SpecError(f"N must be >= 0, got {n_requests!r}")
-    if response_time <= 0:
-        raise SpecError(f"R must be > 0, got {response_time!r}")
-    return n_requests / response_time
 
 
 def closed_peak_rate(queries: Sequence[QuerySpec]) -> float:

@@ -10,7 +10,8 @@ three classes with different pipelining behaviour:
   merge; inputs that arrive pre-sorted skip their sort (Section 5.3.2).
 * **Hash join (HJ)** — a stop-&-go build phase followed by a pipelined
   probe phase (Section 5.3.3). The *symmetric* hash join variant is
-  fully pipelined and needs no decomposition.
+  fully pipelined and needs no decomposition: a plain two-input
+  :func:`~repro.core.spec.op` node models it.
 
 All constructors return :class:`~repro.core.spec.OperatorSpec` trees;
 trees containing blocking nodes are consumed by
@@ -26,7 +27,6 @@ __all__ = [
     "nested_loop_join",
     "merge_join",
     "hash_join",
-    "symmetric_hash_join",
     "sort_operator",
 ]
 
@@ -136,20 +136,3 @@ def hash_join(
         emit_work=0.0,
     )
     return op(f"{name}_probe", probe_work, output_cost, probe, build_node)
-
-
-def symmetric_hash_join(
-    name: str,
-    left: OperatorSpec,
-    right: OperatorSpec,
-    work: float,
-    output_cost: float = 0.0,
-) -> OperatorSpec:
-    """A fully pipelined hash join (symmetric hash join [25]).
-
-    Both inputs stream; the simple Section-4 model suffices, so this is
-    structurally identical to an NLJ node with different cost
-    semantics.
-    """
-    _check_cost("work", work)
-    return op(name, work, output_cost, left, right)

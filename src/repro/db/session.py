@@ -386,7 +386,7 @@ class Session:
         grants = self.engine.memory.grants() if self.engine.memory is not None else ()
         tasks = self.sim.tasks
         spawned = self.sim.spawned - spawned_before
-        ran = {task.name.rsplit("/", 1)[-1] for task in tasks[len(tasks) - spawned :]}
+        ran = {task.op_id for task in tasks[len(tasks) - spawned :]}
         snapshot = self._metrics.snapshot(scope=ran)
         self.end_batch()
         wall_profile = (

@@ -249,16 +249,15 @@ class Engine:
             for plan, label, callback in zip(plans, labels, callbacks)
         ]
         group = GroupHandle(group_id=group_id, pivot_op_id=pivot_op_id, handles=handles)
-        tasks = group.tasks
 
         if len(plans) == 1:
             (plan,), (handle,) = plans, handles
             root_q = None
             if dop > 1:
-                root_q = build_parallel_query(self, plan, dop, handle.label, ctx, tasks)
+                root_q = build_parallel_query(self, plan, dop, handle.label, ctx, group)
             if root_q is None:
-                (root_q,) = self._build_subplan(plan, 1, handle.label, tasks, ctx)
-            self._spawn_sink(root_q, handle)
+                (root_q,) = self._build_subplan(plan, 1, handle.label, group, ctx)
+            self._spawn_sink(root_q, handle, group)
             return group
 
         pivot = plans[0].find(pivot_op_id)
@@ -266,18 +265,18 @@ class Engine:
         # member is order-insensitive above the pivot.
         pivot_rotation_ok = all(_rotation_ok_at(plan, pivot_op_id, True) for plan in plans)
         member_queues = self._build_subplan(
-            pivot, len(plans), f"g{group_id}", tasks, ctx, rotation_ok=pivot_rotation_ok
+            pivot, len(plans), f"g{group_id}", group, ctx, rotation_ok=pivot_rotation_ok
         )
         for plan, handle, shared_q in zip(plans, handles, member_queues):
             if plan.op_id == pivot_op_id:
                 # Sharing at the root: the member consumes the pivot's
                 # output directly.
-                self._spawn_sink(shared_q, handle)
+                self._spawn_sink(shared_q, handle, group)
                 continue
             (root_q,) = self._build_subplan(
-                plan, 1, handle.label, tasks, ctx, substitutions={pivot_op_id: shared_q}
+                plan, 1, handle.label, group, ctx, substitutions={pivot_op_id: shared_q}
             )
-            self._spawn_sink(root_q, handle)
+            self._spawn_sink(root_q, handle, group)
         return group
 
     # ------------------------------------------------------------------
@@ -300,13 +299,13 @@ class Engine:
         node: PlanNode,
         consumers: int,
         prefix: str,
-        tasks: list,
+        group: GroupHandle,
         ctx: StageContext,
         substitutions: Optional[dict[str, SimQueue]] = None,
         rotation_ok: bool = True,
     ) -> list[SimQueue]:
-        """Recursively spawn stage tasks, appending each to ``tasks``;
-        returns the output queues.
+        """Recursively spawn ``group``'s stage tasks; returns the output
+        queues.
 
         ``substitutions`` maps op_ids to externally provided queues —
         used to graft a member's private plan onto the shared pivot's
@@ -328,17 +327,23 @@ class Engine:
                 in_queues.append(substitutions[child.op_id])
             else:
                 (child_q,) = self._build_subplan(
-                    child, 1, prefix, tasks, ctx, substitutions, child_rotation_ok
+                    child, 1, prefix, group, ctx, substitutions, child_rotation_ok
                 )
                 in_queues.append(child_q)
         stage_ctx = ctx
         if node.kind == "scan" and not rotation_ok and stage_ctx.scans is not None:
             stage_ctx = replace(stage_ctx, scans=None)
         task_gen = build_operator_task(node, in_queues, out_queues, stage_ctx)
-        tasks.append(self.sim.spawn(task_gen, name=f"{prefix}/{node.op_id}", group=prefix))
+        self._spawn_stage(group, task_gen, prefix, node.op_id)
         return out_queues
 
-    def _spawn_sink(self, in_queue: SimQueue, handle: QueryHandle) -> None:
+    def _spawn_stage(self, group: GroupHandle, task_gen, prefix: str, op_id: str) -> None:
+        """Spawn one of ``group``'s stage tasks, named ``<prefix>/<op_id>``,
+        and append it to ``group.tasks``."""
+        task = self.sim.spawn(task_gen, name=f"{prefix}/{op_id}", owner=group, op_id=op_id)
+        group.tasks.append(task)
+
+    def _spawn_sink(self, in_queue: SimQueue, handle: QueryHandle, group: GroupHandle) -> None:
         costs = self.ctx.costs
         sim = self.sim
 
@@ -354,4 +359,4 @@ class Engine:
         def finished(_task):
             handle.mark_done(sim.now)
 
-        sim.spawn(sink(), name=f"{handle.label}/sink", group=handle.label, on_done=finished)
+        sim.spawn(sink(), name=f"{handle.label}/sink", on_done=finished, owner=group)

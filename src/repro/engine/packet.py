@@ -213,7 +213,12 @@ class QueryHandle:
 class GroupHandle:
     """One execution of a (possibly singleton) sharing group: its
     members' handles and its stage tasks (sinks excluded) in spawn
-    order, which the engine keeps no other reference to."""
+    order, which the engine keeps no other reference to.
+
+    The group owns every task it spawns, sinks included: each task's
+    ``owner`` is this handle until the task ends, and a failing task
+    reaches :meth:`fail`.
+    """
 
     group_id: int
     pivot_op_id: Optional[str]
@@ -236,3 +241,12 @@ class GroupHandle:
         if not self.done:
             raise EngineError(f"group {self.group_id} has unfinished queries")
         return max(h.finished_at for h in self.handles)
+
+    def fail(self, task, error: BaseException) -> None:
+        """One of the group's tasks failed with ``error``.
+
+        The simulator has already marked ``task`` failed and released
+        its processor. A failed task stops the simulation: ``error`` is
+        raised out of ``Simulator.run``.
+        """
+        raise error

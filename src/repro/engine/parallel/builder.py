@@ -106,11 +106,7 @@ def find_region(plan: PlanNode) -> Optional[tuple[PlanNode, str]]:
         node = node.children[0]
 
 
-def _spawn(engine, tasks, task_gen, name: str, group: str):
-    tasks.append(engine.sim.spawn(task_gen, name=name, group=group))
-
-
-def _build_fragment_chains(engine, tasks, chain_root, scan_node, dop, prefix, ctx):
+def _build_fragment_chains(engine, group, chain_root, scan_node, dop, prefix, ctx):
     """Per-fragment pipelines (range scan + streaming chain clones).
 
     Returns one output queue per fragment, sized for deferred draining
@@ -130,12 +126,11 @@ def _build_fragment_chains(engine, tasks, chain_root, scan_node, dop, prefix, ct
         fprefix = f"{prefix}.f{index}"
         capacity = engine.queue_capacity if chain else FRAGMENT_QUEUE_CAPACITY
         queue = engine.sim.queue(f"{fprefix}:{scan_node.op_id}->out0", capacity)
-        _spawn(
-            engine,
-            tasks,
+        engine._spawn_stage(
+            group,
             drive(ScanOperator(scan_node, ctx, [queue], pages=(lo, hi)), []),
-            f"{fprefix}/{scan_node.op_id}",
             fprefix,
+            scan_node.op_id,
         )
         for depth, stage_node in enumerate(chain):
             capacity = (
@@ -146,19 +141,18 @@ def _build_fragment_chains(engine, tasks, chain_root, scan_node, dop, prefix, ct
             out_q = engine.sim.queue(
                 f"{fprefix}:{stage_node.op_id}->out0", capacity
             )
-            _spawn(
-                engine,
-                tasks,
+            engine._spawn_stage(
+                group,
                 build_operator_task(stage_node, [queue], [out_q], ctx),
-                f"{fprefix}/{stage_node.op_id}",
                 fprefix,
+                stage_node.op_id,
             )
             queue = out_q
         outs.append(queue)
     return outs
 
 
-def _build_exchanges(engine, tasks, child, frag_qs, key_idx, dop, prefix, region_op_id, ctx):
+def _build_exchanges(engine, group, child, frag_qs, key_idx, dop, prefix, region_op_id, ctx):
     """One exchange per fragment; returns queues[consumer][producer]."""
     partition_qs: list[list[SimQueue]] = [[] for _ in range(dop)]
     for index, frag_q in enumerate(frag_qs):
@@ -170,35 +164,31 @@ def _build_exchanges(engine, tasks, child, frag_qs, key_idx, dop, prefix, region
             for j in range(dop)
         ]
         exchange = ExchangeOperator(child, ctx, outs, key_idx)
-        _spawn(
-            engine,
-            tasks,
-            drive(exchange, [[frag_q]]),
-            f"{prefix}.f{index}/{region_op_id}.exchange",
-            f"{prefix}.f{index}",
+        engine._spawn_stage(
+            group, drive(exchange, [[frag_q]]), f"{prefix}.f{index}", f"{region_op_id}.exchange"
         )
         for j in range(dop):
             partition_qs[j].append(outs[j])
     return partition_qs
 
 
-def _build_scan_gather(engine, tasks, scan_node, dop, prefix, ctx):
-    frag_qs = _build_fragment_chains(engine, tasks, scan_node, scan_node, dop, prefix, ctx)
+def _build_scan_gather(engine, group, scan_node, dop, prefix, ctx):
+    frag_qs = _build_fragment_chains(engine, group, scan_node, scan_node, dop, prefix, ctx)
     out_q = engine.sim.queue(
         f"{prefix}:{scan_node.op_id}.gather->out0", engine.queue_capacity
     )
     gather = GatherOperator(scan_node, ctx, [out_q])
-    _spawn(engine, tasks, drive(gather, [frag_qs]), f"{prefix}/{scan_node.op_id}.gather", prefix)
+    engine._spawn_stage(group, drive(gather, [frag_qs]), prefix, f"{scan_node.op_id}.gather")
     return out_q
 
 
-def _build_partition_aggregate(engine, tasks, region, dop, prefix, ctx):
+def _build_partition_aggregate(engine, group, region, dop, prefix, ctx):
     child = region.children[0]
     scan_node = _scan_leaf(child)
-    frag_qs = _build_fragment_chains(engine, tasks, child, scan_node, dop, prefix, ctx)
+    frag_qs = _build_fragment_chains(engine, group, child, scan_node, dop, prefix, ctx)
     key_idx = [child.schema.index_of(name) for name in region.params["group_by"]]
     partition_qs = _build_exchanges(
-        engine, tasks, child, frag_qs, key_idx, dop, prefix, region.op_id, ctx
+        engine, group, child, frag_qs, key_idx, dop, prefix, region.op_id, ctx
     )
     agg_qs = []
     for j in range(dop):
@@ -206,12 +196,8 @@ def _build_partition_aggregate(engine, tasks, region, dop, prefix, ctx):
             f"{prefix}.p{j}:{region.op_id}->out0", engine.queue_capacity
         )
         aggregate = AggregateOperator(region, ctx, [out_q])
-        _spawn(
-            engine,
-            tasks,
-            drive(aggregate, [partition_qs[j]]),
-            f"{prefix}.p{j}/{region.op_id}",
-            f"{prefix}.p{j}",
+        engine._spawn_stage(
+            group, drive(aggregate, [partition_qs[j]]), f"{prefix}.p{j}", region.op_id
         )
         agg_qs.append(out_q)
     key_width = len(region.params["group_by"])
@@ -232,11 +218,11 @@ def _build_partition_aggregate(engine, tasks, region, dop, prefix, ctx):
         lambda row: _sort_key(row[:key_width]),
         ctx.costs.sort_tuple,
     )
-    _spawn(engine, tasks, merge, f"{prefix}/{region.op_id}.merge", prefix)
+    engine._spawn_stage(group, merge, prefix, f"{region.op_id}.merge")
     return out_q
 
 
-def _build_partition_join(engine, tasks, region, dop, prefix, ctx):
+def _build_partition_join(engine, group, region, dop, prefix, ctx):
     build_child, probe_child = region.children
     sides = []
     for tag, child, key_name in (
@@ -245,12 +231,12 @@ def _build_partition_join(engine, tasks, region, dop, prefix, ctx):
     ):
         scan_node = _scan_leaf(child)
         frag_qs = _build_fragment_chains(
-            engine, tasks, child, scan_node, dop, f"{prefix}.{tag}", ctx
+            engine, group, child, scan_node, dop, f"{prefix}.{tag}", ctx
         )
         key_idx = [child.schema.index_of(key_name)]
         sides.append(
             _build_exchanges(
-                engine, tasks, child, frag_qs, key_idx, dop, f"{prefix}.{tag}", region.op_id, ctx
+                engine, group, child, frag_qs, key_idx, dop, f"{prefix}.{tag}", region.op_id, ctx
             )
         )
     build_parts, probe_parts = sides
@@ -260,25 +246,21 @@ def _build_partition_join(engine, tasks, region, dop, prefix, ctx):
             f"{prefix}.p{j}:{region.op_id}->out0", FRAGMENT_QUEUE_CAPACITY
         )
         join = HashJoinOperator(region, ctx, [out_q])
-        _spawn(
-            engine,
-            tasks,
-            drive(join, [build_parts[j], probe_parts[j]]),
-            f"{prefix}.p{j}/{region.op_id}",
-            f"{prefix}.p{j}",
+        engine._spawn_stage(
+            group, drive(join, [build_parts[j], probe_parts[j]]), f"{prefix}.p{j}", region.op_id
         )
         join_qs.append(out_q)
     out_q = engine.sim.queue(
         f"{prefix}:{region.op_id}.gather->out0", engine.queue_capacity
     )
     gather = GatherOperator(region, ctx, [out_q])
-    _spawn(engine, tasks, drive(gather, [join_qs]), f"{prefix}/{region.op_id}.gather", prefix)
+    engine._spawn_stage(group, drive(gather, [join_qs]), prefix, f"{region.op_id}.gather")
     return out_q
 
 
-def build_parallel_query(engine, plan, dop, prefix, ctx, tasks):
-    """Spawn the parallel task graph, appending each stage task to
-    ``tasks``; returns the root output queue.
+def build_parallel_query(engine, plan, dop, prefix, ctx, group):
+    """Spawn the parallel task graph as ``group``'s stage tasks;
+    returns the root output queue.
 
     ``None`` when the plan has no parallelizable region (nothing is
     spawned) — the caller falls back to serial execution.
@@ -288,14 +270,14 @@ def build_parallel_query(engine, plan, dop, prefix, ctx, tasks):
         return None
     region, strategy = found
     if strategy == "scan":
-        region_q = _build_scan_gather(engine, tasks, region, dop, prefix, ctx)
+        region_q = _build_scan_gather(engine, group, region, dop, prefix, ctx)
     elif strategy == "aggregate":
-        region_q = _build_partition_aggregate(engine, tasks, region, dop, prefix, ctx)
+        region_q = _build_partition_aggregate(engine, group, region, dop, prefix, ctx)
     else:
-        region_q = _build_partition_join(engine, tasks, region, dop, prefix, ctx)
+        region_q = _build_partition_join(engine, group, region, dop, prefix, ctx)
     if region.op_id == plan.op_id:
         return region_q
     (root_q,) = engine._build_subplan(
-        plan, 1, prefix, tasks, ctx, substitutions={region.op_id: region_q}
+        plan, 1, prefix, group, ctx, substitutions={region.op_id: region_q}
     )
     return root_q

@@ -43,7 +43,6 @@ __all__ = [
     "hash_join",
     "nested_loop_join",
     "merge_join",
-    "find_node",
     "not_null",
 ]
 
@@ -104,11 +103,6 @@ class PlanNode:
 
     def __repr__(self) -> str:
         return f"PlanNode({self.kind}:{self.op_id})"
-
-
-def find_node(plan: PlanNode, op_id: str) -> PlanNode:
-    """Locate the (first) node with the given op_id."""
-    return plan.find(op_id)
 
 
 def _auto_id(kind: str, signature: str) -> str:

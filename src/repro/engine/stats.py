@@ -44,15 +44,11 @@ class StageFold:
 
 
 def _fold(sums: dict[str, list], tasks: Iterable[Task]) -> None:
-    """Add each operator task's ledger to its ``op_id`` row, in order.
-    Tasks outside a plan (no ``/`` in the name) and the per-query
-    ``sink`` collectors are not operators and have no row."""
+    """Add each operator task's ledger to its ``Task.op_id`` row, in
+    order. Sinks and hand-spawned tasks have no ``op_id`` and no row."""
     for task in tasks:
-        name = task.name
-        if "/" not in name:
-            continue
-        op_id = name.rsplit("/", 1)[-1]
-        if op_id == "sink":
+        op_id = task.op_id
+        if op_id is None:
             continue
         row = sums.get(op_id)
         if row is None:
@@ -86,7 +82,7 @@ def _simulator_sums(sim: Simulator) -> dict[str, list]:
     if fold.folded == len(tasks):
         return fold.sums
     sums = {op_id: list(row) for op_id, row in fold.sums.items()}
-    _fold(sums, tasks[fold.folded:])
+    _fold(sums, tasks[fold.folded :])
     return sums
 
 

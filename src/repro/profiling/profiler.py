@@ -57,10 +57,9 @@ def observations_from_tasks(
 
     One run completes one unit of forward progress per member:
     stages at/below the pivot execute once per group pass (the pivot
-    feeding ``m`` consumers), stages above it once per member. Task
-    names are ``<prefix>/<op_id>`` — the prefix itself may contain
-    slashes (client labels do), so the op_id is the last component.
-    Sink tasks are skipped.
+    feeding ``m`` consumers), stages above it once per member. Each
+    task counts under its ``Task.op_id``; sinks and hand-spawned tasks
+    have none and are skipped.
     """
     pivot = plan.find(pivot_op_id)
     shared_ids = {node.op_id for node in pivot.walk()}
@@ -68,10 +67,8 @@ def observations_from_tasks(
     busy_by_op: dict[str, float] = {}
     instances: dict[str, int] = {}
     for task in tasks:
-        if "/" not in task.name:
-            continue
-        op_id = task.name.rsplit("/", 1)[-1]
-        if op_id == "sink":
+        op_id = task.op_id
+        if op_id is None:
             continue
         busy_by_op[op_id] = busy_by_op.get(op_id, 0.0) + task.busy_time
         instances[op_id] = instances.get(op_id, 0) + 1

@@ -67,7 +67,3 @@ class SimQueue:
     def drained(self) -> bool:
         """Closed with nothing left to deliver."""
         return self.closed and not self.items
-
-    def check_can_put(self) -> None:
-        if self.closed:
-            raise SimulationError(f"put on closed queue {self.name!r}")

@@ -60,7 +60,7 @@ class Simulator:
     max_zero_time_steps:
         Livelock guard: a task performing this many consecutive
         requests without any positive-cost Compute is assumed stuck in
-        a zero-time loop and the simulation aborts.
+        a zero-time loop and fails.
     """
 
     def __init__(
@@ -135,11 +135,19 @@ class Simulator:
         self,
         gen: Generator[Any, Any, Any],
         name: str,
-        group: str = "",
         on_done: Optional[Callable[[Task], None]] = None,
+        owner: Any = None,
+        op_id: Optional[str] = None,
     ) -> Task:
-        """Register a new task; it becomes runnable immediately."""
-        task = Task(name=name, gen=gen, group=group, on_done=on_done)
+        """Register a new task; it becomes runnable immediately.
+
+        ``owner`` is the group the task works for and receives its
+        failure (``owner.fail(task, error)``); ``op_id`` keys its
+        stage-statistics row. Both stay ``None`` for a task spawned by
+        hand, which raises out of :meth:`run` when it fails and has no
+        stage row (see :class:`~repro.sim.task.Task`).
+        """
+        task = Task(name=name, gen=gen, on_done=on_done, owner=owner, op_id=op_id)
         task.spawned_at = self.now
         self.tasks.append(task)
         self.spawned += 1
@@ -230,6 +238,7 @@ class Simulator:
     def _finish(self, task: Task) -> None:
         task.state = DONE
         task.finished_at = self.now
+        task.owner = None
         self._alive -= 1
         if self.tracer is not None:
             self.tracer.instant("finish", "task", tid=TID_TASKS, task=task.name)
@@ -237,11 +246,26 @@ class Simulator:
         if task.on_done is not None:
             task.on_done(task)
 
-    def _fail(self, task: Task, exc: BaseException) -> None:
+    def _fail(self, proc: Processor, task: Task, error: SimulationError) -> None:
+        """The one failure route of a task ``proc`` is driving.
+
+        Every request ``_advance`` cannot serve, and every exception
+        the task's generator raises, ends here: the task is marked
+        ``FAILED`` with ``error``, its processor is released, and it
+        stops counting as live. Then ``error`` goes to the task's
+        owner (``owner.fail(task, error)``), or is raised out of
+        :meth:`run` when the task has none.
+        """
+        self._release(proc)
         task.state = FAILED
-        task.error = exc
+        task.error = error
         task.finished_at = self.now
         self._alive -= 1
+        owner = task.owner
+        if owner is None:
+            raise error
+        task.owner = None
+        owner.fail(task, error)
 
     def _compute_done(self, proc: Processor, task: Task) -> None:
         # A compute completion: the task was RUNNING (never parked on a
@@ -263,7 +287,8 @@ class Simulator:
         passes through it — so it trades a little shape for speed:
         request dispatch is on exact class identity (the isinstance
         fallback covers subclasses), the livelock counter is inlined,
-        and per-busy-count speeds are memoized.
+        and per-busy-count speeds are memoized. Every way the task can
+        fail here leaves through :meth:`_fail`.
         """
         proc.current = task
         task.state = RUNNING
@@ -295,11 +320,9 @@ class Simulator:
                 self._finish(task)
                 return
             except Exception as exc:
-                self._release(proc)
-                self._fail(task, exc)
-                raise SimulationError(
-                    f"task {task.name!r} raised {exc!r} at t={now:.6g}"
-                ) from exc
+                error = SimulationError(f"task {task.name!r} raised {exc!r} at t={now:.6g}")
+                error.__cause__ = exc
+                return self._fail(proc, task, error)
             value = None
 
             cls = request.__class__
@@ -308,7 +331,7 @@ class Simulator:
                 if cost == 0:
                     task.zero_time_steps += 1
                     if task.zero_time_steps > max_zero:
-                        raise _livelock(task)
+                        return self._fail(proc, task, _livelock(task))
                     continue
                 busy = self.n_processors - len(idle)
                 memo = self._speed_memo
@@ -350,13 +373,13 @@ class Simulator:
                         self._refill_from_putters(q)
                     task.zero_time_steps += 1
                     if task.zero_time_steps > max_zero:
-                        raise _livelock(task)
+                        return self._fail(proc, task, _livelock(task))
                     continue
                 if q.closed:
                     value = CLOSED
                     task.zero_time_steps += 1
                     if task.zero_time_steps > max_zero:
-                        raise _livelock(task)
+                        return self._fail(proc, task, _livelock(task))
                     continue
                 q.waiting_getters.append(task)
                 task.state = BLOCKED
@@ -372,12 +395,13 @@ class Simulator:
             if cls is Put:
                 q = request.queue
                 if q.closed:
-                    q.check_can_put()
+                    error = SimulationError(f"put on closed queue {q.name!r}")
+                    return self._fail(proc, task, error)
                 if len(q.items) < q.capacity:
                     self._enqueue(q, request.item)
                     task.zero_time_steps += 1
                     if task.zero_time_steps > max_zero:
-                        raise _livelock(task)
+                        return self._fail(proc, task, _livelock(task))
                     continue
                 q.waiting_putters.append((task, request.item))
                 task.state = BLOCKED
@@ -394,15 +418,16 @@ class Simulator:
                 q = request.queue
                 q.closed = True
                 if q.waiting_putters:
-                    raise SimulationError(
+                    error = SimulationError(
                         f"queue {q.name!r} closed while producers blocked on it"
                     )
+                    return self._fail(proc, task, error)
                 while q.waiting_getters:
                     getter = q.waiting_getters.popleft()
                     self._make_ready(getter, CLOSED)
                 task.zero_time_steps += 1
                 if task.zero_time_steps > max_zero:
-                    raise _livelock(task)
+                    return self._fail(proc, task, _livelock(task))
                 continue
 
             if cls is Sleep:
@@ -423,15 +448,13 @@ class Simulator:
                 return
 
             if isinstance(request, (Compute, Get, Put, Close, Sleep)):
-                # A subclass of a request type: re-enter with the base
-                # class's handling by rebuilding a canonical request.
-                raise SimulationError(
+                error = SimulationError(
                     f"task {task.name!r} yielded a request subclass "
                     f"{cls.__name__}; yield the base event types directly"
                 )
-            raise SimulationError(
-                f"task {task.name!r} yielded unknown request {request!r}"
-            )
+            else:
+                error = SimulationError(f"task {task.name!r} yielded unknown request {request!r}")
+            return self._fail(proc, task, error)
 
     # -- queue plumbing ----------------------------------------------------
 

@@ -7,7 +7,7 @@ state and accounting (busy time, completion time). States:
 ``RUNNING`` holding a processor (inside a Compute),
 ``BLOCKED`` parked on a queue or sleeping,
 ``DONE``    generator exhausted,
-``FAILED``  generator raised.
+``FAILED``  generator raised, or the simulator rejected a request.
 """
 
 from __future__ import annotations
@@ -34,17 +34,28 @@ class Task:
         Diagnostic label, e.g. ``"q6#3/scan"``.
     gen:
         The generator yielding :mod:`repro.sim.events` requests.
-    group:
-        Free-form tag used to aggregate stats (e.g. the query id).
     on_done:
         Callback invoked at the simulated completion instant; receives
         the task. Closed-system clients use it to resubmit queries.
+    owner:
+        The group the task works for (an engine task's
+        :class:`~repro.engine.packet.GroupHandle`, its sink included),
+        or ``None`` for a task spawned by hand. A failing task is
+        handed to ``owner.fail(task, error)``; an ownerless one raises
+        out of :meth:`~repro.sim.simulator.Simulator.run`. Dropped when
+        the task ends, so a finished task does not keep its group alive.
+    op_id:
+        The operator the task runs, keying its ``stage.<op_id>.*`` row:
+        the plan node's ``op_id``, or ``"<op_id>.exchange"``,
+        ``".gather"`` or ``".merge"`` for a parallel-fabric task.
+        ``None`` for sinks and hand-spawned tasks, which have no row.
     """
 
     name: str
     gen: Generator[Any, Any, Any]
-    group: str = ""
     on_done: Optional[Callable[["Task"], None]] = None
+    owner: Any = None
+    op_id: Optional[str] = None
 
     state: str = field(default=READY, init=False)
     resume_value: Any = field(default=None, init=False)
@@ -61,6 +72,8 @@ class Task:
     blocked_since: Optional[float] = field(default=None, init=False)
     spawned_at: float = field(default=0.0, init=False)
     finished_at: Optional[float] = field(default=None, init=False)
+    # The SimulationError the task failed with; when its generator
+    # raised, that exception is the error's ``__cause__``.
     error: Optional[BaseException] = field(default=None, init=False)
     # Guard against zero-time livelock (yield loops with no Compute).
     zero_time_steps: int = field(default=0, init=False)

@@ -5,7 +5,6 @@ import pytest
 from repro.core.closed_system import (
     closed_peak_rate,
     closed_utilization,
-    little_throughput,
     unshared_rate_closed,
 )
 from repro.core.model import unshared_rate
@@ -20,22 +19,6 @@ def make_query(p_bottom, p_top, label):
 @pytest.fixture
 def fast_slow():
     return [make_query(2.0, 1.0, "fast"), make_query(10.0, 1.0, "slow")]
-
-
-class TestLittlesLaw:
-    def test_basic(self):
-        assert little_throughput(20, 4.0) == pytest.approx(5.0)
-
-    def test_zero_clients(self):
-        assert little_throughput(0, 1.0) == 0.0
-
-    def test_negative_clients_rejected(self):
-        with pytest.raises(SpecError):
-            little_throughput(-1, 1.0)
-
-    def test_nonpositive_response_time_rejected(self):
-        with pytest.raises(SpecError):
-            little_throughput(1, 0.0)
 
 
 class TestClosedPeakRate:

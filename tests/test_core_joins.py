@@ -7,7 +7,6 @@ from repro.core.joins import (
     merge_join,
     nested_loop_join,
     sort_operator,
-    symmetric_hash_join,
 )
 from repro.core.phases import decompose
 from repro.core.spec import QuerySpec, op
@@ -116,15 +115,3 @@ class TestHashJoin:
             hash_join("hj", scan("a"), scan("b"), build_work=-1.0, probe_work=1.0)
         with pytest.raises(SpecError):
             hash_join("hj", scan("a"), scan("b"), build_work=1.0, probe_work=-1.0)
-
-
-class TestSymmetricHashJoin:
-    def test_fully_pipelined(self):
-        j = symmetric_hash_join("shj", scan("l"), scan("r"), work=2.5)
-        q = QuerySpec(j, label="shj-q")
-        assert q.is_pipelined()
-        assert len(decompose(q)) == 1
-
-    def test_negative_work_rejected(self):
-        with pytest.raises(SpecError):
-            symmetric_hash_join("shj", scan("l"), scan("r"), work=-2.5)

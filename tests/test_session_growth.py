@@ -186,10 +186,10 @@ def test_serve_rounds_of_new_signatures_leave_no_slot():
         assert _retained(session) == (0, 0, 0)
 
 
-def test_hand_driven_engine_keeps_no_finished_groups():
-    """An engine driven by hand, with no session to end its batches,
-    holds nothing of a query once the caller drops its group: the
-    group's handles and stage tasks live on the ``GroupHandle``."""
+def _hand_driven_groups_left(collect):
+    """Run 50 groups on a hand-driven engine, retire its finished
+    tasks and drop every reference the test holds; the groups still
+    alive afterwards (after a full collection when ``collect``)."""
     catalog = _catalog()
     sim = Simulator(processors=2)
     engine = Engine(catalog, sim)
@@ -203,9 +203,30 @@ def test_hand_driven_engine_keeps_no_finished_groups():
     assert len(finished) == 50 and all(len(h.rows) == 7 for h in finished)
     finished.clear()
     engine_stats.retire_finished(sim)
-    gc.collect()
+    if collect:
+        gc.collect()
     assert not sim.tasks
-    assert all(group() is None for group in groups)
+    return [group for group in groups if group() is not None]
+
+
+def test_hand_driven_engine_keeps_no_finished_groups():
+    """An engine driven by hand, with no session to end its batches,
+    holds nothing of a query once the caller drops its group: the
+    group's handles and stage tasks live on the ``GroupHandle``."""
+    assert _hand_driven_groups_left(collect=True) == []
+
+
+def test_finished_groups_die_by_reference_counting():
+    """A task's ``owner`` points back at the group whose ``tasks``
+    holds it; the simulator drops it when the task ends, so a
+    finished group is freed by reference counting alone, with the
+    cyclic collector off."""
+    gc.collect()
+    gc.disable()
+    try:
+        assert _hand_driven_groups_left(collect=False) == []
+    finally:
+        gc.enable()
 
 
 def _filled_cells(table):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import DeadlockError, SimulationError
 from repro.sim import CLOSED, Close, Compute, Get, Put, Simulator, Sleep
+from repro.sim.task import DONE, FAILED
 
 
 def computer(cost, chunks=1):
@@ -290,6 +291,16 @@ class TestQueues:
         assert sorted(got) == sorted((i, j) for i in range(3) for j in range(5))
 
 
+def assert_failed(sim, task):
+    """The failure bookkeeping: the task is ``FAILED`` with its error
+    set, no longer live, and its processor is idle again."""
+    assert task.state == FAILED and task.error is not None
+    assert task.finished_at == sim.now
+    assert sim._alive == 0
+    assert len(sim._idle) == sim.n_processors
+    assert all(proc.current is None for proc in sim._processors)
+
+
 class TestDeadlockAndErrors:
     def test_deadlock_detected(self):
         sim = Simulator(processors=1)
@@ -309,9 +320,12 @@ class TestDeadlockAndErrors:
             yield Compute(1.0)
             raise ValueError("boom")
 
-        sim.spawn(crasher(), name="crash")
-        with pytest.raises(SimulationError, match="boom"):
+        task = sim.spawn(crasher(), name="crash")
+        with pytest.raises(SimulationError, match="boom") as raised:
             sim.run()
+        assert_failed(sim, task)
+        assert task.error is raised.value
+        assert isinstance(raised.value.__cause__, ValueError)
 
     def test_livelock_guard(self):
         sim = Simulator(processors=1, max_zero_time_steps=100)
@@ -320,9 +334,10 @@ class TestDeadlockAndErrors:
             while True:
                 yield Compute(0.0)
 
-        sim.spawn(spinner(), name="spin")
+        task = sim.spawn(spinner(), name="spin")
         with pytest.raises(SimulationError, match="livelock"):
             sim.run()
+        assert_failed(sim, task)
 
     def test_unknown_request_rejected(self):
         sim = Simulator(processors=1)
@@ -330,9 +345,104 @@ class TestDeadlockAndErrors:
         def weird():
             yield "not-a-request"
 
-        sim.spawn(weird(), name="w")
+        task = sim.spawn(weird(), name="w")
         with pytest.raises(SimulationError, match="unknown request"):
             sim.run()
+        assert_failed(sim, task)
+
+
+class _Owner:
+    """Records what reaches ``fail`` instead of raising."""
+
+    def __init__(self):
+        self.failures = []
+
+    def fail(self, task, error):
+        self.failures.append((task, error))
+
+
+class _SubCompute(Compute):
+    pass
+
+
+def _raiser(q):
+    yield Compute(1.0)
+    raise ValueError("boom")
+
+
+def _spin(*requests):
+    # With max_zero_time_steps=100 the 101st zero-time request trips
+    # the guard; each body below makes that request the named kind.
+    def body(q):
+        while True:
+            for request in requests:
+                yield request(q)
+
+    return body
+
+
+def _get_with_items(q):
+    yield Put(q, 0)
+    yield from _spin(lambda q: Put(q, 0), Get)(q)
+
+
+def _put_after_close(q):
+    yield Close(q)
+    yield Put(q, 1)
+
+
+def _sub_request(q):
+    yield _SubCompute(1.0)
+
+
+def _unknown_request(q):
+    yield "not-a-request"
+
+
+def _blocked_producer(q):
+    yield Put(q, 0)
+    yield Put(q, 1)
+
+
+# name -> (owned task's body, message, hand-spawned producer blocking
+# on the queue first); one case per SimulationError exit of _advance.
+_EXITS = {
+    "generator raised": (_raiser, "boom", None),
+    "livelock on compute": (_spin(lambda q: Compute(0.0)), "livelock", None),
+    "livelock on get": (_get_with_items, "livelock", None),
+    "livelock on get after close": (_spin(Close, Get, Get), "livelock", None),
+    "livelock on put": (_spin(lambda q: Put(q, 0), Get), "livelock", None),
+    "livelock on close": (_spin(Close), "livelock", None),
+    "close with producers blocked": (_spin(Close), "producers blocked", _blocked_producer),
+    "put on closed queue": (_put_after_close, "put on closed queue", None),
+    "request subclass": (_sub_request, "request subclass", None),
+    "unknown request": (_unknown_request, "unknown request", None),
+}
+
+
+class TestFailureRoute:
+    @pytest.mark.parametrize("exit_name", list(_EXITS))
+    def test_every_exit_does_the_bookkeeping_and_reaches_the_owner(self, exit_name):
+        body, message, producer = _EXITS[exit_name]
+        sim = Simulator(processors=1, max_zero_time_steps=100)
+        q = sim.queue("q", capacity=1 if producer else 4)
+        if producer is not None:
+            sim.spawn(producer(q), name="producer")
+        owner = _Owner()
+        task = sim.spawn(body(q), name="owned", owner=owner)
+        bystander = sim.spawn(computer(5.0), name="bystander")
+        if producer is None:
+            sim.run()
+        else:
+            with pytest.raises(DeadlockError, match="producer"):
+                sim.run()
+        ((failed, error),) = owner.failures
+        assert failed is task and task.error is error
+        assert isinstance(error, SimulationError)
+        assert message in str(error)
+        assert task.state == FAILED and task.owner is None
+        assert bystander.state == DONE and bystander.finished_at == sim.now
+        assert len(sim._idle) == sim.n_processors
 
 
 class TestSleep:
