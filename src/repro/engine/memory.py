@@ -213,6 +213,12 @@ class MemoryBroker:
         when ``work_mem`` is exhausted — a starved operator spills
         rather than deadlocking, so admission control stays a policy
         question above the engine.
+
+        Grants are first come, first served: of a serial plan's sibling
+        operators, the first to open may take the whole budget. The
+        ``dop`` instances of a partitioned aggregate or hash join do
+        not race for it — the parallel builder has each request an
+        equal ``dop``-th share.
         """
         if requested is None:
             requested = self.work_mem

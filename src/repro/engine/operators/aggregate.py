@@ -309,8 +309,14 @@ class _Resident(dict):
 
 
 class AggregateOperator(BatchOperator):
-    def __init__(self, node, ctx, out_queues):
+    """``mem_pages`` is the grant this instance asks for; by default the
+    node's own ``mem_pages`` (``None`` = whatever ``work_mem`` has left).
+    The parallel builder passes one ``dop``-th of the budget to each
+    partition's instance."""
+
+    def __init__(self, node, ctx, out_queues, mem_pages=None):
         super().__init__(node, ctx, out_queues)
+        self.mem_pages = node.params.get("mem_pages") if mem_pages is None else mem_pages
         child = node.children[0]
         self.group_idx = [child.schema.index_of(n) for n in node.params["group_by"]]
         self.fold, self.merge, self.output, fresh = _kernel(
@@ -339,7 +345,7 @@ class AggregateOperator(BatchOperator):
         if ctx.memory is not None:
             # Grant acquisition stays at task start (not construction)
             # so broker bookkeeping keeps its spawn-order timeline.
-            self.grant = ctx.memory.grant(self.node.op_id, self.node.params.get("mem_pages"))
+            self.grant = ctx.memory.grant(self.node.op_id, self.mem_pages)
             fanout = max(2, min(self.node.params.get("fanout", DEFAULT_FANOUT), self.grant.pages))
             self.parts = [_AggPartition() for _ in range(fanout)]
             self.groups = _Resident(self.fresh, self.parts, PartitionMemo(0, fanout))

@@ -131,10 +131,16 @@ def _resident_pages(parts, page_rows: int) -> int:
 
 
 class HashJoinOperator(BatchOperator):
+    """``mem_pages`` is the grant this instance asks for; by default the
+    node's own ``mem_pages`` (``None`` = whatever ``work_mem`` has left).
+    The parallel builder passes one ``dop``-th of the budget to each
+    partition's instance."""
+
     ports = 2
 
-    def __init__(self, node, ctx, out_queues):
+    def __init__(self, node, ctx, out_queues, mem_pages=None):
         super().__init__(node, ctx, out_queues)
+        self.mem_pages = node.params.get("mem_pages") if mem_pages is None else mem_pages
         build_schema, probe_schema = (child.schema for child in node.children)
         self.build_index = build_schema.index_of(node.params["build_key"])
         self.probe_index = probe_schema.index_of(node.params["probe_key"])
@@ -149,9 +155,7 @@ class HashJoinOperator(BatchOperator):
     def open(self):
         ctx = self.ctx
         if ctx.memory is not None:
-            self.grant = ctx.memory.grant(
-                self.node.op_id, self.node.params.get("mem_pages")
-            )
+            self.grant = ctx.memory.grant(self.node.op_id, self.mem_pages)
             self.fanout = max(
                 2,
                 min(self.node.params.get("fanout", DEFAULT_FANOUT),

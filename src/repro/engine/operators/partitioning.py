@@ -2,8 +2,15 @@
 
 Partition assignment is behaviour: which spill file a row lands in,
 which fragment folds a group. It must not depend on ``PYTHONHASHSEED``,
-so it is a CRC of ``f"{salt}|{key!r}"`` rather than ``hash(key)``. The
-CRC runs in two steps — the ``salt|`` prefix, then the key's ``repr``
+so it is a CRC of ``f"{salt}|{key!r}"`` rather than ``hash(key)``.
+
+Keys that compare equal must land together — an INT join key meets a
+FLOAT one, and ``1 == 1.0`` — so an integral float key is hashed as its
+int; ``repr`` alone would split them. (A multi-column key is a tuple
+whose every position comes from one typed column, so its parts never
+meet a value of another type.)
+
+The CRC runs in two steps — the ``salt|`` prefix, then the key's ``repr``
 seeded with the prefix's CRC — which gives the same number as the
 one-shot string without formatting it. Because that still costs a
 ``repr``, an encode and a checksum per call, operators that partition a
@@ -29,13 +36,20 @@ def _prefix(salt: int) -> int:
     return crc32(f"{salt}|".encode())
 
 
+def _key_bytes(key) -> bytes:
+    """``repr(key)``, encoded, with an integral float written as its
+    int, so keys that compare equal hash alike."""
+    return repr(int(key) if type(key) is float and key.is_integer() else key).encode()
+
+
 def partition_of(key, salt: int, fanout: int) -> int:
     """Deterministic partition number, independent of PYTHONHASHSEED.
 
     ``salt`` varies per recursion level so that a partition which does
-    not fit is re-split along a different boundary.
+    not fit is re-split along a different boundary. Keys that compare
+    equal (``1``, ``1.0``) get the same number.
     """
-    return crc32(repr(key).encode(), _prefix(salt)) % fanout
+    return crc32(_key_bytes(key), _prefix(salt)) % fanout
 
 
 class PartitionMemo(dict):
@@ -43,8 +57,9 @@ class PartitionMemo(dict):
 
     Index it (``memo[key]``) or map over a key column
     (``map(memo.__getitem__, keys)``); holds at most :data:`MEMO_KEYS`
-    keys. Keys that compare equal (``1`` and ``1.0``) share the entry
-    of whichever came first, as they share a group and a join match.
+    keys. Keys that compare equal (``1`` and ``1.0``) get the same
+    partition, as they share a group and a join match: one entry while
+    it lasts, and the same hash after the memo has started over.
     """
 
     __slots__ = ("salt", "fanout", "prefix")
@@ -58,5 +73,5 @@ class PartitionMemo(dict):
     def __missing__(self, key) -> int:
         if len(self) >= MEMO_KEYS:
             self.clear()
-        partition = self[key] = crc32(repr(key).encode(), self.prefix) % self.fanout
+        partition = self[key] = crc32(_key_bytes(key), self.prefix) % self.fanout
         return partition

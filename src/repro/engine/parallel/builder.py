@@ -19,6 +19,11 @@ root through unary operators:
   under ``aggregate`` ancestors (float accumulation order would
   shift the last ulp).
 
+Under a memory broker the ``dop`` aggregates or joins split the
+operator's budget: each asks for ``max(1, budget // dop)`` pages
+(:func:`_fragment_pages`), so one instance cannot take the whole
+``work_mem`` and leave its siblings spilling on one page each.
+
 Everything above the region is built serially by the engine's own
 ``_build_subplan``, grafted onto the region's output queue exactly
 like a sharing group grafts members onto the pivot.
@@ -106,6 +111,16 @@ def find_region(plan: PlanNode) -> Optional[tuple[PlanNode, str]]:
         node = node.children[0]
 
 
+def _fragment_pages(region: PlanNode, dop: int, ctx) -> Optional[int]:
+    """The grant each of a partitioned operator's ``dop`` instances asks
+    for: an equal share of the node's ``mem_pages`` (else ``work_mem``),
+    at least one page. ``None`` on an ungoverned engine."""
+    if ctx.memory is None:
+        return None
+    budget = region.params.get("mem_pages") or ctx.memory.work_mem
+    return max(1, budget // dop)
+
+
 def _build_fragment_chains(engine, group, chain_root, scan_node, dop, prefix, ctx):
     """Per-fragment pipelines (range scan + streaming chain clones).
 
@@ -191,11 +206,12 @@ def _build_partition_aggregate(engine, group, region, dop, prefix, ctx):
         engine, group, child, frag_qs, key_idx, dop, prefix, region.op_id, ctx
     )
     agg_qs = []
+    pages = _fragment_pages(region, dop, ctx)
     for j in range(dop):
         out_q = engine.sim.queue(
             f"{prefix}.p{j}:{region.op_id}->out0", engine.queue_capacity
         )
-        aggregate = AggregateOperator(region, ctx, [out_q])
+        aggregate = AggregateOperator(region, ctx, [out_q], pages)
         engine._spawn_stage(
             group, drive(aggregate, [partition_qs[j]]), f"{prefix}.p{j}", region.op_id
         )
@@ -241,11 +257,12 @@ def _build_partition_join(engine, group, region, dop, prefix, ctx):
         )
     build_parts, probe_parts = sides
     join_qs = []
+    pages = _fragment_pages(region, dop, ctx)
     for j in range(dop):
         out_q = engine.sim.queue(
             f"{prefix}.p{j}:{region.op_id}->out0", FRAGMENT_QUEUE_CAPACITY
         )
-        join = HashJoinOperator(region, ctx, [out_q])
+        join = HashJoinOperator(region, ctx, [out_q], pages)
         engine._spawn_stage(
             group, drive(join, [build_parts[j], probe_parts[j]]), f"{prefix}.p{j}", region.op_id
         )

@@ -424,13 +424,18 @@ class SpillFile:
         """Buffer rows; returns the number of full pages written now."""
         if self.dropped:
             raise StorageError("spill file already dropped")
-        written = 0
-        self._buffer.extend(rows)
-        while len(self._buffer) >= self.page_rows:
-            self._write_page(self._buffer[: self.page_rows])
-            del self._buffer[: self.page_rows]
-            written += 1
-        return written
+        buffer = self._buffer
+        buffer.extend(rows)
+        page_rows = self.page_rows
+        if len(buffer) < page_rows:
+            return 0
+        # Each full page is sliced from its offset and the written rows
+        # deleted once, so a bulk append is linear in its rows.
+        full = len(buffer) - len(buffer) % page_rows
+        for start in range(0, full, page_rows):
+            self._write_page(buffer[start : start + page_rows])
+        del buffer[:full]
+        return full // page_rows
 
     def flush(self) -> int:
         """Write out a partial trailing page, if any; returns 0 or 1."""

@@ -20,12 +20,15 @@ code with the stages:
   counts, spill pages, pool evictions, at grants of 1-16 pages) and a
   dop-4 aggregate through the ordered-merge gather
   (``ordered_merge/...``), recorded before the merge went
-  page-at-a-time, and the eight scenarios of the retired smoke-bench
-  trajectory (``trajectory/...``: engine, elevator scans, external
-  sort, drift throttle, traced and untraced facade, dop-4 aggregate,
-  open-system server), each built as its bench built it. A deliberate
-  model change re-records everything with
-  ``python tests/test_batch_parity.py``.
+  page-at-a-time (and once since, when the dop-4 aggregate's instances
+  began splitting their grant four ways), and the eight scenarios of
+  the retired smoke-bench trajectory (``trajectory/...``: engine,
+  elevator scans, external sort, drift throttle, traced and untraced
+  facade, dop-4 aggregate, open-system server), each built as its
+  bench built it. A deliberate model change re-records everything with
+  ``python tests/test_batch_parity.py``, which first prints every value
+  it moved (``key field: old -> new``) — the list a change that moves a
+  pin must name.
 """
 
 import json
@@ -658,7 +661,39 @@ def test_golden_spill_times(key):
     assert NAMED_CASES[key]() == json.loads(GOLDEN.read_text())[key]
 
 
+def moved_entries(old: dict, new: dict) -> list[str]:
+    """One line per golden value a re-recording changes: ``key field:
+    old -> new`` for a named entry's field, ``key: old -> new`` for a
+    grid clock; ``absent`` stands for a key or field on one side only."""
+    lines = []
+    for key in sorted(old.keys() | new.keys()):
+        before, after = old.get(key, "absent"), new.get(key, "absent")
+        if before == after:
+            continue
+        if isinstance(before, dict) and isinstance(after, dict):
+            lines += [
+                f"{key} {field}: {before.get(field, 'absent')} -> {after.get(field, 'absent')}"
+                for field in sorted(before.keys() | after.keys())
+                if before.get(field, "absent") != after.get(field, "absent")
+            ]
+        else:
+            lines.append(f"{key}: {before} -> {after}")
+    return lines
+
+
+def test_moved_entries_names_every_changed_value():
+    old = {"a/b": "0x1.0p+0", "n": {"sim_time": "0x1.0p+1", "rows": 3}, "gone": "0x1.0p+2"}
+    new = {"a/b": "0x1.0p+0", "n": {"sim_time": "0x1.8p+1", "rows": 3, "extra": 1}}
+    assert moved_entries(old, new) == [
+        "gone: 0x1.0p+2 -> absent",
+        "n extra: absent -> 1",
+        "n sim_time: 0x1.0p+1 -> 0x1.8p+1",
+    ]
+
+
 if __name__ == "__main__":
     recorded = golden_sim_times()
     recorded.update((key, record()) for key, record in NAMED_CASES.items())
+    moved = moved_entries(json.loads(GOLDEN.read_text()), recorded)
+    print("\n".join(moved) if moved else "no golden entry moved")
     GOLDEN.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")

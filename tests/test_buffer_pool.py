@@ -280,3 +280,34 @@ def test_resident_set_is_exact_under_pure_accesses(policy, capacity, indexes):
     assert len(pool) == min(distinct, capacity)
     assert pool.stats.misses >= min(distinct, capacity)
     assert pool.stats.evictions == pool.stats.misses - len(pool)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    page_rows=st.integers(1, 9),
+    chunks=st.lists(st.integers(0, 40), max_size=12),
+)
+def test_bulk_append_writes_the_pages_of_row_by_row_appends(page_rows, chunks):
+    """Appending rows in bulk (the sort's run spill, a spilled
+    partition) and one at a time write the same pages, the same count,
+    and report the same ``written`` totals."""
+    rows = [(i, -i) for i in range(sum(chunks))]
+    bulk_pool, single_pool = BufferPool(64), BufferPool(64)
+    bulk, single = bulk_pool.spill_file(page_rows), single_pool.spill_file(page_rows)
+    bulk_written = single_written = 0
+    start = 0
+    for size in chunks:
+        chunk = rows[start : start + size]
+        start += size
+        bulk_written += bulk.append_rows(iter(chunk))
+        single_written += sum(single.append_rows((row,)) for row in chunk)
+        assert bulk_written == single_written
+        assert bulk.page_count == single.page_count
+        assert bulk.row_count == single.row_count == start
+    bulk_written += bulk.flush()
+    single_written += single.flush()
+    assert bulk_written == single_written == bulk.page_count == single.page_count
+    assert [bulk.page_at(i).rows for i in range(bulk.page_count)] == [
+        single.page_at(i).rows for i in range(single.page_count)
+    ]
+    assert bulk_pool.stats.spill_pages_written == single_pool.stats.spill_pages_written

@@ -98,6 +98,26 @@ class TestSpillingJoinCorrectness:
         handle, _, _ = _run(catalog, plan, 2)
         assert sorted(handle.rows) == expected
 
+    @pytest.mark.parametrize("work_mem", [512, 1])
+    def test_int_build_keys_meet_equal_float_probe_keys(self, work_mem):
+        """``1 == 1.0``: an INT build key and the FLOAT probe key equal
+        to it share a partition at every level, even after the
+        partition memo passes its key limit and starts over."""
+        keys = 10_000
+        cat = Catalog()
+        cat.create("ints", Schema([("ik", DataType.INT)])).insert_many(
+            [(k,) for k in range(keys)]
+        )
+        cat.create("floats", Schema([("fk", DataType.FLOAT)])).insert_many(
+            [(float(k),) for k in range(keys)]
+        )
+        plan = hash_join(
+            scan(cat, "ints"), scan(cat, "floats"), build_key="ik", probe_key="fk"
+        )
+        handle, _, _ = _run(cat, plan, work_mem)
+        assert len(handle.rows) == keys
+        assert sorted(handle.rows) == sorted(execute_reference(plan, cat))
+
     def test_shared_group_with_spilling_pivot(self, catalog):
         """A sharing group whose pivot is the spilling join still
         delivers every member the right answer."""

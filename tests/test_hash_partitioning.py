@@ -2,9 +2,11 @@
 
 Which partition a key hashes to decides which spill file a row lands
 in and which fragment folds a group, so the numbers are behaviour. The
-oracle is the one-shot formula ``crc32(f"{salt}|{key!r}".encode())``;
-both :func:`partition_of` and :class:`PartitionMemo` must agree with it
-for every key, salt and fanout.
+oracle is the one-shot formula ``crc32(f"{salt}|{key!r}".encode())``,
+an integral float key written as its int (so ``1`` and ``1.0``, equal
+join keys, land together); both :func:`partition_of` and
+:class:`PartitionMemo` must agree with it for every key, salt and
+fanout.
 """
 
 import zlib
@@ -26,6 +28,8 @@ fanouts = st.sampled_from([1, 2, 3, 4, 8, 16, 31])
 
 
 def oracle(key, salt: int, fanout: int) -> int:
+    if isinstance(key, float) and key.is_integer():
+        key = int(key)
     return zlib.crc32(f"{salt}|{key!r}".encode()) % fanout
 
 
@@ -46,6 +50,22 @@ def test_memo_equals_one_shot_formula(batch, salt, fanout):
     for key in batch:
         first.setdefault(key, key)
     assert partitions == [oracle(first[key], salt, fanout) for key in batch]
+
+
+@given(value=st.integers(-(2**60), 2**60), salt=salts, fanout=fanouts)
+@settings(max_examples=100, deadline=None)
+def test_equal_int_and_float_keys_share_a_partition(value, salt, fanout):
+    assert partition_of(float(value), salt, fanout) == partition_of(int(float(value)), salt, fanout)
+
+
+def test_equal_key_keeps_its_partition_after_the_memo_starts_over():
+    # 1.0 arrives after the memo has started over and dropped 1's entry.
+    memo = PartitionMemo(0, 31)
+    first = memo[1]
+    for key in range(2, MEMO_KEYS + 2):
+        memo[key]
+    assert 1 not in memo
+    assert memo[1.0] == first
 
 
 def test_memo_starts_over_at_its_bound():

@@ -25,6 +25,7 @@ from repro.engine import (
 )
 from repro.engine.expressions import col, gt, lit
 from repro.engine.parallel import find_region, partition_ranges
+from repro.engine.reference import execute_reference
 from repro.errors import EngineError, PlanError
 from repro.sim.simulator import Simulator
 from repro.storage import Catalog, DataType, Schema
@@ -195,6 +196,82 @@ class TestAnswerParity:
     def test_no_region_plan_falls_back_to_serial(self):
         plan = limit(_join_plan(), 25)
         assert _run(plan, dop=4) == _run(plan)
+
+
+class TestFragmentGrants:
+    """A partitioned aggregate or join splits its budget ``dop`` ways:
+    each instance asks for ``max(1, work_mem // dop)`` pages, and the
+    run leaves no memory, pin or spill frame behind."""
+
+    @staticmethod
+    def _query(shape, dop):
+        if shape == "aggregate":
+            builder = QueryBuilder(CATALOG, "t").agg(
+                AggSpec("sum", "total", col("v")), AggSpec("count", "n"), by=("g",)
+            )
+        else:
+            builder = QueryBuilder(CATALOG, "t").hash_join(
+                QueryBuilder(CATALOG, "d"), build_key="dg", probe_key="g"
+            )
+        return builder.parallel(dop).build()
+
+    @pytest.mark.parametrize("work_mem", [1, 4, 32, 512])
+    @pytest.mark.parametrize("dop", [2, 4])
+    @pytest.mark.parametrize("shape", ["aggregate", "hash_join"])
+    def test_instances_share_the_budget_and_release_it(self, shape, dop, work_mem):
+        session = Database.open(
+            CATALOG, RuntimeConfig(work_mem=work_mem, pool_pages=16, page_rows=2, processors=4)
+        )
+        query = self._query(shape, dop)
+        result = session.run(query, share=False)
+        expected = execute_reference(query.plan, CATALOG)
+        if shape == "aggregate":
+            assert result.rows == expected
+        else:
+            assert sorted(result.rows) == sorted(expected)
+
+        grants = result.grants
+        assert len(grants) == dop
+        assert len({grant.owner for grant in grants}) == 1
+        assert {grant.pages for grant in grants} == {max(1, work_mem // dop)}
+        if work_mem >= dop:
+            assert sum(grant.pages for grant in grants) <= work_mem
+
+        memory, pool = session.engine.memory, session.engine.pool
+        assert memory.reserved == memory.in_use == 0
+        assert all(grant.closed for grant in memory.grants())
+        assert pool.pinned_count() == 0
+        # Every frame left is a table page: no spill page outlived its file.
+        assert len(pool) == pool.resident_pages("t") + pool.resident_pages("d")
+
+
+def _mixed_key_catalog(keys):
+    """An INT-keyed and a FLOAT-keyed table whose keys compare equal."""
+    catalog = Catalog()
+    catalog.create("ik", Schema([("i", DataType.INT), ("iv", DataType.INT)])).insert_many(
+        [(k, k) for k in range(keys)]
+    )
+    catalog.create("fk", Schema([("f", DataType.FLOAT), ("fv", DataType.INT)])).insert_many(
+        [(float(k), k) for k in range(keys)]
+    )
+    return catalog
+
+
+@pytest.mark.parametrize("preset", ["unbounded", "cmp32"])
+def test_int_float_join_keys_meet_in_one_partition(preset):
+    # The exchange routes 1 and 1.0 to one partition, or the join
+    # instance holding the build key never sees its probe match.
+    catalog = _mixed_key_catalog(300)
+    query = (
+        QueryBuilder(catalog, "fk")
+        .hash_join(QueryBuilder(catalog, "ik"), build_key="i", probe_key="f")
+        .parallel(4)
+        .build()
+    )
+    result = Database.open(catalog, preset).run(query, share=False)
+    expected = execute_reference(query.plan, catalog)
+    assert len(expected) == 300
+    assert sorted(result.rows) == sorted(expected)
 
 
 class TestExecuteGroup:
