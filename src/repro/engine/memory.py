@@ -41,7 +41,10 @@ class GrantSnapshot:
     ``notes`` carries operator-reported facts about how the grant was
     spent — the external sort reports ``sort_runs`` / ``merge_passes``
     / ``spilled_pages``, so a result can show not just *that* an
-    operator stayed in budget but *how*.
+    operator stayed in budget but *how*. ``requested`` is the pages the
+    operator asked for (``work_mem`` when it named no size): a grant
+    whose ``pages`` fall short of it was starved by the siblings that
+    opened first.
     """
 
     owner: str
@@ -50,6 +53,7 @@ class GrantSnapshot:
     high_water: int
     closed: bool
     notes: tuple = ()
+    requested: Optional[int] = None
 
 
 def grant_notes(grants: Sequence[GrantSnapshot], owner: str) -> dict:
@@ -65,16 +69,17 @@ def grant_notes(grants: Sequence[GrantSnapshot], owner: str) -> dict:
 class MemoryGrant:
     """One operator's working-memory budget.
 
-    ``pages`` is the granted budget; ``used`` is what the operator
-    currently reports holding. Usage above the budget is allowed (the
-    recursion floor of a spilling operator) but counted as an
-    overcommit on the broker.
+    ``pages`` is the granted budget and ``requested`` what the operator
+    asked for; ``used`` is what the operator currently reports holding.
+    Usage above the budget is allowed (the recursion floor of a
+    spilling operator) but counted as an overcommit on the broker.
     """
 
     __slots__ = (
         "broker",
         "owner",
         "pages",
+        "requested",
         "used",
         "high_water",
         "closed",
@@ -82,10 +87,11 @@ class MemoryGrant:
         "_overcommitted",
     )
 
-    def __init__(self, broker: "MemoryBroker", owner: str, pages: int) -> None:
+    def __init__(self, broker: "MemoryBroker", owner: str, pages: int, requested: int) -> None:
         self.broker = broker
         self.owner = owner
         self.pages = pages
+        self.requested = requested
         self.used = 0
         self.high_water = 0
         self.closed = False
@@ -136,6 +142,7 @@ class MemoryGrant:
             high_water=self.high_water,
             closed=self.closed,
             notes=tuple(sorted(self.notes.items())),
+            requested=self.requested,
         )
 
     def __repr__(self) -> str:
@@ -226,7 +233,7 @@ class MemoryBroker:
             raise EngineError(f"requested pages must be >= 1, got {requested}")
         granted = max(min(requested, self.available()), 1)
         self.reserved += granted
-        grant = MemoryGrant(self, owner, granted)
+        grant = MemoryGrant(self, owner, granted, requested)
         self._grants.append(grant)
         if self.tracer is not None:
             self.tracer.instant(

@@ -32,15 +32,20 @@ every group unconditionally, exactly as the seed did. With a
 working-memory grant and becomes a **partitioned spilling aggregate**:
 groups are hashed into partitions (memoised per key), and when the
 resident group state exceeds the grant the largest partition is
-spilled — its group *states* (which merge: rows, sums and NULL counts
-add, min/max combine) are written through a
+spilled. The resident state is counted as one table, one state row per
+group — ⌈resident groups / ``page_rows``⌉ pages over all resident
+partitions together, as the model's working-set estimate counts it —
+so state that fits the grant never spills, however many partitions it
+hashes into. A spilled partition's group *states* (which merge: rows,
+sums and NULL counts add, min/max combine) are written through a
 :class:`~repro.storage.buffer.SpillFile`, and later input rows for a
-spilled partition are folded into singleton states and appended, in row
-order. Resolve is then one ``key → state`` map over the resident
+spilled partition are folded into singleton states and appended, in
+row order. Resolve is then one ``key → state`` map over the resident
 partitions whose first lookup of a key routes it through the partition
 memo. A finalize phase re-reads each spilled partition, merges its
-``key + state`` rows in one generated loop (the broker records an
-overcommit if a single partition still exceeds the grant — the
+``key + state`` rows in one generated loop (reporting the merged
+states it holds, not the run's pages; the broker records an overcommit
+if one partition's merged states still exceed the grant — the
 recursion floor), and emits all groups in global key order, so the
 answer is identical to the unbounded aggregate's at every budget.
 """
@@ -395,7 +400,6 @@ class AggregateOperator(BatchOperator):
         largest partition whenever the grant is exceeded."""
         costs = self.ctx.costs
         page_rows = self.ctx.page_rows
-        parts = self.parts
         grant = self.grant
         cost = costs.agg_update * len(batch)
         self._fold(batch)
@@ -405,9 +409,12 @@ class AggregateOperator(BatchOperator):
             if written:
                 cost += costs.spill_page * written
         spilled.clear()
-        while _group_pages(parts, page_rows) > grant.pages:
+        # The resident map holds exactly the resident keys: one state
+        # row each, counted as one table.
+        resident = self.groups
+        while -(-len(resident) // page_rows) > grant.pages:
             cost += costs.spill_page * self._spill_largest()
-        grant.resize_used(_group_pages(parts, page_rows))
+        grant.resize_used(-(-len(resident) // page_rows))
         yield Compute(cost)
 
     def _merge_partitions(self, output, key_width):
@@ -416,6 +423,7 @@ class AggregateOperator(BatchOperator):
         single partition still exceeds the grant)."""
         ctx = self.ctx
         costs = ctx.costs
+        page_rows = ctx.page_rows
         grant = self.grant
         for p in self.parts:
             merged = p.groups
@@ -423,15 +431,16 @@ class AggregateOperator(BatchOperator):
                 seal = costs.spill_page * p.file.flush()
                 if seal:
                     yield Compute(seal)
-                grant.resize_used(p.file.page_count)
                 merged = _Groups(self.fresh)
                 # Stream the state run back through a prefetched cursor: the
-                # merge CPU of this page drains the next pages' reads.
+                # merge CPU of this page drains the next pages' reads. The
+                # grant holds the merged states, not the run's pages.
                 reader = SpillCursor(p.file, costs.io_page, ctx.spill_prefetch)
                 credit = 0.0
                 while not reader.exhausted:
                     spill_page, stall = reader.next_page(credit)
                     self.merge(spill_page.rows, merged, key_width)
+                    grant.resize_used(-(-len(merged) // page_rows))
                     credit = costs.agg_update * len(spill_page)
                     yield Compute(credit + stall, io=stall)
                 p.file.drop()
@@ -452,8 +461,3 @@ class _AggPartition:
     @property
     def spilled(self) -> bool:
         return self.groups is None
-
-
-def _group_pages(parts, page_rows: int) -> int:
-    """Pages of resident group state (one group ~ one state row)."""
-    return sum(-(-len(p.groups) // page_rows) for p in parts if p.groups)

@@ -23,15 +23,17 @@ entire build side, exactly as the seed did. With a
 **spilling hybrid hash join** in the style of Jahangiri, Carey &
 Freytag (2021): the build side is split into ``fanout`` partitions;
 while the resident partitions fit the operator's memory grant they
-stay in memory as ready-to-probe hash tables, and when the grant is
-exceeded the largest resident partition is spilled — written page by
-page through the buffer pool (``spill_page`` per page), with later
-build rows for it appended to its spill file. Probe rows for resident
-partitions stream through pipelined as usual; probe rows for spilled
-partitions are spilled alongside. A cleanup phase then joins each
-spilled partition pair, recursing with a fresh hash salt when a
-partition alone still exceeds the grant. Every level maps keys to
-partitions through a
+stay in memory as ready-to-probe hash tables. They are counted as one
+table — ⌈resident build rows / ``page_rows``⌉ pages, however many
+partitions hold them — so a build side that fits the grant never
+spills. When the grant is exceeded the largest resident partition is
+spilled — written page by page through the buffer pool
+(``spill_page`` per page), with later build rows for it appended to
+its spill file. Probe rows for resident partitions stream through
+pipelined as usual; probe rows for spilled partitions are spilled
+alongside. A cleanup phase then joins each spilled partition pair,
+recursing with a fresh hash salt when a partition alone still exceeds
+the grant. Every level maps keys to partitions through a
 :class:`~repro.engine.operators.partitioning.PartitionMemo` — one for
 build and probe together, one per re-partitioning — so the
 seed-independent hash is paid once per distinct key. At the recursion
@@ -123,13 +125,6 @@ class _Partition:
         return self.table is None
 
 
-def _resident_pages(parts, page_rows: int) -> int:
-    """Pages held by resident partitions (each holds its own pages)."""
-    return sum(
-        -(-p.rows // page_rows) for p in parts if not p.spilled and p.rows
-    )
-
-
 class HashJoinOperator(BatchOperator):
     """``mem_pages`` is the grant this instance asks for; by default the
     node's own ``mem_pages`` (``None`` = whatever ``work_mem`` has left).
@@ -162,6 +157,8 @@ class HashJoinOperator(BatchOperator):
                     self.grant.pages),
             )
             self.parts = [_Partition() for _ in range(self.fanout)]
+            # Build rows held by the resident partitions together.
+            self.resident_rows = 0
             # Build and probe partition alike: one memo serves both.
             self.memo = PartitionMemo(0, self.fanout)
         return
@@ -241,12 +238,15 @@ class HashJoinOperator(BatchOperator):
         victim.build_file = self.ctx.pool.spill_file(self.ctx.page_rows)
         written = victim.build_file.append_rows(rows)
         victim.table = None
+        self.resident_rows -= victim.rows
         victim.rows = 0
         return written
 
     def _governed_build(self, batch):
         """Partition one build batch into resident hash tables, spilling
-        the largest partition whenever the grant is exceeded."""
+        the largest partition whenever the grant is exceeded. The
+        resident partitions are counted as one table: ⌈resident build
+        rows / ``page_rows``⌉ pages."""
         costs = self.ctx.costs
         page_rows = self.ctx.page_rows
         parts = self.parts
@@ -254,6 +254,7 @@ class HashJoinOperator(BatchOperator):
         cost = costs.hash_build * len(batch)
         keys = batch.column(self.build_index)
         partitions = map(self.memo.__getitem__, keys)
+        inserted = 0
         for partition, key, row in zip(partitions, keys, batch.rows):
             p = parts[partition]
             if p.spilled:
@@ -261,9 +262,11 @@ class HashJoinOperator(BatchOperator):
             else:
                 p.table.setdefault(key, []).append(row)
                 p.rows += 1
-        while _resident_pages(parts, page_rows) > grant.pages:
+                inserted += 1
+        self.resident_rows += inserted
+        while -(-self.resident_rows // page_rows) > grant.pages:
             cost += costs.spill_page * self._spill_largest()
-        grant.resize_used(_resident_pages(parts, page_rows))
+        grant.resize_used(-(-self.resident_rows // page_rows))
         yield Compute(cost)
 
     def _governed_probe(self, batch):

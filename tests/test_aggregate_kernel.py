@@ -1,20 +1,19 @@
-"""The hash aggregate's generated fold: exact answers, unmoved clocks.
+"""The hash aggregate's generated fold: exact answers.
 
-Two pins. *Exact equality*: over random rows the staged aggregate's
-output ``==`` the naive oracle :func:`aggregate_rows` — floats compared
-by ``==``, not to a tolerance, because within a group the fold adds
-values in row order at every budget, batch size and degree of
-parallelism. *Golden pins*: the simulated clock, spill pages and pool
-evictions of two small TPC-H sessions, recorded on the commit before
-the fold replaced the per-row fold loops; a host-side rewrite may
-move none of them.
+Over random rows the staged aggregate's output ``==`` the naive oracle
+:func:`aggregate_rows` — floats compared by ``==``, not to a tolerance,
+because within a group the fold adds values in row order at every
+budget, batch size and degree of parallelism. The clocks, spill pages
+and pool evictions of two small governed TPC-H sessions are golden
+entries (``trajectory/templated_batches``,
+``trajectory/spilling_group_by`` in ``tests/test_batch_parity.py``).
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.db import Database, Query, QueryBuilder, RuntimeConfig
+from repro.db import Database, QueryBuilder, RuntimeConfig
 from repro.engine.costs import CostModel
 from repro.engine.expressions import add, col, mul, udf
 from repro.engine.operators.aggregate import AggregateOperator, aggregate_rows
@@ -22,8 +21,6 @@ from repro.engine.operators.api import StageContext
 from repro.engine.plan import AggSpec, aggregate, scan
 from repro.sim import Simulator
 from repro.storage import Catalog, DataType, Schema
-from repro.tpch.generator import generate
-from repro.tpch.queries import build
 
 PAGE_ROWS = 4
 SCHEMA = Schema(
@@ -146,44 +143,3 @@ def test_empty_input(budget, dop):
         expected = aggregate_rows([], SCHEMA, group_by, AGGS)
         assert _run(catalog, group_by, WORK_MEM[budget], None, dop) == expected
 
-
-# -- golden pins, recorded on the parent commit -----------------------------
-
-
-@pytest.fixture(scope="module")
-def tpch():
-    return generate(0.001, 2007)
-
-
-def _pins(session):
-    snapshot = session.metrics().snapshot()
-    return session.now, snapshot["spill.pages_written"], snapshot["buffer.evictions"]
-
-
-def test_templated_batches_keep_clock_and_spill(tpch):
-    """Q6 x4, Q13 x4, Q1 x2 as shared batches on a small ``laptop``."""
-    session = Database.open(tpch, RuntimeConfig.preset("laptop").with_(pool_pages=48))
-    for name, clients in (("q6", 4), ("q13", 4), ("q1", 2)):
-        query = build(name, tpch)
-        for _ in range(clients):
-            session.submit(Query(plan=query.plan, pivot_op_id=query.pivot, name=name))
-        session.run_all()
-    assert _pins(session) == (123624.95000000014, 58, 510)
-
-
-def test_spilling_group_by_keeps_clock_and_spill(tpch):
-    """``GROUP BY l_orderkey`` under ``work_mem=16``: near-unique keys,
-    most partitions spilled, singleton states appended row by row."""
-    config = RuntimeConfig.preset("laptop").with_(work_mem=16, pool_pages=48)
-    session = Database.open(tpch, config)
-    query = (
-        QueryBuilder(tpch, "lineitem", columns=["l_orderkey", "l_extendedprice"])
-        .agg(
-            AggSpec("sum", "total", col("l_extendedprice")),
-            AggSpec("count", "n"),
-            by=("l_orderkey",),
-        )
-        .build()
-    )
-    session.run(query)
-    assert _pins(session) == (30744.09999999998, 23, 102)

@@ -25,7 +25,10 @@ code with the stages:
   the retired smoke-bench trajectory (``trajectory/...``: engine,
   elevator scans, external sort, drift throttle, traced and untraced
   facade, dop-4 aggregate, open-system server), each built as its
-  bench built it. A deliberate model change re-records everything with
+  bench built it, and two governed TPC-H sessions whose aggregates
+  spill (``trajectory/templated_batches``,
+  ``trajectory/spilling_group_by``: clock, spill pages, pool
+  evictions). A deliberate model change re-records everything with
   ``python tests/test_batch_parity.py``, which first prints every value
   it moved (``key field: old -> new``) — the list a change that moves a
   pin must name.
@@ -40,7 +43,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.db import Database, QueryBuilder, RuntimeConfig
+from repro.db import Database, Query, QueryBuilder, RuntimeConfig
 from repro.engine import (
     CostModel,
     Engine,
@@ -641,8 +644,57 @@ def _server_steady_state_entry():
     )
 
 
+# Two governed TPC-H sessions whose aggregates spill, pinned by clock,
+# spill pages and pool evictions: how much state an operator counts
+# against its grant moves all three.
+
+
+def _spill_pins(session):
+    """The clock of a governed TPC-H session, beside its spill pages and
+    pool evictions."""
+    snapshot = session.metrics().snapshot()
+    return _entry(
+        session.now,
+        spill_pages=snapshot["spill.pages_written"],
+        evictions=snapshot["buffer.evictions"],
+    )
+
+
+def _templated_batches_entry():
+    """Q6 x4, Q13 x4, Q1 x2 as shared batches on a small ``laptop``."""
+    catalog = shared_catalog(0.001, GOLDEN_SEED)
+    session = Database.open(catalog, RuntimeConfig.preset("laptop").with_(pool_pages=48))
+    for name, clients in (("q6", 4), ("q13", 4), ("q1", 2)):
+        query = build(name, catalog)
+        for _ in range(clients):
+            session.submit(Query(plan=query.plan, pivot_op_id=query.pivot, name=name))
+        session.run_all()
+    return _spill_pins(session)
+
+
+def _spilling_group_by_entry():
+    """``GROUP BY l_orderkey`` under ``work_mem=16``: near-unique keys,
+    most partitions spilled, singleton states appended row by row."""
+    catalog = shared_catalog(0.001, GOLDEN_SEED)
+    config = RuntimeConfig.preset("laptop").with_(work_mem=16, pool_pages=48)
+    session = Database.open(catalog, config)
+    query = (
+        QueryBuilder(catalog, "lineitem", columns=["l_orderkey", "l_extendedprice"])
+        .agg(
+            AggSpec("sum", "total", col("l_extendedprice")),
+            AggSpec("count", "n"),
+            by=("l_orderkey",),
+        )
+        .build()
+    )
+    session.run(query)
+    return _spill_pins(session)
+
+
 NAMED_CASES.update(
     {
+        "trajectory/templated_batches": _templated_batches_entry,
+        "trajectory/spilling_group_by": _spilling_group_by_entry,
         "trajectory/engine_q6": _engine_q6_entry,
         "trajectory/scan_cooperative": _scan_cooperative_entry,
         "trajectory/sort_external": _sort_external_entry,

@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.db import Database, RuntimeConfig
 from repro.engine import MemoryBroker
 from repro.errors import EngineError
+from repro.experiments.common import shared_catalog
+from repro.tpch.queries import build
 
 
 class TestGrants:
@@ -49,6 +52,14 @@ class TestGrants:
         with pytest.raises(EngineError):
             broker.grant("a", 0)
 
+    def test_snapshot_shows_what_was_requested(self):
+        broker = MemoryBroker(4)
+        broker.grant("first")
+        broker.grant("starved", 3)
+        first, starved = broker.grants()
+        assert (first.pages, first.requested) == (4, 4)  # no size: work_mem
+        assert (starved.pages, starved.requested) == (1, 3)
+
 
 class TestUsageTracking:
     def test_high_water_marks(self):
@@ -91,3 +102,23 @@ class TestUsageTracking:
         (snap,) = broker.grants()
         assert (snap.owner, snap.pages, snap.used, snap.high_water) == ("join@1", 4, 2, 2)
         assert not snap.closed
+
+
+class TestStarvedSibling:
+    """Two unshared Q1s on ``laptop``: the first ``q1_agg`` opens with all
+    32 pages of ``work_mem``, the second is starved to one page. Q1 has
+    four groups, one page of state, so the starved aggregate still fits
+    and spills nothing."""
+
+    def test_one_page_grant_holds_one_page_of_groups(self):
+        catalog = shared_catalog(0.001, 2007)
+        session = Database.open(catalog, RuntimeConfig.preset("laptop"))
+        query = build("q1", catalog)
+        for i in range(2):
+            session.submit(query.plan, label=f"q1_{i}", share=False)
+        result = session.run_all()[-1]
+        first, starved = (g for g in result.grants if g.owner == "q1_agg")
+        assert (first.pages, first.requested) == (32, 32)
+        assert (starved.pages, starved.requested, starved.high_water) == (1, 32, 1)
+        assert session.engine.memory.overcommits == 0
+        assert session.metrics().snapshot()["spill.pages_written"] == 0
