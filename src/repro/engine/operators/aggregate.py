@@ -29,15 +29,19 @@ float sums are bit-identical to the naive oracle
 Without memory governance (``ctx.memory is None``) the stage buffers
 every group unconditionally, exactly as the seed did. With a
 :class:`~repro.engine.memory.MemoryBroker` attached it takes a
-working-memory grant and becomes a **partitioned spilling aggregate**:
-groups are hashed into partitions (memoised per key), and when the
-resident group state exceeds the grant the largest partition is
-spilled. The resident state is counted as one table, one state row per
-group — ⌈resident groups / ``page_rows``⌉ pages over all resident
-partitions together, as the model's working-set estimate counts it —
-so state that fits the grant never spills, however many partitions it
-hashes into. A spilled partition's group *states* (which merge: rows,
-sums and NULL counts add, min/max combine) are written through a
+working-memory grant and becomes a **partitioned spilling aggregate**,
+partitioned only once the grant first overflows. The group state is
+counted as one table, one state row per group — ⌈resident groups /
+``page_rows``⌉ pages, as the model's working-set estimate counts it —
+so until it exceeds the grant the fold is the ungoverned one: one
+``key → state`` map, no key hashed. At the first overflow the map is
+split, in insertion order, into partitions through a
+:class:`~repro.engine.operators.partitioning.PartitionMemo` — each
+holding the keys, in the order and with the states, it would have held
+had the fold partitioned from its first row — and while the resident
+groups still exceed the grant the largest partition is spilled. A
+spilled partition's group *states* (which merge: rows, sums and NULL
+counts add, min/max combine) are written through a
 :class:`~repro.storage.buffer.SpillFile`, and later input rows for a
 spilled partition are folded into singleton states and appended, in
 row order. Resolve is then one ``key → state`` map over the resident
@@ -47,7 +51,9 @@ memo. A finalize phase re-reads each spilled partition, merges its
 states it holds, not the run's pages; the broker records an overcommit
 if one partition's merged states still exceed the grant — the
 recursion floor), and emits all groups in global key order, so the
-answer is identical to the unbounded aggregate's at every budget.
+answer is identical to the unbounded aggregate's at every budget. The
+grant notes ``spilled_partitions``: how many partitions went to disk,
+0 when the state fit.
 """
 
 from __future__ import annotations
@@ -329,8 +335,11 @@ class AggregateOperator(BatchOperator):
         )
         self.fresh = list(fresh)
         self.make_emitter(len(node.schema))
+        # One map until the grant first overflows, then a _Resident.
         self.groups = _Groups(self.fresh)
         self.grant = None
+        # ``None`` until the grant first overflows, then the partitions.
+        self.parts = None
 
     def _fold(self, batch) -> None:
         """Fold one batch: each row's state resolved once, in row order."""
@@ -351,23 +360,28 @@ class AggregateOperator(BatchOperator):
             # Grant acquisition stays at task start (not construction)
             # so broker bookkeeping keeps its spawn-order timeline.
             self.grant = ctx.memory.grant(self.node.op_id, self.mem_pages)
-            fanout = max(2, min(self.node.params.get("fanout", DEFAULT_FANOUT), self.grant.pages))
-            self.parts = [_AggPartition() for _ in range(fanout)]
-            self.groups = _Resident(self.fresh, self.parts, PartitionMemo(0, fanout))
+            self.fanout = max(
+                2, min(self.node.params.get("fanout", DEFAULT_FANOUT), self.grant.pages)
+            )
         return
         yield  # pragma: no cover
 
     def next_batch(self, batch, port):
-        if self.grant is not None:
-            yield from self._governed_fold(batch)
-            return
-        yield Compute(self.ctx.costs.agg_update * len(batch))
+        cost = self.ctx.costs.agg_update * len(batch)
         self._fold(batch)
+        if self.grant is not None:
+            cost = self._govern(cost)
+        yield Compute(cost)
 
     def finish(self):
         key_width = len(self.group_idx)
-        if self.grant is None:
+        grant = self.grant
+        if grant is not None:
+            grant.note(spilled_partitions=sum(p.spilled for p in self.parts or ()))
+        if self.parts is None:
             output = self.output(self.groups)
+            if grant is not None:
+                grant.resize_used(0)
         else:
             output = []
             yield from self._merge_partitions(output, key_width)
@@ -376,8 +390,8 @@ class AggregateOperator(BatchOperator):
             yield Compute(self.ctx.costs.agg_emit * len(output))
         yield from self.emitter.emit_rows(output)
         yield from self.emitter.close()
-        if self.grant is not None:
-            self.grant.close()
+        if grant is not None:
+            grant.close()
 
     # -- memory-governed partitioned aggregate ---------------------------
 
@@ -395,27 +409,43 @@ class AggregateOperator(BatchOperator):
         victim.groups = None
         return written
 
-    def _governed_fold(self, batch):
-        """Fold one batch into partitioned group state, spilling the
-        largest partition whenever the grant is exceeded."""
+    def _govern(self, cost: float) -> float:
+        """Keep the batch just folded within the grant; returns ``cost``
+        plus the spill writes. Singleton states of spilled partitions
+        are appended to their files; then, while the resident groups
+        exceed the grant, the state is partitioned (at the first
+        overflow) and the largest resident partition spilled."""
         costs = self.ctx.costs
         page_rows = self.ctx.page_rows
         grant = self.grant
-        cost = costs.agg_update * len(batch)
-        self._fold(batch)
-        spilled = self.groups.spilled
-        for file, key, state in spilled:
-            written = file.append_rows((key + tuple(state),))
-            if written:
-                cost += costs.spill_page * written
-        spilled.clear()
+        if self.parts is not None:
+            spilled = self.groups.spilled
+            for file, key, state in spilled:
+                written = file.append_rows((key + tuple(state),))
+                if written:
+                    cost += costs.spill_page * written
+            spilled.clear()
         # The resident map holds exactly the resident keys: one state
         # row each, counted as one table.
-        resident = self.groups
-        while -(-len(resident) // page_rows) > grant.pages:
+        while -(-len(self.groups) // page_rows) > grant.pages:
+            if self.parts is None:
+                self._partition()
             cost += costs.spill_page * self._spill_largest()
-        grant.resize_used(-(-len(resident) // page_rows))
-        yield Compute(cost)
+        grant.resize_used(-(-len(self.groups) // page_rows))
+        return cost
+
+    def _partition(self) -> None:
+        """At the grant's first overflow, split the one group map into
+        ``fanout`` partitions, walking it in insertion order: each
+        partition and the resident map hold their keys in first-seen
+        order with the same states, as if the fold had partitioned from
+        its first row."""
+        memo = PartitionMemo(0, self.fanout)
+        self.parts = parts = [_AggPartition() for _ in range(self.fanout)]
+        resident = _Resident(self.fresh, parts, memo)
+        for key, state in self.groups.items():
+            resident[key] = parts[memo[key]].groups[key] = state
+        self.groups = resident
 
     def _merge_partitions(self, output, key_width):
         """Resident partitions emit directly; spilled partitions re-read

@@ -17,29 +17,35 @@ batch is columnar, so this is a single list reference) and the
 build/probe loops walk ``zip(keys, rows)`` instead of indexing into
 every row tuple.
 
-Without memory governance (``ctx.memory is None``) the stage holds its
-entire build side, exactly as the seed did. With a
-:class:`~repro.engine.memory.MemoryBroker` attached it becomes a
-**spilling hybrid hash join** in the style of Jahangiri, Carey &
-Freytag (2021): the build side is split into ``fanout`` partitions;
-while the resident partitions fit the operator's memory grant they
-stay in memory as ready-to-probe hash tables. They are counted as one
-table — ⌈resident build rows / ``page_rows``⌉ pages, however many
-partitions hold them — so a build side that fits the grant never
-spills. When the grant is exceeded the largest resident partition is
-spilled — written page by page through the buffer pool
-(``spill_page`` per page), with later build rows for it appended to
-its spill file. Probe rows for resident partitions stream through
-pipelined as usual; probe rows for spilled partitions are spilled
-alongside. A cleanup phase then joins each spilled partition pair,
-recursing with a fresh hash salt when a partition alone still exceeds
-the grant. Every level maps keys to partitions through a
-:class:`~repro.engine.operators.partitioning.PartitionMemo` — one for
-build and probe together, one per re-partitioning — so the
-seed-independent hash is paid once per distinct key. At the recursion
-floor the partition is processed in memory regardless (the broker
-records an overcommit), so shrinking ``work_mem`` degrades cost
-smoothly and can never fail the query.
+The build side lands in one table, ``key → bucket``, and each probe
+batch is one lookup loop over it. Without memory governance
+(``ctx.memory is None``) that is the whole story, exactly as the seed
+did. With a :class:`~repro.engine.memory.MemoryBroker` attached the
+table is counted against the operator's memory grant — ⌈build rows /
+``page_rows``⌉ pages — and the operator is a **spilling hybrid hash
+join** in the style of Jahangiri, Carey & Freytag (2021), partitioned
+only once the grant first overflows: a build side that fits costs what
+the ungoverned join costs and hashes nothing. At that first overflow
+the table is split, in insertion order, into ``fanout`` partitions
+through a :class:`~repro.engine.operators.partitioning.PartitionMemo`
+— each holding the keys, in the order and with the buckets, it would
+have held had the join partitioned from its first row — and from then
+on the resident partitions are counted as one table: ⌈resident build
+rows / ``page_rows``⌉ pages, however many partitions hold them. While
+that exceeds the grant the largest resident partition is spilled —
+written page by page through the buffer pool (``spill_page`` per
+page), with later build rows for it appended to its spill file. Probe
+rows for resident partitions stream through pipelined as usual; probe
+rows for spilled partitions are spilled alongside. A cleanup phase
+then joins each spilled partition pair, recursing with a fresh hash
+salt when a partition alone still exceeds the grant. Every level maps
+keys to partitions through a memo — one for build and probe together,
+one per re-partitioning — so the seed-independent hash is paid once
+per distinct key. At the recursion floor the partition is processed
+in memory regardless (the broker records an overcommit), so shrinking
+``work_mem`` degrades cost smoothly and can never fail the query. The
+grant notes ``spilled_partitions``: how many top-level partitions went
+to disk, 0 when the build side fit.
 """
 
 from __future__ import annotations
@@ -73,9 +79,7 @@ def build_table(build_rows, key_index):
 
 def probe_rows(rows, table, key_index, join_type, build_width):
     """Pure function: join output for a batch of probe rows."""
-    return _probe_keyed(
-        rows, [row[key_index] for row in rows], table, join_type, build_width
-    )
+    return _probe_keyed(rows, [row[key_index] for row in rows], table, join_type, build_width)
 
 
 def _probe_keyed(rows, keys, table, join_type, build_width):
@@ -141,8 +145,14 @@ class HashJoinOperator(BatchOperator):
         self.probe_index = probe_schema.index_of(node.params["probe_key"])
         self.join_type = node.params["join_type"]
         self.build_width = len(build_schema)
-        self.table: dict = {}
+        # The build side until the grant first overflows (or the join
+        # finishes), then ``None``.
+        self.table: dict | None = {}
+        # Build rows held in ``table`` or the resident partitions.
+        self.resident_rows = 0
         self.grant = None
+        # ``None`` until the grant first overflows, then the partitions.
+        self.parts = None
         self.make_emitter(len(node.schema))
 
     # -- protocol --------------------------------------------------------
@@ -152,88 +162,123 @@ class HashJoinOperator(BatchOperator):
         if ctx.memory is not None:
             self.grant = ctx.memory.grant(self.node.op_id, self.mem_pages)
             self.fanout = max(
-                2,
-                min(self.node.params.get("fanout", DEFAULT_FANOUT),
-                    self.grant.pages),
+                2, min(self.node.params.get("fanout", DEFAULT_FANOUT), self.grant.pages)
             )
-            self.parts = [_Partition() for _ in range(self.fanout)]
-            # Build rows held by the resident partitions together.
-            self.resident_rows = 0
-            # Build and probe partition alike: one memo serves both.
-            self.memo = PartitionMemo(0, self.fanout)
         return
         yield  # pragma: no cover
 
     def next_batch(self, batch, port):
         if port == 0:
-            if self.grant is not None:
-                yield from self._governed_build(batch)
-            else:
-                yield Compute(self.ctx.costs.hash_build * len(batch))
-                table = self.table
-                keys = batch.column(self.build_index)
-                for key, row in zip(keys, batch.rows):
-                    table.setdefault(key, []).append(row)
+            yield from self._build(batch)
             return
-        if self.grant is not None:
-            yield from self._governed_probe(batch)
-            return
-        yield Compute(self.ctx.costs.hash_probe * len(batch))
-        joined = _probe_keyed(
-            batch.rows, batch.column(self.probe_index),
-            self.table, self.join_type, self.build_width,
-        )
+        costs = self.ctx.costs
+        keys = batch.column(self.probe_index)
+        if self.parts is None:
+            yield Compute(costs.hash_probe * len(batch))
+            joined = _probe_keyed(batch.rows, keys, self.table, self.join_type, self.build_width)
+        else:
+            joined = yield from self._partitioned_probe(batch, keys)
         if joined:
-            yield Compute(self.ctx.costs.join_emit * len(joined))
+            yield Compute(costs.join_emit * len(joined))
             yield from self.emitter.emit_rows(joined)
 
     def close_port(self, port):
-        if port == 0 and self.grant is not None:
+        if port == 0 and self.parts is not None:
             # Seal spilled build files (a partial trailing page still
             # costs a write when it goes out).
             seal_cost = sum(
-                self.ctx.costs.spill_page * p.build_file.flush()
-                for p in self.parts if p.spilled
+                self.ctx.costs.spill_page * p.build_file.flush() for p in self.parts if p.spilled
             )
             if seal_cost:
                 yield Compute(seal_cost)
 
     def finish(self):
-        if self.grant is None:
-            yield from self.emitter.close()
-            return
-        # Resident partitions are fully probed; release their memory
-        # before the cleanup phase claims pages for re-reading runs.
-        for p in self.parts:
-            if not p.spilled:
-                p.table = None
-                p.rows = 0
-        self.grant.resize_used(0)
+        # The resident build side is fully probed: release it before the
+        # cleanup phase claims pages for re-reading runs.
+        spilled = [p for p in self.parts or () if p.spilled]
+        self.table = self.parts = None
+        grant = self.grant
+        if grant is not None:
+            grant.resize_used(0)
+            grant.note(spilled_partitions=len(spilled))
         # Cleanup phase: join every spilled partition pair, recursively.
         costs = self.ctx.costs
-        for p in self.parts:
-            if p.build_file is None:
-                continue
+        for p in spilled:
             if p.probe_file is not None:
                 seal = costs.spill_page * p.probe_file.flush()
                 if seal:
                     yield Compute(seal)
             yield from _join_spilled(
-                p.build_file, p.probe_file, 1, self.ctx, self.grant,
-                self.emitter, self.build_index, self.probe_index,
-                self.join_type, self.build_width, self.fanout,
+                p.build_file,
+                p.probe_file,
+                1,
+                self.ctx,
+                grant,
+                self.emitter,
+                self.build_index,
+                self.probe_index,
+                self.join_type,
+                self.build_width,
+                self.fanout,
             )
         yield from self.emitter.close()
-        self.grant.close()
+        if grant is not None:
+            grant.close()
 
-    # -- memory-governed hybrid phases -----------------------------------
+    # -- build, and the memory-governed hybrid phases --------------------
+
+    def _build(self, batch):
+        """Insert one build batch: into the one table until the grant
+        first overflows, then into the partitions. While the resident
+        rows, counted as one table (⌈rows / ``page_rows``⌉ pages),
+        exceed the grant, the largest resident partition is spilled."""
+        costs = self.ctx.costs
+        cost = costs.hash_build * len(batch)
+        keys = batch.column(self.build_index)
+        parts = self.parts
+        if parts is None:
+            table = self.table
+            for key, row in zip(keys, batch.rows):
+                table.setdefault(key, []).append(row)
+            self.resident_rows += len(batch)
+        else:
+            inserted = 0
+            for partition, key, row in zip(map(self.memo.__getitem__, keys), keys, batch.rows):
+                p = parts[partition]
+                if p.spilled:
+                    cost += costs.spill_page * p.build_file.append_rows((row,))
+                else:
+                    p.table.setdefault(key, []).append(row)
+                    p.rows += 1
+                    inserted += 1
+            self.resident_rows += inserted
+        grant = self.grant
+        if grant is not None:
+            page_rows = self.ctx.page_rows
+            while -(-self.resident_rows // page_rows) > grant.pages:
+                if self.parts is None:
+                    self._partition()
+                cost += costs.spill_page * self._spill_largest()
+            grant.resize_used(-(-self.resident_rows // page_rows))
+        yield Compute(cost)
+
+    def _partition(self) -> None:
+        """At the grant's first overflow, split the one table into
+        ``fanout`` partitions, walking it in insertion order: each
+        partition holds its keys in first-seen order with their
+        buckets, as if the build had partitioned from its first row.
+        Build and probe then partition alike: one memo serves both."""
+        self.memo = memo = PartitionMemo(0, self.fanout)
+        self.parts = parts = [_Partition() for _ in range(self.fanout)]
+        for key, bucket in self.table.items():
+            p = parts[memo[key]]
+            p.table[key] = bucket
+            p.rows += len(bucket)
+        self.table = None
 
     def _spill_largest(self) -> int:
         """Evict the largest resident partition; returns pages written."""
-        victim = max(
-            (p for p in self.parts if not p.spilled and p.rows),
-            key=lambda p: p.rows,
-        )
+        victim = max((p for p in self.parts if not p.spilled and p.rows), key=lambda p: p.rows)
         rows = [row for bucket in victim.table.values() for row in bucket]
         victim.build_file = self.ctx.pool.spill_file(self.ctx.page_rows)
         written = victim.build_file.append_rows(rows)
@@ -242,44 +287,15 @@ class HashJoinOperator(BatchOperator):
         victim.rows = 0
         return written
 
-    def _governed_build(self, batch):
-        """Partition one build batch into resident hash tables, spilling
-        the largest partition whenever the grant is exceeded. The
-        resident partitions are counted as one table: ⌈resident build
-        rows / ``page_rows``⌉ pages."""
-        costs = self.ctx.costs
-        page_rows = self.ctx.page_rows
-        parts = self.parts
-        grant = self.grant
-        cost = costs.hash_build * len(batch)
-        keys = batch.column(self.build_index)
-        partitions = map(self.memo.__getitem__, keys)
-        inserted = 0
-        for partition, key, row in zip(partitions, keys, batch.rows):
-            p = parts[partition]
-            if p.spilled:
-                cost += costs.spill_page * p.build_file.append_rows((row,))
-            else:
-                p.table.setdefault(key, []).append(row)
-                p.rows += 1
-                inserted += 1
-        self.resident_rows += inserted
-        while -(-self.resident_rows // page_rows) > grant.pages:
-            cost += costs.spill_page * self._spill_largest()
-        grant.resize_used(-(-self.resident_rows // page_rows))
-        yield Compute(cost)
-
-    def _governed_probe(self, batch):
+    def _partitioned_probe(self, batch, keys):
         """Probe resident partitions pipelined; buffer probe rows of
-        spilled partitions in spill files."""
+        spilled partitions in spill files. Returns the joined rows."""
         ctx = self.ctx
         costs = ctx.costs
         parts = self.parts
         cost = costs.hash_probe * len(batch)
         joined = []
-        keys = batch.column(self.probe_index)
-        partitions = map(self.memo.__getitem__, keys)
-        for partition, key, row in zip(partitions, keys, batch.rows):
+        for partition, key, row in zip(map(self.memo.__getitem__, keys), keys, batch.rows):
             p = parts[partition]
             if p.spilled:
                 if p.probe_file is None:
@@ -287,17 +303,25 @@ class HashJoinOperator(BatchOperator):
                 cost += costs.spill_page * p.probe_file.append_rows((row,))
             else:
                 joined.extend(
-                    _probe_keyed((row,), (key,), p.table, self.join_type,
-                                 self.build_width)
+                    _probe_keyed((row,), (key,), p.table, self.join_type, self.build_width)
                 )
         yield Compute(cost)
-        if joined:
-            yield Compute(costs.join_emit * len(joined))
-            yield from self.emitter.emit_rows(joined)
+        return joined
 
 
-def _join_spilled(build_file, probe_file, depth, ctx, grant, emitter,
-                  build_index, probe_index, join_type, build_width, fanout):
+def _join_spilled(
+    build_file,
+    probe_file,
+    depth,
+    ctx,
+    grant,
+    emitter,
+    build_index,
+    probe_index,
+    join_type,
+    build_width,
+    fanout,
+):
     """Join one spilled (build, probe) partition pair."""
     costs = ctx.costs
     pool = ctx.pool
@@ -334,8 +358,7 @@ def _join_spilled(build_file, probe_file, depth, ctx, grant, emitter,
             page, stall = reader.next_page(credit)
             credit = costs.hash_probe * len(page)
             yield Compute(credit + stall, io=stall)
-            joined = probe_rows(page.rows, table, probe_index, join_type,
-                                build_width)
+            joined = probe_rows(page.rows, table, probe_index, join_type, build_width)
             if joined:
                 emit_cost = costs.join_emit * len(joined)
                 credit += emit_cost
@@ -372,6 +395,15 @@ def _join_spilled(build_file, probe_file, depth, ctx, grant, emitter,
         source.drop()
     for sub_b, sub_p in zip(sub_build, sub_probe):
         yield from _join_spilled(
-            sub_b, sub_p, depth + 1, ctx, grant, emitter,
-            build_index, probe_index, join_type, build_width, fanout,
+            sub_b,
+            sub_p,
+            depth + 1,
+            ctx,
+            grant,
+            emitter,
+            build_index,
+            probe_index,
+            join_type,
+            build_width,
+            fanout,
         )

@@ -15,7 +15,14 @@ seeded with the prefix's CRC — which gives the same number as the
 one-shot string without formatting it. Because that still costs a
 ``repr``, an encode and a checksum per call, operators that partition a
 stream route through a :class:`PartitionMemo`, which pays it once per
-distinct key instead of once per row and hashes the prefix once.
+distinct key instead of once per row and hashes the prefix once. Who
+routes through one, and when:
+
+* the exchange, every row it routes, from the first;
+* a governed hash join (build and probe share one memo) or aggregate,
+  only once its memory grant first overflows: until then it holds one
+  unpartitioned table and hashes nothing;
+* the hybrid join's cleanup, one memo per re-partitioning level.
 """
 
 from __future__ import annotations

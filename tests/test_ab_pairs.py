@@ -55,13 +55,47 @@ def test_win_table_covers_every_metric_both_sides_measured():
 
 
 def test_only_the_last_pair_runs_the_traced_layers_pass():
-    args = argparse.Namespace(workload="all", seed=17, seconds=None, layers=True)
-    assert "--layers" in ab_pairs.run_command("root", args, last=True)
-    assert "--layers" not in ab_pairs.run_command("root", args, last=False)
+    args = argparse.Namespace(seed=17, seconds=None, layers=True)
+    assert "--layers" in ab_pairs.run_command("root", "all", args, last=True)
+    assert "--layers" not in ab_pairs.run_command("root", "all", args, last=False)
     args.layers = False
     for last in (True, False):
-        command = ab_pairs.run_command("root", args, last=last)
+        command = ab_pairs.run_command("root", "all", args, last=last)
         assert "--layers" not in command and command[-2:] == ["--trace", "0"]
+
+
+CONTRACT = {"workloads": [{"name": "a"}, {"name": "b"}, {"name": "c"}]}
+
+
+def test_a_comma_list_runs_each_named_workload_once():
+    assert ab_pairs.workload_runs("all", CONTRACT) == ["all"]
+    assert ab_pairs.workload_runs("c,a", CONTRACT) == ["c", "a"]
+    assert ab_pairs.workload_runs("b,b", CONTRACT) == ["b"]
+    args = argparse.Namespace(seed=17, seconds=None, layers=False)
+    command = ab_pairs.run_command("root", "c", args, last=False)
+    assert command[command.index("--workload") + 1] == "c"
+
+
+@pytest.mark.parametrize("argument", ["a,nope", "a,", "all,a"])
+def test_an_unknown_workload_exits_with_one_line_naming_the_valid_ones(argument):
+    with pytest.raises(SystemExit) as exit_:
+        ab_pairs.workload_runs(argument, CONTRACT)
+    message = str(exit_.value)
+    assert "\n" not in message and message.endswith("valid: all, or a comma list of a, b, c")
+
+
+def test_one_sides_documents_merge_into_one():
+    def document(seed, **workloads):
+        return {"schema": 1, "seed": seed, "workloads": workloads}
+
+    first = document(7, a={"plain": {"ops": 1}})
+    second = document(7, b={"plain": {"ops": 2}, "traced": {"sim.now": 3.0}})
+    merged = ab_pairs.merge([first, second])
+    assert merged == document(
+        7, a={"plain": {"ops": 1}}, b={"plain": {"ops": 2}, "traced": {"sim.now": 3.0}}
+    )
+    assert list(first["workloads"]) == ["a"]  # the runs' own documents are untouched
+    assert ab_pairs.merge([first]) == first
 
 
 def test_layer_table_prints_every_traced_layer_old_to_new():
@@ -122,3 +156,22 @@ def test_an_unknown_ref_exits_with_one_line_naming_it(tmp_path):
     lines = run.stderr.splitlines()
     assert len(lines) == 1 and ref in lines[0] and "Traceback" not in run.stderr
     assert not (keep / "old").exists()
+
+
+def test_an_unknown_workload_stops_before_the_first_run(tmp_path):
+    command = ["git", "-C", REPO, "rev-parse", "--verify", "HEAD^{commit}"]
+    if subprocess.run(command, capture_output=True).returncode != 0:
+        pytest.skip("not running from a git checkout")
+    tool = os.path.join(REPO, "tools", "ab_pairs.py")
+    keep = tmp_path / "work"
+    run = subprocess.run(
+        [sys.executable, tool, "HEAD", "HEAD", "--workload", "parallel_dop,nope"]
+        + ["--keep", str(keep)],
+        capture_output=True,
+        text=True,
+    )
+    assert run.returncode == 1
+    lines = run.stderr.splitlines()
+    assert len(lines) == 1 and "'nope'" in lines[0] and "parallel_dop" in lines[0]
+    assert "pair 1" not in run.stdout
+    assert not list(keep.glob("*.json"))

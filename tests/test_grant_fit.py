@@ -5,7 +5,10 @@ A governed operator counts its resident state as one table:
 together, the count the model's working-set estimate uses. So state of
 exactly ``pages × page_rows`` groups (aggregate) or build rows (hash
 join) never spills, however the partitions split it, and one row more
-does. Either way the answer equals the reference executor's, and the
+does. State that fits is never partitioned — not one key goes through
+a :class:`~repro.engine.operators.partitioning.PartitionMemo` — and the
+grant notes ``spilled_partitions=0``; one row more partitions and
+spills. Either way the answer equals the reference executor's, and the
 broker and pool are quiescent afterwards: nothing reserved or in use,
 every grant closed, no spill page left in the pool.
 """
@@ -25,6 +28,8 @@ from repro.engine import (
     scan,
 )
 from repro.engine.expressions import col
+from repro.engine.memory import grant_notes
+from repro.engine.operators import partitioning
 from repro.sim import Simulator
 from repro.storage import BufferPool, Catalog, DataType, Schema
 
@@ -97,7 +102,22 @@ def _run(kind: str, pages: int, fanout: int, rows: int):
     assert grant.closed
     assert memory.reserved == memory.in_use == 0
     assert len(pool) == sum(pool.resident_pages(name) for name in TABLES)
-    return sorted(handle.rows), sorted(execute_reference(plan, catalog)), engine
+    notes = grant_notes(memory.grants(), plan.op_id)
+    return sorted(handle.rows), sorted(execute_reference(plan, catalog)), engine, notes
+
+
+@pytest.fixture
+def hashed(monkeypatch):
+    """Every key a partition memo hashes (its ``__missing__`` calls)."""
+    keys = []
+    missing = partitioning.PartitionMemo.__missing__
+
+    def counted(memo, key):
+        keys.append(key)
+        return missing(memo, key)
+
+    monkeypatch.setattr(partitioning.PartitionMemo, "__missing__", counted)
+    return keys
 
 
 SWEEP = pytest.mark.parametrize(
@@ -112,15 +132,19 @@ SWEEP = pytest.mark.parametrize(
 
 
 @SWEEP
-def test_state_that_fits_its_grant_never_spills(kind, pages, fanout):
-    got, expected, engine = _run(kind, pages, fanout, pages * PAGE_ROWS)
+def test_state_that_fits_its_grant_never_spills(kind, pages, fanout, hashed):
+    got, expected, engine, notes = _run(kind, pages, fanout, pages * PAGE_ROWS)
     assert engine.pool.stats.spill_pages_written == 0
     assert engine.memory.overcommits == 0
+    assert hashed == []
+    assert notes == {"spilled_partitions": 0}
     assert got == expected
 
 
 @SWEEP
-def test_one_row_past_the_grant_spills(kind, pages, fanout):
-    got, expected, engine = _run(kind, pages, fanout, pages * PAGE_ROWS + 1)
+def test_one_row_past_the_grant_spills(kind, pages, fanout, hashed):
+    got, expected, engine, notes = _run(kind, pages, fanout, pages * PAGE_ROWS + 1)
     assert engine.pool.stats.spill_pages_written > 0
+    assert hashed
+    assert 0 < notes["spilled_partitions"] <= max(2, min(fanout, pages))
     assert got == expected

@@ -8,6 +8,8 @@ Degradation: shrinking ``work_mem`` only ever adds spill traffic
 (monotone) and never fails a query.
 """
 
+import hashlib
+
 import pytest
 
 from repro.engine import (
@@ -180,3 +182,30 @@ class TestGracefulDegradation:
         assert (first[1].pool.stats.spill_pages_written
                 == second[1].pool.stats.spill_pages_written)
         assert first[0].rows == second[0].rows
+
+
+def test_late_overflow_pins_emitted_order():
+    """A 2-page grant at ``page_rows`` 4 takes two 4-row build batches
+    and overflows on the third; the spilled partition is joined at
+    cleanup while the resident one streams. Clock, spill pages and the
+    rows in the order they were emitted are pinned: a spilled join's
+    rows compare as a multiset everywhere else."""
+    cat = Catalog()
+    build = cat.create("build_side", Schema([("bk", DataType.INT), ("bv", DataType.INT)]))
+    probe = cat.create("probe_side", Schema([("pk", DataType.INT), ("pv", DataType.INT)]))
+    build.insert_many(((i * 5) % 11, i) for i in range(16))
+    probe.insert_many(((i * 3) % 13, i) for i in range(32))
+    plan = _join_plan(cat, "inner")
+    sim = Simulator(processors=2)
+    engine = Engine(
+        cat, sim, costs=IO_AWARE_COST_MODEL, page_rows=4,
+        buffer_pool=BufferPool(32), memory=MemoryBroker(2),
+    )
+    handle = engine.execute(plan, "late_overflow")
+    sim.run()
+    assert sorted(handle.rows) == sorted(execute_reference(plan, cat))
+    assert sim.now == float.fromhex("0x1.f11333333332ep+10")
+    assert engine.pool.stats.spill_pages_written == 6
+    assert hashlib.sha256(repr(handle.rows).encode()).hexdigest() == (
+        "e8680e7252a36ea658c6f380917fa78068b35cbb47c11d708fb0879ea1533353"
+    )

@@ -120,5 +120,8 @@ class TestStarvedSibling:
         first, starved = (g for g in result.grants if g.owner == "q1_agg")
         assert (first.pages, first.requested) == (32, 32)
         assert (starved.pages, starved.requested, starved.high_water) == (1, 32, 1)
+        # The newest q1_agg grant is the starved one: it fit, so no
+        # partition went to disk.
+        assert result.grant_notes("q1_agg") == {"spilled_partitions": 0}
         assert session.engine.memory.overcommits == 0
         assert session.metrics().snapshot()["spill.pages_written"] == 0

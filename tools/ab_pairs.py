@@ -15,7 +15,11 @@ pairs. This runs it as one command:
    an interrupted run leaves nothing behind to prune);
 2. pair by pair, ``bench/run.py --trace 0 --out`` runs on both sides
    from their own checkouts — old first on even pairs, new first on odd
-   ones — with the same ``--workload``, ``--seed`` and ``--seconds``;
+   ones — with the same ``--workload``, ``--seed`` and ``--seconds``.
+   ``--workload`` takes ``all`` (one run of all six) or a comma list of
+   names, each checked against the new side's ``BENCHMARK.json`` before
+   the first run: a side then runs once per name and its documents are
+   merged into one per pair (their ``workloads`` unioned);
 3. the new side's ``bench/compare.py old1,... new1,...`` prints every
    (workload, end-to-end metric) row and any behaviour change, and this
    file adds the per-pair win count of the new side on every metric.
@@ -75,6 +79,33 @@ def load(path: str):
         return json.load(handle)
 
 
+def workload_runs(argument: str, contract: dict) -> list[str]:
+    """The ``--workload`` argument as one ``bench/run.py --workload`` per
+    run: ``all`` runs once; a comma list runs each name once. A name the
+    contract does not list ends the program with one line naming the
+    valid ones."""
+    if argument == "all":
+        return ["all"]
+    valid = [w["name"] for w in contract["workloads"]]
+    names = list(dict.fromkeys(argument.split(",")))
+    unknown = [name for name in names if name not in valid]
+    if unknown:
+        raise SystemExit(
+            f"ab_pairs: unknown workload {', '.join(map(repr, unknown))};"
+            f" valid: all, or a comma list of {', '.join(valid)}"
+        )
+    return names
+
+
+def merge(documents: list) -> dict:
+    """One result document from one side's runs of different workloads:
+    the first run's header, every run's ``workloads``."""
+    merged = dict(documents[0], workloads={})
+    for document in documents:
+        merged["workloads"].update(document["workloads"])
+    return merged
+
+
 def pair_order(pair: int) -> tuple[str, str]:
     """Which side runs first in this pair: they take turns."""
     return ("old", "new") if pair % 2 == 0 else ("new", "old")
@@ -132,11 +163,11 @@ def layer_table(contract: dict, old_doc: dict, new_doc: dict) -> list[str]:
     return lines
 
 
-def run_command(root: str, args, last: bool) -> list[str]:
-    """``bench/run.py`` for one side of one pair; the last pair runs
-    both passes under ``--layers``."""
+def run_command(root: str, workload: str, args, last: bool) -> list[str]:
+    """``bench/run.py`` for one workload (or ``all``) on one side of one
+    pair; the last pair runs both passes under ``--layers``."""
     command = [sys.executable, os.path.join(root, "bench", "run.py")]
-    command += ["--workload", args.workload, "--seed", str(args.seed)]
+    command += ["--workload", workload, "--seed", str(args.seed)]
     command += ["--layers"] if args.layers and last else ["--trace", "0"]
     if args.seconds is not None:
         command += ["--seconds", str(args.seconds)]
@@ -149,7 +180,9 @@ def main(argv=None) -> int:
     )
     parser.add_argument("old_ref")
     parser.add_argument("new_ref")
-    parser.add_argument("--workload", default="all", help="one workload, or all six (default)")
+    parser.add_argument(
+        "--workload", default="all", help="a comma list of workloads, or all six (default)"
+    )
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=2007)
     parser.add_argument("--seconds", type=float, help="run length; the benchmark's own if omitted")
@@ -166,20 +199,28 @@ def main(argv=None) -> int:
         roots = {side: os.path.join(work, side) for side in ("old", "new")}
         for side, ref in (("old", args.old_ref), ("new", args.new_ref)):
             print(f"{side}: {ref} = {checkout(ref, roots[side])}", flush=True)
+        contract = load(os.path.join(roots["new"], "BENCHMARK.json"))
+        runs = workload_runs(args.workload, contract)
 
         results: dict[str, list[str]] = {"old": [], "new": []}
         for pair in range(args.pairs):
             for side in pair_order(pair):
-                out = os.path.join(work, f"{side}{pair + 1}.json")
-                command = run_command(roots[side], args, last=pair == args.pairs - 1)
-                command += ["--out", out]
                 print(f"pair {pair + 1}/{args.pairs}: {side}", flush=True)
-                # A failed operation ends run.py with status 1 and a
-                # document compare.py reports; only a missing document
-                # stops the loop.
-                subprocess.run(command, cwd=roots[side], stdout=subprocess.DEVNULL)
-                if not os.path.exists(out):
-                    raise SystemExit(f"{' '.join(command)} wrote no result document")
+                documents = []
+                for workload in runs:
+                    out = os.path.join(work, f"{side}{pair + 1}-{workload}.json")
+                    command = run_command(roots[side], workload, args, last=pair == args.pairs - 1)
+                    command += ["--out", out]
+                    # A failed operation ends run.py with status 1 and a
+                    # document compare.py reports; only a missing
+                    # document stops the loop.
+                    subprocess.run(command, cwd=roots[side], stdout=subprocess.DEVNULL)
+                    if not os.path.exists(out):
+                        raise SystemExit(f"{' '.join(command)} wrote no result document")
+                    documents.append(load(out))
+                out = os.path.join(work, f"{side}{pair + 1}.json")
+                with open(out, "w") as handle:
+                    json.dump(merge(documents), handle, indent=1)
                 results[side].append(out)
 
         print(flush=True)
@@ -191,7 +232,6 @@ def main(argv=None) -> int:
                 ",".join(results["new"]),
             ]
         ).returncode
-        contract = load(os.path.join(roots["new"], "BENCHMARK.json"))
         documents = [[load(path) for path in results[side]] for side in ("old", "new")]
         print()
         print("\n".join(win_table(contract, *documents)))
