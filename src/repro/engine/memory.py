@@ -25,13 +25,14 @@ capacities and spill-file page counts.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.errors import EngineError
 from repro.obs.trace import TID_MEMORY
 
-__all__ = ["MemoryBroker", "MemoryGrant", "GrantSnapshot", "grant_notes"]
+__all__ = ["MemoryBroker", "MemoryGrant", "GrantSnapshot", "UNBOUNDED", "grant_notes"]
 
 
 @dataclass(frozen=True)
@@ -150,6 +151,27 @@ class MemoryGrant:
             f"MemoryGrant({self.owner!r}, {self.used}/{self.pages} pages, "
             f"hw={self.high_water})"
         )
+
+
+class _Unbounded:
+    """The grant of an ungoverned engine (:data:`UNBOUNDED`): it never
+    overflows and records nothing. Deliberately not a
+    :class:`MemoryGrant`, so no broker count, metric or traced span sees it."""
+
+    __slots__ = ()
+    pages = sys.maxsize
+
+    def resize_used(self, used_pages: int) -> None:
+        pass
+
+    def note(self, **facts) -> None:
+        pass
+
+    def close(self) -> None:
+        pass
+
+
+UNBOUNDED = _Unbounded()
 
 
 class MemoryBroker:

@@ -26,15 +26,14 @@ for the whole batch. Within a group values are added in row order, so
 float sums are bit-identical to the naive oracle
 (:func:`aggregate_rows`, which shares no code with the fold).
 
-Without memory governance (``ctx.memory is None``) the stage buffers
-every group unconditionally, exactly as the seed did. With a
-:class:`~repro.engine.memory.MemoryBroker` attached it takes a
-working-memory grant and becomes a **partitioned spilling aggregate**,
+The stage takes a working-memory grant
+(:meth:`~repro.engine.operators.api.StageContext.grant`; an ungoverned
+engine's never overflows) and is a **partitioned spilling aggregate**,
 partitioned only once the grant first overflows. The group state is
 counted as one table, one state row per group — ⌈resident groups /
 ``page_rows``⌉ pages, as the model's working-set estimate counts it —
-so until it exceeds the grant the fold is the ungoverned one: one
-``key → state`` map, no key hashed. At the first overflow the map is
+so until it exceeds the grant the fold keeps one ``key → state`` map
+and hashes no key. At the first overflow the map is
 split, in insertion order, into partitions through a
 :class:`~repro.engine.operators.partitioning.PartitionMemo` — each
 holding the keys, in the order and with the states, it would have held
@@ -337,7 +336,10 @@ class AggregateOperator(BatchOperator):
         self.make_emitter(len(node.schema))
         # One map until the grant first overflows, then a _Resident.
         self.groups = _Groups(self.fresh)
-        self.grant = None
+        # Groups the pages last reported to the grant hold. Until the
+        # first overflow the map only grows, so a batch that leaves it
+        # within them has nothing to report or spill.
+        self.room = 0
         # ``None`` until the grant first overflows, then the partitions.
         self.parts = None
 
@@ -355,33 +357,27 @@ class AggregateOperator(BatchOperator):
     # -- protocol --------------------------------------------------------
 
     def open(self):
-        ctx = self.ctx
-        if ctx.memory is not None:
-            # Grant acquisition stays at task start (not construction)
-            # so broker bookkeeping keeps its spawn-order timeline.
-            self.grant = ctx.memory.grant(self.node.op_id, self.mem_pages)
-            self.fanout = max(
-                2, min(self.node.params.get("fanout", DEFAULT_FANOUT), self.grant.pages)
-            )
+        # Grant acquisition stays at task start (not construction) so
+        # broker bookkeeping keeps its spawn-order timeline.
+        self.grant = self.ctx.grant(self.node.op_id, self.mem_pages)
+        self.fanout = max(2, min(self.node.params.get("fanout", DEFAULT_FANOUT), self.grant.pages))
         return
         yield  # pragma: no cover
 
     def next_batch(self, batch, port):
         cost = self.ctx.costs.agg_update * len(batch)
         self._fold(batch)
-        if self.grant is not None:
+        if self.parts is not None or len(self.groups) > self.room:
             cost = self._govern(cost)
         yield Compute(cost)
 
     def finish(self):
         key_width = len(self.group_idx)
         grant = self.grant
-        if grant is not None:
-            grant.note(spilled_partitions=sum(p.spilled for p in self.parts or ()))
+        grant.note(spilled_partitions=sum(p.spilled for p in self.parts or ()))
         if self.parts is None:
             output = self.output(self.groups)
-            if grant is not None:
-                grant.resize_used(0)
+            grant.resize_used(0)
         else:
             output = []
             yield from self._merge_partitions(output, key_width)
@@ -390,8 +386,7 @@ class AggregateOperator(BatchOperator):
             yield Compute(self.ctx.costs.agg_emit * len(output))
         yield from self.emitter.emit_rows(output)
         yield from self.emitter.close()
-        if grant is not None:
-            grant.close()
+        grant.close()
 
     # -- memory-governed partitioned aggregate ---------------------------
 
@@ -431,7 +426,9 @@ class AggregateOperator(BatchOperator):
             if self.parts is None:
                 self._partition()
             cost += costs.spill_page * self._spill_largest()
-        grant.resize_used(-(-len(self.groups) // page_rows))
+        pages = -(-len(self.groups) // page_rows)
+        grant.resize_used(pages)
+        self.room = pages * page_rows
         return cost
 
     def _partition(self) -> None:

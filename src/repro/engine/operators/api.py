@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Generator, Optional, Sequence
 
 from repro.engine.costs import CostModel
-from repro.engine.memory import MemoryBroker
+from repro.engine.memory import UNBOUNDED, MemoryBroker
 from repro.engine.stage import BatchEmitter
 from repro.sim.events import CLOSED, Get
 from repro.sim.queues import SimQueue
@@ -55,12 +55,11 @@ class StageContext:
     :class:`~repro.storage.buffer.BufferPool` attached, scans charge
     ``io_page`` per cold page; with a
     :class:`~repro.engine.memory.MemoryBroker` attached, the hash
-    join, hash aggregate and sort take working-memory grants and spill
-    when over budget; with a
+    join, hash aggregate and sort spill when over their grant (see
+    :meth:`grant`); with a
     :class:`~repro.storage.shared_scan.ScanShareManager` attached,
     scans ride per-table elevator cursors (cooperative scan sharing
-    with async prefetch). All default to ``None`` — the seed's
-    unbounded-memory behavior.
+    with async prefetch). All default to ``None``.
 
     ``spill_prefetch`` is the read-ahead depth governed operators use
     when re-reading their spill runs through a
@@ -83,6 +82,15 @@ class StageContext:
     scans: Optional[ScanShareManager] = None
     spill_prefetch: int = 0
     perf: Optional[object] = None
+
+    def grant(self, owner: str, pages: Optional[int] = None):
+        """``owner``'s working-memory grant of up to ``pages`` pages
+        (default: what ``work_mem`` has left) — or, on an ungoverned
+        engine, :data:`~repro.engine.memory.UNBOUNDED`, which never
+        overflows. The one place an operator's governance is decided."""
+        if self.memory is None:
+            return UNBOUNDED
+        return self.memory.grant(owner, pages)
 
 
 class BatchOperator:

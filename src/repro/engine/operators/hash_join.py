@@ -18,15 +18,14 @@ build/probe loops walk ``zip(keys, rows)`` instead of indexing into
 every row tuple.
 
 The build side lands in one table, ``key → bucket``, and each probe
-batch is one lookup loop over it. Without memory governance
-(``ctx.memory is None``) that is the whole story, exactly as the seed
-did. With a :class:`~repro.engine.memory.MemoryBroker` attached the
-table is counted against the operator's memory grant — ⌈build rows /
-``page_rows``⌉ pages — and the operator is a **spilling hybrid hash
-join** in the style of Jahangiri, Carey & Freytag (2021), partitioned
-only once the grant first overflows: a build side that fits costs what
-the ungoverned join costs and hashes nothing. At that first overflow
-the table is split, in insertion order, into ``fanout`` partitions
+batch is one lookup loop over it. The table is counted against the
+operator's memory grant
+(:meth:`~repro.engine.operators.api.StageContext.grant`; an ungoverned
+engine's never overflows) — ⌈build rows / ``page_rows``⌉ pages — and
+the operator is a **spilling hybrid hash join** in the style of
+Jahangiri, Carey & Freytag (2021), partitioned only once the grant
+first overflows: a build side that fits hashes nothing. At that first
+overflow the table is split, in insertion order, into ``fanout`` partitions
 through a :class:`~repro.engine.operators.partitioning.PartitionMemo`
 — each holding the keys, in the order and with the buckets, it would
 have held had the join partitioned from its first row — and from then
@@ -150,7 +149,6 @@ class HashJoinOperator(BatchOperator):
         self.table: dict | None = {}
         # Build rows held in ``table`` or the resident partitions.
         self.resident_rows = 0
-        self.grant = None
         # ``None`` until the grant first overflows, then the partitions.
         self.parts = None
         self.make_emitter(len(node.schema))
@@ -158,12 +156,8 @@ class HashJoinOperator(BatchOperator):
     # -- protocol --------------------------------------------------------
 
     def open(self):
-        ctx = self.ctx
-        if ctx.memory is not None:
-            self.grant = ctx.memory.grant(self.node.op_id, self.mem_pages)
-            self.fanout = max(
-                2, min(self.node.params.get("fanout", DEFAULT_FANOUT), self.grant.pages)
-            )
+        self.grant = self.ctx.grant(self.node.op_id, self.mem_pages)
+        self.fanout = max(2, min(self.node.params.get("fanout", DEFAULT_FANOUT), self.grant.pages))
         return
         yield  # pragma: no cover
 
@@ -198,9 +192,8 @@ class HashJoinOperator(BatchOperator):
         spilled = [p for p in self.parts or () if p.spilled]
         self.table = self.parts = None
         grant = self.grant
-        if grant is not None:
-            grant.resize_used(0)
-            grant.note(spilled_partitions=len(spilled))
+        grant.resize_used(0)
+        grant.note(spilled_partitions=len(spilled))
         # Cleanup phase: join every spilled partition pair, recursively.
         costs = self.ctx.costs
         for p in spilled:
@@ -222,8 +215,7 @@ class HashJoinOperator(BatchOperator):
                 self.fanout,
             )
         yield from self.emitter.close()
-        if grant is not None:
-            grant.close()
+        grant.close()
 
     # -- build, and the memory-governed hybrid phases --------------------
 
@@ -252,14 +244,12 @@ class HashJoinOperator(BatchOperator):
                     p.rows += 1
                     inserted += 1
             self.resident_rows += inserted
-        grant = self.grant
-        if grant is not None:
-            page_rows = self.ctx.page_rows
-            while -(-self.resident_rows // page_rows) > grant.pages:
-                if self.parts is None:
-                    self._partition()
-                cost += costs.spill_page * self._spill_largest()
-            grant.resize_used(-(-self.resident_rows // page_rows))
+        page_rows = self.ctx.page_rows
+        while -(-self.resident_rows // page_rows) > self.grant.pages:
+            if self.parts is None:
+                self._partition()
+            cost += costs.spill_page * self._spill_largest()
+        self.grant.resize_used(-(-self.resident_rows // page_rows))
         yield Compute(cost)
 
     def _partition(self) -> None:

@@ -1,16 +1,11 @@
-"""Sort stage (stop-&-go), with grant-governed external merge.
+"""Sort stage (stop-&-go): an external-merge sort within a memory grant.
 
-Without memory governance (``ctx.memory is None``) the stage buffers
-its entire input, sorts by the key list, then streams the sorted rows
-out — exactly as the seed did. Multi-key ordering with mixed
-ascending/descending directions is implemented as stable sorts applied
-from the least to the most significant key group, each group compared
-through one composite ``itemgetter`` key.
-
-With a :class:`~repro.engine.memory.MemoryBroker` attached it becomes
-an **external-merge sort**. Each arriving batch is turned into **sort
-records** ``(key, seq, row)`` in one column-wise pass
-(:func:`batch_key_builder`): ``key`` is the composite sort key, built
+The stage takes a working-memory grant
+(:meth:`~repro.engine.operators.api.StageContext.grant`) and is an
+**external-merge sort**; an ungoverned engine's grant never overflows,
+so there the sort holds its whole input and sorts it in memory. Each
+arriving batch is turned into **sort records** ``(key, seq, row)`` in
+one column-wise pass (:func:`batch_key_builder`): ``key`` is the composite sort key, built
 once, and ``seq`` the row's arrival sequence number. Records are what
 the selection heap holds *and what the run files store* — one record
 per row, so page counts are those of the rows — and no merge pass
@@ -49,13 +44,13 @@ fabric's ordered gather
 fetches at the same points of the output stream, so the simulated
 event sequence is that of a row-at-a-time heap merge.
 
-The output is *identical* to the in-memory path at every budget —
+The output is *identical* to the in-memory sort at every budget —
 including tie order. Records order by ``(key, seq)``, a total order
 (``seq`` is unique), which reproduces the global stable sort even
 though replacement selection can place a later-arriving row in an
 earlier run than an equal-keyed predecessor. Order-sensitive
 consumers (limit, merge join) therefore see exactly the rows they
-would have seen unbounded.
+would have seen unbounded; :func:`sort_rows` is the reference order.
 """
 
 from __future__ import annotations
@@ -102,12 +97,16 @@ def sort_rows(rows, schema, keys):
     """Pure function: rows ordered by ``(column, ascending)`` keys.
 
     Stable sorts applied from the least to the most significant key
-    group; within a group a single ``itemgetter`` composite key avoids
-    re-scanning all rows once per column.
+    group; within a group one composite ``itemgetter`` key avoids
+    re-scanning all rows once per column. A one-column group compares
+    1-tuples, as the engine's sort records do: an all-NULL key ties and
+    keeps arrival order, a NULL beside a value raises ``TypeError``.
     """
     ordered = list(rows)
     for indices, ascending in reversed(_key_groups(schema, keys)):
-        ordered.sort(key=itemgetter(*indices), reverse=not ascending)
+        i = indices[0]
+        key = itemgetter(*indices) if indices[1:] else itemgetter(slice(i, i + 1))
+        ordered.sort(key=key, reverse=not ascending)
     return ordered
 
 
@@ -150,8 +149,9 @@ def _negated(column):
     Negation is exact, order-reversing and equality-preserving for
     ints, floats (``-0.0``, infinities and NaN included) and date
     ordinals, and the comparison stays in C. The slow arm passes NULLs
-    through un-negated — a lone or all-NULL key must sort, and a mixed
-    one must raise the ``TypeError`` :func:`sort_rows` raises — and
+    through un-negated — a lone or all-NULL key must sort (in arrival
+    order, as :func:`sort_rows` sorts it), and a mixed one must raise
+    the ``TypeError`` :func:`sort_rows` raises — and
     wraps the one thing a numeric dtype can mislabel: ``min``/``max``
     of a string column is declared FLOAT.
     """
@@ -263,38 +263,29 @@ class SortOperator(BatchOperator):
         super().__init__(node, ctx, out_queues)
         self.schema = node.children[0].schema
         self.keys = node.params["keys"]
-        self.buffered: list[tuple] = []
-        self.grant = None
         self.runs: list = []
         self.spilled_pages = 0
         self.make_emitter(len(node.schema))
 
     def open(self):
-        ctx = self.ctx
-        if ctx.memory is not None:
-            self.grant = ctx.memory.grant(
-                self.node.op_id, self.node.params.get("mem_pages")
-            )
-            self.budget_rows = self.grant.pages * ctx.page_rows
-            self.build_keys = batch_key_builder(self.schema, self.keys)
-            # Replacement-selection state, all of it sort records
-            # (key, seq, row): the records held for the current run (a
-            # plain list until the grant first overflows, a heap from
-            # then on), the records deferred to the next run, and the
-            # page-sized output buffer of the run being written.
-            self.held: list = []
-            self.deferred: list = []
-            self.run_buffer: list = []
-            self.run_file = None
-            self._seq = 0
+        self.grant = self.ctx.grant(self.node.op_id, self.node.params.get("mem_pages"))
+        self.budget_rows = self.grant.pages * self.ctx.page_rows
+        self.build_keys = batch_key_builder(self.schema, self.keys)
+        # Replacement-selection state, all of it sort records (key, seq,
+        # row): the records held for the current run (a plain list until
+        # the grant first overflows, a heap from then on), the records
+        # deferred to the next run, and the page-sized output buffer of
+        # the run being written.
+        self.held: list = []
+        self.deferred: list = []
+        self.run_buffer: list = []
+        self.run_file = None
+        self._seq = 0
         return
         yield  # pragma: no cover
 
     def next_batch(self, batch, port):
         yield Compute(self.ctx.costs.sort_tuple * len(batch))
-        if self.grant is None:
-            self.buffered.extend(batch.rows)
-            return
         held = self.held
         deferred = self.deferred
         page_rows = self.ctx.page_rows
@@ -331,20 +322,6 @@ class SortOperator(BatchOperator):
                 if len(buffer) >= page_rows:
                     yield from self._flush_run_page()
         self.grant.resize_used(-(-(len(held) + len(deferred)) // page_rows))
-
-    def finish(self):
-        if self.grant is not None:
-            yield from self._governed_finish()
-            return
-        emitter = self.emitter
-        if self.buffered:
-            # The in-memory sort itself; the per-tuple constant subsumes
-            # the log factor at the engine's buffer sizes.
-            yield Compute(self.ctx.costs.sort_tuple * len(self.buffered))
-            yield from emitter.emit_rows(
-                sort_rows(self.buffered, self.schema, self.keys)
-            )
-        yield from emitter.close()
 
     # -- memory-governed external-merge sort -----------------------------
 
@@ -387,7 +364,7 @@ class SortOperator(BatchOperator):
             if len(buffer) >= page_rows:
                 yield from self._flush_run_page()
 
-    def _governed_finish(self):
+    def finish(self):
         ctx = self.ctx
         costs = ctx.costs
         grant = self.grant
@@ -395,8 +372,9 @@ class SortOperator(BatchOperator):
         held = self.held
 
         if not self.runs:
-            # Everything fit in the grant: the in-memory path, bit-for-bit.
-            # Records sort by (key, seq) — the stable key order.
+            # Everything fit in the grant: the in-memory sort. Records
+            # sort by (key, seq) — the stable key order; the per-tuple
+            # constant subsumes the log factor at the engine's sizes.
             if held:
                 yield Compute(costs.sort_tuple * len(held))
                 held.sort()

@@ -1,11 +1,18 @@
 """MemoryBroker: grants, high-water marks, overcommit accounting."""
 
+import sys
+
 import pytest
 
 from repro.db import Database, RuntimeConfig
-from repro.engine import MemoryBroker
+from repro.engine import Engine, MemoryBroker, aggregate, execute_reference, hash_join, scan, sort
+from repro.engine.memory import UNBOUNDED
+from repro.engine.plan import AggSpec
 from repro.errors import EngineError
 from repro.experiments.common import shared_catalog
+from repro.obs.metrics import MetricsRegistry
+from repro.sim.simulator import Simulator
+from repro.storage import Catalog, DataType, Schema
 from repro.tpch.queries import build
 
 
@@ -125,3 +132,43 @@ class TestStarvedSibling:
         assert result.grant_notes("q1_agg") == {"spilled_partitions": 0}
         assert session.engine.memory.overcommits == 0
         assert session.metrics().snapshot()["spill.pages_written"] == 0
+
+
+class TestUngovernedGrant:
+    """An ungoverned engine's spilling operators hold ``UNBOUNDED``: a
+    grant that never overflows and that no broker, metric or span sees."""
+
+    def test_join_aggregate_sort_run_on_the_inert_singleton(self):
+        catalog = Catalog()
+        catalog.create("a", Schema([("ak", DataType.INT), ("g", DataType.INT)])).insert_many(
+            [(i, i % 7) for i in range(300)]
+        )
+        catalog.create("b", Schema([("bk", DataType.INT)])).insert_many(
+            [(i % 150,) for i in range(400)]
+        )
+        build, probe = scan(catalog, "b", op_id="sb"), scan(catalog, "a", op_id="sa")
+        joined = hash_join(build, probe, "bk", "ak")
+        plan = sort(
+            aggregate(joined, ["g"], [AggSpec("count", "n")], op_id="agg"),
+            [("n", False), ("g", True)],
+            op_id="ord",
+        )
+        sim = Simulator(processors=2)
+        engine = Engine(catalog, sim, page_rows=8)
+        handle = engine.execute(plan, "q")
+        sim.run()
+
+        assert handle.rows == execute_reference(plan, catalog)
+        assert engine.memory is None
+        names = MetricsRegistry.for_engine(engine).snapshot()
+        assert not [name for name in names if name.startswith("memory.")]
+        grant = engine.ctx.grant("any", 4)
+        assert grant is UNBOUNDED
+        # The singleton is shared by every operator: it holds no state
+        # for note / resize_used / close to change.
+        assert not hasattr(grant, "__dict__")
+        grant.note(sort_runs=3)
+        grant.resize_used(10**9)
+        grant.close()
+        assert UNBOUNDED.pages == sys.maxsize
+        assert engine.ctx.grant("again") is UNBOUNDED

@@ -491,7 +491,8 @@ MIXED_KEYS = st.lists(
 
 
 def _governed_sort(rows, schema, keys, work_mem, page_rows=4, prefetch=0):
-    """Rows of a governed sort over ``rows``, and the pool it spilled to."""
+    """Rows of an engine sort over ``rows`` (ungoverned when ``work_mem``
+    is ``None``), and the pool it spilled to."""
     catalog = Catalog()
     catalog.create("t", schema).insert_many(rows)
     plan = sort(
@@ -509,14 +510,15 @@ class TestGovernedSortEqualsSortRows:
     @given(
         rows=MIXED_ROWS,
         keys=MIXED_KEYS,
-        work_mem=st.sampled_from([1, 2, 3, 7, 64]),
+        work_mem=st.sampled_from([None, 1, 2, 3, 7, 64]),
         page_rows=st.sampled_from([1, 4, 16]),
         prefetch=st.sampled_from([0, 2]),
     )
     @settings(max_examples=150, deadline=None)
     def test_any_keys_any_budget(self, rows, keys, work_mem, page_rows, prefetch):
         """Order and tie order match the in-memory sort over every
-        column type and direction mix, and no run file outlives it."""
+        column type and direction mix, at every budget and ungoverned,
+        and no run file outlives it."""
         got, pool = _governed_sort(
             rows, MIXED_SCHEMA, keys, work_mem, page_rows, prefetch
         )
@@ -524,8 +526,12 @@ class TestGovernedSortEqualsSortRows:
         # them swapped.
         assert repr(got) == repr(sort_rows(rows, MIXED_SCHEMA, keys))
         assert all(spill.dropped for spill in pool.files)
-        # An input larger than the grant must have opened run files.
-        assert pool.files or len(rows) <= work_mem * page_rows
+        # An input larger than the grant must have opened run files; an
+        # ungoverned grant never overflows.
+        if work_mem is None:
+            assert not pool.files
+        else:
+            assert pool.files or len(rows) <= work_mem * page_rows
 
 
 class TestNullKeys:
@@ -534,20 +540,20 @@ class TestNullKeys:
     schema = Schema([("a", DataType.INT), ("k", DataType.INT)])
     keys = [("a", False)]
 
-    @pytest.mark.parametrize("work_mem", [1, 64])
+    @pytest.mark.parametrize("work_mem", [None, 1, 64])
     def test_lone_null_row_sorts(self, work_mem):
         rows = [(None, 0)]
         got, _ = _governed_sort(rows, self.schema, self.keys, work_mem)
         assert got == sort_rows(rows, self.schema, self.keys) == rows
 
-    @pytest.mark.parametrize("work_mem", [1, 64])
+    @pytest.mark.parametrize("work_mem", [None, 1, 64])
     def test_all_null_key_keeps_arrival_order(self, work_mem):
         rows = [(None, k) for k in range(40)]
         got, pool = _governed_sort(rows, self.schema, self.keys, work_mem)
-        assert got == rows
+        assert got == sort_rows(rows, self.schema, self.keys) == rows
         assert all(spill.dropped for spill in pool.files)
 
-    @pytest.mark.parametrize("work_mem", [1, 64])
+    @pytest.mark.parametrize("work_mem", [None, 1, 64])
     def test_mixed_null_raises_what_sort_rows_raises(self, work_mem):
         rows = [(k if k % 3 else None, k) for k in range(40)]
         with pytest.raises(TypeError):
@@ -556,7 +562,7 @@ class TestNullKeys:
             _governed_sort(rows, self.schema, self.keys, work_mem)
         assert isinstance(failure.value.__cause__, TypeError)
 
-    @pytest.mark.parametrize("work_mem", [1, 64])
+    @pytest.mark.parametrize("work_mem", [None, 1, 64])
     def test_descending_string_under_a_numeric_dtype(self, work_mem):
         """max() of a STR column is declared FLOAT: the key builder
         must fall back to the wrapper, not fail negating a string."""
