@@ -49,7 +49,7 @@ from repro.engine.engine import Engine
 from repro.engine.parallel import find_region
 from repro.engine.plan import PlanNode
 from repro.engine.stats import retire_finished
-from repro.errors import EngineError
+from repro.errors import EngineError, QuiescenceError
 from repro.obs import (
     AuditLog,
     MetricsRegistry,
@@ -440,6 +440,43 @@ class Session:
         if self.engine.memory is not None:
             self.engine.memory.forget_closed()
         retire_finished(self.sim)
+
+    def check_quiescent(self) -> None:
+        """Raise :class:`~repro.errors.QuiescenceError` unless the session
+        holds nothing for work in flight: no live task, pinned page,
+        open grant or reserved page, undropped spill file or attached
+        elevator ticket, and an empty coordinator.
+
+        Every batch that ran to its end leaves the session so. A batch
+        that raised leaves its work behind, and the error names it:
+        task names, grant owners, spill files by owner and page count,
+        the labels of the submissions the coordinator still holds.
+        """
+        engine = self.engine
+        leaks = {"tasks": [task.name for task in self.sim.tasks if task.alive]}
+        if engine.pool is not None:
+            pinned = engine.pool.pinned_count()
+            leaks["pinned pages"] = [f"{pinned} pinned"] if pinned else []
+            leaks["spill files"] = [
+                f"file {spill.file_id} of {spill.owner} ({spill.page_count} pages)"
+                for spill in engine.pool.live_spill_files()
+            ]
+        memory = engine.memory
+        if memory is not None:
+            grants = [
+                f"{grant.owner} ({grant.used}/{grant.pages} pages)"
+                for grant in memory.grants()
+                if not grant.closed
+            ]
+            if memory.reserved or memory.in_use:
+                grants.append(f"{memory.reserved} pages reserved, {memory.in_use} in use")
+            leaks["grants"] = grants
+        if engine.scan_manager is not None:
+            leaks["scan tickets"] = [repr(ticket) for ticket in engine.scan_manager.attached()]
+        leaks.update(self.coordinator.held())
+        leaks = {kind: items for kind, items in leaks.items() if items}
+        if leaks:
+            raise QuiescenceError(leaks)
 
     def execution_settings(self, query: Union[Query, TpchQuery]) -> tuple[Optional[int], int]:
         """The exchange batch size (``None`` = the page geometry) and

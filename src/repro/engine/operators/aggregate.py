@@ -394,7 +394,7 @@ class AggregateOperator(BatchOperator):
         """Spill the largest resident partition's state; pages written."""
         victim = max((p for p in self.parts if p.groups), key=lambda p: len(p.groups))
         if victim.file is None:
-            victim.file = self.ctx.pool.spill_file(self.ctx.page_rows)
+            victim.file = self.ctx.pool.spill_file(self.ctx.page_rows, self.grant.owner)
         written = victim.file.append_rows(
             key + tuple(state) for key, state in victim.groups.items()
         )

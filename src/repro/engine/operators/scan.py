@@ -59,7 +59,7 @@ from repro.engine.packet import RowBatch
 from repro.sim.events import Compute, Sleep
 from repro.storage.buffer import table_page_key
 
-__all__ = ["ScanOperator", "scan_rows"]
+__all__ = ["ScanOperator", "fused_memo", "scan_rows"]
 
 
 def scan_rows(table, columns, predicate_fn=None, output_fns=None):
@@ -75,6 +75,23 @@ def scan_rows(table, columns, predicate_fn=None, output_fns=None):
     return rows
 
 
+def fused_memo(table, node, ctx):
+    """Attach the fused-page memo of scan ``node`` over ``table``.
+
+    Scans with the same signature (same table, projection, fused
+    expressions, cost factor — the identity the sharing layer itself
+    keys on) reuse each decoded + filtered page and its cost across
+    queries. Each call is one attach, which keeps the signature recent
+    under the page budget. A signature's first attach gets ``None``
+    (the table keeps a ghost), so a signature read once holds no page.
+    """
+    return table.fused_cache(
+        ("fused", node.signature, ctx.page_rows),
+        table.page_count(ctx.page_rows),
+        len(node.schema),
+    )
+
+
 class ScanOperator(BatchOperator):
     """Source stage over one base table (0 input ports).
 
@@ -82,11 +99,14 @@ class ScanOperator(BatchOperator):
     parallel scan (:func:`~repro.engine.parallel.fragment.partition_ranges`):
     it reads ``[lo, hi)`` in ascending order, on a ranged elevator
     ticket when scans are shared. ``None`` scans the whole table.
+    A fragment does not attach the fused memo itself: its builder
+    attaches once for the scan node (:func:`fused_memo`) and hands
+    every fragment the same ``memo``.
     """
 
     ports = 0
 
-    def __init__(self, node, ctx, out_queues, pages=None):
+    def __init__(self, node, ctx, out_queues, pages=None, memo=None):
         super().__init__(node, ctx, out_queues)
         self.pages = pages
         self.table = ctx.catalog.table(node.params["table"])
@@ -107,17 +127,11 @@ class ScanOperator(BatchOperator):
             for out in self.batch_outs:
                 reads.update((out,) if type(out) is int else out.reads)
             self.compressed = [i in reads for i in range(len(self.columns))]
-        # Fused-page memo: scans with the same signature (same table,
-        # projection, fused expressions, cost factor — the identity the
-        # sharing layer itself keys on) reuse each decoded + filtered
-        # page and its cost across queries. Constructing the stage is
-        # the attach that keeps the signature recent under the page
-        # budget; the list is this scan's from here on, evicted or not.
-        self._memo = self.table.fused_cache(
-            ("fused", node.signature, ctx.page_rows),
-            self.table.page_count(ctx.page_rows),
-            len(node.schema),
-        )
+        # Fused-page memo: constructing a whole-table stage is the
+        # attach (see fused_memo); the list is this scan's from here
+        # on, evicted or not. ``None`` (a signature's first attach)
+        # decodes every page and parks none.
+        self._memo = fused_memo(self.table, node, ctx) if pages is None else memo
         self.make_emitter(len(node.schema))
 
     # -- page transforms -------------------------------------------------
@@ -146,19 +160,21 @@ class ScanOperator(BatchOperator):
         if outs is None:
             return cost, RowBatch.from_columns(slices, n)
         cost += costs.project_tuple * self.cost_factor * kept * len(outs)
-        # Tuples, like the slices: this batch is parked in the memo.
+        # Tuples, like the slices: this batch may be parked in the memo.
         columns = [cols[out] if type(out) is int else tuple(out(cols, kept)) for out in outs]
         return cost, RowBatch.from_columns(columns, kept)
 
     def _load_page(self, index):
         """One physical page as a transformed batch plus its CPU cost."""
         memo = self._memo
-        hit = memo[index]
-        if hit is not None:
-            return hit
+        if memo is not None:
+            hit = memo[index]
+            if hit is not None:
+                return hit
         slices = self.table.column_slices(index, self.columns, self.ctx.page_rows)
         result = self._page_cost_batch(slices)
-        memo[index] = result
+        if memo is not None:
+            memo[index] = result
         return result
 
     # -- protocol --------------------------------------------------------

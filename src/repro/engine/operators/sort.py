@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_right
+from functools import cmp_to_key, partial
 from itertools import count
 from operator import itemgetter, neg
 
@@ -100,14 +101,40 @@ def sort_rows(rows, schema, keys):
     group; within a group one composite ``itemgetter`` key avoids
     re-scanning all rows once per column. A one-column group compares
     1-tuples, as the engine's sort records do: an all-NULL key ties and
-    keeps arrival order, a NULL beside a value raises ``TypeError``.
+    keeps arrival order.
+
+    A least-significant-first pass compares a key even where a more
+    significant one decides, so a NULL beside a value there raises
+    ``TypeError`` the engine's one composite key never meets. Then the
+    arrival order is sorted once more by :func:`_compare_rows`, which
+    raises only where NULL against a value decides the order.
     """
-    ordered = list(rows)
-    for indices, ascending in reversed(_key_groups(schema, keys)):
-        i = indices[0]
-        key = itemgetter(*indices) if indices[1:] else itemgetter(slice(i, i + 1))
-        ordered.sort(key=key, reverse=not ascending)
+    arrival = list(rows)
+    ordered = arrival[:]
+    try:
+        for indices, ascending in reversed(_key_groups(schema, keys)):
+            i = indices[0]
+            key = itemgetter(*indices) if indices[1:] else itemgetter(slice(i, i + 1))
+            ordered.sort(key=key, reverse=not ascending)
+    except TypeError:
+        columns = [(schema.index_of(name), bool(ascending)) for name, ascending in keys]
+        ordered = sorted(arrival, key=cmp_to_key(partial(_compare_rows, columns)))
     return ordered
+
+
+def _compare_rows(columns, a, b):
+    """Three-way comparison of two rows on ``(index, ascending)`` keys,
+    most significant first: a column is compared only when every key
+    before it ties, and as a tuple compares an element (identical or
+    ``==`` ties, else ``<`` decides)."""
+    for i, ascending in columns:
+        x, y = a[i], b[i]
+        if x is y or x == y:
+            continue
+        if ascending:
+            return -1 if x < y else 1
+        return -1 if y < x else 1
+    return 0
 
 
 class _Descending:
@@ -326,7 +353,7 @@ class SortOperator(BatchOperator):
     # -- memory-governed external-merge sort -----------------------------
 
     def _open_run(self):
-        self.run_file = self.ctx.pool.spill_file(self.ctx.page_rows)
+        self.run_file = self.ctx.pool.spill_file(self.ctx.page_rows, self.grant.owner)
         self.runs.append(self.run_file)
 
     def _flush_run_page(self):
@@ -416,7 +443,7 @@ class SortOperator(BatchOperator):
                     # copying it through the merge would be pure waste.
                     next_runs.append(batch[0])
                     continue
-                out_file = ctx.pool.spill_file(ctx.page_rows)
+                out_file = ctx.pool.spill_file(ctx.page_rows, grant.owner)
                 written = yield from _merge_runs(batch, ctx, grant, out_file=out_file)
                 self.spilled_pages += written
                 next_runs.append(out_file)

@@ -43,7 +43,7 @@ from repro.engine.operators import build_operator_task
 from repro.engine.operators.aggregate import AggregateOperator, _sort_key
 from repro.engine.operators.api import drive
 from repro.engine.operators.hash_join import HashJoinOperator
-from repro.engine.operators.scan import ScanOperator
+from repro.engine.operators.scan import ScanOperator, fused_memo
 from repro.engine.parallel.exchange import ExchangeOperator, GatherOperator, ordered_merge
 from repro.engine.parallel.fragment import partition_ranges
 from repro.engine.plan import PlanNode
@@ -130,6 +130,9 @@ def _build_fragment_chains(engine, group, chain_root, scan_node, dop, prefix, ct
     """
     table = ctx.catalog.table(scan_node.params["table"])
     ranges = partition_ranges(table.page_count(ctx.page_rows), dop)
+    # One attach for the scan node, not one per fragment: a dop-N scan
+    # run once leaves a ghost, as a serial one does.
+    memo = fused_memo(table, scan_node, ctx)
     chain = []
     node = chain_root
     while node.op_id != scan_node.op_id:
@@ -143,7 +146,7 @@ def _build_fragment_chains(engine, group, chain_root, scan_node, dop, prefix, ct
         queue = engine.sim.queue(f"{fprefix}:{scan_node.op_id}->out0", capacity)
         engine._spawn_stage(
             group,
-            drive(ScanOperator(scan_node, ctx, [queue], pages=(lo, hi)), []),
+            drive(ScanOperator(scan_node, ctx, [queue], pages=(lo, hi), memo=memo), []),
             fprefix,
             scan_node.op_id,
         )

@@ -58,6 +58,24 @@ class EngineError(ReproError):
     """Staged-engine construction or execution error."""
 
 
+class QuiescenceError(EngineError):
+    """A session holds work or resources after its work ended.
+
+    Raised by :meth:`~repro.db.session.Session.check_quiescent`.
+    ``leaks`` maps each kind of leftover (``"tasks"``, ``"grants"``,
+    ``"spill files"``, ...) to the items found, each named by what
+    owns it: a task name, a grant owner with its pages, a spill file
+    with its owner and page count, a submission label.
+    """
+
+    def __init__(self, leaks: dict[str, list[str]]) -> None:
+        self.leaks = leaks
+        super().__init__(
+            "session is not quiescent: "
+            + "; ".join(f"{kind}: {', '.join(items)}" for kind, items in leaks.items())
+        )
+
+
 class PlanError(EngineError):
     """An engine physical plan is structurally invalid."""
 

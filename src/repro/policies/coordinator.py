@@ -200,6 +200,26 @@ class SharingCoordinator:
         buffer plus every busy signature's pending batch."""
         return len(self._arrivals) + self.pending_count()
 
+    def held(self) -> dict[str, list[str]]:
+        """What the coordinator still holds, by kind, each item named by
+        the labels of the submissions behind it: merge slots (their live
+        groups' members and pending batch), the same-instant arrivals
+        and the open decision records. All empty when quiescent."""
+        slots = [
+            "+".join(
+                [handle.label for group, _ in slot.groups.values() for handle in group.handles]
+                + [entry.label for entry in slot.pending]
+            )
+            for slot in self._slots.values()
+        ]
+        return {
+            "coordinator slots": slots,
+            "arrivals": [entry.label for entry in self._arrivals],
+            "decision records": [
+                "+".join(entry.label for entry in entries) for _, _, entries in self._open.values()
+            ],
+        }
+
     def drain(self) -> None:
         """Route buffered arrivals immediately (for non-simulated use)."""
         if self._route_scheduled or self._arrivals:

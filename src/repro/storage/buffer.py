@@ -276,6 +276,8 @@ class BufferPool:
         self.stats = BufferStats()
         self._pins: dict[PageKey, int] = {}  # key -> pin count (0 = unpinned)
         self._spill_counter = 0
+        # Spill files opened through this pool and not yet dropped.
+        self._spills: dict[int, SpillFile] = {}
         # Optional flight recorder (repro.obs.trace); ``None`` keeps
         # the access path a single identity check away from the seed.
         self.tracer = None
@@ -386,10 +388,18 @@ class BufferPool:
             self.admit(table_page_key(table.name, index))
         return n_pages
 
-    def spill_file(self, page_rows: int) -> "SpillFile":
-        """Open a fresh spill file writing through this pool."""
+    def spill_file(self, page_rows: int, owner: str = "") -> "SpillFile":
+        """Open a fresh spill file writing through this pool for
+        ``owner`` (the operator whose grant it spills)."""
         self._spill_counter += 1
-        return SpillFile(self, self._spill_counter, page_rows)
+        spill = self._spills[self._spill_counter] = SpillFile(
+            self, self._spill_counter, page_rows, owner
+        )
+        return spill
+
+    def live_spill_files(self) -> tuple["SpillFile", ...]:
+        """The spill files opened and not yet dropped, oldest first."""
+        return tuple(self._spills.values())
 
 
 class SpillFile:
@@ -402,11 +412,14 @@ class SpillFile:
     reported written and ``io_page`` per read-back miss.
     """
 
-    def __init__(self, pool: Optional[BufferPool], file_id: int, page_rows: int) -> None:
+    def __init__(
+        self, pool: Optional[BufferPool], file_id: int, page_rows: int, owner: str = ""
+    ) -> None:
         if page_rows < 1:
             raise StorageError(f"page_rows must be >= 1, got {page_rows}")
         self.pool = pool
         self.file_id = file_id
+        self.owner = owner
         self.page_rows = page_rows
         self._pages: list[Page] = []
         self._buffer: list[tuple] = []
@@ -509,6 +522,7 @@ class SpillFile:
         if self.pool is not None:
             for index in range(len(self._pages)):
                 self.pool.discard(spill_page_key(self.file_id, index))
+            self.pool._spills.pop(self.file_id, None)
         self._pages = []
         self._buffer = []
         self.dropped = True

@@ -753,6 +753,10 @@ class ScanShareManager:
             for _, cursor in sorted(self._cursors.items())
         )
 
+    def attached(self) -> list[ScanTicket]:
+        """Every ticket attached and not yet detached, by table."""
+        return [t for _, cursor in sorted(self._cursors.items()) for t in cursor.tickets]
+
     # -- internals ---------------------------------------------------------
 
     def _cursor_of(self, ticket: ScanTicket) -> _Cursor:

@@ -48,13 +48,15 @@ def _forget(serial: int, page_cache: dict) -> None:
 # slot-list key) -> weak table, weighted by the slot list's upper
 # bound; the tables own the slot lists (they die with their table),
 # this only orders them for eviction, least recently *attached* first.
+# A fused signature's first attach parks a *ghost* (an empty slot list
+# at the same weight) and its pages only from the second, so an ad-hoc
+# stream's once-only signatures cost the budget a weight and no cells.
 # Sized from the repository benchmark's traffic, by that upper bound:
 # the memo-hot workloads re-attach 0.02-0.64 M cells of fused lists
 # every round (as much again in plain slices under them, which age out
-# first once the fused lists are full), an ad-hoc session parks 0.46 M
-# per round and never reads them again — so 2 M keeps every hot working
-# set with 3x headroom and caps ad-hoc garbage at three to four rounds'
-# worth.
+# first once the fused lists are full), an ad-hoc session attaches
+# 0.46 M per round as ghosts — so 2 M keeps every hot working set with
+# 3x headroom and holds three to four rounds of ad-hoc ghosts.
 PAGE_CACHE = WeightedLRU(2_000_000, on_evict=_drop_slots)
 _SERIALS = count()
 
@@ -214,11 +216,14 @@ class Table:
         next ingest or eviction, so concurrent scans of one table (and
         repeated scans across queries) slice each page once. Each slice
         is a tuple (a slice of a tuple column) shared with the cache.
+        Unlike a fused signature, a projection is kept from its first
+        call: every scan of the table under it reads these slices.
         Every call makes the projection the most recently used under
         the page budget: this is the scan stage's *miss* path (a
-        fused-memo hit never gets here), where the touch is noise beside
-        the decode that follows and keeps the projection an ad-hoc
-        stream reads on every page.
+        fused-memo hit never gets here; a signature's first scan, which
+        holds only a ghost, always does), where the touch is noise
+        beside the decode that follows and keeps the projection an
+        ad-hoc stream reads on every page.
         """
         key = (None if columns is None else tuple(columns), page_rows)
         pages = self._page_cache.get(key)
@@ -240,22 +245,23 @@ class Table:
         end = min(start + page_rows, len(self))
         slices = [col[start:end] for col in cols]
         if pages is None:
-            pages = self._attach(key, n_pages, len(cols))
+            pages = self._attach(key, [None] * n_pages, len(cols))
         pages[index] = slices
         return slices
 
-    def _attach(self, key: tuple, n_pages: int, width: int) -> list:
-        """A fresh slot list under ``key``, charged to the process-wide
+    def _attach(self, key: tuple, pages: Sequence, width: int) -> Sequence:
+        """Park ``pages`` under ``key``, charged to the process-wide
         budget at its upper bound (every row, ``width`` columns) — so
         filling a slot never touches a counter. A list heavier than the
         whole budget is evicted on the spot: the caller still fills and
         reads it, the table just does not keep it."""
-        pages = self._page_cache[key] = [None] * n_pages
+        self._page_cache[key] = pages
         PAGE_CACHE.put((self._serial, key), weakref.ref(self), len(self) * width)
         return pages
 
-    def fused_cache(self, key: tuple, n_pages: int, width: int) -> list:
-        """Per-page memo slots for a derived (fused) scan of this table.
+    def fused_cache(self, key: tuple, n_pages: int, width: int) -> list | None:
+        """Per-page memo slots for a derived (fused) scan of this table,
+        or ``None`` on the signature's first attach.
 
         The engine's scan stage parks its decoded/filtered/projected
         pages here, keyed by the scan's signature, so queries that
@@ -265,15 +271,24 @@ class Table:
         sharing, and it shares the ingest invalidation and the budget
         of the plain page cache (``width`` is the scan's output width,
         its weight per row). Slots start as ``None``; entries are shared,
-        and the batches parked in them carry tuple columns. Each call is
-        one *attach*: it makes
-        the signature the most recently used, which is all the recency
-        the budget keeps of a fused scan — reading or filling a slot
-        stays a bare list index.
+        and the batches parked in them carry tuple columns.
+
+        Admission is 2Q's: a signature the table does not know gets a
+        *ghost* — an empty slot list under ``key``, weighed, aged,
+        evicted, invalidated and forgotten exactly as a real one — and
+        ``None``, so that scan parks nothing; an attach that finds the
+        ghost gets real slots. A signature read once (an ad-hoc query's
+        constants) then costs the budget its weight and holds no page.
+        Each call is one *attach*: it makes the signature the most
+        recently used, which is all the recency the budget keeps of a
+        fused scan — reading or filling a slot stays a bare list index.
         """
         pages = self._page_cache.get(key)
-        if pages is None or len(pages) != n_pages:
-            return self._attach(key, n_pages, width)
+        if pages is None:
+            self._attach(key, (), width)
+            return None
+        if len(pages) != n_pages:
+            return self._attach(key, [None] * n_pages, width)
         PAGE_CACHE.get((self._serial, key))
         return pages
 

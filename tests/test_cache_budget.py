@@ -117,7 +117,9 @@ def test_insert_still_invalidates():
     table = catalog.table("t")
     session = Database.open(catalog, "cmp32")
     query = session.table("t", columns=["k"]).where(lt(col("k"), 5))
-    assert len(session.run(query).rows) == 5
+    # Twice: the first attach of the signature parks only a ghost.
+    assert len(session.run(query).rows) == len(session.run(query).rows) == 5
+    assert any(key[0] == "fused" and pages for key, pages in table._page_cache.items())
     keys = [(table._serial, key) for key in table._page_cache]
     assert keys and all(key in PAGE_CACHE for key in keys)
     weight = PAGE_CACHE.weight
@@ -137,8 +139,95 @@ def test_a_dead_table_leaves_the_budget_at_once():
     table = Table("t", Schema([("k", DataType.INT), ("v", DataType.INT)]))
     table.insert_many([(i, i) for i in range(1000)])
     table.column_slices(0)
-    table.fused_cache(("fused", "sig", 64), table.page_count(64), 2)
+    for _ in range(2):  # a ghost, then the slot list in its place
+        slots = table.fused_cache(("fused", "sig", 64), table.page_count(64), 2)
+    assert slots == [None] * table.page_count(64)
     assert (len(PAGE_CACHE), PAGE_CACHE.weight) == (before[0] + 2, before[1] + 4000)
+    del table
+    gc.collect()
+    assert (len(PAGE_CACHE), PAGE_CACHE.weight) == before
+
+
+def _count_column_slices(monkeypatch):
+    calls = [0]
+    column_slices = Table.column_slices
+
+    def counted(self, *args, **kwargs):
+        calls[0] += 1
+        return column_slices(self, *args, **kwargs)
+
+    monkeypatch.setattr(Table, "column_slices", counted)
+    return calls
+
+
+def _fused(table):
+    return {key: pages for key, pages in table._page_cache.items() if key[0] == "fused"}
+
+
+def test_a_signature_parks_pages_only_from_its_second_attach(monkeypatch):
+    """2Q admission: the first scan of a signature leaves a ghost and no
+    cell, the second parks its pages, the third decodes nothing — and
+    all three return the same rows at the same clock."""
+    catalog = _catalog()
+    table = catalog.table("t")
+    query = Database.open(catalog).table("t", columns=["k", "v"]).where(lt(col("v"), 9)).build()
+    calls = _count_column_slices(monkeypatch)
+    runs = []
+    for _ in range(3):
+        session = Database.open(catalog, "cmp32")
+        before = calls[0]
+        rows = session.run(query).rows
+        runs.append((rows, session.now, calls[0] - before))
+        if len(runs) == 1:
+            ((key, ghost),) = _fused(table).items()
+            assert ghost == () and (table._serial, key) in PAGE_CACHE  # weighed, no cell
+        elif len(runs) == 2:
+            (pages,) = _fused(table).values()
+            assert pages and all(page is not None for page in pages)
+    n_pages = table.page_count(RuntimeConfig.preset("cmp32").page_rows)
+    assert [decoded for _, _, decoded in runs] == [n_pages, n_pages, 0]
+    (rows, now, _), *rest = runs
+    assert all((other_rows, other_now) == (rows, now) for other_rows, other_now, _ in rest)
+    assert sorted(rows) == sorted(execute_reference(query.plan, catalog))
+
+
+def test_a_parallel_scan_attaches_once_for_all_its_fragments(monkeypatch):
+    """A dop-2 scan is one attach: run once, it leaves only a ghost (its
+    second fragment does not take the first one's ghost for a second
+    reference); run twice, both fragments park their page ranges."""
+    catalog = _catalog()
+    table = catalog.table("t")
+    config = RuntimeConfig.preset("cmp32").with_(dop=2)
+    query = Database.open(catalog).table("t", columns=["k", "v"]).where(lt(col("v"), 9)).build()
+    calls = _count_column_slices(monkeypatch)
+    n_pages = table.page_count(config.page_rows)
+    assert n_pages >= 2
+    want = sorted(execute_reference(query.plan, catalog))
+    session = Database.open(catalog, config)
+    assert sorted(session.run(query).rows) == want
+    assert calls[0] == n_pages
+    assert list(_fused(table).values()) == [()]
+    assert sorted(Database.open(catalog, config).run(query).rows) == want
+    assert calls[0] == 2 * n_pages
+    (pages,) = _fused(table).values()
+    assert len(pages) == n_pages and all(page is not None for page in pages)
+    assert sorted(Database.open(catalog, config).run(query).rows) == want
+    assert calls[0] == 2 * n_pages
+
+
+def test_ingest_and_table_death_drop_a_ghost():
+    gc.collect()
+    before = (len(PAGE_CACHE), PAGE_CACHE.weight)
+    table = Table("t", Schema([("k", DataType.INT), ("v", DataType.INT)]))
+    table.insert_many([(i, i) for i in range(1000)])
+    key = ("fused", "sig", 64)
+    assert table.fused_cache(key, table.page_count(64), 2) is None
+    assert table._page_cache == {key: ()} and (table._serial, key) in PAGE_CACHE
+    assert (len(PAGE_CACHE), PAGE_CACHE.weight) == (before[0] + 1, before[1] + 2000)
+    table.insert((1000, 0))  # ingest forgets the ghost: the next attach is a first one
+    assert not table._page_cache and (len(PAGE_CACHE), PAGE_CACHE.weight) == before
+    assert table.fused_cache(key, table.page_count(64), 2) is None
+    assert (len(PAGE_CACHE), PAGE_CACHE.weight) == (before[0] + 1, before[1] + 2002)
     del table
     gc.collect()
     assert (len(PAGE_CACHE), PAGE_CACHE.weight) == before
@@ -158,14 +247,7 @@ def test_templated_session_never_decodes_after_its_warm_up(monkeypatch):
             session.run_all()
 
     round_()
-    calls = [0]
-    column_slices = Table.column_slices
-
-    def counted(self, *args, **kwargs):
-        calls[0] += 1
-        return column_slices(self, *args, **kwargs)
-
-    monkeypatch.setattr(Table, "column_slices", counted)
+    calls = _count_column_slices(monkeypatch)
     round_()
     round_()
     assert calls[0] == 0

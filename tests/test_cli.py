@@ -50,6 +50,7 @@ class TestCli:
 
 
 class TestServe:
+    @pytest.mark.in_flight  # the horizon cuts the serve with a backlog
     def test_report_conserves_arrivals(self, capsys):
         argv = "serve --scale-factor 0.0005 --rate 0.0004 --horizon 30000 --drain 30000"
         assert repro_main(argv.split()) == 0

@@ -8,6 +8,7 @@ for three); what is checked is what the tool measures them with.
 import gc
 import importlib.util
 import os
+import sys
 from types import SimpleNamespace
 
 from repro.db import Database
@@ -66,3 +67,47 @@ def test_dispatcher_state_reads_slots_groups_and_open_records():
     assert rss_rounds.dispatcher_state(workload) == "1/1/1"
     session.run_all()
     assert rss_rounds.dispatcher_state(workload) == "0/0/0"
+
+
+def test_the_growth_gates_the_exit_status():
+    settled = rss_rounds.SETTLED_AFTER
+    flat = [30.0] * settled + [30.0, 30.5, 31.0]
+    assert rss_rounds.growth_per_round(flat) == 0.5
+    assert rss_rounds.growth_per_round(flat[:-2]) is None  # one settled round
+    assert rss_rounds.FLAT_MB_PER_ROUND == 1.0
+    assert rss_rounds.gate(0.5) == rss_rounds.gate(1.0) == 0
+    assert rss_rounds.gate(1.5) == 1
+    assert rss_rounds.gate(None) == 2
+
+
+class _Workload:
+    """A stub workload whose resident set the test dictates per round."""
+
+    def __init__(self, seed):
+        self.session = None
+
+    def setup(self):
+        pass
+
+    def round(self, index):
+        pass
+
+    def pin(self):
+        return 0
+
+
+def _main_with_growth(monkeypatch, mb_per_round, rounds):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # main() prepends src/ and bench/
+    workloads = SimpleNamespace(WARMUP_ROUNDS=2, WORKLOADS={"stub": _Workload})
+    monkeypatch.setitem(sys.modules, "workloads", workloads)
+    readings = iter(30.0 + mb_per_round * i for i in range(100))
+    monkeypatch.setattr(rss_rounds, "rss_mb", lambda: next(readings))
+    return rss_rounds.main(["stub", "--rounds", str(rounds)])
+
+
+def test_main_exits_by_the_flat_bound(monkeypatch, capsys):
+    assert _main_with_growth(monkeypatch, 0.2, rounds=12) == 0
+    assert _main_with_growth(monkeypatch, 1.5, rounds=12) == 1
+    assert "is not flat" in capsys.readouterr().out
+    assert _main_with_growth(monkeypatch, 0.0, rounds=3) == 2
+    assert "run more rounds" in capsys.readouterr().out

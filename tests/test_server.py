@@ -229,6 +229,7 @@ class TestOpenSystem:
         assert report.backlog == 0
         assert report.latency.max >= report.latency.mean > 0
 
+    @pytest.mark.in_flight  # the horizon cuts the serve with a backlog
     def test_overload_builds_backlog(self, catalog, q6):
         """Arrivals far above service capacity leave a backlog."""
         report = self.serve(catalog, q6, processors=1, rate=1.0 / 500.0,
@@ -264,6 +265,7 @@ class TestOpenSystem:
 
 
 class TestAdmissionInTheLoop:
+    @pytest.mark.in_flight  # the horizon cuts the serve with a backlog
     def test_sheds_are_audited_with_server_source(self, catalog, q6):
         server = make_server(catalog, policy=AlwaysShare(),
                              admission=QueueDepthBound(2))
@@ -274,6 +276,7 @@ class TestAdmissionInTheLoop:
                    if r.source == "server" and r.outcome == "shed"]
         assert len(audited) == report.shed
 
+    @pytest.mark.in_flight  # the horizon cuts the serve with a backlog
     def test_admit_all_never_sheds(self, catalog, q6):
         server = make_server(catalog, policy=AlwaysShare(),
                              admission=AdmitAll())

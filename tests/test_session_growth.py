@@ -257,6 +257,9 @@ def test_once_only_constants_stay_inside_the_page_budget(monkeypatch):
         assert len(result.rows) == min(constant, 7)
         assert _filled_cells(table) <= PAGE_CACHE.weight <= budget
         retained.add(len(result.metrics))
+    # Each signature attached once holds a ghost: no fused cell at all.
+    fused = [pages for key, pages in table._page_cache.items() if key[0] == "fused"]
+    assert fused and all(pages == () for pages in fused)
     assert PAGE_CACHE.evictions > evicted
     assert len(table._page_cache) <= 16
     # Each result keeps the scalar families plus its own batch's

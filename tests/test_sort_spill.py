@@ -453,8 +453,8 @@ class _TrackingPool(BufferPool):
         super().__init__(capacity)
         self.files = []
 
-    def spill_file(self, page_rows):
-        spill = super().spill_file(page_rows)
+    def spill_file(self, page_rows, owner=""):
+        spill = super().spill_file(page_rows, owner)
         self.files.append(spill)
         return spill
 
@@ -561,6 +561,26 @@ class TestNullKeys:
         with pytest.raises(SimulationError) as failure:
             _governed_sort(rows, self.schema, self.keys, work_mem)
         assert isinstance(failure.value.__cause__, TypeError)
+
+    @pytest.mark.parametrize("work_mem", [None, 1, 64])
+    def test_null_beside_a_value_in_a_key_a_more_significant_one_decides(self, work_mem):
+        """The oracle used to sort least significant key first and raise
+        on ``b``; the engine compares ``a`` first and never looks."""
+        rows = [(1, None), (2, 5)]
+        keys = [("a", True), ("k", False)]
+        got, _ = _governed_sort(rows, self.schema, keys, work_mem)
+        assert got == sort_rows(rows, self.schema, keys) == rows
+
+    @pytest.mark.parametrize("work_mem", [None, 1, 64])
+    def test_descending_string_above_a_key_with_nulls(self, work_mem):
+        schema = Schema([("s", DataType.STR), ("k", DataType.INT)])
+        rows = [("b", None), ("a", 3), ("c", 1), ("b", None), ("a", 2), ("d", None)]
+        keys = [("s", False), ("k", True)]
+        got, _ = _governed_sort(rows, schema, keys, work_mem)
+        expected = [("d", None), ("c", 1), ("b", None), ("b", None), ("a", 2), ("a", 3)]
+        assert got == sort_rows(rows, schema, keys) == expected
+        with pytest.raises(TypeError):  # NULL against 3 decides "a"'s rows
+            sort_rows(rows + [("a", None)], schema, keys)
 
     @pytest.mark.parametrize("work_mem", [None, 1, 64])
     def test_descending_string_under_a_numeric_dtype(self, work_mem):

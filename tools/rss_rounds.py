@@ -21,6 +21,11 @@ share of the timed wall, the tracked container cells left on the heap
 and the dispatcher's state beside them, the process's
 ``ru_maxrss`` — the benchmark's ``peak_rss_mb`` — and the workload's
 behaviour pin, which two commits must agree on to the last digit.
+
+The growth line is a gate: the tool exits 1 when the growth per round
+after round 8 exceeds ``FLAT_MB_PER_ROUND`` (what "flat" means), and 2
+when the run has too few rounds to compute it, so a short run cannot
+pass.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ import time
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SETTLED_AFTER = 8
+FLAT_MB_PER_ROUND = 1.0
 
 
 def rss_mb() -> float:
@@ -121,9 +127,8 @@ def main(argv=None) -> int:
     finally:
         gc.callbacks.remove(collections)
 
-    if len(resident) > SETTLED_AFTER + 1:
-        settled = resident[SETTLED_AFTER:]
-        growth = (settled[-1] - settled[0]) / (len(settled) - 1)
+    growth = growth_per_round(resident)
+    if growth is not None:
         print(f"growth after round {SETTLED_AFTER}: {growth:+.2f} MB/round")
     print(
         f"gen-2 collections: {len(full)}, {sum(full):.0f} ms in all, "
@@ -138,6 +143,27 @@ def main(argv=None) -> int:
     print(f"dispatcher slots/live groups/open records: {dispatcher_state(workload)}")
     print(f"ru_maxrss: {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0:.1f} MB")
     print(f"pin: {workload.pin()!r}")
+    return gate(growth)
+
+
+def growth_per_round(resident: list[float]):
+    """MB per round from round ``SETTLED_AFTER`` to the last (caches
+    have filled by then), or ``None`` with fewer than two such rounds."""
+    if len(resident) <= SETTLED_AFTER + 1:
+        return None
+    settled = resident[SETTLED_AFTER:]
+    return (settled[-1] - settled[0]) / (len(settled) - 1)
+
+
+def gate(growth) -> int:
+    """The exit status: 0 when the growth is flat, 1 above
+    ``FLAT_MB_PER_ROUND``, 2 when there was no growth to hold to it."""
+    if growth is None:
+        print(f"FAIL: no growth after round {SETTLED_AFTER} to hold flat; run more rounds")
+        return 2
+    if growth > FLAT_MB_PER_ROUND:
+        print(f"FAIL: growth {growth:+.2f} MB/round is not flat (> {FLAT_MB_PER_ROUND:g})")
+        return 1
     return 0
 
 
