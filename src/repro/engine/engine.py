@@ -30,8 +30,10 @@ from typing import Callable, Optional, Sequence
 from repro.engine.costs import DEFAULT_COST_MODEL, CostModel
 from repro.engine.memory import MemoryBroker
 from repro.engine.operators import StageContext, build_operator_task
+from repro.engine.operators.partitioning import PartitionMemo
 from repro.engine.packet import GroupHandle, QueryHandle, RowBatch
 from repro.engine.parallel.builder import build_parallel_query
+from repro.engine.parallel.exchange import EXCHANGE_MEMO_KEYS, EXCHANGE_SALT
 from repro.engine.plan import PlanNode
 from repro.engine.wiring import resolve_storage
 from repro.errors import EngineError, PivotError
@@ -164,6 +166,7 @@ class Engine:
         )
         self.queue_capacity = queue_capacity
         self._group_counter = 0
+        self._exchange_memos: dict[int, PartitionMemo] = {}
 
     # ------------------------------------------------------------------
     # Public API
@@ -278,6 +281,18 @@ class Engine:
             )
             self._spawn_sink(root_q, handle, group)
         return group
+
+    def exchange_memo(self, fanout: int) -> PartitionMemo:
+        """The partition memo every exchange into ``fanout`` partitions
+        routes through, one per fanout for the engine's life: a key is
+        hashed once per engine, not once per query. Its numbers are
+        :func:`~repro.engine.operators.partitioning.partition_of`'s, so
+        what it holds changes host time only."""
+        memo = self._exchange_memos.get(fanout)
+        if memo is None:
+            memo = PartitionMemo(EXCHANGE_SALT, fanout, EXCHANGE_MEMO_KEYS)
+            self._exchange_memos[fanout] = memo
+        return memo
 
     # ------------------------------------------------------------------
     # Internals

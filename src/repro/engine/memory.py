@@ -160,6 +160,7 @@ class _Unbounded:
 
     __slots__ = ()
     pages = sys.maxsize
+    used = 0
 
     def resize_used(self, used_pages: int) -> None:
         pass

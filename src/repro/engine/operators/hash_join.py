@@ -249,7 +249,9 @@ class HashJoinOperator(BatchOperator):
             if self.parts is None:
                 self._partition()
             cost += costs.spill_page * self._spill_largest()
-        self.grant.resize_used(-(-self.resident_rows // page_rows))
+        pages = -(-self.resident_rows // page_rows)
+        if pages != self.grant.used:
+            self.grant.resize_used(pages)
         yield Compute(cost)
 
     def _partition(self) -> None:

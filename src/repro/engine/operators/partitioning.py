@@ -18,7 +18,12 @@ stream route through a :class:`PartitionMemo`, which pays it once per
 distinct key instead of once per row and hashes the prefix once. Who
 routes through one, and when:
 
-* the exchange, every row it routes, from the first;
+* the exchange, every row it routes, from the first. Its memo is not
+  its own: the engine holds one per fanout for its whole life
+  (:meth:`~repro.engine.engine.Engine.exchange_memo`, bounded by
+  ``EXCHANGE_MEMO_KEYS``), so a key is hashed once per engine, not once
+  per query. A batch also keeps the split an exchange made of it, so a
+  page the fused memo parks is routed once, not once per run;
 * a governed hash join (build and probe share one memo) or aggregate,
   only once its memory grant first overflows: until then it holds one
   unpartitioned table and hashes nothing;
@@ -63,22 +68,24 @@ class PartitionMemo(dict):
     """``key -> partition_of(key, salt, fanout)``, computed once per key.
 
     Index it (``memo[key]``) or map over a key column
-    (``map(memo.__getitem__, keys)``); holds at most :data:`MEMO_KEYS`
-    keys. Keys that compare equal (``1`` and ``1.0``) get the same
-    partition, as they share a group and a join match: one entry while
-    it lasts, and the same hash after the memo has started over.
+    (``map(memo.__getitem__, keys)``); holds at most ``bound`` keys
+    (:data:`MEMO_KEYS` unless given), then starts over. Keys that
+    compare equal (``1`` and ``1.0``) get the same partition, as they
+    share a group and a join match: one entry while it lasts, and the
+    same hash after the memo has started over.
     """
 
-    __slots__ = ("salt", "fanout", "prefix")
+    __slots__ = ("salt", "fanout", "prefix", "bound")
 
-    def __init__(self, salt: int, fanout: int) -> None:
+    def __init__(self, salt: int, fanout: int, bound: int = MEMO_KEYS) -> None:
         super().__init__()
         self.salt = salt
         self.fanout = fanout
         self.prefix = _prefix(salt)
+        self.bound = bound
 
     def __missing__(self, key) -> int:
-        if len(self) >= MEMO_KEYS:
+        if len(self) >= self.bound:
             self.clear()
         partition = self[key] = crc32(_key_bytes(key), self.prefix) % self.fanout
         return partition

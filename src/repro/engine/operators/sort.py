@@ -348,7 +348,9 @@ class SortOperator(BatchOperator):
                 buffer.append(selected)
                 if len(buffer) >= page_rows:
                     yield from self._flush_run_page()
-        self.grant.resize_used(-(-(len(held) + len(deferred)) // page_rows))
+        pages = -(-(len(held) + len(deferred)) // page_rows)
+        if pages != self.grant.used:
+            self.grant.resize_used(pages)
 
     # -- memory-governed external-merge sort -----------------------------
 

@@ -44,13 +44,21 @@ class RowBatch:
     layer's slices: what a cache may hold is read-only by type and,
     being a tuple of scalars, is not walked by the cyclic collector.
 
+    The derived views a batch caches: its compressed columns, its row
+    tuples, and the split the last exchange made of it (``_split``:
+    the route ``(key_indices, fanout)`` and one tuple of row tuples per
+    partition; see :class:`~repro.engine.parallel.exchange.ExchangeOperator`).
+    The split slot is set only by the exchange and read lazily: no
+    constructor touches it, so a batch that never meets an exchange
+    pays nothing for it.
+
     Batches are immutable by convention once emitted (like ``Page``);
     the lazy caches only add derived views. Unlike ``Page``, an empty
     batch is legal (operators build batches before knowing whether any
     row survived); emitters simply never flush one.
     """
 
-    __slots__ = ("_columns", "_rows", "_sel", "_n", "width")
+    __slots__ = ("_columns", "_rows", "_sel", "_n", "width", "_split")
 
     def __init__(self) -> None:  # use the from_* constructors
         self._columns: Optional[list[Sequence[Any]]] = None

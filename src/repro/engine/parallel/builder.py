@@ -173,6 +173,7 @@ def _build_fragment_chains(engine, group, chain_root, scan_node, dop, prefix, ct
 def _build_exchanges(engine, group, child, frag_qs, key_idx, dop, prefix, region_op_id, ctx):
     """One exchange per fragment; returns queues[consumer][producer]."""
     partition_qs: list[list[SimQueue]] = [[] for _ in range(dop)]
+    memo = engine.exchange_memo(dop)
     for index, frag_q in enumerate(frag_qs):
         outs = [
             engine.sim.queue(
@@ -181,7 +182,7 @@ def _build_exchanges(engine, group, child, frag_qs, key_idx, dop, prefix, region
             )
             for j in range(dop)
         ]
-        exchange = ExchangeOperator(child, ctx, outs, key_idx)
+        exchange = ExchangeOperator(child, ctx, outs, key_idx, memo)
         engine._spawn_stage(
             group, drive(exchange, [[frag_q]]), f"{prefix}.f{index}", f"{region_op_id}.exchange"
         )

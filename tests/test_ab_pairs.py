@@ -54,13 +54,15 @@ def test_win_table_covers_every_metric_both_sides_measured():
     assert "round_ms_p50" in lines[1] and "wins 1/2" in lines[1]
 
 
-def test_only_the_last_pair_runs_the_traced_layers_pass():
+def test_only_the_last_three_pairs_run_the_traced_layers_pass():
+    assert [ab_pairs.traced(pair, 10) for pair in range(10)] == [False] * 7 + [True] * 3
+    assert [ab_pairs.traced(pair, 2) for pair in range(2)] == [True, True]
     args = argparse.Namespace(seed=17, seconds=None, layers=True)
-    assert "--layers" in ab_pairs.run_command("root", "all", args, last=True)
-    assert "--layers" not in ab_pairs.run_command("root", "all", args, last=False)
+    assert "--layers" in ab_pairs.run_command("root", "all", args, trace=True)
+    assert "--layers" not in ab_pairs.run_command("root", "all", args, trace=False)
     args.layers = False
-    for last in (True, False):
-        command = ab_pairs.run_command("root", "all", args, last=last)
+    for trace in (True, False):
+        command = ab_pairs.run_command("root", "all", args, trace=trace)
         assert "--layers" not in command and command[-2:] == ["--trace", "0"]
 
 
@@ -72,7 +74,7 @@ def test_a_comma_list_runs_each_named_workload_once():
     assert ab_pairs.workload_runs("c,a", CONTRACT) == ["c", "a"]
     assert ab_pairs.workload_runs("b,b", CONTRACT) == ["b"]
     args = argparse.Namespace(seed=17, seconds=None, layers=False)
-    command = ab_pairs.run_command("root", "c", args, last=False)
+    command = ab_pairs.run_command("root", "c", args, trace=False)
     assert command[command.index("--workload") + 1] == "c"
 
 
@@ -121,11 +123,26 @@ def test_layer_table_prints_every_traced_layer_old_to_new():
         a={"sim.self_s": 0.5, "engine.aggregate.self_s": 0.1, "sim.now": 7.0},
         b={"sim.self_s": 1.0},  # only one side traced b
     )
-    lines = ab_pairs.layer_table(contract, old, new)
+    lines = ab_pairs.layer_table(contract, [old], [new])
     assert len(lines) == 2
     assert lines[0].split()[:2] == ["a", "sim.self_s"] and "+0.0%" in lines[0]
     assert lines[1].split()[:5] == ["a", "engine.aggregate.self_s", "0.2000", "->", "0.1000"]
-    assert "-50.0%" in lines[1]
+    assert "-50.0%" in lines[1] and lines[1].endswith("(medians of 1/1)")
+
+
+def test_layer_table_takes_each_sides_median_over_its_traced_pairs():
+    contract = {"workloads": [{"name": "a"}], "per_layer": [{"name": "sim.self_s"}]}
+
+    def document(sim_self_s=None):
+        traced = {"per_layer": {"sim.self_s": sim_self_s}} if sim_self_s is not None else None
+        return {"workloads": {"a": {"plain": {}, "traced": traced}}}
+
+    # An untraced pair has no say; one outlying traced pass moves no median.
+    old = [document(), document(0.40), document(0.90), document(0.42)]
+    new = [document(), document(0.30), document(0.20), document(0.31)]
+    (line,) = ab_pairs.layer_table(contract, old, new)
+    assert line.split()[:5] == ["a", "sim.self_s", "0.4200", "->", "0.3000"]
+    assert "-28.6%" in line and line.endswith("(medians of 3/3)")
 
 
 def test_checkout_unpacks_the_committed_benchmark(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 
 from repro.db import Database, RuntimeConfig
 from repro.engine import Engine, MemoryBroker, aggregate, execute_reference, hash_join, scan, sort
-from repro.engine.memory import UNBOUNDED
+from repro.engine.memory import UNBOUNDED, MemoryGrant
 from repro.engine.plan import AggSpec
 from repro.errors import EngineError
 from repro.experiments.common import shared_catalog
@@ -172,3 +172,59 @@ class TestUngovernedGrant:
         grant.close()
         assert UNBOUNDED.pages == sys.maxsize
         assert engine.ctx.grant("again") is UNBOUNDED
+
+
+class TestUnchangedCountNotReported:
+    """A spilling hash join's build and an external sort's intake report
+    their page count only when it changes. A repeated count changes no
+    observable: a run whose every ``resize_used`` call is made twice has
+    the same answer, clock, grant snapshots (``used``, ``high_water``),
+    overcommits and broker high water."""
+
+    @staticmethod
+    def _run(kind):
+        catalog = Catalog()
+        catalog.create("b", Schema([("bk", DataType.INT), ("bv", DataType.INT)])).insert_many(
+            [(i % 90, i) for i in range(240)]
+        )
+        catalog.create("p", Schema([("pk", DataType.INT), ("pv", DataType.INT)])).insert_many(
+            [((i * 7) % 120, i) for i in range(300)]
+        )
+        if kind == "hash_join":
+            plan = hash_join(scan(catalog, "b"), scan(catalog, "p"), "bk", "pk", op_id="join")
+        else:
+            plan = sort(scan(catalog, "p"), [("pk", False), ("pv", True)], op_id="ord")
+        sim = Simulator(processors=2)
+        engine = Engine(catalog, sim, page_rows=8, memory=MemoryBroker(3))
+        handle = engine.execute(plan, kind)
+        sim.run()
+        memory = engine.memory
+        assert engine.pool.stats.spill_pages_written > 0
+        grants = [(g.owner, g.used, g.high_water) for g in memory.grants()]
+        observed = (grants, memory.overcommits, memory.high_water, sim.now)
+        return handle.rows, observed, execute_reference(plan, catalog)
+
+    @pytest.mark.parametrize("kind", ["hash_join", "sort"])
+    def test_a_repeated_count_is_skipped_and_would_change_nothing(self, kind, monkeypatch):
+        resize = MemoryGrant.resize_used
+        repeats = []
+
+        def recorded(grant, used_pages):
+            if sys._getframe(1).f_code.co_name in ("_build", "next_batch"):
+                repeats.append(used_pages == grant.used)
+            resize(grant, used_pages)
+
+        monkeypatch.setattr(MemoryGrant, "resize_used", recorded)
+        rows, observed, reference = self._run(kind)
+        assert repeats and not any(repeats)
+        if kind == "sort":
+            assert rows == reference
+        else:
+            assert sorted(rows) == sorted(reference)
+
+        def twice(grant, used_pages):
+            resize(grant, used_pages)
+            resize(grant, used_pages)
+
+        monkeypatch.setattr(MemoryGrant, "resize_used", twice)
+        assert self._run(kind)[:2] == (rows, observed)

@@ -24,11 +24,13 @@ pairs. This runs it as one command:
    (workload, end-to-end metric) row and any behaviour change, and this
    file adds the per-pair win count of the new side on every metric.
 
-With ``--layers`` each side's last pair runs ``bench/run.py --layers``
-instead (the plain pass plus the traced one), so ``compare.py`` also
-checks every exact count and ``sim.now`` between the sides, and this
-file prints every layer's traced ``self_s``, old → new, per workload:
-the attribution a speed claim needs, in the same command.
+With ``--layers`` each side's last ``min(3, pairs)`` pairs run
+``bench/run.py --layers`` instead (the plain pass plus the traced one),
+so ``compare.py`` also checks every exact count and ``sim.now`` between
+the sides, and this file prints every layer's median traced ``self_s``
+over those pairs, old → new, per workload: the attribution a speed
+claim needs, in the same command. One traced pass per side is not
+enough on a shared host: it can move every layer of a workload at once.
 
 Uncommitted work can be measured without committing it:
 ``python3 tools/ab_pairs.py HEAD "$(git stash create)" ...`` (``git
@@ -47,11 +49,16 @@ import argparse
 import json
 import os
 import shutil
+import statistics
 import subprocess
 import sys
 import tempfile
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# Pairs that run the traced pass under --layers: the last ones, whose
+# per-layer medians the layer table prints.
+TRACED_PAIRS = 3
 
 
 def checkout(ref: str, directory: str) -> str:
@@ -144,31 +151,48 @@ def win_table(contract: dict, old_docs: list, new_docs: list) -> list[str]:
     return lines
 
 
-def layer_table(contract: dict, old_doc: dict, new_doc: dict) -> list[str]:
-    """One line per (workload, layer) both traced passes measured:
-    ``self_s`` old → new."""
+def layer_table(contract: dict, old_docs: list, new_docs: list) -> list[str]:
+    """One line per (workload, layer) both sides traced: the median
+    ``self_s`` over a side's traced passes, old → new, and how many
+    passes each median is of."""
     layers = [m["name"] for m in contract["per_layer"] if m["name"].endswith(".self_s")]
     lines = []
     for workload in (w["name"] for w in contract["workloads"]):
-        old, new = (doc["workloads"].get(workload, {}).get("traced") for doc in (old_doc, new_doc))
+        old, new = (
+            [
+                doc["workloads"][workload]["traced"]["per_layer"]
+                for doc in docs
+                if doc["workloads"].get(workload, {}).get("traced")
+            ]
+            for docs in (old_docs, new_docs)
+        )
         if not (old and new):
             continue
         for layer in layers:
-            if layer in old["per_layer"] and layer in new["per_layer"]:
-                before, after = old["per_layer"][layer], new["per_layer"][layer]
+            olds = [passes[layer] for passes in old if layer in passes]
+            news = [passes[layer] for passes in new if layer in passes]
+            if olds and news:
+                before, after = statistics.median(olds), statistics.median(news)
                 change = f"{(after - before) / before:+8.1%}" if before else ""
                 lines.append(
                     f"{workload:<16} {layer:<30} {before:>9.4f} -> {after:>9.4f} s {change}"
+                    f"  (medians of {len(olds)}/{len(news)})"
                 )
     return lines
 
 
-def run_command(root: str, workload: str, args, last: bool) -> list[str]:
+def traced(pair: int, pairs: int) -> bool:
+    """Whether pair ``pair`` (from 0) of ``pairs`` runs the traced pass
+    under ``--layers``: the last ``min(TRACED_PAIRS, pairs)`` do."""
+    return pair >= pairs - TRACED_PAIRS
+
+
+def run_command(root: str, workload: str, args, trace: bool) -> list[str]:
     """``bench/run.py`` for one workload (or ``all``) on one side of one
-    pair; the last pair runs both passes under ``--layers``."""
+    pair; a traced pair runs both passes under ``--layers``."""
     command = [sys.executable, os.path.join(root, "bench", "run.py")]
     command += ["--workload", workload, "--seed", str(args.seed)]
-    command += ["--layers"] if args.layers and last else ["--trace", "0"]
+    command += ["--layers"] if args.layers and trace else ["--trace", "0"]
     if args.seconds is not None:
         command += ["--seconds", str(args.seconds)]
     return command
@@ -188,7 +212,9 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, help="run length; the benchmark's own if omitted")
     parser.add_argument("--keep", metavar="DIR", help="keep checkouts and results here")
     parser.add_argument(
-        "--layers", action="store_true", help="trace the last pair; print the layer table"
+        "--layers",
+        action="store_true",
+        help=f"trace the last {TRACED_PAIRS} pairs; print the median layer table",
     )
     args = parser.parse_args(argv)
     if args.pairs < 1:
@@ -209,7 +235,9 @@ def main(argv=None) -> int:
                 documents = []
                 for workload in runs:
                     out = os.path.join(work, f"{side}{pair + 1}-{workload}.json")
-                    command = run_command(roots[side], workload, args, last=pair == args.pairs - 1)
+                    command = run_command(
+                        roots[side], workload, args, trace=traced(pair, args.pairs)
+                    )
                     command += ["--out", out]
                     # A failed operation ends run.py with status 1 and a
                     # document compare.py reports; only a missing
@@ -237,7 +265,7 @@ def main(argv=None) -> int:
         print("\n".join(win_table(contract, *documents)))
         if args.layers:
             print()
-            print("\n".join(layer_table(contract, documents[0][-1], documents[1][-1])))
+            print("\n".join(layer_table(contract, *documents)))
         return status
     finally:
         if not args.keep:
