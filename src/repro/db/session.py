@@ -195,7 +195,6 @@ class Session:
             scan_manager=scans,
             spill_prefetch_depth=spill_depth,
         )
-        self.results: list[QueryResult] = []
         self._pending: list[Submission] = []
         self._specs: dict[str, tuple[QuerySpec, str]] = {}
         self._decider: Optional[ModelGuidedPolicy] = None
@@ -351,10 +350,11 @@ class Session:
     ) -> QueryResult:
         """Submit one query, run the pending batch, return its result.
 
-        Equivalent to ``submit(...)`` followed by ``run_all()``: any
-        queries already buffered by earlier ``submit`` calls run in
-        the same batch (and may group with this one); their results
-        land in :attr:`results` as usual.
+        Equivalent to ``submit(...)`` followed by ``run_all()[-1]``:
+        any queries already buffered by earlier ``submit`` calls run
+        in the same batch (and may group with this one). Only this
+        query's result is returned; a caller that wants every result
+        of the batch calls :meth:`run_all`, which returns them all.
         """
         self.submit(query, label=label, share=share)
         return self.run_all()[-1]
@@ -366,8 +366,8 @@ class Session:
 
         The coordinator groups the submissions by pivot signature;
         each group of two or more consults the policy once (unless
-        forced via ``submit(share=...)``). Returns results in
-        submission order and appends them to :attr:`results`.
+        forced via ``submit(share=...)``). Returns every result of the
+        batch, in submission order; the session keeps none of them.
 
         What the results carry of the session's state is cut to the
         batch, so a session's cost per batch does not grow with its
@@ -419,7 +419,6 @@ class Session:
                     perf=wall_profile,
                 )
             )
-        self.results.extend(results)
         return results
 
     def end_batch(self) -> None:
@@ -434,8 +433,9 @@ class Session:
         on its ``GroupHandle``, which the coordinator lets go of when
         the group drains. Every counter stays cumulative
         (``sim.tasks`` and ``sim.completions`` included), so a
-        long-lived session's memory stays flat; :attr:`results` and the
-        audit log are the history it keeps.
+        long-lived session's memory stays flat: the audit log is the
+        history it keeps. Results are not kept: :meth:`run_all`
+        returns every result of the batch to its caller.
         """
         if self.engine.memory is not None:
             self.engine.memory.forget_closed()
@@ -443,9 +443,9 @@ class Session:
 
     def check_quiescent(self) -> None:
         """Raise :class:`~repro.errors.QuiescenceError` unless the session
-        holds nothing for work in flight: no live task, pinned page,
-        open grant or reserved page, undropped spill file or attached
-        elevator ticket, and an empty coordinator.
+        holds nothing for work in flight: no live task, open grant or
+        reserved page, undropped spill file or attached elevator
+        ticket, and an empty coordinator.
 
         Every batch that ran to its end leaves the session so. A batch
         that raised leaves its work behind, and the error names it:
@@ -455,8 +455,6 @@ class Session:
         engine = self.engine
         leaks = {"tasks": [task.name for task in self.sim.tasks if task.alive]}
         if engine.pool is not None:
-            pinned = engine.pool.pinned_count()
-            leaks["pinned pages"] = [f"{pinned} pinned"] if pinned else []
             leaks["spill files"] = [
                 f"file {spill.file_id} of {spill.owner} ({spill.page_count} pages)"
                 for spill in engine.pool.live_spill_files()

@@ -102,28 +102,6 @@ class Accumulator:
         else:  # pragma: no cover - constructor validates
             raise PlanError(f"unknown aggregate {self.func!r}")
 
-    def state(self) -> tuple:
-        """Serializable partial state, mergeable via :meth:`absorb`."""
-        return (self.total, self.count, self.best)
-
-    def absorb(self, state: tuple) -> None:
-        """Merge another accumulator's partial state into this one.
-
-        Every supported aggregate is decomposable: sums and counts
-        add, min/max combine — which is what makes spilling partial
-        group state (rather than raw input rows) correct.
-        """
-        total, count, best = state
-        self.total += total
-        self.count += count
-        if best is not None:
-            if self.best is None:
-                self.best = best
-            elif self.func == "min":
-                self.best = min(self.best, best)
-            elif self.func == "max":
-                self.best = max(self.best, best)
-
     def result(self):
         if self.func == "count":
             return self.count

@@ -91,8 +91,6 @@ class BatchEmitter:
         self.perf = perf
         self._rows: list[tuple] = []
         self._count = 0
-        self.pages_emitted = 0
-        self.rows_emitted = 0
         # A full batch always costs the same, and Compute requests are
         # immutable — deliver one shared instance instead of allocating
         # per flush (the steady-state case for a saturated producer).
@@ -147,8 +145,6 @@ class BatchEmitter:
 
     def _deliver(self, batch: RowBatch) -> Generator:
         n = batch._n
-        self.pages_emitted += 1
-        self.rows_emitted += n
         if self.perf is not None:
             self.perf.add_rows(self.op, n)
         if n == self.batch_rows:

@@ -169,7 +169,6 @@ def _pool_families(pool) -> dict[str, float]:
     return {
         "buffer.capacity": pool.capacity,
         "buffer.resident": len(pool),
-        "buffer.pinned": pool.pinned_count(),
         "buffer.hits": stats.hits,
         "buffer.misses": stats.misses,
         "buffer.hit_rate": stats.hit_rate,
@@ -334,8 +333,7 @@ def render_resources(snapshot: Mapping[str, float]) -> str:
     buffer, spill = _family(snapshot, "buffer."), _family(snapshot, "spill.")
     if buffer:
         text = (
-            f"buffer pool: {buffer['resident']}/{buffer['capacity']} "
-            f"pages resident ({buffer['pinned']} pinned), "
+            f"buffer pool: {buffer['resident']}/{buffer['capacity']} pages resident, "
             f"{buffer['hits']} hits / {buffer['misses']} misses "
             f"({buffer['hit_rate']:.1%} hit rate), "
             f"{buffer['evictions']} evictions, "

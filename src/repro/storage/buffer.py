@@ -10,8 +10,6 @@ adds the missing storage layer:
   charges :attr:`~repro.engine.costs.CostModel.io_page` per miss, so a
   shared scan pivot pays cold misses once for all of its consumers
   while independent execution of M queries can pay them M times.
-* Frames can be *pinned* — pinned frames are never evicted (operators
-  pin pages they are actively mutating).
 * Eviction is pluggable: :class:`LRUPolicy` and
   :class:`ScanAwarePolicy` (LRU that switches to MRU victims for
   tables observed or hinted to be larger than the pool — the adaptive
@@ -22,10 +20,16 @@ adds the missing storage layer:
   file live "on disk" (they survive eviction) but are also admitted to
   the pool, so a partition spilled and re-read while its frames are
   still resident costs nothing — graceful degradation rather than a
-  cliff. Spill traffic is counted in :class:`BufferStats`
-  (``spill_pages_written`` / ``spill_pages_read``); the caller charges
-  :attr:`~repro.engine.costs.CostModel.spill_page` per page written
-  and ``io_page`` per page that misses on read-back.
+  cliff. A spill file always lives in the pool that opened it
+  (:meth:`BufferPool.spill_file`). Spill traffic is counted once, in
+  the pool's :class:`BufferStats` (``spill_pages_written`` /
+  ``spill_pages_read``, and the read-back split of
+  :class:`~repro.storage.spill_cursor.SpillCursor`); the caller
+  charges :attr:`~repro.engine.costs.CostModel.spill_page` per page
+  written and ``io_page`` per page that misses on read-back.
+
+The pool's frames are a residency set: every resident frame is
+evictable, and the policy names the victim.
 
 The pool is pure bookkeeping — it never talks to the simulator. Stage
 tasks translate miss/spill counts into ``Compute`` charges, keeping
@@ -35,7 +39,7 @@ all timing in one place (the operator code).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Callable, Iterable, Optional, Sequence, Tuple
+from typing import Any, Iterable, Optional, Sequence, Tuple
 
 from repro.errors import StorageError
 from repro.obs.trace import TID_POOL, TID_SPILL
@@ -71,11 +75,13 @@ class BufferStats:
     """Mutable hit/miss/eviction and spill-traffic counters.
 
     ``spill_prefetch_issued`` / ``spill_read_stall`` /
-    ``spill_read_overlapped`` aggregate the
-    :class:`~repro.storage.spill_cursor.SpillCursor` read-back model:
-    how many spill-page reads were issued ahead of use, and how the
-    resulting ``io_page`` bill split between synchronous stall and
-    CPU-overlapped prefetch.
+    ``spill_read_overlapped`` / ``spill_read_abandoned`` are the
+    :class:`~repro.storage.spill_cursor.SpillCursor` read-back model's
+    only counters: how many spill-page reads were issued ahead of use,
+    and how the resulting ``io_page`` bill split between synchronous
+    stall, CPU-overlapped prefetch and prefetches evicted before use.
+    With the cursors' still-in-flight cost they add up to ``io_page``
+    times the ``misses`` the cursors' reads and prefetches took.
     """
 
     __slots__ = (
@@ -87,6 +93,7 @@ class BufferStats:
         "spill_prefetch_issued",
         "spill_read_stall",
         "spill_read_overlapped",
+        "spill_read_abandoned",
     )
 
     def __init__(self) -> None:
@@ -98,6 +105,7 @@ class BufferStats:
         self.spill_prefetch_issued = 0
         self.spill_read_stall = 0.0
         self.spill_read_overlapped = 0.0
+        self.spill_read_abandoned = 0.0
 
     @property
     def accesses(self) -> int:
@@ -120,9 +128,7 @@ class EvictionPolicy:
     """Victim-selection strategy; subclasses keep their own ordering.
 
     The pool notifies the policy on admit/access/remove and asks
-    :meth:`victim` for an unpinned key to evict. ``is_pinned`` is a
-    predicate supplied by the pool; a policy must never name a pinned
-    frame as the victim.
+    :meth:`victim` for the resident key to evict when it is full.
     """
 
     name = "abstract"
@@ -136,7 +142,7 @@ class EvictionPolicy:
     def on_remove(self, key: PageKey) -> None:
         raise NotImplementedError
 
-    def victim(self, is_pinned: Callable[[PageKey], bool]) -> PageKey:
+    def victim(self) -> PageKey:
         raise NotImplementedError
 
     def bind_capacity(self, capacity: int) -> None:
@@ -149,7 +155,7 @@ class EvictionPolicy:
 
 
 class LRUPolicy(EvictionPolicy):
-    """Evict the least recently used unpinned frame."""
+    """Evict the least recently used frame."""
 
     name = "lru"
 
@@ -165,11 +171,8 @@ class LRUPolicy(EvictionPolicy):
     def on_remove(self, key: PageKey) -> None:
         self._order.pop(key, None)
 
-    def victim(self, is_pinned: Callable[[PageKey], bool]) -> PageKey:
-        for key in self._order:
-            if not is_pinned(key):
-                return key
-        raise StorageError("buffer pool: every frame is pinned")
+    def victim(self) -> PageKey:
+        return next(iter(self._order))
 
 
 class ScanAwarePolicy(LRUPolicy):
@@ -221,13 +224,12 @@ class ScanAwarePolicy(LRUPolicy):
         if key[0] == "tbl":
             self._observe(key[1], key[2] + 1)
 
-    def victim(self, is_pinned: Callable[[PageKey], bool]) -> PageKey:
+    def victim(self) -> PageKey:
         if self._looping:
             for key in reversed(self._order):
-                if (key[0] == "tbl" and key[1] in self._looping
-                        and not is_pinned(key)):
+                if key[0] == "tbl" and key[1] in self._looping:
                     return key
-        return super().victim(is_pinned)
+        return super().victim()
 
     def _observe(self, table_name: str, n_pages: int) -> None:
         seen = self._footprint.get(table_name, 0)
@@ -274,7 +276,7 @@ class BufferPool:
         self.policy = make_policy(policy)
         self.policy.bind_capacity(self.capacity)
         self.stats = BufferStats()
-        self._pins: dict[PageKey, int] = {}  # key -> pin count (0 = unpinned)
+        self._resident: set[PageKey] = set()
         self._spill_counter = 0
         # Spill files opened through this pool and not yet dropped.
         self._spills: dict[int, SpillFile] = {}
@@ -285,18 +287,15 @@ class BufferPool:
     # -- introspection ---------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._pins)
+        return len(self._resident)
 
     def __contains__(self, key: PageKey) -> bool:
-        return key in self._pins
-
-    def pinned_count(self) -> int:
-        return sum(1 for count in self._pins.values() if count)
+        return key in self._resident
 
     def resident_pages(self, table_name: str) -> int:
         """How many of a table's pages are currently resident."""
         return sum(
-            1 for key in self._pins
+            1 for key in self._resident
             if key[0] == "tbl" and key[1] == table_name
         )
 
@@ -305,18 +304,15 @@ class BufferPool:
         is running over ``table_name`` (no-op for unaware policies)."""
         self.policy.scan_hint(table_name, n_pages)
 
-    def is_pinned(self, key: PageKey) -> bool:
-        return self._pins.get(key, 0) > 0
-
     # -- the cache protocol ----------------------------------------------
 
-    def access(self, key: PageKey, pin: bool = False) -> bool:
+    def access(self, key: PageKey) -> bool:
         """Touch a page: returns True on hit, False on (admitted) miss.
 
-        A miss admits the page, evicting an unpinned victim when the
+        A miss admits the page, evicting the policy's victim when the
         pool is full. The caller charges ``io_page`` for misses.
         """
-        hit = key in self._pins
+        hit = key in self._resident
         if hit:
             self.stats.hits += 1
             self.policy.on_access(key)
@@ -327,18 +323,16 @@ class BufferPool:
             self.tracer.instant(
                 "hit" if hit else "miss", "pool", tid=TID_POOL, key=str(key)
             )
-        if pin:
-            self._pins[key] += 1
         return hit
 
     def _admit(self, key: PageKey) -> None:
-        if len(self._pins) >= self.capacity:
-            self._evict(self.policy.victim(self.is_pinned))
-        self._pins[key] = 0
+        if len(self._resident) >= self.capacity:
+            self._evict(self.policy.victim())
+        self._resident.add(key)
         self.policy.on_admit(key)
 
     def _evict(self, victim: PageKey) -> None:
-        del self._pins[victim]
+        self._resident.remove(victim)
         self.policy.on_remove(victim)
         self.stats.evictions += 1
         if self.tracer is not None:
@@ -352,27 +346,15 @@ class BufferPool:
         Used by prewarming and by spill writes (a write is not a read
         miss); evicts like any admission.
         """
-        if key in self._pins:
+        if key in self._resident:
             self.policy.on_access(key)
             return
         self._admit(key)
 
-    def pin(self, key: PageKey) -> None:
-        """Pin a resident page; pinned pages are never evicted."""
-        if key not in self._pins:
-            raise StorageError(f"cannot pin non-resident page {key!r}")
-        self._pins[key] += 1
-
-    def unpin(self, key: PageKey) -> None:
-        count = self._pins.get(key)
-        if not count:
-            raise StorageError(f"cannot unpin {key!r}: not pinned")
-        self._pins[key] = count - 1
-
     def discard(self, key: PageKey) -> None:
         """Drop a frame without counting an eviction (file deletion)."""
-        if key in self._pins:
-            del self._pins[key]
+        if key in self._resident:
+            self._resident.remove(key)
             self.policy.on_remove(key)
 
     # -- conveniences ----------------------------------------------------
@@ -406,14 +388,15 @@ class SpillFile:
     """An append-only run of pages spilled by a memory-governed operator.
 
     Pages always survive on the simulated disk (``self._pages``); each
-    written page is also admitted to the buffer pool, so read-back of a
+    written page is also admitted to ``pool`` (the pool that opened the
+    file, see :meth:`BufferPool.spill_file`), so read-back of a
     recently spilled partition may hit. The file tracks its own page
     and row counts; the owning operator charges ``spill_page`` per page
     reported written and ``io_page`` per read-back miss.
     """
 
     def __init__(
-        self, pool: Optional[BufferPool], file_id: int, page_rows: int, owner: str = ""
+        self, pool: BufferPool, file_id: int, page_rows: int, owner: str = ""
     ) -> None:
         if page_rows < 1:
             raise StorageError(f"page_rows must be >= 1, got {page_rows}")
@@ -463,14 +446,13 @@ class SpillFile:
     def _write_page(self, rows: Sequence[tuple]) -> None:
         index = len(self._pages)
         self._pages.append(Page(rows))
-        if self.pool is not None:
-            self.pool.stats.spill_pages_written += 1
-            if self.pool.tracer is not None:
-                self.pool.tracer.instant(
-                    "spill_write", "spill", tid=TID_SPILL,
-                    file=self.file_id, page=index,
-                )
-            self.pool.admit(spill_page_key(self.file_id, index))
+        pool = self.pool
+        pool.stats.spill_pages_written += 1
+        if pool.tracer is not None:
+            pool.tracer.instant(
+                "spill_write", "spill", tid=TID_SPILL, file=self.file_id, page=index
+            )
+        pool.admit(spill_page_key(self.file_id, index))
 
     def page_at(self, index: int) -> Page:
         """The ``index``-th written page, without any I/O accounting.
@@ -500,18 +482,15 @@ class SpillFile:
         """
         if self.dropped:
             raise StorageError("spill file already dropped")
+        pool = self.pool
         misses = 0
         for index in range(len(self._pages)):
-            if self.pool is not None:
-                self.pool.stats.spill_pages_read += 1
-                if self.pool.tracer is not None:
-                    self.pool.tracer.instant(
-                        "spill_read", "spill", tid=TID_SPILL,
-                        file=self.file_id, page=index,
-                    )
-                if not self.pool.access(spill_page_key(self.file_id, index)):
-                    misses += 1
-            else:
+            pool.stats.spill_pages_read += 1
+            if pool.tracer is not None:
+                pool.tracer.instant(
+                    "spill_read", "spill", tid=TID_SPILL, file=self.file_id, page=index
+                )
+            if not pool.access(spill_page_key(self.file_id, index)):
                 misses += 1
         return list(self._pages), misses
 
@@ -519,10 +498,9 @@ class SpillFile:
         """Delete the file: discard its frames and release the pages."""
         if self.dropped:
             return
-        if self.pool is not None:
-            for index in range(len(self._pages)):
-                self.pool.discard(spill_page_key(self.file_id, index))
-            self.pool._spills.pop(self.file_id, None)
+        for index in range(len(self._pages)):
+            self.pool.discard(spill_page_key(self.file_id, index))
+        self.pool._spills.pop(self.file_id, None)
         self._pages = []
         self._buffer = []
         self.dropped = True

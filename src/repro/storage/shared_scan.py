@@ -75,7 +75,7 @@ this manager's governance settings and :meth:`ScanShareManager.table_stats`.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.errors import StorageError
@@ -205,9 +205,15 @@ class PrefetchFIFO:
         return sum(entry[1] for entry in self._pending)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TableScanStats:
-    """Immutable per-table share statistics, for reports.
+    """Per-table share statistics.
+
+    Each table's cursor updates one record in place;
+    :meth:`ScanShareManager.table_stats` and
+    :meth:`ScanShareManager.snapshot` report a copy, with ``n_pages``
+    and ``groups`` read from the cursor at that moment, which later
+    pages served leave unchanged.
 
     ``pages_served / physical_reads`` is the sharing factor: with m
     attached consumers riding one physical pass it approaches m, with
@@ -222,15 +228,15 @@ class TableScanStats:
     """
 
     table: str
-    n_pages: int
-    attaches: int
-    max_attach_depth: int
-    pages_served: int
-    physical_reads: int
-    prefetch_issued: int
-    prefetch_wasted: int
-    io_stall_cost: float
-    io_overlapped_cost: float
+    n_pages: int = 0
+    attaches: int = 0
+    max_attach_depth: int = 0
+    pages_served: int = 0
+    physical_reads: int = 0
+    prefetch_issued: int = 0
+    prefetch_wasted: int = 0
+    io_stall_cost: float = 0.0
+    io_overlapped_cost: float = 0.0
     max_lag: int = 0
     throttle_stall_cost: float = 0.0
     splits: int = 0
@@ -368,32 +374,13 @@ class _Group:
 class _Cursor:
     """Elevator state for one table: its group windows and stats."""
 
-    __slots__ = (
-        "table", "n_pages", "groups",
-        "attaches", "max_attach_depth", "pages_served",
-        "physical_reads", "prefetch_issued", "prefetch_wasted",
-        "io_stall_cost", "io_overlapped_cost",
-        "max_lag", "throttle_stall_cost", "splits", "merges",
-        "io_abandoned_cost",
-    )
+    __slots__ = ("table", "n_pages", "groups", "stats")
 
     def __init__(self, table: str, n_pages: int) -> None:
         self.table = table
         self.n_pages = n_pages
         self.groups: list[_Group] = [_Group()]
-        self.attaches = 0
-        self.max_attach_depth = 0
-        self.pages_served = 0
-        self.physical_reads = 0
-        self.prefetch_issued = 0
-        self.prefetch_wasted = 0
-        self.io_stall_cost = 0.0
-        self.io_overlapped_cost = 0.0
-        self.max_lag = 0
-        self.throttle_stall_cost = 0.0
-        self.splits = 0
-        self.merges = 0
-        self.io_abandoned_cost = 0.0
+        self.stats = TableScanStats(table)
 
     @property
     def tickets(self) -> list[ScanTicket]:
@@ -403,25 +390,9 @@ class _Cursor:
         """Unconsumed in-flight read cost across all group FIFOs."""
         return sum(g.fifo.pending_cost() for g in self.groups)
 
-    def stats(self) -> TableScanStats:
-        return TableScanStats(
-            table=self.table,
-            n_pages=self.n_pages,
-            attaches=self.attaches,
-            max_attach_depth=self.max_attach_depth,
-            pages_served=self.pages_served,
-            physical_reads=self.physical_reads,
-            prefetch_issued=self.prefetch_issued,
-            prefetch_wasted=self.prefetch_wasted,
-            io_stall_cost=self.io_stall_cost,
-            io_overlapped_cost=self.io_overlapped_cost,
-            max_lag=self.max_lag,
-            throttle_stall_cost=self.throttle_stall_cost,
-            splits=self.splits,
-            merges=self.merges,
-            io_abandoned_cost=self.io_abandoned_cost,
-            groups=len(self.groups),
-        )
+    def report(self) -> TableScanStats:
+        """A copy of the stats, with the cursor's geometry filled in."""
+        return replace(self.stats, n_pages=self.n_pages, groups=len(self.groups))
 
 
 class ScanShareManager:
@@ -535,17 +506,16 @@ class ScanShareManager:
             # (abandoning still-in-flight reads keeps the conservation
             # identity honest across the reset).
             cursor.n_pages = n_pages
-            cursor.io_abandoned_cost += cursor.pending_cost()
+            cursor.stats.io_abandoned_cost += cursor.pending_cost()
             cursor.groups = [_Group()]
         lead = cursor.groups[0]
         start_page = lead.head % n_pages if start is None else start
         ticket = ScanTicket(table, n_pages, start_page, span=span)
         ticket.group = lead
         lead.tickets.append(ticket)
-        cursor.attaches += 1
-        cursor.max_attach_depth = max(
-            cursor.max_attach_depth, len(cursor.tickets)
-        )
+        stats = cursor.stats
+        stats.attaches += 1
+        stats.max_attach_depth = max(stats.max_attach_depth, len(cursor.tickets))
         if self.tracer is not None:
             self.tracer.instant(
                 "attach", "scan", tid=TID_SCANS,
@@ -609,19 +579,20 @@ class ScanShareManager:
         if cpu_credit < 0:
             raise StorageError(f"cpu_credit must be >= 0, got {cpu_credit}")
         cursor = self._cursor_of(ticket)
+        stats = cursor.stats
         group = ticket.group
         index = ticket.page_index
-        cursor.pages_served += 1
+        stats.pages_served += 1
         at_head = index == group.head
         if at_head:
-            cursor.io_overlapped_cost += group.fifo.drain(cpu_credit)
+            stats.io_overlapped_cost += group.fifo.drain(cpu_credit)
         resident = self.pool.access(table_page_key(ticket.table, index))
 
         stall, kind, dropped = group.fifo.settle(index, resident, io_page)
         if kind in ("cold", "wasted"):
-            cursor.physical_reads += 1
+            stats.physical_reads += 1
         if kind == "wasted":
-            cursor.prefetch_wasted += 1
+            stats.prefetch_wasted += 1
         if self.tracer is not None:
             if kind == "wasted":
                 self.tracer.instant(
@@ -633,8 +604,8 @@ class ScanShareManager:
                     "prefetch_arrive", "scan", tid=TID_SCANS,
                     table=ticket.table, page=index,
                 )
-        cursor.io_stall_cost += stall
-        cursor.io_abandoned_cost += dropped
+        stats.io_stall_cost += stall
+        stats.io_abandoned_cost += dropped
         ticket.acquired = True
 
         # Elevator-head bookkeeping, drift tracking, and read-ahead.
@@ -695,7 +666,7 @@ class ScanShareManager:
                 return 0.0
             if self._wants_split(cursor, group, io_page):
                 return 0.0  # the next acquire opens a window instead
-        cursor.throttle_stall_cost += io_page
+        cursor.stats.throttle_stall_cost += io_page
         if self.tracer is not None:
             self.tracer.instant(
                 "throttle", "scan", tid=TID_SCANS,
@@ -745,13 +716,11 @@ class ScanShareManager:
         """One table's share statistics (``None`` before its first
         attach)."""
         cursor = self._cursors.get(table)
-        return None if cursor is None else cursor.stats()
+        return None if cursor is None else cursor.report()
 
     def snapshot(self) -> tuple[TableScanStats, ...]:
-        return tuple(
-            cursor.stats()
-            for _, cursor in sorted(self._cursors.items())
-        )
+        """Every table's :meth:`table_stats`, by table name."""
+        return tuple(cursor.report() for _, cursor in sorted(self._cursors.items()))
 
     def attached(self) -> list[ScanTicket]:
         """Every ticket attached and not yet detached, by table."""
@@ -772,6 +741,7 @@ class ScanShareManager:
     ) -> None:
         if not self.prefetch_depth or io_page <= 0:
             return
+        stats = cursor.stats
         for step in range(1, self.prefetch_depth + 1):
             target = (index + step) % cursor.n_pages
             key = table_page_key(cursor.table, target)
@@ -782,8 +752,8 @@ class ScanShareManager:
             # CPU work or an acquire-stall pays it down.
             self.pool.access(key)
             group.fifo.issue(target, io_page)
-            cursor.physical_reads += 1
-            cursor.prefetch_issued += 1
+            stats.physical_reads += 1
+            stats.prefetch_issued += 1
             if self.tracer is not None:
                 self.tracer.instant(
                     "prefetch_issue", "scan", tid=TID_SCANS,
@@ -797,8 +767,8 @@ class ScanShareManager:
     ) -> None:
         """Track lag after a head advance; open a window on violation."""
         lag = group.max_lag(cursor.n_pages)
-        if lag > cursor.max_lag:
-            cursor.max_lag = lag
+        if lag > cursor.stats.max_lag:
+            cursor.stats.max_lag = lag
         if (self.drift_bound is None or lag < self.drift_bound
                 or not self._wants_split(cursor, group, io_page)):
             return
@@ -864,7 +834,7 @@ class ScanShareManager:
             ticket.group = window
             window.tickets.append(ticket)
         cursor.groups.append(window)
-        cursor.splits += 1
+        cursor.stats.splits += 1
         if self.tracer is not None:
             self.tracer.instant(
                 "split", "scan", tid=TID_SCANS,
@@ -885,10 +855,10 @@ class ScanShareManager:
 
     def _retire_group(self, cursor: _Cursor, group: _Group) -> None:
         """Drop an empty group window, abandoning its in-flight reads."""
-        cursor.io_abandoned_cost += group.fifo.pending_cost()
+        cursor.stats.io_abandoned_cost += group.fifo.pending_cost()
         group.fifo.clear()
         cursor.groups.remove(group)
-        cursor.merges += 1
+        cursor.stats.merges += 1
         if self.tracer is not None:
             self.tracer.instant(
                 "merge", "scan", tid=TID_SCANS, table=cursor.table

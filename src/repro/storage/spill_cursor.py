@@ -6,8 +6,8 @@ synchronous ``io_page`` per non-resident page before doing any work
 with it. But a spill run is exactly the workload the sequential-disk
 prefetch model of :mod:`repro.storage.shared_scan` was built for: the
 pages are read front to back, once, and the CPU work per page (re-
-hashing a partition, merging sorted runs, absorbing accumulator
-states) is substantial — so read-ahead can drain the next pages'
+hashing a partition, merging sorted runs, merging spilled group
+state) is substantial — so read-ahead can drain the next pages'
 I/O against this page's compute, just as the elevator cursors do for
 table scans.
 
@@ -30,14 +30,14 @@ the cursor degenerates to ``read_all``'s accounting: same pool
 accesses in the same order, same miss count, the whole ``io_page``
 bill paid as stall.
 
-All stall/overlap traffic is also aggregated on the pool's
-:class:`~repro.storage.buffer.BufferStats` so resource reports can
-show how much cleanup I/O was hidden behind CPU work.
+The cursor keeps no counters of its own: every read, prefetch, stall,
+overlap and abandoned prefetch is counted once, on the pool's
+:class:`~repro.storage.buffer.BufferStats`, so resource reports show
+how much cleanup I/O was hidden behind CPU work. What is still in
+flight is :meth:`SpillCursor.pending_cost`.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from repro.errors import StorageError
 from repro.obs.trace import TID_SPILL
@@ -61,21 +61,7 @@ class SpillCursor:
         prefetch — every miss is a synchronous stall).
     """
 
-    __slots__ = (
-        "file",
-        "pool",
-        "io_page",
-        "prefetch_depth",
-        "fifo",
-        "pages_read",
-        "misses",
-        "prefetch_issued",
-        "prefetch_wasted",
-        "stall_cost",
-        "overlapped_cost",
-        "wasted_cost",
-        "_next",
-    )
+    __slots__ = ("file", "pool", "io_page", "prefetch_depth", "fifo", "_next")
 
     def __init__(
         self,
@@ -88,17 +74,10 @@ class SpillCursor:
         if prefetch_depth < 0:
             raise StorageError(f"prefetch_depth must be >= 0, got {prefetch_depth}")
         self.file = spill_file
-        self.pool: Optional[BufferPool] = spill_file.pool
+        self.pool: BufferPool = spill_file.pool
         self.io_page = float(io_page)
         self.prefetch_depth = int(prefetch_depth)
         self.fifo = PrefetchFIFO()
-        self.pages_read = 0
-        self.misses = 0
-        self.prefetch_issued = 0
-        self.prefetch_wasted = 0
-        self.stall_cost = 0.0
-        self.overlapped_cost = 0.0
-        self.wasted_cost = 0.0
         self._next = 0
 
     @property
@@ -125,58 +104,40 @@ class SpillCursor:
             raise StorageError(f"cpu_credit must be >= 0, got {cpu_credit}")
         index = self._next
         self._next += 1
-        self.pages_read += 1
-
-        overlapped = self.fifo.drain(cpu_credit)
-        self.overlapped_cost += overlapped
-
-        stall = 0.0
-        if self.pool is None:
-            # No pool: every page is a cold synchronous read.
-            stall = self.io_page
-            self.misses += 1
-        else:
-            self.pool.stats.spill_pages_read += 1
-            resident = self.pool.access(self.file.key_of(index))
-            stall, kind, dropped = self.fifo.settle(index, resident, self.io_page)
-            if kind in ("cold", "wasted"):
-                self.misses += 1
-            if kind == "wasted":
-                self.prefetch_wasted += 1
-                self.wasted_cost += dropped
-            tracer = self.pool.tracer
-            if tracer is not None and kind in ("ready", "wasted"):
-                tracer.instant(
-                    "prefetch_waste" if kind == "wasted" else "prefetch_arrive",
-                    "spill",
-                    tid=TID_SPILL,
-                    file=self.file.file_id,
-                    page=index,
-                )
-        self.stall_cost += stall
-
+        pool = self.pool
+        stats = pool.stats
+        stats.spill_read_overlapped += self.fifo.drain(cpu_credit)
+        stats.spill_pages_read += 1
+        resident = pool.access(self.file.key_of(index))
+        stall, kind, dropped = self.fifo.settle(index, resident, self.io_page)
+        stats.spill_read_stall += stall
+        stats.spill_read_abandoned += dropped
+        if pool.tracer is not None and kind in ("ready", "wasted"):
+            pool.tracer.instant(
+                "prefetch_waste" if kind == "wasted" else "prefetch_arrive",
+                "spill",
+                tid=TID_SPILL,
+                file=self.file.file_id,
+                page=index,
+            )
         self._issue_prefetch(index)
-        if self.pool is not None:
-            self.pool.stats.spill_read_stall += stall
-            self.pool.stats.spill_read_overlapped += overlapped
         return self.file.page_at(index), stall
 
     def _issue_prefetch(self, index: int) -> None:
-        if not self.prefetch_depth or self.io_page <= 0 or self.pool is None:
+        if not self.prefetch_depth or self.io_page <= 0:
             return
+        pool = self.pool
         limit = min(index + self.prefetch_depth, self.file.page_count - 1)
         for target in range(index + 1, limit + 1):
             key = self.file.key_of(target)
-            if target in self.fifo or key in self.pool:
+            if target in self.fifo or key in pool:
                 continue
             # Issue the read: the frame is admitted now, its cost sits
             # in the disk FIFO until CPU credit (or a stall) pays it.
-            self.pool.access(key)
+            pool.access(key)
             self.fifo.issue(target, self.io_page)
-            self.misses += 1
-            self.prefetch_issued += 1
-            self.pool.stats.spill_prefetch_issued += 1
-            if self.pool.tracer is not None:
-                self.pool.tracer.instant(
+            pool.stats.spill_prefetch_issued += 1
+            if pool.tracer is not None:
+                pool.tracer.instant(
                     "prefetch_issue", "spill", tid=TID_SPILL, file=self.file.file_id, page=target
                 )

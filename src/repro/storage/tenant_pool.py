@@ -16,9 +16,9 @@ that must pay for it:
 * pages of unowned tables (and spill pages, which any governed
   operator may write) land in the implicit ``__shared__`` partition
   holding whatever capacity the tenant shares left over;
-* hits, misses, spill accounting, pinning, and the eviction-policy
-  protocol are all inherited from :class:`BufferPool` — a partitioned
-  pool drops into every existing consumer (scan manager, spill files,
+* hits, misses, spill accounting and the eviction-policy protocol
+  are all inherited from :class:`BufferPool` — a partitioned pool
+  drops into every existing consumer (scan manager, spill files,
   metrics) unchanged.
 
 The invariant the service tier's soak tests assert, enforced here by
@@ -29,7 +29,7 @@ for every tenant, regardless of interleaving.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.errors import StorageError
 from repro.storage.buffer import BufferPool, EvictionPolicy, LRUPolicy, PageKey
@@ -139,19 +139,11 @@ class TenantPartitionPolicy(EvictionPolicy):
             self._residency[partition] -= 1
             self._orders[partition].on_remove(key)
 
-    def victim_in(
-        self, partition: str, is_pinned: Callable[[PageKey], bool]
-    ) -> PageKey:
-        """The partition's own LRU unpinned page."""
-        try:
-            return self._orders[partition].victim(is_pinned)
-        except StorageError:
-            raise StorageError(
-                f"tenant partition {partition!r}: every frame is pinned "
-                f"({self._residency.get(partition, 0)} resident)"
-            ) from None
+    def victim_in(self, partition: str) -> PageKey:
+        """The partition's own LRU page."""
+        return self._orders[partition].victim()
 
-    def victim(self, is_pinned: Callable[[PageKey], bool]) -> PageKey:
+    def victim(self) -> PageKey:
         """Global fallback: the LRU page of the most over-quota
         partition (ties broken by partition order, deterministic)."""
         best: Optional[str] = None
@@ -164,7 +156,7 @@ class TenantPartitionPolicy(EvictionPolicy):
                 best, best_excess = partition, excess
         if best is None:
             raise StorageError("buffer pool: no frames to evict")
-        return self.victim_in(best, is_pinned)
+        return self.victim_in(best)
 
 
 class TenantPartitionedPool(BufferPool):
@@ -249,11 +241,11 @@ class TenantPartitionedPool(BufferPool):
             )
         if policy.residency(partition) >= quota:
             # At quota: the partition pays for itself, always.
-            self._evict(policy.victim_in(partition, self.is_pinned))
-        elif len(self._pins) >= self.capacity:
+            self._evict(policy.victim_in(partition))
+        elif len(self._resident) >= self.capacity:
             # Global pressure while under quota: the most over-quota
             # partition pays (with exact quotas this cannot happen —
             # full pool means every partition is exactly at quota).
-            self._evict(policy.victim(self.is_pinned))
-        self._pins[key] = 0
+            self._evict(policy.victim())
+        self._resident.add(key)
         policy.on_admit(key)

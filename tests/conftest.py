@@ -35,8 +35,8 @@ def pytest_unconfigure(config):
 
 def _check_quiescent(node, sessions):
     """Every :class:`Session` in ``sessions`` holds no work in flight
-    (:meth:`Session.check_quiescent`): no live task, pinned page, open
-    grant, spill file, scan ticket or coordinator entry — unless
+    (:meth:`Session.check_quiescent`): no live task, open grant,
+    spill file, scan ticket or coordinator entry — unless
     ``node`` is marked ``in_flight``."""
     if node.get_closest_marker("in_flight") is None:
         for session in sessions:

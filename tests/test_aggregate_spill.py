@@ -19,7 +19,6 @@ from repro.engine import (
     scan,
 )
 from repro.engine.expressions import col
-from repro.engine.operators.aggregate import Accumulator
 from repro.sim.simulator import Simulator
 from repro.storage import BufferPool, Catalog, DataType, Schema
 
@@ -119,34 +118,3 @@ class TestSpillingAggregate:
         spilled, _, _ = _run(catalog, 2)
         assert spilled == baseline
         assert len(spilled) == 1
-
-
-class TestAccumulatorState:
-    @pytest.mark.parametrize("func,values,expected", [
-        ("sum", [1.0, 2.0, 3.0, 4.0], 10.0),
-        ("count", [1.0, 2.0, 3.0, 4.0], 4),
-        ("min", [3.0, 1.0, 4.0, 2.0], 1.0),
-        ("max", [3.0, 1.0, 4.0, 2.0], 4.0),
-        ("avg", [1.0, 2.0, 3.0, 4.0], 2.5),
-    ])
-    def test_absorb_equals_direct_update(self, func, values, expected):
-        """Splitting a stream across accumulators and merging their
-        states gives the same result as one accumulator."""
-        left, right = Accumulator(func), Accumulator(func)
-        for i, value in enumerate(values):
-            (left if i % 2 == 0 else right).update(value)
-        left.absorb(right.state())
-        assert left.result() == expected
-
-    def test_absorb_empty_state_is_identity(self):
-        acc = Accumulator("min")
-        acc.update(5.0)
-        acc.absorb(Accumulator("min").state())
-        assert acc.result() == 5.0
-
-    def test_absorb_into_empty(self):
-        acc = Accumulator("max")
-        other = Accumulator("max")
-        other.update(7.0)
-        acc.absorb(other.state())
-        assert acc.result() == 7.0

@@ -4,7 +4,6 @@ The properties the pool must never violate, whatever the access
 pattern and eviction policy:
 
 * resident frames never exceed capacity;
-* pinned pages are never evicted;
 * hit/miss counters are consistent (``hits + misses == accesses``,
   and the hit rate is their ratio).
 """
@@ -68,38 +67,6 @@ class TestBufferPoolBasics:
         pool.access(("tbl", "t", 2))  # evicts page 1
         assert ("tbl", "t", 0) in pool
         assert ("tbl", "t", 1) not in pool
-
-    def test_pin_blocks_eviction(self):
-        pool = BufferPool(2, "lru")
-        pool.access(("tbl", "t", 0), pin=True)
-        pool.access(("tbl", "t", 1))
-        pool.access(("tbl", "t", 2))  # must evict page 1, not pinned 0
-        assert ("tbl", "t", 0) in pool
-
-    def test_all_pinned_raises(self):
-        pool = BufferPool(2)
-        pool.access(("tbl", "t", 0), pin=True)
-        pool.access(("tbl", "t", 1), pin=True)
-        with pytest.raises(StorageError, match="pinned"):
-            pool.access(("tbl", "t", 2))
-
-    def test_unpin_restores_evictability(self):
-        pool = BufferPool(1)
-        pool.access(("tbl", "t", 0), pin=True)
-        pool.unpin(("tbl", "t", 0))
-        pool.access(("tbl", "t", 1))
-        assert ("tbl", "t", 0) not in pool
-
-    def test_pin_non_resident_raises(self):
-        pool = BufferPool(1)
-        with pytest.raises(StorageError, match="non-resident"):
-            pool.pin(("tbl", "t", 0))
-
-    def test_unpin_unpinned_raises(self):
-        pool = BufferPool(1)
-        pool.access(("tbl", "t", 0))
-        with pytest.raises(StorageError, match="not pinned"):
-            pool.unpin(("tbl", "t", 0))
 
     def test_admit_counts_neither_hit_nor_miss(self):
         pool = BufferPool(2)
@@ -174,47 +141,18 @@ class TestSpillFile:
         with pytest.raises(StorageError, match="dropped"):
             spill.append_rows([(3,)])
 
-    def test_poolless_file_always_misses(self):
-        from repro.storage.buffer import SpillFile
-
-        spill = SpillFile(None, 1, page_rows=2)
-        spill.append_rows([(1,), (2,), (3,)])
-        spill.flush()
-        pages, misses = spill.read_all()
-        assert len(pages) == 2
-        assert misses == 2
-
 
 # -- property tests ------------------------------------------------------
 
-# One step of a random trace: (operation, page index). Pins are rare
-# enough that capacity is not exhausted by them (capacity >= 4,
-# pinned pages <= 3).
-_ops = st.sampled_from(["access", "access_pin", "unpin", "admit", "discard"])
+# One step of a random trace: (operation, page index).
+_ops = st.sampled_from(["access", "admit", "discard"])
 _steps = st.lists(st.tuples(_ops, st.integers(0, 30)), max_size=120)
 
 
 def _apply_trace(pool, steps):
-    """Drive a pool through a trace; returns the set of pinned keys."""
-    pinned: dict = {}
+    """Drive a pool through a trace."""
     for op, index in steps:
-        key = ("tbl", "t", index)
-        if op == "access":
-            pool.access(key)
-        elif op == "access_pin":
-            if sum(pinned.values()) < pool.capacity - 1:
-                pool.access(key, pin=True)
-                pinned[key] = pinned.get(key, 0) + 1
-        elif op == "unpin":
-            if pinned.get(key):
-                pool.unpin(key)
-                pinned[key] -= 1
-        elif op == "admit":
-            pool.admit(key)
-        elif op == "discard":
-            if not pinned.get(key):
-                pool.discard(key)
-    return {key for key, count in pinned.items() if count}
+        getattr(pool, op)(("tbl", "t", index))
 
 
 @settings(max_examples=150, deadline=None)
@@ -235,27 +173,11 @@ def test_pool_never_exceeds_capacity(policy, capacity, steps):
     capacity=st.integers(4, 12),
     steps=_steps,
 )
-def test_pinned_pages_survive_any_trace(policy, capacity, steps):
-    pool = BufferPool(capacity, policy)
-    pinned = _apply_trace(pool, steps)
-    for key in pinned:
-        assert key in pool
-        assert pool.is_pinned(key)
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    policy=st.sampled_from(POLICIES),
-    capacity=st.integers(4, 12),
-    steps=_steps,
-)
 def test_hit_stats_consistent(policy, capacity, steps):
     pool = BufferPool(capacity, policy)
     accesses = sum(1 for op, _ in steps if op == "access")
     _apply_trace(pool, steps)
-    # access_pin may be skipped to protect capacity, so only count
-    # plain accesses as the lower bound and read the rest from stats.
-    assert pool.stats.accesses >= accesses
+    assert pool.stats.accesses == accesses
     assert pool.stats.hits + pool.stats.misses == pool.stats.accesses
     if pool.stats.accesses:
         expected = pool.stats.hits / pool.stats.accesses

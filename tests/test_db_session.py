@@ -6,6 +6,9 @@ a cold cache, declines once warm — with zero manual wiring, and every
 submission comes back as one unified ``QueryResult``.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core.decision import ShareDecision
@@ -348,11 +351,23 @@ class TestPolicyOverride:
 class TestSessionState:
     def test_time_and_results_accumulate(self, session):
         query = flip_query(session)
-        session.run(query)
+        first_result = session.run(query)
         first = session.now
-        session.run(query)
+        second_result = session.run(query)
         assert session.now > first
-        assert len(session.results) == 2
+        assert second_result.rows == first_result.rows
+        assert second_result.finished_at > first_result.finished_at
+        assert len(session.audit_log()) == 2
+
+    def test_session_keeps_no_result(self, session):
+        """A result the caller drops after ``run()`` is collected: the
+        session holds no reference to it (``run_all`` returns every
+        result of a batch; nothing else keeps them)."""
+        result = session.run(flip_query(session))
+        dropped = weakref.ref(result)
+        del result
+        gc.collect()
+        assert dropped() is None
 
     def test_prewarm_requires_a_pool(self):
         catalog = flip_catalog()

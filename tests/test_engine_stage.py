@@ -66,11 +66,9 @@ class TestEmitterMechanics:
 
     def test_batches_into_full_pages(self):
         rows = [(i, i) for i in range(10)]
-        emitter, received, _ = self.run_emitter(rows, page_rows=4)
-        sizes = [len(p) for p in received[0]]
-        assert sizes == [4, 4, 2]
-        assert emitter.pages_emitted == 3
-        assert emitter.rows_emitted == 10
+        _, received, _ = self.run_emitter(rows, page_rows=4)
+        assert len(received[0]) == 3
+        assert [len(p) for p in received[0]] == [4, 4, 2]
 
     def test_every_consumer_gets_every_page(self):
         rows = [(i, i) for i in range(6)]
@@ -87,9 +85,8 @@ class TestEmitterMechanics:
         )
 
     def test_close_without_rows(self):
-        emitter, received, _ = self.run_emitter([], page_rows=4)
-        assert received[0] == []
-        assert emitter.pages_emitted == 0
+        _, received, _ = self.run_emitter([], page_rows=4)
+        assert len(received[0]) == 0
 
     def test_requires_output_queue(self):
         with pytest.raises(EngineError):
@@ -143,9 +140,9 @@ class TestBatchEmitter:
     def test_aligned_batch_passes_through_unsplit(self):
         rows = tuple((i, float(i)) for i in range(4))
         batch = RowBatch.from_rows(rows, 2)
-        emitter, received, _ = self.run_batched([("emit_batch", (batch,))])
+        _, received, _ = self.run_batched([("emit_batch", (batch,))])
+        assert len(received) == 1
         assert received == [list(rows)]
-        assert emitter.pages_emitted == 1
 
     def test_mixed_representations_preserve_row_order(self):
         rows = [(i, float(i)) for i in range(6)]

@@ -190,13 +190,13 @@ def test_render_resources_lines_follow_the_families_present():
     """One line per wired layer — pool, memory, each table's elevator —
     then the stage table, busiest first; absent families, no line."""
     pool = {
-        "buffer.capacity": 8, "buffer.resident": 5, "buffer.pinned": 1,
+        "buffer.capacity": 8, "buffer.resident": 5,
         "buffer.hits": 30, "buffer.misses": 10, "buffer.hit_rate": 0.75,
         "buffer.evictions": 2, "spill.pages_written": 4, "spill.pages_read": 3,
         "spill.prefetch_issued": 0, "spill.read_stall": 0.0, "spill.read_overlapped": 0.0,
     }
     assert render_resources(pool) == (
-        "buffer pool: 5/8 pages resident (1 pinned), 30 hits / 10 misses "
+        "buffer pool: 5/8 pages resident, 30 hits / 10 misses "
         "(75.0% hit rate), 2 evictions, spill 4 written / 3 read"
     )
     prefetched = {**pool, "spill.prefetch_issued": 6, "spill.read_stall": 40.0,

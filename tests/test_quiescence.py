@@ -1,7 +1,7 @@
 """``Session.check_quiescent``: a session between batches holds nothing.
 
-Every batch that runs to its end leaves no live task, pinned page, open
-grant, spill file, elevator ticket or coordinator entry (the autouse
+Every batch that runs to its end leaves no live task, open grant,
+spill file, elevator ticket or coordinator entry (the autouse
 fixture in ``conftest.py`` asserts it after every test that opens a
 session). A batch that raises leaves its work behind; the check names
 it. The probe below is that case: one operator failing mid-run. It
@@ -75,7 +75,7 @@ def test_a_failed_operator_leaves_its_query_in_flight(monkeypatch):
     assert len(leaks["scan tickets"]) == 3
     assert leaks["coordinator slots"] == ["q4#0", "q13#1", "q6#2", "q1#3"]
     assert leaks["decision records"] == ["q4#0", "q13#1", "q6#2", "q1#3"]
-    assert "pinned pages" not in leaks and "arrivals" not in leaks
+    assert "arrivals" not in leaks
     assert "q4_join" in str(leaked.value)
 
 

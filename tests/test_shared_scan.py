@@ -13,6 +13,8 @@ the arrival order, interleaving, or prefetch depth:
   tables larger than the pool.
 """
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -343,6 +345,24 @@ class TestPrefetchAccounting:
         # Every page is still served exactly once.
         assert stats.pages_served == 8
 
+    def test_table_stats_report_is_a_copy(self):
+        """A report taken mid-run equals the table's snapshot entry at
+        that moment, and stays as it was while the cursor serves more
+        pages."""
+        manager = make_manager(prefetch=2)
+        manager.attach("a", 4)
+        ticket = manager.attach("t", 8)
+        for _ in range(3):
+            manager.acquire(ticket, IO_PAGE, cpu_credit=20.0)
+            ticket.advance()
+        report = manager.table_stats("t")
+        assert report == {stats.table: stats for stats in manager.snapshot()}["t"]
+        assert (report.n_pages, report.groups, report.pages_served) == (8, 1, 3)
+        taken = dataclasses.astuple(report)
+        self.walk(manager, ticket)
+        assert dataclasses.astuple(report) == taken
+        assert manager.table_stats("t").pages_served == 8
+
 
 class TestScanAwarePolicy:
     def test_make_policy_resolves_scan(self):
@@ -539,7 +559,7 @@ class TestDriftGovernance:
         group = cursor.groups[0]
         assert group.lag_of(straggler, 24) == 6
         assert group.lag_of(leader, 24) == 0
-        assert cursor.max_lag >= 4
+        assert manager.table_stats("t").max_lag >= 4
 
     def test_throttle_gate_pauses_only_the_head(self):
         manager, leader, straggler = self.make_drifted(lag=6, bound=4)

@@ -3,7 +3,9 @@
 The cursor must be a drop-in replacement for ``SpillFile.read_all``:
 same pages in the same order, same miss accounting at depth 0, and at
 any depth the ``io_page`` bill must split exactly between synchronous
-stall, CPU-overlapped prefetch, and still-in-flight reads.
+stall, CPU-overlapped prefetch, abandoned prefetch and still-in-flight
+reads. The cursor counts nothing itself: every figure is read from the
+pool's ``BufferStats``.
 """
 
 import pytest
@@ -57,9 +59,10 @@ class TestParityWithReadAll:
         pages_b = _walk(cursor, credit=0.0)
 
         assert [p.rows for p in pages_b] == [p.rows for p in pages_a]
-        assert cursor.misses == misses_a
-        assert cursor.stall_cost == misses_a * IO_PAGE
-        assert cursor.overlapped_cost == 0.0
+        assert pool_b.stats.spill_read_stall == misses_a * IO_PAGE
+        assert pool_b.stats.spill_read_overlapped == 0.0
+        assert pool_b.stats.spill_read_abandoned == 0.0
+        assert pool_b.stats.spill_prefetch_issued == 0
         assert pool_b.stats.spill_pages_read == pool_a.stats.spill_pages_read
         assert pool_b.stats.misses == pool_a.stats.misses
         assert pool_b.stats.hits == pool_a.stats.hits
@@ -76,19 +79,22 @@ class TestParityWithReadAll:
     def test_io_conservation_at_any_depth(
         self, pool_pages, page_rows, n_rows, churn, depth, credit
     ):
-        """stall + overlapped + in-flight + wasted == reads * io_page."""
-        _, spill = _spill_file(pool_pages, page_rows, n_rows, churn)
+        """stall + overlapped + abandoned + in-flight == misses * io_page."""
+        pool, spill = _spill_file(pool_pages, page_rows, n_rows, churn)
+        misses_before = pool.stats.misses
         cursor = SpillCursor(spill, IO_PAGE, prefetch_depth=depth)
         pages = _walk(cursor, credit)
 
         assert len(pages) == spill.page_count
+        stats = pool.stats
+        assert stats.spill_pages_read == spill.page_count
         total = (
-            cursor.stall_cost
-            + cursor.overlapped_cost
+            stats.spill_read_stall
+            + stats.spill_read_overlapped
+            + stats.spill_read_abandoned
             + cursor.pending_cost()
-            + cursor.wasted_cost
         )
-        assert total == pytest.approx(cursor.misses * IO_PAGE)
+        assert total == pytest.approx((stats.misses - misses_before) * IO_PAGE)
 
     @given(
         pool_pages=st.integers(min_value=2, max_value=64),
@@ -110,37 +116,17 @@ class TestParityWithReadAll:
 class TestOverlap:
     def test_prefetch_converts_stall_into_overlap(self):
         """With CPU credit flowing, depth > 0 strictly cuts the stall."""
-        _, spill_sync = _spill_file(8, 4, 200, churn=8)
-        _, spill_pf = _spill_file(8, 4, 200, churn=8)
+        sync_pool, spill_sync = _spill_file(8, 4, 200, churn=8)
+        pf_pool, spill_pf = _spill_file(8, 4, 200, churn=8)
 
-        sync = SpillCursor(spill_sync, IO_PAGE, prefetch_depth=0)
-        _walk(sync, credit=IO_PAGE / 2)
-        prefetched = SpillCursor(spill_pf, IO_PAGE, prefetch_depth=2)
-        _walk(prefetched, credit=IO_PAGE / 2)
+        _walk(SpillCursor(spill_sync, IO_PAGE, prefetch_depth=0), credit=IO_PAGE / 2)
+        _walk(SpillCursor(spill_pf, IO_PAGE, prefetch_depth=2), credit=IO_PAGE / 2)
 
-        assert prefetched.stall_cost < sync.stall_cost
-        assert prefetched.overlapped_cost > 0
-        assert sync.overlapped_cost == 0
-
-    def test_pool_aggregates_cursor_traffic(self):
-        pool, spill = _spill_file(8, 4, 200, churn=8)
-        cursor = SpillCursor(spill, IO_PAGE, prefetch_depth=2)
-        _walk(cursor, credit=IO_PAGE / 2)
-
-        assert pool.stats.spill_prefetch_issued == cursor.prefetch_issued
-        assert pool.stats.spill_read_stall == pytest.approx(cursor.stall_cost)
-        assert pool.stats.spill_read_overlapped == pytest.approx(
-            cursor.overlapped_cost
-        )
-
-    def test_no_pool_degenerates_to_synchronous_reads(self):
-        pool, spill = _spill_file(8, 4, 40)
-        spill.pool = None
-        cursor = SpillCursor(spill, IO_PAGE, prefetch_depth=4)
-        _walk(cursor, credit=IO_PAGE)
-        assert cursor.misses == spill.page_count
-        assert cursor.stall_cost == spill.page_count * IO_PAGE
-        assert cursor.prefetch_issued == 0
+        sync, prefetched = sync_pool.stats, pf_pool.stats
+        assert prefetched.spill_read_stall < sync.spill_read_stall
+        assert prefetched.spill_read_overlapped > 0
+        assert prefetched.spill_prefetch_issued > 0
+        assert sync.spill_read_overlapped == 0
 
 
 class TestErrors:

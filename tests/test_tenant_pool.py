@@ -126,13 +126,6 @@ class TestQuotaEnforcement:
         with pytest.raises(StorageError, match="no pages"):
             pool.access(table_page_key("lineitem", 0))
 
-    def test_pinned_full_partition_raises(self):
-        pool = make_pool()
-        for i in range(4):
-            pool.access(table_page_key("orders", i), pin=True)
-        with pytest.raises(StorageError, match="every frame is pinned"):
-            pool.access(table_page_key("orders", 4))
-
     def test_global_victim_picks_most_over_quota_partition(self):
         pool = make_pool()
         for i in range(2):
@@ -140,7 +133,7 @@ class TestQuotaEnforcement:
         for i in range(3):
             pool.access(table_page_key("parts", i))
         # beta is at quota (excess 0), acme below (excess -2).
-        victim = pool.tenant_policy.victim(pool.is_pinned)
+        victim = pool.tenant_policy.victim()
         assert victim[1] == "parts"
 
 
