@@ -42,7 +42,7 @@ def _forget(serial: int, page_cache: dict) -> None:
     page_cache.clear()
 
 
-# The ceiling on decoded pages: 2 M cells (rows x columns) for the whole
+# The ceiling on memoized scan pages: 2 M cells (rows x columns) for the whole
 # process — one budget across every table of every catalog, so eight
 # tables times N catalogs cannot multiply it. Maps (table serial,
 # slot-list key) -> weak table, weighted by the slot list's upper
@@ -51,12 +51,13 @@ def _forget(serial: int, page_cache: dict) -> None:
 # A fused signature's first attach parks a *ghost* (an empty slot list
 # at the same weight) and its pages only from the second, so an ad-hoc
 # stream's once-only signatures cost the budget a weight and no cells.
-# Sized from the repository benchmark's traffic, by that upper bound:
-# the memo-hot workloads re-attach 0.02-0.64 M cells of fused lists
-# every round (as much again in plain slices under them, which age out
-# first once the fused lists are full), an ad-hoc session attaches
-# 0.46 M per round as ghosts — so 2 M keeps every hot working set with
-# 3x headroom and holds three to four rounds of ad-hoc ghosts.
+# Raw column slices are never parked (``Table.column_slices`` re-slices
+# the stored tuples), so the budget holds fused signatures and ghosts
+# only. Sized from the repository benchmark's traffic, by that upper
+# bound: the memo-hot workloads re-attach 0.02-0.64 M cells of fused
+# lists every round, an ad-hoc session attaches 0.46 M per round as
+# ghosts — so 2 M keeps every hot working set with 3x headroom and
+# holds three to four rounds of ad-hoc ghosts.
 PAGE_CACHE = WeightedLRU(2_000_000, on_evict=_drop_slots)
 _SERIALS = count()
 
@@ -85,11 +86,14 @@ class Table:
         # Per column: has any stored value ever been NULL? Set at
         # ingest, never cleared (the table is append-only).
         self._has_null = [False] * len(schema.columns)
-        # Decoded-page cache for the scan stage: per
-        # (projection, page_rows) key, the lazily filled list of column
-        # slices of each page. Cleared on ingest, evicted whole (least
-        # recently attached first) under ``PAGE_CACHE``'s budget, and
-        # dropped from that budget the moment the table dies.
+        # Per projection, its column positions: names are resolved once
+        # (the schema never changes), not on every page a scan reads.
+        self._positions: dict[tuple[str, ...], tuple[int, ...]] = {}
+        # The fused-scan memo (``fused_cache``): per signature, its
+        # ghost or its lazily filled list of transformed pages. Cleared
+        # on ingest, evicted whole (least recently attached first) under
+        # ``PAGE_CACHE``'s budget, and dropped from that budget the
+        # moment the table dies.
         self._page_cache: dict[tuple, list] = {}
         self._serial = next(_SERIALS)
         weakref.finalize(self, _forget, self._serial, self._page_cache)
@@ -187,7 +191,11 @@ class Table:
         cols = self._sealed()
         if columns is None:
             return cols
-        return [cols[self.schema.index_of(c)] for c in columns]
+        key = tuple(columns)
+        positions = self._positions.get(key)
+        if positions is None:
+            positions = self._positions[key] = tuple(map(self.schema.index_of, key))
+        return [cols[i] for i in positions]
 
     def page_count(self, page_rows: int = DEFAULT_PAGE_ROWS) -> int:
         """Number of pages a scan of this table touches."""
@@ -212,42 +220,22 @@ class Table:
         :class:`~repro.engine.packet.RowBatch` without ever zipping
         rows the downstream may never materialize.
 
-        Decoded pages are cached per (projection, page_rows) until the
-        next ingest or eviction, so concurrent scans of one table (and
-        repeated scans across queries) slice each page once. Each slice
-        is a tuple (a slice of a tuple column) shared with the cache.
-        Unlike a fused signature, a projection is kept from its first
-        call: every scan of the table under it reads these slices.
-        Every call makes the projection the most recently used under
-        the page budget: this is the scan stage's *miss* path (a
-        fused-memo hit never gets here; a signature's first scan, which
-        holds only a ghost, always does), where the touch is noise
-        beside the decode that follows and keeps the projection an
-        ad-hoc stream reads on every page.
+        Nothing is kept: each call slices the sealed column tuples
+        afresh (the projection's positions are resolved once). This is
+        the scan stage's *miss* path — a fused-memo hit never gets here;
+        a signature's first scan, which holds only a ghost, always does
+        — so a re-cut costs a few µs per missed page, and no slice a
+        scan read stays resident after it.
         """
-        key = (None if columns is None else tuple(columns), page_rows)
-        pages = self._page_cache.get(key)
-        if pages is not None and 0 <= index < len(pages):
-            PAGE_CACHE.get((self._serial, key))
-            cached = pages[index]
-            if cached is not None:
-                return cached
-        if page_rows < 1:
-            raise StorageError(f"page_rows must be >= 1, got {page_rows}")
-        n_pages = self.page_count(page_rows)
+        n_pages = self.page_count(page_rows)  # checks ``page_rows``
         if not (0 <= index < n_pages):
             raise StorageError(
                 f"page index {index} out of range for {self.name!r} "
                 f"({n_pages} pages at {page_rows} rows/page)"
             )
-        cols = self._project(columns)
         start = index * page_rows
-        end = min(start + page_rows, len(self))
-        slices = [col[start:end] for col in cols]
-        if pages is None:
-            pages = self._attach(key, [None] * n_pages, len(cols))
-        pages[index] = slices
-        return slices
+        end = start + page_rows
+        return [col[start:end] for col in self._project(columns)]
 
     def _attach(self, key: tuple, pages: Sequence, width: int) -> Sequence:
         """Park ``pages`` under ``key``, charged to the process-wide
@@ -268,10 +256,12 @@ class Table:
         perform the same scan work — re-submissions, convoy members,
         recurring templates — decode and filter each page once. This
         is the storage-side analogue of the engine's cross-query work
-        sharing, and it shares the ingest invalidation and the budget
-        of the plain page cache (``width`` is the scan's output width,
-        its weight per row). Slots start as ``None``; entries are shared,
-        and the batches parked in them carry tuple columns.
+        sharing, and the only state a table keeps for its scans: it is
+        dropped on ingest and weighed under ``PAGE_CACHE``'s budget
+        (``width`` is the scan's output width, its weight per row),
+        while a plain projection is re-sliced on every read
+        (:meth:`column_slices`). Slots start as ``None``; entries are
+        shared, and the batches parked in them carry tuple columns.
 
         Admission is 2Q's: a signature the table does not know gets a
         *ghost* — an empty slot list under ``key``, weighed, aged,

@@ -18,6 +18,15 @@ queries depend on:
 
 Everything is seeded; the same ``(scale_factor, seed)`` pair always
 yields the identical database.
+
+The database is memory-resident, so a column of repeated values is
+stored as repeated *references*: every value with a small domain (the
+dates, the part, supplier and customer keys a foreign key repeats, the
+clerks, the manufacturers) is picked from one prebuilt tuple instead of
+minted per row, so a lineitem date column holds one int object per day,
+not one per row. ``Stream.picks(options)`` takes the same twister words
+as ``Stream.ints`` over ``len(options)`` values, so the picked value is
+the one the integer draw made.
 """
 
 from __future__ import annotations
@@ -57,6 +66,14 @@ _BRANDS = tuple(f"Brand#{i}{j}" for i in range(1, 6) for j in range(1, 6))
 _QUANTITIES = tuple(float(q) for q in range(1, 51))
 _DISCOUNTS = tuple(round(d / 100.0, 2) for d in range(11))
 _TAXES = tuple(round(t / 100.0, 2) for t in range(9))
+# Every day a date column holds. An order date is one of the first
+# ``_ORDER_DAYS`` (the last is 151 days before END_DATE) and a lineitem
+# date lies at most 151 days after its order's, so all of them index
+# this one tuple.
+_DAYS = tuple(range(START_DATE, END_DATE + 1))
+_ORDER_DAYS = END_DATE - 151 - START_DATE + 1
+_CLERKS = tuple(f"Clerk#{i:09d}" for i in range(1, 1001))
+_MANUFACTURERS = tuple(f"Manufacturer#{i}" for i in range(1, 6))
 
 
 class GeneratorConfig:
@@ -112,7 +129,20 @@ def _phone(stream: Stream) -> str:
     )
 
 
-def _populate_supplier(catalog: Catalog, stream: Stream, config: GeneratorConfig) -> None:
+def _keys(n: int) -> tuple[int, ...]:
+    """The primary keys ``1..n`` of a table, shared by every column that
+    stores one of them."""
+    return tuple(range(1, n + 1))
+
+
+def _order_customers(customer_keys: tuple) -> tuple:
+    """The customer key an order stores, indexed by the key drawn.
+    Spec: only two thirds of customers have orders (Q13's spike), so a
+    drawn multiple of 3 folds onto the key below it."""
+    return tuple(customer_keys[k - 2] if k % 3 == 0 else k for k in customer_keys)
+
+
+def _populate_supplier(catalog: Catalog, stream: Stream, supplier_keys: tuple) -> None:
     table = catalog.create("supplier", tpch_schema.SUPPLIER)
     table.insert_many(
         [
@@ -125,19 +155,19 @@ def _populate_supplier(catalog: Catalog, stream: Stream, config: GeneratorConfig
                 round(stream.uniform_float(-999.99, 9999.99), 2),
                 comment(stream),
             )
-            for key in range(1, config.suppliers + 1)
+            for key in supplier_keys
         ]
     )
 
 
-def _populate_part(catalog: Catalog, stream: Stream, config: GeneratorConfig) -> None:
+def _populate_part(catalog: Catalog, stream: Stream, part_keys: tuple) -> None:
     table = catalog.create("part", tpch_schema.PART)
     table.insert_many(
         [
             (
                 key,
                 f"part {key} {stream.choice(_TYPES).lower()}",
-                f"Manufacturer#{stream.uniform_int(1, 5)}",
+                stream.choice(_MANUFACTURERS),
                 stream.choice(_BRANDS),
                 stream.choice(_TYPES),
                 stream.uniform_int(1, 50),
@@ -145,29 +175,31 @@ def _populate_part(catalog: Catalog, stream: Stream, config: GeneratorConfig) ->
                 round(900 + key / 10 % 1000 + 0.01 * (key % 100), 2),
                 comment(stream),
             )
-            for key in range(1, config.parts + 1)
+            for key in part_keys
         ]
     )
 
 
-def _populate_partsupp(catalog: Catalog, stream: Stream, config: GeneratorConfig) -> None:
+def _populate_partsupp(
+    catalog: Catalog, stream: Stream, part_keys: tuple, supplier_keys: tuple
+) -> None:
     table = catalog.create("partsupp", tpch_schema.PARTSUPP)
     table.insert_many(
         [
             (
                 part_key,
-                stream.uniform_int(1, config.suppliers),
+                stream.choice(supplier_keys),
                 stream.uniform_int(1, 9999),
                 round(stream.uniform_float(1.0, 1000.0), 2),
                 comment(stream),
             )
-            for part_key in range(1, config.parts + 1)
+            for part_key in part_keys
             for _ in range(2)  # spec has 4 per part; 2 keeps small SFs lean
         ]
     )
 
 
-def _populate_customer(catalog: Catalog, stream: Stream, config: GeneratorConfig) -> None:
+def _populate_customer(catalog: Catalog, stream: Stream, customer_keys: tuple) -> None:
     table = catalog.create("customer", tpch_schema.CUSTOMER)
     table.insert_many(
         [
@@ -181,13 +213,18 @@ def _populate_customer(catalog: Catalog, stream: Stream, config: GeneratorConfig
                 stream.choice(_SEGMENTS),
                 comment(stream),
             )
-            for key in range(1, config.customers + 1)
+            for key in customer_keys
         ]
     )
 
 
 def _populate_orders_and_lineitem(
-    catalog: Catalog, stream: Stream, config: GeneratorConfig
+    catalog: Catalog,
+    stream: Stream,
+    config: GeneratorConfig,
+    customer_keys: tuple,
+    part_keys: tuple,
+    supplier_keys: tuple,
 ) -> None:
     orders = catalog.create("orders", tpch_schema.ORDERS)
     lineitem = catalog.create("lineitem", tpch_schema.LINEITEM)
@@ -195,12 +232,12 @@ def _populate_orders_and_lineitem(
     # discount and tax are picked from precomputed tables: the same draw,
     # over the same width, as the integer each is derived from.
     key_gap = stream.ints(1, 4)
-    customer = stream.ints(1, config.customers)
-    order_day = stream.ints(START_DATE, END_DATE - 151)
+    customer = stream.picks(_order_customers(customer_keys))
+    order_day = stream.ints(0, _ORDER_DAYS - 1)  # an index into _DAYS
     line_count = stream.ints(1, 7)
     order_status = stream.picks(_ORDER_STATUS)
     priority = stream.picks(_PRIORITIES)
-    clerk = stream.ints(1, 1000)
+    clerk = stream.picks(_CLERKS)
     quantity_of = stream.picks(_QUANTITIES)
     unit_price = stream.floats(900.0, 1100.0)
     discount_of = stream.picks(_DISCOUNTS)
@@ -209,22 +246,21 @@ def _populate_orders_and_lineitem(
     commit_lag = stream.ints(30, 90)
     receipt_lag = stream.ints(1, 30)
     return_flag = stream.picks(("R", "A"))
-    part = stream.ints(1, config.parts)
-    supplier = stream.ints(1, config.suppliers)
+    part = stream.picks(part_keys)
+    supplier = stream.picks(supplier_keys)
     ship_instruct = stream.picks(_SHIP_INSTRUCT)
     ship_mode = stream.picks(_SHIP_MODES)
     coin = stream.random
+    days = _DAYS
     order_rows = []
     lines = []
     order_key = 0
     total_orders = config.customers * config.orders_per_customer
     for i in range(total_orders):
         order_key += key_gap()  # sparse keys, as in the spec
-        # Spec: only two thirds of customers have orders (Q13's spike).
         cust_key = customer()
-        cust_key -= cust_key % 3 == 0  # fold multiples of 3 onto neighbours
-        cust_key = max(cust_key, 1)
-        order_date = order_day()
+        day = order_day()
+        order_date = days[day]
         n_lines = line_count()
         plant = coin() < SPECIAL_REQUEST_PROBABILITY
         status = order_status()
@@ -235,9 +271,10 @@ def _populate_orders_and_lineitem(
             extended = round(quantity * unit_price(), 2)
             discount = discount_of()
             tax = tax_of()
-            ship = order_date + ship_lag()
-            commit = order_date + commit_lag()
-            receipt = ship + receipt_lag()
+            ship_day = day + ship_lag()
+            ship = days[ship_day]
+            commit = days[day + commit_lag()]
+            receipt = days[ship_day + receipt_lag()]
             returnflag = return_flag() if coin() < 0.5 else "N"
             linestatus = "O" if coin() < 0.5 else "F"
             total_price += extended
@@ -270,7 +307,7 @@ def _populate_orders_and_lineitem(
                 round(total_price, 2),
                 order_date,
                 priority(),
-                f"Clerk#{clerk():09d}",
+                clerk(),
                 0,
                 comment(stream, plant_special=plant),
             )
@@ -288,9 +325,14 @@ def generate(scale_factor: float = 0.01, seed: int = 2007) -> Catalog:
     catalog = Catalog()
     _populate_region(catalog, stream_for(seed, "region"))
     _populate_nation(catalog, stream_for(seed, "nation"))
-    _populate_supplier(catalog, stream_for(seed, "supplier"), config)
-    _populate_part(catalog, stream_for(seed, "part"), config)
-    _populate_partsupp(catalog, stream_for(seed, "partsupp"), config)
-    _populate_customer(catalog, stream_for(seed, "customer"), config)
-    _populate_orders_and_lineitem(catalog, stream_for(seed, "orders"), config)
+    supplier_keys = _keys(config.suppliers)
+    part_keys = _keys(config.parts)
+    customer_keys = _keys(config.customers)
+    _populate_supplier(catalog, stream_for(seed, "supplier"), supplier_keys)
+    _populate_part(catalog, stream_for(seed, "part"), part_keys)
+    _populate_partsupp(catalog, stream_for(seed, "partsupp"), part_keys, supplier_keys)
+    _populate_customer(catalog, stream_for(seed, "customer"), customer_keys)
+    _populate_orders_and_lineitem(
+        catalog, stream_for(seed, "orders"), config, customer_keys, part_keys, supplier_keys
+    )
     return catalog

@@ -21,6 +21,13 @@ the generator's time. The bound forms (:meth:`Stream.ints`,
 :meth:`Stream.picks`, :meth:`Stream.floats`) take the range once, so a
 table's inner loop does not recompute a width and its ``bit_length``
 for every value.
+
+``picks(options)`` and ``ints(lo, hi)`` over as many values take the
+same words, so ``picks(tuple(range(lo, hi + 1)))`` returns what
+``ints(lo, hi)`` returns — as an object of that tuple rather than a
+fresh ``lo + r``. The generator draws every small-domain column that
+way, so equal values share one object; ``ints`` itself stays arithmetic,
+since its widths run to ``2**32`` and a tuple of them would not fit.
 """
 
 from __future__ import annotations

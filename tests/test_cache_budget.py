@@ -119,14 +119,15 @@ def test_insert_still_invalidates():
     query = session.table("t", columns=["k"]).where(lt(col("k"), 5))
     # Twice: the first attach of the signature parks only a ghost.
     assert len(session.run(query).rows) == len(session.run(query).rows) == 5
-    assert any(key[0] == "fused" and pages for key, pages in table._page_cache.items())
-    keys = [(table._serial, key) for key in table._page_cache]
+    ((key, pages),) = table._page_cache.items()  # the fused list: plain slices are never kept
+    assert key[0] == "fused" and pages
+    keys = [(table._serial, key)]
     assert keys and all(key in PAGE_CACHE for key in keys)
     weight = PAGE_CACHE.weight
     table.insert((-1, 0))
     assert not table._page_cache
     assert not any(key in PAGE_CACHE for key in keys)
-    assert PAGE_CACHE.weight == weight - 2 * ROWS  # the fused list and the plain one
+    assert PAGE_CACHE.weight == weight - ROWS  # the fused list's one output column
     assert len(session.run(query).rows) == 6
 
 
@@ -138,13 +139,29 @@ def test_a_dead_table_leaves_the_budget_at_once():
     before = (len(PAGE_CACHE), PAGE_CACHE.weight)
     table = Table("t", Schema([("k", DataType.INT), ("v", DataType.INT)]))
     table.insert_many([(i, i) for i in range(1000)])
-    table.column_slices(0)
+    table.column_slices(0)  # parks nothing
     for _ in range(2):  # a ghost, then the slot list in its place
         slots = table.fused_cache(("fused", "sig", 64), table.page_count(64), 2)
     assert slots == [None] * table.page_count(64)
-    assert (len(PAGE_CACHE), PAGE_CACHE.weight) == (before[0] + 2, before[1] + 4000)
+    assert (len(PAGE_CACHE), PAGE_CACHE.weight) == (before[0] + 1, before[1] + 2000)
     del table
     gc.collect()
+    assert (len(PAGE_CACHE), PAGE_CACHE.weight) == before
+
+
+def test_column_slices_re_slices_the_stored_columns_and_parks_nothing():
+    gc.collect()
+    before = (len(PAGE_CACHE), PAGE_CACHE.weight)
+    table = Table("t", Schema([("k", DataType.INT), ("v", DataType.INT)]))
+    table.insert_many([(i, -i) for i in range(1000)])
+    for columns in (None, ["v", "k"], ["v"]):
+        names = table.schema.names() if columns is None else columns
+        for index in range(table.page_count(64)):
+            rows = slice(index * 64, (index + 1) * 64)
+            slices = table.column_slices(index, columns, 64)
+            assert all(type(column) is tuple for column in slices)
+            assert slices == [table.column(name)[rows] for name in names]
+    assert not table._page_cache
     assert (len(PAGE_CACHE), PAGE_CACHE.weight) == before
 
 

@@ -82,8 +82,8 @@ def test_nothing_the_data_plane_holds_is_tracked_by_the_collector():
     table = catalog.create("t", Schema([("k", DataType.INT), ("v", DataType.FLOAT)]))
     table.insert_many([(i, i * 0.5) for i in range(640)])
     session = Database.open(catalog, "cmp32")
-    # Plain slices under two fused signatures: a compressed selection,
-    # and computed outputs over one.
+    # Two fused signatures: a compressed selection, and computed
+    # outputs over one (plain slices are re-cut per read, never kept).
     selected = session.table("t").where(lt(col("k"), 600)).build()
     computed = ("w", mul(col("v"), 2.0), DataType.FLOAT)
     query = session.table("t").where(lt(col("k"), 600)).select(computed, "k").build()
@@ -94,18 +94,14 @@ def test_nothing_the_data_plane_holds_is_tracked_by_the_collector():
     def columns_held():
         for name in table.schema.names():
             yield table.column(name)
-        for key, pages in table._page_cache.items():
+        for pages in table._page_cache.values():
             assert all(page is not None for page in pages)
-            for page in pages:
-                if key[0] == "fused":
-                    _, batch = page
-                    yield from batch.columns
-                else:
-                    yield from page
+            for _, batch in pages:
+                yield from batch.columns
 
     held = list(columns_held())
-    assert len(table._page_cache) == 3 and len(held) > 2 + 3 * 2
-    assert all(pages for key, pages in table._page_cache.items() if key[0] == "fused")
+    assert len(table._page_cache) == 2 and len(held) > 2 + 2 * 2
+    assert all(key[0] == "fused" and pages for key, pages in table._page_cache.items())
     assert all(type(column) is tuple and not gc.is_tracked(column) for column in held)
 
     # seal -> unseal -> seal: an insert after the read is visible to the next one.

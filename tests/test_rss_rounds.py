@@ -85,12 +85,13 @@ class _Workload:
 
     def __init__(self, seed):
         self.session = None
+        self.ops = []  # what a bench workload keeps for its verify
 
     def setup(self):
         pass
 
     def round(self, index):
-        pass
+        self.ops.append(index)
 
     def pin(self):
         return 0
@@ -111,3 +112,12 @@ def test_main_exits_by_the_flat_bound(monkeypatch, capsys):
     assert "is not flat" in capsys.readouterr().out
     assert _main_with_growth(monkeypatch, 0.0, rounds=3) == 2
     assert "run more rounds" in capsys.readouterr().out
+
+
+def test_main_clears_the_answers_a_workload_keeps_each_round(monkeypatch):
+    """The growth must be the program's, not the answers a bench
+    workload keeps for a verify the tool never runs."""
+    kept = []
+    monkeypatch.setattr(_Workload, "pin", lambda self: kept.append(list(self.ops)) or 0)
+    assert _main_with_growth(monkeypatch, 0.0, rounds=12) == 0
+    assert kept == [[2 + 12 - 1]]  # the last round's only

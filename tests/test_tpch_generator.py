@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import StorageError
+from repro.tpch import generator as tpch_generator
 from repro.tpch.generator import END_DATE, START_DATE, GeneratorConfig, generate
 from repro.tpch.rng import Stream, stream_for
 from repro.tpch.text import comment, matches_special_requests
@@ -215,6 +216,105 @@ class TestTextGeneration:
         assert not matches_special_requests("requests then special")
         assert not matches_special_requests("nothing here")
         assert matches_special_requests("specialrequests")
+
+
+# Columns whose values come from a small domain: the generator picks
+# each from one prebuilt tuple, so equal values are one object. At
+# (0.002, 7) every domain reaches past CPython's cached small ints.
+SHARED_COLUMNS = (
+    ("lineitem", "l_shipdate"),
+    ("lineitem", "l_commitdate"),
+    ("lineitem", "l_receiptdate"),
+    ("lineitem", "l_partkey"),
+    ("orders", "o_orderdate"),
+    ("orders", "o_custkey"),
+    ("orders", "o_clerk"),
+    ("part", "p_mfgr"),
+)
+
+
+def test_a_small_domain_column_holds_one_object_per_value():
+    catalog = generate(0.002, 7)
+    for name, column in SHARED_COLUMNS:
+        values = catalog.table(name).column(column)
+        distinct = len(set(values))
+        assert distinct < len(values), (name, column)
+        assert len(set(map(id, values))) == distinct, (name, column)
+
+
+def _integer_and_shared_draws(config: GeneratorConfig):
+    """Per replaced draw: the integer draw and the value the generator
+    made from it, and the pick from a shared tuple that replaced it —
+    each a factory from a ``Stream`` to a bound draw."""
+    folded = tpch_generator._order_customers(tpch_generator._keys(config.customers))
+    days = tpch_generator._DAYS
+
+    def integer_customer(stream):
+        draw = stream.ints(1, config.customers)
+
+        def customer():
+            key = draw()
+            key -= key % 3 == 0
+            return max(key, 1)
+
+        return customer
+
+    def integer_clerk(stream):
+        draw = stream.ints(1, 1000)
+        return lambda: f"Clerk#{draw():09d}"
+
+    def integer_manufacturer(stream):
+        return lambda: f"Manufacturer#{stream.uniform_int(1, 5)}"
+
+    def lags(stream):
+        return stream.ints(1, 121), stream.ints(30, 90), stream.ints(1, 30)
+
+    def integer_dates(stream):
+        order_day = stream.ints(START_DATE, END_DATE - 151)
+        ship_lag, commit_lag, receipt_lag = lags(stream)
+
+        def dates():
+            order = order_day()
+            ship = order + ship_lag()
+            return order, ship, order + commit_lag(), ship + receipt_lag()
+
+        return dates
+
+    def shared_dates(stream):
+        order_day = stream.ints(0, tpch_generator._ORDER_DAYS - 1)
+        ship_lag, commit_lag, receipt_lag = lags(stream)
+
+        def dates():
+            day = order_day()
+            ship_day = day + ship_lag()
+            return days[day], days[ship_day], days[day + commit_lag()], days[ship_day + receipt_lag()]
+
+        return dates
+
+    def keys(n):
+        return lambda stream: stream.picks(tpch_generator._keys(n))
+
+    def shared_manufacturer(stream):
+        return lambda: stream.choice(tpch_generator._MANUFACTURERS)
+
+    return {
+        "o_custkey": (integer_customer, lambda stream: stream.picks(folded)),
+        "o_clerk": (integer_clerk, lambda stream: stream.picks(tpch_generator._CLERKS)),
+        "p_mfgr": (integer_manufacturer, shared_manufacturer),
+        "dates": (integer_dates, shared_dates),
+        "l_partkey": (lambda stream: stream.ints(1, config.parts), keys(config.parts)),
+        "l_suppkey": (lambda stream: stream.ints(1, config.suppliers), keys(config.suppliers)),
+    }
+
+
+@pytest.mark.parametrize("scale_factor, seed", sorted(GENERATED))
+def test_a_shared_pick_draws_the_value_its_integer_draw_made(scale_factor, seed):
+    config = GeneratorConfig(scale_factor, seed)
+    for name, (integer, shared) in _integer_and_shared_draws(config).items():
+        old_stream, new_stream = Stream(seed), Stream(seed)
+        old, new = integer(old_stream), shared(new_stream)
+        assert [old() for _ in range(2000)] == [new() for _ in range(2000)], name
+        assert old_stream.random() == new_stream.random(), name  # still in step
 
 
 # Range widths where a rejection loop can go wrong: one value (a 1-bit

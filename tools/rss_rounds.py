@@ -18,9 +18,17 @@ is over: merge slots, live groups and open decision records (``-`` for
 ``fig6_closed``, which has no session). The last lines give the growth
 per round after round 8 (caches have filled by then), the collector's
 share of the timed wall, the tracked container cells left on the heap
-and the dispatcher's state beside them, the process's
-``ru_maxrss`` — the benchmark's ``peak_rss_mb`` — and the workload's
-behaviour pin, which two commits must agree on to the last digit.
+and the dispatcher's state beside them, the process's ``ru_maxrss`` and
+the workload's behaviour pin, which two commits must agree on to the
+last digit.
+
+The tool measures the program, not the harness: a workload appends
+every round's answers (rows included) to ``workload.ops`` for the
+benchmark's ``verify``, which this tool never calls, so it empties
+``ops`` before each round. The growth line therefore excludes those
+retained answers, and ``ru_maxrss`` reads below the benchmark's
+``peak_rss_mb``, which includes them. For ``fig6_closed``, whose pin
+sums its cells' throughput from ``ops``, the pin is the last round's.
 
 The growth line is a gate: the tool exits 1 when the growth per round
 after round 8 exceeds ``FLAT_MB_PER_ROUND`` (what "flat" means), and 2
@@ -111,6 +119,7 @@ def main(argv=None) -> int:
     resident, walls_ms, gcs_ms = [], [], []
     try:
         for index in range(WARMUP_ROUNDS + args.rounds):
+            workload.ops.clear()
             seen, gc_before = len(full), collections.total_ms()
             started = time.perf_counter()
             workload.round(index)
