@@ -46,11 +46,15 @@ class RowBatch:
 
     The derived views a batch caches: its compressed columns, its row
     tuples, and the split the last exchange made of it (``_split``:
-    the route ``(key_indices, fanout)`` and one tuple of row tuples per
-    partition; see :class:`~repro.engine.parallel.exchange.ExchangeOperator`).
-    The split slot is set only by the exchange and read lazily: no
+    the route ``(key_indices, fanout)``, whether the buckets are
+    columns, and one bucket per partition — a tuple of column tuples
+    for a column-backed batch, of row tuples for a row-backed one; see
+    :class:`~repro.engine.parallel.exchange.ExchangeOperator`). The
+    split slot is set only by the exchange and read lazily: no
     constructor touches it, so a batch that never meets an exchange
-    pays nothing for it.
+    pays nothing for it. ``PAGE_CACHE`` weighs a parked page by its
+    rows and width only (:mod:`repro.storage.table`): neither the row
+    tuples nor the split a parked batch caches count against it.
 
     Batches are immutable by convention once emitted (like ``Page``);
     the lazy caches only add derived views. Unlike ``Page``, an empty

@@ -8,6 +8,12 @@ before, but what they return never does — the memo always answers
 ``partition_of(key, EXCHANGE_SALT, fanout)``, a split always equals a
 fresh bucketing for its own route, and a query's rows and simulated
 duration are the same after any history as on a fresh session.
+
+A split keeps the batch's backing: a column-backed batch is cut into
+per-partition column tuples and leaves column-backed, a row-backed one
+into row tuples. Either way each partition queue receives the pages a
+plain row bucketing would cut, at the same row counts, with the same
+costs, in the same order.
 """
 
 from itertools import chain
@@ -25,7 +31,7 @@ from repro.engine.operators.partitioning import partition_of
 from repro.engine.packet import RowBatch
 from repro.engine.parallel.exchange import EXCHANGE_MEMO_KEYS, EXCHANGE_SALT, ExchangeOperator
 from repro.sim import Simulator
-from repro.sim.events import Put
+from repro.sim.events import Close, Compute, Put
 from repro.sim.queues import SimQueue
 from repro.storage import Catalog, DataType, Schema
 from repro.tpch.generator import generate
@@ -180,7 +186,7 @@ def test_one_batch_through_exchanges_of_different_routes():
     batch = RowBatch.from_columns([tuple(column) for column in zip(*rows)])
     for key_indices, dop in [((0,), 4), ((1,), 4), ((1,), 3), ((0, 1), 4), ((0,), 4)]:
         assert _route(batch, key_indices, dop, engine, node) == _expected(rows, key_indices, dop)
-        assert batch._split[0] == (key_indices, dop)
+        assert batch._split[:2] == ((key_indices, dop), True)
     # The same route again reuses the split the batch keeps.
     split = batch._split
     assert _route(batch, (0,), 4, engine, node) == _expected(rows, (0,), 4)
@@ -231,3 +237,122 @@ def test_a_parked_page_is_routed_once(monkeypatch):
     # and split as they pass. Third: only the re-cut tail is routed.
     assert sorted(lookups[0]) == sorted(lookups[1]) == sorted(every_row)
     assert lookups[2] == list(tail)
+    # The exchange split the parked pages from their columns: no full
+    # page holds row tuples (the partial tail is re-cut from its rows).
+    parked = [
+        batch
+        for pages in table._page_cache.values()
+        for _, batch in pages or ()
+        if len(batch) == config.page_rows
+    ]
+    assert len(parked) == n_pages - 1
+    assert all(batch._rows is None and batch._split[1] for batch in parked)
+
+
+# ----------------------------------------------------------------------
+# Columnar routing cuts the pages a plain row bucketing cuts
+# ----------------------------------------------------------------------
+
+PAGE_ROWS = 5
+WIDTH = 3
+ROUTE_KEYS = [(0,), (1,), (0, 1), (2, 0)]
+routed_rows = st.tuples(
+    st.integers(-30, 30) | st.none(),
+    st.integers(0, 4).map(float),
+    st.text(max_size=2),
+)
+# (backing, rows, keep-flags): the flags make a ``select`` view over
+# the backing, ``None`` the plain batch.
+stream_batches = st.tuples(
+    st.sampled_from(["columns", "rows"]),
+    st.lists(routed_rows, max_size=PAGE_ROWS),
+).flatmap(
+    lambda spec: st.tuples(
+        st.just(spec[0]),
+        st.just(spec[1]),
+        st.none() | st.lists(st.booleans(), min_size=len(spec[1]), max_size=len(spec[1])),
+    )
+)
+
+
+def _batch(backing, rows, flags):
+    if backing == "columns":
+        columns = [tuple(column) for column in zip(*rows)] or [()] * WIDTH
+        batch = RowBatch.from_columns(columns, len(rows))
+    else:
+        batch = RowBatch.from_rows(tuple(rows), WIDTH)
+    if flags is None:
+        return batch, list(rows)
+    return batch.select(flags, sum(flags)), [row for row, keep in zip(rows, flags) if keep]
+
+
+def _events(stream, key_indices, dop, engine, node):
+    """What an exchange yields for ``stream``: each Compute's cost,
+    each Put's partition, rows and backing, each Close's partition."""
+    queues = [SimQueue(f"p{j}", 1 << 20) for j in range(dop)]
+    exchange = ExchangeOperator(node, engine.ctx, queues, key_indices, engine.exchange_memo(dop))
+    steps = chain.from_iterable(exchange.next_batch(batch, 0) for batch in stream)
+    events, backings = [], []
+    for event in chain(steps, exchange.finish()):
+        if type(event) is Compute:
+            events.append(("compute", event.cost))
+        elif type(event) is Put:
+            events.append(("put", queues.index(event.queue), event.item.rows))
+            backings.append(event.item._columns is not None)
+        else:
+            assert type(event) is Close
+            events.append(("close", queues.index(event.queue)))
+    return events, backings
+
+
+def _reference_events(streamed_rows, key_indices, dop, costs):
+    """The exchange's event stream, bucketing row tuples by hand."""
+    events = []
+    pending = [[] for _ in range(dop)]
+
+    def flush(partition, take):
+        page = tuple(pending[partition][:take])
+        del pending[partition][:take]
+        events.append(("compute", costs.page_output_cost(take, WIDTH, consumers=1)))
+        events.append(("put", partition, page))
+
+    for rows in streamed_rows:
+        events.append(("compute", costs.exchange_tuple * len(rows)))
+        for partition, bucket in enumerate(_expected(rows, key_indices, dop)):
+            pending[partition].extend(bucket)
+            while len(pending[partition]) >= PAGE_ROWS:
+                flush(partition, PAGE_ROWS)
+    for partition in range(dop):
+        if pending[partition]:
+            flush(partition, len(pending[partition]))
+        events.append(("close", partition))
+    return events
+
+
+@given(
+    specs=st.lists(stream_batches, max_size=12),
+    tail=st.lists(routed_rows, min_size=1, max_size=PAGE_ROWS - 1) | st.none(),
+    key_indices=st.sampled_from(ROUTE_KEYS),
+    dop=dops,
+)
+@settings(max_examples=200, deadline=None)
+def test_routing_matches_a_plain_row_bucketing(specs, tail, key_indices, dop):
+    """Any mix of column-backed, row-backed and ``select``-view
+    batches, optionally ending as a scan does, in a partial page re-cut
+    as rows: every queue receives the reference's pages, costs and Put
+    order, and a stream of column-backed batches arrives column-backed."""
+    catalog = Catalog()
+    schema = Schema([("k", DataType.INT), ("g", DataType.FLOAT), ("s", DataType.STR)])
+    catalog.create("t", schema)
+    engine = Engine(catalog, Simulator(processors=1), page_rows=PAGE_ROWS)
+    node = scan(catalog, "t", columns=["k", "g", "s"])
+    if tail is not None:
+        specs = specs + [("rows", tail, None)]
+    stream, streamed_rows = zip(*[_batch(*spec) for spec in specs]) if specs else ((), ())
+    events, backings = _events(stream, key_indices, dop, engine, node)
+    assert events == _reference_events(streamed_rows, key_indices, dop, engine.ctx.costs)
+    if all(backing == "columns" for backing, _, _ in specs):
+        assert all(backings)
+    # A second exchange over the same batches reuses their splits and
+    # yields the same events.
+    assert _events(stream, key_indices, dop, engine, node)[0] == events

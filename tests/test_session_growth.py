@@ -232,13 +232,9 @@ def test_finished_groups_die_by_reference_counting():
 def _filled_cells(table):
     cells = 0
     for pages in table._page_cache.values():
-        for page in pages:
-            if page is None:
-                continue
-            if isinstance(page, tuple):  # a fused slot: (cost, batch)
-                cells += page[1]._n * page[1].width
-            else:  # a plain slot: the page's column slices
-                cells += sum(len(column) for column in page)
+        for slot in pages:
+            if slot is not None:  # a filled fused slot: (cost, batch)
+                cells += slot[1]._n * slot[1].width
     return cells
 
 
