@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import weakref
 from itertools import count
-from typing import Any, Hashable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
 
 from repro.errors import StorageError
 from repro.storage.lru import WeightedLRU
@@ -71,7 +71,7 @@ class Table:
     burst of inserts is linear in the rows inserted; an ingest after a
     read *unseals* (copies the tuples back into lists), which costs
     O(table) — the order of the page-cache invalidation beside it. Load
-    in bulk (:meth:`insert_many`), then read.
+    in bulk (:meth:`insert_many`), then read. A column may be deferred (:meth:`defer`).
     """
 
     def __init__(self, name: str, schema: Schema) -> None:
@@ -79,15 +79,15 @@ class Table:
             raise StorageError("table name must be non-empty")
         self.name = name
         self.schema = schema
-        # Tuples while sealed, list buffers between an ingest and the
-        # next read; readers go through ``_sealed()``, never this.
+        # Tuples once read, list buffers between an ingest and the next
+        # read, or a deferred column's build; readers go through ``_seal``.
         self._columns: list[Sequence[Any]] = [() for _ in schema.columns]
-        self._is_sealed = True
+        self._rows = 0
         # Per column: has any stored value ever been NULL? Set at
         # ingest, never cleared (the table is append-only).
         self._has_null = [False] * len(schema.columns)
-        # Per projection, its column positions: names are resolved once
-        # (the schema never changes), not on every page a scan reads.
+        # Per projection, its column positions (all tuples: ingest and
+        # ``defer`` clear this): resolved once, not on every page a scan reads.
         self._positions: dict[tuple[str, ...], tuple[int, ...]] = {}
         # The fused-scan memo (``fused_cache``): per signature, its
         # ghost or its lazily filled list of transformed pages. Cleared
@@ -99,7 +99,7 @@ class Table:
         weakref.finalize(self, _forget, self._serial, self._page_cache)
 
     def __len__(self) -> int:
-        return len(self._columns[0])
+        return self._rows
 
     def __repr__(self) -> str:
         return f"Table({self.name!r}, {len(self)} rows)"
@@ -124,28 +124,42 @@ class Table:
         if not rows:
             return
         stored = self.schema.validate_rows(rows)
-        if self._is_sealed:
-            self._columns = [list(column) for column in self._columns]
-            self._is_sealed = False
+        if any(type(column) is not list for column in self._columns):  # read, or deferred
+            self._columns = [list(column) for column in self._seal()]
+            self._positions.clear()
         for i, (values, has_null) in enumerate(stored):
             self._columns[i].extend(values)
             self._has_null[i] |= has_null
+        self._rows += len(rows)
         _forget(self._serial, self._page_cache)
 
-    def _sealed(self) -> list[tuple[Any, ...]]:
-        """The columns as tuples (what every reader goes through)."""
+    def defer(self, name: str, build: Callable[[], Sequence[Any]]) -> None:
+        """Hold column ``name`` as ``build`` until a projection naming it, a
+        whole-row read or an ingest calls it for the values (one per row held
+        now, none NULL, validated as ingest does); a bad build raises."""
+        self._columns[self.schema.index_of(name)] = build
+        self._positions.clear()
+
+    def _seal(self, positions: Sequence[int] | None = None) -> list[tuple[Any, ...]]:
+        """The columns, each list buffer sealed into a tuple in place (one
+        transient copy at a time) and each deferred column at ``positions``
+        (every one when ``None``: what whole-row readers go through) built."""
         columns = self._columns
-        if not self._is_sealed:
-            for i, column in enumerate(columns):  # in place: one transient copy at a time
+        for i, column in enumerate(columns):
+            if type(column) is list:
                 columns[i] = tuple(column)
-            self._is_sealed = True
+            elif callable(column) and (positions is None or i in positions):
+                values, has_null = self.schema.validate_column(i, column())
+                if has_null or len(values) != self._rows:
+                    raise StorageError(f"{self.name}.{self.schema.columns[i].name}: bad build")
+                columns[i] = tuple(values)
         return columns
 
     # -- access ----------------------------------------------------------
 
     def column(self, name: str) -> tuple[Any, ...]:
         """One whole column, as the tuple the table stores."""
-        return self._sealed()[self.schema.index_of(name)]
+        return self._project((name,))[0]
 
     def not_null(self, columns: Sequence[str] | None = None) -> frozenset[int]:
         """Positions in ``columns`` (every column when ``None``) whose
@@ -161,11 +175,10 @@ class Table:
     def row(self, i: int) -> tuple[Any, ...]:
         if not (0 <= i < len(self)):
             raise StorageError(f"row index {i} out of range for {self.name!r}")
-        return tuple(column[i] for column in self._sealed())
+        return tuple(column[i] for column in self._seal())
 
     def rows(self) -> Iterator[tuple[Any, ...]]:
-        for i in range(len(self)):
-            yield self.row(i)
+        yield from zip(*self._seal())
 
     def scan_pages(
         self,
@@ -188,13 +201,14 @@ class Table:
                 yield Page(rows)
 
     def _project(self, columns: Sequence[str] | None) -> list[tuple[Any, ...]]:
-        cols = self._sealed()
         if columns is None:
-            return cols
+            return self._seal()
         key = tuple(columns)
         positions = self._positions.get(key)
         if positions is None:
-            positions = self._positions[key] = tuple(map(self.schema.index_of, key))
+            self._seal(positions := tuple(map(self.schema.index_of, key)))
+            self._positions[key] = positions
+        cols = self._columns
         return [cols[i] for i in positions]
 
     def page_count(self, page_rows: int = DEFAULT_PAGE_ROWS) -> int:

@@ -69,6 +69,12 @@ def test_dispatcher_state_reads_slots_groups_and_open_records():
     assert rss_rounds.dispatcher_state(workload) == "0/0/0"
 
 
+def test_maxrss_reads_the_high_water_mark_in_mb():
+    # The peak is at least what is resident now, and in the same unit.
+    resident = rss_rounds.rss_mb()
+    assert resident - 1.0 <= rss_rounds.maxrss_mb() < 64 * resident
+
+
 def test_the_growth_gates_the_exit_status():
     settled = rss_rounds.SETTLED_AFTER
     flat = [30.0] * settled + [30.0, 30.5, 31.0]

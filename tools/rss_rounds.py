@@ -18,9 +18,11 @@ is over: merge slots, live groups and open decision records (``-`` for
 ``fig6_closed``, which has no session). The last lines give the growth
 per round after round 8 (caches have filled by then), the collector's
 share of the timed wall, the tracked container cells left on the heap
-and the dispatcher's state beside them, the process's ``ru_maxrss`` and
-the workload's behaviour pin, which two commits must agree on to the
-last digit.
+and the dispatcher's state beside them, the process's ``ru_maxrss`` (and
+the ``ru_maxrss`` it had reached by the end of set-up, so a change that
+moves the high-water mark into data generation shows) and the
+workload's behaviour pin, which two commits must agree on to the last
+digit.
 
 The tool measures the program, not the harness: a workload appends
 every round's answers (rows included) to ``workload.ops`` for the
@@ -48,6 +50,11 @@ import time
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SETTLED_AFTER = 8
 FLAT_MB_PER_ROUND = 1.0
+
+
+def maxrss_mb() -> float:
+    """The process's resident high-water mark so far (``ru_maxrss``)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 def rss_mb() -> float:
@@ -109,6 +116,7 @@ def main(argv=None) -> int:
         parser.error(f"unknown workload {args.workload!r}; one of {', '.join(WORKLOADS)}")
     workload = WORKLOADS[args.workload](args.seed)
     workload.setup()
+    setup_maxrss = maxrss_mb()
     collections = Collections()
     full = collections.pauses_ms[2]
     gc.callbacks.append(collections)
@@ -150,7 +158,7 @@ def main(argv=None) -> int:
     print(f"collector: {timed_gc_ms:.0f} ms of {timed_wall_ms:.0f} ms timed wall ({share:.1f} %)")
     print(f"tracked container cells: {tracked_cells():,}")
     print(f"dispatcher slots/live groups/open records: {dispatcher_state(workload)}")
-    print(f"ru_maxrss: {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0:.1f} MB")
+    print(f"ru_maxrss: {maxrss_mb():.1f} MB (end of set-up: {setup_maxrss:.1f} MB)")
     print(f"pin: {workload.pin()!r}")
     return gate(growth)
 
