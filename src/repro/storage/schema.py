@@ -17,7 +17,7 @@ from __future__ import annotations
 import datetime as _dt
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Iterable, Sequence
+from typing import Any, Container, Iterable, Sequence
 
 from repro.errors import SchemaError
 
@@ -170,21 +170,28 @@ class Schema:
         validate, name = column.dtype.validate, column.name
         return [validate(value, name) for value in values], has_null
 
-    def validate_rows(self, rows: Sequence[Sequence[Any]]) -> list[tuple[Sequence[Any], bool]]:
+    def validate_rows(
+        self, rows: Sequence[Sequence[Any]], coded: Container[int] = ()
+    ) -> list[tuple[Sequence[Any], bool]]:
         """Transpose ``rows`` once and validate column-wise.
 
         Returns, per schema column, its stored values and whether any
-        is NULL (:meth:`validate_column`). The arity of every row is
-        checked before any value is (the first row of the wrong length
-        is the one reported); values are then checked a column at a
-        time, so with several bad values the error names the first bad
-        *column*, not the first bad row.
+        is NULL (:meth:`validate_column`); a position in ``coded``
+        holds codes, not values (``Table.encode``), and its column is
+        returned as it came, for the caller to check. The arity of every
+        row is checked before any value is (the first row of the wrong
+        length is the one reported); values are then checked a column
+        at a time, so with several bad values the error names the first
+        bad *column*, not the first bad row.
         """
         width = len(self.columns)
         if set(map(len, rows)) - {width}:
             bad = next(row for row in rows if len(row) != width)
             raise SchemaError(f"row has {len(bad)} values, schema expects {width}")
-        return [self.validate_column(i, values) for i, values in enumerate(zip(*rows))]
+        return [
+            (values, False) if i in coded else self.validate_column(i, values)
+            for i, values in enumerate(zip(*rows))
+        ]
 
     def project(self, names: Sequence[str]) -> "Schema":
         """A new schema with the given columns, in the given order."""

@@ -9,15 +9,22 @@ every slice decoded from it: readers can not write to what they share
 with the page cache, and CPython's cyclic collector — which visits
 every cell of a list on every full collection — untracks a tuple of
 scalars the first time it sees it and never walks it again.
+
+**Encoded columns.** A column whose values come from a small domain may
+be stored as *codes* (:meth:`Table.encode`), each in the narrowest
+buffer item that fits (a byte up to 256 values), until a read builds
+the tuple from them.
 """
 
 from __future__ import annotations
 
 import weakref
+from array import array
+from functools import partial
 from itertools import count
 from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
 
-from repro.errors import StorageError
+from repro.errors import SchemaError, StorageError
 from repro.storage.lru import WeightedLRU
 from repro.storage.page import DEFAULT_PAGE_ROWS, Page
 from repro.storage.schema import Schema
@@ -62,6 +69,43 @@ PAGE_CACHE = WeightedLRU(2_000_000, on_evict=_drop_slots)
 _SERIALS = count()
 
 
+def _code_buffer(size: int) -> bytearray | array:
+    """An empty buffer for codes into a domain of ``size`` values: a
+    byte each up to 256 values, else the narrowest ``array`` that fits."""
+    if size <= 256:
+        return bytearray()
+    return next(array(t) for t in "HILQ" if 256 ** array(t).itemsize >= size)
+
+
+_BYTES = bytes(range(256))
+
+
+def _packed(
+    name: str, codes: bytearray | array, values: Sequence[Any], size: int
+) -> bytearray | array:
+    """``values``, codes into a domain of ``size`` values, in a new buffer
+    of ``codes``' kind; a value that is not an ``int`` in ``range(size)``
+    raises :class:`SchemaError`. Each check is one pass in C: the types
+    present (a ``bool`` is not an ``int``), the buffer's conversion (a
+    negative, or a value wider than its item, raises) and the range."""
+    if set(map(type, values)) <= {int}:
+        try:
+            if type(codes) is bytearray:
+                packed = bytearray(values)
+                if not packed.translate(None, _BYTES[:size]):  # no byte left past size
+                    return packed
+            elif max(values) < size:
+                return array(codes.typecode, values)
+        except (ValueError, OverflowError):
+            pass
+    bad = next(v for v in values if type(v) is not int or not 0 <= v < size)
+    raise SchemaError(f"column {name!r} expects a code in range({size}), got {bad!r}")
+
+
+def _decode(domain: tuple, codes: bytearray | array) -> tuple:
+    return tuple(map(domain.__getitem__, codes))
+
+
 class Table:
     """An append-only, memory-resident, columnar table.
 
@@ -71,7 +115,8 @@ class Table:
     burst of inserts is linear in the rows inserted; an ingest after a
     read *unseals* (copies the tuples back into lists), which costs
     O(table) — the order of the page-cache invalidation beside it. Load
-    in bulk (:meth:`insert_many`), then read. A column may be deferred (:meth:`defer`).
+    in bulk (:meth:`insert_many`), then read. A column may be deferred
+    (:meth:`defer`) or held as codes into a small domain (:meth:`encode`).
     """
 
     def __init__(self, name: str, schema: Schema) -> None:
@@ -80,8 +125,12 @@ class Table:
         self.name = name
         self.schema = schema
         # Tuples once read, list buffers between an ingest and the next
-        # read, or a deferred column's build; readers go through ``_seal``.
+        # read, or a deferred or encoded column's build; readers go
+        # through ``_seal``.
         self._columns: list[Sequence[Any]] = [() for _ in schema.columns]
+        # Per encoded column position: its domain and its codes, one per
+        # row. Ingest appends to the codes; they are never unsealed.
+        self._encoded: dict[int, tuple[tuple, bytearray | array]] = {}
         self._rows = 0
         # Per column: has any stored value ever been NULL? Set at
         # ingest, never cleared (the table is append-only).
@@ -117,39 +166,78 @@ class Table:
         every column is validated before any is extended, so a
         :class:`~repro.errors.SchemaError` leaves the table as it was.
         The same pass records which columns now hold a NULL
-        (:meth:`not_null`).
+        (:meth:`not_null`). An encoded column's place in a row holds
+        its code (:meth:`encode`).
         """
         if not isinstance(rows, (list, tuple)):
             rows = list(rows)
         if not rows:
             return
-        stored = self.schema.validate_rows(rows)
-        if any(type(column) is not list for column in self._columns):  # read, or deferred
-            self._columns = [list(column) for column in self._seal()]
-            self._positions.clear()
+        encoded, columns = self._encoded, self._columns
+        stored = self.schema.validate_rows(rows, encoded)
+        packed = {
+            i: _packed(self.schema.columns[i].name, codes, stored[i][0], len(domain))
+            for i, (domain, codes) in encoded.items()
+        }
+        plain = [i for i in range(len(columns)) if i not in encoded]
+        if any(type(columns[i]) is not list for i in plain):  # read, or deferred
+            self._seal(plain)
+            for i in plain:
+                columns[i] = list(columns[i])
+        self._positions.clear()
         for i, (values, has_null) in enumerate(stored):
-            self._columns[i].extend(values)
-            self._has_null[i] |= has_null
+            if i in encoded:
+                domain, codes = encoded[i]
+                codes += packed[i]
+                columns[i] = partial(_decode, domain, codes)
+            else:
+                columns[i].extend(values)
+                self._has_null[i] |= has_null
         self._rows += len(rows)
         _forget(self._serial, self._page_cache)
+
+    def encode(self, name: str, domain: Sequence[Any]) -> None:
+        """Store column ``name`` as codes into ``domain`` from now on: each
+        ingested row carries, in that column's place, the index of its value
+        in ``domain`` (an ``int`` in ``range(len(domain))``), kept in a
+        byte, or in the narrowest array item that fits. A projection naming
+        the column or a whole-row read builds it from the codes; an ingest
+        after that appends codes. ``domain`` holds the column's stored type
+        only and no NULL; the table must be empty."""
+        i = self.schema.index_of(name)
+        if self._rows:
+            raise StorageError(f"{self.name}.{name}: only an empty table's column is encoded")
+        domain = tuple(domain)
+        values, has_null = self.schema.validate_column(i, domain)
+        if has_null or values is not domain:
+            raise SchemaError(f"column {name!r}: a domain holds its stored type and no NULL")
+        codes = _code_buffer(len(domain))
+        self._encoded[i] = domain, codes
+        self._columns[i] = partial(_decode, domain, codes)
+        self._positions.clear()
 
     def defer(self, name: str, build: Callable[[], Sequence[Any]]) -> None:
         """Hold column ``name`` as ``build`` until a projection naming it, a
         whole-row read or an ingest calls it for the values (one per row held
         now, none NULL, validated as ingest does); a bad build raises."""
-        self._columns[self.schema.index_of(name)] = build
+        i = self.schema.index_of(name)
+        self._encoded.pop(i, None)
+        self._columns[i] = build
         self._positions.clear()
 
     def _seal(self, positions: Sequence[int] | None = None) -> list[tuple[Any, ...]]:
         """The columns, each list buffer sealed into a tuple in place (one
-        transient copy at a time) and each deferred column at ``positions``
-        (every one when ``None``: what whole-row readers go through) built."""
+        transient copy at a time) and each deferred or encoded column at
+        ``positions`` (every one when ``None``: what whole-row readers go
+        through) built."""
         columns = self._columns
         for i, column in enumerate(columns):
             if type(column) is list:
                 columns[i] = tuple(column)
             elif callable(column) and (positions is None or i in positions):
-                values, has_null = self.schema.validate_column(i, column())
+                values, has_null = column(), False
+                if i not in self._encoded:  # codes and their domain were checked
+                    values, has_null = self.schema.validate_column(i, values)
                 if has_null or len(values) != self._rows:
                     raise StorageError(f"{self.name}.{self.schema.columns[i].name}: bad build")
                 columns[i] = tuple(values)
@@ -164,7 +252,8 @@ class Table:
     def not_null(self, columns: Sequence[str] | None = None) -> frozenset[int]:
         """Positions in ``columns`` (every column when ``None``) whose
         stored values include no NULL — as of now: an ingest that stores
-        a NULL takes its column out for good."""
+        a NULL takes its column out for good. An encoded column is in:
+        its domain holds no NULL."""
         if columns is None:
             flags = self._has_null
         else:

@@ -20,14 +20,16 @@ queries depend on:
 Everything is seeded; the same ``(scale_factor, seed)`` pair always
 yields the identical database.
 
-The database is memory-resident, so a column of repeated values is
-stored as repeated *references*: every value with a small domain (the
-dates, the part, supplier and customer keys a foreign key repeats, the
-clerks, the manufacturers) is picked from one prebuilt tuple instead of
-minted per row, so a lineitem date column holds one int object per day,
-not one per row. ``Stream.picks(options)`` takes the same twister words
-as ``Stream.ints`` over ``len(options)`` values, so the picked value is
-the one the integer draw made.
+The database is memory-resident, so a value with a small domain (a
+date, a part, supplier or customer key a foreign key repeats, a clerk,
+a flag, a priority) is never minted per row. Every such column of
+``orders`` and ``lineitem`` is *encoded* (``Table.encode``): its row
+holds the index drawn into one prebuilt tuple of values — the draw
+``Stream.ints(0, n - 1)``, which takes the same twister words as
+drawing a value from ``n`` — and the table keeps that code in one or
+two bytes until a read builds the column from the tuple, so equal
+values are one object and an unread column costs its codes. The small
+tables' domain columns (``p_mfgr``) are picked from a shared tuple.
 """
 
 from __future__ import annotations
@@ -67,6 +69,10 @@ _BRANDS = tuple(f"Brand#{i}{j}" for i in range(1, 6) for j in range(1, 6))
 _QUANTITIES = tuple(float(q) for q in range(1, 51))
 _DISCOUNTS = tuple(round(d / 100.0, 2) for d in range(11))
 _TAXES = tuple(round(t / 100.0, 2) for t in range(9))
+_LINE_NUMBERS = tuple(range(1, 8))
+_RETURN_FLAGS = ("R", "A", "N")
+_LINE_STATUS = ("O", "F")
+_SHIP_PRIORITIES = (0,)
 # Every day a date column holds. An order date is one of the first
 # ``_ORDER_DAYS`` (the last is 151 days before END_DATE) and a lineitem
 # date lies at most 151 days after its order's, so all of them index
@@ -240,30 +246,62 @@ def _populate_orders_and_lineitem(
 ) -> None:
     orders = catalog.create("orders", tpch_schema.ORDERS)
     lineitem = catalog.create("lineitem", tpch_schema.LINEITEM)
-    # Each range is bound once, so each draw below is one call. Quantity,
-    # discount and tax are picked from precomputed tables: the same draw,
-    # over the same width, as the integer each is derived from.
+    # Every small-domain column is stored as codes into its domain, and
+    # its row holds the index drawn over that domain's width.
+    order_domains = {
+        "o_custkey": _order_customers(customer_keys),
+        "o_orderstatus": _ORDER_STATUS,
+        "o_orderdate": _DAYS,
+        "o_orderpriority": _PRIORITIES,
+        "o_clerk": _CLERKS,
+        "o_shippriority": _SHIP_PRIORITIES,
+    }
+    line_domains = {
+        "l_partkey": part_keys,
+        "l_suppkey": supplier_keys,
+        "l_linenumber": _LINE_NUMBERS,
+        "l_quantity": _QUANTITIES,
+        "l_discount": _DISCOUNTS,
+        "l_tax": _TAXES,
+        "l_returnflag": _RETURN_FLAGS,
+        "l_linestatus": _LINE_STATUS,
+        "l_shipdate": _DAYS,
+        "l_commitdate": _DAYS,
+        "l_receiptdate": _DAYS,
+        "l_shipinstruct": _SHIP_INSTRUCT,
+        "l_shipmode": _SHIP_MODES,
+    }
+    for table, domains in ((orders, order_domains), (lineitem, line_domains)):
+        for name, domain in domains.items():
+            table.encode(name, domain)
+    # Each range is bound once, so each draw below is one call.
     key_gap = stream.ints(1, 4)
-    customer = stream.picks(_order_customers(customer_keys))
+    customer = stream.ints(0, len(customer_keys) - 1)
     order_day = stream.ints(0, _ORDER_DAYS - 1)  # an index into _DAYS
     line_count = stream.ints(1, 7)
-    order_status = stream.picks(_ORDER_STATUS)
-    priority = stream.picks(_PRIORITIES)
-    clerk = stream.picks(_CLERKS)
-    quantity_of = stream.picks(_QUANTITIES)
+    order_status = stream.ints(0, len(_ORDER_STATUS) - 1)
+    priority = stream.ints(0, len(_PRIORITIES) - 1)
+    clerk = stream.ints(0, len(_CLERKS) - 1)
+    quantity_of = stream.ints(0, len(_QUANTITIES) - 1)
     unit_price = stream.floats(900.0, 1100.0)
-    discount_of = stream.picks(_DISCOUNTS)
-    tax_of = stream.picks(_TAXES)
+    discount_of = stream.ints(0, len(_DISCOUNTS) - 1)
+    tax_of = stream.ints(0, len(_TAXES) - 1)
     ship_lag = stream.ints(1, 121)
     commit_lag = stream.ints(30, 90)
     receipt_lag = stream.ints(1, 30)
-    return_flag = stream.picks(("R", "A"))
-    part = stream.picks(part_keys)
-    supplier = stream.picks(supplier_keys)
-    ship_instruct = stream.picks(_SHIP_INSTRUCT)
-    ship_mode = stream.picks(_SHIP_MODES)
+    return_flag = stream.ints(0, 1)  # "R" or "A"; "N" is code 2
+    part = stream.ints(0, len(part_keys) - 1)
+    supplier = stream.ints(0, len(supplier_keys) - 1)
+    ship_instruct = stream.ints(0, len(_SHIP_INSTRUCT) - 1)
+    ship_mode = stream.ints(0, len(_SHIP_MODES) - 1)
     coin = stream.random
-    days = _DAYS
+    quantities = _QUANTITIES
+    # A row holds its codes until its chunk is loaded, so a code that may
+    # pass CPython's cached small ints is taken from this tuple, one int
+    # object per code: a fresh int per row would sit between the rows'
+    # floats in the allocator's pools and spread ``l_extendedprice`` over
+    # several times the memory each scan of it walks.
+    ints = tuple(range(max(map(len, (*order_domains.values(), *line_domains.values())))))
     order_codes, line_codes = bytearray(), bytearray()
     order_rows = []
     lines = []
@@ -271,32 +309,31 @@ def _populate_orders_and_lineitem(
     total_orders = config.customers * config.orders_per_customer
     for i in range(total_orders):
         order_key += key_gap()  # sparse keys, as in the spec
-        cust_key = customer()
+        cust = ints[customer()]
         day = order_day()
-        order_date = days[day]
         n_lines = line_count()
         plant = coin() < SPECIAL_REQUEST_PROBABILITY
         status = order_status()
 
         total_price = 0.0
-        for line_no in range(1, n_lines + 1):
+        for line in range(n_lines):
             quantity = quantity_of()
-            extended = round(quantity * unit_price(), 2)
+            extended = round(quantities[quantity] * unit_price(), 2)
             discount = discount_of()
             tax = tax_of()
             ship_day = day + ship_lag()
-            ship = days[ship_day]
-            commit = days[day + commit_lag()]
-            receipt = days[ship_day + receipt_lag()]
-            returnflag = return_flag() if coin() < 0.5 else "N"
-            linestatus = "O" if coin() < 0.5 else "F"
+            ship = ints[ship_day]
+            commit = ints[day + commit_lag()]
+            receipt = ints[ship_day + receipt_lag()]
+            returnflag = return_flag() if coin() < 0.5 else 2
+            linestatus = 0 if coin() < 0.5 else 1
             total_price += extended
             lines.append(
                 (
                     order_key,
-                    part(),
-                    supplier(),
-                    line_no,
+                    ints[part()],
+                    ints[supplier()],
+                    line,
                     quantity,
                     extended,
                     discount,
@@ -315,12 +352,12 @@ def _populate_orders_and_lineitem(
         order_rows.append(
             (
                 order_key,
-                cust_key,
+                cust,
                 status,
                 round(total_price, 2),
-                order_date,
+                ints[day],
                 priority(),
-                clerk(),
+                ints[clerk()],
                 0,
                 _comment(order_codes, stream, 4, 10, plant),
             )

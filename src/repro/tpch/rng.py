@@ -18,16 +18,15 @@ generated database does not depend on how a release happens to route
 those methods. It also costs one Python frame per draw instead of four
 (``randint → randrange → _randbelow → getrandbits``), which is most of
 the generator's time. The bound forms (:meth:`Stream.ints`,
-:meth:`Stream.picks`, :meth:`Stream.floats`) take the range once, so a
-table's inner loop does not recompute a width and its ``bit_length``
-for every value.
+:meth:`Stream.floats`) take the range once, so a table's inner loop does
+not recompute a width and its ``bit_length`` for every value.
 
-``picks(options)`` and ``ints(lo, hi)`` over as many values take the
-same words, so ``picks(tuple(range(lo, hi + 1)))`` returns what
-``ints(lo, hi)`` returns — as an object of that tuple rather than a
-fresh ``lo + r``. The generator draws every small-domain column that
-way, so equal values share one object; ``ints`` itself stays arithmetic,
-since its widths run to ``2**32`` and a tuple of them would not fit.
+A choice from ``n`` options and ``ints(0, n - 1)`` take the same words,
+so the index the integer draw makes is the option the choice would
+have picked. The generator draws every small-domain column of
+``orders`` and ``lineitem`` that way and stores the index as the
+value's code; the table builds the values from their domain when a
+query reads the column.
 """
 
 from __future__ import annotations
@@ -112,22 +111,6 @@ class Stream:
             while r >= n:
                 r = bits(k)
             return lo + r
-
-        return draw
-
-    def picks(self, options: Sequence[T]) -> Callable[[], T]:
-        """:meth:`choice` over ``options`` bound once."""
-        n = len(options)
-        if not n:
-            raise IndexError("cannot choose from an empty sequence")
-        bits = self._bits
-        k = n.bit_length()
-
-        def draw() -> T:
-            r = bits(k)
-            while r >= n:
-                r = bits(k)
-            return options[r]
 
         return draw
 

@@ -2,7 +2,8 @@
 read needs it, then stored as the tuple it built.
 
 The generator defers every TPC-H comment column, so a query that reads
-no comment never builds one.
+no comment never builds one; an encoded column (``Table.encode``) is
+built from its codes the same way.
 """
 
 import importlib.util
@@ -30,12 +31,36 @@ COMMENTS = {
 }
 
 
+# Every small-domain column of the two big tables is held as codes.
+ENCODED = {
+    "orders": (
+        "o_custkey", "o_orderstatus", "o_orderdate", "o_orderpriority", "o_clerk",
+        "o_shippriority",
+    ),
+    "lineitem": (
+        "l_partkey", "l_suppkey", "l_linenumber", "l_quantity", "l_discount", "l_tax",
+        "l_returnflag", "l_linestatus", "l_shipdate", "l_commitdate", "l_receiptdate",
+        "l_shipinstruct", "l_shipmode",
+    ),
+}
+
+
 def is_deferred(table, name):
     return callable(table._columns[table.schema.index_of(name)])
 
 
 def built_comments(catalog):
     return {t for t, name in COMMENTS.items() if not is_deferred(catalog.table(t), name)}
+
+
+def built_encoded(catalog):
+    """The encoded columns a read has built, after checking which are encoded."""
+    built = set()
+    for t, names in ENCODED.items():
+        table = catalog.table(t)
+        assert {table.schema.columns[i].name for i in table._encoded} == set(names)
+        built |= {name for name in names if not is_deferred(table, name)}
+    return built
 
 
 class Build:
@@ -173,3 +198,6 @@ def test_parallel_dop_never_builds_a_comment():
     assert len(workload.ops) == 3
     assert workload.verify() == 0
     assert built_comments(workload.catalog) == set()
+    assert built_encoded(workload.catalog) == {
+        "l_suppkey", "l_quantity", "l_discount", "l_shipdate", "o_orderdate", "o_orderpriority",
+    }

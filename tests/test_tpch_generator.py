@@ -260,8 +260,9 @@ class TestTextGeneration:
         assert matches_special_requests("specialrequests")
 
 
-# Columns whose values come from a small domain: the generator picks
-# each from one prebuilt tuple, so equal values are one object. At
+# Columns whose values come from a small domain: each is built from codes
+# into one prebuilt tuple (``p_mfgr`` is picked from one), so equal values
+# are one object. At
 # (0.002, 7) every domain reaches past CPython's cached small ints.
 SHARED_COLUMNS = (
     ("lineitem", "l_shipdate"),
@@ -276,11 +277,15 @@ SHARED_COLUMNS = (
 
 
 # ``generate(0.002, 7)``'s traced heap: 3.52-3.65 MB with each comment held
-# as its string, 2.29-2.30 MB with comments kept as codes (CPython 3.10-3.13).
+# as its string, 2.29-2.30 MB with comments kept as codes, and
+# ENCODED_BOUND_MB with every small-domain column of orders and lineitem
+# held as codes too (CPython 3.10-3.13).
 FOOTPRINT_BOUND_MB = 2.9
+ENCODED_BOUND_MB = 1.7
 
 
-def test_comments_cost_the_database_a_byte_a_word():
+def traced_generate_mb():
+    """``generate(0.002, 7)``'s traced heap, in MB, with nothing read."""
     generate(0.0005, 1)  # any first-call allocation happens outside the trace
     gc.collect()
     tracemalloc.start()
@@ -291,7 +296,15 @@ def test_comments_cost_the_database_a_byte_a_word():
     finally:
         tracemalloc.stop()
     assert len(catalog.table("lineitem")) > 0
-    assert traced_mb < FOOTPRINT_BOUND_MB
+    return traced_mb
+
+
+def test_comments_cost_the_database_a_byte_a_word():
+    assert traced_generate_mb() < FOOTPRINT_BOUND_MB
+
+
+def test_an_unread_small_domain_column_costs_the_database_its_codes():
+    assert traced_generate_mb() < ENCODED_BOUND_MB
 
 
 def test_a_small_domain_column_holds_one_object_per_value():
@@ -305,8 +318,9 @@ def test_a_small_domain_column_holds_one_object_per_value():
 
 def _integer_and_shared_draws(config: GeneratorConfig):
     """Per replaced draw: the integer draw and the value the generator
-    made from it, and the pick from a shared tuple that replaced it —
-    each a factory from a ``Stream`` to a bound draw."""
+    made from it, and the value its column decodes from the code drawn
+    over a shared domain that replaced it — each a factory from a
+    ``Stream`` to a bound draw."""
     folded = tpch_generator._order_customers(tpch_generator._keys(config.customers))
     days = tpch_generator._DAYS
 
@@ -352,15 +366,22 @@ def _integer_and_shared_draws(config: GeneratorConfig):
 
         return dates
 
+    def decoded(domain):
+        def draw(stream):
+            code = stream.ints(0, len(domain) - 1)
+            return lambda: domain[code()]
+
+        return draw
+
     def keys(n):
-        return lambda stream: stream.picks(tpch_generator._keys(n))
+        return decoded(tpch_generator._keys(n))
 
     def shared_manufacturer(stream):
         return lambda: stream.choice(tpch_generator._MANUFACTURERS)
 
     return {
-        "o_custkey": (integer_customer, lambda stream: stream.picks(folded)),
-        "o_clerk": (integer_clerk, lambda stream: stream.picks(tpch_generator._CLERKS)),
+        "o_custkey": (integer_customer, decoded(folded)),
+        "o_clerk": (integer_clerk, decoded(tpch_generator._CLERKS)),
         "p_mfgr": (integer_manufacturer, shared_manufacturer),
         "dates": (integer_dates, shared_dates),
         "l_partkey": (lambda stream: stream.ints(1, config.parts), keys(config.parts)),
@@ -390,7 +411,7 @@ def reference_draw(rng: random.Random, op):
     kind, lo, width, count = op
     if kind in ("int", "ints"):
         return [rng.randint(lo, lo + width - 1) for _ in range(count)]
-    if kind in ("choice", "picks", "choice_list"):
+    if kind in ("choice", "choice_list"):
         return [rng.choice(range(lo, lo + width)) for _ in range(count)]
     if kind in ("float", "floats"):
         return [rng.uniform(lo, lo + width / 7) for _ in range(count)]
@@ -408,9 +429,6 @@ def stream_draw(stream: Stream, op):
         return [draw() for _ in range(count)]
     if kind == "choice":
         return [stream.choice(options) for _ in range(count)]
-    if kind == "picks":
-        draw = stream.picks(options)
-        return [draw() for _ in range(count)]
     if kind == "choice_list":
         return stream.choice_list(options, count)
     if kind == "float":
@@ -421,7 +439,7 @@ def stream_draw(stream: Stream, op):
     return [stream.random() for _ in range(count)]
 
 
-DRAW_KINDS = ("int", "ints", "choice", "picks", "choice_list", "float", "floats", "random")
+DRAW_KINDS = ("int", "ints", "choice", "choice_list", "float", "floats", "random")
 draw_ops = st.tuples(
     st.sampled_from(DRAW_KINDS),
     st.integers(-(2**40), 2**40),
@@ -475,8 +493,6 @@ class TestEmptyRanges:
             stream.choice(())
         with pytest.raises(IndexError):
             random.Random(1).choice(())
-        with pytest.raises(IndexError):
-            stream.picks([])
         with pytest.raises(IndexError):
             stream.choice_list((), 3)
 
