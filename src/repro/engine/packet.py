@@ -46,9 +46,8 @@ class RowBatch:
 
     The derived views a batch caches: its compressed columns, its row
     tuples, and the split the last exchange made of it (``_split``:
-    the route ``(key_indices, fanout)``, whether the buckets are
-    columns, and one bucket per partition — a tuple of column tuples
-    for a column-backed batch, of row tuples for a row-backed one; see
+    the route ``(key_indices, fanout)`` and one bucket per partition,
+    a tuple of column tuples whatever the batch's backing; see
     :class:`~repro.engine.parallel.exchange.ExchangeOperator`). The
     split slot is set only by the exchange and read lazily: no
     constructor touches it, so a batch that never meets an exchange
@@ -101,11 +100,17 @@ class RowBatch:
         ``flags`` is the selection vector (one truthy/falsy entry per
         row, e.g. a batch-compiled predicate's output); ``kept`` is the
         number of truthy flags. Columns are compressed lazily on first
-        access, so chained inspections of ``len`` stay O(1).
+        access, so chained inspections of ``len`` stay O(1). The view
+        keeps this batch's backing: a selection over a selection
+        compresses this batch's columns (or rows) first.
         """
         batch = RowBatch.__new__(RowBatch)
-        batch._columns = self.columns if self._sel is None else None
-        batch._rows = self.rows if batch._columns is None else None
+        if self._columns is None:
+            batch._columns = None
+            batch._rows = self.rows
+        else:
+            batch._columns = self.columns
+            batch._rows = None
         batch._sel = flags
         batch._n = kept
         batch.width = self.width

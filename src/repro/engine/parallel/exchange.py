@@ -8,10 +8,9 @@ cooperating *fragments* connected by repartitioning queues:
   ``dop`` partition queues through a *dedicated* per-partition emitter
   (unlike an ordinary stage's emitter, which multiplexes every batch
   to every consumer). Rows leave each partition stream in input order,
-  which is what the bit-identity argument below rests on. A
-  column-backed batch is routed as columns and leaves as column-backed
-  pages, so a partition-wise aggregate folds them without a transpose;
-  a row-backed one is routed as row tuples.
+  which is what the bit-identity argument below rests on. Every batch
+  is routed as columns and leaves as column-backed pages, so a
+  partition-wise aggregate folds them without a transpose.
 * :class:`GatherOperator` — deterministic fan-in: driven as one port
   of ``dop`` queues, it drains them strictly in fragment order and
   concatenates. For contiguous page-range fragments this reproduces
@@ -53,7 +52,6 @@ from typing import Generator, Sequence
 from repro.engine.operators.api import BatchOperator
 from repro.engine.operators.partitioning import PartitionMemo
 from repro.engine.operators.sort import merge_spans
-from repro.engine.packet import RowBatch
 from repro.engine.stage import BatchEmitter
 from repro.sim.events import CLOSED, Compute, Get
 from repro.sim.queues import SimQueue
@@ -87,39 +85,45 @@ class ExchangeOperator(BatchOperator):
     ``key_indices`` are the partition-key columns; ``memo`` is the
     engine's :class:`~repro.engine.operators.partitioning.PartitionMemo`
     for this fanout (:meth:`~repro.engine.engine.Engine.exchange_memo`),
-    so the hash is paid once per distinct key per engine. One
-    :class:`_PartitionEmitter` per output queue keeps partition streams
-    independent: a batch is bucketed in input order and each bucket
-    rides its own emitter, so a consumer sees only its partition, in
-    producer order.
+    so the hash is paid once per distinct key per engine. One plain
+    :class:`~repro.engine.stage.BatchEmitter` per output queue keeps
+    partition streams independent: a batch is bucketed in input order
+    and each bucket rides its own emitter, so a consumer sees only its
+    partition, in producer order.
 
-    A bucket keeps the batch's backing. A column-backed batch is split
-    into one tuple of column tuples per partition, taken from its key
-    columns without building a row tuple, and its partitions leave as
-    column-backed pages; a row-backed batch (a re-cut filtered page,
-    the table's partial last page) is split into row tuples.
+    A batch is split from its columns, whatever its backing: one tuple
+    of column tuples per partition, taken from its key columns without
+    building a row tuple, and each emitter buffers them as columns, so
+    every partition leaves as column-backed pages. A row-backed batch
+    (a join's or a sort's output) is transposed once, by
+    :attr:`~repro.engine.packet.RowBatch.columns`.
 
     The buckets are a pure function of the batch and the route
     ``(key_indices, fanout)``, so the exchange keeps them on the batch
-    (its ``_split`` slot: the route, whether the buckets are columns,
-    and the buckets, ``()`` for a partition that gets nothing). A page
-    the fused memo parks reaches the exchange as the same batch every
-    run, and is then split once, not once per run. The simulated
-    ``exchange_tuple`` charge is paid every time either way.
+    (its ``_split`` slot: the route and the buckets, ``()`` for a
+    partition that gets nothing). A page the fused memo parks reaches
+    the exchange as the same batch every run, and is then split once,
+    not once per run. The simulated ``exchange_tuple`` charge is paid
+    every time either way.
     """
 
     ports = 1
 
     def __init__(self, node, ctx, out_queues, key_indices, memo: PartitionMemo) -> None:
         super().__init__(node, ctx, out_queues)
-        # One index partitions on the bare value, several on their tuple.
-        self._key_of = itemgetter(*key_indices)
         self._key_indices = tuple(key_indices)
         self._memo = memo
         self._route = (self._key_indices, len(out_queues))
         width = len(node.schema)
         self._emitters = [
-            _PartitionEmitter(queue, ctx, width, f"{node.op_id}.part{p}")
+            BatchEmitter(
+                [queue],
+                ctx.page_rows,
+                ctx.costs,
+                width=width,
+                op=f"{node.op_id}.part{p}",
+                perf=ctx.perf,
+            )
             for p, queue in enumerate(out_queues)
         ]
 
@@ -128,112 +132,39 @@ class ExchangeOperator(BatchOperator):
         split = getattr(batch, "_split", None)
         if split is None or split[0] != self._route:
             split = batch._split = self._split(batch)
-        _, columnar, buckets = split
-        if columnar:
-            for bucket, emitter in zip(buckets, self._emitters):
-                if bucket and emitter.add_columns(bucket):
-                    yield from emitter.flush_columns()
-            return
-        for bucket, emitter in zip(buckets, self._emitters):
+        for bucket, emitter in zip(split[1], self._emitters):
             if bucket:
-                yield from emitter.emit_rows(bucket)
+                yield from emitter.emit_columns(bucket)
 
     def _split(self, batch) -> tuple:
-        """``(route, columnar, buckets)``: ``batch`` bucketed by
-        partition, each bucket in input order and in the batch's
-        backing."""
+        """``(route, buckets)``: ``batch``'s columns bucketed by
+        partition, each bucket in input order."""
         partition_of = self._memo.__getitem__
-        if batch._columns is None:
-            rows = batch.rows
-            buckets: list[list] = [[] for _ in self._emitters]
-            for partition, row in zip(map(partition_of, map(self._key_of, rows)), rows):
-                buckets[partition].append(row)
-            return self._route, False, tuple(map(tuple, buckets))
         columns = batch.columns
         if len(self._key_indices) == 1:
             keys = columns[self._key_indices[0]]
         else:
             keys = zip(*[columns[i] for i in self._key_indices])
-        partitions = list(map(partition_of, keys))
-        # by_column[c][p]: column c's values in partition p.
-        by_column = []
-        for column in columns:
-            buckets = [[] for _ in self._emitters]
-            appends = [bucket.append for bucket in buckets]
-            for partition, value in zip(partitions, column):
-                appends[partition](value)
-            by_column.append(buckets)
-        return (
-            self._route,
-            True,
-            tuple(tuple(map(tuple, part)) if part[0] else () for part in zip(*by_column)),
-        )
+        # One pass over the keys finds each partition's row positions;
+        # each column is then gathered per partition in C.
+        positions = [[] for _ in self._emitters]
+        appends = [part.append for part in positions]
+        for position, partition in enumerate(map(partition_of, keys)):
+            appends[partition](position)
+        return self._route, tuple(_gather(part, columns) if part else () for part in positions)
 
     def finish(self) -> Generator:
         for emitter in self._emitters:
             yield from emitter.close()
 
 
-class _PartitionEmitter(BatchEmitter):
-    """One partition's stream out of an exchange: a
-    :class:`~repro.engine.stage.BatchEmitter` on one queue that also
-    buffers columns, so a column-backed bucket leaves in column-backed
-    pages.
-
-    The buffer holds whichever backing the last bucket brought. When
-    the backing switches, the pending rows (fewer than a page) are
-    converted and kept, never flushed early, so pages are cut at the
-    same cumulative row counts, with the same costs and Puts, as a
-    stream of row tuples.
-    """
-
-    def __init__(self, queue: SimQueue, ctx, width: int, op: str) -> None:
-        super().__init__([queue], ctx.page_rows, ctx.costs, width=width, op=op, perf=ctx.perf)
-        # One list per column while the buffer holds columns, else None.
-        self._columns: list[list] | None = None
-
-    def add_columns(self, columns: Sequence[tuple]) -> bool:
-        """Buffer one non-empty bucket of column tuples; whether a full
-        page is now due (:meth:`flush_columns`)."""
-        buffer = self._columns
-        if buffer is None:
-            buffer = [list(column) for column in zip(*self._rows)]
-            buffer = self._columns = buffer or [[] for _ in range(self.width)]
-            self._rows = []
-        for pending, column in zip(buffer, columns):
-            pending.extend(column)
-        self._count += len(columns[0])
-        return self._count >= self.batch_rows
-
-    def flush_columns(self) -> Generator:
-        """Deliver every full page the column buffer holds."""
-        while self._count >= self.batch_rows:
-            yield from self._deliver(self._cut_columns(self.batch_rows))
-
-    # The overrides below act on the buffer's backing (converting it,
-    # or cutting columns at ``close``), then hand back the generator
-    # that does the work, so a row stream pays no extra generator frame
-    # per bucket or per flush.
-
-    def emit_rows(self, rows: Sequence[tuple]) -> Generator:
-        if self._columns is not None:
-            self._rows = list(zip(*self._columns))
-            self._columns = None
-        return super().emit_rows(rows)
-
-    def _flush_rows(self) -> Generator:
-        if self._columns is None:
-            return super()._flush_rows()
-        return self._deliver(self._cut_columns(min(self._count, self.batch_rows)))
-
-    def _cut_columns(self, take: int) -> RowBatch:
-        """The first ``take`` buffered rows, as a column-backed page."""
-        buffer = self._columns
-        batch = RowBatch.from_columns([tuple(pending[:take]) for pending in buffer], take)
-        for pending in buffer:
-            del pending[:take]
-        self._count -= take
-        return batch
+def _gather(positions: list, columns: Sequence[Sequence]) -> tuple:
+    """The values at ``positions`` (non-empty) of every column, as a
+    tuple of column tuples."""
+    if len(positions) == 1:
+        (position,) = positions
+        return tuple((column[position],) for column in columns)
+    return tuple(map(itemgetter(*positions), columns))
 
 
 class GatherOperator(BatchOperator):

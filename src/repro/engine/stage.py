@@ -17,13 +17,15 @@ multiplexing — the serialization the paper identifies as the hidden
 cost of sharing.
 
 Producers hand the emitter row tuples
-(:meth:`~BatchEmitter.emit_rows` — joins, sorts, aggregates) or whole
-:class:`~repro.engine.packet.RowBatch` objects
-(:meth:`~BatchEmitter.emit_batch` — scan, filter, project). A batch
-that is already exactly ``batch_rows`` long passes straight through in
-whatever representation it has, columnar included, without copying —
-the common case for a saturated scan; anything else is buffered as
-rows and re-cut at ``batch_rows``.
+(:meth:`~BatchEmitter.emit_rows` — joins, sorts, aggregates), column
+sequences (:meth:`~BatchEmitter.emit_columns` — the exchange's
+partition buckets) or whole :class:`~repro.engine.packet.RowBatch`
+objects (:meth:`~BatchEmitter.emit_batch` — scan, filter, project). A
+batch that is already exactly ``batch_rows`` long passes straight
+through in whatever representation it has, without copying — the
+common case for a saturated scan; anything else is buffered in its own
+backing (a column-backed batch as columns, a row-backed one as rows)
+and re-cut at ``batch_rows``.
 
 """
 
@@ -49,6 +51,7 @@ class BatchEmitter:
         ...
         yield from emitter.emit_batch(batch)       # may flush batches
         yield from emitter.emit_rows(rows)         # ditto, row tuples
+        yield from emitter.emit_columns(columns)   # ditto, columns
         ...
         yield from emitter.close()                 # flush tail + Close
 
@@ -58,8 +61,15 @@ class BatchEmitter:
     work of an unshared operator, exactly the model's ``s * M`` term.
     ``width`` is the emitted tuple width in columns (copy cost scales
     with tuple bytes). Flush boundaries depend only on the cumulative
-    row count, so any split of the same row stream into emit calls
-    yields the identical event sequence.
+    row count, so any split of the same row stream into emit calls, in
+    either backing, yields the identical event sequence.
+
+    The buffer holds whichever backing the last call brought: row
+    tuples, or one list per column. When the backing switches, the
+    pending part-page is converted and kept, never flushed early, and
+    the next page is cut from that one buffer — so a stream of columns
+    leaves as column-backed pages and a stream of rows as row-backed
+    ones.
 
     ``op``/``perf`` are the wall-clock profiling hook (see
     :mod:`repro.obs.perf`): with a profiler attached, every batch flush
@@ -90,6 +100,8 @@ class BatchEmitter:
         self.op = op
         self.perf = perf
         self._rows: list[tuple] = []
+        # One list per column while the buffer holds columns, else None.
+        self._columns: list[list] | None = None
         self._count = 0
         # A full batch always costs the same, and Compute requests are
         # immutable — deliver one shared instance instead of allocating
@@ -112,36 +124,68 @@ class BatchEmitter:
         if self._count == 0 and n == self.batch_rows:
             yield from self._deliver(RowBatch.from_rows(rows, self.width))
             return
+        if self._columns is not None:
+            self._rows = list(zip(*self._columns))
+            self._columns = None
         self._rows.extend(rows)
         self._count += n
         while self._count >= self.batch_rows:
-            yield from self._flush_rows()
+            yield from self._flush()
+
+    def emit_columns(self, columns: Sequence[Sequence]) -> Generator:
+        """Buffer one sequence per column, all of one length."""
+        n = len(columns[0])
+        if n == 0:
+            return
+        buffer = self._columns
+        if buffer is None:
+            buffer = [list(column) for column in zip(*self._rows)] or [[] for _ in columns]
+            self._columns = buffer
+            self._rows = []
+        # Extended in C (``any`` only drains the map): a filtered page
+        # brings a few rows per call, where a Python loop over the
+        # columns costs twice as much.
+        any(map(list.extend, buffer, columns))
+        self._count += n
+        while self._count >= self.batch_rows:
+            yield from self._flush()
 
     def emit_batch(self, batch: RowBatch) -> Generator:
-        """Buffer a whole batch, passing it through unsplit if aligned."""
+        """Buffer a whole batch in its backing, passing it through
+        unsplit if aligned."""
         n = batch._n
         if n == 0:
             return
         if self._count == 0 and n == self.batch_rows:
             yield from self._deliver(batch)
-            return
-        yield from self.emit_rows(batch.rows)
+        elif batch._columns is None:
+            yield from self.emit_rows(batch.rows)
+        else:
+            yield from self.emit_columns(batch.columns)
 
     def close(self) -> Generator:
         """Flush the partial batch and close every consumer queue."""
         if self._count:
-            yield from self._flush_rows()
+            yield from self._flush()
         for queue in self.out_queues:
             yield Close(queue)
 
     # -- internals -------------------------------------------------------
 
-    def _flush_rows(self) -> Generator:
+    def _flush(self) -> Generator:
+        """Deliver the next page cut from the buffer (returns the
+        delivering generator, so a flush adds no frame of its own)."""
         take = min(self._count, self.batch_rows)
-        batch = RowBatch.from_rows(self._rows[:take], self.width)
-        del self._rows[:take]
         self._count -= take
-        yield from self._deliver(batch)
+        buffer = self._columns
+        if buffer is None:
+            batch = RowBatch.from_rows(self._rows[:take], self.width)
+            del self._rows[:take]
+        else:
+            batch = RowBatch.from_columns([tuple(pending[:take]) for pending in buffer], take)
+            for pending in buffer:
+                del pending[:take]
+        return self._deliver(batch)
 
     def _deliver(self, batch: RowBatch) -> Generator:
         n = batch._n

@@ -54,6 +54,39 @@ def test_win_table_covers_every_metric_both_sides_measured():
     assert "round_ms_p50" in lines[1] and "wins 1/2" in lines[1]
 
 
+def test_win_table_marks_a_metric_the_new_side_loses_in_most_pairs():
+    """A steady 10 % loss in 8 of 10 pairs is marked LOSES; 7 of 10, a
+    loss tied away and a win are not."""
+    contract = {
+        "workloads": [{"name": "a"}],
+        "end_to_end": [
+            {"name": "ops_per_s", "better": "higher"},
+            {"name": "round_ms_p50", "better": "lower"},
+            {"name": "round_ms_p75", "better": "lower"},
+            {"name": "peak_rss_mb", "better": "lower"},
+        ],
+    }
+
+    def documents(values):
+        return [
+            {"workloads": {"a": {"plain": {"end_to_end": dict(zip(names, pair))}}}}
+            for pair in zip(*values)
+        ]
+
+    names = [metric["name"] for metric in contract["end_to_end"]]
+    old = [[100.0] * 10, [50.0] * 10, [50.0] * 10, [40.0] * 10]
+    new = [
+        [90.0] * 8 + [110.0] * 2,  # lost 8/10
+        [55.0] * 7 + [45.0] * 3,  # lost 7/10
+        [55.0] * 7 + [50.0] * 3,  # lost 7/10, tied 3
+        [36.0] * 10,  # won 10/10
+    ]
+    lines = ab_pairs.win_table(contract, documents(old), documents(new))
+    assert ab_pairs.LOSS_SHARE == 0.8
+    assert [line.endswith("LOSES") for line in lines] == [True, False, False, False]
+    assert "wins 2/10 pairs (loses 8, ties 0" in lines[0]
+
+
 def test_only_the_last_three_pairs_run_the_traced_layers_pass():
     assert [ab_pairs.traced(pair, 10) for pair in range(10)] == [False] * 7 + [True] * 3
     assert [ab_pairs.traced(pair, 2) for pair in range(2)] == [True, True]

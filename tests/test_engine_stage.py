@@ -1,12 +1,55 @@
 """Unit tests for stage plumbing and the cost model."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine.costs import CostModel
 from repro.engine.packet import RowBatch
 from repro.engine.stage import BatchEmitter
 from repro.errors import EngineError
 from repro.sim import CLOSED, Get, Simulator
+from repro.sim.events import Close, Compute, Put
+from repro.sim.queues import SimQueue
+
+PAGE_ROWS = 4
+WIDTH = 2
+emitted_rows = st.tuples(st.integers(-5, 5) | st.none(), st.integers(0, 3).map(float))
+
+
+@st.composite
+def emit_calls(draw):
+    """One emit call: ``(method, rows, selections)``. ``emit_rows`` and
+    ``emit_columns`` take ``rows`` as they are; a column- or row-backed
+    batch is wrapped around ``rows`` and viewed through each selection
+    in turn, so it emits the rows every selection kept."""
+    method = draw(st.sampled_from(["emit_rows", "emit_columns", "columns", "rows"]))
+    rows = draw(st.lists(emitted_rows, max_size=2 * PAGE_ROWS + 1))
+    selections = []
+    if method in ("columns", "rows"):
+        kept = rows
+        for _ in range(draw(st.integers(0, 2))):
+            flags = draw(st.lists(st.booleans(), min_size=len(kept), max_size=len(kept)))
+            selections.append(flags)
+            kept = [row for row, keep in zip(kept, flags) if keep]
+    return method, rows, selections
+
+
+def _emit(emitter, method, rows, selections):
+    """Drive one emit call; returns the rows it emits."""
+    if method == "emit_rows":
+        return emitter.emit_rows(rows), rows
+    columns = [tuple(column) for column in zip(*rows)] or [()] * WIDTH
+    if method == "emit_columns":
+        return emitter.emit_columns(columns), rows
+    if method == "columns":
+        batch = RowBatch.from_columns(columns, len(rows))
+    else:
+        batch = RowBatch.from_rows(tuple(rows), WIDTH)
+    for flags in selections:
+        batch = batch.select(flags, sum(flags))
+        rows = [row for row, keep in zip(rows, flags) if keep]
+    return emitter.emit_batch(batch), rows
 
 
 @pytest.fixture
@@ -155,6 +198,44 @@ class TestBatchEmitter:
         flat = [r for page in received for r in page]
         assert flat == rows[:3] + [(10, 10.0), (11, 11.0)] + rows[3:]
 
+    @given(calls=st.lists(emit_calls(), max_size=10), consumers=st.integers(1, 3))
+    @settings(max_examples=300, deadline=None)
+    def test_any_mix_of_backings_cuts_the_pages_of_one_row_stream(self, calls, consumers):
+        """Rows, columns and whole batches (column-backed, row-backed,
+        ``select`` views of either), interleaved: the emitter yields
+        exactly the events ``emit_rows`` gives over the concatenated
+        rows; with no row-backed input, every page is column-backed."""
+
+        def drive(feed):
+            queues = [SimQueue(f"q{i}", 1 << 10) for i in range(consumers)]
+            emitter = BatchEmitter(queues, PAGE_ROWS, CostModel(), width=WIDTH)
+            events, backings = [], []
+            for steps in [*feed(emitter), emitter.close()]:
+                for event in steps:
+                    if type(event) is Compute:
+                        events.append(("compute", event.cost))
+                    elif type(event) is Put:
+                        events.append(("put", queues.index(event.queue), event.item.rows))
+                        backings.append(event.item._columns is not None)
+                    else:
+                        assert type(event) is Close
+                        events.append(("close", queues.index(event.queue)))
+            return events, backings
+
+        streamed = []
+
+        def mixed(emitter):
+            for call in calls:
+                steps, rows = _emit(emitter, *call)
+                streamed.extend(rows)
+                yield steps
+
+        events, backings = drive(mixed)
+        reference, _ = drive(lambda emitter: [emitter.emit_rows(streamed)])
+        assert events == reference
+        if all(method in ("emit_columns", "columns") for method, _, _ in calls):
+            assert all(backings)
+
     def test_split_emit_calls_match_single_call(self):
         rows = [(i, float(i)) for i in range(11)]
         _, whole, sim_w = self.run_batched([("emit_rows", (rows,))])
@@ -163,3 +244,18 @@ class TestBatchEmitter:
         )
         assert split == whole
         assert repr(sim_s.now) == repr(sim_w.now)
+
+
+class TestRowBatchSelect:
+    def test_a_selection_over_a_selection_keeps_the_column_backing(self):
+        parent = RowBatch.from_columns([(1, 2, 3, 4), (5, 6, 7, 8)]).select([1, 0, 1, 1], 3)
+        view = parent.select([1, 1, 0], 2)
+        assert view._columns is not None and view._rows is None
+        assert parent._rows is None
+        assert view.rows == ((1, 5), (3, 7))
+
+    def test_a_selection_over_a_selection_keeps_the_row_backing(self):
+        parent = RowBatch.from_rows(((1, 5), (2, 6), (3, 7)), 2).select([0, 1, 1], 2)
+        view = parent.select([1, 0], 1)
+        assert view._columns is None
+        assert view.rows == ((2, 6),)

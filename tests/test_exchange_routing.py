@@ -9,11 +9,10 @@ before, but what they return never does — the memo always answers
 fresh bucketing for its own route, and a query's rows and simulated
 duration are the same after any history as on a fresh session.
 
-A split keeps the batch's backing: a column-backed batch is cut into
-per-partition column tuples and leaves column-backed, a row-backed one
-into row tuples. Either way each partition queue receives the pages a
-plain row bucketing would cut, at the same row counts, with the same
-costs, in the same order.
+A batch is split from its columns whatever its backing, into
+per-partition column tuples, and every partition leaves column-backed.
+Each partition queue receives the pages a plain row bucketing would
+cut, at the same row counts, with the same costs, in the same order.
 """
 
 from itertools import chain
@@ -185,8 +184,13 @@ def test_one_batch_through_exchanges_of_different_routes():
     rows = list(catalog.table("t").rows())[:64]
     batch = RowBatch.from_columns([tuple(column) for column in zip(*rows)])
     for key_indices, dop in [((0,), 4), ((1,), 4), ((1,), 3), ((0, 1), 4), ((0,), 4)]:
-        assert _route(batch, key_indices, dop, engine, node) == _expected(rows, key_indices, dop)
-        assert batch._split[:2] == ((key_indices, dop), True)
+        expected = _expected(rows, key_indices, dop)
+        assert _route(batch, key_indices, dop, engine, node) == expected
+        # (route, buckets): one tuple of column tuples per partition.
+        assert batch._split == (
+            (key_indices, dop),
+            tuple(tuple(zip(*part)) if part else () for part in expected),
+        )
     # The same route again reuses the split the batch keeps.
     split = batch._split
     assert _route(batch, (0,), 4, engine, node) == _expected(rows, (0,), 4)
@@ -198,7 +202,8 @@ def test_a_parked_page_is_routed_once(monkeypatch):
     scan's pages are parked (the signature's second attach), a further
     run looks up no key of a page the scan emitter passes through
     whole; only the table's last, partial page is re-cut into a new
-    batch and routed again."""
+    batch and routed again. The re-cut reads the parked page's columns,
+    so no parked page holds row tuples."""
     looked_up = []
 
     class CountingMemo(partitioning.PartitionMemo):
@@ -237,16 +242,15 @@ def test_a_parked_page_is_routed_once(monkeypatch):
     # and split as they pass. Third: only the re-cut tail is routed.
     assert sorted(lookups[0]) == sorted(lookups[1]) == sorted(every_row)
     assert lookups[2] == list(tail)
-    # The exchange split the parked pages from their columns: no full
-    # page holds row tuples (the partial tail is re-cut from its rows).
-    parked = [
-        batch
-        for pages in table._page_cache.values()
-        for _, batch in pages or ()
-        if len(batch) == config.page_rows
-    ]
-    assert len(parked) == n_pages - 1
-    assert all(batch._rows is None and batch._split[1] for batch in parked)
+    # The exchange split the full parked pages from their columns, and
+    # the scan emitter re-cut the partial tail from its columns: no
+    # parked page holds row tuples.
+    parked = [batch for pages in table._page_cache.values() for _, batch in pages or ()]
+    assert len(parked) == n_pages
+    assert all(batch._rows is None for batch in parked)
+    full = [batch for batch in parked if len(batch) == config.page_rows]
+    assert len(full) == n_pages - 1
+    assert all(batch._split[0] == ((0,), 4) for batch in full)
 
 
 # ----------------------------------------------------------------------
@@ -338,9 +342,9 @@ def _reference_events(streamed_rows, key_indices, dop, costs):
 @settings(max_examples=200, deadline=None)
 def test_routing_matches_a_plain_row_bucketing(specs, tail, key_indices, dop):
     """Any mix of column-backed, row-backed and ``select``-view
-    batches, optionally ending as a scan does, in a partial page re-cut
-    as rows: every queue receives the reference's pages, costs and Put
-    order, and a stream of column-backed batches arrives column-backed."""
+    batches, optionally ending in a row-backed partial page: every
+    queue receives the reference's pages, costs and Put order, and
+    every page arrives column-backed."""
     catalog = Catalog()
     schema = Schema([("k", DataType.INT), ("g", DataType.FLOAT), ("s", DataType.STR)])
     catalog.create("t", schema)
@@ -351,8 +355,7 @@ def test_routing_matches_a_plain_row_bucketing(specs, tail, key_indices, dop):
     stream, streamed_rows = zip(*[_batch(*spec) for spec in specs]) if specs else ((), ())
     events, backings = _events(stream, key_indices, dop, engine, node)
     assert events == _reference_events(streamed_rows, key_indices, dop, engine.ctx.costs)
-    if all(backing == "columns" for backing, _, _ in specs):
-        assert all(backings)
+    assert all(backings)
     # A second exchange over the same batches reuses their splits and
     # yields the same events.
     assert _events(stream, key_indices, dop, engine, node)[0] == events

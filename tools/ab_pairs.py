@@ -22,7 +22,10 @@ pairs. This runs it as one command:
    merged into one per pair (their ``workloads`` unioned);
 3. the new side's ``bench/compare.py old1,... new1,...`` prints every
    (workload, end-to-end metric) row and any behaviour change, and this
-   file adds the per-pair win count of the new side on every metric.
+   file adds the per-pair win count of the new side on every metric,
+   marking ``LOSES`` where the new side lost at least ``LOSS_SHARE`` of
+   the pairs: a loss that steady is real even when its median is inside
+   the benchmark's bound and ``compare.py`` reads ``same``.
 
 With ``--layers`` each side's last ``min(3, pairs)`` pairs run
 ``bench/run.py --layers`` instead (the plain pass plus the traced one),
@@ -59,6 +62,10 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # Pairs that run the traced pass under --layers: the last ones, whose
 # per-layer medians the layer table prints.
 TRACED_PAIRS = 3
+
+# The share of pairs the new side must lose for the win table to mark a
+# metric LOSES (8 of 10 pairs: a steady loss, not the host's noise).
+LOSS_SHARE = 0.8
 
 
 def checkout(ref: str, directory: str) -> str:
@@ -131,7 +138,8 @@ def wins(old_values: list, new_values: list, better: str) -> tuple[int, int, int
 
 
 def win_table(contract: dict, old_docs: list, new_docs: list) -> list[str]:
-    """One line per (workload, end-to-end metric) both sides measured."""
+    """One line per (workload, end-to-end metric) both sides measured,
+    ending ``LOSES`` when the new side lost ``LOSS_SHARE`` of the pairs."""
     lines = []
     for workload in (w["name"] for w in contract["workloads"]):
         sides = [
@@ -144,9 +152,10 @@ def win_table(contract: dict, old_docs: list, new_docs: list) -> list[str]:
             name = metric["name"]
             old, new = ([run["end_to_end"][name] for run in runs] for runs in sides)
             won, lost, tied = wins(old, new, metric["better"])
+            verdict = "  LOSES" if lost >= LOSS_SHARE * len(old) else ""
             lines.append(
                 f"{workload:<16} {name:<13} new side wins {won}/{len(old)} pairs"
-                f" (loses {lost}, ties {tied}; {metric['better']} is better)"
+                f" (loses {lost}, ties {tied}; {metric['better']} is better){verdict}"
             )
     return lines
 
