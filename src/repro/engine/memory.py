@@ -74,6 +74,11 @@ class MemoryGrant:
     asked for; ``used`` is what the operator currently reports holding.
     Usage above the budget is allowed (the recursion floor of a
     spilling operator) but counted as an overcommit on the broker.
+
+    The grant also owns the runs spilled under it: :meth:`spill_file`
+    opens each in the broker's pool, and :meth:`close` drops any the
+    operator has not — so a stage that fails mid-spill leaves no file
+    behind. The grant keeps only file ids, never a dropped file.
     """
 
     __slots__ = (
@@ -86,6 +91,7 @@ class MemoryGrant:
         "closed",
         "notes",
         "_overcommitted",
+        "_spill_ids",
     )
 
     def __init__(self, broker: "MemoryBroker", owner: str, pages: int, requested: int) -> None:
@@ -98,6 +104,7 @@ class MemoryGrant:
         self.closed = False
         self.notes: dict = {}
         self._overcommitted = False
+        self._spill_ids: set[int] = set()
 
     def resize_used(self, used_pages: int) -> None:
         """Report the operator's current resident page count."""
@@ -127,10 +134,21 @@ class MemoryGrant:
         this grant; they surface in :meth:`MemoryBroker.grants`."""
         self.notes.update(facts)
 
+    def spill_file(self, page_rows: int):
+        """A fresh spill file in the broker's pool, owned by this grant."""
+        spill = self.broker.pool.spill_file(page_rows, self.owner)
+        self._spill_ids.add(spill.file_id)
+        return spill
+
     def close(self) -> None:
-        """Release the budget back to the broker."""
+        """Drop the spill files still open under this grant and release
+        the budget back to the broker."""
         if self.closed:
             return
+        if self._spill_ids:
+            for spill in self.broker.pool.live_spill_files():
+                if spill.file_id in self._spill_ids:
+                    spill.drop()
         self.resize_used(0)
         self.closed = True
         self.broker._release(self)

@@ -363,8 +363,6 @@ class AggregateOperator(BatchOperator):
         if output:
             yield Compute(self.ctx.costs.agg_emit * len(output))
         yield from self.emitter.emit_rows(output)
-        yield from self.emitter.close()
-        grant.close()
 
     # -- memory-governed partitioned aggregate ---------------------------
 
@@ -372,7 +370,7 @@ class AggregateOperator(BatchOperator):
         """Spill the largest resident partition's state; pages written."""
         victim = max((p for p in self.parts if p.groups), key=lambda p: len(p.groups))
         if victim.file is None:
-            victim.file = self.ctx.pool.spill_file(self.ctx.page_rows, self.grant.owner)
+            victim.file = self.grant.spill_file(self.ctx.page_rows)
         written = victim.file.append_rows(
             key + tuple(state) for key, state in victim.groups.items()
         )

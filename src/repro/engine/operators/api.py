@@ -9,10 +9,8 @@ its output queues, exposing four generator hooks —
   operators (scan) do *all* their work here.
 * :meth:`~BatchOperator.next_batch` — one input batch on one port.
 * :meth:`~BatchOperator.close_port` — the port's producer closed.
-* :meth:`~BatchOperator.finish` — all ports drained; the base
-  implementation closes the emitter (operators holding a memory grant
-  override it to release the grant *after* the emitter closes, which
-  keeps the grant-accounting event order stable).
+* :meth:`~BatchOperator.finish` — all ports drained; the last
+  output (a sort's merge, an aggregate's groups). Empty by default.
 
 :func:`drive` turns an operator instance into the simulator task the
 engine spawns: it opens the operator, drains each input port's queues
@@ -20,6 +18,13 @@ to ``CLOSED`` (ports in :attr:`~BatchOperator.port_order`, so e.g. the
 nested-loop join reads its inner input first), and finishes. Every
 hook is a generator so operators yield :mod:`repro.sim.events`
 requests exactly where the cost model says the work happens.
+
+The end of a stage is ``drive``'s alone: after ``finish`` it closes
+the operator's :attr:`~BatchOperator.emitters`, and however the task
+ends — drained, raising, or closed by the simulator's failure route —
+it closes the operator's :attr:`~BatchOperator.grant`, which drops
+any spill file still open under it. A failing stage so frees what it
+held as its generator unwinds.
 
 Operators receive :class:`~repro.engine.packet.RowBatch` payloads and
 emit through :class:`~repro.engine.stage.BatchEmitter` — whole batches
@@ -100,11 +105,16 @@ class BatchOperator:
     :attr:`port_order` when input queues must drain in non-natural
     order. The constructor is the single emitter-construction site:
     subclasses compute their output ``width`` and call
-    :meth:`make_emitter` once.
+    :meth:`make_emitter` once. ``emitters`` are what :func:`drive`
+    closes after ``finish``; ``grant`` is what it closes last (a
+    governed operator replaces :data:`~repro.engine.memory.UNBOUNDED`
+    with its own grant in ``open``).
     """
 
     ports: int = 1
     port_order: Optional[Sequence[int]] = None
+    emitters: Sequence[BatchEmitter] = ()
+    grant = UNBOUNDED
 
     def __init__(self, node, ctx: StageContext, out_queues: Sequence[SimQueue]) -> None:
         self.node = node
@@ -122,6 +132,7 @@ class BatchOperator:
             op=self.node.op_id,
             perf=ctx.perf,
         )
+        self.emitters = (self.emitter,)
         return self.emitter
 
     # -- protocol hooks (all simulator generators) -----------------------
@@ -142,8 +153,10 @@ class BatchOperator:
         yield  # pragma: no cover
 
     def finish(self) -> Generator:
-        """All inputs drained; default closes the output emitter."""
-        yield from self.emitter.close()
+        """All inputs drained: the last output, before :func:`drive`
+        closes the emitters."""
+        return
+        yield  # pragma: no cover
 
 
 def drive(op: BatchOperator, ports: Sequence[Sequence[SimQueue]]) -> Generator:
@@ -154,15 +167,25 @@ def drive(op: BatchOperator, ports: Sequence[Sequence[SimQueue]]) -> Generator:
     parallel consumer reads ``dop`` fragment queues as one logical
     port, in fragment order, which is what fixes its determinism — and
     ``close_port`` fires once per port, after its last queue closes.
+
+    After ``finish`` it closes ``op.emitters`` in order. Its
+    ``finally`` closes ``op.grant`` — after the emitters on a drained
+    stage, so grant accounting keeps its event order; on a stage that
+    raised or was closed (``gen.close()``), wherever it stopped.
     """
-    yield from op.open()
-    order = op.port_order if op.port_order is not None else range(len(ports))
-    for port in order:
-        for queue in ports[port]:
-            while True:
-                batch = yield Get(queue)
-                if batch is CLOSED:
-                    break
-                yield from op.next_batch(batch, port)
-        yield from op.close_port(port)
-    yield from op.finish()
+    try:
+        yield from op.open()
+        order = op.port_order if op.port_order is not None else range(len(ports))
+        for port in order:
+            for queue in ports[port]:
+                while True:
+                    batch = yield Get(queue)
+                    if batch is CLOSED:
+                        break
+                    yield from op.next_batch(batch, port)
+            yield from op.close_port(port)
+        yield from op.finish()
+        for emitter in op.emitters:
+            yield from emitter.close()
+    finally:
+        op.grant.close()

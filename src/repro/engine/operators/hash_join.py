@@ -214,8 +214,6 @@ class HashJoinOperator(BatchOperator):
                 self.build_width,
                 self.fanout,
             )
-        yield from self.emitter.close()
-        grant.close()
 
     # -- build, and the memory-governed hybrid phases --------------------
 
@@ -272,7 +270,7 @@ class HashJoinOperator(BatchOperator):
         """Evict the largest resident partition; returns pages written."""
         victim = max((p for p in self.parts if not p.spilled and p.rows), key=lambda p: p.rows)
         rows = [row for bucket in victim.table.values() for row in bucket]
-        victim.build_file = self.ctx.pool.spill_file(self.ctx.page_rows, self.grant.owner)
+        victim.build_file = self.grant.spill_file(self.ctx.page_rows)
         written = victim.build_file.append_rows(rows)
         victim.table = None
         self.resident_rows -= victim.rows
@@ -291,7 +289,7 @@ class HashJoinOperator(BatchOperator):
             p = parts[partition]
             if p.spilled:
                 if p.probe_file is None:
-                    p.probe_file = ctx.pool.spill_file(ctx.page_rows, self.grant.owner)
+                    p.probe_file = self.grant.spill_file(ctx.page_rows)
                 cost += costs.spill_page * p.probe_file.append_rows((row,))
             else:
                 joined.extend(
@@ -316,7 +314,6 @@ def _join_spilled(
 ):
     """Join one spilled (build, probe) partition pair."""
     costs = ctx.costs
-    pool = ctx.pool
     page_rows = ctx.page_rows
 
     if probe_file is None or probe_file.row_count == 0:
@@ -363,8 +360,8 @@ def _join_spilled(
 
     # The partition alone exceeds the grant: re-partition both runs
     # with this level's hash salt and recurse (Grace-style).
-    sub_build = [pool.spill_file(page_rows, grant.owner) for _ in range(fanout)]
-    sub_probe = [pool.spill_file(page_rows, grant.owner) for _ in range(fanout)]
+    sub_build = [grant.spill_file(page_rows) for _ in range(fanout)]
+    sub_probe = [grant.spill_file(page_rows) for _ in range(fanout)]
     memo = PartitionMemo(depth, fanout)
     for files, source, key_index in (
         (sub_build, build_file, build_index),

@@ -83,4 +83,3 @@ class MergeJoinOperator(BatchOperator):
         if joined:
             yield Compute(costs.join_emit * len(joined))
             yield from self.emitter.emit_rows(joined)
-        yield from self.emitter.close()

@@ -355,7 +355,7 @@ class SortOperator(BatchOperator):
     # -- memory-governed external-merge sort -----------------------------
 
     def _open_run(self):
-        self.run_file = self.ctx.pool.spill_file(self.ctx.page_rows, self.grant.owner)
+        self.run_file = self.grant.spill_file(self.ctx.page_rows)
         self.runs.append(self.run_file)
 
     def _flush_run_page(self):
@@ -409,8 +409,6 @@ class SortOperator(BatchOperator):
                 held.sort()
                 yield from emitter.emit_rows([row for _, _, row in held])
             grant.note(sort_runs=0, merge_passes=0, spilled_pages=0)
-            yield from emitter.close()
-            grant.close()
             return
 
         # Input closed: what is still held finishes the current run, the
@@ -445,7 +443,7 @@ class SortOperator(BatchOperator):
                     # copying it through the merge would be pure waste.
                     next_runs.append(batch[0])
                     continue
-                out_file = ctx.pool.spill_file(ctx.page_rows, grant.owner)
+                out_file = grant.spill_file(ctx.page_rows)
                 written = yield from _merge_runs(batch, ctx, grant, out_file=out_file)
                 self.spilled_pages += written
                 next_runs.append(out_file)
@@ -458,8 +456,6 @@ class SortOperator(BatchOperator):
             merge_passes=merge_passes,
             spilled_pages=self.spilled_pages,
         )
-        yield from emitter.close()
-        grant.close()
 
 
 def _merge_runs(files, ctx, grant, out_file=None, emitter=None):

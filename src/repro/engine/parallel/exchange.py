@@ -115,7 +115,7 @@ class ExchangeOperator(BatchOperator):
         self._memo = memo
         self._route = (self._key_indices, len(out_queues))
         width = len(node.schema)
-        self._emitters = [
+        self.emitters = [
             BatchEmitter(
                 [queue],
                 ctx.page_rows,
@@ -132,7 +132,7 @@ class ExchangeOperator(BatchOperator):
         split = getattr(batch, "_split", None)
         if split is None or split[0] != self._route:
             split = batch._split = self._split(batch)
-        for bucket, emitter in zip(split[1], self._emitters):
+        for bucket, emitter in zip(split[1], self.emitters):
             if bucket:
                 yield from emitter.emit_columns(bucket)
 
@@ -147,15 +147,11 @@ class ExchangeOperator(BatchOperator):
             keys = zip(*[columns[i] for i in self._key_indices])
         # One pass over the keys finds each partition's row positions;
         # each column is then gathered per partition in C.
-        positions = [[] for _ in self._emitters]
+        positions = [[] for _ in self.emitters]
         appends = [part.append for part in positions]
         for position, partition in enumerate(map(partition_of, keys)):
             appends[partition](position)
         return self._route, tuple(_gather(part, columns) if part else () for part in positions)
-
-    def finish(self) -> Generator:
-        for emitter in self._emitters:
-            yield from emitter.close()
 
 
 def _gather(positions: list, columns: Sequence[Sequence]) -> tuple:

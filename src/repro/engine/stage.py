@@ -55,6 +55,9 @@ class BatchEmitter:
         ...
         yield from emitter.close()                 # flush tail + Close
 
+    A stage's emitters are closed by
+    :func:`~repro.engine.operators.api.drive`, after ``finish``.
+
     Per batch flushed, each consumer costs
     ``output_page + output_value * len(batch) * width`` compute units
     before the Put — a pivot with M consumers spends M times the output

@@ -45,6 +45,8 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from repro.obs.trace import chrome_trace
+
 __all__ = [
     "OpProfile",
     "WallProfiler",
@@ -252,65 +254,22 @@ class WallProfiler:
         profile as proportional bars. Validates against
         :func:`~repro.obs.trace.validate_chrome_trace`.
         """
-        events: list[dict] = [
-            {
-                "name": "process_name",
-                "ph": "M",
-                "pid": 1,
-                "tid": 0,
-                "args": {"name": "repro-wall-clock"},
-            },
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": 1,
-                "tid": 0,
-                "args": {"name": "hotspots"},
-            },
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": 1,
-                "tid": 1,
-                "args": {"name": "decomposition"},
-            },
-        ]
-        cursor = 0.0
-        for p in self.profile():
-            dur = p.wall_s * _USEC
-            events.append(
-                {
-                    "name": p.op,
-                    "cat": "wall",
-                    "ph": "X",
-                    "ts": cursor,
-                    "dur": dur,
-                    "pid": 1,
-                    "tid": 0,
-                    "args": {"calls": p.calls, "rows": p.rows},
-                }
-            )
-            cursor += dur
         t = self.totals()
-        cursor = 0.0
-        for name, seconds in (
-            ("work", t["work_s"]),
-            ("harness", t["overhead_s"]),
-        ):
-            dur = seconds * _USEC
-            events.append(
-                {
-                    "name": name,
-                    "cat": "wall",
-                    "ph": "X",
-                    "ts": cursor,
-                    "dur": dur,
-                    "pid": 1,
-                    "tid": 1,
-                }
-            )
-            cursor += dur
-        return {"traceEvents": events, "displayTimeUnit": "ms"}
+        lanes = (
+            [(p.op, p.wall_s, {"calls": p.calls, "rows": p.rows}) for p in self.profile()],
+            [("work", t["work_s"], None), ("harness", t["overhead_s"], None)],
+        )
+        events: list[dict] = []
+        for tid, bars in enumerate(lanes):
+            cursor = 0.0
+            for name, seconds, args in bars:
+                dur = seconds * _USEC
+                event = dict(name=name, cat="wall", ph="X", ts=cursor, dur=dur, pid=1, tid=tid)
+                if args is not None:
+                    event["args"] = args
+                events.append(event)
+                cursor += dur
+        return chrome_trace("repro-wall-clock", {0: "hotspots", 1: "decomposition"}, events)
 
     def to_json(self, indent: Optional[int] = None) -> str:
         """Serialize :meth:`to_chrome` (stable key order; values are

@@ -41,6 +41,7 @@ __all__ = [
     "TraceEvent",
     "Tracer",
     "attach_tracer",
+    "chrome_trace",
     "TID_TASKS",
     "TID_QUEUES",
     "TID_POOL",
@@ -70,6 +71,18 @@ _LANE_NAMES = {
     TID_MEMORY: "work-mem",
     TID_SERVER: "server",
 }
+
+
+def chrome_trace(process: str, lanes: Mapping[int, str], events: list[dict]) -> dict:
+    """A Chrome/Perfetto ``trace_event`` JSON object: the metadata
+    naming ``process`` and each lane (``tid`` to label, in order), then
+    ``events``."""
+    metadata = [{"name": "process_name", "ph": "M", "pid": 1, "tid": 0, "args": {"name": process}}]
+    metadata += [
+        {"name": "thread_name", "ph": "M", "pid": 1, "tid": tid, "args": {"name": label}}
+        for tid, label in lanes.items()
+    ]
+    return {"traceEvents": metadata + events, "displayTimeUnit": "ms"}
 
 
 @dataclass(frozen=True)
@@ -212,31 +225,9 @@ class Tracer:
 
     def to_chrome(self) -> dict:
         """The Chrome/Perfetto ``trace_event`` JSON object."""
-        metadata = [
-            {
-                "name": "process_name",
-                "ph": "M",
-                "pid": 1,
-                "tid": 0,
-                "args": {"name": "repro-sim"},
-            }
-        ]
-        used = {e.tid for e in self.events}
-        for tid in sorted(used):
-            label = self._lanes.get(tid, f"cpu{tid}")
-            metadata.append(
-                {
-                    "name": "thread_name",
-                    "ph": "M",
-                    "pid": 1,
-                    "tid": tid,
-                    "args": {"name": label},
-                }
-            )
-        return {
-            "traceEvents": metadata + [e.to_chrome() for e in self.events],
-            "displayTimeUnit": "ms",
-        }
+        used = sorted({e.tid for e in self.events})
+        lanes = {tid: self._lanes.get(tid, f"cpu{tid}") for tid in used}
+        return chrome_trace("repro-sim", lanes, [e.to_chrome() for e in self.events])
 
     def to_json(self, indent: Optional[int] = None) -> str:
         """Deterministic serialization of :meth:`to_chrome` (stable key

@@ -252,15 +252,19 @@ class Simulator:
         Every request ``_advance`` cannot serve, and every exception
         the task's generator raises, ends here: the task is marked
         ``FAILED`` with ``error``, its processor is released, and it
-        stops counting as live. Then ``error`` goes to the task's
-        owner (``owner.fail(task, error)``), or is raised out of
-        :meth:`run` when the task has none.
+        stops counting as live. Its generator is closed, so a task
+        stopped at a request it cannot serve runs its ``finally``
+        clauses too (a stage frees its grant, a scan its elevator
+        ticket). Then ``error`` goes to the task's owner
+        (``owner.fail(task, error)``), or is raised out of :meth:`run`
+        when the task has none.
         """
         self._release(proc)
         task.state = FAILED
         task.error = error
         task.finished_at = self.now
         self._alive -= 1
+        task.gen.close()
         owner = task.owner
         if owner is None:
             raise error

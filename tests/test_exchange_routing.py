@@ -162,7 +162,8 @@ def _route(batch, key_indices, dop, engine, node):
     queues = [SimQueue(f"p{j}", 1 << 20) for j in range(dop)]
     exchange = ExchangeOperator(node, engine.ctx, queues, key_indices, engine.exchange_memo(dop))
     received = {queue: [] for queue in queues}
-    for event in chain(exchange.next_batch(batch, 0), exchange.finish()):
+    closes = chain.from_iterable(emitter.close() for emitter in exchange.emitters)
+    for event in chain(exchange.next_batch(batch, 0), closes):
         if type(event) is Put:
             received[event.queue].extend(event.item.rows)
     return [received[queue] for queue in queues]
@@ -297,7 +298,8 @@ def _events(stream, key_indices, dop, engine, node):
     exchange = ExchangeOperator(node, engine.ctx, queues, key_indices, engine.exchange_memo(dop))
     steps = chain.from_iterable(exchange.next_batch(batch, 0) for batch in stream)
     events, backings = [], []
-    for event in chain(steps, exchange.finish()):
+    closes = chain.from_iterable(emitter.close() for emitter in exchange.emitters)
+    for event in chain(steps, closes):
         if type(event) is Compute:
             events.append(("compute", event.cost))
         elif type(event) is Put:
